@@ -11,6 +11,9 @@
 // the quantities below with %a.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -160,6 +163,136 @@ TEST(engine_golden, campaign2_tiny_fluid_headline_numbers) {
                                 0x1.8p-1,              // P(10-MA-LSO < 0.4) = 0.75
                                 0x1.8p-1,              // P(0.8-HW-LSO < 0.4) = 0.75
                                 4});
+}
+
+// Option-variant goldens. Every engine_options switch changes how a record
+// becomes predictor inputs or which epochs are scored; each variant's digest
+// pins every per-trace RMSRE and every conditioned field bit-exactly, and
+// each variant's one-pass evaluate_stream must equal summarize() of the
+// in-memory engine bitwise. Captured before the engine and evaluate_stream
+// shared one per-trace pipeline, so they pin that refactor's behaviour.
+
+/// Hexfloat rendering of a summary: per trace (path, trace, epochs, RMSRE),
+/// traces_unscored, the six conditioned fields, then any kept epoch errors.
+std::string render(const stream_predictor_summary& s) {
+    std::string out = s.name;
+    const auto num = [&out](double v) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, ",%a", v);
+        out += std::isnan(v) ? std::string(",nan") : std::string(buf);
+    };
+    for (const auto& t : s.traces) {
+        out += ";" + std::to_string(t.path_id) + "/" + std::to_string(t.trace_id) +
+               "/" + std::to_string(t.epochs);
+        num(t.rmsre);
+    }
+    const conditioned_rmsre& c = s.conditioned;
+    out += ";unscored=" + std::to_string(s.traces_unscored) +
+           ";n=" + std::to_string(c.n_clean) + "/" + std::to_string(c.n_faulty) +
+           "/" + std::to_string(c.n_stale);
+    num(c.rmsre_clean);
+    num(c.rmsre_faulty);
+    num(c.rmsre_stale);
+    if (!s.epoch_errors.empty()) out += ";errors";
+    for (const double e : s.epoch_errors) num(e);
+    return out;
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const char ch : s) {
+        h ^= static_cast<unsigned char>(ch);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+struct variant {
+    const char* name;
+    engine_options opts;
+    std::uint64_t digest;  ///< fnv1a of the specs' renders, epoch errors excluded
+};
+
+std::vector<variant> option_variants(const std::vector<std::uint64_t>& digests) {
+    std::vector<variant> v(7);
+    v[0] = {"default", {}, 0};
+    v[1].name = "smooth_inputs";
+    v[1].opts.smooth_inputs = true;
+    v[2].name = "downsample_3";
+    v[2].opts.downsample = 3;
+    v[3].name = "exclude_outliers";
+    v[3].opts.exclude_outliers = true;
+    v[4].name = "use_during_flow";
+    v[4].opts.use_during_flow = true;
+    v[5].name = "small_window";
+    v[5].opts.small_window = true;
+    v[5].opts.predictor.window_bytes = 20 * 1024;
+    v[6].name = "warmup_5";
+    v[6].opts.warmup = 5;
+    for (std::size_t i = 0; i < v.size(); ++i) v[i].digest = digests.at(i);
+    return v;
+}
+
+void check_variants(const testbed::dataset& data, const std::vector<variant>& variants) {
+    const std::vector<std::string> specs{"fb:pftk", "10-MA-LSO", "0.8-HW-LSO"};
+    std::vector<const testbed::epoch_record*> ordered;
+    for (const auto& [key, recs] : data.traces()) {
+        ordered.insert(ordered.end(), recs.begin(), recs.end());
+    }
+    for (const variant& v : variants) {
+        SCOPED_TRACE(v.name);
+        const auto results = evaluation_engine{v.opts}.run(data, specs);
+
+        std::size_t pos = 0;
+        stream_eval_options sopts;
+        sopts.engine = v.opts;
+        sopts.keep_epoch_errors = {0, 1, 2};
+        const auto streamed = evaluate_stream(
+            [&](testbed::epoch_record& out) {
+                if (pos >= ordered.size()) return false;
+                out = *ordered[pos++];
+                return true;
+            },
+            specs, sopts);
+        ASSERT_EQ(streamed.size(), results.size());
+
+        std::string all;
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            stream_predictor_summary expected = summarize(results[i], true);
+            EXPECT_EQ(render(streamed[i]), render(expected)) << specs[i];
+            expected.epoch_errors.clear();
+            all += render(expected) + "\n";
+        }
+        EXPECT_EQ(fnv1a(all), v.digest)
+            << std::hex << "0x" << fnv1a(all) << std::dec << "\n" << all;
+    }
+}
+
+TEST(engine_golden, campaign1_tiny_option_variants) {
+    const auto data = csv_round_trip(
+        testbed::run_campaign(testbed::campaign1_config(testbed::campaign_scale::tiny)),
+        "engine_golden_c1_variants.csv");
+    check_variants(data, option_variants({0x34553f950a146620, 0x335827e496906a07,
+                                          0x01c7831f5319d462, 0xcf55c81a94e3c3f2,
+                                          0x66137862687fa8d0, 0xf8820da55671a115,
+                                          0x87b0fad35063b246}));
+}
+
+TEST(engine_golden, campaign1_tiny_faulted_option_variants) {
+    auto cfg = testbed::campaign1_config(testbed::campaign_scale::tiny);
+    cfg.faults = sim::fault_profile::parse("pathload=0.3,abort=0.2");
+    const auto data =
+        csv_round_trip(testbed::run_campaign(cfg), "engine_golden_c1_faulted.csv");
+
+    // The fault profile must actually reach the conditioned split.
+    const auto fb = summarize(evaluation_engine{}.run_one(data, "fb:pftk"), false);
+    EXPECT_GT(fb.conditioned.n_faulty, 0u);
+    EXPECT_GT(fb.conditioned.n_stale, 0u);
+
+    check_variants(data, option_variants({0x6f4c80001cd5c9fd, 0xad91a83442b7be1d,
+                                          0xcf906d7a37f358f2, 0xb2ce25c2f7d5e372,
+                                          0xe8c4beeff35930fa, 0x8d2f951824ceb3b8,
+                                          0xe60fc865b10f5c1a}));
 }
 
 }  // namespace
