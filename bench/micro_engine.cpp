@@ -66,6 +66,7 @@ void bm_tcp_transfer_second(benchmark::State& state) {
         conn.quiesce();
         benchmark::DoNotOptimize(conn.sender().acked_bytes());
     }
+    state.SetItemsProcessed(state.iterations());  // items = simulated seconds
 }
 BENCHMARK(bm_tcp_transfer_second);
 
@@ -90,6 +91,7 @@ void bm_loaded_path_second(benchmark::State& state) {
         cross.stop();
         benchmark::DoNotOptimize(sched.fired());
     }
+    state.SetItemsProcessed(state.iterations());  // items = simulated seconds
 }
 BENCHMARK(bm_loaded_path_second);
 

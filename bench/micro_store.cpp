@@ -4,6 +4,7 @@
 // campaign and analysis pass is built on. Records are synthetic (filled
 // from the index, no simulation) so the numbers isolate serialization cost.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <filesystem>
@@ -44,7 +45,11 @@ testbed::epoch_record synthetic_record(std::size_t i) {
 }
 
 std::filesystem::path bench_store_path() {
-    return std::filesystem::temp_directory_path() / "tcppred_micro_store.store";
+    // Named per process, so concurrent runs never clobber each other's store.
+    static const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("tcppred_micro_store." + std::to_string(::getpid()) + ".store");
+    return path;
 }
 
 void write_bench_store() {

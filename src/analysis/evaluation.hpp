@@ -70,12 +70,19 @@ struct record_view {
 /// The stateless per-record slice of the engine's view building, honouring
 /// the stateless engine_options switches (use_during_flow, use_event_loss,
 /// small_window) and ignoring the cross-epoch ones (smooth_inputs,
-/// downsample, which need trace context). The engine itself routes every
-/// non-smoothed epoch through this function, so an online consumer — the
-/// serve daemon replaying an observation stream — sees bitwise-identical
-/// inputs to an offline engine run over the same records by construction.
+/// downsample, which need trace context). The engine projects every epoch
+/// with the same two steps (select the loss/RTT, then classify and mask),
+/// with input smoothing as an optional stateful step between them, so an
+/// online consumer — the serve daemon replaying an observation stream —
+/// sees bitwise-identical inputs to an offline engine run over the same
+/// records by construction.
 [[nodiscard]] record_view view_of_record(const testbed::epoch_record& rec,
                                          const engine_options& opts = {});
+
+/// One epoch of the streaming contract, shared by the engine's scoring walk
+/// and the serve daemon: predict from the epoch's inputs, then reveal its
+/// (possibly masked) actual. Returns the prediction made before the reveal.
+[[nodiscard]] core::prediction epoch_step(core::predictor& pred, const record_view& rv);
 
 /// One scored epoch of one predictor.
 struct epoch_score {
@@ -235,11 +242,11 @@ struct stream_eval_options {
 };
 
 /// One-pass streaming evaluation: pull records from `source`, buffer ONE
-/// (path, trace) series at a time, and on each trace boundary run exactly
-/// the engine's per-trace pipeline (build_view → optional LSO scan →
-/// clone_empty → score_walk) for every spec, folding per-trace RMSREs and
-/// the conditioned error sums incrementally. Peak memory is O(longest trace
-/// + traces·specs), independent of the dataset size. Throws
+/// (path, trace) series at a time, and on each trace boundary run the
+/// engine's own per-trace function (build_view → optional LSO scan →
+/// clone_empty → score_walk) for every spec, folding each trace's result
+/// into the summary through the same fold summarize() uses. Peak memory is
+/// O(longest trace + traces·specs), independent of the dataset size. Throws
 /// core::predictor_spec_error on a bad spec before pulling any record.
 [[nodiscard]] std::vector<stream_predictor_summary> evaluate_stream(
     const record_source& source, const std::vector<std::string>& specs,

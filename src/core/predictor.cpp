@@ -39,6 +39,17 @@ std::optional<path_measurement> formula_view(formula_kind kind,
 
 }  // namespace
 
+const char* to_string(prediction_source s) noexcept {
+    switch (s) {
+        case prediction_source::history: return "history";
+        case prediction_source::model_based: return "model_based";
+        case prediction_source::avail_bw: return "avail_bw";
+        case prediction_source::window_bound: return "window_bound";
+        case prediction_source::blended: return "blended";
+    }
+    return "unknown";
+}
+
 // ---- history_predictor
 
 history_predictor::history_predictor(std::unique_ptr<hb_predictor> inner)

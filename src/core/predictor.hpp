@@ -48,6 +48,10 @@ enum class prediction_source {
     blended,       ///< hybrid FB+HB mixture
 };
 
+/// Stable name of a prediction source ("history", "model_based", ...), as
+/// written in trace events and serve replies.
+[[nodiscard]] const char* to_string(prediction_source s) noexcept;
+
 /// Provenance of a prediction's inputs.
 struct prediction_inputs {
     prediction_source source{prediction_source::history};

@@ -63,8 +63,8 @@ std::uint64_t path_table::observe(const std::string& path, const observation& ev
         c_paths.add();
     }
     for (std::size_t j = 0; j < st.preds.size(); ++j) {
-        st.last[j] = cached_prediction{st.preds[j]->predict(rv.inputs), ev.epoch};
-        st.preds[j]->observe_maybe(rv.actual_bps);
+        st.last[j] =
+            cached_prediction{analysis::epoch_step(*st.preds[j], rv), ev.epoch};
     }
     st.log.push_back(ev);
     c_observe.add();

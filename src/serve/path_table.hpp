@@ -5,9 +5,10 @@
 //
 // Equivalence contract (DESIGN.md §17): applying an OBSERVE runs the exact
 // per-epoch pipeline of the offline engine — analysis::view_of_record for
-// the input projection, then predict() before observe_maybe() on every
-// predictor — so a replayed observation stream yields forecasts bitwise
-// identical to analysis::evaluation_engine over the same records. predict()
+// the input projection, then the engine's own analysis::epoch_step
+// (predict() before observe_maybe()) on every predictor — so a replayed
+// observation stream yields forecasts bitwise identical to
+// analysis::evaluation_engine over the same records. predict()
 // is only ever called from the observe path (one call per epoch; the FB
 // staleness fallback ages on every call) — PREDICT requests return the
 // cached forecast and never touch predictor state.

@@ -33,17 +33,6 @@ const char* status_name(core::prediction_status s) {
     return "unknown";
 }
 
-const char* source_name(core::prediction_source s) {
-    switch (s) {
-        case core::prediction_source::history: return "history";
-        case core::prediction_source::model_based: return "model_based";
-        case core::prediction_source::avail_bw: return "avail_bw";
-        case core::prediction_source::window_bound: return "window_bound";
-        case core::prediction_source::blended: return "blended";
-    }
-    return "unknown";
-}
-
 [[noreturn]] void sock_fail(const std::string& what) {
     throw std::runtime_error("tcppred_serve: " + what + ": " + std::strerror(errno));
 }
@@ -149,7 +138,7 @@ std::string server::handle_line(std::string_view line) {
                 out += ' ';
                 out += status_name(reply.value.status);
                 out += ' ';
-                out += source_name(reply.value.inputs_used.source);
+                out += core::to_string(reply.value.inputs_used.source);
                 out += ' ';
                 out += std::to_string(reply.value.inputs_used.staleness);
                 out += ' ';

@@ -30,14 +30,6 @@ double parse_hexd(const std::string& s, const std::filesystem::path& file,
 
 namespace {
 
-std::vector<std::string> split(const std::string& line, char sep) {
-    std::vector<std::string> out;
-    std::stringstream ss(line);
-    std::string item;
-    while (std::getline(ss, item, sep)) out.push_back(item);
-    return out;
-}
-
 constexpr std::size_t k_fixed_doubles = 12;  // measurement doubles per record
 
 /// Parse one already-split "rec,..." line into (linear index, record).
@@ -159,8 +151,8 @@ std::string describe_fingerprint_mismatch(const std::string& in_checkpoint,
         "epoch.hard_cap_s",
     };
     constexpr std::size_t k_fixed = sizeof(k_names) / sizeof(k_names[0]);
-    const auto old_f = split(in_checkpoint, '|');
-    const auto new_f = split(requested, '|');
+    const auto old_f = split_fields(in_checkpoint, '|');
+    const auto new_f = split_fields(requested, '|');
     const auto name_of = [&](std::size_t i) -> std::string {
         if (i < k_fixed) return k_names[i];
         return "epoch.prefix_s[" + std::to_string(i - k_fixed) + "]";
@@ -310,7 +302,7 @@ std::optional<std::pair<std::size_t, epoch_record>> checkpoint_reader::next() {
     while (std::getline(in_, line)) {
         ++line_no_;
         if (line.empty()) continue;
-        return parse_checkpoint_record(split(line, ','), total_, file_, line_no_);
+        return parse_checkpoint_record(split_fields(line, ','), total_, file_, line_no_);
     }
     return std::nullopt;
 }

@@ -20,6 +20,14 @@ dataset_error::dataset_error(std::filesystem::path file, std::size_t line,
       line_(line),
       column_(column) {}
 
+std::vector<std::string> split_fields(const std::string& line, char sep) {
+    std::vector<std::string> out;
+    std::stringstream ss(line);
+    std::string item;
+    while (std::getline(ss, item, sep)) out.push_back(item);
+    return out;
+}
+
 namespace {
 
 constexpr int k_max_prefixes = 3;
@@ -29,14 +37,6 @@ path_class class_from_string(const std::string& s) {
     if (s == "eu") return path_class::transatlantic;
     if (s == "kr") return path_class::transpacific;
     return path_class::us_university;
-}
-
-std::vector<std::string> split(const std::string& line, char sep) {
-    std::vector<std::string> out;
-    std::stringstream ss(line);
-    std::string item;
-    while (std::getline(ss, item, sep)) out.push_back(item);
-    return out;
 }
 
 /// One CSV line plus enough context to produce a precise dataset_error.
@@ -306,7 +306,7 @@ dataset load_csv_impl(std::istream& in, const std::filesystem::path& file) {
         if (line.rfind("#path,", 0) == 0) {
             // "#path," is stripped before splitting; report columns relative
             // to the full line so they point at the real file offsets.
-            const row_parser f(file, line_no, split(line.substr(6), ','), 1);
+            const row_parser f(file, line_no, split_fields(line.substr(6), ','), 1);
             if (f.size() < 8) {
                 throw dataset_error(file, line_no, 0,
                                     "catalogue line needs 8 fields, has " +
@@ -340,12 +340,12 @@ dataset load_csv_impl(std::istream& in, const std::filesystem::path& file) {
         }
         if (!header_seen) {  // column header
             header_seen = true;
-            const auto cols = split(line, ',');
+            const auto cols = split_fields(line, ',');
             has_fault_column =
                 std::find(cols.begin(), cols.end(), "fault_flags") != cols.end();
             continue;
         }
-        const row_parser f(file, line_no, split(line, ','));
+        const row_parser f(file, line_no, split_fields(line, ','));
         if (f.size() < 14) {
             throw dataset_error(file, line_no, 0,
                                 "record line needs at least 14 fields, has " +

@@ -91,6 +91,11 @@ void write_csv_record(std::ostream& out, const epoch_record& r, bool any_faults)
 /// pinned CSV-derived goldens without materializing a CSV.
 [[nodiscard]] epoch_record csv_normalized_record(const epoch_record& r);
 
+/// Split one line of a comma- or bar-separated format at `sep`. A trailing
+/// empty field is dropped ("a,b," -> {"a", "b"}); the CSV, checkpoint and
+/// record-store readers all rely on that.
+[[nodiscard]] std::vector<std::string> split_fields(const std::string& line, char sep);
+
 /// Read records back. The path catalogue is re-derived from the stored
 /// catalogue parameters line; the optional `fault_flags` column is detected
 /// from the header. NaN fields are legal in measurement columns (a failed

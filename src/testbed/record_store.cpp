@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
@@ -22,14 +21,6 @@
 namespace tcppred::testbed {
 
 namespace {
-
-std::vector<std::string> split(const std::string& line, char sep) {
-    std::vector<std::string> out;
-    std::stringstream ss(line);
-    std::string item;
-    while (std::getline(ss, item, sep)) out.push_back(item);
-    return out;
-}
 
 std::uint64_t parse_u64(const std::string& s, const std::filesystem::path& file,
                         std::size_t line_no) {
@@ -318,7 +309,7 @@ void record_reader::open_and_validate(const std::string& expected_fingerprint) {
     if (!std::getline(in, fline) || fline.rfind("footer,", 0) != 0) {
         throw dataset_error(file_, 0, 0, "end line does not point at a footer");
     }
-    const auto ff = split(fline, ',');
+    const auto ff = split_fields(fline, ',');
     if (ff.size() != 5) {
         throw dataset_error(file_, 0, 0, "footer needs 5 fields");
     }
@@ -336,7 +327,7 @@ void record_reader::open_and_validate(const std::string& expected_fingerprint) {
         if (!std::getline(in, cline)) {
             throw dataset_error(file_, 0, 0, "truncated footer index");
         }
-        const auto cf = split(cline, ',');
+        const auto cf = split_fields(cline, ',');
         if (cf.size() != 4 || cf[0] != "chunkoff" || parse_u64(cf[1], file_, 0) != i) {
             throw dataset_error(file_, 0, 0, "bad chunkoff line in footer index");
         }
@@ -379,7 +370,7 @@ void record_reader::load_chunk() {
     std::string line;
     if (!std::getline(in, line)) throw fail("truncated: expected chunk header");
     {
-        const auto f = split(line, ',');
+        const auto f = split_fields(line, ',');
         if (f.size() != 3 || f[0] != "chunk") throw fail("expected chunk header line");
         if (parse_u64(f[1], file_, 0) != next_chunk_ ||
             parse_u64(f[2], file_, 0) != ref.count) {
@@ -391,7 +382,7 @@ void record_reader::load_chunk() {
         if (!std::getline(in, line)) {
             throw fail(std::string("truncated: expected column ") + name);
         }
-        auto f = split(line, ',');
+        auto f = split_fields(line, ',');
         if (f.size() < 2 || f[0] != "col" || f[1] != name) {
             throw fail(std::string("expected column ") + name);
         }
