@@ -233,8 +233,18 @@ std::vector<variant> option_variants(const std::vector<std::uint64_t>& digests) 
     return v;
 }
 
-void check_variants(const testbed::dataset& data, const std::vector<variant>& variants) {
-    const std::vector<std::string> specs{"fb:pftk", "10-MA-LSO", "0.8-HW-LSO"};
+/// The specs the option-variant goldens were first pinned for.
+const std::vector<std::string> k_headline_specs{"fb:pftk", "10-MA-LSO", "0.8-HW-LSO"};
+
+/// Every predictor family at once: FB, HB with and without LSO, the NWS
+/// selector, AR under LSO and the FB+HB hybrid, so several LSO wrappers walk
+/// each trace side by side.
+const std::vector<std::string> k_full_mix{"fb:pftk", "10-MA",      "10-MA-LSO",
+                                          "0.8-HW",  "0.8-HW-LSO", "NWS",
+                                          "5-AR-LSO", "hybrid:0.8-HW-LSO"};
+
+void check_variants(const testbed::dataset& data, const std::vector<std::string>& specs,
+                    const std::vector<variant>& variants) {
     std::vector<const testbed::epoch_record*> ordered;
     for (const auto& [key, recs] : data.traces()) {
         ordered.insert(ordered.end(), recs.begin(), recs.end());
@@ -246,7 +256,9 @@ void check_variants(const testbed::dataset& data, const std::vector<variant>& va
         std::size_t pos = 0;
         stream_eval_options sopts;
         sopts.engine = v.opts;
-        sopts.keep_epoch_errors = {0, 1, 2};
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            sopts.keep_epoch_errors.push_back(i);
+        }
         const auto streamed = evaluate_stream(
             [&](testbed::epoch_record& out) {
                 if (pos >= ordered.size()) return false;
@@ -255,11 +267,15 @@ void check_variants(const testbed::dataset& data, const std::vector<variant>& va
             },
             specs, sopts);
         ASSERT_EQ(streamed.size(), results.size());
+        engine_options par = v.opts;
+        par.jobs = 2;
+        const auto parallel = evaluation_engine{par}.run(data, specs);
 
         std::string all;
         for (std::size_t i = 0; i < results.size(); ++i) {
             stream_predictor_summary expected = summarize(results[i], true);
             EXPECT_EQ(render(streamed[i]), render(expected)) << specs[i];
+            EXPECT_EQ(render(summarize(parallel[i], true)), render(expected)) << specs[i];
             expected.epoch_errors.clear();
             all += render(expected) + "\n";
         }
@@ -272,10 +288,11 @@ TEST(engine_golden, campaign1_tiny_option_variants) {
     const auto data = csv_round_trip(
         testbed::run_campaign(testbed::campaign1_config(testbed::campaign_scale::tiny)),
         "engine_golden_c1_variants.csv");
-    check_variants(data, option_variants({0x34553f950a146620, 0x335827e496906a07,
-                                          0x01c7831f5319d462, 0xcf55c81a94e3c3f2,
-                                          0x66137862687fa8d0, 0xf8820da55671a115,
-                                          0x87b0fad35063b246}));
+    check_variants(data, k_headline_specs,
+                   option_variants({0x34553f950a146620, 0x335827e496906a07,
+                                    0x01c7831f5319d462, 0xcf55c81a94e3c3f2,
+                                    0x66137862687fa8d0, 0xf8820da55671a115,
+                                    0x87b0fad35063b246}));
 }
 
 TEST(engine_golden, campaign1_tiny_faulted_option_variants) {
@@ -289,10 +306,38 @@ TEST(engine_golden, campaign1_tiny_faulted_option_variants) {
     EXPECT_GT(fb.conditioned.n_faulty, 0u);
     EXPECT_GT(fb.conditioned.n_stale, 0u);
 
-    check_variants(data, option_variants({0x6f4c80001cd5c9fd, 0xad91a83442b7be1d,
-                                          0xcf906d7a37f358f2, 0xb2ce25c2f7d5e372,
-                                          0xe8c4beeff35930fa, 0x8d2f951824ceb3b8,
-                                          0xe60fc865b10f5c1a}));
+    check_variants(data, k_headline_specs,
+                   option_variants({0x6f4c80001cd5c9fd, 0xad91a83442b7be1d,
+                                    0xcf906d7a37f358f2, 0xb2ce25c2f7d5e372,
+                                    0xe8c4beeff35930fa, 0x8d2f951824ceb3b8,
+                                    0xe60fc865b10f5c1a}));
+}
+
+// Full-mix goldens: the same option variants over k_full_mix, captured
+// before LSO wrappers of one trace shared a filter, so they pin that the
+// sharing changed no output.
+
+TEST(engine_golden, campaign1_tiny_full_mix) {
+    const auto data = csv_round_trip(
+        testbed::run_campaign(testbed::campaign1_config(testbed::campaign_scale::tiny)),
+        "engine_golden_c1_full_mix.csv");
+    check_variants(data, k_full_mix,
+                   option_variants({0xf6ad91e26b3dc33c, 0xfb68bc27ab204a6a,
+                                    0xd7e54c13fa93cd9b, 0xbe822377373bdc2b,
+                                    0x2ac05273f802dc42, 0xd4fc850a41a64980,
+                                    0x3cffd00ffa68ec13}));
+}
+
+TEST(engine_golden, campaign1_tiny_faulted_full_mix) {
+    auto cfg = testbed::campaign1_config(testbed::campaign_scale::tiny);
+    cfg.faults = sim::fault_profile::parse("pathload=0.3,abort=0.2");
+    const auto data = csv_round_trip(testbed::run_campaign(cfg),
+                                     "engine_golden_c1_faulted_full_mix.csv");
+    check_variants(data, k_full_mix,
+                   option_variants({0x3aee047a80c1b974, 0x4d8414b80b4f0c84,
+                                    0xd8c6e99fc0b734fe, 0x9a9c7f20af6e9186,
+                                    0xcdffe62e7b6746c6, 0xfa860c0c79621b4e,
+                                    0x5763bfeacda07be9}));
 }
 
 }  // namespace
