@@ -6,6 +6,8 @@
 // evaluation engine and any serving front-end pay.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "analysis/evaluation.hpp"
@@ -73,6 +75,38 @@ BENCHMARK(bm_nws_step)->Arg(40);
 
 void bm_ar_lso_step(benchmark::State& state) { spec_steps(state, "5-AR-LSO"); }
 BENCHMARK(bm_ar_lso_step)->Arg(40);
+
+/// The analysis benchmark's eight specs over one range(0)-sample series,
+/// walked epoch-major as the engine walks a trace: every spec takes epoch i
+/// (predict, then observe) before any takes epoch i + 1. range(1) = 1 clones
+/// them into one lso_share, so all eight LSO wrappers (four inside NWS) run
+/// one filter; 0 clones each spec on its own, leaving five filters (NWS's
+/// candidates still share theirs). Items = spec steps.
+void bm_spec_set_step(benchmark::State& state) {
+    const auto series = synthetic_series(static_cast<std::size_t>(state.range(0)));
+    std::vector<std::unique_ptr<core::predictor>> protos;
+    for (const char* spec : {"fb:pftk", "10-MA", "10-MA-LSO", "0.8-HW", "0.8-HW-LSO",
+                             "NWS", "5-AR-LSO", "hybrid:0.8-HW-LSO"}) {
+        protos.push_back(core::make_predictor(spec));
+    }
+    const bool shared = state.range(1) != 0;
+    std::vector<std::unique_ptr<core::predictor>> preds(protos.size());
+    for (auto _ : state) {
+        core::lso_share share;
+        for (std::size_t j = 0; j < protos.size(); ++j) {
+            preds[j] = shared ? protos[j]->clone_into(share) : protos[j]->clone_empty();
+        }
+        for (const double x : series) {
+            const analysis::record_view view{core::epoch_inputs::absent(), x};
+            for (const auto& p : preds) {
+                benchmark::DoNotOptimize(analysis::epoch_step(*p, view));
+            }
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0) *
+                            static_cast<std::int64_t>(protos.size()));
+}
+BENCHMARK(bm_spec_set_step)->Args({40, 1})->Args({40, 0});
 
 void bm_lso_scan_trace(benchmark::State& state) {
     const auto series = synthetic_series(150);

@@ -148,16 +148,15 @@ trace_view build_view(const std::vector<const testbed::epoch_record*>& recs,
     return v;
 }
 
-/// The one scoring loop (see file comment of evaluation.hpp): per epoch,
-/// run the epoch step (predict, then reveal the outcome) and score the
-/// prediction if scorable. An epoch is scored unless it is within the
-/// warmup, the predictor produced no usable forecast, the actual throughput
-/// is missing or non-positive (the transfer never got going), or it was
-/// retrospectively excluded as an outlier.
-void score_walk(const std::vector<record_view>& views,
-                const std::vector<const testbed::epoch_record*>* recs,
-                core::predictor& pred, std::size_t warmup,
-                const std::vector<bool>* excluded, std::vector<epoch_score>& out) {
+/// One epoch of the scoring walk (see file comment of evaluation.hpp): run
+/// the epoch step (predict, then reveal the outcome) and score the
+/// prediction if scorable. An epoch is scored unless the caller excludes it
+/// (within the warmup, or retrospectively an outlier), the predictor
+/// produced no usable forecast, or the actual throughput is missing or
+/// non-positive (the transfer never got going).
+void score_step(core::predictor& pred, const record_view& view, std::size_t index,
+                const testbed::epoch_record* rec, bool excluded,
+                std::vector<epoch_score>& out) {
     // Prediction-status catalogue (DESIGN.md §12): valid = usable on fresh
     // inputs, degraded = usable but from the staleness fallback, absent = no
     // usable forecast. All are functions of the data alone, so snapshots
@@ -169,46 +168,45 @@ void score_walk(const std::vector<record_view>& views,
     static const obs::counter c_scored = obs::counter::get("engine.epochs_scored");
     static const obs::counter c_skipped = obs::counter::get("engine.epochs_skipped");
 
-    for (std::size_t i = 0; i < views.size(); ++i) {
-        const core::prediction p = epoch_step(pred, views[i]);
-        const double actual = views[i].actual_bps;
-        if (!p.usable()) {
-            c_absent.add();
-        } else if (p.inputs_used.staleness > 0) {
-            c_degraded.add();
-        } else {
-            c_valid.add();
-        }
-        const bool skip = i < warmup || !scorable(p.usable(), actual) ||
-                          (excluded != nullptr && (*excluded)[i]);
-        if (skip) {
-            c_skipped.add();
-            continue;
-        }
-        const double error = core::relative_error(p.value_bps, actual);
-        out.push_back(epoch_score{recs != nullptr ? (*recs)[i] : nullptr, i,
-                                  p.value_bps, actual, error, p.inputs_used.source,
-                                  p.inputs_used.staleness});
-        c_scored.add();
-        if (obs::trace_enabled() && recs != nullptr) {
-            const testbed::epoch_record& rec = *(*recs)[i];
-            obs::trace_emit(
-                obs::json_line{}
-                    .str("ev", "predict")
-                    .str("predictor", pred.name())
-                    .num("path", static_cast<std::int64_t>(rec.path_id))
-                    .num("trace", static_cast<std::int64_t>(rec.trace_id))
-                    .num("epoch", static_cast<std::int64_t>(rec.epoch_index))
-                    .num("predicted_bps", p.value_bps)
-                    .num("actual_bps", actual)
-                    .num("error", error)
-                    .str("source", core::to_string(p.inputs_used.source))
-                    .num("staleness",
-                         static_cast<std::uint64_t>(p.inputs_used.staleness))
-                    .num("fault_flags",
-                         static_cast<std::uint64_t>(rec.m.fault_flags))
-                    .done());
-        }
+    const core::prediction p = epoch_step(pred, view);
+    const double actual = view.actual_bps;
+    if (!p.usable()) {
+        c_absent.add();
+    } else if (p.inputs_used.staleness > 0) {
+        c_degraded.add();
+    } else {
+        c_valid.add();
+    }
+    if (excluded || !scorable(p.usable(), actual)) {
+        c_skipped.add();
+        return;
+    }
+    out.push_back(epoch_score{rec, index, p.value_bps, actual,
+                              core::relative_error(p.value_bps, actual),
+                              p.inputs_used.source, p.inputs_used.staleness});
+    c_scored.add();
+}
+
+/// The "predict" trace events of one predictor's scored epochs on one
+/// trace, in epoch order.
+void emit_predict_events(const std::string& predictor,
+                         const std::vector<epoch_score>& epochs) {
+    for (const epoch_score& e : epochs) {
+        const testbed::epoch_record& rec = *e.rec;
+        obs::trace_emit(
+            obs::json_line{}
+                .str("ev", "predict")
+                .str("predictor", predictor)
+                .num("path", static_cast<std::int64_t>(rec.path_id))
+                .num("trace", static_cast<std::int64_t>(rec.trace_id))
+                .num("epoch", static_cast<std::int64_t>(rec.epoch_index))
+                .num("predicted_bps", e.predicted_bps)
+                .num("actual_bps", e.actual_bps)
+                .num("error", e.error)
+                .str("source", core::to_string(e.source))
+                .num("staleness", static_cast<std::uint64_t>(e.staleness))
+                .num("fault_flags", static_cast<std::uint64_t>(rec.m.fault_flags))
+                .done());
     }
 }
 
@@ -232,6 +230,12 @@ struct rmsre_sum {
 /// the actuals for outliers, then walk a fresh clone of every prototype.
 /// One slot per prototype, empty where the trace is shorter than the
 /// predictor's min_trace_length() or nothing on it was scorable.
+///
+/// The clones share one lso_share, so the trace's LSO wrappers run one
+/// filter per config, and the walk is epoch-major — every clone takes
+/// epoch i before any takes epoch i + 1 — which is the lockstep the shared
+/// filter needs. The trace events are emitted after the walk, predictor by
+/// predictor, in the order a predictor-major walk emits them.
 std::vector<std::optional<trace_result>> evaluate_trace(
     std::pair<int, int> key, const std::vector<const testbed::epoch_record*>& recs,
     const std::vector<const core::predictor*>& prototypes, const engine_options& opts) {
@@ -246,20 +250,38 @@ std::vector<std::optional<trace_result>> evaluate_trace(
         excluded = core::lso_scan(actuals, opts.predictor.lso).is_outlier;
     }
 
+    struct walker {
+        std::size_t slot;
+        std::unique_ptr<core::predictor> pred;
+    };
+    std::vector<walker> walkers;
     std::vector<std::optional<trace_result>> out(prototypes.size());
+    core::lso_share share;
     for (std::size_t pj = 0; pj < prototypes.size(); ++pj) {
         if (view.views.size() < prototypes[pj]->min_trace_length()) continue;
-        const auto pred = prototypes[pj]->clone_empty();
-        trace_result tr;
-        tr.path_id = key.first;
-        tr.trace_id = key.second;
-        score_walk(view.views, &view.recs, *pred, opts.warmup,
-                   excluded ? &*excluded : nullptr, tr.epochs);
-        if (tr.epochs.empty()) continue;  // nothing scorable on this trace
+        walkers.push_back(walker{pj, prototypes[pj]->clone_into(share)});
+        out[pj].emplace();
+        out[pj]->path_id = key.first;
+        out[pj]->trace_id = key.second;
+    }
+
+    for (std::size_t i = 0; i < view.views.size(); ++i) {
+        const bool skip = i < opts.warmup || (excluded && (*excluded)[i]);
+        for (walker& w : walkers) {
+            score_step(*w.pred, view.views[i], i, view.recs[i], skip, out[w.slot]->epochs);
+        }
+    }
+
+    for (const walker& w : walkers) {
+        std::optional<trace_result>& tr = out[w.slot];
+        if (tr->epochs.empty()) {  // nothing scorable on this trace
+            tr.reset();
+            continue;
+        }
+        if (obs::trace_enabled()) emit_predict_events(w.pred->name(), tr->epochs);
         rmsre_sum sum;
-        for (const auto& e : tr.epochs) sum.add(e.error);
-        tr.rmsre = sum.rmsre();
-        out[pj] = std::move(tr);
+        for (const auto& e : tr->epochs) sum.add(e.error);
+        tr->rmsre = sum.rmsre();
     }
     return out;
 }
@@ -404,11 +426,6 @@ predictor_result evaluation_engine::run_one(const testbed::dataset& data,
 series_evaluation evaluate_series(const std::vector<double>& series,
                                   const core::predictor& prototype,
                                   series_options opts) {
-    std::vector<record_view> views;
-    views.reserve(series.size());
-    for (const double x : series) {
-        views.push_back(record_view{core::epoch_inputs::absent(), x});
-    }
     std::optional<std::vector<bool>> excluded;
     if (opts.exclude_outliers) {
         excluded = core::lso_scan(series, opts.lso).is_outlier;
@@ -416,8 +433,11 @@ series_evaluation evaluate_series(const std::vector<double>& series,
 
     const auto pred = prototype.clone_empty();
     std::vector<epoch_score> epochs;
-    score_walk(views, nullptr, *pred, opts.warmup, excluded ? &*excluded : nullptr,
-               epochs);
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        const bool skip = i < opts.warmup || (excluded && (*excluded)[i]);
+        score_step(*pred, record_view{core::epoch_inputs::absent(), series[i]}, i, nullptr,
+                   skip, epochs);
+    }
 
     series_evaluation out;
     out.errors.reserve(epochs.size());

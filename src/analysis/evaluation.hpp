@@ -250,11 +250,12 @@ struct stream_eval_options {
 
 /// One-pass streaming evaluation: pull records from `source`, buffer ONE
 /// (path, trace) series at a time, and on each trace boundary run the
-/// engine's own per-trace function (build_view → optional LSO scan →
-/// clone_empty → score_walk) for every spec, folding each trace's result
-/// into the summary through the same fold summarize() uses. Peak memory is
-/// O(longest trace + traces·specs), independent of the dataset size. Throws
-/// core::predictor_spec_error on a bad spec before pulling any record.
+/// engine's own per-trace function (build_view → optional LSO scan → clone
+/// every spec into one lso_share → epoch-major scoring walk), folding each
+/// trace's result into the summary through the same fold summarize() uses.
+/// Peak memory is O(longest trace + traces·specs), independent of the
+/// dataset size. Throws core::predictor_spec_error on a bad spec before
+/// pulling any record.
 [[nodiscard]] std::vector<stream_predictor_summary> evaluate_stream(
     const record_source& source, const std::vector<std::string>& specs,
     const stream_eval_options& opts = {});

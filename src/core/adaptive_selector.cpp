@@ -69,10 +69,10 @@ void adaptive_selector::reset() {
     seen_ = 0;
 }
 
-std::unique_ptr<hb_predictor> adaptive_selector::clone_empty() const {
+std::unique_ptr<hb_predictor> adaptive_selector::clone_into(lso_share& share) const {
     std::vector<std::unique_ptr<hb_predictor>> clones;
     clones.reserve(candidates_.size());
-    for (const auto& c : candidates_) clones.push_back(c.predictor->clone_empty());
+    for (const auto& c : candidates_) clones.push_back(c.predictor->clone_into(share));
     return std::make_unique<adaptive_selector>(std::move(clones), discount_);
 }
 
@@ -80,12 +80,15 @@ std::string adaptive_selector::name() const {
     return "NWS-" + std::to_string(candidates_.size());
 }
 
-std::unique_ptr<adaptive_selector> adaptive_selector::standard() {
+std::unique_ptr<adaptive_selector> adaptive_selector::standard(lso_config lso,
+                                                               double hw_beta) {
+    const auto filter = std::make_shared<lso_filter>(lso);  // one filter for all four
     std::vector<std::unique_ptr<hb_predictor>> set;
-    set.push_back(std::make_unique<lso_predictor>(std::make_unique<moving_average>(5)));
-    set.push_back(std::make_unique<lso_predictor>(std::make_unique<moving_average>(10)));
-    set.push_back(std::make_unique<lso_predictor>(std::make_unique<ewma>(0.5)));
-    set.push_back(std::make_unique<lso_predictor>(std::make_unique<holt_winters>(0.8, 0.2)));
+    set.push_back(std::make_unique<lso_predictor>(std::make_unique<moving_average>(5), filter));
+    set.push_back(std::make_unique<lso_predictor>(std::make_unique<moving_average>(10), filter));
+    set.push_back(std::make_unique<lso_predictor>(std::make_unique<ewma>(0.5), filter));
+    set.push_back(
+        std::make_unique<lso_predictor>(std::make_unique<holt_winters>(0.8, hw_beta), filter));
     return std::make_unique<adaptive_selector>(std::move(set), 0.9);
 }
 

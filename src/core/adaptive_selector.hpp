@@ -5,6 +5,13 @@
 // lowest exponentially-discounted mean squared relative error. Supports the
 // paper's finding that no single predictor dominates on every path by
 // letting the data pick per path.
+//
+// The candidates all observe the selector's one series, one sample each in
+// turn, so a clone made into an lso_share (clone_into) gives its LSO
+// candidates one filter: the standard set runs one LSO filter per sample
+// instead of four, and shares it with any other LSO wrapper cloned into the
+// same share. reset() resets every candidate, which moves each LSO candidate
+// onto a private filter (lso_predictor::reset).
 #pragma once
 
 #include <memory>
@@ -12,6 +19,7 @@
 #include <vector>
 
 #include "core/hb_predictors.hpp"
+#include "core/lso.hpp"
 
 namespace tcppred::core {
 
@@ -26,7 +34,7 @@ public:
     void observe(double x) override;
     [[nodiscard]] double predict() const override;
     void reset() override;
-    [[nodiscard]] std::unique_ptr<hb_predictor> clone_empty() const override;
+    [[nodiscard]] std::unique_ptr<hb_predictor> clone_into(lso_share& share) const override;
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] std::size_t history_size() const override { return seen_; }
 
@@ -34,9 +42,13 @@ public:
     [[nodiscard]] std::size_t best_index() const;
     [[nodiscard]] std::string best_name() const;
 
-    /// The paper-standard candidate set: MA{5,10}, EWMA 0.5, HW 0.8 — all
-    /// LSO-wrapped — raced with discount 0.9.
-    [[nodiscard]] static std::unique_ptr<adaptive_selector> standard();
+    /// The paper-standard candidate set: MA{5,10}, EWMA 0.5, HW 0.8 with
+    /// trend gain `hw_beta` — all LSO-wrapped with `lso`, sharing one filter
+    /// — raced with discount 0.9. The registry's "NWS" passes
+    /// predictor_config's lso and hw_beta, as it does for every other LSO
+    /// and HW spec.
+    [[nodiscard]] static std::unique_ptr<adaptive_selector> standard(lso_config lso = {},
+                                                                     double hw_beta = 0.2);
 
 private:
     struct entry {

@@ -54,10 +54,17 @@ ar_predictor::ar_predictor(std::size_t order, std::size_t window)
 void ar_predictor::observe(double x) {
     history_.push_back(x);
     if (window_ != 0 && history_.size() > window_) history_.erase(history_.begin());
-    refit();
+    stale_ = true;
 }
 
-void ar_predictor::refit() {
+const std::vector<double>& ar_predictor::coefficients() const {
+    refit_if_stale();
+    return coefficients_;
+}
+
+void ar_predictor::refit_if_stale() const {
+    if (!stale_) return;
+    stale_ = false;
     mean_ = 0.0;
     for (const double x : history_) mean_ += x;
     if (!history_.empty()) mean_ /= static_cast<double>(history_.size());
@@ -71,6 +78,7 @@ void ar_predictor::refit() {
 
 double ar_predictor::predict() const {
     if (history_.empty()) return nan();
+    refit_if_stale();
     if (coefficients_.empty()) return mean_;  // fallback: window mean
 
     double forecast = mean_;
@@ -86,9 +94,10 @@ void ar_predictor::reset() {
     history_.clear();
     coefficients_.clear();
     mean_ = 0.0;
+    stale_ = false;
 }
 
-std::unique_ptr<hb_predictor> ar_predictor::clone_empty() const {
+std::unique_ptr<hb_predictor> ar_predictor::clone_into(lso_share& /*share*/) const {
     return std::make_unique<ar_predictor>(order_, window_);
 }
 

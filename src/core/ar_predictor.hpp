@@ -24,13 +24,18 @@ namespace tcppred::core {
 
 /// AR(p) one-step forecaster over a sliding history window.
 ///
-/// The model is refit over the history in place (O(n * order) for n
-/// samples in the window) on every observation; forecasts are made around
-/// the window mean, and clamped to be non-negative like the other
-/// throughput forecasters. Falls back to the window mean while the history
-/// is shorter than `min_fit` samples. Wrapped in LSO (`5-AR-LSO`) that is
-/// one refit per appended sample; only a rewritten LSO history re-feeds all
-/// n samples, at O(n² * order) (see lso_predictor).
+/// The model is fit on demand: observe() only appends and marks the fit
+/// stale, and the first predict() or coefficients() after it refits once
+/// over the history (O(n * order) for n samples in the window). The fit
+/// reads only the current history, so this is bitwise the eager refit on
+/// every observation — but an LSO rewrite that re-feeds n samples
+/// (`5-AR-LSO`, see lso_predictor) costs one fit instead of n. Forecasts
+/// are made around the window mean, and clamped to be non-negative like the
+/// other throughput forecasters. Falls back to the window mean while the
+/// history is shorter than `min_fit` samples. The lazy fit mutates the
+/// cached fit inside const calls, so one instance must not be read from two
+/// threads at once (no caller does: every predictor is owned by one walk or
+/// one locked daemon path).
 class ar_predictor final : public hb_predictor {
 public:
     /// @param order   AR order p (>= 1)
@@ -40,25 +45,26 @@ public:
     void observe(double x) override;
     [[nodiscard]] double predict() const override;
     void reset() override;
-    [[nodiscard]] std::unique_ptr<hb_predictor> clone_empty() const override;
+    [[nodiscard]] std::unique_ptr<hb_predictor> clone_into(lso_share&) const override;
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] std::size_t history_size() const override { return history_.size(); }
 
     [[nodiscard]] std::size_t order() const noexcept { return order_; }
-    /// Coefficients of the current fit (empty before the first fit).
-    [[nodiscard]] const std::vector<double>& coefficients() const noexcept {
-        return coefficients_;
-    }
+    /// Coefficients of the fit to the current history (empty while it is
+    /// shorter than the minimum fit length or degenerate).
+    [[nodiscard]] const std::vector<double>& coefficients() const;
 
 private:
-    void refit();
+    void refit_if_stale() const;
 
     std::size_t order_;
     std::size_t window_;
     std::size_t min_fit_;
     std::vector<double> history_;
-    std::vector<double> coefficients_;
-    double mean_{0.0};
+    // The fit to history_, refreshed lazily by refit_if_stale().
+    mutable std::vector<double> coefficients_;
+    mutable double mean_{0.0};
+    mutable bool stale_{false};
 };
 
 }  // namespace tcppred::core

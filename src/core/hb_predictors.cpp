@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/lso.hpp"
+
 namespace tcppred::core {
 
 namespace {
@@ -15,6 +17,11 @@ std::string trimmed_double(double v) {
 }
 
 }  // namespace
+
+std::unique_ptr<hb_predictor> hb_predictor::clone_empty() const {
+    lso_share share;
+    return clone_into(share);
+}
 
 moving_average::moving_average(std::size_t order) : order_(order) {
     if (order == 0) throw std::invalid_argument("moving_average: order must be >= 1");
@@ -41,7 +48,7 @@ void moving_average::reset() {
     seen_ = 0;
 }
 
-std::unique_ptr<hb_predictor> moving_average::clone_empty() const {
+std::unique_ptr<hb_predictor> moving_average::clone_into(lso_share& /*share*/) const {
     return std::make_unique<moving_average>(order_);
 }
 
@@ -67,7 +74,7 @@ void ewma::reset() {
     seen_ = 0;
 }
 
-std::unique_ptr<hb_predictor> ewma::clone_empty() const {
+std::unique_ptr<hb_predictor> ewma::clone_into(lso_share& /*share*/) const {
     return std::make_unique<ewma>(alpha_);
 }
 
@@ -114,7 +121,7 @@ void holt_winters::reset() {
     seen_ = 0;
 }
 
-std::unique_ptr<hb_predictor> holt_winters::clone_empty() const {
+std::unique_ptr<hb_predictor> holt_winters::clone_into(lso_share& /*share*/) const {
     return std::make_unique<holt_winters>(alpha_, beta_);
 }
 

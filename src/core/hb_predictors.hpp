@@ -12,6 +12,8 @@
 
 namespace tcppred::core {
 
+class lso_share;  // core/lso.hpp
+
 /// A one-step-ahead forecaster over a scalar time series.
 ///
 /// Usage: alternately call `predict()` (forecast for the *next* sample) and
@@ -46,8 +48,14 @@ public:
     [[nodiscard]] virtual double predict() const = 0;
     /// Forget all history (used on detected level shifts).
     virtual void reset() = 0;
-    /// A fresh predictor of the same kind and parameters.
-    [[nodiscard]] virtual std::unique_ptr<hb_predictor> clone_empty() const = 0;
+    /// A fresh predictor of the same kind and parameters whose LSO filters
+    /// come from `share` (core/lso.hpp): clones made into one share for one
+    /// series run each distinct filter once, and must then observe that
+    /// series in lockstep. Predictors without an LSO filter ignore it.
+    [[nodiscard]] virtual std::unique_ptr<hb_predictor> clone_into(lso_share& share) const = 0;
+    /// A fresh predictor of the same kind and parameters, sharing nothing:
+    /// clone_into() a share of its own.
+    [[nodiscard]] std::unique_ptr<hb_predictor> clone_empty() const;
     /// Human-readable name, e.g. "10-MA" or "0.8-HW".
     [[nodiscard]] virtual std::string name() const = 0;
 
@@ -73,7 +81,7 @@ public:
     void observe(double x) override;
     [[nodiscard]] double predict() const override;
     void reset() override;
-    [[nodiscard]] std::unique_ptr<hb_predictor> clone_empty() const override;
+    [[nodiscard]] std::unique_ptr<hb_predictor> clone_into(lso_share&) const override;
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] std::size_t history_size() const override { return seen_; }
 
@@ -94,7 +102,7 @@ public:
     void observe(double x) override;
     [[nodiscard]] double predict() const override;
     void reset() override;
-    [[nodiscard]] std::unique_ptr<hb_predictor> clone_empty() const override;
+    [[nodiscard]] std::unique_ptr<hb_predictor> clone_into(lso_share&) const override;
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] std::size_t history_size() const override { return seen_; }
 
@@ -120,7 +128,7 @@ public:
     void observe(double x) override;
     [[nodiscard]] double predict() const override;
     void reset() override;
-    [[nodiscard]] std::unique_ptr<hb_predictor> clone_empty() const override;
+    [[nodiscard]] std::unique_ptr<hb_predictor> clone_into(lso_share&) const override;
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] std::size_t history_size() const override { return seen_; }
 

@@ -1,10 +1,13 @@
 #include "core/lso.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace tcppred::core {
 
@@ -45,19 +48,22 @@ lso_filter::lso_filter(lso_config cfg) : cfg_(cfg) {
 }
 
 lso_filter::change lso_filter::observe(double x) {
+    last_input_ = x;
     // A missing sample (failed measurement) advances the index so detections
     // keep referring to original series positions, but never enters the
     // history: NaN would poison every median and min/max comparison.
     if (std::isnan(x)) {
         ++observed_;
-        return change::unchanged;
+        last_change_ = change::unchanged;
+        return last_change_;
     }
     history_.push_back(sample{observed_, x});
     ++observed_;
     std::vector<double> scratch(3 * history_.size());
     const bool removed = detect_outliers(scratch);
     const bool shifted = detect_level_shift(scratch);
-    return removed || shifted ? change::rewritten : change::appended;
+    last_change_ = removed || shifted ? change::rewritten : change::appended;
+    return last_change_;
 }
 
 bool lso_filter::detect_outliers(std::span<double> scratch) {
@@ -143,39 +149,67 @@ bool lso_filter::detect_level_shift(std::span<double> scratch) {
     return false;
 }
 
+std::shared_ptr<lso_filter> lso_share::filter_for(const lso_config& cfg) {
+    for (const auto& f : filters_) {
+        if (f->config() == cfg) return f;
+    }
+    filters_.push_back(std::make_shared<lso_filter>(cfg));
+    return filters_.back();
+}
+
 lso_predictor::lso_predictor(std::unique_ptr<hb_predictor> inner, lso_config cfg)
-    : prototype_(std::move(inner)), filter_(cfg) {
+    : lso_predictor(std::move(inner), std::make_shared<lso_filter>(cfg)) {}
+
+lso_predictor::lso_predictor(std::unique_ptr<hb_predictor> inner,
+                             std::shared_ptr<lso_filter> filter)
+    : prototype_(std::move(inner)), filter_(std::move(filter)) {
     if (!prototype_) throw std::invalid_argument("lso_predictor: null inner predictor");
+    if (!filter_) throw std::invalid_argument("lso_predictor: null filter");
     fitted_ = prototype_->clone_empty();
 }
 
 void lso_predictor::observe(double x) {
-    switch (filter_.observe(x)) {
-        case lso_filter::change::unchanged: return;
-        case lso_filter::change::appended: fitted_->observe(x); return;
-        case lso_filter::change::rewritten: refit(); return;
+    lso_filter::change change{};
+    if (filter_->observed() == seen_) {
+        change = filter_->observe(x);
+    } else if (filter_->observed() == seen_ + 1 &&
+               std::bit_cast<std::uint64_t>(filter_->last_input()) ==
+                   std::bit_cast<std::uint64_t>(x)) {
+        change = filter_->last_change();  // a sharer ran this very step
+    } else {
+        throw std::logic_error("lso_predictor: shared filter out of lockstep (observed " +
+                               std::to_string(filter_->observed()) + ", wrapper at " +
+                               std::to_string(seen_) + ")");
     }
+    ++seen_;
+    switch (change) {
+        case lso_filter::change::unchanged: return;
+        case lso_filter::change::appended: fitted_->observe(x); break;
+        case lso_filter::change::rewritten: refit(); break;
+    }
+    cleaned_size_ = filter_->cleaned().size();
 }
 
 void lso_predictor::refit() {
     fitted_->reset();
-    for (const auto& s : filter_.cleaned()) fitted_->observe(s.value);
+    for (const auto& s : filter_->cleaned()) fitted_->observe(s.value);
 }
 
 double lso_predictor::predict() const { return fitted_->predict(); }
 
 void lso_predictor::reset() {
-    filter_ = lso_filter(filter_.config());
+    filter_ = std::make_shared<lso_filter>(filter_->config());
+    seen_ = 0;
+    cleaned_size_ = 0;
     fitted_->reset();
 }
 
-std::unique_ptr<hb_predictor> lso_predictor::clone_empty() const {
-    return std::make_unique<lso_predictor>(prototype_->clone_empty(), filter_.config());
+std::unique_ptr<hb_predictor> lso_predictor::clone_into(lso_share& share) const {
+    return std::make_unique<lso_predictor>(prototype_->clone_empty(),
+                                           share.filter_for(filter_->config()));
 }
 
 std::string lso_predictor::name() const { return prototype_->name() + "-LSO"; }
-
-std::size_t lso_predictor::history_size() const { return filter_.cleaned().size(); }
 
 lso_scan_result lso_scan(const std::vector<double>& series, lso_config cfg) {
     lso_filter filter(cfg);

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,6 +22,9 @@ struct lso_config {
     /// A level shift at position k needs k + 2 <= n (paper condition 3):
     /// at least this many samples at the new level before declaring a shift.
     std::size_t min_post_shift_samples{3};
+
+    /// Exact field equality: lso_share hands one filter to equal configs.
+    [[nodiscard]] bool operator==(const lso_config&) const = default;
 };
 
 /// Incremental LSO scanner over a time series.
@@ -67,6 +71,11 @@ public:
     [[nodiscard]] std::size_t observed() const noexcept { return observed_; }
     [[nodiscard]] const lso_config& config() const noexcept { return cfg_; }
 
+    /// The input and the outcome of the latest observe(): what a sharing
+    /// lso_predictor one step behind takes instead of observing again.
+    [[nodiscard]] double last_input() const noexcept { return last_input_; }
+    [[nodiscard]] change last_change() const noexcept { return last_change_; }
+
 private:
     // Both take a scratch buffer of 3 * cleaned().size() doubles,
     // owned by the observe() call (no per-filter scratch: the daemon keeps
@@ -80,6 +89,23 @@ private:
     std::vector<std::size_t> outliers_;
     std::vector<std::size_t> shifts_;
     std::size_t observed_{0};
+    double last_input_{std::numeric_limits<double>::quiet_NaN()};
+    change last_change_{change::unchanged};
+};
+
+/// One lso_filter per series and lso_config, handed to every LSO wrapper
+/// cloned for that series (hb_predictor::clone_into). The filter is a pure
+/// function of the series, so the wrappers of one series — 10-MA-LSO,
+/// 0.8-HW-LSO, the four NWS candidates, a hybrid's history — can run it
+/// once per sample instead of once each. Configs match on exact field
+/// equality; different configs get different filters.
+class lso_share {
+public:
+    /// The share's filter for `cfg`, created on first request.
+    [[nodiscard]] std::shared_ptr<lso_filter> filter_for(const lso_config& cfg);
+
+private:
+    std::vector<std::shared_ptr<lso_filter>> filters_;
 };
 
 /// An HB predictor wrapped with the LSO heuristics: the inner predictor
@@ -93,29 +119,51 @@ private:
 /// refitting a fresh clone on every sample, because every inner predictor's
 /// state is a pure left fold over the samples it observed and its reset()
 /// restores exactly the freshly constructed state — an inner predictor must
-/// keep both properties. On 40-sample traces an LSO step costs about 20× a
-/// plain MA step, nearly all of it the filter's O(n) passes; rescanning
-/// quadratically and refitting on every sample cost about 60× (see
-/// bench/micro_predictors and DESIGN.md §11.5).
+/// keep both properties.
+///
+/// Shared filter (lso_share). Wrappers cloned into one share read one
+/// filter and must observe the same samples in lockstep: every sharer takes
+/// sample i before any takes sample i + 1. Each wrapper counts its own
+/// samples. If the filter has seen as many, this wrapper is first for the
+/// step and runs observe(x); if the filter is exactly one ahead on a
+/// bitwise-equal input, a sharer already ran it and this wrapper takes the
+/// recorded change. Any other state throws std::logic_error — always, not
+/// only in debug builds. history_size() is this wrapper's cleaned length,
+/// cached after its own observe, so a sharer running ahead never shows
+/// through; reset() moves this wrapper alone onto a private filter. The
+/// filter's O(n) passes are nearly all of an LSO step (see
+/// bench/micro_predictors and DESIGN.md §11.5), so k sharers cost about one
+/// filter pass plus k inner steps.
 class lso_predictor final : public hb_predictor {
 public:
+    /// A wrapper with a private filter.
     lso_predictor(std::unique_ptr<hb_predictor> inner, lso_config cfg = {});
+    /// A wrapper over a filter other wrappers of the same series may read
+    /// (lso_share::filter_for), starting at the series' first sample.
+    lso_predictor(std::unique_ptr<hb_predictor> inner, std::shared_ptr<lso_filter> filter);
 
     void observe(double x) override;
     [[nodiscard]] double predict() const override;
     void reset() override;
-    [[nodiscard]] std::unique_ptr<hb_predictor> clone_empty() const override;
+    /// The clone reads `share`'s filter for this wrapper's config. Its inner
+    /// predictor folds the cleaned history, a different series, so that is
+    /// cloned on its own.
+    [[nodiscard]] std::unique_ptr<hb_predictor> clone_into(lso_share& share) const override;
     [[nodiscard]] std::string name() const override;
-    [[nodiscard]] std::size_t history_size() const override;
+    [[nodiscard]] std::size_t history_size() const override { return cleaned_size_; }
 
-    [[nodiscard]] const lso_filter& filter() const noexcept { return filter_; }
+    /// The filter this wrapper reads. When shared it may be one sample
+    /// ahead of this wrapper.
+    [[nodiscard]] const lso_filter& filter() const noexcept { return *filter_; }
 
 private:
     void refit();
 
     std::unique_ptr<hb_predictor> prototype_;
     std::unique_ptr<hb_predictor> fitted_;
-    lso_filter filter_;
+    std::shared_ptr<lso_filter> filter_;
+    std::size_t seen_{0};          ///< samples this wrapper has observed
+    std::size_t cleaned_size_{0};  ///< the filter's cleaned length after them
 };
 
 /// Retrospective LSO scan of a whole series: outlier flags and stationary

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/lso.hpp"
+
 namespace tcppred::core {
 
 namespace {
@@ -50,6 +52,11 @@ const char* to_string(prediction_source s) noexcept {
     return "unknown";
 }
 
+std::unique_ptr<predictor> predictor::clone_empty() const {
+    lso_share share;
+    return clone_into(share);
+}
+
 // ---- history_predictor
 
 history_predictor::history_predictor(std::unique_ptr<hb_predictor> inner)
@@ -70,8 +77,8 @@ void history_predictor::observe(double actual_bps) { inner_->observe(actual_bps)
 void history_predictor::observe_gap() { inner_->observe_gap(); }
 void history_predictor::reset() { inner_->reset(); }
 
-std::unique_ptr<predictor> history_predictor::clone_empty() const {
-    return std::make_unique<history_predictor>(inner_->clone_empty());
+std::unique_ptr<predictor> history_predictor::clone_into(lso_share& share) const {
+    return std::make_unique<history_predictor>(inner_->clone_into(share));
 }
 
 std::string history_predictor::name() const { return inner_->name(); }
@@ -106,7 +113,7 @@ void formula_predictor::reset() {
     degraded_ = degraded_fb_predictor(flow_, to_fb_formula(kind_), degraded_cfg_);
 }
 
-std::unique_ptr<predictor> formula_predictor::clone_empty() const {
+std::unique_ptr<predictor> formula_predictor::clone_into(lso_share& /*share*/) const {
     return std::make_unique<formula_predictor>(kind_, flow_, degraded_cfg_);
 }
 
@@ -168,8 +175,8 @@ void blended_predictor::reset() {
     degraded_ = degraded_fb_predictor(flow_, to_fb_formula(kind_), degraded_cfg_);
 }
 
-std::unique_ptr<predictor> blended_predictor::clone_empty() const {
-    return std::make_unique<blended_predictor>(blend_.history().clone_empty(),
+std::unique_ptr<predictor> blended_predictor::clone_into(lso_share& share) const {
+    return std::make_unique<blended_predictor>(blend_.history().clone_into(share),
                                                fb_weight_samples_, kind_, flow_,
                                                degraded_cfg_);
 }

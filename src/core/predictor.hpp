@@ -15,7 +15,9 @@
 //      throughput, or that the measurement failed (aborted transfer, path
 //      outage). observe_maybe(x) routes NaN to observe_gap().
 // reset() forgets all history; clone_empty() yields a fresh predictor of
-// the same kind and parameters (the engine clones one prototype per trace).
+// the same kind and parameters, and clone_into(share) one whose LSO filters
+// come from a share (core/lso.hpp) — the engine clones every prototype into
+// one share per trace, so the LSO wrappers of a trace run one filter.
 #pragma once
 
 #include <cmath>
@@ -122,8 +124,13 @@ public:
 
     /// Forget all accumulated history and fallback state.
     virtual void reset() = 0;
-    /// A fresh predictor of the same kind and parameters.
-    [[nodiscard]] virtual std::unique_ptr<predictor> clone_empty() const = 0;
+    /// A fresh predictor of the same kind and parameters whose LSO filters
+    /// come from `share` (hb_predictor::clone_into): predictors cloned into
+    /// one share must then step one series in lockstep — every clone takes
+    /// epoch i before any takes epoch i + 1.
+    [[nodiscard]] virtual std::unique_ptr<predictor> clone_into(lso_share& share) const = 0;
+    /// A fresh predictor of the same kind and parameters, sharing nothing.
+    [[nodiscard]] std::unique_ptr<predictor> clone_empty() const;
     /// Canonical spec string, e.g. "fb:pftk", "10-MA-LSO", "0.8-HW".
     [[nodiscard]] virtual std::string name() const = 0;
 
@@ -145,7 +152,7 @@ public:
     void observe(double actual_bps) override;
     void observe_gap() override;
     void reset() override;
-    [[nodiscard]] std::unique_ptr<predictor> clone_empty() const override;
+    [[nodiscard]] std::unique_ptr<predictor> clone_into(lso_share& share) const override;
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] std::size_t min_trace_length() const override { return 3; }
 
@@ -176,7 +183,7 @@ public:
     void observe(double) override {}
     void observe_gap() override {}
     void reset() override;
-    [[nodiscard]] std::unique_ptr<predictor> clone_empty() const override;
+    [[nodiscard]] std::unique_ptr<predictor> clone_into(lso_share& share) const override;
     [[nodiscard]] std::string name() const override;
 
     [[nodiscard]] formula_kind kind() const noexcept { return kind_; }
@@ -203,7 +210,7 @@ public:
     void observe(double actual_bps) override;
     void observe_gap() override;
     void reset() override;
-    [[nodiscard]] std::unique_ptr<predictor> clone_empty() const override;
+    [[nodiscard]] std::unique_ptr<predictor> clone_into(lso_share& share) const override;
     [[nodiscard]] std::string name() const override;
 
     [[nodiscard]] const hybrid_predictor& blend() const noexcept { return blend_; }

@@ -59,7 +59,7 @@ formula_kind parse_formula(const std::string& what, const std::string& spec) {
 std::unique_ptr<hb_predictor> parse_hb(const std::string& hb_spec,
                                        const std::string& spec,
                                        const predictor_config& cfg) {
-    if (hb_spec == "NWS") return adaptive_selector::standard();
+    if (hb_spec == "NWS") return adaptive_selector::standard(cfg.lso, cfg.hw_beta);
 
     const bool with_lso = hb_spec.size() > 4 && hb_spec.ends_with("-LSO");
     const std::string base = with_lso ? hb_spec.substr(0, hb_spec.size() - 4) : hb_spec;

@@ -61,7 +61,7 @@ void seasonal_holt_winters::reset() {
     initialized_ = false;
 }
 
-std::unique_ptr<hb_predictor> seasonal_holt_winters::clone_empty() const {
+std::unique_ptr<hb_predictor> seasonal_holt_winters::clone_into(lso_share& /*share*/) const {
     return std::make_unique<seasonal_holt_winters>(alpha_, beta_, gamma_, period_);
 }
 

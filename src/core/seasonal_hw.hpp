@@ -24,7 +24,7 @@ public:
     void observe(double x) override;
     [[nodiscard]] double predict() const override;
     void reset() override;
-    [[nodiscard]] std::unique_ptr<hb_predictor> clone_empty() const override;
+    [[nodiscard]] std::unique_ptr<hb_predictor> clone_into(lso_share&) const override;
     [[nodiscard]] std::string name() const override;
     [[nodiscard]] std::size_t history_size() const override { return seen_; }
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "analysis/evaluation.hpp"
+#include "core/lso.hpp"
 #include "obs/counters.hpp"
 #include "testbed/dataset.hpp"
 
@@ -58,7 +59,10 @@ std::uint64_t path_table::observe(const std::string& path, const observation& ev
     path_state& st = it->second;
     if (inserted) {
         st.preds.reserve(protos_.size());
-        for (const auto& proto : protos_) st.preds.push_back(proto->clone_empty());
+        // One share per path: the loop below steps the specs in lockstep,
+        // so the path's LSO wrappers run one filter (core::lso_share).
+        core::lso_share share;
+        for (const auto& proto : protos_) st.preds.push_back(proto->clone_into(share));
         st.last.resize(protos_.size());
         c_paths.add();
     }

@@ -10,10 +10,12 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/adaptive_selector.hpp"
 #include "core/ar_predictor.hpp"
+#include "core/predictor_registry.hpp"
 #include "core/seasonal_hw.hpp"
 #include "sim/rng.hpp"
 
@@ -313,7 +315,7 @@ public:
         filter_ = filter(cfg_);
         fitted_ = prototype_->clone_empty();
     }
-    [[nodiscard]] std::unique_ptr<hb_predictor> clone_empty() const override {
+    [[nodiscard]] std::unique_ptr<hb_predictor> clone_into(lso_share& /*share*/) const override {
         return std::make_unique<predictor>(prototype_->clone_empty(), cfg_);
     }
     [[nodiscard]] std::string name() const override { return prototype_->name() + "-LSO"; }
@@ -502,6 +504,155 @@ TEST(lso_differential, nws_over_incremental_lso_matches_reference) {
         expect_same_predictions(*got, *want, series, "NWS seed " + std::to_string(seed));
         if (::testing::Test::HasFatalFailure()) return;
         EXPECT_EQ(got->best_index(), want->best_index());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shared filters (lso_share): LSO wrappers cloned into one share for one
+// series run one filter per config in lockstep, and must match wrappers
+// cloned on their own bitwise.
+
+/// The LSO wrapper inside a registry-built "<hb>-LSO" or "hybrid:<hb>-LSO".
+const lso_predictor& lso_of(const predictor& p) {
+    if (const auto* h = dynamic_cast<const history_predictor*>(&p)) {
+        return dynamic_cast<const lso_predictor&>(h->inner());
+    }
+    return dynamic_cast<const lso_predictor&>(
+        dynamic_cast<const blended_predictor&>(p).blend().history());
+}
+
+/// history_size() of the series forecaster behind a history or hybrid spec.
+std::size_t history_of(const predictor& p) {
+    if (const auto* h = dynamic_cast<const history_predictor*>(&p)) {
+        return h->inner().history_size();
+    }
+    return dynamic_cast<const blended_predictor&>(p).blend().history().history_size();
+}
+
+TEST(lso_share, clone_set_matches_independent_clones_bitwise) {
+    const std::vector<std::string> specs{"10-MA-LSO", "0.8-HW-LSO", "NWS", "5-AR-LSO",
+                                         "hybrid:0.8-HW-LSO"};
+    std::vector<std::unique_ptr<predictor>> protos;
+    for (const auto& spec : specs) protos.push_back(make_predictor(spec));
+
+    std::size_t rewrites = 0;
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+        const auto series = adversarial_series(seed * 6151, 100 + seed % 2);
+        lso_share share;
+        std::vector<std::unique_ptr<predictor>> shared, alone;
+        for (const auto& p : protos) {
+            shared.push_back(p->clone_into(share));
+            alone.push_back(p->clone_empty());
+        }
+        // Not vacuous: the LSO specs really read one filter.
+        ASSERT_EQ(&lso_of(*shared[0]).filter(), &lso_of(*shared[1]).filter());
+        ASSERT_EQ(&lso_of(*shared[0]).filter(), &lso_of(*shared[4]).filter());
+        ASSERT_NE(&lso_of(*alone[0]).filter(), &lso_of(*alone[1]).filter());
+
+        // Epoch-major, as the engine walks: every clone takes epoch i (its
+        // predict, then its observe) before any takes epoch i + 1, so later
+        // clones predict after earlier ones have advanced the filter.
+        for (std::size_t i = 0; i < series.size(); ++i) {
+            for (std::size_t j = 0; j < specs.size(); ++j) {
+                const std::string what =
+                    specs[j] + " seed " + std::to_string(seed) + " step " + std::to_string(i);
+                const prediction got = shared[j]->predict(epoch_inputs::absent());
+                const prediction want = alone[j]->predict(epoch_inputs::absent());
+                ASSERT_TRUE(same_bits(got.value_bps, want.value_bps)) << what;
+                ASSERT_EQ(got.status, want.status) << what;
+                ASSERT_EQ(got.inputs_used.history_samples, want.inputs_used.history_samples)
+                    << what;
+                shared[j]->observe_maybe(series[i]);
+                alone[j]->observe_maybe(series[i]);
+                ASSERT_EQ(history_of(*shared[j]), history_of(*alone[j])) << what;
+            }
+            if (lso_of(*shared[0]).filter().last_change() == lso_filter::change::rewritten) {
+                ++rewrites;
+            }
+        }
+    }
+    EXPECT_GT(rewrites, 100u);  // outliers and shifts really happened
+}
+
+TEST(lso_share, observe_out_of_lockstep_throws) {
+    lso_share share;
+    const lso_predictor proto(std::make_unique<moving_average>(5));
+    const auto a = proto.clone_into(share);
+    const auto b = proto.clone_into(share);
+    a->observe(10.0);
+    EXPECT_THROW(b->observe(11.0), std::logic_error);  // a different x
+    b->observe(10.0);
+    a->observe(12.0);
+    a->observe(13.0);
+    EXPECT_THROW(b->observe(13.0), std::logic_error);  // b skipped 12
+    EXPECT_THROW(b->observe(12.0), std::logic_error);  // the filter is two ahead
+}
+
+TEST(lso_share, reset_moves_the_wrapper_onto_a_private_filter) {
+    lso_share share;
+    const lso_predictor proto(std::make_unique<holt_winters>(0.8, 0.2));
+    const auto a = proto.clone_into(share);
+    const auto b = proto.clone_into(share);
+    const auto a_alone = proto.clone_empty();
+    const auto b_alone = proto.clone_empty();
+    const auto filter_of = [](const hb_predictor& p) {
+        return &dynamic_cast<const lso_predictor&>(p).filter();
+    };
+    ASSERT_EQ(filter_of(*a), filter_of(*b));
+
+    const auto series = adversarial_series(424242, 120);
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        if (std::isnan(series[i])) continue;
+        if (i == series.size() / 2) {
+            a->reset();
+            a_alone->reset();
+            ASSERT_NE(filter_of(*a), filter_of(*b));
+            EXPECT_EQ(a->history_size(), 0u);
+        }
+        // b first on odd steps, a first on even ones: neither may depend on
+        // the order once a has left the share.
+        if (i % 2 == 1) b->observe(series[i]);
+        a->observe(series[i]);
+        if (i % 2 == 0) b->observe(series[i]);
+        a_alone->observe(series[i]);
+        b_alone->observe(series[i]);
+        ASSERT_TRUE(same_bits(a->predict(), a_alone->predict())) << "step " << i;
+        ASSERT_TRUE(same_bits(b->predict(), b_alone->predict())) << "step " << i;
+        ASSERT_EQ(a->history_size(), a_alone->history_size()) << "step " << i;
+        ASSERT_EQ(b->history_size(), b_alone->history_size()) << "step " << i;
+    }
+}
+
+TEST(lso_share, different_configs_get_different_filters) {
+    const lso_config tuned{0.2, 0.3, 3};
+    lso_share share;
+    EXPECT_EQ(share.filter_for(lso_config{}), share.filter_for(lso_config{}));
+    EXPECT_NE(share.filter_for(lso_config{}), share.filter_for(tuned));
+    EXPECT_EQ(share.filter_for(tuned)->config(), tuned);
+
+    const lso_predictor def(std::make_unique<moving_average>(10));
+    const lso_predictor alt(std::make_unique<moving_average>(10), tuned);
+    lso_share clones;
+    const auto d1 = def.clone_into(clones);
+    const auto a1 = alt.clone_into(clones);
+    const auto d2 = def.clone_into(clones);
+    const auto filter_of = [](const hb_predictor& p) {
+        return &dynamic_cast<const lso_predictor&>(p).filter();
+    };
+    EXPECT_EQ(filter_of(*d1), filter_of(*d2));
+    EXPECT_NE(filter_of(*d1), filter_of(*a1));
+
+    // Lockstep over both filters still matches wrappers on their own.
+    const auto d_alone = def.clone_empty();
+    const auto a_alone = alt.clone_empty();
+    for (const double x : adversarial_series(77, 100)) {
+        if (std::isnan(x)) continue;
+        for (hb_predictor* p : {d1.get(), a1.get(), d2.get(), d_alone.get(), a_alone.get()}) {
+            p->observe(x);
+        }
+        ASSERT_TRUE(same_bits(d1->predict(), d_alone->predict()));
+        ASSERT_TRUE(same_bits(d2->predict(), d_alone->predict()));
+        ASSERT_TRUE(same_bits(a1->predict(), a_alone->predict()));
     }
 }
 

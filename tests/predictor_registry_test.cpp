@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "core/adaptive_selector.hpp"
 
 namespace tcppred::core {
 namespace {
@@ -82,6 +87,54 @@ TEST(make_predictor_factory, config_controls_shared_parameters) {
     ASSERT_TRUE(pred.usable());
     EXPECT_EQ(pred.inputs_used.source, prediction_source::window_bound);
     EXPECT_NEAR(pred.value_bps, 20 * 1024 * 8 / 0.05, 1.0);
+}
+
+/// The standard NWS candidate set built by hand under one LSO config and HW
+/// trend gain.
+std::unique_ptr<predictor> nws_by_hand(lso_config lso, double hw_beta) {
+    std::vector<std::unique_ptr<hb_predictor>> set;
+    set.push_back(std::make_unique<lso_predictor>(std::make_unique<moving_average>(5), lso));
+    set.push_back(std::make_unique<lso_predictor>(std::make_unique<moving_average>(10), lso));
+    set.push_back(std::make_unique<lso_predictor>(std::make_unique<ewma>(0.5), lso));
+    set.push_back(
+        std::make_unique<lso_predictor>(std::make_unique<holt_winters>(0.8, hw_beta), lso));
+    return std::make_unique<history_predictor>(
+        std::make_unique<adaptive_selector>(std::move(set), 0.9));
+}
+
+TEST(make_predictor_factory, nws_honours_lso_and_hw_beta_config) {
+    predictor_config cfg;
+    cfg.lso = lso_config{0.2, 0.3, 3};
+    cfg.hw_beta = 0.35;
+    const auto nws = make_predictor("NWS", cfg)->clone_empty();
+    const auto want = nws_by_hand(cfg.lso, cfg.hw_beta);
+    const auto default_lso = nws_by_hand(lso_config{}, cfg.hw_beta);
+    const auto default_beta = nws_by_hand(cfg.lso, 0.2);
+
+    // 25 % level shifts and 35 % spikes: between the tuned and the default
+    // thresholds, so the two LSO configs clean the series differently.
+    std::vector<double> series;
+    for (int block = 0; block < 8; ++block) {
+        const double level = block % 2 == 0 ? 100.0 : 125.0;
+        for (int i = 0; i < 8; ++i) series.push_back(level * (1.0 + 0.01 * (i % 3)));
+        series.push_back(level * 1.35);
+    }
+    const auto bits = [](const std::unique_ptr<predictor>& p) {
+        return std::bit_cast<std::uint64_t>(p->predict(epoch_inputs::absent()).value_bps);
+    };
+    bool lso_matters = false;
+    bool beta_matters = false;
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        const std::uint64_t got = bits(nws);
+        ASSERT_EQ(got, bits(want)) << "step " << i;
+        lso_matters = lso_matters || got != bits(default_lso);
+        beta_matters = beta_matters || got != bits(default_beta);
+        for (const auto* p : {&nws, &want, &default_lso, &default_beta}) {
+            (*p)->observe(series[i]);
+        }
+    }
+    EXPECT_TRUE(lso_matters);
+    EXPECT_TRUE(beta_matters);
 }
 
 TEST(make_predictor_factory, rejects_malformed_specs_with_payload) {

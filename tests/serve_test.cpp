@@ -66,6 +66,11 @@ void expect_bits_equal(double a, double b) {
     EXPECT_EQ(a, b);
 }
 
+/// FB, plain HB and every LSO-wrapped kind: a new path's specs are cloned
+/// into one share, so its LSO wrappers run one filter between them.
+const std::vector<std::string> k_lso_mix{"fb:pftk", "10-MA",    "0.8-HW-LSO",
+                                         "NWS",     "hybrid:0.8-HW-LSO", "5-AR-LSO"};
+
 class serve_fixture : public ::testing::Test {
 protected:
     void SetUp() override {
@@ -201,9 +206,9 @@ TEST(serve_path_table, replay_is_bitwise_equal_to_offline_engine) {
     // The tentpole's correctness anchor, in-process: replaying a faulted
     // campaign observation-by-observation yields cached forecasts bitwise
     // identical to analysis::evaluation_engine over the same records —
-    // across an FB and an HB predictor, at several shard counts.
+    // across FB, HB and LSO-wrapped predictors, at several shard counts.
     const testbed::dataset data = testbed::run_campaign(tiny_config());
-    const std::vector<std::string> specs{"fb:pftk", "10-MA"};
+    const std::vector<std::string>& specs = k_lso_mix;
     const analysis::evaluation_engine engine;
     const auto offline = engine.run(data, specs);
 
@@ -340,10 +345,11 @@ TEST_F(serve_fixture, snapshot_refuses_mismatched_specs_and_garbage) {
 TEST(serve_path_table, concurrent_disjoint_paths_match_serial_replay) {
     // Per-path state depends only on that path's observation order, so any
     // thread interleaving over disjoint paths must reach the same table
-    // state as a serial replay. Run under TSan in CI; also pins that the
-    // striped locking actually serializes per-path work.
+    // state — log and cached forecasts — as a serial replay. Run under TSan
+    // in CI; also pins that the striped locking actually serializes per-path
+    // work.
     const testbed::dataset data = testbed::run_campaign(tiny_config());
-    const std::vector<std::string> specs{"fb:pftk", "10-MA"};
+    const std::vector<std::string>& specs = k_lso_mix;
     const auto traces = data.traces();
 
     serve::path_table serial(specs);
@@ -368,6 +374,16 @@ TEST(serve_path_table, concurrent_disjoint_paths_match_serial_replay) {
         }
         for (auto& t : threads) t.join();
         EXPECT_EQ(serve::render_snapshot(table), serve::render_snapshot(serial));
+        for (const auto& [key, recs] : traces) {
+            const std::string path = key_of(key.first, key.second);
+            for (const std::string& spec : specs) {
+                const auto got = table.predict(path, spec);
+                const auto want = serial.predict(path, spec);
+                ASSERT_EQ(got.st, want.st) << path << " " << spec;
+                EXPECT_EQ(got.epoch, want.epoch) << path << " " << spec;
+                expect_bits_equal(got.value.value_bps, want.value.value_bps);
+            }
+        }
     }
 }
 

@@ -29,7 +29,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-SPECS="fb:pftk,10-MA"
+# FB, plain HB and every LSO-wrapped kind: the daemon clones a path's specs
+# into one LSO share, so this gates the shared-filter path end to end.
+SPECS="fb:pftk,10-MA,0.8-HW-LSO,NWS,hybrid:0.8-HW-LSO,5-AR-LSO"
 SOCK="$WORK/serve.sock"
 SNAP="$WORK/serve.snapshot"
 
