@@ -521,6 +521,11 @@ const lso_predictor& lso_of(const predictor& p) {
         dynamic_cast<const blended_predictor&>(p).blend().history());
 }
 
+/// The filter an LSO wrapper reads.
+const lso_filter* filter_of(const hb_predictor& p) {
+    return &dynamic_cast<const lso_predictor&>(p).filter();
+}
+
 /// history_size() of the series forecaster behind a history or hybrid spec.
 std::size_t history_of(const predictor& p) {
     if (const auto* h = dynamic_cast<const history_predictor*>(&p)) {
@@ -595,9 +600,6 @@ TEST(lso_share, reset_moves_the_wrapper_onto_a_private_filter) {
     const auto b = proto.clone_into(share);
     const auto a_alone = proto.clone_empty();
     const auto b_alone = proto.clone_empty();
-    const auto filter_of = [](const hb_predictor& p) {
-        return &dynamic_cast<const lso_predictor&>(p).filter();
-    };
     ASSERT_EQ(filter_of(*a), filter_of(*b));
 
     const auto series = adversarial_series(424242, 120);
@@ -636,9 +638,6 @@ TEST(lso_share, different_configs_get_different_filters) {
     const auto d1 = def.clone_into(clones);
     const auto a1 = alt.clone_into(clones);
     const auto d2 = def.clone_into(clones);
-    const auto filter_of = [](const hb_predictor& p) {
-        return &dynamic_cast<const lso_predictor&>(p).filter();
-    };
     EXPECT_EQ(filter_of(*d1), filter_of(*d2));
     EXPECT_NE(filter_of(*d1), filter_of(*a1));
 
