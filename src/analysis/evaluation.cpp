@@ -251,7 +251,7 @@ std::vector<std::optional<trace_result>> evaluate_trace(
     }
 
     struct walker {
-        std::size_t slot;
+        std::size_t slot{0};
         std::unique_ptr<core::predictor> pred;
     };
     std::vector<walker> walkers;
