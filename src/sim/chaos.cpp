@@ -68,11 +68,7 @@ chaos_profile chaos_profile::parse(std::string_view spec) {
         } else if (key == "hang-s") {
             p.hang_s = parse_nonneg(key, value, 1e9);
         } else if (key == "seed") {
-            try {
-                p.seed = std::stoull(value);
-            } catch (const std::exception&) {
-                throw std::invalid_argument("chaos_profile: bad seed '" + value + "'");
-            }
+            p.seed = core::parse_checked_u64("chaos_profile seed", value, 0, UINT64_MAX);
         } else {
             throw std::invalid_argument("chaos_profile: unknown key '" + key + "'");
         }

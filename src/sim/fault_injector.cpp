@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/checked_parse.hpp"
 #include "obs/counters.hpp"
 #include "sim/rng.hpp"
 
@@ -74,11 +75,7 @@ fault_profile fault_profile::parse(std::string_view spec) {
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
         if (key == "seed") {
-            try {
-                p.seed = std::stoull(value);
-            } catch (const std::exception&) {
-                throw std::invalid_argument("fault_profile: bad seed '" + value + "'");
-            }
+            p.seed = core::parse_checked_u64("fault_profile seed", value, 0, UINT64_MAX);
             continue;
         }
         bool known = false;
@@ -103,12 +100,7 @@ fault_profile fault_profile::from_env() {
         if (const char* v = std::getenv(k.env)) p.*k.field = parse_rate(k.key, v);  // NOLINT(concurrency-mt-unsafe)
     }
     if (const char* v = std::getenv("REPRO_FAULT_SEED")) {  // NOLINT(concurrency-mt-unsafe)
-        try {
-            p.seed = std::stoull(v);
-        } catch (const std::exception&) {
-            throw std::invalid_argument(std::string("fault_profile: bad REPRO_FAULT_SEED '") +
-                                        v + "'");
-        }
+        p.seed = core::parse_checked_u64("REPRO_FAULT_SEED", v, 0, UINT64_MAX);
     }
     return p;
 }

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -127,16 +130,22 @@ dataset run_campaign(const campaign_config& cfg, progress_fn progress) {
 campaign_outcome run_campaign_resumable(const campaign_config& cfg,
                                         const campaign_run_options& opts,
                                         progress_fn progress) {
+    std::vector<epoch_record> records(campaign_total_epochs(cfg));
+    campaign_outcome out = sweep_campaign(
+        cfg, opts,
+        [&](std::size_t idx, epoch_record&& rec) { records[idx] = std::move(rec); },
+        std::move(progress));
+    out.data.records = std::move(records);
+    return out;
+}
+
+campaign_outcome sweep_campaign(const campaign_config& cfg,
+                                const campaign_run_options& opts, const record_sink& sink,
+                                progress_fn progress) {
     TCPPRED_EXPECTS(cfg.paths > 0 && cfg.traces_per_path > 0 &&
                     cfg.epochs_per_trace > 0);
     TCPPRED_EXPECTS(cfg.jobs >= 0);
-    TCPPRED_EXPECTS(opts.checkpoint_every > 0);
-    campaign_outcome out;
-    dataset& data = out.data;
-    data.paths = campaign_catalog(cfg);
-
-    const int total = cfg.paths * cfg.traces_per_path * cfg.epochs_per_trace;
-
+    TCPPRED_EXPECTS(opts.checkpoint_every > 0 && opts.reorder_capacity >= 1);
     // Observability: logical-event counters (job-count-invariant; DESIGN.md
     // §12) and the JSONL run trace (per-epoch events are emitted inside
     // simulate_campaign_epoch).
@@ -144,149 +153,183 @@ campaign_outcome run_campaign_resumable(const campaign_config& cfg,
     static const obs::counter c_flushes =
         obs::counter::get("campaign.checkpoint_flushes");
     trace_campaign_start(cfg);
-    const bool checkpointing = !opts.checkpoint.empty();
-    const std::string fingerprint =
-        checkpointing ? campaign_fingerprint(cfg) : std::string{};
+    campaign_outcome out;
+    out.data.paths = campaign_catalog(cfg);
+    const std::vector<path_profile>& paths = out.data.paths;
+    const std::size_t total = campaign_total_epochs(cfg);
+    const auto per_trace = static_cast<std::size_t>(cfg.epochs_per_trace);
 
-    // Per-trace load trajectories are cheap; generate them up front so the
-    // parallel sweep below is a pure fan-out over independent epochs.
-    const obs::stopwatch loads_watch;
-    const std::size_t n_traces =
-        data.paths.size() * static_cast<std::size_t>(cfg.traces_per_path);
-    std::vector<std::vector<load_state>> loads(n_traces);
-    for (std::size_t p = 0; p < data.paths.size(); ++p) {
-        for (int trace = 0; trace < cfg.traces_per_path; ++trace) {
-            const std::uint64_t trace_seed = sim::derive_seed(
-                cfg.seed, "trace", static_cast<std::uint64_t>(data.paths[p].id),
-                static_cast<std::uint64_t>(trace));
-            loads[p * static_cast<std::size_t>(cfg.traces_per_path) +
-                  static_cast<std::size_t>(trace)] =
-                load_trajectory(data.paths[p], trace_seed, cfg.epochs_per_trace);
-        }
-    }
-    obs::record_duration("campaign.load_trajectories", loads_watch.elapsed_s());
+    const auto claimed = [&](std::size_t idx) {
+        return !opts.epoch_filter || opts.epoch_filter(idx);
+    };
+    const auto next_claimed = [&](std::size_t idx) {
+        while (idx < total && !claimed(idx)) ++idx;
+        return idx;
+    };
+    // The next linear index to release; every claimed index below it has
+    // reached the sink (and the journal), nothing above it has.
+    std::size_t next_release = next_claimed(0);
 
-    // Records are pre-sized and indexed by the linearized (path, trace,
-    // epoch) — identical to the serial iteration order — so completion order
-    // never shows in the output and save_csv is byte-identical for any job
-    // count (the determinism contract, DESIGN.md §6).
-    data.records.resize(static_cast<std::size_t>(total));
-
-    // Completed-epoch bitmap. Slots restored here (before any worker starts)
-    // are read without locking in run_one: thread creation orders those
-    // writes before every worker. Workers only set their own claimed slot,
-    // under ck_mutex, so checkpoint flushes read a consistent view.
-    std::vector<char> done(static_cast<std::size_t>(total), 0);
-    if (opts.resume && checkpointing) {
-        if (auto ck = load_checkpoint(opts.checkpoint, fingerprint)) {
-            if (ck->total != static_cast<std::size_t>(total)) {
-                throw dataset_error(opts.checkpoint, 0, 0,
-                                    "checkpoint epoch count disagrees with config");
+    // Resume: the journal must hold exactly the first k claimed indices, so
+    // it restores by streaming into the sink in order — nothing grid-sized
+    // is held. A torn final line (a kill mid-append) is cut off before this
+    // run appends.
+    std::optional<checkpoint_journal> journal;
+    if (!opts.checkpoint.empty()) {
+        const std::string fingerprint = campaign_fingerprint(cfg);
+        const bool restore = opts.resume && std::filesystem::exists(opts.checkpoint);
+        if (restore) {
+            std::optional<std::uint64_t> cut;
+            {
+                checkpoint_reader reader(opts.checkpoint, fingerprint);
+                reader.expect_total(total);
+                while (auto rec = reader.next()) {
+                    if (rec->first != next_release) {
+                        throw dataset_error(
+                            opts.checkpoint, reader.line_no(), 2,
+                            "checkpoint is not a prefix of the claimed epoch order "
+                            "(record index " + std::to_string(rec->first) +
+                                " where " + std::to_string(next_release) +
+                                " was expected) — refusing to resume");
+                    }
+                    sink(rec->first, std::move(rec->second));
+                    ++out.epochs_resumed;
+                    next_release = next_claimed(rec->first + 1);
+                }
+                if (reader.torn_tail()) cut = reader.valid_bytes();
             }
-            for (std::size_t i = 0; i < ck->total; ++i) {
-                if (!ck->done[i]) continue;
-                data.records[i] = std::move(ck->records[i]);
-                done[i] = 1;
-                ++out.epochs_resumed;
-            }
+            if (cut) std::filesystem::resize_file(opts.checkpoint, *cut);
             c_resumed.add(static_cast<std::uint64_t>(out.epochs_resumed));
         }
+        journal.emplace(opts.checkpoint, fingerprint, total, restore);
     }
+    const std::size_t resume_from = next_release;
+    out.epochs_completed = out.epochs_resumed;
 
-    // Progress + checkpoint state, all serialized by ck_mutex so the user
-    // callback sees strictly increasing counts and never runs concurrently
-    // with itself, and a flush always sees fully written records.
-    std::atomic<bool> cancel{false};
-    std::mutex ck_mutex;
-    int completed = out.epochs_resumed;
-    int since_flush = 0;
-
-    const auto flush_checkpoint = [&] {  // caller holds ck_mutex
-        campaign_checkpoint ck;
-        ck.fingerprint = fingerprint;
-        ck.total = static_cast<std::size_t>(total);
-        ck.done = done;
-        // Copy completed slots only: a worker writes its record slot before
-        // taking ck_mutex to set done[idx], so every done slot is fully
-        // written and quiescent here — while a slot still in flight may be
-        // mid-write on another thread and must not even be read (save would
-        // skip it anyway).
-        ck.records.resize(ck.total);
-        for (std::size_t i = 0; i < ck.total; ++i) {
-            if (done[i]) ck.records[i] = data.records[i];
+    // Per-trace load trajectories, generated on first use and evicted once
+    // every epoch this run simulates from them has taken its load state.
+    // parallel_for claims indices in ascending (trace-major) order, so about
+    // jobs + 1 trajectories are live at a time.
+    struct trace_loads {
+        std::vector<load_state> loads;
+        std::size_t remaining{0};
+    };
+    std::map<std::size_t, trace_loads> trajectories;
+    std::mutex trajectories_mu;
+    const auto load_of = [&](std::size_t idx, const epoch_coords& c) {
+        const std::size_t key = idx / per_trace;
+        const std::lock_guard<std::mutex> lock(trajectories_mu);
+        auto it = trajectories.find(key);
+        if (it == trajectories.end()) {
+            const obs::stage_timer t_loads("campaign.load_trajectories");
+            trace_loads entry;
+            const path_profile& profile = paths[c.path_index];
+            entry.loads = load_trajectory(
+                profile,
+                sim::derive_seed(cfg.seed, "trace", static_cast<std::uint64_t>(profile.id),
+                                 static_cast<std::uint64_t>(c.trace)),
+                cfg.epochs_per_trace);
+            for (std::size_t i = std::max(key * per_trace, resume_from);
+                 i < (key + 1) * per_trace; ++i) {
+                if (claimed(i)) ++entry.remaining;
+            }
+            it = trajectories.emplace(key, std::move(entry)).first;
         }
-        save_checkpoint(ck, opts.checkpoint);
-        c_flushes.add();
+        const load_state load = it->second.loads[static_cast<std::size_t>(c.epoch)];
+        if (--it->second.remaining == 0) trajectories.erase(it);
+        return load;
+    };
+
+    // The reorder window and the in-order release, all under window_mu: the
+    // sink, the journal and the progress callback see records one at a time
+    // in linear order. `stop` (a cancel or a worker error) ends claiming and
+    // wakes every worker parked at a full window — the hole it leaves in the
+    // order would otherwise park them forever.
+    std::mutex window_mu;
+    std::condition_variable window_cv;
+    std::map<std::size_t, epoch_record> window;
+    std::atomic<bool> stop{false};
+    int since_flush = 0;
+    const int total_i = static_cast<int>(total);
+
+    const auto flush_journal = [&] {  // caller holds window_mu
+        if (journal->flush()) c_flushes.add();
+        since_flush = 0;
+    };
+    const auto release = [&](std::size_t idx, epoch_record&& rec) {  // holds window_mu
+        if (journal) journal->add(idx, rec);
+        sink(idx, std::move(rec));
+        ++out.epochs_completed;
+        if (progress) progress(out.epochs_completed, total_i);
+        next_release = next_claimed(idx + 1);
+        if (journal && ++since_flush >= opts.checkpoint_every) flush_journal();
+    };
+    const auto halt = [&] {
+        {
+            const std::lock_guard<std::mutex> lock(window_mu);
+            stop.store(true, std::memory_order_relaxed);
+        }
+        window_cv.notify_all();
     };
 
     const auto run_one = [&](std::size_t idx) {
-        if (opts.epoch_filter && !opts.epoch_filter(idx)) return;  // not ours
-        if (done[idx]) return;  // restored from the checkpoint
-        if (cancel.load(std::memory_order_relaxed)) return;
-        if (opts.cancelled && opts.cancelled()) {
-            cancel.store(true, std::memory_order_relaxed);
-            return;
-        }
-        if (opts.epoch_hook) opts.epoch_hook(idx);
-        const epoch_coords c = decompose_epoch_index(cfg, idx);
-        const path_profile& profile = data.paths[c.path_index];
-        data.records[idx] = simulate_campaign_epoch(
-            cfg, profile,
-            loads[c.path_index * static_cast<std::size_t>(cfg.traces_per_path) +
-                  static_cast<std::size_t>(c.trace)][static_cast<std::size_t>(c.epoch)],
-            c.trace, c.epoch);
-        {
-            const std::lock_guard<std::mutex> lock(ck_mutex);
-            done[idx] = 1;
-            ++completed;
-            if (progress) progress(completed, total);
-            if (checkpointing && ++since_flush >= opts.checkpoint_every) {
-                flush_checkpoint();
-                since_flush = 0;
+        if (idx < resume_from || !claimed(idx)) return;  // restored, or not ours
+        if (stop.load(std::memory_order_relaxed)) return;
+        try {
+            if (opts.cancelled && opts.cancelled()) {
+                halt();
+                return;
             }
+            if (opts.epoch_hook) opts.epoch_hook(idx);
+            const epoch_coords c = decompose_epoch_index(cfg, idx);
+            epoch_record rec = simulate_campaign_epoch(cfg, paths[c.path_index],
+                                                       load_of(idx, c), c.trace, c.epoch);
+            std::unique_lock<std::mutex> lock(window_mu);
+            window_cv.wait(lock, [&] {
+                return idx == next_release || window.size() < opts.reorder_capacity ||
+                       stop.load(std::memory_order_relaxed);
+            });
+            if (idx != next_release) {
+                window.emplace(idx, std::move(rec));
+                return;
+            }
+            release(idx, std::move(rec));
+            while (!window.empty() && window.begin()->first == next_release) {
+                auto node = window.extract(window.begin());
+                release(node.key(), std::move(node.mapped()));
+            }
+            lock.unlock();
+            window_cv.notify_all();
+        } catch (...) {
+            halt();
+            throw;
         }
     };
 
     try {
         const obs::stage_timer t_sweep("campaign.sweep");
-        sim::parallel_for(static_cast<std::size_t>(total),
-                          campaign_effective_jobs(cfg, static_cast<std::size_t>(total)),
-                          run_one);
+        sim::parallel_for(total, campaign_effective_jobs(cfg, total), run_one);
     } catch (...) {
         // A worker threw (parallel_for already drained the pool and captured
-        // the first error). Persist the epochs that did complete, then let
-        // the error propagate — exactly once — to the caller.
-        if (checkpointing) {
-            const std::lock_guard<std::mutex> lock(ck_mutex);
-            flush_checkpoint();
+        // the first error). Persist what was released, then let the error
+        // propagate — exactly once — to the caller.
+        if (journal) {
+            const std::lock_guard<std::mutex> lock(window_mu);
+            flush_journal();
         }
         throw;
     }
 
-    out.epochs_completed = completed;
-    // Complete = every claimed epoch done. Without a filter that is the
-    // whole grid; a shard is complete when its slice is, regardless of the
-    // other shards' slots.
-    out.complete = true;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(total); ++i) {
-        if (opts.epoch_filter && !opts.epoch_filter(i)) continue;
-        if (!done[i]) {
-            out.complete = false;
-            break;
-        }
-    }
-    if (checkpointing) {
+    out.complete = next_release == total;
+    if (journal) {
         if (out.complete && !opts.keep_checkpoint) {
             std::error_code ec;  // best-effort cleanup; absence is fine
             std::filesystem::remove(opts.checkpoint, ec);
         } else {
-            // Final flush so everything finished since the last periodic
+            // Final flush so everything released since the last periodic
             // flush survives the interruption — and so a kept (shard)
-            // checkpoint exists even when the run had nothing left to do.
-            const std::lock_guard<std::mutex> lock(ck_mutex);
-            if (since_flush > 0 || !std::filesystem::exists(opts.checkpoint)) {
-                flush_checkpoint();
-            }
+            // journal exists even when the run had nothing left to do.
+            flush_journal();
         }
     }
     return out;

@@ -34,12 +34,13 @@ struct campaign_config {
 
 /// Progress callback: (epochs completed, total epochs).
 ///
-/// Threading guarantees: invocations are serialized under an internal mutex
-/// and `completed` is strictly increasing (1..total), regardless of how many
-/// worker threads run the campaign — the callback itself needs no locking.
-/// With jobs > 1 it is invoked from worker threads (never concurrently), and
-/// epochs complete out of record order, so `completed` is a count, not an
-/// index. It must not re-enter run_campaign.
+/// Invoked once per record the sweep releases (in linear order, see
+/// sweep_campaign), so `completed` counts released records — restored ones
+/// included — and is strictly increasing, regardless of how many worker
+/// threads run the campaign. Invocations are serialized under an internal
+/// mutex; the callback itself needs no locking. With jobs > 1 it is invoked
+/// from worker threads (never concurrently). It must not re-enter
+/// run_campaign.
 using progress_fn = std::function<void(int, int)>;
 
 /// The path catalogue a campaign config generates (campaign-1 or campaign-2
@@ -71,9 +72,8 @@ struct epoch_coords {
 /// derivation, fault planning, the campaign.epochs_run/faulted counters, the
 /// per-epoch latency recorder and the JSONL "epoch" trace event. `load` is
 /// the trace's load state for `epoch` (load_trajectory position). A pure
-/// function of (cfg, profile, load, trace, epoch) — both the in-memory sweep
-/// and the streamed store sink (record_store.hpp) call this, which is what
-/// keeps their records bitwise identical.
+/// function of (cfg, profile, load, trace, epoch): the sweep calls it for
+/// every sink, which is what keeps their records bitwise identical.
 [[nodiscard]] epoch_record simulate_campaign_epoch(const campaign_config& cfg,
                                                    const path_profile& profile,
                                                    const load_state& load, int trace,
@@ -85,57 +85,82 @@ void trace_campaign_start(const campaign_config& cfg);
 /// Run a campaign from scratch. Deterministic in cfg alone: the records
 /// vector (and hence the CSV) is identical for any cfg.jobs / $REPRO_JOBS,
 /// because every epoch is independently seeded via
-/// derive_seed(seed, "epoch", path, trace, epoch) and results are written
-/// into pre-sized slots in (path, trace, epoch) order, never push order.
+/// derive_seed(seed, "epoch", path, trace, epoch) and records are released
+/// in (path, trace, epoch) order, never completion order.
 [[nodiscard]] dataset run_campaign(const campaign_config& cfg, progress_fn progress = nullptr);
 
-/// Checkpointing / cancellation knobs for run_campaign_resumable. All
-/// default-off: a default-constructed value makes it behave exactly like
-/// run_campaign.
+/// Checkpointing / cancellation knobs of the campaign sweep. All
+/// default-off: a default-constructed value makes run_campaign_resumable
+/// behave exactly like run_campaign.
 struct campaign_run_options {
-    /// Checkpoint file. Empty = no checkpointing.
+    /// Checkpoint journal (checkpoint.hpp). Empty = no checkpointing.
     std::filesystem::path checkpoint{};
-    /// Flush the checkpoint after this many newly completed epochs (and
+    /// Flush the journal after this many newly released records (and
     /// always once more at the end of an interrupted run).
     int checkpoint_every{32};
-    /// Load `checkpoint` if it exists and skip its completed epochs. The
-    /// checkpoint must carry this config's fingerprint (checkpoint.hpp);
-    /// job count may differ freely.
+    /// Restore the journal's records if `checkpoint` exists and simulate
+    /// only the rest. The journal must carry this config's fingerprint, and
+    /// its records must be exactly the first k claimed indices in linear
+    /// order; job count may differ freely.
     bool resume{false};
     /// Claim only linear epoch indices for which this returns true (null =
-    /// claim everything). Off-claim epochs are neither simulated nor marked
-    /// done — this is how a shard worker runs its slice of the grid
+    /// claim everything). Off-claim epochs are neither simulated nor
+    /// released — this is how a shard worker runs its slice of the grid
     /// (testbed/shard.hpp); `complete` then means "every claimed epoch done".
     /// Must be pure and thread-safe: it is called from worker threads.
     std::function<bool(std::size_t)> epoch_filter{};
-    /// Keep the checkpoint file after a complete run instead of removing it.
-    /// A shard's checkpoint IS its output — the merge step consumes it.
+    /// Keep the journal after a complete run instead of removing it. A
+    /// shard's journal IS its output — the merge step consumes it.
     bool keep_checkpoint{false};
     /// Polled between epochs; return true to stop claiming new epochs. The
-    /// in-flight ones finish and are checkpointed.
+    /// in-flight ones finish, and those in linear order are journaled.
     std::function<bool()> cancelled{};
     /// Test/instrumentation hook, invoked with the linear epoch index just
     /// before that epoch simulates. An exception thrown here (or anywhere in
-    /// an epoch) aborts the run, but completed epochs are still flushed to
-    /// the checkpoint before the first worker error is rethrown.
+    /// an epoch) aborts the run, but the released records are still flushed
+    /// to the journal before the first worker error is rethrown.
     std::function<void(std::size_t)> epoch_hook{};
+    /// Bounded reorder window (records) between out-of-order workers and
+    /// the in-order release. Workers finishing ahead of the lowest
+    /// outstanding epoch park their records here; when it is full they
+    /// block (except the worker holding the next index, so progress is
+    /// always possible). Peak parked memory is O(this + jobs).
+    std::size_t reorder_capacity{4096};
 };
 
 /// What a (possibly interrupted) campaign run produced.
 struct campaign_outcome {
-    dataset data;             ///< complete iff `complete`; else done slots only
-    bool complete{true};      ///< every *claimed* epoch done (see epoch_filter)
-    int epochs_completed{0};  ///< including epochs restored from the checkpoint
-    int epochs_resumed{0};    ///< epochs restored from the checkpoint
+    dataset data;             ///< paths, plus the records the sink kept
+    bool complete{true};      ///< every *claimed* epoch released (see epoch_filter)
+    int epochs_completed{0};  ///< records released, restored ones included
+    int epochs_resumed{0};    ///< records restored from the journal
 };
 
-/// run_campaign plus checkpoint/resume/cancel. Determinism contract: for a
-/// fixed cfg, the records of a run that was interrupted any number of times
-/// and resumed are byte-identical to an uninterrupted run's, at any job
-/// count — every epoch is independently seeded, completed epochs round-trip
-/// bit-exactly through the checkpoint, and the checkpoint is refused when
-/// cfg (beyond jobs) changed. On a complete run the checkpoint file is
-/// removed.
+/// Where the sweep releases records: called once per claimed record, in
+/// ascending linear index order, never concurrently.
+using record_sink = std::function<void(std::size_t idx, epoch_record&& rec)>;
+
+/// The one campaign sweep behind run_campaign, run_campaign_resumable and
+/// run_campaign_streamed (record_store.hpp), which differ only in `sink`.
+/// Workers simulate claimed epochs in parallel; completed records pass
+/// through the bounded reorder window (opts.reorder_capacity) and reach
+/// `sink` — and the checkpoint journal — in linear order. Per-trace load
+/// trajectories are generated on first use and evicted after their last
+/// epoch, so the sweep itself holds nothing grid-sized. On resume the
+/// journal's records stream into `sink` first. A cancel or a worker error
+/// stops the release at the first hole in the order: every record below it
+/// is released and journaled, nothing past it is. The returned `data`
+/// carries the catalogue only. Determinism contract: for a fixed cfg, the
+/// record stream of a run interrupted any number of times and resumed is
+/// byte-identical to an uninterrupted run's, at any job count.
+[[nodiscard]] campaign_outcome sweep_campaign(const campaign_config& cfg,
+                                              const campaign_run_options& opts,
+                                              const record_sink& sink,
+                                              progress_fn progress = nullptr);
+
+/// sweep_campaign into pre-sized dataset slots: run_campaign plus
+/// checkpoint/resume/cancel. On a complete run the journal is removed
+/// (unless opts.keep_checkpoint).
 [[nodiscard]] campaign_outcome run_campaign_resumable(const campaign_config& cfg,
                                                       const campaign_run_options& opts,
                                                       progress_fn progress = nullptr);

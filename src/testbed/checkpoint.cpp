@@ -8,7 +8,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <system_error>
+
+#include "core/checked_parse.hpp"
 
 namespace tcppred::testbed {
 
@@ -28,26 +31,48 @@ double parse_hexd(const std::string& s, const std::filesystem::path& file,
     return v;
 }
 
+std::uint64_t parse_u64_field(std::string_view name, std::string_view text,
+                              const std::filesystem::path& file, std::size_t line_no,
+                              std::uint64_t max) {
+    try {
+        return core::parse_checked_u64(name, text, 0, max);
+    } catch (const core::parse_error& e) {
+        throw dataset_error(file, line_no, 0, e.what());
+    }
+}
+
+int parse_i32_field(std::string_view name, std::string_view text,
+                    const std::filesystem::path& file, std::size_t line_no) {
+    try {
+        return static_cast<int>(core::parse_checked_int(name, text, INT32_MIN, INT32_MAX));
+    } catch (const core::parse_error& e) {
+        throw dataset_error(file, line_no, 0, e.what());
+    }
+}
+
 namespace {
 
 constexpr std::size_t k_fixed_doubles = 12;  // measurement doubles per record
+constexpr char k_magic[] = "tcppred-checkpoint,v1";
+/// Per-record prefix-pair ceiling a reader accepts. The campaigns use at
+/// most 3; this only bounds hostile inputs (and keeps 20 + 2n from wrapping).
+constexpr std::uint64_t k_max_prefixes = 64;
 
 /// Parse one already-split "rec,..." line into (linear index, record).
-/// Shared by the streaming reader and (through it) load_checkpoint.
 std::pair<std::size_t, epoch_record> parse_checkpoint_record(
     const std::vector<std::string>& f, std::size_t total,
     const std::filesystem::path& file, std::size_t line_no) {
     if (f.size() < 20 || f[0] != "rec") {
         throw dataset_error(file, line_no, 0, "bad checkpoint record line");
     }
-    const auto idx = static_cast<std::size_t>(std::stoull(f[1]));
+    const auto idx = static_cast<std::size_t>(parse_u64_field("index", f[1], file, line_no));
     if (idx >= total) {
         throw dataset_error(file, line_no, 2, "record index " + f[1] + " out of range");
     }
     epoch_record r;
-    r.path_id = std::stoi(f[2]);
-    r.trace_id = std::stoi(f[3]);
-    r.epoch_index = std::stoi(f[4]);
+    r.path_id = parse_i32_field("path", f[2], file, line_no);
+    r.trace_id = parse_i32_field("trace", f[3], file, line_no);
+    r.epoch_index = parse_i32_field("epoch", f[4], file, line_no);
     double* const ds[k_fixed_doubles] = {
         &r.m.avail_bw_bps, &r.m.phat,         &r.m.phat_events,
         &r.m.that_s,       &r.m.ptilde,       &r.m.ttilde_s,
@@ -56,9 +81,11 @@ std::pair<std::size_t, epoch_record> parse_checkpoint_record(
     for (std::size_t i = 0; i < k_fixed_doubles; ++i) {
         *ds[i] = parse_hexd(f[5 + i], file, line_no);
     }
-    r.m.events = std::stoull(f[17]);
-    r.m.fault_flags = static_cast<std::uint32_t>(std::stoul(f[18]));
-    const auto n_prefix = static_cast<std::size_t>(std::stoull(f[19]));
+    r.m.events = parse_u64_field("events", f[17], file, line_no);
+    r.m.fault_flags = static_cast<std::uint32_t>(
+        parse_u64_field("fault_flags", f[18], file, line_no, UINT32_MAX));
+    const auto n_prefix = static_cast<std::size_t>(
+        parse_u64_field("prefix count", f[19], file, line_no, k_max_prefixes));
     if (f.size() != 20 + 2 * n_prefix) {
         throw dataset_error(file, line_no, 20, "prefix count disagrees with field count");
     }
@@ -234,48 +261,94 @@ void atomic_write_text(const std::filesystem::path& file, const std::string& con
     }
 }
 
-void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path& file) {
-    std::ostringstream out;
-    out << "tcppred-checkpoint,v1\n";
-    out << "fingerprint," << ck.fingerprint << '\n';
-    out << "total," << ck.total << '\n';
-    for (std::size_t i = 0; i < ck.total; ++i) {
-        if (!ck.done[i]) continue;
-        const epoch_record& r = ck.records[i];
-        const epoch_measurement& m = r.m;
-        out << "rec," << i << ',' << r.path_id << ',' << r.trace_id << ','
-            << r.epoch_index << ',' << hexd(m.avail_bw_bps) << ','
-            << hexd(m.phat) << ',' << hexd(m.phat_events) << ','
-            << hexd(m.that_s) << ',' << hexd(m.ptilde) << ','
-            << hexd(m.ttilde_s) << ',' << hexd(m.r_large_bps) << ','
-            << hexd(m.r_small_bps) << ',' << hexd(m.tcp_loss_rate) << ','
-            << hexd(m.tcp_event_rate) << ',' << hexd(m.tcp_mean_rtt_s) << ','
-            << hexd(m.sim_time_s) << ',' << m.events << ',' << m.fault_flags
-            << ',' << m.prefix_goodputs.size();
-        for (const auto& [s, bps] : m.prefix_goodputs) {
-            out << ',' << hexd(s) << ',' << hexd(bps);
-        }
-        out << '\n';
+checkpoint_journal::checkpoint_journal(std::filesystem::path file,
+                                       const std::string& fingerprint, std::size_t total,
+                                       bool append)
+    : file_(std::move(file)), on_disk_(append) {
+    if (!on_disk_) {
+        buf_ = std::string(k_magic) + "\nfingerprint," + fingerprint + "\ntotal," +
+               std::to_string(total) + '\n';
     }
-    atomic_write_text(file, out.str());
+}
+
+void checkpoint_journal::add(std::size_t idx, const epoch_record& rec) {
+    const epoch_measurement& m = rec.m;
+    buf_ += "rec,";
+    buf_ += std::to_string(idx);
+    for (const int v : {rec.path_id, rec.trace_id, rec.epoch_index}) {
+        buf_ += ',';
+        buf_ += std::to_string(v);
+    }
+    for (const double v : {m.avail_bw_bps, m.phat, m.phat_events, m.that_s, m.ptilde,
+                           m.ttilde_s, m.r_large_bps, m.r_small_bps, m.tcp_loss_rate,
+                           m.tcp_event_rate, m.tcp_mean_rtt_s, m.sim_time_s}) {
+        buf_ += ',';
+        buf_ += hexd(v);
+    }
+    buf_ += ',' + std::to_string(m.events) + ',' + std::to_string(m.fault_flags) + ',' +
+            std::to_string(m.prefix_goodputs.size());
+    for (const auto& [s, bps] : m.prefix_goodputs) {
+        buf_ += ',' + hexd(s) + ',' + hexd(bps);
+    }
+    buf_ += '\n';
+}
+
+bool checkpoint_journal::flush() {
+    if (!on_disk_) {
+        atomic_write_text(file_, buf_);
+        on_disk_ = true;
+    } else if (buf_.empty()) {
+        return false;
+    } else {
+        if (!out_.is_open()) out_.open(file_, std::ios::app | std::ios::binary);
+        out_ << buf_;
+        out_.flush();
+        if (!out_) {
+            throw std::runtime_error("checkpoint_journal: append failed on " +
+                                     file_.string());
+        }
+    }
+    buf_.clear();
+    return true;
+}
+
+void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path& file) {
+    checkpoint_journal journal(file, ck.fingerprint, ck.total);
+    for (std::size_t i = 0; i < ck.total; ++i) {
+        if (ck.done[i]) journal.add(i, ck.records[i]);
+    }
+    journal.flush();
 }
 
 checkpoint_reader::checkpoint_reader(const std::filesystem::path& file,
                                      const std::string& expected_fingerprint)
-    : in_(file), file_(file) {
-    if (!in_) {
+    : own_(file, std::ios::binary), file_(file) {
+    if (!own_) {
         throw dataset_error(file_, 0, 0, "cannot open checkpoint");
     }
+    read_header(expected_fingerprint);
+}
+
+checkpoint_reader::checkpoint_reader(std::istream& in, std::filesystem::path context,
+                                     const std::string& expected_fingerprint)
+    : in_(&in), file_(std::move(context)) {
+    read_header(expected_fingerprint);
+}
+
+void checkpoint_reader::read_header(const std::string& expected_fingerprint) {
     std::string line;
     auto next_line = [&](const char* what) {
-        if (!std::getline(in_, line)) {
+        // A header line must end in '\n': the first flush writes the whole
+        // header atomically, so a short one is corruption, not a torn tail.
+        if (!std::getline(in(), line) || in().eof()) {
             throw dataset_error(file_, line_no_ + 1, 0,
                                 std::string("truncated checkpoint: expected ") + what);
         }
         ++line_no_;
+        valid_bytes_ += line.size() + 1;
     };
     next_line("magic");
-    if (line != "tcppred-checkpoint,v1") {
+    if (line != k_magic) {
         throw dataset_error(file_, line_no_, 0, "not a tcppred checkpoint");
     }
     next_line("fingerprint");
@@ -294,39 +367,41 @@ checkpoint_reader::checkpoint_reader(const std::filesystem::path& file,
     if (line.rfind("total,", 0) != 0) {
         throw dataset_error(file_, line_no_, 0, "expected total line");
     }
-    total_ = static_cast<std::size_t>(std::stoull(line.substr(6)));
+    total_line_ = line_no_;
+    total_ = static_cast<std::size_t>(
+        parse_u64_field("total", std::string_view(line).substr(6), file_, line_no_));
+}
+
+void checkpoint_reader::expect_total(std::size_t expected) const {
+    if (total_ != expected) {
+        throw dataset_error(file_, total_line_, 0,
+                            "checkpoint total " + std::to_string(total_) +
+                                " disagrees with the config's " +
+                                std::to_string(expected) + " epochs");
+    }
 }
 
 std::optional<std::pair<std::size_t, epoch_record>> checkpoint_reader::next() {
     std::string line;
-    while (std::getline(in_, line)) {
+    while (!torn_tail_ && std::getline(in(), line)) {
         ++line_no_;
+        if (in().eof()) {
+            torn_tail_ = true;  // no '\n': an append cut short
+            break;
+        }
+        valid_bytes_ += line.size() + 1;
         if (line.empty()) continue;
-        return parse_checkpoint_record(split_fields(line, ','), total_, file_, line_no_);
+        auto rec = parse_checkpoint_record(split_fields(line, ','), total_, file_, line_no_);
+        if (last_idx_ && rec.first <= *last_idx_) {
+            throw dataset_error(file_, line_no_, 2,
+                                "record index " + std::to_string(rec.first) +
+                                    " does not ascend (previous " +
+                                    std::to_string(*last_idx_) + ")");
+        }
+        last_idx_ = rec.first;
+        return rec;
     }
     return std::nullopt;
-}
-
-std::optional<campaign_checkpoint> load_checkpoint(
-    const std::filesystem::path& file, const std::string& expected_fingerprint) {
-    {
-        // Missing (or unreadable) file means "no checkpoint yet", not an
-        // error — the reader's cannot-open throw is for callers that already
-        // know the file must exist (the shard merge).
-        std::ifstream probe(file);
-        if (!probe) return std::nullopt;
-    }
-    checkpoint_reader reader(file, expected_fingerprint);
-    campaign_checkpoint ck;
-    ck.fingerprint = reader.fingerprint();
-    ck.total = reader.total();
-    ck.done.assign(ck.total, 0);
-    ck.records.resize(ck.total);
-    while (auto rec = reader.next()) {
-        ck.records[rec->first] = std::move(rec->second);
-        ck.done[rec->first] = 1;
-    }
-    return ck;
 }
 
 }  // namespace tcppred::testbed

@@ -3,52 +3,15 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
-#include <condition_variable>
-#include <cstdlib>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
-#include "obs/stopwatch.hpp"
-#include "sim/rng.hpp"
-#include "sim/thread_pool.hpp"
 #include "testbed/checkpoint.hpp"
-#include "testbed/load_process.hpp"
+#include "testbed/shard.hpp"
 
 namespace tcppred::testbed {
 
 namespace {
-
-std::uint64_t parse_u64(const std::string& s, const std::filesystem::path& file,
-                        std::size_t line_no) {
-    if (s.empty() || s[0] == '-') {
-        throw dataset_error(file, line_no, 0,
-                            "expected a non-negative integer, got \"" + s + "\"");
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0' || errno == ERANGE) {
-        throw dataset_error(file, line_no, 0,
-                            "bad unsigned integer field \"" + s + "\"");
-    }
-    return v;
-}
-
-int parse_i32(const std::string& s, const std::filesystem::path& file,
-              std::size_t line_no) {
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0' || errno == ERANGE || v < INT32_MIN ||
-        v > INT32_MAX) {
-        throw dataset_error(file, line_no, 0, "bad integer field \"" + s + "\"");
-    }
-    return static_cast<int>(v);
-}
 
 /// Per-record prefix-pair ceiling a reader accepts. The campaigns use at
 /// most 3; this only bounds hostile inputs.
@@ -251,8 +214,8 @@ void record_reader::open_and_validate(const std::string& expected_fingerprint) {
     if (line.rfind("chunk_capacity,", 0) != 0) {
         throw dataset_error(file_, line_no_, 0, "expected chunk_capacity line");
     }
-    chunk_capacity_ =
-        static_cast<std::size_t>(parse_u64(line.substr(15), file_, line_no_));
+    chunk_capacity_ = static_cast<std::size_t>(parse_u64_field(
+        "chunk_capacity", std::string_view(line).substr(15), file_, line_no_));
     if (chunk_capacity_ < 1 || chunk_capacity_ > k_max_chunk_capacity) {
         throw dataset_error(file_, line_no_, 0, "chunk_capacity out of range");
     }
@@ -260,7 +223,8 @@ void record_reader::open_and_validate(const std::string& expected_fingerprint) {
     if (line.rfind("paths,", 0) != 0) {
         throw dataset_error(file_, line_no_, 0, "expected paths line");
     }
-    const std::uint64_t n_paths = parse_u64(line.substr(6), file_, line_no_);
+    const std::uint64_t n_paths =
+        parse_u64_field("paths", std::string_view(line).substr(6), file_, line_no_);
     for (std::uint64_t i = 0; i < n_paths; ++i) {
         next_line("catalogue line");
         if (line.rfind("#path,", 0) != 0) {
@@ -299,7 +263,8 @@ void record_reader::open_and_validate(const std::string& expected_fingerprint) {
     if (end_line.rfind("end,", 0) != 0) {
         throw dataset_error(file_, 0, 0, "store missing end line (truncated?)");
     }
-    const std::uint64_t footer_off = parse_u64(end_line.substr(4), file_, 0);
+    const std::uint64_t footer_off =
+        parse_u64_field("footer offset", std::string_view(end_line).substr(4), file_, 0);
     if (footer_off < data_start || footer_off >= static_cast<std::uint64_t>(size)) {
         throw dataset_error(file_, 0, 0, "footer offset out of range");
     }
@@ -313,10 +278,10 @@ void record_reader::open_and_validate(const std::string& expected_fingerprint) {
     if (ff.size() != 5) {
         throw dataset_error(file_, 0, 0, "footer needs 5 fields");
     }
-    total_ = static_cast<std::size_t>(parse_u64(ff[1], file_, 0));
-    n_traces_ = static_cast<std::size_t>(parse_u64(ff[2], file_, 0));
-    n_faulted_ = static_cast<std::size_t>(parse_u64(ff[3], file_, 0));
-    const std::uint64_t n_chunks = parse_u64(ff[4], file_, 0);
+    total_ = static_cast<std::size_t>(parse_u64_field("footer total", ff[1], file_, 0));
+    n_traces_ = static_cast<std::size_t>(parse_u64_field("footer traces", ff[2], file_, 0));
+    n_faulted_ = static_cast<std::size_t>(parse_u64_field("footer faulted", ff[3], file_, 0));
+    const std::uint64_t n_chunks = parse_u64_field("footer chunks", ff[4], file_, 0);
     if (n_traces_ > total_ || n_faulted_ > total_) {
         throw dataset_error(file_, 0, 0, "footer counts out of range");
     }
@@ -328,12 +293,13 @@ void record_reader::open_and_validate(const std::string& expected_fingerprint) {
             throw dataset_error(file_, 0, 0, "truncated footer index");
         }
         const auto cf = split_fields(cline, ',');
-        if (cf.size() != 4 || cf[0] != "chunkoff" || parse_u64(cf[1], file_, 0) != i) {
+        if (cf.size() != 4 || cf[0] != "chunkoff" ||
+            parse_u64_field("chunkoff index", cf[1], file_, 0) != i) {
             throw dataset_error(file_, 0, 0, "bad chunkoff line in footer index");
         }
         chunk_ref ref;
-        ref.offset = parse_u64(cf[2], file_, 0);
-        ref.count = static_cast<std::size_t>(parse_u64(cf[3], file_, 0));
+        ref.offset = parse_u64_field("chunk offset", cf[2], file_, 0);
+        ref.count = static_cast<std::size_t>(parse_u64_field("chunk count", cf[3], file_, 0));
         if (ref.offset < prev_off || ref.offset >= footer_off) {
             throw dataset_error(file_, 0, 0, "chunk offset out of range");
         }
@@ -372,8 +338,8 @@ void record_reader::load_chunk() {
     {
         const auto f = split_fields(line, ',');
         if (f.size() != 3 || f[0] != "chunk") throw fail("expected chunk header line");
-        if (parse_u64(f[1], file_, 0) != next_chunk_ ||
-            parse_u64(f[2], file_, 0) != ref.count) {
+        if (parse_u64_field("chunk index", f[1], file_, 0) != next_chunk_ ||
+            parse_u64_field("chunk count", f[2], file_, 0) != ref.count) {
             throw fail("chunk header disagrees with footer index");
         }
     }
@@ -403,14 +369,18 @@ void record_reader::load_chunk() {
     // memory stays proportional to the input on hostile headers.
     cur_.assign(n, epoch_record{});
     cur_pos_ = 0;
-    for (std::size_t i = 0; i < n; ++i) cur_[i].path_id = parse_i32(f[2 + i], file_, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        cur_[i].path_id = parse_i32_field("path", f[2 + i], file_, 0);
+    }
     f = read_col("trace");
     expect_n(f, "trace", n);
-    for (std::size_t i = 0; i < n; ++i) cur_[i].trace_id = parse_i32(f[2 + i], file_, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        cur_[i].trace_id = parse_i32_field("trace", f[2 + i], file_, 0);
+    }
     f = read_col("epoch");
     expect_n(f, "epoch", n);
     for (std::size_t i = 0; i < n; ++i) {
-        cur_[i].epoch_index = parse_i32(f[2 + i], file_, 0);
+        cur_[i].epoch_index = parse_i32_field("epoch", f[2 + i], file_, 0);
     }
 
     const struct {
@@ -440,21 +410,22 @@ void record_reader::load_chunk() {
 
     f = read_col("events");
     expect_n(f, "events", n);
-    for (std::size_t i = 0; i < n; ++i) cur_[i].m.events = parse_u64(f[2 + i], file_, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        cur_[i].m.events = parse_u64_field("events", f[2 + i], file_, 0);
+    }
     f = read_col("fault_flags");
     expect_n(f, "fault_flags", n);
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t v = parse_u64(f[2 + i], file_, 0);
-        if (v > UINT32_MAX) throw fail("fault_flags out of range");
-        cur_[i].m.fault_flags = static_cast<std::uint32_t>(v);
+        cur_[i].m.fault_flags = static_cast<std::uint32_t>(
+            parse_u64_field("fault_flags", f[2 + i], file_, 0, UINT32_MAX));
     }
     f = read_col("n_prefix");
     expect_n(f, "n_prefix", n);
     std::vector<std::size_t> np(n);
     std::size_t prefix_sum = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        np[i] = static_cast<std::size_t>(parse_u64(f[2 + i], file_, 0));
-        if (np[i] > k_max_store_prefixes) throw fail("implausible prefix count");
+        np[i] = static_cast<std::size_t>(
+            parse_u64_field("n_prefix", f[2 + i], file_, 0, k_max_store_prefixes));
         prefix_sum += np[i];
     }
     f = read_col("prefix");
@@ -501,128 +472,18 @@ void store_to_csv(record_reader& in, const std::filesystem::path& csv_file) {
 }
 
 // ---------------------------------------------------------------------------
-// Streamed campaign sweep
+// The sweep and the merge, into a store
 
-streamed_campaign_outcome run_campaign_streamed(const campaign_config& cfg,
-                                                const std::filesystem::path& store_file,
-                                                const streamed_campaign_options& opts,
-                                                progress_fn progress) {
-    TCPPRED_EXPECTS(cfg.paths > 0 && cfg.traces_per_path > 0 &&
-                    cfg.epochs_per_trace > 0);
-    TCPPRED_EXPECTS(cfg.jobs >= 0);
-    TCPPRED_EXPECTS(opts.reorder_capacity >= 1);
-    const std::vector<path_profile> paths = campaign_catalog(cfg);
-    const std::size_t total = campaign_total_epochs(cfg);
-    const int total_i = static_cast<int>(total);
-    trace_campaign_start(cfg);
-
+campaign_outcome run_campaign_streamed(const campaign_config& cfg,
+                                       const std::filesystem::path& store_file,
+                                       const campaign_run_options& opts,
+                                       progress_fn progress, store_options store) {
+    TCPPRED_EXPECTS(!opts.epoch_filter);
     record_writer writer(store_file, campaign_fingerprint(cfg),
-                         csv_catalog_lines(paths), opts.store);
-
-    // Lazy per-trace load trajectories with last-epoch eviction: the
-    // in-memory sweep pregenerates all of them (O(total) load_states), which
-    // is exactly the kind of grid-sized allocation this path must not make.
-    // Live entries ≈ traces with any epoch in flight ≈ jobs + 1, because
-    // parallel_for claims indices in ascending (trace-major) order.
-    struct trace_loads {
-        std::vector<load_state> loads;
-        int remaining{0};
-    };
-    std::map<std::size_t, trace_loads> load_cache;
-    std::mutex cache_mutex;
-
-    // In-order chunk sink behind a bounded reorder window. The worker
-    // holding the lowest outstanding index is always admitted (it drains the
-    // window), so blocking the rest at capacity cannot deadlock.
-    std::mutex mu;
-    std::condition_variable cv;
-    std::map<std::size_t, epoch_record> pending;
-    std::size_t next_write = 0;
-    bool sink_aborted = false;
-    int completed = 0;
-    std::atomic<bool> cancel{false};
-
-    const auto abort_sink = [&] {
-        const std::lock_guard<std::mutex> lock(mu);
-        sink_aborted = true;
-        cv.notify_all();
-    };
-
-    const auto push = [&](std::size_t idx, epoch_record&& rec) {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] {
-            return sink_aborted || idx == next_write ||
-                   pending.size() < opts.reorder_capacity;
-        });
-        if (sink_aborted) return;
-        if (idx == next_write) {
-            writer.append(rec);
-            ++next_write;
-            while (!pending.empty() && pending.begin()->first == next_write) {
-                writer.append(pending.begin()->second);
-                pending.erase(pending.begin());
-                ++next_write;
-            }
-            cv.notify_all();
-        } else {
-            pending.emplace(idx, std::move(rec));
-        }
-        ++completed;
-        if (progress) progress(completed, total_i);
-    };
-
-    const auto run_one = [&](std::size_t idx) {
-        if (cancel.load(std::memory_order_relaxed)) return;
-        if (opts.cancelled && opts.cancelled()) {
-            cancel.store(true, std::memory_order_relaxed);
-            abort_sink();
-            return;
-        }
-        const epoch_coords c = decompose_epoch_index(cfg, idx);
-        const std::size_t trace_key =
-            c.path_index * static_cast<std::size_t>(cfg.traces_per_path) +
-            static_cast<std::size_t>(c.trace);
-        load_state load;
-        {
-            const std::lock_guard<std::mutex> lock(cache_mutex);
-            auto it = load_cache.find(trace_key);
-            if (it == load_cache.end()) {
-                trace_loads entry;
-                entry.loads = load_trajectory(
-                    paths[c.path_index],
-                    sim::derive_seed(cfg.seed, "trace",
-                                     static_cast<std::uint64_t>(paths[c.path_index].id),
-                                     static_cast<std::uint64_t>(c.trace)),
-                    cfg.epochs_per_trace);
-                entry.remaining = cfg.epochs_per_trace;
-                it = load_cache.emplace(trace_key, std::move(entry)).first;
-            }
-            load = it->second.loads[static_cast<std::size_t>(c.epoch)];
-        }
-        epoch_record rec =
-            simulate_campaign_epoch(cfg, paths[c.path_index], load, c.trace, c.epoch);
-        {
-            const std::lock_guard<std::mutex> lock(cache_mutex);
-            const auto it = load_cache.find(trace_key);
-            if (it != load_cache.end() && --it->second.remaining == 0) {
-                load_cache.erase(it);
-            }
-        }
-        push(idx, std::move(rec));
-    };
-
-    try {
-        const obs::stage_timer t_sweep("campaign.sweep");
-        sim::parallel_for(total, campaign_effective_jobs(cfg, total), run_one);
-    } catch (...) {
-        abort_sink();
-        writer.abort();
-        throw;
-    }
-
-    streamed_campaign_outcome out;
-    out.epochs_completed = completed;
-    out.complete = !sink_aborted && writer.total() == total;
+                         csv_catalog_lines(campaign_catalog(cfg)), store);
+    campaign_outcome out = sweep_campaign(
+        cfg, opts, [&](std::size_t, epoch_record&& rec) { writer.append(rec); },
+        std::move(progress));
     if (out.complete) {
         writer.finish();
     } else {
@@ -631,60 +492,15 @@ streamed_campaign_outcome run_campaign_streamed(const campaign_config& cfg,
     return out;
 }
 
-// ---------------------------------------------------------------------------
-// Streaming shard merge
-
 std::size_t merge_shard_checkpoints_to_store(
     const campaign_config& cfg, const std::vector<std::filesystem::path>& shard_ckpts,
     const std::filesystem::path& store_file, store_options opts) {
-    TCPPRED_EXPECTS(!shard_ckpts.empty());
-    const std::string fingerprint = campaign_fingerprint(cfg);
-    const std::size_t total = campaign_total_epochs(cfg);
-    for (const auto& file : shard_ckpts) {
-        if (!std::filesystem::exists(file)) {
-            throw dataset_error(file, 0, 0,
-                                "shard checkpoint missing — run its shard to "
-                                "completion before merging");
-        }
-    }
-    std::vector<checkpoint_reader> readers;
-    readers.reserve(shard_ckpts.size());
-    std::vector<std::optional<std::pair<std::size_t, epoch_record>>> cur;
-    cur.reserve(shard_ckpts.size());
-    for (const auto& file : shard_ckpts) {
-        readers.emplace_back(file, fingerprint);
-        if (readers.back().total() != total) {
-            throw dataset_error(file, 0, 0,
-                                "shard checkpoint epoch count disagrees with config");
-        }
-        cur.push_back(readers.back().next());
-    }
-
-    record_writer writer(store_file, fingerprint, csv_catalog_lines(campaign_catalog(cfg)),
-                         opts);
-    // One cursor per shard, advanced in lockstep over the linear order.
-    // save_checkpoint writes records ascending, so each cursor only ever
-    // moves forward; first writer wins on overlap (like the in-memory
-    // merge), later shards' duplicates drain as their cursors catch up.
-    for (std::size_t expected = 0; expected < total; ++expected) {
-        bool found = false;
-        for (std::size_t s = 0; s < readers.size(); ++s) {
-            while (cur[s] && cur[s]->first < expected) cur[s] = readers[s].next();
-            if (!found && cur[s] && cur[s]->first == expected) {
-                writer.append(cur[s]->second);
-                cur[s] = readers[s].next();
-                found = true;
-            }
-        }
-        if (!found) {
-            throw dataset_error(
-                shard_ckpts.front(), 0, 0,
-                "shards do not cover linear epoch index " + std::to_string(expected) +
-                    " — every shard must be complete before merging");
-        }
-    }
+    record_writer writer(store_file, campaign_fingerprint(cfg),
+                         csv_catalog_lines(campaign_catalog(cfg)), opts);
+    const std::size_t merged = merge_shard_journals(
+        cfg, shard_ckpts, [&](std::size_t, epoch_record&& rec) { writer.append(rec); });
     writer.finish();
-    return total;
+    return merged;
 }
 
 }  // namespace tcppred::testbed

@@ -10,8 +10,9 @@
 //
 // Layering: this module ("store" in tools/lint/tcppred_lint.conf) sits on
 // top of testbed — it includes campaign/checkpoint/dataset, nothing in
-// testbed includes it. The streamed campaign sweep and the streaming shard
-// merge therefore live here, not in campaign.cpp/shard.cpp.
+// testbed includes it. The campaign sweep and the shard merge live in
+// campaign.cpp/shard.cpp and feed a sink; this module only selects
+// record_writer::append as that sink.
 #pragma once
 
 #include <cstddef>
@@ -29,7 +30,7 @@
 
 namespace tcppred::testbed {
 
-/// Tuning for record_writer and the streamed campaign sink.
+/// Tuning for record_writer.
 struct store_options {
     /// Records per column chunk. Writer and reader memory are O(this); the
     /// footer index is O(total / this).
@@ -151,43 +152,24 @@ private:
 /// the footer's fault count, exactly as save_csv's any-fault scan would.
 void store_to_csv(record_reader& in, const std::filesystem::path& csv_file);
 
-/// Knobs for the streamed campaign sweep.
-struct streamed_campaign_options {
-    store_options store{};
-    /// Bounded reorder window (records) between out-of-order workers and the
-    /// in-order chunk sink. Workers finishing ahead of the lowest
-    /// outstanding epoch park their records here; when it fills they block
-    /// (except the worker holding the next in-order index, so progress is
-    /// always possible). Peak buffered memory is O(this + jobs).
-    std::size_t reorder_capacity{4096};
-    /// Polled between epochs; return true to stop. A cancelled streamed run
-    /// abandons the temp store — nothing is checkpointed (use --workers /
-    /// shard checkpoints for crash tolerance).
-    std::function<bool()> cancelled{};
-};
-
-struct streamed_campaign_outcome {
-    bool complete{true};
-    int epochs_completed{0};
-};
-
-/// run_campaign writing straight to a record store instead of an in-memory
-/// dataset: completed epochs flow through a bounded reorder window into the
-/// chunk sink in linear order, and per-trace load trajectories are generated
-/// lazily and evicted when their last epoch completes. Peak memory is
-/// O(chunk + reorder window + jobs·epochs_per_trace) — independent of the
-/// grid size. Records are bitwise identical to run_campaign's (same
-/// simulate_campaign_epoch, same per-epoch seeding) at any job count.
-[[nodiscard]] streamed_campaign_outcome run_campaign_streamed(
+/// sweep_campaign (campaign.hpp) with record_writer::append as its sink: a
+/// campaign written straight to a record store instead of an in-memory
+/// dataset. Records reach the store in linear order through the sweep's
+/// reorder window, and a resumed run streams its journal's records into the
+/// writer first. Peak memory is O(chunk + reorder window +
+/// jobs·epochs_per_trace) — independent of the grid size. The store is
+/// published only when the run completes; an interrupted run leaves the
+/// journal (when opts.checkpoint is set) and no store. opts.epoch_filter
+/// must be empty: a store holds the whole grid.
+[[nodiscard]] campaign_outcome run_campaign_streamed(
     const campaign_config& cfg, const std::filesystem::path& store_file,
-    const streamed_campaign_options& opts = {}, progress_fn progress = nullptr);
+    const campaign_run_options& opts = {}, progress_fn progress = nullptr,
+    store_options store = {});
 
-/// Merge completed shard checkpoints (testbed/shard.hpp) into a store by
-/// walking one streaming checkpoint_reader cursor per shard in lockstep
-/// over the linear epoch order — O(shards · record) memory instead of
-/// loading every shard whole. First writer wins on overlap, exactly like
-/// the in-memory merge; a missing epoch or absent/foreign checkpoint
-/// throws dataset_error. Returns the merged record count (the full grid).
+/// merge_shard_journals (shard.hpp) with record_writer::append as its sink:
+/// O(shards · record + chunk) memory, whatever the grid size. Throws
+/// dataset_error like merge_shard_checkpoints, and the store is then never
+/// published. Returns the merged record count (the full grid).
 std::size_t merge_shard_checkpoints_to_store(
     const campaign_config& cfg, const std::vector<std::filesystem::path>& shard_ckpts,
     const std::filesystem::path& store_file, store_options opts = {});

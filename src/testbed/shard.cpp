@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -9,7 +10,6 @@
 #include "core/checked_parse.hpp"
 #include "core/contracts.hpp"
 #include "testbed/checkpoint.hpp"
-#include "testbed/path_catalog.hpp"
 
 namespace tcppred::testbed {
 
@@ -103,55 +103,71 @@ std::optional<shard_heartbeat> read_heartbeat(const std::filesystem::path& file)
     return hb;
 }
 
-dataset merge_shard_checkpoints(const campaign_config& cfg,
-                                const std::vector<std::filesystem::path>& shard_ckpts) {
+std::size_t merge_shard_journals(const campaign_config& cfg,
+                                 const std::vector<std::filesystem::path>& shard_ckpts,
+                                 const record_sink& sink) {
     TCPPRED_EXPECTS(!shard_ckpts.empty());
     const std::string fingerprint = campaign_fingerprint(cfg);
-    const std::size_t total = static_cast<std::size_t>(cfg.paths) *
-                              static_cast<std::size_t>(cfg.traces_per_path) *
-                              static_cast<std::size_t>(cfg.epochs_per_trace);
-
-    dataset data;
-    data.paths = cfg.second_set ? second_campaign_catalog(cfg.paths, cfg.seed)
-                                : ron_like_catalog(cfg.paths, cfg.seed);
-    data.records.resize(total);
-    std::vector<char> done(total, 0);
-
+    const std::size_t total = campaign_total_epochs(cfg);
+    struct cursor {
+        checkpoint_reader reader;
+        std::optional<std::pair<std::size_t, epoch_record>> head;
+    };
+    std::vector<cursor> shards;
+    shards.reserve(shard_ckpts.size());
     for (const auto& file : shard_ckpts) {
-        // load_checkpoint already rejects fingerprint mismatches with a
-        // field-level diff and returns nullopt only for absent files — an
-        // absent shard means the campaign is not finished, so refuse.
-        auto ck = load_checkpoint(file, fingerprint);
-        if (!ck) {
+        // An absent shard means the campaign is not finished, so refuse.
+        if (!std::filesystem::exists(file)) {
             throw dataset_error(file, 0, 0,
                                 "shard checkpoint missing — run its shard to "
                                 "completion before merging");
         }
-        if (ck->total != total) {
-            throw dataset_error(file, 0, 0,
-                                "shard checkpoint epoch count disagrees with config");
-        }
-        for (std::size_t i = 0; i < total; ++i) {
-            if (!ck->done[i] || done[i]) continue;  // overlap: first writer wins
-            data.records[i] = std::move(ck->records[i]);
-            done[i] = 1;
-        }
+        checkpoint_reader reader(file, fingerprint);
+        reader.expect_total(total);
+        auto head = reader.next();
+        shards.push_back({std::move(reader), std::move(head)});
     }
 
-    std::size_t missing = 0;
-    std::size_t first_missing = 0;
-    for (std::size_t i = 0; i < total; ++i) {
-        if (done[i]) continue;
-        if (missing == 0) first_missing = i;
-        ++missing;
+    // Each journal ascends strictly, so the smallest head is the next index
+    // of the union; ties go to the earliest shard (first writer wins) and
+    // the later duplicates are skipped.
+    std::size_t covered = 0;
+    std::optional<std::size_t> first_missing;
+    for (;;) {
+        cursor* first = nullptr;
+        for (cursor& s : shards) {
+            if (s.head && (first == nullptr || s.head->first < first->head->first)) {
+                first = &s;
+            }
+        }
+        if (first == nullptr) break;
+        const std::size_t idx = first->head->first;
+        if (idx != covered && !first_missing) first_missing = covered;
+        if (!first_missing) sink(idx, std::move(first->head->second));
+        ++covered;
+        for (cursor& s : shards) {
+            if (s.head && s.head->first == idx) s.head = s.reader.next();
+        }
     }
-    if (missing > 0) {
+    if (!first_missing && covered != total) first_missing = covered;
+    if (first_missing) {
         std::ostringstream msg;
-        msg << "shards cover only " << (total - missing) << " of " << total
-            << " epochs (first missing linear index " << first_missing
+        msg << "shards cover only " << covered << " of " << total
+            << " epochs (first missing linear index " << *first_missing
             << ") — every shard must be complete before merging";
         throw dataset_error(shard_ckpts.front(), 0, 0, msg.str());
     }
+    return total;
+}
+
+dataset merge_shard_checkpoints(const campaign_config& cfg,
+                                const std::vector<std::filesystem::path>& shard_ckpts) {
+    dataset data;
+    data.paths = campaign_catalog(cfg);
+    data.records.reserve(campaign_total_epochs(cfg));
+    merge_shard_journals(cfg, shard_ckpts, [&](std::size_t, epoch_record&& rec) {
+        data.records.push_back(std::move(rec));
+    });
     return data;
 }
 

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -18,11 +19,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/units.hpp"
 #include "net/cross_traffic.hpp"
 #include "sim/fault_injector.hpp"
+#include "testbed/checkpoint.hpp"
 #include "testbed/dataset.hpp"
 
 using namespace tcppred::testbed;
@@ -346,4 +349,255 @@ TEST(campaign_faults, faulty_dataset_roundtrips_through_csv) {
         flagged += data.records[i].m.fault_flags != fault_none;
     }
     EXPECT_GT(flagged, 0u);
+}
+
+// --- the checkpoint journal (checkpoint.hpp, DESIGN.md §10.4) --------------
+
+namespace {
+
+std::string read_bytes(const std::filesystem::path& file) {
+    std::ifstream in(file, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+void write_bytes(const std::filesystem::path& file, const std::string& bytes) {
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// One trace of three cheap epochs: enough for a prefix, a torn line and a
+/// tail, fast enough to resume once per byte of a record line.
+campaign_config journal_config() {
+    campaign_config cfg;
+    cfg.paths = 1;
+    cfg.traces_per_path = 1;
+    cfg.epochs_per_trace = 3;
+    cfg.epoch.warmup = tcppred::core::seconds{0.2};
+    cfg.epoch.prior_ping.count = 20;
+    cfg.epoch.transfer = tcppred::core::seconds{0.5};
+    cfg.jobs = 1;
+    return cfg;
+}
+
+/// Resume `cfg` from `ckpt` to completion, expecting a dataset_error whose
+/// message carries `where` (file:line:) and `what`.
+void expect_resume_refused(const campaign_config& cfg, const std::filesystem::path& ckpt,
+                           const std::string& where, const std::string& what) {
+    campaign_run_options opts;
+    opts.checkpoint = ckpt;
+    opts.resume = true;
+    try {
+        (void)run_campaign_resumable(cfg, opts);
+        ADD_FAILURE() << "resume from a bad journal must throw (" << what << ")";
+    } catch (const dataset_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(where), std::string::npos) << msg;
+        EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
+}
+
+}  // namespace
+
+TEST(campaign_journal, torn_tail_at_every_byte_resumes_to_identical_bytes) {
+    const campaign_config cfg = journal_config();
+    const dataset uninterrupted = run_campaign(cfg);
+    const std::string ref_csv = csv_bytes(uninterrupted);
+
+    // The journal an uninterrupted kept run leaves: every record, in order.
+    const scoped_checkpoint full("torn_full");
+    campaign_run_options keep;
+    keep.checkpoint = full.file;
+    keep.checkpoint_every = 1;
+    keep.keep_checkpoint = true;
+    ASSERT_TRUE(run_campaign_resumable(cfg, keep).complete);
+    const std::string full_journal = read_bytes(full.file);
+
+    // A real interrupted run: two records released and flushed.
+    const scoped_checkpoint ckpt("torn");
+    campaign_run_options opts = keep;
+    opts.checkpoint = ckpt.file;
+    int seen = 0;
+    opts.cancelled = [&] { return seen >= 2; };
+    const campaign_outcome first =
+        run_campaign_resumable(cfg, opts, [&](int, int) { ++seen; });
+    ASSERT_FALSE(first.complete);
+    ASSERT_EQ(first.epochs_completed, 2);
+    const std::string interrupted = read_bytes(ckpt.file);
+    ASSERT_EQ(full_journal.compare(0, interrupted.size(), interrupted), 0)
+        << "the journal is a prefix of the full journal";
+
+    // Cut inside the last rec line at every byte: a SIGKILL mid-append.
+    const std::size_t last_line = interrupted.rfind('\n', interrupted.size() - 2) + 1;
+    ASSERT_EQ(interrupted.compare(last_line, 4, "rec,"), 0);
+    opts.cancelled = nullptr;
+    opts.resume = true;
+    for (std::size_t cut = last_line + 1; cut < interrupted.size(); ++cut) {
+        write_bytes(ckpt.file, interrupted.substr(0, cut));
+        const campaign_outcome resumed = run_campaign_resumable(cfg, opts);
+        ASSERT_TRUE(resumed.complete) << "cut at " << cut;
+        EXPECT_EQ(resumed.epochs_resumed, 1) << "cut at " << cut;
+        ASSERT_EQ(csv_bytes(resumed.data), ref_csv) << "cut at " << cut;
+        // The torn line was cut off before this run appended.
+        ASSERT_EQ(read_bytes(ckpt.file), full_journal) << "cut at " << cut;
+    }
+}
+
+TEST(campaign_journal, journal_that_is_not_a_prefix_is_refused) {
+    const campaign_config cfg = journal_config();
+    const dataset data = run_campaign(cfg);
+    const scoped_checkpoint ckpt("hole");
+    campaign_checkpoint ck;
+    ck.fingerprint = campaign_fingerprint(cfg);
+    ck.total = data.records.size();
+    ck.records = data.records;
+
+    ck.done = {1, 0, 1};  // a hole at index 1
+    save_checkpoint(ck, ckpt.file);
+    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":5:", "not a prefix");
+
+    ck.done = {0, 1, 0};  // does not start at the first claimed index
+    save_checkpoint(ck, ckpt.file);
+    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":4:", "not a prefix");
+
+    // A shard claims only odd indices: {1} is its prefix, {0} is not ours.
+    campaign_run_options odd;
+    odd.checkpoint = ckpt.file;
+    odd.resume = true;
+    odd.keep_checkpoint = true;
+    odd.epoch_filter = [](std::size_t idx) { return idx % 2 == 1; };
+    ck.done = {1, 0, 0};
+    save_checkpoint(ck, ckpt.file);
+    EXPECT_THROW(static_cast<void>(run_campaign_resumable(cfg, odd)), dataset_error);
+    ck.done = {0, 1, 0};
+    save_checkpoint(ck, ckpt.file);
+    const campaign_outcome shard = run_campaign_resumable(cfg, odd);
+    EXPECT_TRUE(shard.complete);
+    EXPECT_EQ(shard.epochs_resumed, 1);
+}
+
+TEST(campaign_journal, malformed_fields_are_typed_errors_naming_file_and_line) {
+    const campaign_config cfg = journal_config();
+    const dataset data = run_campaign(cfg);
+    const scoped_checkpoint ckpt("fields");
+    campaign_checkpoint ck;
+    ck.fingerprint = campaign_fingerprint(cfg);
+    ck.total = data.records.size();
+    ck.records = data.records;
+    ck.done = {1, 0, 0};
+    save_checkpoint(ck, ckpt.file);
+    const std::string good = read_bytes(ckpt.file);
+    const std::string file = ckpt.file.string();
+
+    // The header's total: a negative, a grid-sized lie, garbage.
+    const std::size_t total_at = good.find("total,");
+    const std::size_t total_end = good.find('\n', total_at);
+    for (const char* bad : {"-1", "40000000", "abc", "3x"}) {
+        write_bytes(ckpt.file, good.substr(0, total_at) + "total," + bad +
+                                   good.substr(total_end));
+        expect_resume_refused(cfg, ckpt.file, file + ":3:", "total");
+    }
+
+    // One rec field at a time: a partial token, an overflowing fault_flags.
+    const std::size_t rec_at = good.find("rec,");
+    const auto with_field = [&](std::size_t field, const std::string& value) {
+        std::vector<std::string> f =
+            split_fields(good.substr(rec_at, good.size() - rec_at - 1), ',');
+        f[field] = value;
+        std::string line;
+        for (const std::string& v : f) line += (line.empty() ? "" : ",") + v;
+        return good.substr(0, rec_at) + line + '\n';
+    };
+    write_bytes(ckpt.file, with_field(2, "12x"));
+    expect_resume_refused(cfg, ckpt.file, file + ":4:", "12x");
+    write_bytes(ckpt.file, with_field(17, "-1"));
+    expect_resume_refused(cfg, ckpt.file, file + ":4:", "events");
+    write_bytes(ckpt.file, with_field(18, "4294967296"));
+    expect_resume_refused(cfg, ckpt.file, file + ":4:", "fault_flags");
+    write_bytes(ckpt.file, with_field(19, "9223372036854775808"));
+    expect_resume_refused(cfg, ckpt.file, file + ":4:", "prefix count");
+}
+
+namespace {
+
+/// Sleep long enough for the other workers to fill a 2-record window and
+/// park behind the hole this one leaves.
+void straggle() { std::this_thread::sleep_for(std::chrono::milliseconds(300)); }
+
+/// Indices of a journal, which must ascend from 0 without a gap.
+std::size_t journal_prefix_length(const std::filesystem::path& file,
+                                  const campaign_config& cfg) {
+    checkpoint_reader reader(file, campaign_fingerprint(cfg));
+    std::size_t n = 0;
+    while (auto rec = reader.next()) {
+        EXPECT_EQ(rec->first, n) << "journal is not the in-order prefix";
+        ++n;
+    }
+    EXPECT_FALSE(reader.torn_tail());
+    return n;
+}
+
+}  // namespace
+
+TEST(campaign_journal, worker_error_at_a_full_window_wakes_parked_workers) {
+    campaign_config cfg = tiny_config();
+    cfg.jobs = 4;
+    const dataset uninterrupted = run_campaign(cfg);
+
+    const scoped_checkpoint ckpt("window_error");
+    campaign_run_options opts;
+    opts.checkpoint = ckpt.file;
+    opts.checkpoint_every = 1000;  // only the error path flushes
+    opts.reorder_capacity = 2;
+    const std::size_t poison = 6;
+    opts.epoch_hook = [&](std::size_t idx) {
+        if (idx != poison) return;
+        straggle();
+        throw std::runtime_error("injected epoch failure");
+    };
+    EXPECT_THROW(static_cast<void>(run_campaign_resumable(cfg, opts)), std::runtime_error);
+    const std::size_t kept = journal_prefix_length(ckpt.file, cfg);
+    EXPECT_LE(kept, poison);
+
+    opts.epoch_hook = nullptr;
+    opts.resume = true;
+    cfg.jobs = 3;
+    const campaign_outcome resumed = run_campaign_resumable(cfg, opts);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(static_cast<std::size_t>(resumed.epochs_resumed), kept);
+    EXPECT_EQ(csv_bytes(uninterrupted), csv_bytes(resumed.data));
+}
+
+TEST(campaign_journal, cancel_at_a_full_window_wakes_parked_workers) {
+    campaign_config cfg = tiny_config();
+    cfg.jobs = 4;
+    const dataset uninterrupted = run_campaign(cfg);
+
+    const scoped_checkpoint ckpt("window_cancel");
+    campaign_run_options opts;
+    opts.checkpoint = ckpt.file;
+    opts.reorder_capacity = 2;
+    // The sixth poll straggles and then cancels: its index becomes a hole
+    // that no worker will fill, with the others parked behind it.
+    std::atomic<int> polls{0};
+    std::atomic<bool> fired{false};
+    opts.cancelled = [&] {
+        if (fired.load()) return true;
+        if (polls.fetch_add(1) + 1 != 6) return false;
+        straggle();
+        fired.store(true);
+        return true;
+    };
+    const campaign_outcome first = run_campaign_resumable(cfg, opts);
+    ASSERT_FALSE(first.complete);
+    EXPECT_EQ(journal_prefix_length(ckpt.file, cfg),
+              static_cast<std::size_t>(first.epochs_completed));
+
+    opts.cancelled = nullptr;
+    opts.resume = true;
+    cfg.jobs = 2;
+    const campaign_outcome resumed = run_campaign_resumable(cfg, opts);
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.epochs_resumed, first.epochs_completed);
+    EXPECT_EQ(csv_bytes(uninterrupted), csv_bytes(resumed.data));
 }

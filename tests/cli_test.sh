@@ -32,6 +32,16 @@ grep -q "usage:" "$WORK/err" || { echo "FAIL: campaign usage not on stderr"; FAI
 "$CAMPAIGN" --no-such-flag >/dev/null 2>&1; check_exit "campaign unknown flag" 1 $?
 "$CAMPAIGN" --out "$WORK/x.csv" --faults "bogus=1" >/dev/null 2>&1
 check_exit "campaign bad --faults spec" 1 $?
+# The fault seed enters the checkpoint fingerprint: a partial or negative
+# token is a bad spec, never a truncated or wrapped seed.
+"$CAMPAIGN" $TINY --out "$WORK/x.csv" --faults "pathload=0.5,seed=12x" >/dev/null 2>&1
+check_exit "campaign --faults seed=12x" 1 $?
+"$CAMPAIGN" $TINY --out "$WORK/x.csv" --faults "pathload=0.5,seed=-1" >/dev/null 2>&1
+check_exit "campaign --faults seed=-1" 1 $?
+REPRO_FAULT_SEED=7zz "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>&1
+check_exit "campaign REPRO_FAULT_SEED=7zz" 1 $?
+REPRO_CHAOS=seed=7zz "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>&1
+check_exit "campaign REPRO_CHAOS=seed=7zz" 1 $?
 
 # --- malformed flag VALUES -> 2, diagnostic names the flag (the checked
 # parser of core/checked_parse.hpp; atoi used to turn these into 0 silently)
@@ -158,6 +168,14 @@ cmp -s "$WORK/full.csv" "$WORK/resumed.csv"
 check_exit "resumed CSV byte-identical to uninterrupted" 0 $?
 [ -f "$WORK/resumed.csv.ckpt" ] && { echo "FAIL: checkpoint not removed on completion"; FAILURES=$((FAILURES+1)); }
 
+# A malformed journal is a runtime failure naming the file and the line.
+# (A kept shard journal supplies this config's header.)
+"$CAMPAIGN" $TINY --out "$WORK/bad.csv" --shard 0/1 >/dev/null 2>&1
+{ head -n 2 "$WORK/bad.csv.shard-0-of-1.ckpt"; echo "total,-1"; } > "$WORK/bad.csv.ckpt"
+"$CAMPAIGN" $TINY --out "$WORK/bad.csv" --resume >/dev/null 2>"$WORK/err"
+check_exit "resume from a journal with total -1" 2 $?
+grep -q "bad.csv.ckpt:3:.*total" "$WORK/err" || { echo "FAIL: journal error does not name file:line"; FAILURES=$((FAILURES+1)); }
+
 # --- sharding: bad specs -> 1, shard+merge and --workers reproduce the
 # serial CSV byte for byte, merge of a missing shard -> 2, and a resume
 # under a changed config names the differing field.
@@ -217,6 +235,38 @@ check_exit "merge of shards into a store" 0 $?
 cmp -s "$WORK/m.csv" "$WORK/serial.csv"
 check_exit "merged store converts byte-identical to serial CSV" 0 $?
 
+# Store runs journal and resume like CSV runs: SIGINT after the first
+# journal flush, --resume at another job count, and the store bytes equal an
+# uninterrupted run's.
+"$CAMPAIGN" $TINY --epochs 30 --out "$WORK/full.store" --format store --faults "$FAULTS" \
+    --jobs 2 >/dev/null 2>&1
+check_exit "uninterrupted store reference run" 0 $?
+"$CAMPAIGN" $TINY --epochs 30 --out "$WORK/resumed.store" --format store --faults "$FAULTS" \
+    --checkpoint-every 1 --jobs 1 >/dev/null 2>&1 &
+PID=$!
+for _ in $(seq 1 200); do
+    [ -f "$WORK/resumed.store.ckpt" ] && break
+    sleep 0.1
+done
+kill -INT "$PID" 2>/dev/null
+wait "$PID"
+RC=$?
+if [ "$RC" -eq 130 ]; then
+    echo "ok: interrupted store campaign exits 130"
+    [ -f "$WORK/resumed.store" ] && { echo "FAIL: interrupted store run published a store"; FAILURES=$((FAILURES+1)); }
+elif [ "$RC" -eq 0 ]; then
+    echo "ok: store campaign finished before SIGINT landed (timing)"
+else
+    echo "FAIL: interrupted store campaign exited $RC (want 130 or 0)"
+    FAILURES=$((FAILURES + 1))
+fi
+"$CAMPAIGN" $TINY --epochs 30 --out "$WORK/resumed.store" --format store --faults "$FAULTS" \
+    --resume --jobs 3 >/dev/null 2>&1
+check_exit "resumed store campaign completes" 0 $?
+cmp -s "$WORK/full.store" "$WORK/resumed.store"
+check_exit "resumed store byte-identical to uninterrupted" 0 $?
+[ -f "$WORK/resumed.store.ckpt" ] && { echo "FAIL: store journal not removed on completion"; FAILURES=$((FAILURES+1)); }
+
 # Streamed analysis reads the store directly and must print the same report.
 "$ANALYZE" "$WORK/serial.csv" >"$WORK/csv_report.out" 2>/dev/null
 "$ANALYZE" --from-store "$WORK/a.store" >"$WORK/store_report.out" 2>/dev/null
@@ -227,8 +277,6 @@ check_exit "--from-store report byte-identical to CSV report" 0 $?
 # Flag validation: the store path is explicit about what it refuses.
 "$CAMPAIGN" $TINY --out "$WORK/x" --format bogus >/dev/null 2>&1
 check_exit "bad --format" 1 $?
-"$CAMPAIGN" $TINY --out "$WORK/x.store" --format store --resume >/dev/null 2>&1
-check_exit "store with --resume" 1 $?
 "$CAMPAIGN" $TINY --out "$WORK/x.store" --format store --shard 0/2 >/dev/null 2>&1
 check_exit "store with --shard" 1 $?
 "$CAMPAIGN" --convert "$WORK/a.store" --out "$WORK/x.csv" --workers 2 >/dev/null 2>&1

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/chaos.hpp"
 #include "testbed/checkpoint.hpp"
 #include "testbed/epoch_runner.hpp"
 #include "testbed/load_process.hpp"
@@ -65,6 +66,35 @@ TEST(fault_profile, parse_roundtrip_and_validation) {
                  std::invalid_argument);
     EXPECT_THROW(static_cast<void>(fault_profile::parse("pathload=-0.1")),
                  std::invalid_argument);
+}
+
+TEST(fault_profile, seed_is_a_whole_unsigned_token) {
+    // The seed enters the checkpoint fingerprint, so "12x" must not run as
+    // seed 12 and "-1" must not wrap to 2^64 - 1.
+    EXPECT_EQ(fault_profile::parse("pathload=0.5,seed=12").seed, 12u);
+    for (const char* bad : {"pathload=0.5,seed=12x", "pathload=0.5,seed=-1",
+                            "pathload=0.5,seed=", "pathload=0.5,seed= 7",
+                            "pathload=0.5,seed=18446744073709551616"}) {
+        EXPECT_THROW(static_cast<void>(fault_profile::parse(bad)), std::invalid_argument)
+            << bad;
+    }
+    ::setenv("REPRO_FAULT_SEED", "7zz", 1);
+    EXPECT_THROW(static_cast<void>(fault_profile::from_env()), std::invalid_argument);
+    ::setenv("REPRO_FAULT_SEED", "-1", 1);
+    EXPECT_THROW(static_cast<void>(fault_profile::from_env()), std::invalid_argument);
+    ::unsetenv("REPRO_FAULT_SEED");
+}
+
+TEST(chaos_profile, seed_is_a_whole_unsigned_token) {
+    EXPECT_EQ(sim::chaos_profile::parse("kill=0.1,seed=7").seed, 7u);
+    for (const char* bad : {"kill=0.1,seed=7zz", "kill=0.1,seed=-1", "seed=+7"}) {
+        EXPECT_THROW(static_cast<void>(sim::chaos_profile::parse(bad)),
+                     std::invalid_argument)
+            << bad;
+    }
+    ::setenv("REPRO_CHAOS", "seed=7zz", 1);
+    EXPECT_THROW(static_cast<void>(sim::chaos_profile::from_env()), std::invalid_argument);
+    ::unsetenv("REPRO_CHAOS");
 }
 
 TEST(fault_profile, from_env_reads_spec_and_field_overrides) {
@@ -264,17 +294,14 @@ TEST(checkpoint_fingerprint, resume_under_changed_fault_knob_is_rejected) {
         std::filesystem::temp_directory_path() / "tcppred_fp_test.ckpt";
     testbed::save_checkpoint(ck, file);
 
-    // Same profile: the checkpoint loads.
-    EXPECT_TRUE(testbed::load_checkpoint(file, testbed::campaign_fingerprint(cfg))
-                    .has_value());
+    // Same profile: the checkpoint opens.
+    EXPECT_NO_THROW(testbed::checkpoint_reader(file, testbed::campaign_fingerprint(cfg)));
 
     // One knob nudged (the env override scenario): refused, not merged.
     testbed::campaign_config changed = cfg;
     changed.faults.ping_timeout_rate = 0.10;
-    EXPECT_THROW(
-        (void)testbed::load_checkpoint(file,
-                                       testbed::campaign_fingerprint(changed)),
-        testbed::dataset_error);
+    EXPECT_THROW(testbed::checkpoint_reader(file, testbed::campaign_fingerprint(changed)),
+                 testbed::dataset_error);
 
     std::filesystem::remove(file);
 }
@@ -316,7 +343,7 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
     // Unchanged fields stay out of the report.
     EXPECT_EQ(diff.find("paths:"), std::string::npos) << diff;
 
-    // And load_checkpoint surfaces the same diagnosis to the user.
+    // And checkpoint_reader surfaces the same diagnosis to the user.
     testbed::campaign_checkpoint ck;
     ck.fingerprint = testbed::campaign_fingerprint(cfg);
     ck.total = 6;
@@ -326,7 +353,7 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
         std::filesystem::temp_directory_path() / "tcppred_fpdiff_test.ckpt";
     testbed::save_checkpoint(ck, file);
     try {
-        (void)testbed::load_checkpoint(file, testbed::campaign_fingerprint(changed));
+        testbed::checkpoint_reader reader(file, testbed::campaign_fingerprint(changed));
         FAIL() << "mismatched fingerprint must throw";
     } catch (const testbed::dataset_error& e) {
         const std::string what = e.what();
@@ -398,10 +425,12 @@ TEST(atomic_write_text, checkpoint_roundtrips_through_the_exdev_path) {
     ::unsetenv("TCPPRED_FORCE_EXDEV");
     ::unsetenv("TMPDIR");
 
-    const auto back = testbed::load_checkpoint(file, ck.fingerprint);
+    testbed::checkpoint_reader reader(file, ck.fingerprint);
+    const auto back = reader.next();
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->done[1], 1);
-    EXPECT_EQ(back->records[1].path_id, 3);
-    EXPECT_EQ(back->records[1].m.r_large_bps, 1.25e6);
+    EXPECT_EQ(back->first, 1u);
+    EXPECT_EQ(back->second.path_id, 3);
+    EXPECT_EQ(back->second.m.r_large_bps, 1.25e6);
+    EXPECT_FALSE(reader.next().has_value());
     std::filesystem::remove_all(base);
 }

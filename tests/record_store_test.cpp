@@ -1,19 +1,24 @@
 // Chunked columnar record store (testbed/record_store.hpp): lossless
 // writer/reader round-trip, store→CSV conversion byte-identical to
-// save_csv, the streamed campaign sweep reproducing run_campaign bitwise at
-// any job count, the streaming shard merge, evaluate_stream equivalence
+// save_csv, the store sink of the campaign sweep reproducing run_campaign
+// bitwise at any job count and resuming from its journal to identical
+// bytes, the store sink of the shard merge, evaluate_stream equivalence
 // with the in-memory engine (including fault-conditioned aggregation), and
 // the reader's refusal of foreign-fingerprint / truncated / tampered input.
 #include "testbed/record_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/evaluation.hpp"
@@ -181,10 +186,10 @@ TEST_F(record_store, streamed_campaign_reproduces_run_campaign_at_any_jobs) {
     for (const int jobs : {1, 4}) {
         cfg.jobs = jobs;
         const auto store = dir_ / ("s" + std::to_string(jobs) + ".store");
-        testbed::streamed_campaign_options opts;
-        opts.store.chunk_capacity = 4;  // force several chunks
-        opts.reorder_capacity = 2;      // force reorder-window blocking
-        const auto outcome = testbed::run_campaign_streamed(cfg, store, opts);
+        testbed::campaign_run_options opts;
+        opts.reorder_capacity = 2;  // force reorder-window blocking
+        const auto outcome = testbed::run_campaign_streamed(
+            cfg, store, opts, nullptr, testbed::store_options{4});  // several chunks
         EXPECT_TRUE(outcome.complete);
         EXPECT_EQ(outcome.epochs_completed,
                   static_cast<int>(testbed::campaign_total_epochs(cfg)));
@@ -199,13 +204,94 @@ TEST_F(record_store, streamed_campaign_reproduces_run_campaign_at_any_jobs) {
 TEST_F(record_store, streamed_campaign_cancel_leaves_no_store) {
     const auto cfg = quick_config();
     const auto store = dir_ / "cancelled.store";
-    testbed::streamed_campaign_options opts;
+    testbed::campaign_run_options opts;
     opts.cancelled = [] { return true; };  // cancel before the first epoch
     const auto outcome = testbed::run_campaign_streamed(cfg, store, opts);
     EXPECT_FALSE(outcome.complete);
     EXPECT_FALSE(std::filesystem::exists(store));
     // No stray temp files either.
     EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+TEST_F(record_store, interrupted_store_run_resumes_to_identical_bytes) {
+    auto cfg = quick_config();
+    cfg.jobs = 2;
+    const auto ref = dir_ / "ref.store";
+    ASSERT_TRUE(testbed::run_campaign_streamed(cfg, ref).complete);
+
+    // Interrupted after five records: no store, a journal of the prefix.
+    const auto store = dir_ / "resumed.store";
+    testbed::campaign_run_options opts;
+    opts.checkpoint = dir_ / "resumed.store.ckpt";
+    opts.checkpoint_every = 2;
+    int seen = 0;
+    opts.cancelled = [&] { return seen >= 5; };
+    const auto first =
+        testbed::run_campaign_streamed(cfg, store, opts, [&](int, int) { ++seen; });
+    ASSERT_FALSE(first.complete);
+    EXPECT_FALSE(std::filesystem::exists(store));
+    ASSERT_TRUE(std::filesystem::exists(opts.checkpoint));
+
+    // Resumed at another job count: the journal streams into the writer
+    // first, and the store is byte-identical to the uninterrupted one.
+    opts.cancelled = nullptr;
+    opts.resume = true;
+    cfg.jobs = 3;
+    const auto second = testbed::run_campaign_streamed(cfg, store, opts);
+    ASSERT_TRUE(second.complete);
+    EXPECT_EQ(second.epochs_resumed, first.epochs_completed);
+    EXPECT_EQ(read_file(store), read_file(ref));
+    EXPECT_FALSE(std::filesystem::exists(opts.checkpoint));
+}
+
+TEST_F(record_store, error_and_cancel_at_a_full_window_resume_to_identical_bytes) {
+    auto cfg = quick_config();
+    const auto ref = dir_ / "ref.store";
+    ASSERT_TRUE(testbed::run_campaign_streamed(cfg, ref).complete);
+    cfg.jobs = 4;
+    const auto straggle = [] { std::this_thread::sleep_for(std::chrono::milliseconds(300)); };
+
+    // A worker error and a cancel, each leaving a hole the other workers
+    // park behind at a 2-record window; each call must return, and the
+    // journal must be the in-order prefix.
+    for (const bool cancel : {false, true}) {
+        const auto store = dir_ / (cancel ? "cancel.store" : "error.store");
+        testbed::campaign_run_options opts;
+        opts.checkpoint = store.string() + ".ckpt";
+        opts.reorder_capacity = 2;
+        std::atomic<int> polls{0};
+        std::atomic<bool> fired{false};
+        if (cancel) {
+            opts.cancelled = [&] {
+                if (fired.load()) return true;
+                if (polls.fetch_add(1) + 1 != 6) return false;
+                straggle();
+                fired.store(true);
+                return true;
+            };
+            EXPECT_FALSE(testbed::run_campaign_streamed(cfg, store, opts).complete);
+        } else {
+            opts.epoch_hook = [&](std::size_t idx) {
+                if (idx != 5) return;
+                straggle();
+                throw std::runtime_error("injected epoch failure");
+            };
+            EXPECT_THROW(static_cast<void>(testbed::run_campaign_streamed(cfg, store, opts)),
+                         std::runtime_error);
+        }
+        EXPECT_FALSE(std::filesystem::exists(store));
+        testbed::checkpoint_reader reader(opts.checkpoint, testbed::campaign_fingerprint(cfg));
+        std::size_t kept = 0;
+        while (auto rec = reader.next()) EXPECT_EQ(rec->first, kept++);
+
+        opts.cancelled = nullptr;
+        opts.epoch_hook = nullptr;
+        opts.resume = true;
+        const auto resumed = testbed::run_campaign_streamed(cfg, store, opts);
+        ASSERT_TRUE(resumed.complete) << "cancel=" << cancel;
+        EXPECT_EQ(static_cast<std::size_t>(resumed.epochs_resumed), kept);
+        EXPECT_EQ(read_file(store), read_file(ref)) << "cancel=" << cancel;
+    }
 }
 
 TEST_F(record_store, merge_shard_checkpoints_streams_to_store) {

@@ -1,8 +1,9 @@
 // Sharding and merge (testbed/shard.hpp): the merge property — ANY
-// partition of the epoch grid into shard checkpoints, merged in ANY order,
+// partition of the epoch grid into shard journals, merged in ANY order,
 // reproduces the serial dataset and its CSV bytes exactly — plus the shard
-// arithmetic, heartbeat roundtrip, and the merge failure modes (missing
-// shard, incomplete coverage, foreign config).
+// arithmetic, heartbeat roundtrip, the k-way walk's linear release, and the
+// merge failure modes (missing shard, incomplete coverage, foreign config,
+// a journal out of order).
 #include "testbed/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -238,4 +239,62 @@ TEST_F(shard_merge, overlapping_shards_merge_cleanly) {
     testbed::save_csv(serial, serial_csv);
     testbed::save_csv(merged, merged_csv);
     EXPECT_EQ(read_file(serial_csv), read_file(merged_csv));
+}
+
+TEST_F(shard_merge, journals_stream_to_the_sink_in_linear_order) {
+    const auto cfg = quick_config();
+    const std::size_t total = total_epochs(cfg);
+    std::vector<std::filesystem::path> ckpts;
+    for (int i = 0; i < 3; ++i) {
+        ckpts.push_back(run_slice(cfg, dir_, i, testbed::shard_filter(shard_ref{i, 3})));
+    }
+    // An overlapping fourth shard: its duplicates never reach the sink.
+    ckpts.push_back(run_slice(cfg, dir_, 3, [](std::size_t idx) { return idx < 5; }));
+    std::vector<std::size_t> seen;
+    const auto collect = [&](std::size_t idx, testbed::epoch_record&&) {
+        seen.push_back(idx);
+    };
+    EXPECT_EQ(testbed::merge_shard_journals(cfg, ckpts, collect), total);
+    std::vector<std::size_t> linear(total);
+    std::iota(linear.begin(), linear.end(), std::size_t{0});
+    EXPECT_EQ(seen, linear);
+}
+
+TEST_F(shard_merge, gap_names_the_first_missing_index_and_stops_the_sink) {
+    const auto cfg = quick_config();
+    const std::size_t total = total_epochs(cfg);
+    const auto holed = run_slice(cfg, dir_, 0, [](std::size_t idx) { return idx != 5; });
+    std::vector<std::size_t> seen;
+    try {
+        (void)testbed::merge_shard_journals(
+            cfg, {holed},
+            [&](std::size_t idx, testbed::epoch_record&&) { seen.push_back(idx); });
+        FAIL() << "a gap must throw";
+    } catch (const testbed::dataset_error& e) {
+        const std::string expected = "shards cover only " + std::to_string(total - 1) +
+                                     " of " + std::to_string(total) +
+                                     " epochs (first missing linear index 5)";
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST_F(shard_merge, journal_that_does_not_ascend_is_rejected) {
+    const auto cfg = quick_config();
+    const auto all = run_slice(cfg, dir_, 0, [](std::size_t) { return true; });
+    // Swap the first two rec lines.
+    std::string bytes = read_file(all);
+    const std::size_t a = bytes.find("rec,");
+    const std::size_t b = bytes.find('\n', a) + 1;
+    const std::size_t c = bytes.find('\n', b) + 1;
+    bytes = bytes.substr(0, a) + bytes.substr(b, c - b) + bytes.substr(a, b - a) +
+            bytes.substr(c);
+    std::ofstream(all, std::ios::binary | std::ios::trunc) << bytes;
+    try {
+        (void)testbed::merge_shard_checkpoints(cfg, {all});
+        FAIL() << "a journal out of order must throw";
+    } catch (const testbed::dataset_error& e) {
+        EXPECT_NE(std::string(e.what()).find("does not ascend"), std::string::npos)
+            << e.what();
+    }
 }

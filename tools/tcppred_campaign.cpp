@@ -1,16 +1,18 @@
 // tcppred_campaign — run a measurement campaign from the command line and
-// write the dataset CSV. The operational entry point for producing new
-// datasets without writing C++.
+// write the dataset as a CSV or a record store. The operational entry point
+// for producing new datasets without writing C++.
 //
 //   tcppred_campaign --out data/my.csv [--paths N] [--traces N]
 //                    [--epochs N] [--seed S] [--transfer-s T] [--second-set]
 //                    [--jobs N] [--faults SPEC] [--checkpoint-every N]
-//                    [--resume] [--trace FILE] [--metrics-summary]
+//                    [--resume] [--format csv|store] [--trace FILE]
+//                    [--metrics-summary]
 //
-// Multi-process modes (DESIGN.md §15): --workers N supervises N worker
-// processes (one shard each) and merges their checkpoints into the CSV;
-// --shard i/N runs one shard (what a worker does; its product is the shard
-// checkpoint, not a CSV); --merge N merges existing shard checkpoints.
+// Both formats run the same sweep and the same checkpoint journal; only
+// the sink differs. Multi-process modes (DESIGN.md §15): --workers N
+// supervises N worker processes (one shard each) and merges their journals
+// into FILE; --shard i/N runs one shard (what a worker does; its product is
+// the shard journal, not a CSV); --merge N merges existing shard journals.
 // $REPRO_CHAOS (e.g. kill=0.05,hang=0.01) makes workers crash/wedge on a
 // seeded schedule so supervision is testable.
 //
@@ -64,22 +66,27 @@ void usage(const char* argv0) {
                  "                    pathload=0.1,ping-timeout=0.02,abort=0.05\n"
                  "                    (keys: pathload, ping-timeout, ping-truncate,\n"
                  "                    abort, outage, seed; default $REPRO_FAULTS)\n"
-                 "  --checkpoint-every N  flush a resume checkpoint (FILE.ckpt)\n"
-                 "                    every N completed epochs (default 32 once\n"
-                 "                    checkpointing is on; SIGINT also flushes)\n"
-                 "  --resume          resume from FILE.ckpt if present\n"
+                 "  --checkpoint-every N  append the epochs finished since the\n"
+                 "                    last flush to the resume journal FILE.ckpt\n"
+                 "                    every N epochs (default 32 once\n"
+                 "                    checkpointing is on; SIGINT also flushes);\n"
+                 "                    either --format\n"
+                 "  --resume          resume from the journal FILE.ckpt if\n"
+                 "                    present (at any --jobs; either --format)\n"
                  "  --workers N       supervise N worker processes (one shard\n"
                  "                    each), restart crashed/hung ones, then merge\n"
-                 "                    shard checkpoints into FILE\n"
+                 "                    shard journals into FILE\n"
                  "  --worker-jobs N   threads per worker process  (default 1)\n"
                  "  --hang-timeout-s T  SIGKILL a worker whose heartbeat stalls\n"
                  "                    this long (default 30)\n"
                  "  --max-attempts N  launch attempts per shard   (default 50)\n"
                  "  --shard i/N       run only shard i of N; writes the shard\n"
-                 "                    checkpoint FILE.shard-i-of-N.ckpt, no CSV\n"
+                 "                    journal FILE.shard-i-of-N.ckpt, no CSV\n"
+                 "                    (not with --format store)\n"
                  "                    (chaos via $REPRO_CHAOS=kill=P,hang=P,\n"
                  "                    hang-s=T,seed=S applies here)\n"
-                 "  --merge N         merge shard checkpoints 0..N-1 into FILE\n"
+                 "  --merge N         merge shard journals 0..N-1 into FILE, in\n"
+                 "                    either --format\n"
                  "  --format F        output format: csv (default) or store (the\n"
                  "                    chunked columnar record store, DESIGN.md §16;\n"
                  "                    epochs stream to disk instead of being held\n"
@@ -94,8 +101,8 @@ void usage(const char* argv0) {
                  argv0);
 }
 
-// SIGINT: stop claiming epochs; the campaign loop flushes a checkpoint and
-// the tool exits 130. sig_atomic_t keeps the handler async-signal-safe.
+// SIGINT: stop claiming epochs; the sweep flushes the journal and the tool
+// exits 130. sig_atomic_t keeps the handler async-signal-safe.
 volatile std::sig_atomic_t g_interrupted = 0;
 void on_sigint(int) { g_interrupted = 1; }
 
@@ -257,12 +264,6 @@ int main(int argc, char** argv) {
                      "--convert is a standalone mode (no campaign/shard/merge flags)\n");
         return 1;
     }
-    if (store_mode && checkpointing) {
-        std::fprintf(stderr,
-                     "--format store does not checkpoint (--resume/--checkpoint-every);"
-                     " use --workers for crash tolerance\n");
-        return 1;
-    }
     if (store_mode && shard) {
         std::fprintf(stderr,
                      "--shard writes a shard checkpoint, not a store; use --format "
@@ -344,6 +345,18 @@ int main(int argc, char** argv) {
             return finish_observability();
         }
 
+        // The merge step of --merge and of the supervisor, in the chosen
+        // format: the shard journals stream into a store, or into a dataset
+        // for save_csv.
+        const auto merge_into = [store_mode](const campaign_config& mcfg,
+                                             const std::vector<std::filesystem::path>& ckpts,
+                                             const std::filesystem::path& dest) {
+            if (store_mode) return merge_shard_checkpoints_to_store(mcfg, ckpts, dest);
+            const dataset data = merge_shard_checkpoints(mcfg, ckpts);
+            save_csv(data, dest);
+            return data.records.size();
+        };
+
         if (merge_n > 0) {
             // Merge mode: read-only over the shard checkpoints (rerunnable);
             // the supervisor's auto-merge is the consuming variant.
@@ -351,14 +364,7 @@ int main(int argc, char** argv) {
             for (int i = 0; i < merge_n; ++i) {
                 ckpts.push_back(shard_checkpoint_path(out, shard_ref{i, merge_n}));
             }
-            std::size_t merged = 0;
-            if (store_mode) {
-                merged = merge_shard_checkpoints_to_store(cfg, ckpts, out);
-            } else {
-                const dataset data = merge_shard_checkpoints(cfg, ckpts);
-                save_csv(data, out);
-                merged = data.records.size();
-            }
+            const std::size_t merged = merge_into(cfg, ckpts, out);
             std::fprintf(stderr, "merged %d shard(s), %zu epoch records, into %s\n",
                          merge_n, merged, out.c_str());
             return finish_observability();
@@ -373,16 +379,7 @@ int main(int argc, char** argv) {
             sup.hang_timeout_s = hang_timeout_s;
             sup.max_attempts = max_attempts;
             sup.cancelled = [] { return g_interrupted != 0; };
-            if (store_mode) {
-                // Workers still checkpoint their shards (that is the crash-
-                // tolerance story); only the final merge streams into a
-                // store instead of loading everything for save_csv.
-                sup.merge = [](const campaign_config& mcfg,
-                               const std::vector<std::filesystem::path>& ckpts,
-                               const std::filesystem::path& dest) {
-                    return merge_shard_checkpoints_to_store(mcfg, ckpts, dest);
-                };
-            }
+            sup.merge = merge_into;
             // Worker command line = ours minus supervision/observability
             // flags (each worker gets --shard/--jobs/--resume appended by
             // the supervisor; traces and metrics stay in this process).
@@ -446,36 +443,6 @@ int main(int argc, char** argv) {
                               std::to_string(shard->count))
                                  .c_str()
                            : "");
-        if (store_mode) {
-            // Streamed sweep: epochs flow straight into the store's chunk
-            // sink; nothing grid-sized is ever resident.
-            streamed_campaign_options sopts;
-            sopts.cancelled = [] { return g_interrupted != 0; };
-            int last = -1;
-            const tcppred::obs::stopwatch watch;
-            const streamed_campaign_outcome outcome =
-                run_campaign_streamed(cfg, out, sopts, [&](int done, int total) {
-                    const int pct = done * 100 / std::max(1, total);
-                    if (pct / 10 != last / 10) {
-                        std::fprintf(stderr, "  %d%%\n", pct);
-                        last = pct;
-                    }
-                });
-            const double wall_s = watch.elapsed_s();
-            if (!outcome.complete) {
-                std::fprintf(stderr,
-                             "interrupted after %d epoch(s); store runs are not "
-                             "checkpointed — rerun from scratch (or use --workers)\n",
-                             outcome.epochs_completed);
-                finish_observability();
-                return 130;
-            }
-            const std::size_t n = campaign_total_epochs(cfg);
-            std::fprintf(stderr, "wrote %zu epoch records to %s\n", n, out.c_str());
-            std::fprintf(stderr, "%zu epochs in %.2f s (%.1f epochs/s)\n", n, wall_s,
-                         wall_s > 0 ? static_cast<double>(n) / wall_s : 0.0);
-            return finish_observability();
-        }
         // Worker heartbeat: one atomic write per completed epoch, from the
         // progress path on purpose — a wedged worker must stop heartbeating.
         const int total_epochs = cfg.paths * cfg.traces_per_path * cfg.epochs_per_trace;
@@ -490,19 +457,23 @@ int main(int argc, char** argv) {
             write_heartbeat(hb_path, shard_heartbeat{::getpid(), ++hb_seq, 0, claimed});
         }
         int last = -1;
+        const progress_fn on_progress = [&](int done, int) {
+            if (shard) {
+                write_heartbeat(hb_path,
+                                shard_heartbeat{::getpid(), ++hb_seq, done, claimed});
+            }
+            const int pct = done * 100 / std::max(1, claimed);
+            if (pct / 10 != last / 10) {
+                std::fprintf(stderr, "  %d%%\n", pct);
+                last = pct;
+            }
+        };
+        // One sweep for both formats; only the sink differs (a store streams
+        // records to disk, nothing grid-sized is resident).
         const tcppred::obs::stopwatch watch;
         const campaign_outcome outcome =
-            run_campaign_resumable(cfg, run_opts, [&](int done, int) {
-                if (shard) {
-                    write_heartbeat(hb_path, shard_heartbeat{::getpid(), ++hb_seq,
-                                                             done, claimed});
-                }
-                const int pct = done * 100 / std::max(1, claimed);
-                if (pct / 10 != last / 10) {
-                    std::fprintf(stderr, "  %d%%\n", pct);
-                    last = pct;
-                }
-            });
+            store_mode ? run_campaign_streamed(cfg, out, run_opts, on_progress)
+                       : run_campaign_resumable(cfg, run_opts, on_progress);
         const double wall_s = watch.elapsed_s();
         if (outcome.epochs_resumed > 0) {
             std::fprintf(stderr, "resumed %d completed epoch(s) from %s\n",
@@ -525,14 +496,11 @@ int main(int argc, char** argv) {
                          run_opts.checkpoint.string().c_str());
             return finish_observability();
         }
-        save_csv(outcome.data, out);
-        std::fprintf(stderr, "wrote %zu epoch records to %s\n",
-                     outcome.data.records.size(), out.c_str());
-        std::fprintf(stderr, "%zu epochs in %.2f s (%.1f epochs/s)\n",
-                     outcome.data.records.size(), wall_s,
-                     wall_s > 0
-                         ? static_cast<double>(outcome.data.records.size()) / wall_s
-                         : 0.0);
+        if (!store_mode) save_csv(outcome.data, out);
+        const auto n = static_cast<std::size_t>(total_epochs);
+        std::fprintf(stderr, "wrote %zu epoch records to %s\n", n, out.c_str());
+        std::fprintf(stderr, "%zu epochs in %.2f s (%.1f epochs/s)\n", n, wall_s,
+                     wall_s > 0 ? static_cast<double>(n) / wall_s : 0.0);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         finish_observability();
