@@ -179,26 +179,23 @@ campaign_outcome sweep_campaign(const campaign_config& cfg,
         const std::string fingerprint = campaign_fingerprint(cfg);
         const bool restore = opts.resume && std::filesystem::exists(opts.checkpoint);
         if (restore) {
-            std::optional<std::uint64_t> cut;
-            {
-                checkpoint_reader reader(opts.checkpoint, fingerprint);
-                reader.expect_total(total);
-                while (auto rec = reader.next()) {
-                    if (rec->first != next_release) {
-                        throw dataset_error(
-                            opts.checkpoint, reader.line_no(), 2,
-                            "checkpoint is not a prefix of the claimed epoch order "
-                            "(record index " + std::to_string(rec->first) +
-                                " where " + std::to_string(next_release) +
-                                " was expected) — refusing to resume");
-                    }
-                    sink(rec->first, std::move(rec->second));
-                    ++out.epochs_resumed;
-                    next_release = next_claimed(rec->first + 1);
+            checkpoint_reader reader(opts.checkpoint, fingerprint, total);
+            while (auto rec = reader.next()) {
+                if (rec->first != next_release) {
+                    throw dataset_error(opts.checkpoint, reader.line_no(), 2,
+                                        "checkpoint is not a prefix of the claimed epoch "
+                                        "order (record index " +
+                                            std::to_string(rec->first) + " where " +
+                                            std::to_string(next_release) +
+                                            " was expected) — refusing to resume");
                 }
-                if (reader.torn_tail()) cut = reader.valid_bytes();
+                sink(rec->first, std::move(rec->second));
+                ++out.epochs_resumed;
+                next_release = next_claimed(rec->first + 1);
             }
-            if (cut) std::filesystem::resize_file(opts.checkpoint, *cut);
+            if (reader.torn_tail()) {
+                std::filesystem::resize_file(opts.checkpoint, reader.valid_bytes());
+            }
             c_resumed.add(static_cast<std::uint64_t>(out.epochs_resumed));
         }
         journal.emplace(opts.checkpoint, fingerprint, total, restore);

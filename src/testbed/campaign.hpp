@@ -36,11 +36,9 @@ struct campaign_config {
 ///
 /// Invoked once per record the sweep releases (in linear order, see
 /// sweep_campaign), so `completed` counts released records — restored ones
-/// included — and is strictly increasing, regardless of how many worker
-/// threads run the campaign. Invocations are serialized under an internal
-/// mutex; the callback itself needs no locking. With jobs > 1 it is invoked
-/// from worker threads (never concurrently). It must not re-enter
-/// run_campaign.
+/// included — and is strictly increasing at any job count. Invocations are
+/// serialized (from worker threads when jobs > 1, never concurrently), so
+/// the callback needs no locking. It must not re-enter run_campaign.
 using progress_fn = std::function<void(int, int)>;
 
 /// The path catalogue a campaign config generates (campaign-1 or campaign-2
@@ -120,11 +118,9 @@ struct campaign_run_options {
     /// an epoch) aborts the run, but the released records are still flushed
     /// to the journal before the first worker error is rethrown.
     std::function<void(std::size_t)> epoch_hook{};
-    /// Bounded reorder window (records) between out-of-order workers and
-    /// the in-order release. Workers finishing ahead of the lowest
-    /// outstanding epoch park their records here; when it is full they
-    /// block (except the worker holding the next index, so progress is
-    /// always possible). Peak parked memory is O(this + jobs).
+    /// Records parked at most between out-of-order workers and the
+    /// in-order release; a worker that would overflow it blocks, except the
+    /// one holding the next index. Peak parked memory is O(this + jobs).
     std::size_t reorder_capacity{4096};
 };
 
@@ -136,31 +132,28 @@ struct campaign_outcome {
     int epochs_resumed{0};    ///< records restored from the journal
 };
 
-/// Where the sweep releases records: called once per claimed record, in
-/// ascending linear index order, never concurrently.
+/// Receives the sweep's records: once per claimed record, in ascending
+/// linear index order, never concurrently.
 using record_sink = std::function<void(std::size_t idx, epoch_record&& rec)>;
 
-/// The one campaign sweep behind run_campaign, run_campaign_resumable and
-/// run_campaign_streamed (record_store.hpp), which differ only in `sink`.
-/// Workers simulate claimed epochs in parallel; completed records pass
-/// through the bounded reorder window (opts.reorder_capacity) and reach
-/// `sink` — and the checkpoint journal — in linear order. Per-trace load
-/// trajectories are generated on first use and evicted after their last
-/// epoch, so the sweep itself holds nothing grid-sized. On resume the
-/// journal's records stream into `sink` first. A cancel or a worker error
-/// stops the release at the first hole in the order: every record below it
-/// is released and journaled, nothing past it is. The returned `data`
-/// carries the catalogue only. Determinism contract: for a fixed cfg, the
-/// record stream of a run interrupted any number of times and resumed is
-/// byte-identical to an uninterrupted run's, at any job count.
+/// The one campaign sweep (DESIGN.md §6.3); run_campaign_resumable and
+/// run_campaign_streamed (record_store.hpp) only choose `sink`. Workers
+/// simulate claimed epochs in parallel; records reach `sink`, the journal
+/// and `progress` in linear order through the bounded reorder window.
+/// Load trajectories are generated lazily and evicted after their last
+/// epoch, so the sweep holds nothing grid-sized. On resume the journal's
+/// records stream into `sink` first. A cancel or a worker error stops the
+/// release at the first hole: every record below it is released and
+/// journaled, nothing past it is. The returned `data` has the catalogue
+/// only. For a fixed cfg the record stream of a run interrupted any number
+/// of times and resumed equals an uninterrupted run's, at any job count.
 [[nodiscard]] campaign_outcome sweep_campaign(const campaign_config& cfg,
                                               const campaign_run_options& opts,
                                               const record_sink& sink,
                                               progress_fn progress = nullptr);
 
-/// sweep_campaign into pre-sized dataset slots: run_campaign plus
-/// checkpoint/resume/cancel. On a complete run the journal is removed
-/// (unless opts.keep_checkpoint).
+/// sweep_campaign into pre-sized dataset slots. A complete run removes the
+/// journal (unless opts.keep_checkpoint).
 [[nodiscard]] campaign_outcome run_campaign_resumable(const campaign_config& cfg,
                                                       const campaign_run_options& opts,
                                                       progress_fn progress = nullptr);

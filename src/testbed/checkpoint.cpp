@@ -321,21 +321,24 @@ void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path&
 }
 
 checkpoint_reader::checkpoint_reader(const std::filesystem::path& file,
-                                     const std::string& expected_fingerprint)
+                                     const std::string& expected_fingerprint,
+                                     std::size_t expected_total)
     : own_(file, std::ios::binary), file_(file) {
     if (!own_) {
         throw dataset_error(file_, 0, 0, "cannot open checkpoint");
     }
-    read_header(expected_fingerprint);
+    read_header(expected_fingerprint, expected_total);
 }
 
 checkpoint_reader::checkpoint_reader(std::istream& in, std::filesystem::path context,
-                                     const std::string& expected_fingerprint)
+                                     const std::string& expected_fingerprint,
+                                     std::size_t expected_total)
     : in_(&in), file_(std::move(context)) {
-    read_header(expected_fingerprint);
+    read_header(expected_fingerprint, expected_total);
 }
 
-void checkpoint_reader::read_header(const std::string& expected_fingerprint) {
+void checkpoint_reader::read_header(const std::string& expected_fingerprint,
+                                    std::size_t expected_total) {
     std::string line;
     auto next_line = [&](const char* what) {
         // A header line must end in '\n': the first flush writes the whole
@@ -367,17 +370,13 @@ void checkpoint_reader::read_header(const std::string& expected_fingerprint) {
     if (line.rfind("total,", 0) != 0) {
         throw dataset_error(file_, line_no_, 0, "expected total line");
     }
-    total_line_ = line_no_;
     total_ = static_cast<std::size_t>(
         parse_u64_field("total", std::string_view(line).substr(6), file_, line_no_));
-}
-
-void checkpoint_reader::expect_total(std::size_t expected) const {
-    if (total_ != expected) {
-        throw dataset_error(file_, total_line_, 0,
+    if (expected_total != 0 && total_ != expected_total) {
+        throw dataset_error(file_, line_no_, 0,
                             "checkpoint total " + std::to_string(total_) +
                                 " disagrees with the config's " +
-                                std::to_string(expected) + " epochs");
+                                std::to_string(expected_total) + " epochs");
     }
 }
 

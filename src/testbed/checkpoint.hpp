@@ -1,22 +1,18 @@
 // Campaign checkpoints: the append-only journal of the records a campaign
-// sweep has released, persisted mid-run so an interrupted campaign resumes
-// instead of restarting (DESIGN.md §10.4).
-//
-// A journal is three header lines (magic, config fingerprint, grid size)
-// followed by one `rec,` line per released record, in ascending linear
-// epoch order. Invariants the format defends:
-//  - doubles round-trip bit-exactly (hexfloat serialization), so a resumed
-//    campaign's CSV is byte-identical to an uninterrupted run's;
-//  - the first flush creates the file atomically (header and first batch in
-//    one atomic_write_text), so a journal that exists has a whole header;
-//    later flushes only append, and a kill -9 mid-append leaves at most one
-//    torn final line (no '\n'), which a reader treats as the end of the
-//    valid prefix;
-//  - a journal carries the fingerprint of the config that produced it, and
-//    resuming under any other config (different seed, size, fault
-//    profile — anything but the job count) is refused;
-//  - record indices ascend strictly, which is what lets the shard merge
-//    walk N journals in lockstep.
+// sweep has released, so an interrupted campaign resumes instead of
+// restarting (DESIGN.md §10.4). Three header lines (magic, config
+// fingerprint, grid total), then one `rec,` line per record in ascending
+// linear order. Invariants the format defends:
+//  - doubles round-trip bit-exactly (hexfloat), so a resumed campaign's
+//    output is byte-identical to an uninterrupted run's;
+//  - the first flush creates the file atomically, so a journal that exists
+//    has a whole header; later flushes append, and a kill -9 mid-append
+//    leaves at most one torn final line (no '\n'), the end of the valid
+//    prefix a reader returns;
+//  - resuming under any other config than the fingerprint's (different
+//    seed, size, fault profile — anything but the job count) is refused;
+//  - indices ascend strictly, which lets the shard merge walk N journals
+//    in lockstep.
 #pragma once
 
 #include <cstddef>
@@ -55,11 +51,10 @@ struct campaign_checkpoint {
 [[nodiscard]] double parse_hexd(const std::string& s, const std::filesystem::path& file,
                                 std::size_t line_no);
 
-/// Whole-token integer fields of the bit-exact formats (checkpoint journals,
-/// the record store): core::parse_checked_u64 / parse_checked_int, with
-/// every rejection — partial token ("12x"), sign on an unsigned field,
-/// overflow, a value above `max` — rethrown as a dataset_error naming
-/// `file`, `line_no` and the field `name`.
+/// Whole-token integer fields of the bit-exact formats (journals, the
+/// record store) through core::parse_checked_*: a partial token ("12x"), a
+/// sign on an unsigned field, overflow or a value above `max` throws
+/// dataset_error naming `file`, `line_no` and the field `name`.
 [[nodiscard]] std::uint64_t parse_u64_field(std::string_view name, std::string_view text,
                                             const std::filesystem::path& file,
                                             std::size_t line_no,
@@ -102,25 +97,23 @@ struct fingerprint_field {
 /// hook $TCPPRED_FORCE_EXDEV=1 forces the fallback path.
 void atomic_write_text(const std::filesystem::path& file, const std::string& contents);
 
-/// Append-only writer of a checkpoint journal: the campaign sweep's, and
-/// save_checkpoint's. Records are added in ascending linear order and reach
-/// the file at flush(). The first flush of a fresh journal writes the header
-/// and the batch in one atomic_write_text; every later flush appends only
-/// the lines added since, so a flush costs O(lines added), never O(journal).
+/// Append-only journal writer (the sweep's and save_checkpoint's). add()
+/// buffers records in ascending linear order; the first flush of a fresh
+/// journal writes header and batch in one atomic_write_text, every later
+/// flush appends only the lines added since — O(lines added), never
+/// O(journal).
 class checkpoint_journal {
 public:
-    /// A journal for `file`. `append` = the file already holds a valid
-    /// journal of this fingerprint and total (a resumed run); then even the
-    /// first flush appends.
+    /// `append` = `file` already holds a valid journal of this fingerprint
+    /// and total (a resumed run), so even the first flush appends.
     checkpoint_journal(std::filesystem::path file, const std::string& fingerprint,
                        std::size_t total, bool append = false);
 
-    /// Buffer the `rec,` line of `rec` at linear index `idx`.
     void add(std::size_t idx, const epoch_record& rec);
 
-    /// Write what add() buffered since the last flush. Returns false (and
-    /// writes nothing) when there is nothing to write: no new line, and the
-    /// file already exists. Throws std::runtime_error on I/O failure.
+    /// Write what add() buffered since the last flush; false (nothing
+    /// written) when there is no new line and the file exists. Throws
+    /// std::runtime_error on I/O failure.
     bool flush();
 
 private:
@@ -130,59 +123,49 @@ private:
     bool on_disk_{false};
 };
 
-/// Write `ck`'s done slots as a fresh journal through checkpoint_journal:
-/// one atomic create, whatever the done pattern. Only a journal whose done
-/// slots are a prefix of the claimed order can be resumed.
+/// Write `ck`'s done slots as a fresh journal (one atomic create). Only a
+/// journal whose done slots are a prefix of the claimed order resumes.
 void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path& file);
 
-/// Streaming cursor over a checkpoint journal: the header (magic,
-/// fingerprint, total) is validated up front, then records surface one
-/// `rec` line at a time with O(1) memory. Every malformed input throws
-/// dataset_error naming the file and line — this is an untrusted-input
-/// parser (fuzzed by fuzz_checkpoint). Pass an empty `expected_fingerprint`
-/// to accept any.
+/// Streaming cursor over a checkpoint journal, O(1) memory: the header is
+/// validated up front — against `expected_fingerprint` and
+/// `expected_total` unless empty / 0 — then records surface one `rec` line
+/// at a time. Every malformed input throws dataset_error naming the file
+/// and line: this is an untrusted-input parser (fuzz_checkpoint).
 class checkpoint_reader {
 public:
-    /// Opens and validates the header; throws dataset_error when the file
-    /// cannot be read, is malformed, or carries a different fingerprint.
     checkpoint_reader(const std::filesystem::path& file,
-                      const std::string& expected_fingerprint);
-    /// Over an already-open stream (the fuzz harness); `context` only labels
-    /// dataset_error messages.
+                      const std::string& expected_fingerprint,
+                      std::size_t expected_total = 0);
+    /// Over an already-open stream; `context` only labels errors.
     checkpoint_reader(std::istream& in, std::filesystem::path context,
-                      const std::string& expected_fingerprint);
+                      const std::string& expected_fingerprint,
+                      std::size_t expected_total = 0);
 
     [[nodiscard]] const std::string& fingerprint() const noexcept { return fingerprint_; }
     [[nodiscard]] std::size_t total() const noexcept { return total_; }
 
-    /// Throws dataset_error, naming the file and the total line, unless the
-    /// header's total is `expected` (the grid size of the config at hand).
-    void expect_total(std::size_t expected) const;
-
-    /// The next record and its linear campaign index; nullopt at the end of
-    /// the valid prefix — end of file, or a final line that lacks its '\n'
-    /// (a torn tail, see torn_tail()). Throws dataset_error on a malformed
-    /// line, an out-of-range index, or an index not above the previous one.
+    /// The next record and its linear index; nullopt at the end of the
+    /// valid prefix: end of file, or a final line lacking its '\n' (a torn
+    /// tail). Throws dataset_error on a malformed line, an out-of-range
+    /// index, or an index not above the previous one.
     [[nodiscard]] std::optional<std::pair<std::size_t, epoch_record>> next();
 
-    /// Whether next() stopped at a torn final line.
     [[nodiscard]] bool torn_tail() const noexcept { return torn_tail_; }
-    /// Bytes of the valid prefix read so far: the header and every whole
-    /// line. Truncating the file to this drops a torn tail.
+    /// Bytes of the header and every whole line read so far; truncating
+    /// the file to this drops a torn tail.
     [[nodiscard]] std::uint64_t valid_bytes() const noexcept { return valid_bytes_; }
-    /// Line number of the last line read (1-based).
     [[nodiscard]] std::size_t line_no() const noexcept { return line_no_; }
 
 private:
     std::istream& in() { return in_ != nullptr ? *in_ : own_; }
-    void read_header(const std::string& expected_fingerprint);
+    void read_header(const std::string& expected_fingerprint, std::size_t expected_total);
 
     std::ifstream own_;            // only used by the path constructor
     std::istream* in_{nullptr};    // the stream constructor's input
     std::filesystem::path file_;
     std::string fingerprint_;
     std::size_t total_{0};
-    std::size_t total_line_{0};
     std::size_t line_no_{0};
     std::uint64_t valid_bytes_{0};
     std::optional<std::size_t> last_idx_;

@@ -122,8 +122,7 @@ std::size_t merge_shard_journals(const campaign_config& cfg,
                                 "shard checkpoint missing — run its shard to "
                                 "completion before merging");
         }
-        checkpoint_reader reader(file, fingerprint);
-        reader.expect_total(total);
+        checkpoint_reader reader(file, fingerprint, total);
         auto head = reader.next();
         shards.push_back({std::move(reader), std::move(head)});
     }

@@ -224,8 +224,8 @@ TEST_F(record_store, interrupted_store_run_resumes_to_identical_bytes) {
     testbed::campaign_run_options opts;
     opts.checkpoint = dir_ / "resumed.store.ckpt";
     opts.checkpoint_every = 2;
-    int seen = 0;
-    opts.cancelled = [&] { return seen >= 5; };
+    std::atomic<int> seen{0};
+    opts.cancelled = [&] { return seen.load() >= 5; };
     const auto first =
         testbed::run_campaign_streamed(cfg, store, opts, [&](int, int) { ++seen; });
     ASSERT_FALSE(first.complete);

@@ -7,10 +7,10 @@
 # medium campaign to a store, converts it to CSV, measures VmPeak of the
 # streamed analysis (--from-store) and the in-memory analysis (load_csv)
 # via the mem.vm_peak_kb line of --metrics-summary, then re-runs both under
-# `ulimit -v` pinned halfway between the two peaks. The streamed runs —
-# analysis, and the store campaign with and without its checkpoint
-# journal — must succeed with the uncapped bytes; the in-memory run must die. A calibration gap below MIN_GAP_KB
-# fails the gate outright — that would mean streaming stopped saving memory.
+# `ulimit -v` pinned halfway between the two peaks. The streamed runs
+# (analysis, and the journaled store campaign) must succeed with the
+# uncapped bytes; the in-memory run must die. A calibration gap below
+# MIN_GAP_KB fails the gate outright — streaming stopped saving memory.
 #
 # Usage: tools/ci_memcap_check.sh path/to/tcppred_campaign path/to/tcppred_analyze
 set -eu
@@ -65,21 +65,14 @@ cmp -s "$WORK/capped.out" "$WORK/stream.out" || {
     echo "FAIL: capped streamed report differs from uncapped"; exit 1; }
 echo "   ok: --from-store fits in ${CAP_KB} kB"
 
-(ulimit -v "$CAP_KB"; exec "$CAMPAIGN" "${ARGS[@]}" \
-    --out "$WORK/capped.store" --format store --jobs 1) >/dev/null 2>&1 || {
-    echo "FAIL: streamed campaign died under the cap"; exit 1; }
-cmp -s "$WORK/capped.store" "$WORK/c.store" || {
-    echo "FAIL: capped store differs from uncapped"; exit 1; }
-echo "   ok: --format store campaign fits in ${CAP_KB} kB"
-
 # The checkpoint journal keeps the bound: it appends each batch and never
 # copies the grid.
 (ulimit -v "$CAP_KB"; exec "$CAMPAIGN" "${ARGS[@]}" \
-    --out "$WORK/journaled.store" --format store --checkpoint-every 64 --jobs 1) \
+    --out "$WORK/capped.store" --format store --checkpoint-every 64 --jobs 1) \
     >/dev/null 2>&1 || {
-    echo "FAIL: journaled streamed campaign died under the cap"; exit 1; }
-cmp -s "$WORK/journaled.store" "$WORK/c.store" || {
-    echo "FAIL: journaled capped store differs from uncapped"; exit 1; }
+    echo "FAIL: streamed campaign died under the cap"; exit 1; }
+cmp -s "$WORK/capped.store" "$WORK/c.store" || {
+    echo "FAIL: capped store differs from uncapped"; exit 1; }
 echo "   ok: --format store --checkpoint-every 64 campaign fits in ${CAP_KB} kB"
 
 # The in-memory path must NOT fit — if it does, the cap proves nothing.

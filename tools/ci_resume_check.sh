@@ -20,8 +20,8 @@ ARGS=(--paths 2 --traces 2 --epochs 60 --transfer-s 2 --seed 11
       --faults "pathload=0.2,abort=0.2,seed=5")
 
 # One leg per output format: both run the same sweep and journal.
-resume_leg() {  # format extension
-    local fmt=$1 ext=$2
+resume_leg() {  # format (also the output's extension)
+    local fmt=$1 ext=$1
     echo "== $fmt: reference run (uninterrupted)"
     "$CAMPAIGN" "${ARGS[@]}" --format "$fmt" --out "$WORK/reference.$ext" --jobs 4 2>/dev/null
 
@@ -42,9 +42,8 @@ resume_leg() {  # format extension
         [ -f "$WORK/resumed.$ext.ckpt" ] || { echo "FAIL: SIGINT left no journal"; exit 1; }
         [ -f "$WORK/resumed.$ext" ] && { echo "FAIL: interrupted run wrote its output"; exit 1; }
     elif [ "$rc" -eq 0 ]; then
-        # Extremely fast machine: the run beat the signal. The resume leg
-        # below still re-runs from scratch, so the byte-identity check
-        # remains valid.
+        # Extremely fast machine: the run beat the signal. The resume below
+        # still re-runs from scratch, so the byte-identity check holds.
         echo "   note: campaign finished before SIGINT landed"
     else
         echo "FAIL: interrupted campaign exited $rc (want 130)"
@@ -56,16 +55,11 @@ resume_leg() {  # format extension
         --jobs 3 2>/dev/null
 
     cmp "$WORK/reference.$ext" "$WORK/resumed.$ext" || {
-        echo "FAIL: resumed $fmt output differs from the uninterrupted run"
-        exit 1
-    }
-    [ -f "$WORK/resumed.$ext.ckpt" ] && {
-        echo "FAIL: completed run left its journal behind"
-        exit 1
-    }
+        echo "FAIL: resumed $fmt output differs from the uninterrupted run"; exit 1; }
+    [ -f "$WORK/resumed.$ext.ckpt" ] && { echo "FAIL: completed run left its journal"; exit 1; }
     echo "   ok: resumed $fmt output is byte-identical to the uninterrupted run"
 }
 
-resume_leg csv csv
-resume_leg store store
+resume_leg csv
+resume_leg store
 echo "ci_resume_check: resumed campaigns are byte-identical to uninterrupted runs"
