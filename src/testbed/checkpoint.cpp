@@ -273,22 +273,24 @@ checkpoint_journal::checkpoint_journal(std::filesystem::path file,
 
 void checkpoint_journal::add(std::size_t idx, const epoch_record& rec) {
     const epoch_measurement& m = rec.m;
+    const auto field = [&](const std::string& v) {
+        buf_ += ',';
+        buf_ += v;
+    };
     buf_ += "rec,";
     buf_ += std::to_string(idx);
-    for (const int v : {rec.path_id, rec.trace_id, rec.epoch_index}) {
-        buf_ += ',';
-        buf_ += std::to_string(v);
-    }
+    for (const int v : {rec.path_id, rec.trace_id, rec.epoch_index}) field(std::to_string(v));
     for (const double v : {m.avail_bw_bps, m.phat, m.phat_events, m.that_s, m.ptilde,
                            m.ttilde_s, m.r_large_bps, m.r_small_bps, m.tcp_loss_rate,
                            m.tcp_event_rate, m.tcp_mean_rtt_s, m.sim_time_s}) {
-        buf_ += ',';
-        buf_ += hexd(v);
+        field(hexd(v));
     }
-    buf_ += ',' + std::to_string(m.events) + ',' + std::to_string(m.fault_flags) + ',' +
-            std::to_string(m.prefix_goodputs.size());
+    field(std::to_string(m.events));
+    field(std::to_string(m.fault_flags));
+    field(std::to_string(m.prefix_goodputs.size()));
     for (const auto& [s, bps] : m.prefix_goodputs) {
-        buf_ += ',' + hexd(s) + ',' + hexd(bps);
+        field(hexd(s));
+        field(hexd(bps));
     }
     buf_ += '\n';
 }

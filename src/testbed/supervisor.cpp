@@ -118,6 +118,7 @@ supervisor_result run_supervisor(const supervisor_options& opts) {
     TCPPRED_EXPECTS(!opts.out.empty());
     TCPPRED_EXPECTS(!opts.worker_argv.empty());
     TCPPRED_EXPECTS(opts.max_attempts >= 1);
+    TCPPRED_EXPECTS(opts.merge != nullptr);
     static const obs::counter c_spawned = obs::counter::get("supervisor.workers_spawned");
     static const obs::counter c_restarts = obs::counter::get("supervisor.worker_restarts");
     static const obs::counter c_retries = obs::counter::get("supervisor.shard_retries");
@@ -292,22 +293,16 @@ supervisor_result run_supervisor(const supervisor_options& opts) {
     }
     if (failing) return result;
 
-    // All shards complete: merge their checkpoints into the final CSV. The
-    // shard checkpoints play the role a serial run's checkpoint plays — they
-    // are consumed (removed) once the CSV is safely written; logs stay.
+    // All shards complete: merge their journals into the output. The shard
+    // journals play the role a serial run's journal plays — they are
+    // consumed (removed) once the output is safely written; logs stay.
     try {
         std::vector<std::filesystem::path> ckpts;
         ckpts.reserve(static_cast<std::size_t>(n));
         for (int i = 0; i < n; ++i) {
             ckpts.push_back(shard_checkpoint_path(opts.out, shard_ref{i, n}));
         }
-        if (opts.merge) {
-            result.epochs_merged = opts.merge(opts.cfg, ckpts, opts.out);
-        } else {
-            const dataset data = merge_shard_checkpoints(opts.cfg, ckpts);
-            save_csv(data, opts.out);
-            result.epochs_merged = data.records.size();
-        }
+        result.epochs_merged = opts.merge(opts.cfg, ckpts, opts.out);
         for (int i = 0; i < n; ++i) {
             std::error_code ec;
             std::filesystem::remove(shard_checkpoint_path(opts.out, shard_ref{i, n}), ec);

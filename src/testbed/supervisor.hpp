@@ -6,9 +6,9 @@
 // with capped exponential backoff, a silent worker is SIGKILLed once its
 // heartbeat goes stale, and SIGINT fans out to every worker so each one
 // checkpoints its shard before the supervisor reports "interrupted".
-// When every shard completes, the per-shard checkpoints are merged
-// (testbed/shard.hpp) and the CSV is written — byte-identical to a serial
-// run of the same config.
+// When every shard completes, the per-shard journals are merged
+// (testbed/shard.hpp) into the output — byte-identical to a serial run of
+// the same config.
 //
 // Worker failures are classified by wait status: exit 0 = shard complete;
 // exit 1 (bad arguments) or 127 (exec failed) = a config error retrying
@@ -30,7 +30,7 @@ struct supervisor_options {
     /// Campaign the workers are running; used to fingerprint-check and merge
     /// the shard checkpoints. Must match the config flags in worker_argv.
     campaign_config cfg{};
-    /// Final CSV path. Shard checkpoint/heartbeat/log names derive from it.
+    /// Final output path. Shard journal/heartbeat/log names derive from it.
     std::filesystem::path out{};
     /// Worker process count == shard count.
     int workers{2};
@@ -54,11 +54,10 @@ struct supervisor_options {
     /// Polled each cycle; true = fan SIGINT out to the workers, wait for
     /// them to checkpoint and exit, and return interrupted.
     std::function<bool()> cancelled{};
-    /// Override for the final merge step: (cfg, shard checkpoint paths, out)
-    /// -> merged record count, writing `out` in whatever format the caller
-    /// wants. Null = the default in-memory merge_shard_checkpoints +
-    /// save_csv. This inversion is how the store layer (record_store.hpp)
-    /// plugs its streaming merge in without testbed depending on it.
+    /// The final merge step (required): (cfg, shard journal paths, out) ->
+    /// merged record count, writing `out` in whatever format the caller
+    /// wants. This inversion is how the store layer (record_store.hpp)
+    /// plugs its merge in without testbed depending on it.
     std::function<std::size_t(const campaign_config&,
                               const std::vector<std::filesystem::path>&,
                               const std::filesystem::path&)>
@@ -67,7 +66,7 @@ struct supervisor_options {
 
 /// What a supervised run did.
 struct supervisor_result {
-    bool complete{false};     ///< all shards done, CSV merged and written
+    bool complete{false};     ///< all shards done, output merged and written
     bool interrupted{false};  ///< cancelled(); shard checkpoints are resumable
     std::string error;        ///< set when neither complete nor interrupted
     int workers_spawned{0};   ///< total worker launches (first runs + retries)

@@ -8,9 +8,10 @@
 # streamed analysis (--from-store) and the in-memory analysis (load_csv)
 # via the mem.vm_peak_kb line of --metrics-summary, then re-runs both under
 # `ulimit -v` pinned halfway between the two peaks. The streamed runs
-# (analysis, and the journaled store campaign) must succeed with the
-# uncapped bytes; the in-memory run must die. A calibration gap below
-# MIN_GAP_KB fails the gate outright — streaming stopped saving memory.
+# (analysis, and the store campaign with and without its checkpoint
+# journal) must succeed with the uncapped bytes; the in-memory run must
+# die. A calibration gap below MIN_GAP_KB fails the gate outright —
+# streaming stopped saving memory.
 #
 # Usage: tools/ci_memcap_check.sh path/to/tcppred_campaign path/to/tcppred_analyze
 set -eu
@@ -65,15 +66,17 @@ cmp -s "$WORK/capped.out" "$WORK/stream.out" || {
     echo "FAIL: capped streamed report differs from uncapped"; exit 1; }
 echo "   ok: --from-store fits in ${CAP_KB} kB"
 
-# The checkpoint journal keeps the bound: it appends each batch and never
-# copies the grid.
-(ulimit -v "$CAP_KB"; exec "$CAMPAIGN" "${ARGS[@]}" \
-    --out "$WORK/capped.store" --format store --checkpoint-every 64 --jobs 1) \
-    >/dev/null 2>&1 || {
-    echo "FAIL: streamed campaign died under the cap"; exit 1; }
-cmp -s "$WORK/capped.store" "$WORK/c.store" || {
-    echo "FAIL: capped store differs from uncapped"; exit 1; }
-echo "   ok: --format store --checkpoint-every 64 campaign fits in ${CAP_KB} kB"
+# With and without the checkpoint journal, which appends each batch and
+# never copies the grid.
+for JOURNAL in "" "--checkpoint-every 64"; do
+    # shellcheck disable=SC2086  # JOURNAL is zero or two words
+    (ulimit -v "$CAP_KB"; exec "$CAMPAIGN" "${ARGS[@]}" \
+        --out "$WORK/capped.store" --format store $JOURNAL --jobs 1) >/dev/null 2>&1 || {
+        echo "FAIL: streamed campaign${JOURNAL:+ $JOURNAL} died under the cap"; exit 1; }
+    cmp -s "$WORK/capped.store" "$WORK/c.store" || {
+        echo "FAIL: capped store${JOURNAL:+ $JOURNAL} differs from uncapped"; exit 1; }
+    echo "   ok: --format store${JOURNAL:+ $JOURNAL} campaign fits in ${CAP_KB} kB"
+done
 
 # The in-memory path must NOT fit — if it does, the cap proves nothing.
 if (ulimit -v "$CAP_KB"; exec "$ANALYZE" "$WORK/c.csv") >/dev/null 2>&1; then
