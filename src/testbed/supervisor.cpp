@@ -17,7 +17,6 @@
 #include "obs/counters.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace_writer.hpp"
-#include "testbed/checkpoint.hpp"
 #include "testbed/shard.hpp"
 
 extern char** environ;  // worker env = ours + $REPRO_CHAOS_ATTEMPT

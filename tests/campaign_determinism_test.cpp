@@ -43,15 +43,20 @@ campaign_config tiny_config() {
     return cfg;
 }
 
+std::string read_bytes(const std::filesystem::path& file) {
+    std::ifstream in(file, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
 std::string csv_bytes(const dataset& data) {
     const auto file = std::filesystem::temp_directory_path() /
                       ("tcppred_determinism_" + std::to_string(::getpid()) + ".csv");
     save_csv(data, file);
-    std::ifstream in(file, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
+    std::string bytes = read_bytes(file);
     std::filesystem::remove(file);
-    return buf.str();
+    return bytes;
 }
 
 /// Bit pattern of a double: operator== is the wrong equality here because a
@@ -354,13 +359,6 @@ TEST(campaign_faults, faulty_dataset_roundtrips_through_csv) {
 // --- the checkpoint journal (checkpoint.hpp, DESIGN.md §10.4) --------------
 
 namespace {
-
-std::string read_bytes(const std::filesystem::path& file) {
-    std::ifstream in(file, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
 
 void write_bytes(const std::filesystem::path& file, const std::string& bytes) {
     std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
