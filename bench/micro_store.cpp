@@ -4,12 +4,15 @@
 // campaign and analysis pass is built on — plus the checkpoint journal
 // (testbed/checkpoint.hpp): one append flush against a whole-file rewrite.
 // Records are synthetic (filled from the index, no simulation) so the
-// numbers isolate serialization cost.
+// numbers isolate serialization cost. The scan runs on a clean store and on
+// a faulted one, where every 8th record carries NaN measurements and a
+// fault flag, as failed probes leave them.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
 #include <cstddef>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,7 +27,7 @@ namespace {
 constexpr std::size_t k_records = 4096;
 constexpr std::size_t k_chunk = 512;
 
-testbed::epoch_record synthetic_record(std::size_t i) {
+testbed::epoch_record synthetic_record(std::size_t i, bool faulted = false) {
     testbed::epoch_record r;
     r.path_id = static_cast<int>(i / (k_records / 4));
     r.trace_id = 0;
@@ -44,6 +47,15 @@ testbed::epoch_record synthetic_record(std::size_t i) {
     r.m.sim_time_s = 12.5;
     r.m.events = 100000 + i;
     r.m.prefix_goodputs = {{2.0, 3e6 + x}, {5.0, 3.5e6 + x}, {10.0, 3.8e6 + x}};
+    if (faulted && i % 8 == 0) {
+        // Both NaN signs: hexd prints "nan" and "-nan".
+        const double nan = std::numeric_limits<double>::quiet_NaN();
+        r.m.avail_bw_bps = nan;
+        r.m.phat = -nan;
+        r.m.phat_events = -nan;
+        r.m.that_s = -nan;
+        r.m.fault_flags = testbed::fault_pathload_failed | testbed::fault_ping_degraded;
+    }
     return r;
 }
 
@@ -55,10 +67,10 @@ std::filesystem::path bench_store_path() {
     return path;
 }
 
-void write_bench_store() {
+void write_bench_store(bool faulted = false) {
     testbed::record_writer w(bench_store_path(), "micro-bench-fingerprint", {},
                              testbed::store_options{k_chunk});
-    for (std::size_t i = 0; i < k_records; ++i) w.append(synthetic_record(i));
+    for (std::size_t i = 0; i < k_records; ++i) w.append(synthetic_record(i, faulted));
     w.finish();
 }
 
@@ -72,8 +84,8 @@ void bm_store_ingest(benchmark::State& state) {
 }
 BENCHMARK(bm_store_ingest);
 
-void bm_store_scan(benchmark::State& state) {
-    write_bench_store();
+void bm_store_scan(benchmark::State& state, bool faulted) {
+    write_bench_store(faulted);
     for (auto _ : state) {
         testbed::record_reader r(bench_store_path());
         testbed::epoch_record rec;
@@ -85,7 +97,8 @@ void bm_store_scan(benchmark::State& state) {
                             static_cast<std::int64_t>(k_records));
     std::filesystem::remove(bench_store_path());
 }
-BENCHMARK(bm_store_scan);
+BENCHMARK_CAPTURE(bm_store_scan, clean, false);
+BENCHMARK_CAPTURE(bm_store_scan, faulted, true);
 
 constexpr std::size_t k_flush = 32;  // records per flush at --checkpoint-every 32
 constexpr std::size_t k_grid = std::size_t{1} << 20;

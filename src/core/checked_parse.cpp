@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -35,6 +36,20 @@ Value strto_whole(std::string_view knob, std::string_view text, Fn fn,
     return v;
 }
 
+/// Fast path for the canonical token: std::from_chars parses in place,
+/// with no copy and no locale. Anything it does not consume whole — a sign
+/// it refuses ('+'), a space, trailing garbage, an overflow — falls back to
+/// strto_whole, so what is accepted and every message stay strtoll's.
+template <typename Value, typename Fn>
+Value from_chars_or(std::string_view knob, std::string_view text, Fn fallback,
+                    const char* what) {
+    Value v{};
+    const char* const last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+    if (ec == std::errc{} && ptr == last) return v;
+    return strto_whole<Value>(knob, text, fallback, what);
+}
+
 std::string range_msg(const std::string& lo, const std::string& hi) {
     return "expected a value in [" + lo + ", " + hi + "]";
 }
@@ -43,7 +58,7 @@ std::string range_msg(const std::string& lo, const std::string& hi) {
 
 std::int64_t parse_checked_int(std::string_view knob, std::string_view text,
                                std::int64_t min, std::int64_t max) {
-    const long long v = strto_whole<long long>(
+    const long long v = from_chars_or<long long>(
         knob, text, [](const char* s, char** end) { return std::strtoll(s, end, 10); },
         "an integer");
     if (v < min || v > max) {
@@ -58,7 +73,7 @@ std::uint64_t parse_checked_u64(std::string_view knob, std::string_view text,
     if (!text.empty() && (text.front() == '-' || text.front() == '+')) {
         reject(knob, text, "expected an unsigned integer");
     }
-    const unsigned long long v = strto_whole<unsigned long long>(
+    const unsigned long long v = from_chars_or<unsigned long long>(
         knob, text, [](const char* s, char** end) { return std::strtoull(s, end, 10); },
         "an unsigned integer");
     if (v < min || v > max) {

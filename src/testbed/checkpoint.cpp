@@ -4,9 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -21,12 +24,34 @@ std::string hexd(double v) {
     return buf;
 }
 
-double parse_hexd(const std::string& s, const std::filesystem::path& file,
+double parse_hexd(std::string_view s, const std::filesystem::path& file,
                   std::size_t line_no) {
+    // Fast path: exactly the forms "%a" prints — [-]0x<hex digit>..., [-]nan,
+    // [-]inf — decoded in place. The hex digit after "0x" is the guard:
+    // std::from_chars(hex) alone would also take "-1", "inf" and "nan"
+    // there, and accept "0x-1", "0xinf" and "0xnan", which strtod stops at
+    // the 'x'. Every other token, and a mantissa from_chars does not consume
+    // whole (e.g. an exponent out of range), takes the strtod path below.
+    std::string_view t = s;
+    const bool neg = !t.empty() && t.front() == '-';
+    if (neg) t.remove_prefix(1);
+    if (t == "nan" || t == "inf") {
+        const double v = t == "nan" ? std::numeric_limits<double>::quiet_NaN()
+                                    : std::numeric_limits<double>::infinity();
+        return neg ? -v : v;
+    }
+    if (t.size() > 2 && t[0] == '0' && t[1] == 'x' &&
+        std::isxdigit(static_cast<unsigned char>(t[2])) != 0) {
+        double v = 0.0;
+        const char* const last = t.data() + t.size();
+        const auto [ptr, ec] = std::from_chars(t.data() + 2, last, v, std::chars_format::hex);
+        if (ec == std::errc{} && ptr == last) return neg ? -v : v;
+    }
+    const std::string buf(s);
     char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0') {
-        throw dataset_error(file, line_no, 0, "bad hexfloat field \"" + s + "\"");
+    const double v = std::strtod(buf.c_str(), &end);
+    if (end == buf.c_str() || *end != '\0') {
+        throw dataset_error(file, line_no, 0, "bad hexfloat field \"" + buf + "\"");
     }
     return v;
 }
@@ -60,14 +85,15 @@ constexpr std::uint64_t k_max_prefixes = 64;
 
 /// Parse one already-split "rec,..." line into (linear index, record).
 std::pair<std::size_t, epoch_record> parse_checkpoint_record(
-    const std::vector<std::string>& f, std::size_t total,
+    const std::vector<std::string_view>& f, std::size_t total,
     const std::filesystem::path& file, std::size_t line_no) {
     if (f.size() < 20 || f[0] != "rec") {
         throw dataset_error(file, line_no, 0, "bad checkpoint record line");
     }
     const auto idx = static_cast<std::size_t>(parse_u64_field("index", f[1], file, line_no));
     if (idx >= total) {
-        throw dataset_error(file, line_no, 2, "record index " + f[1] + " out of range");
+        throw dataset_error(file, line_no, 2,
+                            "record index " + std::string(f[1]) + " out of range");
     }
     epoch_record r;
     r.path_id = parse_i32_field("path", f[2], file, line_no);
@@ -383,16 +409,16 @@ void checkpoint_reader::read_header(const std::string& expected_fingerprint,
 }
 
 std::optional<std::pair<std::size_t, epoch_record>> checkpoint_reader::next() {
-    std::string line;
-    while (!torn_tail_ && std::getline(in(), line)) {
+    while (!torn_tail_ && std::getline(in(), line_)) {
         ++line_no_;
         if (in().eof()) {
             torn_tail_ = true;  // no '\n': an append cut short
             break;
         }
-        valid_bytes_ += line.size() + 1;
-        if (line.empty()) continue;
-        auto rec = parse_checkpoint_record(split_fields(line, ','), total_, file_, line_no_);
+        valid_bytes_ += line_.size() + 1;
+        if (line_.empty()) continue;
+        split_fields(line_, ',', fields_);
+        auto rec = parse_checkpoint_record(fields_, total_, file_, line_no_);
         if (last_idx_ && rec.first <= *last_idx_) {
             throw dataset_error(file_, line_no_, 2,
                                 "record index " + std::to_string(rec.first) +

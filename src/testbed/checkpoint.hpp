@@ -47,8 +47,9 @@ struct campaign_checkpoint {
 
 /// Parse a hexd()-formatted field back to the identical double. Throws
 /// dataset_error (with `file`/`line_no` context) unless the entire field
-/// parses as one float.
-[[nodiscard]] double parse_hexd(const std::string& s, const std::filesystem::path& file,
+/// parses as one float. Accepts exactly what strtod takes whole; the forms
+/// hexd() prints are decoded in place by std::from_chars, to the same bits.
+[[nodiscard]] double parse_hexd(std::string_view s, const std::filesystem::path& file,
                                 std::size_t line_no);
 
 /// Whole-token integer fields of the bit-exact formats (journals, the
@@ -170,6 +171,8 @@ private:
     std::uint64_t valid_bytes_{0};
     std::optional<std::size_t> last_idx_;
     bool torn_tail_{false};
+    std::string line_;                     // the current line, reused
+    std::vector<std::string_view> fields_; // views into line_
 };
 
 }  // namespace tcppred::testbed

@@ -20,12 +20,26 @@ dataset_error::dataset_error(std::filesystem::path file, std::size_t line,
       line_(line),
       column_(column) {}
 
-std::vector<std::string> split_fields(const std::string& line, char sep) {
-    std::vector<std::string> out;
-    std::stringstream ss(line);
-    std::string item;
-    while (std::getline(ss, item, sep)) out.push_back(item);
-    return out;
+void split_fields(std::string_view line, char sep, std::vector<std::string_view>& out) {
+    out.clear();
+    std::size_t start = 0;
+    // Stopping once `start` reaches the end is what drops one trailing
+    // empty field: "a,b," ends there right after "b".
+    while (start < line.size()) {
+        const std::size_t at = line.find(sep, start);
+        if (at == std::string_view::npos) {
+            out.push_back(line.substr(start));
+            return;
+        }
+        out.push_back(line.substr(start, at - start));
+        start = at + 1;
+    }
+}
+
+std::vector<std::string> split_fields(std::string_view line, char sep) {
+    std::vector<std::string_view> views;
+    split_fields(line, sep, views);
+    return {views.begin(), views.end()};
 }
 
 namespace {

@@ -10,6 +10,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "testbed/epoch_runner.hpp"
@@ -91,10 +92,17 @@ void write_csv_record(std::ostream& out, const epoch_record& r, bool any_faults)
 /// pinned CSV-derived goldens without materializing a CSV.
 [[nodiscard]] epoch_record csv_normalized_record(const epoch_record& r);
 
-/// Split one line of a comma- or bar-separated format at `sep`. A trailing
-/// empty field is dropped ("a,b," -> {"a", "b"}); the CSV, checkpoint and
-/// record-store readers all rely on that.
-[[nodiscard]] std::vector<std::string> split_fields(const std::string& line, char sep);
+/// Split one line of a comma- or bar-separated format at `sep` into
+/// `out` (cleared first). One trailing empty field is dropped ("a,b," ->
+/// {"a", "b"}, "a,," -> {"a", ""}, "" -> {}); the CSV, checkpoint and
+/// record-store readers all rely on that. The views point into `line`: they
+/// are valid until the caller's next read into that buffer, and a view of a
+/// temporary is refused at compile time.
+void split_fields(std::string_view line, char sep, std::vector<std::string_view>& out);
+void split_fields(std::string&& line, char sep, std::vector<std::string_view>& out) = delete;
+
+/// The same split, copied out: for cold callers that keep the fields.
+[[nodiscard]] std::vector<std::string> split_fields(std::string_view line, char sep);
 
 /// Read records back. The path catalogue is re-derived from the stored
 /// catalogue parameters line; the optional `fault_flags` column is detected

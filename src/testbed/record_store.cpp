@@ -17,6 +17,16 @@ namespace {
 /// most 3; this only bounds hostile inputs.
 constexpr std::size_t k_max_store_prefixes = 64;
 
+/// The temp file a streamed output is written to before its rename: same
+/// directory, so the rename never crosses filesystems. (atomic_write_text
+/// is not used on purpose — it buffers the full contents in memory, the
+/// exact pattern this module exists to avoid.)
+std::filesystem::path same_dir_temp(const std::filesystem::path& file) {
+    const std::filesystem::path dir =
+        file.parent_path().empty() ? std::filesystem::path(".") : file.parent_path();
+    return dir / (file.filename().string() + "." + std::to_string(::getpid()) + ".tmp");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -27,12 +37,8 @@ record_writer::record_writer(const std::filesystem::path& file, std::string fing
     : file_(file), opts_(opts) {
     TCPPRED_EXPECTS(opts_.chunk_capacity >= 1 &&
                     opts_.chunk_capacity <= k_max_chunk_capacity);
-    const std::filesystem::path dir =
-        file_.parent_path().empty() ? std::filesystem::path(".") : file_.parent_path();
-    // Same-directory temp + rename: the target is only ever observed whole.
-    // (atomic_write_text is not used here on purpose — it buffers the full
-    // contents in memory, the exact pattern this module exists to avoid.)
-    tmp_ = dir / (file_.filename().string() + "." + std::to_string(::getpid()) + ".tmp");
+    // Temp + rename: the target is only ever observed whole.
+    tmp_ = same_dir_temp(file_);
     out_.open(tmp_, std::ios::trunc | std::ios::binary);
     if (!out_) {
         throw std::runtime_error("record_writer: cannot open " + tmp_.string());
@@ -333,29 +339,28 @@ void record_reader::load_chunk() {
         return dataset_error(file_, 0, 0,
                              "chunk " + std::to_string(next_chunk_) + ": " + msg);
     };
-    std::string line;
-    if (!std::getline(in, line)) throw fail("truncated: expected chunk header");
-    {
-        const auto f = split_fields(line, ',');
-        if (f.size() != 3 || f[0] != "chunk") throw fail("expected chunk header line");
-        if (parse_u64_field("chunk index", f[1], file_, 0) != next_chunk_ ||
-            parse_u64_field("chunk count", f[2], file_, 0) != ref.count) {
-            throw fail("chunk header disagrees with footer index");
-        }
+    // Each line is read into line_ and split into views of it (fields_), so
+    // a column is decoded in place: no per-token string, and no buffer
+    // larger than one column line.
+    std::vector<std::string_view>& f = fields_;
+    if (!std::getline(in, line_)) throw fail("truncated: expected chunk header");
+    split_fields(line_, ',', f);
+    if (f.size() != 3 || f[0] != "chunk") throw fail("expected chunk header line");
+    if (parse_u64_field("chunk index", f[1], file_, 0) != next_chunk_ ||
+        parse_u64_field("chunk count", f[2], file_, 0) != ref.count) {
+        throw fail("chunk header disagrees with footer index");
     }
     const std::size_t n = ref.count;
-    const auto read_col = [&](const char* name) {
-        if (!std::getline(in, line)) {
+    // Reads column `name` and checks it holds `want` values; f[2 + i] is
+    // then value i.
+    const auto read_col = [&](const char* name, std::size_t want) {
+        if (!std::getline(in, line_)) {
             throw fail(std::string("truncated: expected column ") + name);
         }
-        auto f = split_fields(line, ',');
+        split_fields(line_, ',', f);
         if (f.size() < 2 || f[0] != "col" || f[1] != name) {
             throw fail(std::string("expected column ") + name);
         }
-        return f;
-    };
-    const auto expect_n = [&](const std::vector<std::string>& f, const char* name,
-                              std::size_t want) {
         if (f.size() != 2 + want) {
             throw fail(std::string("column ") + name + " has " +
                        std::to_string(f.size() - 2) + " values, expected " +
@@ -363,8 +368,7 @@ void record_reader::load_chunk() {
         }
     };
 
-    auto f = read_col("path");
-    expect_n(f, "path", n);
+    read_col("path", n);
     // Allocate only after an actual input line with n fields existed, so
     // memory stays proportional to the input on hostile headers.
     cur_.assign(n, epoch_record{});
@@ -372,13 +376,11 @@ void record_reader::load_chunk() {
     for (std::size_t i = 0; i < n; ++i) {
         cur_[i].path_id = parse_i32_field("path", f[2 + i], file_, 0);
     }
-    f = read_col("trace");
-    expect_n(f, "trace", n);
+    read_col("trace", n);
     for (std::size_t i = 0; i < n; ++i) {
         cur_[i].trace_id = parse_i32_field("trace", f[2 + i], file_, 0);
     }
-    f = read_col("epoch");
-    expect_n(f, "epoch", n);
+    read_col("epoch", n);
     for (std::size_t i = 0; i < n; ++i) {
         cur_[i].epoch_index = parse_i32_field("epoch", f[2 + i], file_, 0);
     }
@@ -401,26 +403,22 @@ void record_reader::load_chunk() {
         {"sim_time_s", &epoch_measurement::sim_time_s},
     };
     for (const auto& dc : dcols) {
-        f = read_col(dc.name);
-        expect_n(f, dc.name, n);
+        read_col(dc.name, n);
         for (std::size_t i = 0; i < n; ++i) {
             cur_[i].m.*dc.field = parse_hexd(f[2 + i], file_, 0);
         }
     }
 
-    f = read_col("events");
-    expect_n(f, "events", n);
+    read_col("events", n);
     for (std::size_t i = 0; i < n; ++i) {
         cur_[i].m.events = parse_u64_field("events", f[2 + i], file_, 0);
     }
-    f = read_col("fault_flags");
-    expect_n(f, "fault_flags", n);
+    read_col("fault_flags", n);
     for (std::size_t i = 0; i < n; ++i) {
         cur_[i].m.fault_flags = static_cast<std::uint32_t>(
             parse_u64_field("fault_flags", f[2 + i], file_, 0, UINT32_MAX));
     }
-    f = read_col("n_prefix");
-    expect_n(f, "n_prefix", n);
+    read_col("n_prefix", n);
     std::vector<std::size_t> np(n);
     std::size_t prefix_sum = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -428,8 +426,7 @@ void record_reader::load_chunk() {
             parse_u64_field("n_prefix", f[2 + i], file_, 0, k_max_store_prefixes));
         prefix_sum += np[i];
     }
-    f = read_col("prefix");
-    expect_n(f, "prefix", 2 * prefix_sum);
+    read_col("prefix", 2 * prefix_sum);
     std::size_t at = 2;
     for (std::size_t i = 0; i < n; ++i) {
         cur_[i].m.prefix_goodputs.reserve(np[i]);
@@ -445,10 +442,30 @@ void record_reader::load_chunk() {
 
 bool record_reader::next(epoch_record& out) {
     while (cur_pos_ >= cur_.size()) {
-        if (next_chunk_ >= chunks_.size()) return false;
+        if (next_chunk_ >= chunks_.size()) {
+            // The footer's counts drive store_to_csv's fault_flags column
+            // and the analysis report, so they must be the records' own.
+            if (seen_traces_ != n_traces_ || seen_faulted_ != n_faulted_) {
+                throw dataset_error(
+                    file_, 0, 0,
+                    "footer counts disagree with the records: footer has " +
+                        std::to_string(n_traces_) + " traces, " +
+                        std::to_string(n_faulted_) + " faulted; records have " +
+                        std::to_string(seen_traces_) + " traces, " +
+                        std::to_string(seen_faulted_) + " faulted");
+            }
+            return false;
+        }
         load_chunk();
     }
     out = std::move(cur_[cur_pos_++]);
+    // Counted the way record_writer counts them: (path, trace) transitions.
+    if (seen_traces_ == 0 || out.path_id != last_path_ || out.trace_id != last_trace_) {
+        ++seen_traces_;
+        last_path_ = out.path_id;
+        last_trace_ = out.trace_id;
+    }
+    if (out.m.fault_flags != fault_none) ++seen_faulted_;
     return true;
 }
 
@@ -456,18 +473,34 @@ bool record_reader::next(epoch_record& out) {
 // store -> CSV conversion
 
 void store_to_csv(record_reader& in, const std::filesystem::path& csv_file) {
-    std::ofstream out(csv_file);
-    if (!out) {
-        throw std::runtime_error("store_to_csv: cannot open " + csv_file.string());
-    }
-    for (const std::string& line : in.catalog_lines()) out << line << '\n';
-    const bool any_faults = in.any_faults();
-    write_csv_header(out, any_faults);
-    epoch_record rec;
-    while (in.next(rec)) write_csv_record(out, rec, any_faults);
-    out.flush();
-    if (!out) {
-        throw std::runtime_error("store_to_csv: write failed on " + csv_file.string());
+    // Published the way record_writer publishes a store: the reader checks
+    // the footer's counts only at the end, so a rejected store must not
+    // leave a half-written CSV behind.
+    const std::filesystem::path tmp = same_dir_temp(csv_file);
+    try {
+        std::ofstream out(tmp);
+        if (!out) {
+            throw std::runtime_error("store_to_csv: cannot open " + csv_file.string());
+        }
+        for (const std::string& line : in.catalog_lines()) out << line << '\n';
+        const bool any_faults = in.any_faults();
+        write_csv_header(out, any_faults);
+        epoch_record rec;
+        while (in.next(rec)) write_csv_record(out, rec, any_faults);
+        out.close();
+        if (!out) {
+            throw std::runtime_error("store_to_csv: write failed on " + csv_file.string());
+        }
+        std::error_code ec;
+        std::filesystem::rename(tmp, csv_file, ec);
+        if (ec) {
+            throw std::runtime_error("store_to_csv: cannot rename " + tmp.string() +
+                                     " into " + csv_file.string());
+        }
+    } catch (...) {
+        std::error_code ignore;
+        std::filesystem::remove(tmp, ignore);
+        throw;
     }
 }
 

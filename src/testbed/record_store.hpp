@@ -22,6 +22,7 @@
 #include <functional>
 #include <istream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -94,8 +95,11 @@ private:
 /// Sequential store reader: validates the footer index and header up front
 /// (including the fingerprint when `expected_fingerprint` is non-empty;
 /// empty accepts any campaign), then streams records in linear order with
-/// O(chunk_capacity) memory. Every malformed input throws dataset_error —
-/// this is an untrusted-input parser (fuzzed by fuzz_record_store).
+/// O(chunk_capacity) memory. The footer's trace and fault counts are
+/// checked against the records at the end of the stream: the next() that
+/// would return false throws instead when they disagree. Every malformed
+/// input throws dataset_error — this is an untrusted-input parser (fuzzed
+/// by fuzz_record_store).
 class record_reader {
 public:
     explicit record_reader(const std::filesystem::path& file,
@@ -105,14 +109,17 @@ public:
     record_reader(std::istream& in, std::filesystem::path context,
                   const std::string& expected_fingerprint = {});
 
-    /// Fill `out` with the next record; false at end of store.
+    /// Fill `out` with the next record; false at end of store. Throws
+    /// dataset_error at the end when the footer's counts are not the
+    /// records' own.
     [[nodiscard]] bool next(epoch_record& out);
 
     [[nodiscard]] const std::string& fingerprint() const noexcept { return fingerprint_; }
     [[nodiscard]] std::size_t total() const noexcept { return total_; }
-    /// Distinct (path, trace) pairs among the records.
+    /// Distinct (path, trace) pairs among the records, as the footer
+    /// claims (verified once next() has streamed every record).
     [[nodiscard]] std::size_t n_traces() const noexcept { return n_traces_; }
-    /// Records carrying a nonzero fault_flags.
+    /// Records carrying a nonzero fault_flags, as the footer claims.
     [[nodiscard]] std::size_t n_faulted() const noexcept { return n_faulted_; }
     [[nodiscard]] bool any_faults() const noexcept { return n_faulted_ > 0; }
     [[nodiscard]] std::size_t chunk_capacity() const noexcept { return chunk_capacity_; }
@@ -143,13 +150,23 @@ private:
     std::size_t cur_pos_{0};
     std::size_t next_chunk_{0};
     std::size_t line_no_{0};          // during sequential (header/chunk) reads
+    std::string line_;                     // the column line being decoded
+    std::vector<std::string_view> fields_; // views into line_
+    // What next() has streamed, checked against the footer at the end.
+    std::size_t seen_traces_{0};
+    std::size_t seen_faulted_{0};
+    int last_path_{0};
+    int last_trace_{0};
 };
 
 /// Convert a store to the legacy v1 analysis CSV, streaming (O(chunk)
 /// memory). Byte-identical to save_csv over the same records: catalogue
 /// lines are copied verbatim and records go through the shared
 /// write_csv_record emitter; the optional fault_flags column is driven by
-/// the footer's fault count, exactly as save_csv's any-fault scan would.
+/// the footer's fault count, exactly as save_csv's any-fault scan would
+/// (the reader verifies that count at the end). The CSV goes to a
+/// same-directory temp file renamed into place on success, so a rejected
+/// store leaves nothing at `csv_file`.
 void store_to_csv(record_reader& in, const std::filesystem::path& csv_file);
 
 /// sweep_campaign (campaign.hpp) with record_writer::append as its sink: a

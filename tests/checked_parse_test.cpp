@@ -2,13 +2,37 @@
 // unsigned / double parsing with typed rejection. These are the semantics
 // every CLI flag, environment knob and daemon request field now shares —
 // the "atoi returns 0" failure mode this layer replaces must stay dead.
+//
+// The token tables below pin the std::from_chars fast paths inside
+// parse_checked_int, parse_checked_u64 and testbed::parse_hexd to the
+// strtoll / strtoull / strtod parsers they replaced, kept verbatim in
+// namespace strto_reference: the same accept/reject decision, the same
+// bits (NaN sign included) and the same message, token by token, and again
+// through a record store carrying the token. The field splitter's rule
+// cases sit beside them.
 #include "core/checked_parse.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "testbed/checkpoint.hpp"
+#include "testbed/dataset.hpp"
+#include "testbed/record_store.hpp"
 
 using namespace tcppred::core;
 
@@ -84,4 +108,337 @@ TEST(parse_checked_double, rejects_nonfinite_partial_and_out_of_range) {
     EXPECT_THROW((void)parse_checked_double("--t", "", 0.0, 1e9), parse_error);
     EXPECT_THROW((void)parse_checked_double("--t", "-0.1", 0.0, 1e9), parse_error);
     EXPECT_THROW((void)parse_checked_double("--t", "1e10", 0.0, 1e9), parse_error);
+}
+
+// ---------------------------------------------------------------------------
+// Token-level equivalence with the strto* parsers
+
+namespace strto_reference {
+
+// The whole-token parsers as they were before the from_chars fast paths,
+// verbatim apart from the namespace: the reference every token is held to.
+
+[[noreturn]] void reject(std::string_view knob, std::string_view text,
+                         const std::string& reason) {
+    throw parse_error(std::string(knob), std::string(text), reason);
+}
+
+template <typename Value, typename Fn>
+Value strto_whole(std::string_view knob, std::string_view text, Fn fn,
+                  const char* what) {
+    if (text.empty()) reject(knob, text, std::string("expected ") + what);
+    // strto* skip leading whitespace; the whole-token contract does not.
+    if (std::isspace(static_cast<unsigned char>(text.front()))) {
+        reject(knob, text, std::string("expected ") + what);
+    }
+    const std::string buf(text);
+    errno = 0;
+    char* end = nullptr;
+    const Value v = fn(buf.c_str(), &end);
+    if (end != buf.c_str() + buf.size() || end == buf.c_str()) {
+        reject(knob, text, std::string("expected ") + what);
+    }
+    if (errno == ERANGE) reject(knob, text, "value overflows");
+    return v;
+}
+
+std::string range_msg(const std::string& lo, const std::string& hi) {
+    return "expected a value in [" + lo + ", " + hi + "]";
+}
+
+std::int64_t parse_checked_int(std::string_view knob, std::string_view text,
+                               std::int64_t min, std::int64_t max) {
+    const long long v = strto_whole<long long>(
+        knob, text, [](const char* s, char** end) { return std::strtoll(s, end, 10); },
+        "an integer");
+    if (v < min || v > max) {
+        reject(knob, text, range_msg(std::to_string(min), std::to_string(max)));
+    }
+    return v;
+}
+
+std::uint64_t parse_checked_u64(std::string_view knob, std::string_view text,
+                                std::uint64_t min, std::uint64_t max) {
+    // strtoull silently negates "-1"; forbid the sign before parsing.
+    if (!text.empty() && (text.front() == '-' || text.front() == '+')) {
+        reject(knob, text, "expected an unsigned integer");
+    }
+    const unsigned long long v = strto_whole<unsigned long long>(
+        knob, text, [](const char* s, char** end) { return std::strtoull(s, end, 10); },
+        "an unsigned integer");
+    if (v < min || v > max) {
+        reject(knob, text, range_msg(std::to_string(min), std::to_string(max)));
+    }
+    return v;
+}
+
+double parse_hexd(const std::string& s, const std::filesystem::path& file,
+                  std::size_t line_no) {
+    char* end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || *end != '\0') {
+        throw tcppred::testbed::dataset_error(file, line_no, 0,
+                                              "bad hexfloat field \"" + s + "\"");
+    }
+    return v;
+}
+
+}  // namespace strto_reference
+
+namespace {
+
+using tcppred::testbed::dataset_error;
+
+/// What one parse did: accepted with these bytes, or threw this message.
+struct outcome {
+    bool ok{false};
+    std::uint64_t bits{0};
+    std::string what;
+};
+
+template <typename Error, typename Fn>
+outcome run_parse(Fn fn) {
+    try {
+        const auto v = fn();
+        outcome o{true, 0, {}};
+        static_assert(sizeof(v) <= sizeof(o.bits));
+        std::memcpy(&o.bits, &v, sizeof(v));
+        return o;
+    } catch (const Error& e) {
+        return {false, 0, e.what()};
+    }
+}
+
+/// The token as a printable test label (embedded NULs and spaces shown).
+std::string label(std::string_view t) {
+    std::string out = "\"";
+    for (const char c : t) out += c == '\0' ? std::string("\\0") : std::string(1, c);
+    return out + "\"";
+}
+
+void expect_same(const outcome& got, const outcome& want, std::string_view token,
+                 const char* parser) {
+    SCOPED_TRACE(std::string(parser) + " on " + label(token));
+    EXPECT_EQ(got.ok, want.ok);
+    EXPECT_EQ(got.bits, want.bits) << std::hex << got.bits << " vs " << want.bits;
+    EXPECT_EQ(got.what, want.what);
+}
+
+using namespace std::string_literals;
+
+const std::vector<std::string> k_int_tokens = {
+    "0", "5", "42", "-7", "+5", "-0", "+0", "007", "-007", " 5", "5 ", "\t5", "5\n",
+    "1 2", "12x", "x12", "0x10", "3.5", "1e3", "", "-", "+", "--5", "-+5", "-1",
+    "2147483647", "2147483648", "-2147483648", "-2147483649", "4294967295",
+    "4294967296", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808", "-9223372036854775809", "18446744073709551615",
+    "18446744073709551616", "99999999999999999999", "-99999999999999999999",
+    "000000000000000000000000000001", "5\0"s, "5\0" "7"s};
+
+const std::vector<std::string> k_double_tokens = {
+    // Every form "%a" prints.
+    "0x1p+0", "0x1.8p+1", "-0x1.921fb54442d18p+1", "0x1.fffffffffffffp+1023",
+    "0x1p-1022", "0x0p+0", "-0x0p+0", "0x0.0000000000001p-1022",
+    "-0x0.fffffffffffffp-1022", "nan", "-nan", "inf", "-inf",
+    // After "0x", std::from_chars(hex) alone would take these; strtod not.
+    "0x-1", "-0x-1", "0xinf", "0xnan", "-0xinf", "0x+1", "0x.8p+0", "0x",
+    // Valid for strtod but not canonical: the checked path decodes them.
+    "0X1P+0", " 0x1p+0", "+0x1p+0", "1.5", "-2.5e-3", "1e10", "0xABCp-3",
+    "0xabc.defp+10", "0x1.p+0", "0x1P+0", "NAN", "Inf", "infinity", "nan(123)",
+    "+nan", "+inf",
+    // Out of range and long mantissas.
+    "0x1p+99999", "-0x1p+99999", "0x1p-1075", "0x1p-1074", "0x1p-99999",
+    "0x1.fffffffffffff8p+0", "0x1.000000000000081p+0", "0x1.00000000000008p+0",
+    "0x1.00000000000018p+0", "0x1.0000000000000000000000000000001p+0",
+    // Rejected.
+    "0x1p", "0x1p+", "12x", "0x1p+0x", "0x1p+0 ", "0x1g", "--0x1p+0", "-", "",
+    "-nan(1", "0x1p+0\0junk"s, "nan\0"s};
+
+}  // namespace
+
+TEST(checked_parse_equivalence, integer_tokens_match_strtoll_and_strtoull) {
+    constexpr auto i64_min = std::numeric_limits<std::int64_t>::min();
+    constexpr auto i64_max = std::numeric_limits<std::int64_t>::max();
+    constexpr auto u64_max = std::numeric_limits<std::uint64_t>::max();
+    for (const std::string& t : k_int_tokens) {
+        // The record store's i32 and u64 field ranges, and the full ones.
+        const std::pair<std::int64_t, std::int64_t> ranges[] = {
+            {INT32_MIN, INT32_MAX}, {i64_min, i64_max}, {1, 1000}};
+        for (const auto& [lo, hi] : ranges) {
+            expect_same(
+                run_parse<parse_error>([&] { return parse_checked_int("--k", t, lo, hi); }),
+                run_parse<parse_error>(
+                    [&] { return strto_reference::parse_checked_int("--k", t, lo, hi); }),
+                t, "parse_checked_int");
+        }
+        for (const std::uint64_t hi : {u64_max, std::uint64_t{UINT32_MAX}, std::uint64_t{64}}) {
+            expect_same(
+                run_parse<parse_error>([&] { return parse_checked_u64("--k", t, 0, hi); }),
+                run_parse<parse_error>(
+                    [&] { return strto_reference::parse_checked_u64("--k", t, 0, hi); }),
+                t, "parse_checked_u64");
+        }
+    }
+}
+
+TEST(checked_parse_equivalence, hexfloat_tokens_match_strtod_bitwise) {
+    const std::filesystem::path file = "tokens.store";
+    for (const std::string& t : k_double_tokens) {
+        expect_same(run_parse<dataset_error>(
+                        [&] { return tcppred::testbed::parse_hexd(t, file, 7); }),
+                    run_parse<dataset_error>(
+                        [&] { return strto_reference::parse_hexd(t, file, 7); }),
+                    t, "parse_hexd");
+    }
+    // Every token hexd() prints takes the fast path; spot-check that the
+    // table's canonical tokens are really what hexd() emits.
+    EXPECT_EQ(tcppred::testbed::hexd(-std::numeric_limits<double>::quiet_NaN()), "-nan");
+    EXPECT_EQ(tcppred::testbed::hexd(-0.0), "-0x0p+0");
+    EXPECT_EQ(tcppred::testbed::hexd(std::numeric_limits<double>::denorm_min()),
+              "0x0.0000000000001p-1022");
+}
+
+namespace {
+
+/// A two-chunk store (3 records, chunk capacity 2) whose text is then
+/// edited: column `col`'s first value in chunk 0 becomes `token`, and every
+/// offset after it — the chunkoff lines and the end line — is rebuilt so
+/// only the token differs from a well-formed store.
+std::string store_with_token(const std::string& col, const std::string& token) {
+    static const std::string base = [] {
+        const auto file = std::filesystem::temp_directory_path() /
+                          ("tcppred_checked_parse_" + std::to_string(::getpid()) + ".store");
+        {
+            tcppred::testbed::record_writer w(file, "fp", {"#path,0,p,us,1e6,0.1,50,0.5,1"},
+                                              tcppred::testbed::store_options{2});
+            for (int i = 0; i < 3; ++i) {
+                tcppred::testbed::epoch_record r;
+                r.epoch_index = i;
+                r.m.phat = 0.25 * (i + 1);
+                r.m.events = 100 + static_cast<std::uint64_t>(i);
+                w.append(r);
+            }
+            w.finish();
+        }
+        std::ifstream in(file, std::ios::binary);
+        std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+        std::filesystem::remove(file);
+        return text;
+    }();
+
+    std::istringstream in(base);
+    std::string out;
+    std::vector<std::uint64_t> chunk_offsets;
+    std::uint64_t footer_off = 0;
+    bool replaced = false;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("chunk,", 0) == 0) chunk_offsets.push_back(out.size());
+        if (line.rfind("footer,", 0) == 0) footer_off = out.size();
+        const std::string prefix = "col," + col + ",";
+        if (!replaced && line.rfind(prefix, 0) == 0) {
+            const std::size_t value_end = line.find(',', prefix.size());
+            line = prefix + token + line.substr(value_end);
+            replaced = true;
+        }
+        if (line.rfind("chunkoff,", 0) == 0) {
+            const auto f = tcppred::testbed::split_fields(line, ',');
+            const std::size_t i = std::stoul(f[1]);
+            line = "chunkoff," + f[1] + "," + std::to_string(chunk_offsets.at(i)) + "," + f[3];
+        }
+        if (line.rfind("end,", 0) == 0) line = "end," + std::to_string(footer_off);
+        out += line + '\n';
+    }
+    EXPECT_TRUE(replaced) << col;
+    return out;
+}
+
+/// Stream every record of `text` (so every end-of-store check runs too)
+/// and return what `field` reads from the first: the edited value.
+template <typename Get>
+outcome decode_first(const std::string& text, Get field) {
+    return run_parse<dataset_error>([&] {
+        std::istringstream in(text);
+        tcppred::testbed::record_reader reader(in, "tokens.store");
+        tcppred::testbed::epoch_record rec;
+        decltype(field(rec)) first{};
+        std::size_t n = 0;
+        while (reader.next(rec)) {
+            if (n++ == 0) first = field(rec);
+        }
+        EXPECT_EQ(n, 3u);
+        return first;
+    });
+}
+
+/// A checked-parse rejection as the reader reports it: a dataset_error
+/// naming the store, line and column 0.
+outcome as_store_error(outcome o) {
+    if (!o.ok) o.what = "tokens.store:0:0: " + o.what;
+    return o;
+}
+
+}  // namespace
+
+TEST(checked_parse_equivalence, store_accepts_exactly_what_strto_accepts) {
+    using tcppred::testbed::epoch_record;
+    const std::filesystem::path file = "tokens.store";
+    // The unedited store decodes, so each rejection below is the token's.
+    ASSERT_TRUE(
+        decode_first(store_with_token("phat", "0x1p-2"), [](const epoch_record& r) {
+            return r.m.phat;
+        }).ok);
+
+    for (const std::string& t : k_double_tokens) {
+        expect_same(decode_first(store_with_token("phat", t),
+                                 [](const epoch_record& r) { return r.m.phat; }),
+                    run_parse<dataset_error>(
+                        [&] { return strto_reference::parse_hexd(t, file, 0); }),
+                    t, "record_reader phat");
+    }
+    for (const std::string& t : k_int_tokens) {
+        // A separator inside a token changes the line's shape, not a field.
+        if (t.find_first_of(",\n") != std::string::npos) continue;
+        expect_same(decode_first(store_with_token("events", t),
+                                 [](const epoch_record& r) { return r.m.events; }),
+                    as_store_error(run_parse<parse_error>([&] {
+                        return strto_reference::parse_checked_u64("events", t, 0,
+                                                                  UINT64_MAX);
+                    })),
+                    t, "record_reader events");
+        expect_same(decode_first(store_with_token("epoch", t),
+                                 [](const epoch_record& r) { return r.epoch_index; }),
+                    as_store_error(run_parse<parse_error>([&] {
+                        return static_cast<int>(strto_reference::parse_checked_int(
+                            "epoch", t, INT32_MIN, INT32_MAX));
+                    })),
+                    t, "record_reader epoch");
+    }
+}
+
+TEST(split_fields, drops_one_trailing_empty_field) {
+    using tcppred::testbed::split_fields;
+    const auto split = [](std::string_view line) {
+        std::vector<std::string_view> views;
+        split_fields(line, ',', views);
+        const std::vector<std::string> copied = split_fields(line, ',');
+        EXPECT_EQ(copied.size(), views.size()) << line;
+        for (std::size_t i = 0; i < views.size() && i < copied.size(); ++i) {
+            EXPECT_EQ(copied[i], views[i]) << line;
+        }
+        return std::vector<std::string>(views.begin(), views.end());
+    };
+    using v = std::vector<std::string>;
+    EXPECT_EQ(split("a,b,"), (v{"a", "b"}));
+    EXPECT_EQ(split("a,,"), (v{"a", ""}));
+    EXPECT_EQ(split(""), v{});
+    EXPECT_EQ(split(","), (v{""}));
+    EXPECT_EQ(split(",a"), (v{"", "a"}));
+    EXPECT_EQ(split("a,,b"), (v{"a", "", "b"}));
+    EXPECT_EQ(split("a"), (v{"a"}));
+    EXPECT_EQ(split(" a , b "), (v{" a ", " b "}));
+
+    // The view form reuses the caller's vector: it is cleared, not appended to.
+    std::vector<std::string_view> views{"stale"};
+    split_fields(std::string_view("x|y"), '|', views);
+    EXPECT_EQ(views, (std::vector<std::string_view>{"x", "y"}));
 }

@@ -286,6 +286,23 @@ check_exit "--from-store plus dataset is a usage error" 1 $?
 "$ANALYZE" --from-store "$WORK/does-not-exist.store" >/dev/null 2>&1
 check_exit "--from-store missing store" 2 $?
 
+# A footer fault count rewritten at the same byte length keeps every offset
+# valid. The reader still catches it at the end of the stream: --convert
+# exits 2 and publishes nothing (the flags of the faulted epochs would be
+# lost), and --from-store does not report the footer's counts.
+"$CAMPAIGN" --paths 3 --traces 1 --epochs 8 --transfer-s 2 --cross-model fluid \
+    --faults pathload=0.5,abort=0.3 --out "$WORK/f.store" --format store >/dev/null 2>&1
+check_exit "faulted store campaign" 0 $?
+awk -F, -v OFS=, '/^footer,/ { gsub(/[0-9]/, "0", $4) } { print }' \
+    "$WORK/f.store" >"$WORK/zf.store"
+cmp -s "$WORK/f.store" "$WORK/zf.store" && { echo "FAIL: store has no faulted epochs to hide"; FAILURES=$((FAILURES+1)); }
+"$CAMPAIGN" --convert "$WORK/zf.store" --out "$WORK/zf.csv" >/dev/null 2>"$WORK/zf.err"
+check_exit "--convert of a store with a tampered footer count" 2 $?
+grep -q "footer counts" "$WORK/zf.err" || { echo "FAIL: tampered footer error does not name the footer"; FAILURES=$((FAILURES+1)); }
+ls "$WORK"/zf.csv* >/dev/null 2>&1 && { echo "FAIL: rejected --convert left an output file"; FAILURES=$((FAILURES+1)); }
+"$ANALYZE" --from-store "$WORK/zf.store" >/dev/null 2>&1
+check_exit "--from-store of a store with a tampered footer count" 2 $?
+
 # Resume under a changed seed: refused, and the error names the field.
 "$CAMPAIGN" $TINY --out "$WORK/mm.csv" --shard 0/2 >/dev/null 2>&1
 "$CAMPAIGN" $TINY --out "$WORK/mm.csv" --shard 0/2 --seed 99 --resume >/dev/null 2>"$WORK/mm.err"

@@ -159,6 +159,54 @@ TEST_F(record_store, footer_counts_match_dataset) {
     EXPECT_TRUE(r.any_faults());
 }
 
+TEST_F(record_store, footer_counts_are_checked_at_the_end_of_the_stream) {
+    // The footer's trace or fault count rewritten at the same byte length
+    // keeps every offset valid, so the store opens. Streaming it to the end
+    // must still catch the lie, and store_to_csv — whose fault_flags column
+    // follows the footer — must then publish nothing.
+    const auto cfg = faulty_config();
+    const testbed::dataset data = testbed::run_campaign(cfg);
+    const std::string whole =
+        read_file(write_store(data, testbed::campaign_fingerprint(cfg), 4));
+    const std::size_t footer_at = whole.rfind("\nfooter,") + 1;
+    const std::size_t footer_end = whole.find('\n', footer_at);
+    const auto footer =
+        testbed::split_fields(whole.substr(footer_at, footer_end - footer_at), ',');
+    ASSERT_EQ(footer.size(), 5u);
+    ASSERT_NE(footer[3], std::string(footer[3].size(), '0')) << "no faulted epochs";
+
+    for (const std::size_t field : {std::size_t{2}, std::size_t{3}}) {
+        std::vector<std::string> f = footer;
+        f[field] = std::string(f[field].size(), '0');
+        const std::string line = f[0] + ',' + f[1] + ',' + f[2] + ',' + f[3] + ',' + f[4];
+        const auto p = dir_ / "tampered.store";
+        {
+            std::ofstream out(p, std::ios::binary | std::ios::trunc);
+            out << whole.substr(0, footer_at) << line << whole.substr(footer_end);
+        }
+
+        testbed::record_reader r(p);
+        testbed::epoch_record rec;
+        std::size_t streamed = 0;
+        try {
+            while (r.next(rec)) ++streamed;
+            FAIL() << "tampered footer field " << field << " accepted";
+        } catch (const testbed::dataset_error& e) {
+            EXPECT_NE(std::string(e.what()).find("footer counts"), std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(streamed, data.records.size());
+
+        testbed::record_reader again(p);
+        const auto csv = dir_ / "tampered.csv";
+        EXPECT_THROW(testbed::store_to_csv(again, csv), testbed::dataset_error);
+        EXPECT_FALSE(std::filesystem::exists(csv));
+        for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+            EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+        }
+    }
+}
+
 TEST_F(record_store, store_to_csv_matches_save_csv_bytes) {
     // Both the fault-free shape (no fault_flags column) and the faulted one
     // (column present) must convert byte-identically.

@@ -9,10 +9,10 @@
 set -u
 
 SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
-BENCH_DIR="${1:-$SRC_DIR/build/bench}"
+BIN_DIR="${1:-$SRC_DIR/build/bench}"
 
-if [ ! -d "$BENCH_DIR" ]; then
-    echo "bench_smoke.sh: bench directory not found: $BENCH_DIR" >&2
+if [ ! -d "$BIN_DIR" ]; then
+    echo "bench_smoke.sh: bench directory not found: $BIN_DIR" >&2
     exit 1
 fi
 
@@ -21,7 +21,7 @@ export REPRO_SCALE=tiny
 
 ran=0
 failed=0
-for bench in "$BENCH_DIR"/fig* "$BENCH_DIR"/ablation_*; do
+for bench in "$BIN_DIR"/fig* "$BIN_DIR"/ablation_*; do
     [ -x "$bench" ] || continue
     name="$(basename "$bench")"
     if "$bench" >/dev/null 2>"/tmp/bench_smoke_$name.err"; then
@@ -36,7 +36,7 @@ for bench in "$BENCH_DIR"/fig* "$BENCH_DIR"/ablation_*; do
 done
 
 if [ "$ran" -eq 0 ]; then
-    echo "bench_smoke.sh: no fig*/ablation_* benches found in $BENCH_DIR" >&2
+    echo "bench_smoke.sh: no fig*/ablation_* benches found in $BIN_DIR" >&2
     exit 1
 fi
 if [ "$failed" -ne 0 ]; then

@@ -1,7 +1,8 @@
 // tcppred_loadgen — replay a campaign record store against a running
 // tcppred_serve daemon, and/or compute the offline reference with
-// analysis::evaluation_engine — the equivalence harness and throughput
-// bench for the serve layer (DESIGN.md §17).
+// analysis::evaluation_engine — the equivalence harness for the serve layer
+// (DESIGN.md §17). Serve throughput and latency are measured by the
+// benchmark harness (bench/perf/), not here.
 //
 // Each (path, trace) series of the store is replayed as daemon path
 // "p<path>.t<trace>" in sorted trace order (the order dataset::traces()
@@ -27,7 +28,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,8 +64,6 @@ void usage(const char* argv0) {
                  "  --offline FILE     write the offline engine's prediction lines\n"
                  "                     (no daemon needed when --socket/--port are\n"
                  "                     absent)\n"
-                 "  --bench FILE       write BENCH_serve.json-style throughput and\n"
-                 "                     latency stats for the live replay\n"
                  "  --start N          first trace (sorted order) to replay\n"
                  "  --count N          number of traces to replay (default: rest)\n",
                  argv0);
@@ -182,13 +180,6 @@ void emit_pred(std::ostream& out, const std::string& spec_name, int path_id,
         << epoch_index << ',' << hex_value << '\n';
 }
 
-double percentile(std::vector<double>& sorted_samples, double q) {
-    if (sorted_samples.empty()) return 0.0;
-    const auto i = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted_samples.size())));
-    return sorted_samples[std::min(i == 0 ? 0 : i - 1, sorted_samples.size() - 1)];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -198,7 +189,6 @@ int main(int argc, char** argv) {
     std::string specs_list = "fb:pftk";
     std::string out_file;
     std::string offline_file;
-    std::string bench_file;
     std::size_t start_trace = 0;
     std::int64_t count_traces = -1;
 
@@ -227,8 +217,6 @@ int main(int argc, char** argv) {
                 out_file = next();
             } else if (arg == "--offline") {
                 offline_file = next();
-            } else if (arg == "--bench") {
-                bench_file = next();
             } else if (arg == "--start") {
                 start_trace = static_cast<std::size_t>(checked_int(0, 1000000000));
             } else if (arg == "--count") {
@@ -346,7 +334,6 @@ int main(int argc, char** argv) {
                 out = std::make_unique<std::ofstream>(out_file);
                 if (!*out) throw std::runtime_error("cannot write " + out_file);
             }
-            std::vector<double> predict_latencies_s;
             std::uint64_t observations = 0;
             std::uint64_t predictions = 0;
             const obs::stopwatch wall;
@@ -375,10 +362,8 @@ int main(int argc, char** argv) {
                     const double actual =
                         analysis::view_of_record(*rec).actual_bps;
                     for (std::size_t j = 0; j < specs.size(); ++j) {
-                        const obs::stopwatch lat;
                         const std::string presp = conn.roundtrip(
                             "PREDICT " + path_key + " " + specs[j]);
-                        predict_latencies_s.push_back(lat.elapsed_s());
                         ++predictions;
                         const std::vector<std::string> f = split_ws(presp);
                         if (f.size() != 6 || f[0] != "OK") {
@@ -401,31 +386,6 @@ int main(int argc, char** argv) {
                          static_cast<unsigned long long>(observations),
                          static_cast<unsigned long long>(predictions), wall_s,
                          wall_s > 0 ? static_cast<double>(predictions) / wall_s : 0.0);
-
-            if (!bench_file.empty()) {
-                std::sort(predict_latencies_s.begin(), predict_latencies_s.end());
-                const double p50_us = percentile(predict_latencies_s, 0.50) * 1e6;
-                const double p99_us = percentile(predict_latencies_s, 0.99) * 1e6;
-                std::ofstream bj(bench_file);
-                if (!bj) throw std::runtime_error("cannot write " + bench_file);
-                bj << "{\n"
-                   << "  \"schema\": \"tcppred-bench-serve-v1\",\n"
-                   << "  \"specs\": [";
-                for (std::size_t j = 0; j < names.size(); ++j) {
-                    bj << (j ? ", " : "") << '"' << names[j] << '"';
-                }
-                bj << "],\n"
-                   << "  \"observations\": " << observations << ",\n"
-                   << "  \"predictions\": " << predictions << ",\n"
-                   << "  \"wall_s\": " << wall_s << ",\n"
-                   << "  \"predictions_per_s\": "
-                   << (wall_s > 0 ? static_cast<double>(predictions) / wall_s : 0.0)
-                   << ",\n"
-                   << "  \"predict_p50_us\": " << p50_us << ",\n"
-                   << "  \"predict_p99_us\": " << p99_us << "\n"
-                   << "}\n";
-                std::fprintf(stderr, "bench stats written to %s\n", bench_file.c_str());
-            }
         }
     } catch (const core::predictor_spec_error& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
