@@ -209,7 +209,7 @@ outcome run_parse(Fn fn) {
     }
 }
 
-/// The token as a printable test label (embedded NULs and spaces shown).
+/// The token as a printable test label, embedded NULs escaped.
 std::string label(std::string_view t) {
     std::string out = "\"";
     for (const char c : t) out += c == '\0' ? std::string("\\0") : std::string(1, c);

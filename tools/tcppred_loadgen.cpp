@@ -1,8 +1,7 @@
 // tcppred_loadgen — replay a campaign record store against a running
 // tcppred_serve daemon, and/or compute the offline reference with
 // analysis::evaluation_engine — the equivalence harness for the serve layer
-// (DESIGN.md §17). Serve throughput and latency are measured by the
-// benchmark harness (bench/perf/), not here.
+// (DESIGN.md §17).
 //
 // Each (path, trace) series of the store is replayed as daemon path
 // "p<path>.t<trace>" in sorted trace order (the order dataset::traces()
