@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -24,14 +23,41 @@ std::string hexd(double v) {
     return buf;
 }
 
+namespace {
+
+/// True when `t` has the shape "%a" prints for a finite double: "0x", a
+/// leading 0 or 1, optionally '.' and 1 to 13 hex digits, 'p', one sign and
+/// decimal digits — at most 53 significant bits. In that shape
+/// std::from_chars(hex) on the part after "0x" decodes strtod's bits.
+/// Outside it, it takes what strtod stops at ("-1", "inf", "nan", "-.8p+0"
+/// after "0x"; a doubled exponent sign, "0x1p+-7") and rounds wider
+/// mantissas in the subnormal range differently.
+bool printed_hexfloat(std::string_view t) {
+    const auto hex = [](char c) { return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'); };
+    if (t.size() < 6 || t[0] != '0' || t[1] != 'x' || (t[2] != '0' && t[2] != '1')) {
+        return false;
+    }
+    std::size_t i = 3;
+    if (t[i] == '.') {
+        do ++i;
+        while (i < t.size() && hex(t[i]));
+        if (i == 4 || i > 4 + 13) return false;
+    }
+    if (i + 2 >= t.size() || t[i] != 'p' || (t[i + 1] != '+' && t[i + 1] != '-')) {
+        return false;
+    }
+    return std::all_of(t.begin() + static_cast<std::ptrdiff_t>(i + 2), t.end(),
+                       [](char c) { return c >= '0' && c <= '9'; });
+}
+
+}  // namespace
+
 double parse_hexd(std::string_view s, const std::filesystem::path& file,
                   std::size_t line_no) {
-    // Fast path: exactly the forms "%a" prints — [-]0x<hex digit>..., [-]nan,
-    // [-]inf — decoded in place. The hex digit after "0x" is the guard:
-    // std::from_chars(hex) alone would also take "-1", "inf" and "nan"
-    // there, and accept "0x-1", "0xinf" and "0xnan", which strtod stops at
-    // the 'x'. Every other token, and a mantissa from_chars does not consume
-    // whole (e.g. an exponent out of range), takes the strtod path below.
+    // Fast path: the forms "%a" prints — [-]nan, [-]inf and
+    // [-]<printed_hexfloat> — decoded in place. Every other token, and one
+    // from_chars does not decode whole (an exponent out of range), takes the
+    // strtod path below, which decides what is accepted and the message.
     std::string_view t = s;
     const bool neg = !t.empty() && t.front() == '-';
     if (neg) t.remove_prefix(1);
@@ -40,8 +66,7 @@ double parse_hexd(std::string_view s, const std::filesystem::path& file,
                                     : std::numeric_limits<double>::infinity();
         return neg ? -v : v;
     }
-    if (t.size() > 2 && t[0] == '0' && t[1] == 'x' &&
-        std::isxdigit(static_cast<unsigned char>(t[2])) != 0) {
+    if (printed_hexfloat(t)) {
         double v = 0.0;
         const char* const last = t.data() + t.size();
         const auto [ptr, ec] = std::from_chars(t.data() + 2, last, v, std::chars_format::hex);
