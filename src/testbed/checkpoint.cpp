@@ -25,39 +25,35 @@ std::string hexd(double v) {
 
 namespace {
 
-/// True when `t` has the shape "%a" prints for a finite double: "0x", a
-/// leading 0 or 1, optionally '.' and 1 to 13 hex digits, 'p', one sign and
-/// decimal digits — at most 53 significant bits. In that shape
-/// std::from_chars(hex) on the part after "0x" decodes strtod's bits.
-/// Outside it, it takes what strtod stops at ("-1", "inf", "nan", "-.8p+0"
-/// after "0x"; a doubled exponent sign, "0x1p+-7") and rounds wider
-/// mantissas in the subnormal range differently.
-bool printed_hexfloat(std::string_view t) {
-    const auto hex = [](char c) { return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'); };
-    if (t.size() < 6 || t[0] != '0' || t[1] != 'x' || (t[2] != '0' && t[2] != '1')) {
-        return false;
-    }
-    std::size_t i = 3;
-    if (t[i] == '.') {
-        do ++i;
-        while (i < t.size() && hex(t[i]));
-        if (i == 4 || i > 4 + 13) return false;
-    }
-    if (i + 2 >= t.size() || t[i] != 'p' || (t[i + 1] != '+' && t[i + 1] != '-')) {
-        return false;
-    }
-    return std::all_of(t.begin() + static_cast<std::ptrdiff_t>(i + 2), t.end(),
-                       [](char c) { return c >= '0' && c <= '9'; });
+/// Whether `t` — "0x" and a leading 0 or 1, the rest of which
+/// std::from_chars(hex) decoded whole — has the shape "%a" prints for a
+/// finite double: optionally '.' and 1 to 13 hex digits, then 'p', one sign
+/// and decimal digits, at most 53 significant bits. In that shape from_chars
+/// decodes strtod's bits. Outside it, from_chars takes a doubled exponent
+/// sign ("0x1p+-7", where strtod stops at the 'p') and rounds wider
+/// mantissas in the subnormal range differently. Only the edges need
+/// checking: from_chars has matched every character in between.
+bool printed_shape(std::string_view t) {
+    std::size_t p = t.size();
+    while (p > 3 && t[p - 1] >= '0' && t[p - 1] <= '9') --p;
+    // t[p - 1] is then the exponent's one sign, after the 'p'.
+    if (p == t.size() || p < 5 || t[p - 2] != 'p') return false;
+    const std::size_t mantissa_end = p - 2;
+    return mantissa_end == 3 ||
+           (t[3] == '.' && mantissa_end >= 5 && mantissa_end <= 4 + 13);
 }
 
 }  // namespace
 
 double parse_hexd(std::string_view s, const std::filesystem::path& file,
                   std::size_t line_no) {
-    // Fast path: the forms "%a" prints — [-]nan, [-]inf and
-    // [-]<printed_hexfloat> — decoded in place. Every other token, and one
-    // from_chars does not decode whole (an exponent out of range), takes the
-    // strtod path below, which decides what is accepted and the message.
+    // Fast path: the forms "%a" prints — [-]nan, [-]inf and [-]0x<0 or 1>...
+    // in printed_shape — decoded in place. The leading digit is the first
+    // guard: after "0x", from_chars(hex) alone would also take "-1", "inf"
+    // and "nan" ("0x-1", "0xinf", "0xnan", which strtod stops at the 'x').
+    // Every other token, and one from_chars does not decode whole (an
+    // exponent out of range), takes the strtod path below, which decides
+    // what is accepted and the message.
     std::string_view t = s;
     const bool neg = !t.empty() && t.front() == '-';
     if (neg) t.remove_prefix(1);
@@ -66,11 +62,11 @@ double parse_hexd(std::string_view s, const std::filesystem::path& file,
                                     : std::numeric_limits<double>::infinity();
         return neg ? -v : v;
     }
-    if (printed_hexfloat(t)) {
+    if (t.size() > 2 && t[0] == '0' && t[1] == 'x' && (t[2] == '0' || t[2] == '1')) {
         double v = 0.0;
         const char* const last = t.data() + t.size();
         const auto [ptr, ec] = std::from_chars(t.data() + 2, last, v, std::chars_format::hex);
-        if (ec == std::errc{} && ptr == last) return neg ? -v : v;
+        if (ec == std::errc{} && ptr == last && printed_shape(t)) return neg ? -v : v;
     }
     const std::string buf(s);
     char* end = nullptr;
