@@ -240,10 +240,11 @@ const std::vector<std::string> k_double_tokens = {
     "0x1p+0", "0x1.8p+1", "-0x1.921fb54442d18p+1", "0x1.fffffffffffffp+1023",
     "0x1p-1022", "0x0p+0", "-0x0p+0", "0x0.0000000000001p-1022",
     "-0x0.fffffffffffffp-1022", "nan", "-nan", "inf", "-inf",
-    // std::from_chars(hex) after "0x" would take these whole; strtod not.
+    // std::from_chars(hex) after "0x" takes these whole; strtod does not.
     "0x-1", "-0x-1", "0xinf", "0xnan", "-0xinf", "0x-.8p+0", "-0x-.8p+0",
-    "0x1p+-7", "-0x1p+-7", "0x1.8p+-1022", "0x+1", "0x.8p+0", "0x",
-    "0x1p--7", "0x1p-+7", "0x1p+ 7",
+    "0x1p+-7", "-0x1p+-7", "0x1.8p+-1022",
+    // Near misses at the prefix and the exponent sign.
+    "0x+1", "0x.8p+0", "0x", "0x1p--7", "0x1p-+7", "0x1p+ 7",
     // Valid for strtod but not canonical: the checked path decodes them.
     "0X1P+0", " 0x1p+0", "+0x1p+0", "1.5", "-2.5e-3", "1e10", "0xABCp-3",
     "0xabc.defp+10", "0x1.p+0", "0x1P+0", "0x1.8", "0x1p7", "0xA.8p+0",
@@ -257,6 +258,7 @@ const std::vector<std::string> k_double_tokens = {
     // from_chars(hex) round these differently.
     "0x0.f000000000012cp-1022", "-0x0.900000000000ecp-1022",
     "0xd.f05236827778cp-1026", "-0x2.4a812f7bcec03p-1024",
+    // More than 53 significant bits in the normal range: rounded alike.
     "0x1.fffffffffffff8p+0", "0x1.000000000000081p+0", "0x1.00000000000008p+0",
     "0x1.00000000000018p+0", "0x1.0000000000000000000000000000001p+0",
     // Rejected.
