@@ -1,11 +1,10 @@
-// google-benchmark micro-benchmarks for the chunked record store
-// (testbed/record_store.hpp): sequential ingest rate through record_writer
-// and scan rate through record_reader — the two cursors every past-RAM
-// campaign and analysis pass is built on — plus the checkpoint journal
-// (testbed/checkpoint.hpp): one append flush against a whole-file rewrite.
-// Records are synthetic (filled from the index, no simulation) so the
-// numbers isolate serialization cost. The scan runs on a clean store and on
-// a faulted one, where every 8th record carries NaN measurements and a
+// google-benchmark micro-benchmarks for the record store
+// (testbed/record_store.hpp): sequential ingest rate through record_writer,
+// scan rate through record_reader — the two cursors every past-RAM campaign
+// and analysis pass is built on — and one journal flush through the same
+// writer. Records are synthetic (filled from the index, no simulation) so
+// the numbers isolate serialization cost. The scan runs on a clean store and
+// on a faulted one, where every 8th record carries NaN measurements and a
 // fault flag, as failed probes leave them.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -16,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "testbed/checkpoint.hpp"
 #include "testbed/dataset.hpp"
 #include "testbed/record_store.hpp"
 
@@ -25,7 +23,6 @@ using namespace tcppred;
 namespace {
 
 constexpr std::size_t k_records = 4096;
-constexpr std::size_t k_chunk = 512;
 
 testbed::epoch_record synthetic_record(std::size_t i, bool faulted = false) {
     testbed::epoch_record r;
@@ -68,8 +65,7 @@ std::filesystem::path bench_store_path() {
 }
 
 void write_bench_store(bool faulted = false) {
-    testbed::record_writer w(bench_store_path(), "micro-bench-fingerprint", {},
-                             testbed::store_options{k_chunk});
+    testbed::record_writer w(bench_store_path(), "micro-bench-fingerprint", {});
     for (std::size_t i = 0; i < k_records; ++i) w.append(synthetic_record(i, faulted));
     w.finish();
 }
@@ -101,7 +97,6 @@ BENCHMARK_CAPTURE(bm_store_scan, clean, false);
 BENCHMARK_CAPTURE(bm_store_scan, faulted, true);
 
 constexpr std::size_t k_flush = 32;  // records per flush at --checkpoint-every 32
-constexpr std::size_t k_grid = std::size_t{1} << 20;
 
 std::filesystem::path bench_journal_path() {
     static const std::filesystem::path path =
@@ -111,23 +106,27 @@ std::filesystem::path bench_journal_path() {
 }
 
 /// One journal flush of 32 new records into a journal that already holds
-/// state.range(0) records: the sweep's per-flush cost, which must not grow
-/// with the journal. The file is cut back to its starting size, untimed,
-/// after every flush.
+/// state.range(0) records, through the writer a resumed run reopens: the
+/// sweep's per-flush cost, which must not grow with the journal. The file
+/// is cut back to its starting size, untimed, after every flush.
 void bm_journal_append(benchmark::State& state) {
     const auto done = static_cast<std::size_t>(state.range(0));
     const std::filesystem::path file = bench_journal_path();
     {
-        testbed::checkpoint_journal fresh(file, "micro-bench-fingerprint", k_grid);
-        for (std::size_t i = 0; i < done; ++i) fresh.add(i, synthetic_record(i));
+        testbed::record_writer fresh({}, file, "micro-bench-fingerprint", {});
+        for (std::size_t i = 0; i < done; ++i) fresh.append(synthetic_record(i));
         fresh.flush();
     }
     const auto base = std::filesystem::file_size(file);
+    testbed::record_reader prefix(file, {}, testbed::record_reader::mode::journal);
+    testbed::epoch_record rec;
+    while (prefix.next(rec)) {
+    }
     std::vector<testbed::epoch_record> batch;
     for (std::size_t i = done; i < done + k_flush; ++i) batch.push_back(synthetic_record(i));
-    testbed::checkpoint_journal journal(file, "micro-bench-fingerprint", k_grid, true);
+    testbed::record_writer journal({}, file, "micro-bench-fingerprint", {}, &prefix);
     for (auto _ : state) {
-        for (std::size_t i = 0; i < k_flush; ++i) journal.add(done + i, batch[i]);
+        for (const testbed::epoch_record& r : batch) journal.append(r);
         journal.flush();
         state.PauseTiming();
         std::filesystem::resize_file(file, base);
@@ -138,24 +137,6 @@ void bm_journal_append(benchmark::State& state) {
     std::filesystem::remove(file);
 }
 BENCHMARK(bm_journal_append)->Arg(1024)->Arg(8192);
-
-/// The whole-file rewrite the journal replaced: save_checkpoint of a grid
-/// with state.range(0) + 32 done records (what every flush used to cost).
-void bm_checkpoint_rewrite(benchmark::State& state) {
-    const auto done = static_cast<std::size_t>(state.range(0)) + k_flush;
-    testbed::campaign_checkpoint ck;
-    ck.fingerprint = "micro-bench-fingerprint";
-    ck.total = done;
-    ck.done.assign(done, 1);
-    for (std::size_t i = 0; i < done; ++i) ck.records.push_back(synthetic_record(i));
-    for (auto _ : state) {
-        testbed::save_checkpoint(ck, bench_journal_path());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(done));
-    std::filesystem::remove(bench_journal_path());
-}
-BENCHMARK(bm_checkpoint_rewrite)->Arg(1024)->Arg(8192);
 
 }  // namespace
 

@@ -10,7 +10,6 @@
 #include <limits>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "sim/fault_injector.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
-#include "testbed/checkpoint.hpp"
 #include "testbed/load_process.hpp"
 
 namespace tcppred::testbed {
@@ -124,19 +122,13 @@ void trace_campaign_start(const campaign_config& cfg) {
 }
 
 dataset run_campaign(const campaign_config& cfg, progress_fn progress) {
-    return run_campaign_resumable(cfg, {}, std::move(progress)).data;
-}
-
-campaign_outcome run_campaign_resumable(const campaign_config& cfg,
-                                        const campaign_run_options& opts,
-                                        progress_fn progress) {
     std::vector<epoch_record> records(campaign_total_epochs(cfg));
     campaign_outcome out = sweep_campaign(
-        cfg, opts,
+        cfg, {},
         [&](std::size_t idx, epoch_record&& rec) { records[idx] = std::move(rec); },
         std::move(progress));
     out.data.records = std::move(records);
-    return out;
+    return std::move(out.data);
 }
 
 campaign_outcome sweep_campaign(const campaign_config& cfg,
@@ -145,18 +137,15 @@ campaign_outcome sweep_campaign(const campaign_config& cfg,
     TCPPRED_EXPECTS(cfg.paths > 0 && cfg.traces_per_path > 0 &&
                     cfg.epochs_per_trace > 0);
     TCPPRED_EXPECTS(cfg.jobs >= 0);
-    TCPPRED_EXPECTS(opts.checkpoint_every > 0 && opts.reorder_capacity >= 1);
-    // Observability: logical-event counters (job-count-invariant; DESIGN.md
-    // §12) and the JSONL run trace (per-epoch events are emitted inside
-    // simulate_campaign_epoch).
-    static const obs::counter c_resumed = obs::counter::get("campaign.epochs_resumed");
-    static const obs::counter c_flushes =
-        obs::counter::get("campaign.checkpoint_flushes");
+    TCPPRED_EXPECTS(opts.checkpoint.empty() && opts.reorder_capacity >= 1);
+    const std::size_t total = campaign_total_epochs(cfg);
+    TCPPRED_EXPECTS(total <= static_cast<std::size_t>(std::numeric_limits<int>::max()));
+    // Observability: the JSONL run trace (per-epoch events and counters are
+    // emitted inside simulate_campaign_epoch).
     trace_campaign_start(cfg);
     campaign_outcome out;
     out.data.paths = campaign_catalog(cfg);
     const std::vector<path_profile>& paths = out.data.paths;
-    const std::size_t total = campaign_total_epochs(cfg);
     const auto per_trace = static_cast<std::size_t>(cfg.epochs_per_trace);
 
     const auto claimed = [&](std::size_t idx) {
@@ -167,41 +156,8 @@ campaign_outcome sweep_campaign(const campaign_config& cfg,
         return idx;
     };
     // The next linear index to release; every claimed index below it has
-    // reached the sink (and the journal), nothing above it has.
+    // reached the sink, nothing above it has.
     std::size_t next_release = next_claimed(0);
-
-    // Resume: the journal must hold exactly the first k claimed indices, so
-    // it restores by streaming into the sink in order — nothing grid-sized
-    // is held. A torn final line (a kill mid-append) is cut off before this
-    // run appends.
-    std::optional<checkpoint_journal> journal;
-    if (!opts.checkpoint.empty()) {
-        const std::string fingerprint = campaign_fingerprint(cfg);
-        const bool restore = opts.resume && std::filesystem::exists(opts.checkpoint);
-        if (restore) {
-            checkpoint_reader reader(opts.checkpoint, fingerprint, total);
-            while (auto rec = reader.next()) {
-                if (rec->first != next_release) {
-                    throw dataset_error(opts.checkpoint, reader.line_no(), 2,
-                                        "checkpoint is not a prefix of the claimed epoch "
-                                        "order (record index " +
-                                            std::to_string(rec->first) + " where " +
-                                            std::to_string(next_release) +
-                                            " was expected) — refusing to resume");
-                }
-                sink(rec->first, std::move(rec->second));
-                ++out.epochs_resumed;
-                next_release = next_claimed(rec->first + 1);
-            }
-            if (reader.torn_tail()) {
-                std::filesystem::resize_file(opts.checkpoint, reader.valid_bytes());
-            }
-            c_resumed.add(static_cast<std::uint64_t>(out.epochs_resumed));
-        }
-        journal.emplace(opts.checkpoint, fingerprint, total, restore);
-    }
-    const std::size_t resume_from = next_release;
-    out.epochs_completed = out.epochs_resumed;
 
     // Per-trace load trajectories, generated on first use and evicted once
     // every epoch this run simulates from them has taken its load state.
@@ -226,8 +182,7 @@ campaign_outcome sweep_campaign(const campaign_config& cfg,
                 sim::derive_seed(cfg.seed, "trace", static_cast<std::uint64_t>(profile.id),
                                  static_cast<std::uint64_t>(c.trace)),
                 cfg.epochs_per_trace);
-            for (std::size_t i = std::max(key * per_trace, resume_from);
-                 i < (key + 1) * per_trace; ++i) {
+            for (std::size_t i = key * per_trace; i < (key + 1) * per_trace; ++i) {
                 if (claimed(i)) ++entry.remaining;
             }
             it = trajectories.emplace(key, std::move(entry)).first;
@@ -238,28 +193,21 @@ campaign_outcome sweep_campaign(const campaign_config& cfg,
     };
 
     // The reorder window and the in-order release, all under window_mu: the
-    // sink, the journal and the progress callback see records one at a time
-    // in linear order. `stop` (a cancel or a worker error) ends claiming and
-    // wakes every worker parked at a full window — the hole it leaves in the
-    // order would otherwise park them forever.
+    // sink and the progress callback see records one at a time in linear
+    // order. `stop` (a cancel or a worker error) ends claiming and wakes
+    // every worker parked at a full window — the hole it leaves in the order
+    // would otherwise park them forever.
     std::mutex window_mu;
     std::condition_variable window_cv;
     std::map<std::size_t, epoch_record> window;
     std::atomic<bool> stop{false};
-    int since_flush = 0;
     const int total_i = static_cast<int>(total);
 
-    const auto flush_journal = [&] {  // caller holds window_mu
-        if (journal->flush()) c_flushes.add();
-        since_flush = 0;
-    };
     const auto release = [&](std::size_t idx, epoch_record&& rec) {  // holds window_mu
-        if (journal) journal->add(idx, rec);
         sink(idx, std::move(rec));
         ++out.epochs_completed;
         if (progress) progress(out.epochs_completed, total_i);
         next_release = next_claimed(idx + 1);
-        if (journal && ++since_flush >= opts.checkpoint_every) flush_journal();
     };
     const auto halt = [&] {
         {
@@ -270,7 +218,7 @@ campaign_outcome sweep_campaign(const campaign_config& cfg,
     };
 
     const auto run_one = [&](std::size_t idx) {
-        if (idx < resume_from || !claimed(idx)) return;  // restored, or not ours
+        if (!claimed(idx)) return;
         if (stop.load(std::memory_order_relaxed)) return;
         try {
             if (opts.cancelled && opts.cancelled()) {
@@ -303,32 +251,14 @@ campaign_outcome sweep_campaign(const campaign_config& cfg,
         }
     };
 
-    try {
+    {
+        // A worker error propagates from here, once: parallel_for drains the
+        // pool and rethrows the first error, after the release stopped at
+        // the first hole.
         const obs::stage_timer t_sweep("campaign.sweep");
         sim::parallel_for(total, campaign_effective_jobs(cfg, total), run_one);
-    } catch (...) {
-        // A worker threw (parallel_for already drained the pool and captured
-        // the first error). Persist what was released, then let the error
-        // propagate — exactly once — to the caller.
-        if (journal) {
-            const std::lock_guard<std::mutex> lock(window_mu);
-            flush_journal();
-        }
-        throw;
     }
-
     out.complete = next_release == total;
-    if (journal) {
-        if (out.complete && !opts.keep_checkpoint) {
-            std::error_code ec;  // best-effort cleanup; absence is fine
-            std::filesystem::remove(opts.checkpoint, ec);
-        } else {
-            // Final flush so everything released since the last periodic
-            // flush survives the interruption — and so a kept (shard)
-            // journal exists even when the run had nothing left to do.
-            flush_journal();
-        }
-    }
     return out;
 }
 

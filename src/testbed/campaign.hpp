@@ -87,19 +87,21 @@ void trace_campaign_start(const campaign_config& cfg);
 /// in (path, trace, epoch) order, never completion order.
 [[nodiscard]] dataset run_campaign(const campaign_config& cfg, progress_fn progress = nullptr);
 
-/// Checkpointing / cancellation knobs of the campaign sweep. All
-/// default-off: a default-constructed value makes run_campaign_resumable
-/// behave exactly like run_campaign.
+/// Checkpointing / cancellation knobs of a campaign run. All default-off: a
+/// default-constructed value makes run_campaign_resumable
+/// (record_store.hpp) behave exactly like run_campaign. The journal fields
+/// are the journaled runners'; sweep_campaign takes the rest.
 struct campaign_run_options {
-    /// Checkpoint journal (checkpoint.hpp). Empty = no checkpointing.
+    /// Resume journal: an unfinished record store (record_store.hpp). Empty =
+    /// no journal.
     std::filesystem::path checkpoint{};
     /// Flush the journal after this many newly released records (and
     /// always once more at the end of an interrupted run).
     int checkpoint_every{32};
     /// Restore the journal's records if `checkpoint` exists and simulate
-    /// only the rest. The journal must carry this config's fingerprint, and
-    /// its records must be exactly the first k claimed indices in linear
-    /// order; job count may differ freely.
+    /// only the rest. The journal must carry this run's header (config
+    /// fingerprint and catalogue), and its records must be exactly the first
+    /// k claimed indices in linear order; job count may differ freely.
     bool resume{false};
     /// Claim only linear epoch indices for which this returns true (null =
     /// claim everything). Off-claim epochs are neither simulated nor
@@ -111,12 +113,13 @@ struct campaign_run_options {
     /// shard's journal IS its output — the merge step consumes it.
     bool keep_checkpoint{false};
     /// Polled between epochs; return true to stop claiming new epochs. The
-    /// in-flight ones finish, and those in linear order are journaled.
+    /// in-flight ones finish, and those in linear order are released.
     std::function<bool()> cancelled{};
     /// Test/instrumentation hook, invoked with the linear epoch index just
     /// before that epoch simulates. An exception thrown here (or anywhere in
-    /// an epoch) aborts the run, but the released records are still flushed
-    /// to the journal before the first worker error is rethrown.
+    /// an epoch) aborts the run, but the records released before the first
+    /// hole still reach the sink (and the journal) before the first worker
+    /// error is rethrown.
     std::function<void(std::size_t)> epoch_hook{};
     /// Records parked at most between out-of-order workers and the
     /// in-order release; a worker that would overflow it blocks, except the
@@ -136,27 +139,20 @@ struct campaign_outcome {
 /// linear index order, never concurrently.
 using record_sink = std::function<void(std::size_t idx, epoch_record&& rec)>;
 
-/// The one campaign sweep (DESIGN.md §6.3); run_campaign_resumable and
-/// run_campaign_streamed (record_store.hpp) only choose `sink`. Workers
-/// simulate claimed epochs in parallel; records reach `sink`, the journal
-/// and `progress` in linear order through the bounded reorder window.
-/// Load trajectories are generated lazily and evicted after their last
-/// epoch, so the sweep holds nothing grid-sized. On resume the journal's
-/// records stream into `sink` first. A cancel or a worker error stops the
-/// release at the first hole: every record below it is released and
-/// journaled, nothing past it is. The returned `data` has the catalogue
-/// only. For a fixed cfg the record stream of a run interrupted any number
-/// of times and resumed equals an uninterrupted run's, at any job count.
+/// The one campaign sweep (DESIGN.md §6.3); run_campaign and the runners of
+/// record_store.hpp only choose `sink` and `opts.epoch_filter`. Workers
+/// simulate claimed epochs in parallel; records reach `sink` and `progress`
+/// in linear order through the bounded reorder window. Load trajectories
+/// are generated lazily and evicted after their last epoch, so the sweep
+/// holds nothing grid-sized. A cancel or a worker error stops the release
+/// at the first hole: every record below it reaches `sink` before the sweep
+/// returns or rethrows, nothing past it does. The returned `data` has the
+/// catalogue only. The sweep keeps no journal: opts.checkpoint must be
+/// empty, and the grid at most INT_MAX epochs (progress counts in int).
 [[nodiscard]] campaign_outcome sweep_campaign(const campaign_config& cfg,
                                               const campaign_run_options& opts,
                                               const record_sink& sink,
                                               progress_fn progress = nullptr);
-
-/// sweep_campaign into pre-sized dataset slots. A complete run removes the
-/// journal (unless opts.keep_checkpoint).
-[[nodiscard]] campaign_outcome run_campaign_resumable(const campaign_config& cfg,
-                                                      const campaign_run_options& opts,
-                                                      progress_fn progress = nullptr);
 
 /// Pre-canned sizes, selectable with REPRO_SCALE=tiny|default|paper.
 enum class campaign_scale { tiny, normal, paper };

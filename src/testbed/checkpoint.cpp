@@ -96,57 +96,6 @@ int parse_i32_field(std::string_view name, std::string_view text,
     }
 }
 
-namespace {
-
-constexpr std::size_t k_fixed_doubles = 12;  // measurement doubles per record
-constexpr char k_magic[] = "tcppred-checkpoint,v1";
-/// Per-record prefix-pair ceiling a reader accepts. The campaigns use at
-/// most 3; this only bounds hostile inputs (and keeps 20 + 2n from wrapping).
-constexpr std::uint64_t k_max_prefixes = 64;
-
-/// Parse one already-split "rec,..." line into (linear index, record).
-std::pair<std::size_t, epoch_record> parse_checkpoint_record(
-    const std::vector<std::string_view>& f, std::size_t total,
-    const std::filesystem::path& file, std::size_t line_no) {
-    if (f.size() < 20 || f[0] != "rec") {
-        throw dataset_error(file, line_no, 0, "bad checkpoint record line");
-    }
-    const auto idx = static_cast<std::size_t>(parse_u64_field("index", f[1], file, line_no));
-    if (idx >= total) {
-        throw dataset_error(file, line_no, 2,
-                            "record index " + std::string(f[1]) + " out of range");
-    }
-    epoch_record r;
-    r.path_id = parse_i32_field("path", f[2], file, line_no);
-    r.trace_id = parse_i32_field("trace", f[3], file, line_no);
-    r.epoch_index = parse_i32_field("epoch", f[4], file, line_no);
-    double* const ds[k_fixed_doubles] = {
-        &r.m.avail_bw_bps, &r.m.phat,         &r.m.phat_events,
-        &r.m.that_s,       &r.m.ptilde,       &r.m.ttilde_s,
-        &r.m.r_large_bps,  &r.m.r_small_bps,  &r.m.tcp_loss_rate,
-        &r.m.tcp_event_rate, &r.m.tcp_mean_rtt_s, &r.m.sim_time_s};
-    for (std::size_t i = 0; i < k_fixed_doubles; ++i) {
-        *ds[i] = parse_hexd(f[5 + i], file, line_no);
-    }
-    r.m.events = parse_u64_field("events", f[17], file, line_no);
-    r.m.fault_flags = static_cast<std::uint32_t>(
-        parse_u64_field("fault_flags", f[18], file, line_no, UINT32_MAX));
-    const auto n_prefix = static_cast<std::size_t>(
-        parse_u64_field("prefix count", f[19], file, line_no, k_max_prefixes));
-    if (f.size() != 20 + 2 * n_prefix) {
-        throw dataset_error(file, line_no, 20, "prefix count disagrees with field count");
-    }
-    r.m.prefix_goodputs.clear();
-    for (std::size_t i = 0; i < n_prefix; ++i) {
-        const double s = parse_hexd(f[20 + 2 * i], file, line_no);
-        const double bps = parse_hexd(f[21 + 2 * i], file, line_no);
-        r.m.prefix_goodputs.emplace_back(s, bps);
-    }
-    return {idx, std::move(r)};
-}
-
-}  // namespace
-
 std::vector<fingerprint_field> campaign_fingerprint_fields(const campaign_config& cfg) {
     // v2: every double goes through hexd so the identity string is a pure
     // function of the config bits, not of decimal formatting. A fingerprint
@@ -306,150 +255,6 @@ void atomic_write_text(const std::filesystem::path& file, const std::string& con
         throw std::runtime_error("atomic_write_text: cannot rename " +
                                  sibling.string() + " into " + file.string());
     }
-}
-
-checkpoint_journal::checkpoint_journal(std::filesystem::path file,
-                                       const std::string& fingerprint, std::size_t total,
-                                       bool append)
-    : file_(std::move(file)), on_disk_(append) {
-    if (!on_disk_) {
-        buf_ = std::string(k_magic) + "\nfingerprint," + fingerprint + "\ntotal," +
-               std::to_string(total) + '\n';
-    }
-}
-
-void checkpoint_journal::add(std::size_t idx, const epoch_record& rec) {
-    const epoch_measurement& m = rec.m;
-    const auto field = [&](const std::string& v) {
-        buf_ += ',';
-        buf_ += v;
-    };
-    buf_ += "rec,";
-    buf_ += std::to_string(idx);
-    for (const int v : {rec.path_id, rec.trace_id, rec.epoch_index}) field(std::to_string(v));
-    for (const double v : {m.avail_bw_bps, m.phat, m.phat_events, m.that_s, m.ptilde,
-                           m.ttilde_s, m.r_large_bps, m.r_small_bps, m.tcp_loss_rate,
-                           m.tcp_event_rate, m.tcp_mean_rtt_s, m.sim_time_s}) {
-        field(hexd(v));
-    }
-    field(std::to_string(m.events));
-    field(std::to_string(m.fault_flags));
-    field(std::to_string(m.prefix_goodputs.size()));
-    for (const auto& [s, bps] : m.prefix_goodputs) {
-        field(hexd(s));
-        field(hexd(bps));
-    }
-    buf_ += '\n';
-}
-
-bool checkpoint_journal::flush() {
-    if (!on_disk_) {
-        atomic_write_text(file_, buf_);
-        on_disk_ = true;
-    } else if (buf_.empty()) {
-        return false;
-    } else {
-        if (!out_.is_open()) out_.open(file_, std::ios::app | std::ios::binary);
-        out_ << buf_;
-        out_.flush();
-        if (!out_) {
-            throw std::runtime_error("checkpoint_journal: append failed on " +
-                                     file_.string());
-        }
-    }
-    buf_.clear();
-    return true;
-}
-
-void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path& file) {
-    checkpoint_journal journal(file, ck.fingerprint, ck.total);
-    for (std::size_t i = 0; i < ck.total; ++i) {
-        if (ck.done[i]) journal.add(i, ck.records[i]);
-    }
-    journal.flush();
-}
-
-checkpoint_reader::checkpoint_reader(const std::filesystem::path& file,
-                                     const std::string& expected_fingerprint,
-                                     std::size_t expected_total)
-    : own_(file, std::ios::binary), file_(file) {
-    if (!own_) {
-        throw dataset_error(file_, 0, 0, "cannot open checkpoint");
-    }
-    read_header(expected_fingerprint, expected_total);
-}
-
-checkpoint_reader::checkpoint_reader(std::istream& in, std::filesystem::path context,
-                                     const std::string& expected_fingerprint,
-                                     std::size_t expected_total)
-    : in_(&in), file_(std::move(context)) {
-    read_header(expected_fingerprint, expected_total);
-}
-
-void checkpoint_reader::read_header(const std::string& expected_fingerprint,
-                                    std::size_t expected_total) {
-    std::string line;
-    auto next_line = [&](const char* what) {
-        // A header line must end in '\n': the first flush writes the whole
-        // header atomically, so a short one is corruption, not a torn tail.
-        if (!std::getline(in(), line) || in().eof()) {
-            throw dataset_error(file_, line_no_ + 1, 0,
-                                std::string("truncated checkpoint: expected ") + what);
-        }
-        ++line_no_;
-        valid_bytes_ += line.size() + 1;
-    };
-    next_line("magic");
-    if (line != k_magic) {
-        throw dataset_error(file_, line_no_, 0, "not a tcppred checkpoint");
-    }
-    next_line("fingerprint");
-    if (line.rfind("fingerprint,", 0) != 0) {
-        throw dataset_error(file_, line_no_, 0, "expected fingerprint line");
-    }
-    fingerprint_ = line.substr(12);
-    if (!expected_fingerprint.empty() && fingerprint_ != expected_fingerprint) {
-        throw dataset_error(
-            file_, line_no_, 0,
-            "checkpoint belongs to a different campaign config (fingerprint "
-            "mismatch) — refusing to resume; differing fields:" +
-                describe_fingerprint_mismatch(fingerprint_, expected_fingerprint));
-    }
-    next_line("total");
-    if (line.rfind("total,", 0) != 0) {
-        throw dataset_error(file_, line_no_, 0, "expected total line");
-    }
-    total_ = static_cast<std::size_t>(
-        parse_u64_field("total", std::string_view(line).substr(6), file_, line_no_));
-    if (expected_total != 0 && total_ != expected_total) {
-        throw dataset_error(file_, line_no_, 0,
-                            "checkpoint total " + std::to_string(total_) +
-                                " disagrees with the config's " +
-                                std::to_string(expected_total) + " epochs");
-    }
-}
-
-std::optional<std::pair<std::size_t, epoch_record>> checkpoint_reader::next() {
-    while (!torn_tail_ && std::getline(in(), line_)) {
-        ++line_no_;
-        if (in().eof()) {
-            torn_tail_ = true;  // no '\n': an append cut short
-            break;
-        }
-        valid_bytes_ += line_.size() + 1;
-        if (line_.empty()) continue;
-        split_fields(line_, ',', fields_);
-        auto rec = parse_checkpoint_record(fields_, total_, file_, line_no_);
-        if (last_idx_ && rec.first <= *last_idx_) {
-            throw dataset_error(file_, line_no_, 2,
-                                "record index " + std::to_string(rec.first) +
-                                    " does not ascend (previous " +
-                                    std::to_string(*last_idx_) + ")");
-        }
-        last_idx_ = rec.first;
-        return rec;
-    }
-    return std::nullopt;
 }
 
 }  // namespace tcppred::testbed

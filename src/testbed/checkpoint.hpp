@@ -1,45 +1,23 @@
-// Campaign checkpoints: the append-only journal of the records a campaign
-// sweep has released, so an interrupted campaign resumes instead of
-// restarting (DESIGN.md §10.4). Three header lines (magic, config
-// fingerprint, grid total), then one `rec,` line per record in ascending
-// linear order. Invariants the format defends:
-//  - doubles round-trip bit-exactly (hexfloat), so a resumed campaign's
-//    output is byte-identical to an uninterrupted run's;
-//  - the first flush creates the file atomically, so a journal that exists
-//    has a whole header; later flushes append, and a kill -9 mid-append
-//    leaves at most one torn final line (no '\n'), the end of the valid
-//    prefix a reader returns;
-//  - resuming under any other config than the fingerprint's (different
-//    seed, size, fault profile — anything but the job count) is refused;
-//  - indices ascend strictly, which lets the shard merge walk N journals
-//    in lockstep.
+// The serialization primitives of the bit-exact formats (the record store,
+// testbed/record_store.hpp, and the serve snapshot): hexd/parse_hexd for
+// doubles, the whole-token integer field parsers, the v2 campaign
+// fingerprint with its field-by-field diff, and atomic_write_text. The
+// record files themselves are written and read only by record_store.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <istream>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "testbed/campaign.hpp"
 
 namespace tcppred::testbed {
 
-/// A whole checkpoint as save_checkpoint's input: the done slots of a grid.
-struct campaign_checkpoint {
-    std::string fingerprint;
-    std::size_t total{0};              ///< epochs in the full campaign
-    std::vector<char> done;            ///< size == total; nonzero = completed
-    std::vector<epoch_record> records; ///< size == total; only done slots valid
-};
-
 /// Bit-exact double -> text ("%a" hexfloat): the serialization primitive
-/// shared by every bit-exact format (checkpoints, the record store).
+/// shared by every bit-exact format (the record store, serve snapshots).
 /// Decimal at any precision does not guarantee the round trip; hexfloat
 /// does, and strtod parses it back everywhere (istream extraction of
 /// hexfloat is not required to work, and does not in libstdc++).
@@ -52,8 +30,8 @@ struct campaign_checkpoint {
 [[nodiscard]] double parse_hexd(std::string_view s, const std::filesystem::path& file,
                                 std::size_t line_no);
 
-/// Whole-token integer fields of the bit-exact formats (journals, the
-/// record store) through core::parse_checked_*: a partial token ("12x"), a
+/// Whole-token integer fields of the bit-exact formats (the record store,
+/// serve snapshots) through core::parse_checked_*: a partial token ("12x"), a
 /// sign on an unsigned field, overflow or a value above `max` throws
 /// dataset_error naming `file`, `line_no` and the field `name`.
 [[nodiscard]] std::uint64_t parse_u64_field(std::string_view name, std::string_view text,
@@ -97,82 +75,5 @@ struct fingerprint_field {
 /// EXDEV) it falls back to copy + fsync + same-directory rename. The test
 /// hook $TCPPRED_FORCE_EXDEV=1 forces the fallback path.
 void atomic_write_text(const std::filesystem::path& file, const std::string& contents);
-
-/// Append-only journal writer (the sweep's and save_checkpoint's). add()
-/// buffers records in ascending linear order; the first flush of a fresh
-/// journal writes header and batch in one atomic_write_text, every later
-/// flush appends only the lines added since — O(lines added), never
-/// O(journal).
-class checkpoint_journal {
-public:
-    /// `append` = `file` already holds a valid journal of this fingerprint
-    /// and total (a resumed run), so even the first flush appends.
-    checkpoint_journal(std::filesystem::path file, const std::string& fingerprint,
-                       std::size_t total, bool append = false);
-
-    void add(std::size_t idx, const epoch_record& rec);
-
-    /// Write what add() buffered since the last flush; false (nothing
-    /// written) when there is no new line and the file exists. Throws
-    /// std::runtime_error on I/O failure.
-    bool flush();
-
-private:
-    std::filesystem::path file_;
-    std::string buf_;     // unflushed bytes (the header too, before the first flush)
-    std::ofstream out_;   // append stream, opened once the file exists
-    bool on_disk_{false};
-};
-
-/// Write `ck`'s done slots as a fresh journal (one atomic create). Only a
-/// journal whose done slots are a prefix of the claimed order resumes.
-void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path& file);
-
-/// Streaming cursor over a checkpoint journal, O(1) memory: the header is
-/// validated up front — against `expected_fingerprint` and
-/// `expected_total` unless empty / 0 — then records surface one `rec` line
-/// at a time. Every malformed input throws dataset_error naming the file
-/// and line: this is an untrusted-input parser (fuzz_checkpoint).
-class checkpoint_reader {
-public:
-    checkpoint_reader(const std::filesystem::path& file,
-                      const std::string& expected_fingerprint,
-                      std::size_t expected_total = 0);
-    /// Over an already-open stream; `context` only labels errors.
-    checkpoint_reader(std::istream& in, std::filesystem::path context,
-                      const std::string& expected_fingerprint,
-                      std::size_t expected_total = 0);
-
-    [[nodiscard]] const std::string& fingerprint() const noexcept { return fingerprint_; }
-    [[nodiscard]] std::size_t total() const noexcept { return total_; }
-
-    /// The next record and its linear index; nullopt at the end of the
-    /// valid prefix: end of file, or a final line lacking its '\n' (a torn
-    /// tail). Throws dataset_error on a malformed line, an out-of-range
-    /// index, or an index not above the previous one.
-    [[nodiscard]] std::optional<std::pair<std::size_t, epoch_record>> next();
-
-    [[nodiscard]] bool torn_tail() const noexcept { return torn_tail_; }
-    /// Bytes of the header and every whole line read so far; truncating
-    /// the file to this drops a torn tail.
-    [[nodiscard]] std::uint64_t valid_bytes() const noexcept { return valid_bytes_; }
-    [[nodiscard]] std::size_t line_no() const noexcept { return line_no_; }
-
-private:
-    std::istream& in() { return in_ != nullptr ? *in_ : own_; }
-    void read_header(const std::string& expected_fingerprint, std::size_t expected_total);
-
-    std::ifstream own_;            // only used by the path constructor
-    std::istream* in_{nullptr};    // the stream constructor's input
-    std::filesystem::path file_;
-    std::string fingerprint_;
-    std::size_t total_{0};
-    std::size_t line_no_{0};
-    std::uint64_t valid_bytes_{0};
-    std::optional<std::size_t> last_idx_;
-    bool torn_tail_{false};
-    std::string line_;                     // the current line, reused
-    std::vector<std::string_view> fields_; // views into line_
-};
 
 }  // namespace tcppred::testbed

@@ -1,29 +1,48 @@
-// Chunked columnar record store (DESIGN.md §16): the past-RAM persistence
-// format for campaign datasets. Records live in fixed-size column chunks
-// with hexfloat-exact number encoding, a footer index keyed on the v2
-// campaign fingerprint locates every chunk, and sequential reader/writer
-// cursors stream a store with O(chunk_capacity) memory — callers never hold
-// a whole dataset. The legacy v1 CSV becomes a *conversion* (store_to_csv),
-// byte-identical to save_csv on the same records by construction: the store
-// carries the catalogue lines verbatim and the conversion reuses the
-// write_csv_* emitters (dataset.hpp).
+// The record store (DESIGN.md §16): the one file format for campaign
+// records, `tcppred-store,v2`, and every read and write of it.
+//
+//   tcppred-store,v2
+//   fingerprint,<v2 campaign fingerprint>
+//   paths,<K>
+//   <K "#path,..." catalogue lines, verbatim>
+//   rec,<path>,<trace>,<epoch>,<12 hexfloats>,<events>,<fault_flags>,
+//       <n_prefix>,<2·n_prefix hexfloats>          (one line per record)
+//   footer,<records>,<traces>,<faulted>            (finished stores only)
+//   end,<byte offset of the footer line>
+//
+// Records appear in ascending linear campaign order, (path, trace, epoch).
+// An unfinished store is the resume journal (<out>.ckpt, a shard's
+// <out>.shard-i-of-N.ckpt): finishing one appends the footer and renames it
+// into place. A row line has no boundary that depends on flush cadence, so
+// a store's bytes are the same at any --jobs, any --checkpoint-every and any
+// interruption point. Invariants the format defends:
+//  - doubles round-trip bit-exactly (hexd), integers are whole checked
+//    tokens, and every rejection is a dataset_error naming file and line;
+//  - a journal that exists has a whole header (its first flush creates it
+//    atomically); later flushes append, and its valid prefix is the header
+//    plus every whole `rec` line: a final line without '\n', or a `footer`
+//    or `end` line, ends it, and resume truncates to it before appending;
+//  - a finished store appears at its name only by rename, and its footer's
+//    counts are checked against the records at the end of the stream;
+//  - a journal resumes only under this run's header (fingerprint and
+//    catalogue) and only if its records are the first k claimed indices.
+// The CSV is a conversion (store_to_csv), byte-identical to save_csv on the
+// same records by construction: the store carries the catalogue lines
+// verbatim and the conversion reuses the write_csv_* emitters (dataset.hpp).
 //
 // Layering: this module ("store" in tools/lint/tcppred_lint.conf) sits on
-// top of testbed — it includes campaign/checkpoint/dataset, nothing in
-// testbed includes it. The campaign sweep and the shard merge live in
-// campaign.cpp/shard.cpp and feed a sink; this module only selects
-// record_writer::append as that sink.
+// top of testbed and holds all record persistence; nothing in testbed
+// includes it. The journaled runners and the shard merge live here and
+// select sinks of the one sweep (sweep_campaign, campaign.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <istream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "testbed/campaign.hpp"
@@ -31,137 +50,148 @@
 
 namespace tcppred::testbed {
 
-/// Tuning for record_writer.
-struct store_options {
-    /// Records per column chunk. Writer and reader memory are O(this); the
-    /// footer index is O(total / this).
-    std::size_t chunk_capacity{1024};
+/// What a store's footer counts, kept the same way by every writer and
+/// reader: records, (path, trace) runs in file order, and records with a
+/// nonzero fault_flags.
+struct record_counts {
+    std::size_t records{0};
+    std::size_t traces{0};
+    std::size_t faulted{0};
+    int last_path{0};
+    int last_trace{0};
+
+    void add(const epoch_record& rec) noexcept;
 };
 
-/// Hard ceiling on the chunk_capacity a reader will accept: the memory
-/// bound against hostile headers, far above any sane tuning.
-inline constexpr std::size_t k_max_chunk_capacity = std::size_t{1} << 20;
+class record_reader;
 
-/// Sequential store writer. Records must be appended in ascending linear
-/// campaign order — (path, trace, epoch), the order run_campaign's records
-/// vector and dataset::traces() share — so a store's record order is the
-/// sorted order every reader can rely on. Data is written to a same-
-/// directory temp file and atomically renamed into place by finish();
-/// a crash (or abort()) before finish() never touches the target.
+/// Sequential writer of a store. Records must be appended in ascending
+/// linear campaign order. A store written without a journal goes to a
+/// same-directory temp file that finish() renames into place; a crash, or
+/// abort(), before finish() never touches the target.
 class record_writer {
 public:
-    /// `catalog_lines` are the verbatim "#path,..." CSV catalogue lines
-    /// (csv_catalog_lines); `fingerprint` is the v2 campaign fingerprint.
+    /// A store published at `file` by finish(). `catalog_lines` are the
+    /// verbatim "#path,..." CSV catalogue lines (csv_catalog_lines);
+    /// `fingerprint` is the v2 campaign fingerprint.
     record_writer(const std::filesystem::path& file, std::string fingerprint,
-                  std::vector<std::string> catalog_lines, store_options opts = {});
+                  std::vector<std::string> catalog_lines);
+    /// A journal at `journal`: the unfinished store that finish() renames to
+    /// `file` (empty for a journal that is only ever flushed). A fresh
+    /// journal is created, header and records together, by the first
+    /// flush(). With `prefix`, a journal reader that has streamed to the end
+    /// of its valid prefix, the journal is cut back to that prefix and
+    /// appended to, with the prefix's counts.
+    record_writer(const std::filesystem::path& file, const std::filesystem::path& journal,
+                  std::string fingerprint, std::vector<std::string> catalog_lines,
+                  const record_reader* prefix = nullptr);
     ~record_writer();
     record_writer(const record_writer&) = delete;
     record_writer& operator=(const record_writer&) = delete;
 
     void append(const epoch_record& rec);
 
-    /// Flush the final chunk, write the footer index, and atomically publish
-    /// the store. Throws on I/O failure. No-op when already finished.
+    /// Write every record appended since the last flush. False (nothing
+    /// written) when there was none and the file already exists. Throws
+    /// std::runtime_error on I/O failure.
+    bool flush();
+
+    /// Append the footer and publish the store at `file` by rename. Throws
+    /// on I/O failure. No-op when already finished.
     void finish();
 
-    /// Drop the temp file without publishing; the target is never touched.
+    /// Stop without publishing: a temp file is removed, a journal is left as
+    /// its last flush wrote it (it is the resume point). The destructor of
+    /// an unfinished writer calls this.
     void abort() noexcept;
 
-    [[nodiscard]] std::size_t total() const noexcept { return total_; }
-
 private:
-    void flush_chunk();
+    bool write_buffer();
 
-    std::filesystem::path file_;
-    std::filesystem::path tmp_;
+    std::filesystem::path file_;   // the finished store's name
+    std::filesystem::path path_;   // where the bytes go: the temp or the journal
+    bool journal_{false};
+    bool on_disk_{false};          // path_ exists, with a whole header
     std::ofstream out_;
-    store_options opts_;
-    std::vector<epoch_record> buf_;   // current chunk, O(chunk_capacity)
-    struct chunk_ref {
-        std::uint64_t offset{0};
-        std::size_t count{0};
-    };
-    std::vector<chunk_ref> chunks_;   // footer index, O(total / chunk_capacity)
-    std::size_t total_{0};
-    std::size_t n_traces_{0};
-    std::size_t n_faulted_{0};
-    int last_path_{0};
-    int last_trace_{0};
-    bool have_last_{false};
+    std::string buf_;              // bytes not yet written to path_
+    std::uint64_t size_{0};        // bytes of the file so far, buffered ones included
+    record_counts counts_;
     bool finished_{false};
     bool aborted_{false};
 };
 
-/// Sequential store reader: validates the footer index and header up front
-/// (including the fingerprint when `expected_fingerprint` is non-empty;
-/// empty accepts any campaign), then streams records in linear order with
-/// O(chunk_capacity) memory. The footer's trace and fault counts are
-/// checked against the records at the end of the stream: the next() that
-/// would return false throws instead when they disagree. Every malformed
-/// input throws dataset_error — this is an untrusted-input parser (fuzzed
-/// by fuzz_record_store).
+/// Sequential reader of a store, O(one line) memory. The header is read up
+/// front (its fingerprint checked when `expected_fingerprint` is non-empty;
+/// empty accepts any campaign), then next() decodes one `rec` line at a
+/// time into the caller's record. Every malformed input throws
+/// dataset_error naming the file and line: this is an untrusted-input
+/// parser (fuzz_record_store).
 class record_reader {
 public:
-    explicit record_reader(const std::filesystem::path& file,
-                           const std::string& expected_fingerprint = {});
-    /// Over an already-open seekable stream (tests, the fuzz harness);
-    /// `context` only labels dataset_error messages.
-    record_reader(std::istream& in, std::filesystem::path context,
-                  const std::string& expected_fingerprint = {});
+    /// What the reader accepts: a finished store, whose footer it finds at
+    /// open (an unfinished one is refused, pointing at --resume), or a
+    /// journal's valid prefix.
+    enum class mode { finished, journal };
 
-    /// Fill `out` with the next record; false at end of store. Throws
-    /// dataset_error at the end when the footer's counts are not the
-    /// records' own.
+    explicit record_reader(const std::filesystem::path& file,
+                           const std::string& expected_fingerprint = {},
+                           mode m = mode::finished);
+    /// Over an already-open stream (tests, the fuzz harness); `context` only
+    /// labels dataset_error messages. A finished store's stream must seek.
+    record_reader(std::istream& in, std::filesystem::path context,
+                  const std::string& expected_fingerprint = {}, mode m = mode::finished);
+
+    /// Fill `out` with the next record; false at the end of the records. In
+    /// a finished store that end throws instead when the footer's counts are
+    /// not the records' own.
     [[nodiscard]] bool next(epoch_record& out);
 
-    [[nodiscard]] const std::string& fingerprint() const noexcept { return fingerprint_; }
-    [[nodiscard]] std::size_t total() const noexcept { return total_; }
-    /// Distinct (path, trace) pairs among the records, as the footer
-    /// claims (verified once next() has streamed every record).
-    [[nodiscard]] std::size_t n_traces() const noexcept { return n_traces_; }
-    /// Records carrying a nonzero fault_flags, as the footer claims.
-    [[nodiscard]] std::size_t n_faulted() const noexcept { return n_faulted_; }
-    [[nodiscard]] bool any_faults() const noexcept { return n_faulted_ > 0; }
-    [[nodiscard]] std::size_t chunk_capacity() const noexcept { return chunk_capacity_; }
+    [[nodiscard]] const std::filesystem::path& file() const noexcept { return file_; }
     /// The verbatim "#path,..." catalogue lines the store carries.
     [[nodiscard]] const std::vector<std::string>& catalog_lines() const noexcept {
         return catalog_lines_;
     }
+    /// A finished store's footer counts (verified once next() has streamed
+    /// every record); zero for a journal, which has no footer.
+    [[nodiscard]] std::size_t total() const noexcept { return footer_.records; }
+    [[nodiscard]] std::size_t n_traces() const noexcept { return footer_.traces; }
+    [[nodiscard]] std::size_t n_faulted() const noexcept { return footer_.faulted; }
+    [[nodiscard]] bool any_faults() const noexcept { return footer_.faulted > 0; }
+    /// The counts of the records next() has returned.
+    [[nodiscard]] const record_counts& streamed() const noexcept { return seen_; }
+
+    /// Journal: bytes follow the valid prefix (a torn line, or a footer) and
+    /// resume must cut them off.
+    [[nodiscard]] bool torn_tail() const noexcept { return torn_tail_; }
+    /// Bytes of the header and of every record line returned so far.
+    [[nodiscard]] std::uint64_t valid_bytes() const noexcept { return valid_bytes_; }
+    /// The line of the record next() returned last.
+    [[nodiscard]] std::size_t line_no() const noexcept { return line_no_; }
 
 private:
-    void open_and_validate(const std::string& expected_fingerprint);
-    void load_chunk();
+    std::istream& in() { return in_ != nullptr ? *in_ : own_; }
+    void open(const std::string& expected_fingerprint);
+    void read_footer(std::uint64_t size);
 
-    std::ifstream own_;   // only used by the path constructor
-    std::istream* in_{nullptr};
+    std::ifstream own_;            // only used by the path constructor
+    std::istream* in_{nullptr};    // the stream constructor's input
     std::filesystem::path file_;
-    std::string fingerprint_;
+    mode mode_;
     std::vector<std::string> catalog_lines_;
-    std::size_t chunk_capacity_{0};
-    std::size_t total_{0};
-    std::size_t n_traces_{0};
-    std::size_t n_faulted_{0};
-    struct chunk_ref {
-        std::uint64_t offset{0};
-        std::size_t count{0};
-    };
-    std::vector<chunk_ref> chunks_;
-    std::vector<epoch_record> cur_;   // decoded current chunk
-    std::size_t cur_pos_{0};
-    std::size_t next_chunk_{0};
-    std::size_t line_no_{0};          // during sequential (header/chunk) reads
-    std::string line_;                     // the column line being decoded
+    record_counts footer_;
+    record_counts seen_;
+    std::uint64_t footer_offset_{0};
+    std::uint64_t valid_bytes_{0};
+    std::size_t line_no_{0};
+    bool torn_tail_{false};
+    bool done_{false};
+    std::string line_;                     // the current line, reused
     std::vector<std::string_view> fields_; // views into line_
-    // What next() has streamed, checked against the footer at the end.
-    std::size_t seen_traces_{0};
-    std::size_t seen_faulted_{0};
-    int last_path_{0};
-    int last_trace_{0};
 };
 
-/// Convert a store to the legacy v1 analysis CSV, streaming (O(chunk)
-/// memory). Byte-identical to save_csv over the same records: catalogue
-/// lines are copied verbatim and records go through the shared
+/// Convert a finished store to the legacy v1 analysis CSV, streaming (O(one
+/// line) memory). Byte-identical to save_csv over the same records:
+/// catalogue lines are copied verbatim and records go through the shared
 /// write_csv_record emitter; the optional fault_flags column is driven by
 /// the footer's fault count, exactly as save_csv's any-fault scan would
 /// (the reader verifies that count at the end). The CSV goes to a
@@ -169,26 +199,63 @@ private:
 /// store leaves nothing at `csv_file`.
 void store_to_csv(record_reader& in, const std::filesystem::path& csv_file);
 
-/// sweep_campaign (campaign.hpp) with record_writer::append as its sink: a
-/// campaign written straight to a record store instead of an in-memory
-/// dataset. Records reach the store in linear order through the sweep's
-/// reorder window, and a resumed run streams its journal's records into the
-/// writer first. Peak memory is O(chunk + reorder window +
-/// jobs·epochs_per_trace) — independent of the grid size. The store is
-/// published only when the run completes; an interrupted run leaves the
-/// journal (when opts.checkpoint is set) and no store. opts.epoch_filter
-/// must be empty: a store holds the whole grid.
+/// sweep_campaign into pre-sized dataset slots. With opts.checkpoint set the
+/// run is journaled: a resumed run restores the journal's records first
+/// (opts.resume), the journal grows every opts.checkpoint_every records and
+/// once more after a cancel or a worker error, and a complete run removes it
+/// unless opts.keep_checkpoint (a shard's journal is its output).
+[[nodiscard]] campaign_outcome run_campaign_resumable(const campaign_config& cfg,
+                                                      const campaign_run_options& opts,
+                                                      progress_fn progress = nullptr);
+
+/// sweep_campaign into a store at `store_file` instead of an in-memory
+/// dataset. Peak memory is O(reorder window + jobs·epochs_per_trace),
+/// independent of the grid size. The store is published only when the run
+/// completes: without a journal it is built in a temp file, and with one
+/// (opts.checkpoint) the journal is the store and finishing renames it. An
+/// interrupted run leaves the journal, if any, and no store.
+/// opts.epoch_filter must be empty (a store holds the whole grid) and
+/// opts.keep_checkpoint false (a finished journal is the store).
 [[nodiscard]] campaign_outcome run_campaign_streamed(
     const campaign_config& cfg, const std::filesystem::path& store_file,
-    const campaign_run_options& opts = {}, progress_fn progress = nullptr,
-    store_options store = {});
+    const campaign_run_options& opts = {}, progress_fn progress = nullptr);
 
-/// merge_shard_journals (shard.hpp) with record_writer::append as its sink:
-/// O(shards · record + chunk) memory, whatever the grid size. Throws
-/// dataset_error like merge_shard_checkpoints, and the store is then never
-/// published. Returns the merged record count (the full grid).
+/// The one shard merge: a k-way walk over one journal record_reader per
+/// shard, releasing the union of their records to `sink` in linear order
+/// with O(shards · record) memory. Every file must exist ("missing"
+/// otherwise) and carry cfg's header, and together the shards must cover
+/// the whole grid — a gap throws "shards cover only X of Y epochs (first
+/// missing linear index k)", and `sink` sees nothing past the gap. Overlap
+/// is tolerated: the first shard in `shard_ckpts` holding an index wins
+/// (duplicates are byte-identical anyway — epochs are pure functions of the
+/// seed). The result is order-invariant. Returns the merged record count
+/// (the full grid).
+std::size_t merge_shard_journals(const campaign_config& cfg,
+                                 const std::vector<std::filesystem::path>& shard_ckpts,
+                                 const record_sink& sink);
+
+/// merge_shard_journals into an in-memory dataset.
+[[nodiscard]] dataset merge_shard_checkpoints(
+    const campaign_config& cfg, const std::vector<std::filesystem::path>& shard_ckpts);
+
+/// merge_shard_journals into a store: O(shards · record) memory, whatever
+/// the grid size. Throws dataset_error like merge_shard_checkpoints, and the
+/// store is then never published. Returns the merged record count.
 std::size_t merge_shard_checkpoints_to_store(
     const campaign_config& cfg, const std::vector<std::filesystem::path>& shard_ckpts,
-    const std::filesystem::path& store_file, store_options opts = {});
+    const std::filesystem::path& store_file);
+
+/// A grid's done slots, save_checkpoint's input.
+struct campaign_checkpoint {
+    std::string fingerprint;
+    std::size_t total{0};              ///< epochs in the full campaign
+    std::vector<char> done;            ///< size == total; nonzero = completed
+    std::vector<epoch_record> records; ///< size == total; only done slots valid
+};
+
+/// Write `ck`'s done slots as a fresh journal through record_writer, with an
+/// empty catalogue (`paths,0`): `ck` carries none, so no campaign resumes
+/// from it. Kept as the journal-write probe of the benchmark harness.
+void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path& file);
 
 }  // namespace tcppred::testbed

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -101,73 +100,6 @@ std::optional<shard_heartbeat> read_heartbeat(const std::filesystem::path& file)
     if (!(in >> key >> hb.epochs_done) || key != "done") return std::nullopt;
     if (!(in >> key >> hb.epochs_claimed) || key != "claimed") return std::nullopt;
     return hb;
-}
-
-std::size_t merge_shard_journals(const campaign_config& cfg,
-                                 const std::vector<std::filesystem::path>& shard_ckpts,
-                                 const record_sink& sink) {
-    TCPPRED_EXPECTS(!shard_ckpts.empty());
-    const std::string fingerprint = campaign_fingerprint(cfg);
-    const std::size_t total = campaign_total_epochs(cfg);
-    struct cursor {
-        checkpoint_reader reader;
-        std::optional<std::pair<std::size_t, epoch_record>> head;
-    };
-    std::vector<cursor> shards;
-    shards.reserve(shard_ckpts.size());
-    for (const auto& file : shard_ckpts) {
-        // An absent shard means the campaign is not finished, so refuse.
-        if (!std::filesystem::exists(file)) {
-            throw dataset_error(file, 0, 0,
-                                "shard checkpoint missing — run its shard to "
-                                "completion before merging");
-        }
-        checkpoint_reader reader(file, fingerprint, total);
-        auto head = reader.next();
-        shards.push_back({std::move(reader), std::move(head)});
-    }
-
-    // Each journal ascends strictly, so the smallest head is the next index
-    // of the union; ties go to the earliest shard (first writer wins) and
-    // the later duplicates are skipped.
-    std::size_t covered = 0;
-    std::optional<std::size_t> first_missing;
-    for (;;) {
-        cursor* first = nullptr;
-        for (cursor& s : shards) {
-            if (s.head && (first == nullptr || s.head->first < first->head->first)) {
-                first = &s;
-            }
-        }
-        if (first == nullptr) break;
-        const std::size_t idx = first->head->first;
-        if (idx != covered && !first_missing) first_missing = covered;
-        if (!first_missing) sink(idx, std::move(first->head->second));
-        ++covered;
-        for (cursor& s : shards) {
-            if (s.head && s.head->first == idx) s.head = s.reader.next();
-        }
-    }
-    if (!first_missing && covered != total) first_missing = covered;
-    if (first_missing) {
-        std::ostringstream msg;
-        msg << "shards cover only " << covered << " of " << total
-            << " epochs (first missing linear index " << *first_missing
-            << ") — every shard must be complete before merging";
-        throw dataset_error(shard_ckpts.front(), 0, 0, msg.str());
-    }
-    return total;
-}
-
-dataset merge_shard_checkpoints(const campaign_config& cfg,
-                                const std::vector<std::filesystem::path>& shard_ckpts) {
-    dataset data;
-    data.paths = campaign_catalog(cfg);
-    data.records.reserve(campaign_total_epochs(cfg));
-    merge_shard_journals(cfg, shard_ckpts, [&](std::size_t, epoch_record&& rec) {
-        data.records.push_back(std::move(rec));
-    });
-    return data;
 }
 
 }  // namespace tcppred::testbed

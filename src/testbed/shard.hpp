@@ -2,13 +2,15 @@
 //
 // A shard is a deterministic slice of the linearized (path, trace, epoch)
 // grid. Each worker process runs exactly one shard via the campaign sweep's
-// epoch_filter, persists it into its own checkpoint journal (keyed by the
-// same v2 config fingerprint as serial checkpoints), and advertises
-// liveness through a tiny heartbeat file. The merge step walks the shard
-// journals back into one linear record stream whose CSV is byte-identical
-// to a serial run's — epochs are independently seeded, every journal is
-// sorted, and journal doubles round-trip through hexfloat, so *which
-// process* ran an epoch can never show in the output.
+// epoch_filter, persists it into its own journal (an unfinished record
+// store keyed by the same v2 config fingerprint, record_store.hpp), and
+// advertises liveness through a tiny heartbeat file. This file holds the
+// shard arithmetic, the per-shard file names and the heartbeats; the merge
+// (merge_shard_journals, record_store.hpp) walks the shard journals back
+// into one linear record stream whose bytes equal a serial run's — epochs
+// are independently seeded, every journal is sorted, and doubles round-trip
+// through hexfloat, so *which process* ran an epoch can never show in the
+// output.
 #pragma once
 
 #include <cstdint>
@@ -72,23 +74,5 @@ void write_heartbeat(const std::filesystem::path& file, const shard_heartbeat& h
 /// or half-provisioned beacon counts as "no news", never an error).
 [[nodiscard]] std::optional<shard_heartbeat> read_heartbeat(
     const std::filesystem::path& file);
-
-/// The one shard merge: a k-way walk over one checkpoint_reader cursor per
-/// shard journal, releasing the union of their records to `sink` in linear
-/// order with O(shards · record) memory. Every file must exist ("missing"
-/// otherwise), carry cfg's fingerprint and epoch count, and together the
-/// shards must cover the whole grid — a gap throws "shards cover only X of
-/// Y epochs (first missing linear index k)", and `sink` sees nothing past
-/// the gap. Overlap is tolerated: the first shard in `shard_ckpts` holding
-/// an index wins (duplicates are byte-identical anyway — epochs are pure
-/// functions of the seed). The result is order-invariant. Returns the
-/// merged record count (the full grid).
-std::size_t merge_shard_journals(const campaign_config& cfg,
-                                 const std::vector<std::filesystem::path>& shard_ckpts,
-                                 const record_sink& sink);
-
-/// merge_shard_journals into an in-memory dataset.
-[[nodiscard]] dataset merge_shard_checkpoints(
-    const campaign_config& cfg, const std::vector<std::filesystem::path>& shard_ckpts);
 
 }  // namespace tcppred::testbed

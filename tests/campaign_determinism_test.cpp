@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/units.hpp"
@@ -27,6 +28,7 @@
 #include "sim/fault_injector.hpp"
 #include "testbed/checkpoint.hpp"
 #include "testbed/dataset.hpp"
+#include "testbed/record_store.hpp"
 
 using namespace tcppred::testbed;
 
@@ -356,7 +358,7 @@ TEST(campaign_faults, faulty_dataset_roundtrips_through_csv) {
     EXPECT_GT(flagged, 0u);
 }
 
-// --- the checkpoint journal (checkpoint.hpp, DESIGN.md §10.4) --------------
+// --- the resume journal: an unfinished record store (DESIGN.md §10.4) -------
 
 namespace {
 
@@ -441,22 +443,46 @@ TEST(campaign_journal, torn_tail_at_every_byte_resumes_to_identical_bytes) {
     }
 }
 
+namespace {
+
+/// The journal a kept, uninterrupted run of `cfg` leaves: its header, then
+/// one `rec` line per record. Returned as (header, record lines), each
+/// record line with its '\n'.
+std::pair<std::string, std::vector<std::string>> kept_journal(const campaign_config& cfg,
+                                                              const char* tag) {
+    const scoped_checkpoint ckpt(tag);
+    campaign_run_options keep;
+    keep.checkpoint = ckpt.file;
+    keep.keep_checkpoint = true;
+    EXPECT_TRUE(run_campaign_resumable(cfg, keep).complete);
+    const std::string bytes = read_bytes(ckpt.file);
+    const std::size_t first_rec = bytes.find("\nrec,") + 1;
+    std::vector<std::string> recs;
+    for (std::size_t at = first_rec; at < bytes.size();) {
+        const std::size_t end = bytes.find('\n', at) + 1;
+        recs.push_back(bytes.substr(at, end - at));
+        at = end;
+    }
+    return {bytes.substr(0, first_rec), recs};
+}
+
+}  // namespace
+
 TEST(campaign_journal, journal_that_is_not_a_prefix_is_refused) {
     const campaign_config cfg = journal_config();
-    const dataset data = run_campaign(cfg);
+    const auto [header, recs] = kept_journal(cfg, "hole_src");
+    ASSERT_EQ(recs.size(), 3u);
     const scoped_checkpoint ckpt("hole");
-    campaign_checkpoint ck;
-    ck.fingerprint = campaign_fingerprint(cfg);
-    ck.total = data.records.size();
-    ck.records = data.records;
+    // The header is magic, fingerprint, paths and one catalogue line, so
+    // the records start on line 5.
+    write_bytes(ckpt.file, header + recs[0] + recs[2]);  // a hole at index 1
+    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":6:", "not a prefix");
 
-    ck.done = {1, 0, 1};  // a hole at index 1
-    save_checkpoint(ck, ckpt.file);
+    write_bytes(ckpt.file, header + recs[1]);  // does not start at the first claimed index
     expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":5:", "not a prefix");
 
-    ck.done = {0, 1, 0};  // does not start at the first claimed index
-    save_checkpoint(ck, ckpt.file);
-    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":4:", "not a prefix");
+    write_bytes(ckpt.file, header + recs[1] + recs[0]);  // does not ascend
+    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":5:", "not a prefix");
 
     // A shard claims only odd indices: {1} is its prefix, {0} is not ours.
     campaign_run_options odd;
@@ -464,40 +490,59 @@ TEST(campaign_journal, journal_that_is_not_a_prefix_is_refused) {
     odd.resume = true;
     odd.keep_checkpoint = true;
     odd.epoch_filter = [](std::size_t idx) { return idx % 2 == 1; };
-    ck.done = {1, 0, 0};
-    save_checkpoint(ck, ckpt.file);
+    write_bytes(ckpt.file, header + recs[0]);
     EXPECT_THROW(static_cast<void>(run_campaign_resumable(cfg, odd)), dataset_error);
-    ck.done = {0, 1, 0};
-    save_checkpoint(ck, ckpt.file);
+    write_bytes(ckpt.file, header + recs[1]);
     const campaign_outcome shard = run_campaign_resumable(cfg, odd);
     EXPECT_TRUE(shard.complete);
     EXPECT_EQ(shard.epochs_resumed, 1);
 }
 
+TEST(campaign_journal, journal_with_another_header_is_refused) {
+    // The journal's header becomes the store's, so resume requires all of
+    // it, the catalogue included, to be the one this run writes.
+    const campaign_config cfg = journal_config();
+    const auto [header, recs] = kept_journal(cfg, "header_src");
+    const scoped_checkpoint ckpt("header");
+    const std::size_t cat = header.find("\n#path,") + 1;
+    std::string edited = header;
+    edited.insert(cat + 6, "9");  // the catalogue line's path id: 0 -> 90
+    write_bytes(ckpt.file, edited + recs[0]);
+    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":4:", "catalogue");
+
+    std::string fewer = header.substr(0, cat);
+    fewer.replace(fewer.find("paths,1"), 7, "paths,0");
+    write_bytes(ckpt.file, fewer + recs[0]);
+    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":3:", "catalogue");
+
+    // The formats this one replaced are refused by their magic.
+    for (const char* magic : {"tcppred-checkpoint,v1", "tcppred-store,v1"}) {
+        write_bytes(ckpt.file, std::string(magic) + "\n" + header.substr(header.find('\n') + 1));
+        expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":1:", "no longer reads");
+    }
+}
+
 TEST(campaign_journal, malformed_fields_are_typed_errors_naming_file_and_line) {
     const campaign_config cfg = journal_config();
-    const dataset data = run_campaign(cfg);
+    const auto [header, recs] = kept_journal(cfg, "fields_src");
     const scoped_checkpoint ckpt("fields");
-    campaign_checkpoint ck;
-    ck.fingerprint = campaign_fingerprint(cfg);
-    ck.total = data.records.size();
-    ck.records = data.records;
-    ck.done = {1, 0, 0};
-    save_checkpoint(ck, ckpt.file);
-    const std::string good = read_bytes(ckpt.file);
+    const std::string good = header + recs[0];
     const std::string file = ckpt.file.string();
 
-    // The header's total: a negative, a grid-sized lie, garbage.
-    const std::size_t total_at = good.find("total,");
-    const std::size_t total_end = good.find('\n', total_at);
-    for (const char* bad : {"-1", "40000000", "abc", "3x"}) {
-        write_bytes(ckpt.file, good.substr(0, total_at) + "total," + bad +
-                                   good.substr(total_end));
-        expect_resume_refused(cfg, ckpt.file, file + ":3:", "total");
+    // The header's catalogue count: a negative, garbage, a partial token,
+    // and a count the catalogue does not have (the record line is not one).
+    const std::size_t paths_at = good.find("paths,");
+    const std::size_t paths_end = good.find('\n', paths_at);
+    for (const char* bad : {"-1", "abc", "3x"}) {
+        write_bytes(ckpt.file, good.substr(0, paths_at) + "paths," + bad +
+                                   good.substr(paths_end));
+        expect_resume_refused(cfg, ckpt.file, file + ":3:", "paths");
     }
+    write_bytes(ckpt.file, good.substr(0, paths_at) + "paths,2" + good.substr(paths_end));
+    expect_resume_refused(cfg, ckpt.file, file + ":5:", "#path catalogue line");
 
     // One rec field at a time: a partial token, an overflowing fault_flags.
-    const std::size_t rec_at = good.find("rec,");
+    const std::size_t rec_at = header.size();
     const auto with_field = [&](std::size_t field, const std::string& value) {
         std::vector<std::string> f =
             split_fields(good.substr(rec_at, good.size() - rec_at - 1), ',');
@@ -506,14 +551,19 @@ TEST(campaign_journal, malformed_fields_are_typed_errors_naming_file_and_line) {
         for (const std::string& v : f) line += (line.empty() ? "" : ",") + v;
         return good.substr(0, rec_at) + line + '\n';
     };
-    write_bytes(ckpt.file, with_field(2, "12x"));
-    expect_resume_refused(cfg, ckpt.file, file + ":4:", "12x");
-    write_bytes(ckpt.file, with_field(17, "-1"));
-    expect_resume_refused(cfg, ckpt.file, file + ":4:", "events");
-    write_bytes(ckpt.file, with_field(18, "4294967296"));
-    expect_resume_refused(cfg, ckpt.file, file + ":4:", "fault_flags");
-    write_bytes(ckpt.file, with_field(19, "9223372036854775808"));
-    expect_resume_refused(cfg, ckpt.file, file + ":4:", "prefix count");
+    write_bytes(ckpt.file, with_field(1, "12x"));
+    expect_resume_refused(cfg, ckpt.file, file + ":5:", "12x");
+    write_bytes(ckpt.file, with_field(16, "-1"));
+    expect_resume_refused(cfg, ckpt.file, file + ":5:", "events");
+    write_bytes(ckpt.file, with_field(17, "4294967296"));
+    expect_resume_refused(cfg, ckpt.file, file + ":5:", "fault_flags");
+    write_bytes(ckpt.file, with_field(18, "9223372036854775808"));
+    expect_resume_refused(cfg, ckpt.file, file + ":5:", "prefix count");
+    // Coordinates outside the grid are refused before any index is formed.
+    write_bytes(ckpt.file, with_field(3, "3"));
+    expect_resume_refused(cfg, ckpt.file, file + ":5:", "epoch 3 out of range");
+    write_bytes(ckpt.file, with_field(1, "-1"));
+    expect_resume_refused(cfg, ckpt.file, file + ":5:", "path -1 out of range");
 }
 
 namespace {
@@ -522,13 +572,20 @@ namespace {
 /// park behind the hole this one leaves.
 void straggle() { std::this_thread::sleep_for(std::chrono::milliseconds(300)); }
 
-/// Indices of a journal, which must ascend from 0 without a gap.
+/// Records of a journal, whose linear indices must ascend from 0 without
+/// a gap.
 std::size_t journal_prefix_length(const std::filesystem::path& file,
                                   const campaign_config& cfg) {
-    checkpoint_reader reader(file, campaign_fingerprint(cfg));
+    record_reader reader(file, campaign_fingerprint(cfg), record_reader::mode::journal);
     std::size_t n = 0;
-    while (auto rec = reader.next()) {
-        EXPECT_EQ(rec->first, n) << "journal is not the in-order prefix";
+    epoch_record rec;
+    while (reader.next(rec)) {
+        const std::size_t idx =
+            (static_cast<std::size_t>(rec.path_id) * cfg.traces_per_path +
+             static_cast<std::size_t>(rec.trace_id)) *
+                cfg.epochs_per_trace +
+            static_cast<std::size_t>(rec.epoch_index);
+        EXPECT_EQ(idx, n) << "journal is not the in-order prefix";
         ++n;
     }
     EXPECT_FALSE(reader.torn_tail());

@@ -311,17 +311,15 @@ TEST(checked_parse_equivalence, hexfloat_tokens_match_strtod_bitwise) {
 
 namespace {
 
-/// A two-chunk store (3 records, chunk capacity 2) whose text is then
-/// edited: column `col`'s first value in chunk 0 becomes `token`, and every
-/// offset after it — the chunkoff lines and the end line — is rebuilt so
-/// only the token differs from a well-formed store.
-std::string store_with_token(const std::string& col, const std::string& token) {
+/// A three-record store whose text is then edited: field `field` of its
+/// first `rec` line becomes `token`, and the end line's footer offset is
+/// rebuilt so only the token differs from a well-formed store.
+std::string store_with_token(std::size_t field, const std::string& token) {
     static const std::string base = [] {
         const auto file = std::filesystem::temp_directory_path() /
                           ("tcppred_checked_parse_" + std::to_string(::getpid()) + ".store");
         {
-            tcppred::testbed::record_writer w(file, "fp", {"#path,0,p,us,1e6,0.1,50,0.5,1"},
-                                              tcppred::testbed::store_options{2});
+            tcppred::testbed::record_writer w(file, "fp", {"#path,0,p,us,1e6,0.1,50,0.5,1"});
             for (int i = 0; i < 3; ++i) {
                 tcppred::testbed::epoch_record r;
                 r.epoch_index = i;
@@ -339,27 +337,21 @@ std::string store_with_token(const std::string& col, const std::string& token) {
 
     std::istringstream in(base);
     std::string out;
-    std::vector<std::uint64_t> chunk_offsets;
     std::uint64_t footer_off = 0;
     bool replaced = false;
     for (std::string line; std::getline(in, line);) {
-        if (line.rfind("chunk,", 0) == 0) chunk_offsets.push_back(out.size());
         if (line.rfind("footer,", 0) == 0) footer_off = out.size();
-        const std::string prefix = "col," + col + ",";
-        if (!replaced && line.rfind(prefix, 0) == 0) {
-            const std::size_t value_end = line.find(',', prefix.size());
-            line = prefix + token + line.substr(value_end);
+        if (!replaced && line.rfind("rec,", 0) == 0) {
+            auto f = tcppred::testbed::split_fields(line, ',');
+            f.at(field) = token;
+            line.clear();
+            for (const std::string& v : f) line += (line.empty() ? "" : ",") + v;
             replaced = true;
-        }
-        if (line.rfind("chunkoff,", 0) == 0) {
-            const auto f = tcppred::testbed::split_fields(line, ',');
-            const std::size_t i = std::stoul(f[1]);
-            line = "chunkoff," + f[1] + "," + std::to_string(chunk_offsets.at(i)) + "," + f[3];
         }
         if (line.rfind("end,", 0) == 0) line = "end," + std::to_string(footer_off);
         out += line + '\n';
     }
-    EXPECT_TRUE(replaced) << col;
+    EXPECT_TRUE(replaced) << field;
     return out;
 }
 
@@ -382,11 +374,19 @@ outcome decode_first(const std::string& text, Get field) {
 }
 
 /// A checked-parse rejection as the reader reports it: a dataset_error
-/// naming the store, line and column 0.
+/// naming the store, the first record's line (after the magic, fingerprint,
+/// paths and one catalogue line) and column 0.
+constexpr std::size_t k_first_record_line = 5;
 outcome as_store_error(outcome o) {
-    if (!o.ok) o.what = "tokens.store:0:0: " + o.what;
+    if (!o.ok) o.what = "tokens.store:" + std::to_string(k_first_record_line) + ":0: " + o.what;
     return o;
 }
+
+// Fields of a `rec` line: "rec", path, trace, epoch, then the 12 doubles
+// (phat second), events, fault_flags and the prefix count.
+constexpr std::size_t k_epoch_field = 3;
+constexpr std::size_t k_phat_field = 5;
+constexpr std::size_t k_events_field = 16;
 
 }  // namespace
 
@@ -395,28 +395,29 @@ TEST(checked_parse_equivalence, store_accepts_exactly_what_strto_accepts) {
     const std::filesystem::path file = "tokens.store";
     // The unedited store decodes, so each rejection below is the token's.
     ASSERT_TRUE(
-        decode_first(store_with_token("phat", "0x1p-2"), [](const epoch_record& r) {
+        decode_first(store_with_token(k_phat_field, "0x1p-2"), [](const epoch_record& r) {
             return r.m.phat;
         }).ok);
 
     for (const std::string& t : k_double_tokens) {
-        expect_same(decode_first(store_with_token("phat", t),
+        expect_same(decode_first(store_with_token(k_phat_field, t),
                                  [](const epoch_record& r) { return r.m.phat; }),
-                    run_parse<dataset_error>(
-                        [&] { return strto_reference::parse_hexd(t, file, 0); }),
+                    run_parse<dataset_error>([&] {
+                        return strto_reference::parse_hexd(t, file, k_first_record_line);
+                    }),
                     t, "record_reader phat");
     }
     for (const std::string& t : k_int_tokens) {
         // A separator inside a token changes the line's shape, not a field.
         if (t.find_first_of(",\n") != std::string::npos) continue;
-        expect_same(decode_first(store_with_token("events", t),
+        expect_same(decode_first(store_with_token(k_events_field, t),
                                  [](const epoch_record& r) { return r.m.events; }),
                     as_store_error(run_parse<parse_error>([&] {
                         return strto_reference::parse_checked_u64("events", t, 0,
                                                                   UINT64_MAX);
                     })),
                     t, "record_reader events");
-        expect_same(decode_first(store_with_token("epoch", t),
+        expect_same(decode_first(store_with_token(k_epoch_field, t),
                                  [](const epoch_record& r) { return r.epoch_index; }),
                     as_store_error(run_parse<parse_error>([&] {
                         return static_cast<int>(strto_reference::parse_checked_int(

@@ -171,10 +171,32 @@ check_exit "resumed CSV byte-identical to uninterrupted" 0 $?
 # A malformed journal is a runtime failure naming the file and the line.
 # (A kept shard journal supplies this config's header.)
 "$CAMPAIGN" $TINY --out "$WORK/bad.csv" --shard 0/1 >/dev/null 2>&1
-{ head -n 2 "$WORK/bad.csv.shard-0-of-1.ckpt"; echo "total,-1"; } > "$WORK/bad.csv.ckpt"
+{ head -n 2 "$WORK/bad.csv.shard-0-of-1.ckpt"; echo "paths,-1"; } > "$WORK/bad.csv.ckpt"
 "$CAMPAIGN" $TINY --out "$WORK/bad.csv" --resume >/dev/null 2>"$WORK/err"
-check_exit "resume from a journal with total -1" 2 $?
-grep -q "bad.csv.ckpt:3:.*total" "$WORK/err" || { echo "FAIL: journal error does not name file:line"; FAILURES=$((FAILURES+1)); }
+check_exit "resume from a journal with paths -1" 2 $?
+grep -q "bad.csv.ckpt:3:.*paths" "$WORK/err" || { echo "FAIL: journal error does not name file:line"; FAILURES=$((FAILURES+1)); }
+
+# A journal is an unfinished store: the finished-store readers refuse it,
+# name the file, point at --resume, and write nothing.
+UNFINISHED="$WORK/bad.csv.shard-0-of-1.ckpt"
+"$CAMPAIGN" --convert "$UNFINISHED" --out "$WORK/unf.csv" >/dev/null 2>"$WORK/err"
+check_exit "--convert of an unfinished journal" 2 $?
+grep -q "shard-0-of-1.ckpt.*unfinished journal.*--resume" "$WORK/err" || { echo "FAIL: --convert of a journal does not name the file and --resume"; FAILURES=$((FAILURES+1)); }
+ls "$WORK"/unf.csv* >/dev/null 2>&1 && { echo "FAIL: --convert of a journal left an output file"; FAILURES=$((FAILURES+1)); }
+"$ANALYZE" --from-store "$UNFINISHED" >"$WORK/unf.out" 2>"$WORK/err"
+check_exit "--from-store of an unfinished journal" 2 $?
+grep -q "shard-0-of-1.ckpt.*unfinished journal" "$WORK/err" || { echo "FAIL: --from-store of a journal does not name the file"; FAILURES=$((FAILURES+1)); }
+[ -s "$WORK/unf.out" ] && { echo "FAIL: --from-store of a journal printed a report"; FAILURES=$((FAILURES+1)); }
+
+# A grid past INT_MAX epochs is refused up front (exit 1, the product named)
+# in both formats, before any grid-sized allocation or sweep.
+for FMT in csv store; do
+    timeout 20 "$CAMPAIGN" --paths 1000 --traces 1000 --epochs 3000 --format "$FMT" \
+        --out "$WORK/huge.$FMT" >/dev/null 2>"$WORK/err"
+    check_exit "grid over INT_MAX epochs ($FMT)" 1 $?
+    grep -q "3000000000 epochs" "$WORK/err" || { echo "FAIL: oversized grid error does not name the product ($FMT)"; FAILURES=$((FAILURES+1)); }
+    ls "$WORK"/huge.$FMT* >/dev/null 2>&1 && { echo "FAIL: oversized grid left output ($FMT)"; FAILURES=$((FAILURES+1)); }
+done
 
 # --- sharding: bad specs -> 1, shard+merge and --workers reproduce the
 # serial CSV byte for byte, merge of a missing shard -> 2, and a resume

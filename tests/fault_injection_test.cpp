@@ -18,6 +18,7 @@
 #include "testbed/epoch_runner.hpp"
 #include "testbed/load_process.hpp"
 #include "testbed/path_catalog.hpp"
+#include "testbed/record_store.hpp"
 
 using namespace tcppred;
 using sim::epoch_fault_plan;
@@ -294,14 +295,16 @@ TEST(checkpoint_fingerprint, resume_under_changed_fault_knob_is_rejected) {
         std::filesystem::temp_directory_path() / "tcppred_fp_test.ckpt";
     testbed::save_checkpoint(ck, file);
 
-    // Same profile: the checkpoint opens.
-    EXPECT_NO_THROW(testbed::checkpoint_reader(file, testbed::campaign_fingerprint(cfg)));
+    // Same profile: the journal opens.
+    constexpr auto journal = testbed::record_reader::mode::journal;
+    EXPECT_NO_THROW(testbed::record_reader(file, testbed::campaign_fingerprint(cfg), journal));
 
     // One knob nudged (the env override scenario): refused, not merged.
     testbed::campaign_config changed = cfg;
     changed.faults.ping_timeout_rate = 0.10;
-    EXPECT_THROW(testbed::checkpoint_reader(file, testbed::campaign_fingerprint(changed)),
-                 testbed::dataset_error);
+    EXPECT_THROW(
+        testbed::record_reader(file, testbed::campaign_fingerprint(changed), journal),
+        testbed::dataset_error);
 
     std::filesystem::remove(file);
 }
@@ -343,7 +346,7 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
     // Unchanged fields stay out of the report.
     EXPECT_EQ(diff.find("paths:"), std::string::npos) << diff;
 
-    // And checkpoint_reader surfaces the same diagnosis to the user.
+    // And the journal reader surfaces the same diagnosis to the user.
     testbed::campaign_checkpoint ck;
     ck.fingerprint = testbed::campaign_fingerprint(cfg);
     ck.total = 6;
@@ -353,7 +356,8 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
         std::filesystem::temp_directory_path() / "tcppred_fpdiff_test.ckpt";
     testbed::save_checkpoint(ck, file);
     try {
-        testbed::checkpoint_reader reader(file, testbed::campaign_fingerprint(changed));
+        testbed::record_reader reader(file, testbed::campaign_fingerprint(changed),
+                                      testbed::record_reader::mode::journal);
         FAIL() << "mismatched fingerprint must throw";
     } catch (const testbed::dataset_error& e) {
         const std::string what = e.what();
@@ -425,12 +429,12 @@ TEST(atomic_write_text, checkpoint_roundtrips_through_the_exdev_path) {
     ::unsetenv("TCPPRED_FORCE_EXDEV");
     ::unsetenv("TMPDIR");
 
-    testbed::checkpoint_reader reader(file, ck.fingerprint);
-    const auto back = reader.next();
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->first, 1u);
-    EXPECT_EQ(back->second.path_id, 3);
-    EXPECT_EQ(back->second.m.r_large_bps, 1.25e6);
-    EXPECT_FALSE(reader.next().has_value());
+    testbed::record_reader reader(file, ck.fingerprint, testbed::record_reader::mode::journal);
+    testbed::epoch_record back;
+    ASSERT_TRUE(reader.next(back));
+    EXPECT_EQ(back.path_id, 3);
+    EXPECT_EQ(back.m.r_large_bps, 1.25e6);
+    EXPECT_FALSE(reader.next(back));
+    EXPECT_FALSE(reader.torn_tail());
     std::filesystem::remove_all(base);
 }

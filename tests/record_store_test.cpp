@@ -1,10 +1,11 @@
-// Chunked columnar record store (testbed/record_store.hpp): lossless
-// writer/reader round-trip, store→CSV conversion byte-identical to
-// save_csv, the store sink of the campaign sweep reproducing run_campaign
-// bitwise at any job count and resuming from its journal to identical
-// bytes, the store sink of the shard merge, evaluate_stream equivalence
-// with the in-memory engine (including fault-conditioned aggregation), and
-// the reader's refusal of foreign-fingerprint / truncated / tampered input.
+// The record store (testbed/record_store.hpp): lossless writer/reader
+// round-trip, store→CSV conversion byte-identical to save_csv, the store
+// sink of the campaign sweep reproducing run_campaign bitwise at any job
+// count, the journal that becomes the store resuming to identical bytes at
+// any flush cadence, interruption point and torn byte, the store sink of
+// the shard merge, evaluate_stream equivalence with the in-memory engine
+// (including fault-conditioned aggregation), and the reader's refusal of
+// foreign-fingerprint / unfinished / truncated / tampered input.
 #include "testbed/record_store.hpp"
 
 #include <gtest/gtest.h>
@@ -105,15 +106,13 @@ protected:
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }
 
-    /// Write `data` to a store with the given chunk size; returns the path.
+    /// Write `data` to a store; returns the path.
     std::filesystem::path write_store(const testbed::dataset& data,
                                       const std::string& fingerprint,
-                                      std::size_t chunk_capacity,
                                       const char* name = "a.store") {
         const auto file = dir_ / name;
         testbed::record_writer w(file, fingerprint,
-                                 testbed::csv_catalog_lines(data.paths),
-                                 testbed::store_options{chunk_capacity});
+                                 testbed::csv_catalog_lines(data.paths));
         for (const auto& rec : data.records) w.append(rec);
         w.finish();
         return file;
@@ -122,26 +121,21 @@ protected:
     std::filesystem::path dir_;
 };
 
-TEST_F(record_store, round_trip_is_lossless_across_chunk_sizes) {
+TEST_F(record_store, round_trip_is_lossless) {
     const auto cfg = faulty_config();
     const testbed::dataset data = testbed::run_campaign(cfg);
-    // 1 (chunk per record), 7 (odd, multiple partial groups), and a chunk
-    // larger than the dataset (single-chunk store).
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{512}}) {
-        const auto file = write_store(data, testbed::campaign_fingerprint(cfg), chunk);
-        testbed::record_reader r(file, testbed::campaign_fingerprint(cfg));
-        EXPECT_EQ(r.total(), data.records.size());
-        EXPECT_EQ(r.chunk_capacity(), chunk);
-        EXPECT_EQ(r.catalog_lines().size(), data.paths.size());
-        testbed::epoch_record rec;
-        std::size_t i = 0;
-        while (r.next(rec)) {
-            ASSERT_LT(i, data.records.size());
-            expect_records_equal(rec, data.records[i]);
-            ++i;
-        }
-        EXPECT_EQ(i, data.records.size());
+    const auto file = write_store(data, testbed::campaign_fingerprint(cfg));
+    testbed::record_reader r(file, testbed::campaign_fingerprint(cfg));
+    EXPECT_EQ(r.total(), data.records.size());
+    EXPECT_EQ(r.catalog_lines().size(), data.paths.size());
+    testbed::epoch_record rec;
+    std::size_t i = 0;
+    while (r.next(rec)) {
+        ASSERT_LT(i, data.records.size());
+        expect_records_equal(rec, data.records[i]);
+        ++i;
     }
+    EXPECT_EQ(i, data.records.size());
 }
 
 TEST_F(record_store, footer_counts_match_dataset) {
@@ -152,7 +146,7 @@ TEST_F(record_store, footer_counts_match_dataset) {
         faulted += rec.m.fault_flags != testbed::fault_none;
     }
     ASSERT_GT(faulted, 0u) << "faulty_config must actually fault some epochs";
-    const auto file = write_store(data, testbed::campaign_fingerprint(cfg), 8);
+    const auto file = write_store(data, testbed::campaign_fingerprint(cfg));
     testbed::record_reader r(file);
     EXPECT_EQ(r.n_traces(), data.traces().size());
     EXPECT_EQ(r.n_faulted(), faulted);
@@ -160,25 +154,25 @@ TEST_F(record_store, footer_counts_match_dataset) {
 }
 
 TEST_F(record_store, footer_counts_are_checked_at_the_end_of_the_stream) {
-    // The footer's trace or fault count rewritten at the same byte length
-    // keeps every offset valid, so the store opens. Streaming it to the end
-    // must still catch the lie, and store_to_csv — whose fault_flags column
-    // follows the footer — must then publish nothing.
+    // A footer count rewritten at the same byte length keeps the end line's
+    // offset valid, so the store opens. Streaming it to the end must still
+    // catch the lie, and store_to_csv — whose fault_flags column follows the
+    // footer — must then publish nothing.
     const auto cfg = faulty_config();
     const testbed::dataset data = testbed::run_campaign(cfg);
-    const std::string whole =
-        read_file(write_store(data, testbed::campaign_fingerprint(cfg), 4));
+    const std::string whole = read_file(write_store(data, testbed::campaign_fingerprint(cfg)));
     const std::size_t footer_at = whole.rfind("\nfooter,") + 1;
     const std::size_t footer_end = whole.find('\n', footer_at);
     const auto footer =
         testbed::split_fields(whole.substr(footer_at, footer_end - footer_at), ',');
-    ASSERT_EQ(footer.size(), 5u);
+    ASSERT_EQ(footer.size(), 4u);
     ASSERT_NE(footer[3], std::string(footer[3].size(), '0')) << "no faulted epochs";
 
-    for (const std::size_t field : {std::size_t{2}, std::size_t{3}}) {
+    // Records (a larger count, so it stays above the others), traces, faults.
+    for (const std::size_t field : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
         std::vector<std::string> f = footer;
-        f[field] = std::string(f[field].size(), '0');
-        const std::string line = f[0] + ',' + f[1] + ',' + f[2] + ',' + f[3] + ',' + f[4];
+        f[field] = std::string(f[field].size(), field == 1 ? '9' : '0');
+        const std::string line = f[0] + ',' + f[1] + ',' + f[2] + ',' + f[3];
         const auto p = dir_ / "tampered.store";
         {
             std::ofstream out(p, std::ios::binary | std::ios::trunc);
@@ -216,7 +210,7 @@ TEST_F(record_store, store_to_csv_matches_save_csv_bytes) {
         const auto ref_csv = dir_ / (faulted ? "ref_f.csv" : "ref.csv");
         testbed::save_csv(data, ref_csv);
 
-        const auto store = write_store(data, testbed::campaign_fingerprint(cfg), 5,
+        const auto store = write_store(data, testbed::campaign_fingerprint(cfg),
                                        faulted ? "f.store" : "c.store");
         testbed::record_reader r(store);
         const auto out_csv = dir_ / (faulted ? "out_f.csv" : "out.csv");
@@ -236,8 +230,7 @@ TEST_F(record_store, streamed_campaign_reproduces_run_campaign_at_any_jobs) {
         const auto store = dir_ / ("s" + std::to_string(jobs) + ".store");
         testbed::campaign_run_options opts;
         opts.reorder_capacity = 2;  // force reorder-window blocking
-        const auto outcome = testbed::run_campaign_streamed(
-            cfg, store, opts, nullptr, testbed::store_options{4});  // several chunks
+        const auto outcome = testbed::run_campaign_streamed(cfg, store, opts);
         EXPECT_TRUE(outcome.complete);
         EXPECT_EQ(outcome.epochs_completed,
                   static_cast<int>(testbed::campaign_total_epochs(cfg)));
@@ -262,34 +255,82 @@ TEST_F(record_store, streamed_campaign_cancel_leaves_no_store) {
 }
 
 TEST_F(record_store, interrupted_store_run_resumes_to_identical_bytes) {
+    // A store's bytes depend on neither the flush cadence, nor where a run
+    // was interrupted, nor the job count of either leg: every journaled run
+    // below must finish into the bytes of a run without a journal.
     auto cfg = quick_config();
     cfg.jobs = 2;
     const auto ref = dir_ / "ref.store";
     ASSERT_TRUE(testbed::run_campaign_streamed(cfg, ref).complete);
+    const std::string ref_bytes = read_file(ref);
 
-    // Interrupted after five records: no store, a journal of the prefix.
-    const auto store = dir_ / "resumed.store";
+    for (const int every : {1, 3, 1000}) {
+        for (const int interrupt_after : {1, 5}) {
+            for (const int resume_jobs : {1, 3}) {
+                const std::string what = "every=" + std::to_string(every) +
+                                         " interrupt_after=" +
+                                         std::to_string(interrupt_after) +
+                                         " resume_jobs=" + std::to_string(resume_jobs);
+                // Interrupted: no store, a journal of the released prefix.
+                const auto store = dir_ / "resumed.store";
+                testbed::campaign_run_options opts;
+                opts.checkpoint = dir_ / "resumed.store.ckpt";
+                opts.checkpoint_every = every;
+                std::atomic<int> seen{0};
+                opts.cancelled = [&] { return seen.load() >= interrupt_after; };
+                cfg.jobs = 2;
+                const auto first = testbed::run_campaign_streamed(
+                    cfg, store, opts, [&](int, int) { ++seen; });
+                ASSERT_FALSE(first.complete) << what;
+                EXPECT_FALSE(std::filesystem::exists(store)) << what;
+                ASSERT_TRUE(std::filesystem::exists(opts.checkpoint)) << what;
+
+                // Resumed: the journal is reopened after its prefix, finished
+                // and renamed into place.
+                opts.cancelled = nullptr;
+                opts.resume = true;
+                cfg.jobs = resume_jobs;
+                const auto second = testbed::run_campaign_streamed(cfg, store, opts);
+                ASSERT_TRUE(second.complete) << what;
+                EXPECT_EQ(second.epochs_resumed, first.epochs_completed) << what;
+                EXPECT_EQ(read_file(store), ref_bytes) << what;
+                EXPECT_FALSE(std::filesystem::exists(opts.checkpoint)) << what;
+                std::filesystem::remove(store);
+            }
+        }
+    }
+}
+
+TEST_F(record_store, torn_journal_at_every_byte_of_its_tail_resumes_to_identical_bytes) {
+    // A store-mode journal killed mid-append (a torn last rec line), between
+    // finish()'s footer and its rename (a footer or end line, whole or
+    // torn), or after the end line but before the rename: every cut resumes
+    // to the uninterrupted store's bytes and leaves no journal behind.
+    auto cfg = quick_config();
+    cfg.paths = 1;
+    cfg.epochs_per_trace = 3;
+    const auto ref = dir_ / "ref.store";
+    ASSERT_TRUE(testbed::run_campaign_streamed(cfg, ref).complete);
+    const std::string whole = read_file(ref);
+    const std::size_t footer_at = whole.rfind("\nfooter,") + 1;
+    const std::size_t last_rec = whole.rfind("\nrec,", footer_at - 2) + 1;
+
+    const auto store = dir_ / "torn.store";
     testbed::campaign_run_options opts;
-    opts.checkpoint = dir_ / "resumed.store.ckpt";
-    opts.checkpoint_every = 2;
-    std::atomic<int> seen{0};
-    opts.cancelled = [&] { return seen.load() >= 5; };
-    const auto first =
-        testbed::run_campaign_streamed(cfg, store, opts, [&](int, int) { ++seen; });
-    ASSERT_FALSE(first.complete);
-    EXPECT_FALSE(std::filesystem::exists(store));
-    ASSERT_TRUE(std::filesystem::exists(opts.checkpoint));
-
-    // Resumed at another job count: the journal streams into the writer
-    // first, and the store is byte-identical to the uninterrupted one.
-    opts.cancelled = nullptr;
+    opts.checkpoint = dir_ / "torn.store.ckpt";
     opts.resume = true;
-    cfg.jobs = 3;
-    const auto second = testbed::run_campaign_streamed(cfg, store, opts);
-    ASSERT_TRUE(second.complete);
-    EXPECT_EQ(second.epochs_resumed, first.epochs_completed);
-    EXPECT_EQ(read_file(store), read_file(ref));
-    EXPECT_FALSE(std::filesystem::exists(opts.checkpoint));
+    for (std::size_t cut = last_rec + 1; cut <= whole.size(); ++cut) {
+        {
+            std::ofstream out(opts.checkpoint, std::ios::binary | std::ios::trunc);
+            out << whole.substr(0, cut);
+        }
+        const auto resumed = testbed::run_campaign_streamed(cfg, store, opts);
+        ASSERT_TRUE(resumed.complete) << "cut at " << cut;
+        EXPECT_EQ(resumed.epochs_resumed, cut < footer_at ? 2 : 3) << "cut at " << cut;
+        ASSERT_EQ(read_file(store), whole) << "cut at " << cut;
+        ASSERT_FALSE(std::filesystem::exists(opts.checkpoint)) << "cut at " << cut;
+        std::filesystem::remove(store);
+    }
 }
 
 TEST_F(record_store, error_and_cancel_at_a_full_window_resume_to_identical_bytes) {
@@ -328,9 +369,16 @@ TEST_F(record_store, error_and_cancel_at_a_full_window_resume_to_identical_bytes
                          std::runtime_error);
         }
         EXPECT_FALSE(std::filesystem::exists(store));
-        testbed::checkpoint_reader reader(opts.checkpoint, testbed::campaign_fingerprint(cfg));
+        testbed::record_reader reader(opts.checkpoint, testbed::campaign_fingerprint(cfg),
+                                      testbed::record_reader::mode::journal);
         std::size_t kept = 0;
-        while (auto rec = reader.next()) EXPECT_EQ(rec->first, kept++);
+        testbed::epoch_record rec;
+        while (reader.next(rec)) {
+            const std::size_t idx = static_cast<std::size_t>(rec.path_id) *
+                                        static_cast<std::size_t>(cfg.epochs_per_trace) +
+                                    static_cast<std::size_t>(rec.epoch_index);
+            EXPECT_EQ(idx, kept++) << "journal is not the in-order prefix";
+        }
 
         opts.cancelled = nullptr;
         opts.epoch_hook = nullptr;
@@ -358,9 +406,7 @@ TEST_F(record_store, merge_shard_checkpoints_streams_to_store) {
     }
 
     const auto store = dir_ / "merged.store";
-    EXPECT_EQ(testbed::merge_shard_checkpoints_to_store(cfg, ckpts, store,
-                                                        testbed::store_options{4}),
-              total);
+    EXPECT_EQ(testbed::merge_shard_checkpoints_to_store(cfg, ckpts, store), total);
 
     const testbed::dataset ref = testbed::run_campaign(cfg);
     const auto ref_csv = dir_ / "ref.csv";
@@ -391,7 +437,7 @@ TEST_F(record_store, merge_rejects_missing_and_incomplete_shards) {
 TEST_F(record_store, reader_rejects_foreign_fingerprint) {
     const auto cfg = quick_config();
     const testbed::dataset data = testbed::run_campaign(cfg);
-    const auto file = write_store(data, testbed::campaign_fingerprint(cfg), 8);
+    const auto file = write_store(data, testbed::campaign_fingerprint(cfg));
 
     auto other = cfg;
     other.seed += 1;
@@ -410,7 +456,7 @@ TEST_F(record_store, reader_rejects_foreign_fingerprint) {
 TEST_F(record_store, reader_rejects_truncated_and_tampered_stores) {
     const auto cfg = quick_config();
     const testbed::dataset data = testbed::run_campaign(cfg);
-    const auto file = write_store(data, testbed::campaign_fingerprint(cfg), 4);
+    const auto file = write_store(data, testbed::campaign_fingerprint(cfg));
     const std::string whole = read_file(file);
 
     const auto write_variant = [&](const std::string& content) {
@@ -419,33 +465,42 @@ TEST_F(record_store, reader_rejects_truncated_and_tampered_stores) {
         out << content;
         return p;
     };
-
-    // Truncations at several depths: mid-footer, mid-chunk, header-only.
-    for (const double frac : {0.95, 0.5, 0.05}) {
-        const auto p = write_variant(whole.substr(
-            0, static_cast<std::size_t>(static_cast<double>(whole.size()) * frac)));
-        EXPECT_THROW(testbed::record_reader r(p), testbed::dataset_error)
-            << "frac=" << frac;
-    }
-
-    // A flipped count in the footer index must be caught, not trusted.
-    const auto pos = whole.rfind("chunkoff,0,");
-    ASSERT_NE(pos, std::string::npos);
-    std::string tampered = whole;
-    tampered.insert(pos + std::string("chunkoff,0,").size(), "9");
-    EXPECT_THROW(
-        {
-            testbed::record_reader r(write_variant(tampered));
+    const auto expect_refused = [&](const std::string& content, const std::string& what) {
+        try {
+            testbed::record_reader r(write_variant(content));
             testbed::epoch_record rec;
             while (r.next(rec)) {
             }
-        },
-        testbed::dataset_error);
+            ADD_FAILURE() << "accepted: " << what;
+        } catch (const testbed::dataset_error& e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+        }
+    };
 
-    EXPECT_THROW(testbed::record_reader r(write_variant("not,a,store\n")),
-                 testbed::dataset_error);
-    EXPECT_THROW(testbed::record_reader r(dir_ / "missing.store"),
-                 testbed::dataset_error);
+    // Truncations mid-end line, mid-records and at the footer have no end
+    // line, as a journal has none: all are refused as unfinished. A cut
+    // header is refused as truncated.
+    const std::size_t footer_at = whole.rfind("\nfooter,") + 1;
+    const std::size_t rec_at = whole.find("\nrec,") + 1;
+    for (const std::size_t cut : {whole.size() - 2, whole.size() / 2, footer_at}) {
+        expect_refused(whole.substr(0, cut), "unfinished journal");
+    }
+    expect_refused(whole.substr(0, rec_at / 2), "truncated store");
+
+    // An end offset off by one points at no footer; one past the file is
+    // out of range.
+    const std::size_t end_at = whole.rfind("end,");
+    const std::string head = whole.substr(0, end_at);
+    expect_refused(head + "end," + std::to_string(footer_at + 1) + "\n", "does not point");
+    expect_refused(head + "end," + std::to_string(whole.size()) + "\n", "out of range");
+    // A record after the footer, and a second end line.
+    const std::string first_rec = whole.substr(rec_at, whole.find('\n', rec_at) + 1 - rec_at);
+    expect_refused(head + first_rec + whole.substr(end_at), "does not point");
+    expect_refused(whole + whole.substr(end_at), "does not point");
+
+    expect_refused("not,a,store\n", "not a tcppred record store");
+    expect_refused("tcppred-store,v1\nfingerprint,x\n", "no longer reads");
+    EXPECT_THROW(testbed::record_reader r(dir_ / "missing.store"), testbed::dataset_error);
 }
 
 TEST_F(record_store, empty_store_is_diagnosed_as_empty_not_unseekable) {
@@ -547,6 +602,24 @@ TEST_F(record_store, evaluate_stream_matches_engine_bitwise) {
     }
 }
 
+TEST_F(record_store, finished_reader_refuses_a_journal_and_names_resume) {
+    auto cfg = quick_config();
+    const auto store = dir_ / "j.store";
+    testbed::campaign_run_options opts;
+    opts.checkpoint = dir_ / "j.store.ckpt";
+    opts.cancelled = [] { return true; };
+    ASSERT_FALSE(testbed::run_campaign_streamed(cfg, store, opts).complete);
+    try {
+        testbed::record_reader r(opts.checkpoint);
+        FAIL() << "an unfinished journal opened as a finished store";
+    } catch (const testbed::dataset_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(opts.checkpoint.string()), std::string::npos) << msg;
+        EXPECT_NE(msg.find("unfinished journal"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("--resume"), std::string::npos) << msg;
+    }
+}
+
 TEST_F(record_store, writer_abort_never_touches_target) {
     const auto file = dir_ / "aborted.store";
     {
@@ -564,6 +637,33 @@ TEST_F(record_store, writer_abort_never_touches_target) {
     }
     EXPECT_FALSE(std::filesystem::exists(file));
     EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+TEST_F(record_store, writer_abort_never_deletes_a_journal) {
+    // A journal is the resume point: neither abort() nor the destructor of
+    // an unfinished writer may remove it, and the target stays untouched.
+    const auto file = dir_ / "j.store";
+    const auto journal = dir_ / "j.store.ckpt";
+    {
+        testbed::record_writer w(file, journal, "fp", {});
+        w.append(testbed::epoch_record{});
+        ASSERT_TRUE(w.flush());
+        w.append(testbed::epoch_record{});  // unflushed: dropped
+    }
+    EXPECT_FALSE(std::filesystem::exists(file));
+    ASSERT_TRUE(std::filesystem::exists(journal));
+    testbed::record_reader r(journal, "fp", testbed::record_reader::mode::journal);
+    testbed::epoch_record rec;
+    std::size_t n = 0;
+    while (r.next(rec)) ++n;
+    EXPECT_EQ(n, 1u);
+    {
+        testbed::record_writer w(file, journal, "fp", {}, &r);
+        w.append(testbed::epoch_record{});
+        w.abort();
+    }
+    EXPECT_TRUE(std::filesystem::exists(journal));
+    EXPECT_FALSE(std::filesystem::exists(file));
 }
 
 }  // namespace

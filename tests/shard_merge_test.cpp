@@ -1,9 +1,9 @@
-// Sharding and merge (testbed/shard.hpp): the merge property — ANY
-// partition of the epoch grid into shard journals, merged in ANY order,
-// reproduces the serial dataset and its CSV bytes exactly — plus the shard
-// arithmetic, heartbeat roundtrip, the k-way walk's linear release, and the
-// merge failure modes (missing shard, incomplete coverage, foreign config,
-// a journal out of order).
+// Sharding (testbed/shard.hpp) and the shard merge (testbed/record_store.hpp):
+// the merge property — ANY partition of the epoch grid into shard journals,
+// merged in ANY order, reproduces the serial dataset and its CSV bytes
+// exactly — plus the shard arithmetic, heartbeat roundtrip, the k-way walk's
+// linear release, and the merge failure modes (missing shard, incomplete
+// coverage, foreign config, a journal out of order).
 #include "testbed/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "testbed/campaign.hpp"
 #include "testbed/checkpoint.hpp"
 #include "testbed/dataset.hpp"
+#include "testbed/record_store.hpp"
 
 using namespace tcppred;
 using testbed::shard_ref;

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # CI gate for multi-process campaign supervision (DESIGN.md §15): run
 # sharded campaigns under seeded process chaos — workers SIGKILL and wedge
-# themselves on a $REPRO_CHAOS schedule — and require every merged CSV to be
-# byte-identical to a chaos-free serial run. Also interrupts a supervised
-# run with SIGINT (expect exit 130 + resumable shard checkpoints) and
-# resumes it to the same bytes. This is the end-to-end proof that crash
-# detection, hang detection, retry/backoff and the shard merge preserve the
-# determinism contract through real process deaths.
+# themselves on a $REPRO_CHAOS schedule — and require every merged CSV, and
+# one merged record store, to be byte-identical to a chaos-free serial run.
+# Also interrupts a supervised run with SIGINT (expect exit 130 + resumable
+# shard journals) and resumes it to the same bytes. This is the end-to-end
+# proof that crash detection, hang detection, retry/backoff and the shard
+# merge preserve the determinism contract through real process deaths.
 #
 # Usage: tools/ci_chaos_check.sh path/to/tcppred_campaign
 set -eu
@@ -34,6 +34,22 @@ for W in 2 3 4; do
 done
 grep -q "restart" "$WORK/sup3.log" || {
     echo "FAIL: supervisor log reports no restarts under kill chaos"
+    exit 1
+}
+
+echo "== supervised, 3 workers, chaos kills, into a record store"
+# Shard journals torn by real SIGKILLs, resumed, then merged into a store:
+# its bytes must equal a serial store run's.
+"$CAMPAIGN" "${ARGS1[@]}" --out "$WORK/golden1.store" --format store --jobs 1 2>/dev/null
+REPRO_CHAOS="kill=0.15,seed=3" \
+    "$CAMPAIGN" "${ARGS1[@]}" --out "$WORK/sup.store" --format store --workers 3 \
+    2>"$WORK/sup_store.log"
+cmp "$WORK/golden1.store" "$WORK/sup.store" || {
+    echo "FAIL: 3-worker chaos store run differs from the serial store golden"
+    exit 1
+}
+grep -q "restart" "$WORK/sup_store.log" || {
+    echo "FAIL: supervisor log reports no restarts under kill chaos (store leg)"
     exit 1
 }
 

@@ -10,7 +10,7 @@
 //   tcppred_analyze --from-store STORE [--predictors ...]
 //   tcppred_analyze --from-trace RUN.jsonl
 //
-// --from-store streams a chunked record store (tcppred_campaign
+// --from-store streams a finished record store (tcppred_campaign
 // --format store) through analysis::evaluate_stream — one trace resident
 // at a time, never the dataset — and prints a report byte-identical to
 // analyzing the store's CSV conversion (records are CSV-normalized on the
@@ -58,7 +58,7 @@ void usage(const char* argv0) {
                  "                hybrid:<hb-spec>[:<k>]   (see README \"Predictor specs\")\n"
                  "  --trace FILE      write a JSONL run trace (also $REPRO_TRACE)\n"
                  "  --metrics-summary print counters and stage timings to stderr on exit\n"
-                 "  --from-store FILE stream-analyze a chunked record store\n"
+                 "  --from-store FILE stream-analyze a finished record store\n"
                  "                    (tcppred_campaign --format store) with one\n"
                  "                    trace resident at a time, never the dataset\n"
                  "  --from-trace FILE re-derive the conditioned RMSRE table from a\n"

@@ -8,11 +8,12 @@
 //                    [--resume] [--format csv|store] [--trace FILE]
 //                    [--metrics-summary]
 //
-// Both formats run the same sweep and the same checkpoint journal; only
-// the sink differs. Multi-process modes (DESIGN.md §15): --workers N
-// supervises N worker processes (one shard each) and merges their journals
-// into FILE; --shard i/N runs one shard (what a worker does; its product is
-// the shard journal, not a CSV); --merge N merges existing shard journals.
+// Both formats run the same sweep; only the sink differs. The resume
+// journal is an unfinished record store: a --format store run finishes it
+// into FILE. Multi-process modes (DESIGN.md §15): --workers N supervises N
+// worker processes (one shard each) and merges their journals into FILE;
+// --shard i/N runs one shard (what a worker does; its product is the shard
+// journal, not a CSV); --merge N merges existing shard journals.
 // $REPRO_CHAOS (e.g. kill=0.05,hang=0.01) makes workers crash/wedge on a
 // seeded schedule so supervision is testable.
 //
@@ -22,6 +23,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -88,10 +90,11 @@ void usage(const char* argv0) {
                  "  --merge N         merge shard journals 0..N-1 into FILE, in\n"
                  "                    either --format\n"
                  "  --format F        output format: csv (default) or store (the\n"
-                 "                    chunked columnar record store, DESIGN.md §16;\n"
-                 "                    epochs stream to disk instead of being held\n"
-                 "                    in RAM — convert to CSV with --convert)\n"
-                 "  --convert STORE   convert an existing record store to the CSV\n"
+                 "                    record store, DESIGN.md §16; epochs stream to\n"
+                 "                    disk instead of being held in RAM, and the\n"
+                 "                    journal becomes the store — convert to CSV\n"
+                 "                    with --convert)\n"
+                 "  --convert STORE   convert a finished record store to the CSV\n"
                  "                    at --out (streaming; byte-identical to a CSV\n"
                  "                    run of the same config; no campaign is run)\n"
                  "  --trace FILE      write a JSONL run trace (also $REPRO_TRACE;\n"
@@ -101,7 +104,7 @@ void usage(const char* argv0) {
                  argv0);
 }
 
-// SIGINT: stop claiming epochs; the sweep flushes the journal and the tool
+// SIGINT: stop claiming epochs; the run flushes the journal and the tool
 // exits 130. sig_atomic_t keeps the handler async-signal-safe.
 volatile std::sig_atomic_t g_interrupted = 0;
 void on_sigint(int) { g_interrupted = 1; }
@@ -234,6 +237,16 @@ int main(int argc, char** argv) {
     if (out.empty() || cfg.paths <= 0 || cfg.traces_per_path <= 0 ||
         cfg.epochs_per_trace <= 0) {
         usage(argv[0]);
+        return 1;
+    }
+    // Progress, heartbeats and outcomes count epochs in int: refuse a grid
+    // past INT_MAX before anything sizes or sweeps it.
+    if (campaign_total_epochs(cfg) > static_cast<std::size_t>(INT_MAX)) {
+        std::fprintf(stderr,
+                     "grid too large: --paths %d x --traces %d x --epochs %d = %zu "
+                     "epochs (at most %d)\n",
+                     cfg.paths, cfg.traces_per_path, cfg.epochs_per_trace,
+                     campaign_total_epochs(cfg), INT_MAX);
         return 1;
     }
     cfg.jobs = jobs;
@@ -445,7 +458,7 @@ int main(int argc, char** argv) {
                            : "");
         // Worker heartbeat: one atomic write per completed epoch, from the
         // progress path on purpose — a wedged worker must stop heartbeating.
-        const int total_epochs = cfg.paths * cfg.traces_per_path * cfg.epochs_per_trace;
+        const int total_epochs = static_cast<int>(campaign_total_epochs(cfg));
         const int claimed =
             shard ? static_cast<int>(
                         shard_size(static_cast<std::size_t>(total_epochs), *shard))
