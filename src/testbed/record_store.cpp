@@ -83,13 +83,13 @@ void record_counts::add(const epoch_record& rec) noexcept {
 // ---------------------------------------------------------------------------
 // record_writer
 
-record_writer::record_writer(const std::filesystem::path& file, std::string fingerprint,
-                             std::vector<std::string> catalog_lines)
-    : record_writer(file, {}, std::move(fingerprint), std::move(catalog_lines)) {}
+record_writer::record_writer(const std::filesystem::path& file, const std::string& fingerprint,
+                             const std::vector<std::string>& catalog_lines)
+    : record_writer(file, {}, fingerprint, catalog_lines) {}
 
 record_writer::record_writer(const std::filesystem::path& file,
-                             const std::filesystem::path& journal, std::string fingerprint,
-                             std::vector<std::string> catalog_lines,
+                             const std::filesystem::path& journal, const std::string& fingerprint,
+                             const std::vector<std::string>& catalog_lines,
                              const record_reader* prefix)
     : file_(file), path_(journal), journal_(!journal.empty()) {
     if (prefix != nullptr) {
@@ -486,7 +486,7 @@ campaign_outcome run_journaled(const campaign_config& cfg, const campaign_run_op
     static const obs::counter c_resumed = obs::counter::get("campaign.epochs_resumed");
     static const obs::counter c_flushes = obs::counter::get("campaign.checkpoint_flushes");
     const std::string fingerprint = campaign_fingerprint(cfg);
-    std::vector<std::string> catalog = csv_catalog_lines(campaign_catalog(cfg));
+    const std::vector<std::string> catalog = csv_catalog_lines(campaign_catalog(cfg));
     const std::size_t total = campaign_total_epochs(cfg);
     const auto next_claimed = [&](std::size_t idx) {
         while (idx < total && opts.epoch_filter && !opts.epoch_filter(idx)) ++idx;
@@ -516,9 +516,9 @@ campaign_outcome run_journaled(const campaign_config& cfg, const campaign_run_op
             resume_from = next_claimed(idx + 1);
         }
         c_resumed.add(static_cast<std::uint64_t>(resumed));
-        journal.emplace(store_file, opts.checkpoint, fingerprint, std::move(catalog), &reader);
+        journal.emplace(store_file, opts.checkpoint, fingerprint, catalog, &reader);
     } else {
-        journal.emplace(store_file, opts.checkpoint, fingerprint, std::move(catalog));
+        journal.emplace(store_file, opts.checkpoint, fingerprint, catalog);
     }
 
     campaign_run_options rest = opts;

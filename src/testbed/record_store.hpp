@@ -74,8 +74,8 @@ public:
     /// A store published at `file` by finish(). `catalog_lines` are the
     /// verbatim "#path,..." CSV catalogue lines (csv_catalog_lines);
     /// `fingerprint` is the v2 campaign fingerprint.
-    record_writer(const std::filesystem::path& file, std::string fingerprint,
-                  std::vector<std::string> catalog_lines);
+    record_writer(const std::filesystem::path& file, const std::string& fingerprint,
+                  const std::vector<std::string>& catalog_lines);
     /// A journal at `journal`: the unfinished store that finish() renames to
     /// `file` (empty for a journal that is only ever flushed). A fresh
     /// journal is created, header and records together, by the first
@@ -83,7 +83,7 @@ public:
     /// of its valid prefix, the journal is cut back to that prefix and
     /// appended to, with the prefix's counts.
     record_writer(const std::filesystem::path& file, const std::filesystem::path& journal,
-                  std::string fingerprint, std::vector<std::string> catalog_lines,
+                  const std::string& fingerprint, const std::vector<std::string>& catalog_lines,
                   const record_reader* prefix = nullptr);
     ~record_writer();
     record_writer(const record_writer&) = delete;
