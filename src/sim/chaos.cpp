@@ -11,19 +11,18 @@ namespace tcppred::sim {
 
 namespace {
 
-double parse_nonneg(std::string_view key, std::string_view value, double max) {
+/// The `kill` rate: one whole double in [0, 1].
+double parse_kill_rate(std::string_view value) {
     std::size_t pos = 0;
     double v = 0.0;
     const std::string s(value);
     try {
         v = std::stod(s, &pos);
     } catch (const std::exception&) {
-        throw std::invalid_argument("chaos_profile: bad value for '" + std::string(key) +
-                                    "': " + s);
+        throw std::invalid_argument("chaos_profile: bad value for 'kill': " + s);
     }
-    if (pos != s.size() || !(v >= 0.0 && v <= max)) {
-        throw std::invalid_argument("chaos_profile: value for '" + std::string(key) +
-                                    "' out of range: " + s);
+    if (pos != s.size() || !(v >= 0.0 && v <= 1.0)) {
+        throw std::invalid_argument("chaos_profile: value for 'kill' out of range: " + s);
     }
     return v;
 }
@@ -34,16 +33,8 @@ std::string chaos_profile::spec() const {
     if (!enabled()) return "off";
     std::ostringstream out;
     out.precision(17);  // exact enough to round-trip any configured rate
-    bool first = true;
-    const chaos_profile defaults{};
-    const auto emit = [&](const char* key, double v) {
-        out << (first ? "" : ",") << key << '=' << v;
-        first = false;
-    };
-    if (kill_rate != defaults.kill_rate) emit("kill", kill_rate);
-    if (hang_rate != defaults.hang_rate) emit("hang", hang_rate);
-    if (hang_s != defaults.hang_s) emit("hang-s", hang_s);
-    if (seed != 0) out << (first ? "" : ",") << "seed=" << seed;
+    out << "kill=" << kill_rate;
+    if (seed != 0) out << ",seed=" << seed;
     return out.str();
 }
 
@@ -62,19 +53,12 @@ chaos_profile chaos_profile::parse(std::string_view spec) {
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
         if (key == "kill") {
-            p.kill_rate = parse_nonneg(key, value, 1.0);
-        } else if (key == "hang") {
-            p.hang_rate = parse_nonneg(key, value, 1.0);
-        } else if (key == "hang-s") {
-            p.hang_s = parse_nonneg(key, value, 1e9);
+            p.kill_rate = parse_kill_rate(value);
         } else if (key == "seed") {
             p.seed = core::parse_checked_u64("chaos_profile seed", value, 0, UINT64_MAX);
         } else {
             throw std::invalid_argument("chaos_profile: unknown key '" + key + "'");
         }
-    }
-    if (p.kill_rate + p.hang_rate > 1.0) {
-        throw std::invalid_argument("chaos_profile: kill + hang rates exceed 1");
     }
     return p;
 }
@@ -84,17 +68,14 @@ chaos_profile chaos_profile::from_env() {
     return {};
 }
 
-chaos_action plan_chaos(const chaos_profile& profile, std::uint64_t campaign_seed,
-                        int attempt, std::size_t idx) {
-    if (!profile.enabled()) return chaos_action::none;
+bool plan_chaos_kill(const chaos_profile& profile, std::uint64_t campaign_seed,
+                     int attempt, std::size_t idx) {
+    if (!profile.enabled()) return false;
     const std::uint64_t master = profile.seed != 0 ? profile.seed : campaign_seed;
     rng stream(derive_seed(master, "chaos", static_cast<std::uint64_t>(attempt),
                            static_cast<std::uint64_t>(idx)));
-    // Single draw, fixed split: [0, kill) kills, [kill, kill+hang) hangs.
-    const double u = stream.uniform();
-    if (u < profile.kill_rate) return chaos_action::kill;
-    if (u < profile.kill_rate + profile.hang_rate) return chaos_action::hang;
-    return chaos_action::none;
+    // Single draw: [0, kill) kills.
+    return stream.uniform() < profile.kill_rate;
 }
 
 int chaos_attempt_from_env() {

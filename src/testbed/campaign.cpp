@@ -333,7 +333,7 @@ dataset load_or_run(const campaign_config& cfg, const std::filesystem::path& fil
     int last_percent = -1;
     const obs::stopwatch watch;
     dataset data = run_campaign(cfg, [&](int done, int total) {
-        const int percent = done * 100 / total;
+        const int percent = progress_percent(done, total);
         if (percent / 5 != last_percent / 5) {
             std::cerr << "[campaign] " << percent << "% (" << done << "/" << total
                       << " epochs)\n";

@@ -41,6 +41,13 @@ struct campaign_config {
 /// the callback needs no locking. It must not re-enter run_campaign.
 using progress_fn = std::function<void(int, int)>;
 
+/// Whole percent of `done` out of `total` epochs (a `total` below 1 counts
+/// as 1), for progress lines. In 64 bits: a grid holds up to INT_MAX
+/// epochs, and `done * 100` overflows int past 21,474,836.
+[[nodiscard]] constexpr int progress_percent(int done, int total) noexcept {
+    return static_cast<int>(std::int64_t{done} * 100 / (total > 0 ? total : 1));
+}
+
 /// The path catalogue a campaign config generates (campaign-1 or campaign-2
 /// per cfg.second_set). Path ids ascend 0..paths-1 in catalogue order — the
 /// invariant that makes the linearized epoch order below equal the

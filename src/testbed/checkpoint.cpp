@@ -257,4 +257,33 @@ void atomic_write_text(const std::filesystem::path& file, const std::string& con
     }
 }
 
+std::filesystem::path same_dir_temp(const std::filesystem::path& file) {
+    const std::filesystem::path dir =
+        file.parent_path().empty() ? std::filesystem::path(".") : file.parent_path();
+    return dir / (file.filename().string() + "." + std::to_string(::getpid()) + ".tmp");
+}
+
+void atomic_write_stream(const std::filesystem::path& file, std::string_view who,
+                         const std::function<void(std::ostream&)>& write) {
+    const std::filesystem::path tmp = same_dir_temp(file);
+    const std::string prefix = std::string(who) + ": ";
+    try {
+        std::ofstream out(tmp);
+        if (!out) throw std::runtime_error(prefix + "cannot open " + tmp.string());
+        write(out);
+        out.close();
+        if (!out) throw std::runtime_error(prefix + "write failed on " + file.string());
+        std::error_code ec;
+        std::filesystem::rename(tmp, file, ec);
+        if (ec) {
+            throw std::runtime_error(prefix + "cannot rename " + tmp.string() + " into " +
+                                     file.string());
+        }
+    } catch (...) {
+        std::error_code ignore;
+        std::filesystem::remove(tmp, ignore);
+        throw;
+    }
+}
+
 }  // namespace tcppred::testbed

@@ -1,13 +1,16 @@
 // The serialization primitives of the bit-exact formats (the record store,
 // testbed/record_store.hpp, and the serve snapshot): hexd/parse_hexd for
 // doubles, the whole-token integer field parsers, the v2 campaign
-// fingerprint with its field-by-field diff, and atomic_write_text. The
-// record files themselves are written and read only by record_store.
+// fingerprint with its field-by-field diff, and the two atomic publishers
+// (atomic_write_text, atomic_write_stream). The record files themselves are
+// written and read only by record_store.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,5 +78,19 @@ struct fingerprint_field {
 /// EXDEV) it falls back to copy + fsync + same-directory rename. The test
 /// hook $TCPPRED_FORCE_EXDEV=1 forces the fallback path.
 void atomic_write_text(const std::filesystem::path& file, const std::string& contents);
+
+/// The temp file a streamed output is written to before its rename: beside
+/// `file`, so the rename never crosses filesystems, and named with the pid.
+[[nodiscard]] std::filesystem::path same_dir_temp(const std::filesystem::path& file);
+
+/// Publish a streamed text file: `write` fills a stream on
+/// same_dir_temp(file), the stream is checked after close, and rename(2)
+/// puts the temp in place, so readers see the old file or the whole new
+/// one. An exception from `write`, a failed write (a full disk, a file size
+/// limit) or a failed rename throws with `who` in the message, removes the
+/// temp and leaves `file` untouched. Unlike atomic_write_text nothing is
+/// buffered, so an output the size of a campaign never sits in memory.
+void atomic_write_stream(const std::filesystem::path& file, std::string_view who,
+                         const std::function<void(std::ostream&)>& write);
 
 }  // namespace tcppred::testbed

@@ -9,6 +9,7 @@
 
 #include "core/units.hpp"
 #include "obs/counters.hpp"
+#include "testbed/checkpoint.hpp"
 
 namespace tcppred::testbed {
 
@@ -287,19 +288,16 @@ epoch_record csv_normalized_record(const epoch_record& r) {
 }
 
 void save_csv(const dataset& data, const std::filesystem::path& file) {
-    std::ofstream out(file);
-    if (!out) throw std::runtime_error("save_csv: cannot open " + file.string());
-
-    write_csv_catalog(out, data.paths);
-
     // The fault column only exists when something actually faulted, so
     // fault-free datasets stay byte-identical to the pre-fault format.
     const bool any_faults =
         std::any_of(data.records.begin(), data.records.end(),
                     [](const epoch_record& r) { return r.m.fault_flags != fault_none; });
-
-    write_csv_header(out, any_faults);
-    for (const auto& r : data.records) write_csv_record(out, r, any_faults);
+    atomic_write_stream(file, "save_csv", [&](std::ostream& out) {
+        write_csv_catalog(out, data.paths);
+        write_csv_header(out, any_faults);
+        for (const auto& r : data.records) write_csv_record(out, r, any_faults);
+    });
 }
 
 namespace {

@@ -63,7 +63,9 @@ struct dataset {
 /// Write records as CSV (one header line, one line per epoch). A
 /// `fault_flags` column is appended only when at least one record carries a
 /// nonzero flag, so fault-free campaigns serialize byte-identically to
-/// datasets written before the fault layer existed.
+/// datasets written before the fault layer existed. Published through
+/// atomic_write_stream (checkpoint.hpp): a failed write throws and leaves
+/// neither `file` nor a temp behind.
 void save_csv(const dataset& data, const std::filesystem::path& file);
 
 /// Streaming emitters of the legacy v1 analysis CSV, shared by save_csv and

@@ -1,7 +1,5 @@
 #include "testbed/record_store.hpp"
 
-#include <unistd.h>
-
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -23,16 +21,6 @@ constexpr std::size_t k_fixed_fields = 19;   // "rec", 3 coordinates, 12 doubles
 constexpr std::uint64_t k_max_prefixes = 64;
 /// A store without a journal reaches its temp file in writes of this size.
 constexpr std::size_t k_write_bytes = std::size_t{1} << 16;
-
-/// The temp file a streamed output is written to before its rename: same
-/// directory, so the rename never crosses filesystems. (atomic_write_text
-/// is not used on purpose — it buffers the full contents in memory, the
-/// exact pattern this module exists to avoid.)
-std::filesystem::path same_dir_temp(const std::filesystem::path& file) {
-    const std::filesystem::path dir =
-        file.parent_path().empty() ? std::filesystem::path(".") : file.parent_path();
-    return dir / (file.filename().string() + "." + std::to_string(::getpid()) + ".tmp");
-}
 
 /// Decode one `rec` line, already split into `f`, into `r` in place.
 void decode_record(const std::vector<std::string_view>& f, epoch_record& r,
@@ -391,35 +379,15 @@ bool record_reader::next(epoch_record& out) {
 // store -> CSV conversion
 
 void store_to_csv(record_reader& in, const std::filesystem::path& csv_file) {
-    // Published the way record_writer publishes a store: the reader checks
-    // the footer's counts only at the end, so a rejected store must not
-    // leave a half-written CSV behind.
-    const std::filesystem::path tmp = same_dir_temp(csv_file);
-    try {
-        std::ofstream out(tmp);
-        if (!out) {
-            throw std::runtime_error("store_to_csv: cannot open " + csv_file.string());
-        }
+    // The reader checks the footer's counts only at the end, so a rejected
+    // store must not leave a half-written CSV behind.
+    atomic_write_stream(csv_file, "store_to_csv", [&](std::ostream& out) {
         for (const std::string& line : in.catalog_lines()) out << line << '\n';
         const bool any_faults = in.any_faults();
         write_csv_header(out, any_faults);
         epoch_record rec;
         while (in.next(rec)) write_csv_record(out, rec, any_faults);
-        out.close();
-        if (!out) {
-            throw std::runtime_error("store_to_csv: write failed on " + csv_file.string());
-        }
-        std::error_code ec;
-        std::filesystem::rename(tmp, csv_file, ec);
-        if (ec) {
-            throw std::runtime_error("store_to_csv: cannot rename " + tmp.string() +
-                                     " into " + csv_file.string());
-        }
-    } catch (...) {
-        std::error_code ignore;
-        std::filesystem::remove(tmp, ignore);
-        throw;
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,10 @@
 #include "testbed/shard.hpp"
 
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/checked_parse.hpp"
 #include "core/contracts.hpp"
-#include "testbed/checkpoint.hpp"
 
 namespace tcppred::testbed {
 
@@ -27,14 +23,6 @@ bool parse_int(std::string_view s, int& out) {
         return false;
     }
     return true;
-}
-
-std::filesystem::path shard_file(const std::filesystem::path& out, shard_ref ref,
-                                 const char* ext) {
-    std::filesystem::path p = out;
-    p += ".shard-" + std::to_string(ref.index) + "-of-" + std::to_string(ref.count) +
-         ext;
-    return p;
 }
 
 }  // namespace
@@ -63,43 +51,10 @@ std::size_t shard_size(std::size_t total, shard_ref ref) {
 
 std::filesystem::path shard_checkpoint_path(const std::filesystem::path& out,
                                             shard_ref ref) {
-    return shard_file(out, ref, ".ckpt");
-}
-
-std::filesystem::path shard_heartbeat_path(const std::filesystem::path& out,
-                                           shard_ref ref) {
-    return shard_file(out, ref, ".hb");
-}
-
-std::filesystem::path shard_log_path(const std::filesystem::path& out, shard_ref ref) {
-    return shard_file(out, ref, ".log");
-}
-
-void write_heartbeat(const std::filesystem::path& file, const shard_heartbeat& hb) {
-    std::ostringstream out;
-    out << "tcppred-heartbeat v1\n"
-        << "pid " << hb.pid << "\n"
-        << "seq " << hb.seq << "\n"
-        << "done " << hb.epochs_done << "\n"
-        << "claimed " << hb.epochs_claimed << "\n";
-    atomic_write_text(file, out.str());
-}
-
-std::optional<shard_heartbeat> read_heartbeat(const std::filesystem::path& file) {
-    std::ifstream in(file);
-    if (!in) return std::nullopt;
-    std::string magic;
-    std::string version;
-    if (!(in >> magic >> version) || magic != "tcppred-heartbeat" || version != "v1") {
-        return std::nullopt;
-    }
-    shard_heartbeat hb;
-    std::string key;
-    if (!(in >> key >> hb.pid) || key != "pid") return std::nullopt;
-    if (!(in >> key >> hb.seq) || key != "seq") return std::nullopt;
-    if (!(in >> key >> hb.epochs_done) || key != "done") return std::nullopt;
-    if (!(in >> key >> hb.epochs_claimed) || key != "claimed") return std::nullopt;
-    return hb;
+    std::filesystem::path p = out;
+    p += ".shard-" + std::to_string(ref.index) + "-of-" + std::to_string(ref.count) +
+         ".ckpt";
+    return p;
 }
 
 }  // namespace tcppred::testbed

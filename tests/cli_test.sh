@@ -42,6 +42,18 @@ REPRO_FAULT_SEED=7zz "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>&1
 check_exit "campaign REPRO_FAULT_SEED=7zz" 1 $?
 REPRO_CHAOS=seed=7zz "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>&1
 check_exit "campaign REPRO_CHAOS=seed=7zz" 1 $?
+# Chaos kills only: a wedged process has no observer to notice it.
+REPRO_CHAOS=hang=0.1 "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>&1
+check_exit "campaign REPRO_CHAOS=hang=0.1" 1 $?
+# Crash recovery on one host is --jobs N plus --resume; there is no process
+# supervisor, and its flags are unknown arguments.
+for FLAG in "--workers 2" "--worker-jobs 2" "--hang-timeout-s 1" "--max-attempts 3"; do
+    # shellcheck disable=SC2086  # FLAG is a flag and its value
+    "$CAMPAIGN" $TINY --out "$WORK/x.csv" $FLAG >/dev/null 2>"$WORK/err"
+    check_exit "campaign $FLAG" 1 $?
+    grep -q "unknown argument: ${FLAG%% *}" "$WORK/err" || { echo "FAIL: $FLAG not reported as an unknown argument"; FAILURES=$((FAILURES+1)); }
+done
+[ -f "$WORK/x.csv" ] && { echo "FAIL: a refused flag still ran the campaign"; FAILURES=$((FAILURES+1)); }
 
 # --- malformed flag VALUES -> 2, diagnostic names the flag (the checked
 # parser of core/checked_parse.hpp; atoi used to turn these into 0 silently)
@@ -55,8 +67,6 @@ grep -q -- "--paths" "$WORK/err" || { echo "FAIL: negative --paths error does no
 check_exit "campaign --epochs 3.5" 2 $?
 "$CAMPAIGN" --out "$WORK/x.csv" --seed -1 >/dev/null 2>&1
 check_exit "campaign --seed -1" 2 $?
-"$CAMPAIGN" --out "$WORK/x.csv" --workers 0 >/dev/null 2>&1
-check_exit "campaign --workers 0" 2 $?
 "$CAMPAIGN" --out "$WORK/x.csv" --transfer-s banana >/dev/null 2>&1
 check_exit "campaign --transfer-s banana" 2 $?
 
@@ -198,15 +208,25 @@ for FMT in csv store; do
     ls "$WORK"/huge.$FMT* >/dev/null 2>&1 && { echo "FAIL: oversized grid left output ($FMT)"; FAILURES=$((FAILURES+1)); }
 done
 
-# --- sharding: bad specs -> 1, shard+merge and --workers reproduce the
-# serial CSV byte for byte, merge of a missing shard -> 2, and a resume
-# under a changed config names the differing field.
+# A CSV that cannot be written whole is a runtime failure that publishes
+# nothing: under a 16-block file size limit (SIGXFSZ ignored, so the write
+# fails with EFBIG) the run exits 2 and leaves neither the CSV nor its temp.
+(trap '' XFSZ; ulimit -f 16
+ "$CAMPAIGN" --paths 3 --traces 1 --epochs 60 --transfer-s 1.5 --jobs 2 \
+     --out "$WORK/capped.csv" >/dev/null 2>"$WORK/err")
+check_exit "CSV run past the file size limit" 2 $?
+grep -q "save_csv: write failed" "$WORK/err" || { echo "FAIL: failed CSV write not reported"; FAILURES=$((FAILURES+1)); }
+ls "$WORK"/capped.csv* >/dev/null 2>&1 && { echo "FAIL: failed CSV write left a file"; FAILURES=$((FAILURES+1)); }
+
+# --- sharding: bad specs -> 1, shard+merge reproduces the serial CSV byte
+# for byte, merge of a missing shard -> 2, and a resume under a changed
+# config names the differing field.
 "$CAMPAIGN" $TINY --out "$WORK/s.csv" --shard "2/2" >/dev/null 2>&1
 check_exit "out-of-range --shard" 1 $?
 "$CAMPAIGN" $TINY --out "$WORK/s.csv" --shard "x/2" >/dev/null 2>&1
 check_exit "malformed --shard" 1 $?
-"$CAMPAIGN" $TINY --out "$WORK/s.csv" --workers 2 --shard 0/2 >/dev/null 2>&1
-check_exit "--workers with --shard" 1 $?
+"$CAMPAIGN" $TINY --out "$WORK/s.csv" --merge 2 --shard 0/2 >/dev/null 2>&1
+check_exit "--merge with --shard" 1 $?
 
 "$CAMPAIGN" $TINY --out "$WORK/s.csv" --shard 0/2 >/dev/null 2>&1
 check_exit "shard 0/2 run" 0 $?
@@ -220,12 +240,6 @@ check_exit "merge of both shards" 0 $?
 "$CAMPAIGN" $TINY --out "$WORK/serial.csv" --jobs 1 >/dev/null 2>&1
 cmp -s "$WORK/serial.csv" "$WORK/s.csv"
 check_exit "shard+merge CSV byte-identical to serial" 0 $?
-
-"$CAMPAIGN" $TINY --out "$WORK/sup.csv" --workers 2 >/dev/null 2>&1
-check_exit "supervised --workers 2 run" 0 $?
-cmp -s "$WORK/serial.csv" "$WORK/sup.csv"
-check_exit "supervised CSV byte-identical to serial" 0 $?
-ls "$WORK"/sup.csv.shard-*.ckpt >/dev/null 2>&1 && { echo "FAIL: shard checkpoints survive a complete supervised run"; FAILURES=$((FAILURES+1)); }
 
 # --- record store (--format store / --convert / --from-store): the past-RAM
 # path must reproduce the CSV path byte for byte at every entry point.
@@ -241,18 +255,14 @@ check_exit "store campaign run (jobs 1)" 0 $?
 cmp -s "$WORK/a.store" "$WORK/b.store"
 check_exit "store bytes identical across job counts" 0 $?
 
-"$CAMPAIGN" $TINY --out "$WORK/w.store" --format store --workers 2 >/dev/null 2>&1
-check_exit "supervised --workers store run" 0 $?
-"$CAMPAIGN" --convert "$WORK/w.store" --out "$WORK/w.csv" >/dev/null 2>&1
-cmp -s "$WORK/w.csv" "$WORK/serial.csv"
-check_exit "workers store converts byte-identical to serial CSV" 0 $?
-
-# Shard checkpoints merge straight into a store (s.csv's shards were
-# consumed by the CSV merge above, so run a fresh pair).
+# Shard checkpoints merge straight into a store (a fresh pair: shard
+# journal names derive from --out), byte-identical to a serial store run.
 "$CAMPAIGN" $TINY --out "$WORK/m.store" --shard 0/2 >/dev/null 2>&1
 "$CAMPAIGN" $TINY --out "$WORK/m.store" --shard 1/2 >/dev/null 2>&1
 "$CAMPAIGN" $TINY --out "$WORK/m.store" --merge 2 --format store >/dev/null 2>&1
 check_exit "merge of shards into a store" 0 $?
+cmp -s "$WORK/m.store" "$WORK/b.store"
+check_exit "merged store byte-identical to a serial store run" 0 $?
 "$CAMPAIGN" --convert "$WORK/m.store" --out "$WORK/m.csv" >/dev/null 2>&1
 cmp -s "$WORK/m.csv" "$WORK/serial.csv"
 check_exit "merged store converts byte-identical to serial CSV" 0 $?
@@ -301,7 +311,7 @@ check_exit "--from-store report byte-identical to CSV report" 0 $?
 check_exit "bad --format" 1 $?
 "$CAMPAIGN" $TINY --out "$WORK/x.store" --format store --shard 0/2 >/dev/null 2>&1
 check_exit "store with --shard" 1 $?
-"$CAMPAIGN" --convert "$WORK/a.store" --out "$WORK/x.csv" --workers 2 >/dev/null 2>&1
+"$CAMPAIGN" --convert "$WORK/a.store" --out "$WORK/x.csv" --resume >/dev/null 2>&1
 check_exit "--convert with campaign flags" 1 $?
 "$ANALYZE" --from-store "$WORK/a.store" "$WORK/serial.csv" >/dev/null 2>&1
 check_exit "--from-store plus dataset is a usage error" 1 $?

@@ -12,6 +12,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/chaos.hpp"
 #include "testbed/checkpoint.hpp"
@@ -96,6 +97,36 @@ TEST(chaos_profile, seed_is_a_whole_unsigned_token) {
     ::setenv("REPRO_CHAOS", "seed=7zz", 1);
     EXPECT_THROW(static_cast<void>(sim::chaos_profile::from_env()), std::invalid_argument);
     ::unsetenv("REPRO_CHAOS");
+}
+
+TEST(chaos_profile, kill_is_the_only_key_besides_seed) {
+    for (const char* bad : {"hang=0.1", "kill=0.1,hang-s=60", "kill=1.5", "kill=-0.1"}) {
+        EXPECT_THROW(static_cast<void>(sim::chaos_profile::parse(bad)),
+                     std::invalid_argument)
+            << bad;
+    }
+    EXPECT_EQ(sim::chaos_profile::parse("kill=0.25,seed=9").spec(), "kill=0.25,seed=9");
+    EXPECT_EQ(sim::chaos_profile::parse("kill=0").spec(), "off");
+}
+
+TEST(chaos_plan, kill_schedules_are_pinned) {
+    // Campaign seed 20040501, epochs 0..63. The rerun's attempt number
+    // re-rolls the schedule; a change to the draw moves these kills.
+    const auto kills = [](const char* spec, int attempt) {
+        const sim::chaos_profile p = sim::chaos_profile::parse(spec);
+        std::vector<std::size_t> out;
+        for (std::size_t idx = 0; idx < 64; ++idx) {
+            if (sim::plan_chaos_kill(p, 20040501, attempt, idx)) out.push_back(idx);
+        }
+        return out;
+    };
+    using v = std::vector<std::size_t>;
+    EXPECT_EQ(kills("kill=0.15,seed=3", 0), (v{5, 8, 13, 21, 22, 23, 33, 39, 50, 59}));
+    EXPECT_EQ(kills("kill=0.15,seed=3", 1),
+              (v{3, 4, 15, 18, 21, 33, 34, 40, 43, 47, 59}));
+    EXPECT_EQ(kills("kill=0.1,seed=4", 0), (v{8, 20, 31, 33, 34, 48}));
+    EXPECT_EQ(kills("kill=0.25", 0), (v{9, 11, 31, 36, 46, 47, 48, 55, 56, 58, 62}));
+    EXPECT_EQ(kills("off", 0), v{});
 }
 
 TEST(fault_profile, from_env_reads_spec_and_field_overrides) {
@@ -436,5 +467,37 @@ TEST(atomic_write_text, checkpoint_roundtrips_through_the_exdev_path) {
     EXPECT_EQ(back.m.r_large_bps, 1.25e6);
     EXPECT_FALSE(reader.next(back));
     EXPECT_FALSE(reader.torn_tail());
+    std::filesystem::remove_all(base);
+}
+
+// --- atomic_write_stream: a failed write publishes nothing ------------------
+
+TEST(atomic_write_stream, failed_write_keeps_the_old_file_and_leaves_no_temp) {
+    const auto base = std::filesystem::temp_directory_path() / "tcppred_stream_pub";
+    std::filesystem::remove_all(base);
+    std::filesystem::create_directories(base);
+    const std::filesystem::path target = base / "out.csv";
+    testbed::atomic_write_stream(target, "test", [](std::ostream& out) { out << "old\n"; });
+    EXPECT_THROW(testbed::atomic_write_stream(target, "test",
+                                              [](std::ostream& out) {
+                                                  out << "half";
+                                                  out.setstate(std::ios::badbit);
+                                              }),
+                 std::runtime_error);
+    EXPECT_THROW(testbed::atomic_write_stream(
+                     target, "test",
+                     [](std::ostream&) { throw std::runtime_error("writer failed"); }),
+                 std::runtime_error);
+    std::ifstream in(target);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), "old\n");
+    std::size_t entries = 0;
+    for (const auto& e : std::filesystem::directory_iterator(base)) {
+        (void)e;
+        ++entries;
+    }
+    EXPECT_EQ(entries, 1u);
+    EXPECT_THROW(testbed::atomic_write_stream(base / "no-such-dir" / "x.csv", "test",
+                                              [](std::ostream&) {}),
+                 std::runtime_error);
     std::filesystem::remove_all(base);
 }

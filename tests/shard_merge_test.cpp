@@ -1,9 +1,9 @@
 // Sharding (testbed/shard.hpp) and the shard merge (testbed/record_store.hpp):
 // the merge property — ANY partition of the epoch grid into shard journals,
 // merged in ANY order, reproduces the serial dataset and its CSV bytes
-// exactly — plus the shard arithmetic, heartbeat roundtrip, the k-way walk's
-// linear release, and the merge failure modes (missing shard, incomplete
-// coverage, foreign config, a journal out of order).
+// exactly — plus the shard arithmetic, the k-way walk's linear release, and
+// the merge failure modes (missing shard, incomplete coverage, foreign
+// config, a journal out of order).
 #include "testbed/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -118,27 +118,6 @@ TEST(shard_arith, filters_partition_the_grid_and_sizes_sum) {
         }
         EXPECT_EQ(claimed_total, total) << "N=" << n;
     }
-}
-
-TEST(shard_heartbeat, roundtrips_and_rejects_garbage) {
-    const auto file = std::filesystem::temp_directory_path() / "tcppred_hb_test";
-    testbed::shard_heartbeat hb;
-    hb.pid = 4242;
-    hb.seq = 17;
-    hb.epochs_done = 5;
-    hb.epochs_claimed = 9;
-    testbed::write_heartbeat(file, hb);
-    const auto back = testbed::read_heartbeat(file);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->pid, 4242);
-    EXPECT_EQ(back->seq, 17u);
-    EXPECT_EQ(back->epochs_done, 5);
-    EXPECT_EQ(back->epochs_claimed, 9);
-
-    EXPECT_FALSE(testbed::read_heartbeat(file.string() + ".absent").has_value());
-    std::ofstream(file) << "not a heartbeat\n";
-    EXPECT_FALSE(testbed::read_heartbeat(file).has_value());
-    std::filesystem::remove(file);
 }
 
 TEST_F(shard_merge, strided_shards_reproduce_serial_csv_bytes) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "core/units.hpp"
 #include "testbed/campaign.hpp"
@@ -232,6 +233,18 @@ TEST(campaign_cfg, scales_are_ordered) {
     EXPECT_EQ(paper.paths, 35);
     EXPECT_EQ(paper.traces_per_path, 7);
     EXPECT_EQ(paper.epochs_per_trace, 150);
+}
+
+TEST(campaign_progress, percent_holds_near_int_max) {
+    // A grid holds up to INT_MAX epochs; done * 100 in int overflows past
+    // 21,474,836 of them.
+    constexpr int max = std::numeric_limits<int>::max();
+    EXPECT_EQ(progress_percent(max, max), 100);
+    EXPECT_EQ(progress_percent(max - 1, max), 99);
+    EXPECT_EQ(progress_percent(max / 2, max), 49);
+    EXPECT_EQ(progress_percent(21474837, 21474837), 100);
+    EXPECT_EQ(progress_percent(0, max), 0);
+    EXPECT_EQ(progress_percent(0, 0), 0);
 }
 
 TEST(campaign_cfg, second_set_uses_prefix_plan) {

@@ -19,7 +19,6 @@ cmake --build "$BUILD_DIR" --target lint
 cmake --build "$BUILD_DIR" --target tidy
 REPRO_SCALE=tiny ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc 2>/dev/null || echo 2)"
 "$SRC_DIR/tools/ci_resume_check.sh" "$BUILD_DIR/tools/tcppred_campaign"
-"$SRC_DIR/tools/ci_chaos_check.sh" "$BUILD_DIR/tools/tcppred_campaign"
 "$SRC_DIR/tools/ci_memcap_check.sh" \
     "$BUILD_DIR/tools/tcppred_campaign" "$BUILD_DIR/tools/tcppred_analyze"
 "$SRC_DIR/tools/ci_serve_check.sh" "$BUILD_DIR/tools/tcppred_campaign" \

@@ -10,28 +10,22 @@
 //
 // Both formats run the same sweep; only the sink differs. The resume
 // journal is an unfinished record store: a --format store run finishes it
-// into FILE. Multi-process modes (DESIGN.md §15): --workers N supervises N
-// worker processes (one shard each) and merges their journals into FILE;
-// --shard i/N runs one shard (what a worker does; its product is the shard
-// journal, not a CSV); --merge N merges existing shard journals.
-// $REPRO_CHAOS (e.g. kill=0.05,hang=0.01) makes workers crash/wedge on a
-// seeded schedule so supervision is testable.
+// into FILE. Crash recovery on one host is --jobs N plus --resume: rerun
+// the same command after a kill and it finishes the journal to the bytes of
+// an uninterrupted run. Across hosts (DESIGN.md §15), --shard i/N runs one
+// shard (its product is the shard journal, not a CSV) and --merge N merges
+// the shard journals into FILE. $REPRO_CHAOS (e.g. kill=0.05) makes a run
+// SIGKILL itself on a seeded schedule so that recovery is testable.
 //
 // Exit codes: 0 success, 1 bad arguments, 2 runtime failure,
 // 130 interrupted (SIGINT; progress is checkpointed when enabled).
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
 #include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -43,7 +37,6 @@
 #include "testbed/campaign.hpp"
 #include "testbed/record_store.hpp"
 #include "testbed/shard.hpp"
-#include "testbed/supervisor.hpp"
 
 using namespace tcppred::testbed;
 
@@ -74,19 +67,11 @@ void usage(const char* argv0) {
                  "                    checkpointing is on; SIGINT also flushes);\n"
                  "                    either --format\n"
                  "  --resume          resume from the journal FILE.ckpt if\n"
-                 "                    present (at any --jobs; either --format)\n"
-                 "  --workers N       supervise N worker processes (one shard\n"
-                 "                    each), restart crashed/hung ones, then merge\n"
-                 "                    shard journals into FILE\n"
-                 "  --worker-jobs N   threads per worker process  (default 1)\n"
-                 "  --hang-timeout-s T  SIGKILL a worker whose heartbeat stalls\n"
-                 "                    this long (default 30)\n"
-                 "  --max-attempts N  launch attempts per shard   (default 50)\n"
+                 "                    present (at any --jobs; either --format);\n"
+                 "                    after a crash, rerun the same command\n"
                  "  --shard i/N       run only shard i of N; writes the shard\n"
                  "                    journal FILE.shard-i-of-N.ckpt, no CSV\n"
                  "                    (not with --format store)\n"
-                 "                    (chaos via $REPRO_CHAOS=kill=P,hang=P,\n"
-                 "                    hang-s=T,seed=S applies here)\n"
                  "  --merge N         merge shard journals 0..N-1 into FILE, in\n"
                  "                    either --format\n"
                  "  --format F        output format: csv (default) or store (the\n"
@@ -122,14 +107,10 @@ int main(int argc, char** argv) {
     bool checkpointing = false;
     bool metrics_summary = false;
     std::string trace_file;
-    int workers = 0;             // > 0 = supervisor mode
-    int worker_jobs = 1;
-    double hang_timeout_s = 30.0;
-    int max_attempts = 50;
     int merge_n = 0;             // > 0 = merge mode
     std::string format = "csv";
     std::string convert_from;    // non-empty = convert mode
-    std::optional<shard_ref> shard;  // set = worker mode
+    std::optional<shard_ref> shard;  // set = shard mode
     tcppred::sim::fault_profile faults;
     tcppred::sim::chaos_profile chaos;
     int chaos_attempt = 0;
@@ -193,15 +174,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--resume") {
             run_opts.resume = true;
             checkpointing = true;
-        } else if (arg == "--workers") {
-            workers = static_cast<int>(checked_int(1, 4096));
-        } else if (arg == "--worker-jobs") {
-            worker_jobs = static_cast<int>(checked_int(1, 4096));
-        } else if (arg == "--hang-timeout-s") {
-            hang_timeout_s =
-                tcppred::core::parse_checked_double(arg, next(), 1e-3, 1e9);
-        } else if (arg == "--max-attempts") {
-            max_attempts = static_cast<int>(checked_int(1, 1000000000));
         } else if (arg == "--shard") {
             const char* spec = next();
             shard = parse_shard(spec);
@@ -239,8 +211,8 @@ int main(int argc, char** argv) {
         usage(argv[0]);
         return 1;
     }
-    // Progress, heartbeats and outcomes count epochs in int: refuse a grid
-    // past INT_MAX before anything sizes or sweeps it.
+    // Progress and outcomes count epochs in int: refuse a grid past INT_MAX
+    // before anything sizes or sweeps it.
     if (campaign_total_epochs(cfg) > static_cast<std::size_t>(INT_MAX)) {
         std::fprintf(stderr,
                      "grid too large: --paths %d x --traces %d x --epochs %d = %zu "
@@ -262,8 +234,8 @@ int main(int argc, char** argv) {
             return 1;
         }
     }
-    if ((workers > 0) + (merge_n > 0) + (shard ? 1 : 0) > 1) {
-        std::fprintf(stderr, "--workers, --shard and --merge are mutually exclusive\n");
+    if (merge_n > 0 && shard) {
+        std::fprintf(stderr, "--shard and --merge are mutually exclusive\n");
         return 1;
     }
     if (format != "csv" && format != "store") {
@@ -271,8 +243,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     const bool store_mode = format == "store";
-    if (!convert_from.empty() &&
-        (workers > 0 || merge_n > 0 || shard || checkpointing)) {
+    if (!convert_from.empty() && (merge_n > 0 || shard || checkpointing)) {
         std::fprintf(stderr,
                      "--convert is a standalone mode (no campaign/shard/merge flags)\n");
         return 1;
@@ -280,41 +251,27 @@ int main(int argc, char** argv) {
     if (store_mode && shard) {
         std::fprintf(stderr,
                      "--shard writes a shard checkpoint, not a store; use --format "
-                     "store on the --workers or --merge side\n");
+                     "store on the --merge side\n");
         return 1;
     }
     if (checkpointing) run_opts.checkpoint = out + ".ckpt";
     if (shard) {
-        // Worker mode: claim only our slice; the shard checkpoint is the
+        // Shard mode: claim only our slice; the shard checkpoint is the
         // product (the merge step consumes it), so keep it on completion.
         run_opts.epoch_filter = shard_filter(*shard);
         run_opts.keep_checkpoint = true;
         run_opts.checkpoint = shard_checkpoint_path(out, *shard);
         checkpointing = true;
     }
-    if (chaos.enabled() && workers == 0 && merge_n == 0) {
-        // Process-level chaos (sim/chaos.hpp): SIGKILL or wedge ourselves
-        // just before a planned epoch. Checkpoint every epoch so each
-        // attempt's progress survives its planned crash — that is what makes
-        // chaos runs converge instead of looping.
+    if (chaos.enabled() && merge_n == 0) {
+        // Process-level chaos (sim/chaos.hpp): SIGKILL ourselves just before
+        // a planned epoch. Checkpoint every epoch so each attempt's progress
+        // survives its planned crash — that is what makes a --resume rerun
+        // loop converge instead of looping.
         if (checkpointing) run_opts.checkpoint_every = 1;
-        const int attempt = chaos_attempt;
-        const std::uint64_t chaos_campaign_seed = cfg.seed;
-        run_opts.epoch_hook = [chaos, chaos_campaign_seed, attempt](std::size_t idx) {
-            switch (tcppred::sim::plan_chaos(chaos, chaos_campaign_seed, attempt, idx)) {
-                case tcppred::sim::chaos_action::kill:
-                    std::raise(SIGKILL);
-                    break;
-                case tcppred::sim::chaos_action::hang:
-                    // Wedge without exiting: heartbeats stop, the supervisor
-                    // must notice and SIGKILL us.
-                    for (double t = 0.0; t < chaos.hang_s; t += 0.1) {
-                        ::usleep(100000);
-                    }
-                    break;
-                case tcppred::sim::chaos_action::none:
-                    break;
-            }
+        run_opts.epoch_hook = [chaos, seed = cfg.seed,
+                               attempt = chaos_attempt](std::size_t idx) {
+            if (tcppred::sim::plan_chaos_kill(chaos, seed, attempt, idx)) std::raise(SIGKILL);
         };
     }
     run_opts.cancelled = [] { return g_interrupted != 0; };
@@ -358,90 +315,24 @@ int main(int argc, char** argv) {
             return finish_observability();
         }
 
-        // The merge step of --merge and of the supervisor, in the chosen
-        // format: the shard journals stream into a store, or into a dataset
-        // for save_csv.
-        const auto merge_into = [store_mode](const campaign_config& mcfg,
-                                             const std::vector<std::filesystem::path>& ckpts,
-                                             const std::filesystem::path& dest) {
-            if (store_mode) return merge_shard_checkpoints_to_store(mcfg, ckpts, dest);
-            const dataset data = merge_shard_checkpoints(mcfg, ckpts);
-            save_csv(data, dest);
-            return data.records.size();
-        };
-
         if (merge_n > 0) {
-            // Merge mode: read-only over the shard checkpoints (rerunnable);
-            // the supervisor's auto-merge is the consuming variant.
+            // Merge mode: read-only over the shard checkpoints (rerunnable).
+            // The shard journals stream into a store, or into a dataset for
+            // save_csv.
             std::vector<std::filesystem::path> ckpts;
             for (int i = 0; i < merge_n; ++i) {
                 ckpts.push_back(shard_checkpoint_path(out, shard_ref{i, merge_n}));
             }
-            const std::size_t merged = merge_into(cfg, ckpts, out);
+            std::size_t merged = 0;
+            if (store_mode) {
+                merged = merge_shard_checkpoints_to_store(cfg, ckpts, out);
+            } else {
+                const dataset data = merge_shard_checkpoints(cfg, ckpts);
+                save_csv(data, out);
+                merged = data.records.size();
+            }
             std::fprintf(stderr, "merged %d shard(s), %zu epoch records, into %s\n",
                          merge_n, merged, out.c_str());
-            return finish_observability();
-        }
-
-        if (workers > 0) {
-            supervisor_options sup;
-            sup.cfg = cfg;
-            sup.out = out;
-            sup.workers = workers;
-            sup.worker_jobs = worker_jobs;
-            sup.hang_timeout_s = hang_timeout_s;
-            sup.max_attempts = max_attempts;
-            sup.cancelled = [] { return g_interrupted != 0; };
-            sup.merge = merge_into;
-            // Worker command line = ours minus supervision/observability
-            // flags (each worker gets --shard/--jobs/--resume appended by
-            // the supervisor; traces and metrics stay in this process).
-            static const std::set<std::string> drop_with_value = {
-                "--workers", "--worker-jobs", "--hang-timeout-s", "--max-attempts",
-                "--jobs",    "--trace",       "--merge",          "--shard",
-                "--format",  "--convert"};
-            static const std::set<std::string> drop_flag = {"--metrics-summary",
-                                                            "--resume"};
-            static const std::set<std::string> with_value = {
-                "--out",  "--paths",  "--traces", "--epochs",          "--seed",
-                "--transfer-s", "--cross-model", "--faults", "--checkpoint-every"};
-            sup.worker_argv.push_back(argv[0]);
-            for (int i = 1; i < argc; ++i) {
-                const std::string a = argv[i];
-                if (drop_with_value.count(a) > 0) {
-                    ++i;
-                    continue;
-                }
-                if (drop_flag.count(a) > 0) continue;
-                sup.worker_argv.push_back(a);
-                if (with_value.count(a) > 0 && i + 1 < argc) {
-                    sup.worker_argv.push_back(argv[++i]);
-                }
-            }
-            std::fprintf(stderr,
-                         "supervising %d worker(s) over %d paths x %d traces x %d "
-                         "epochs (seed %llu%s)...\n",
-                         workers, cfg.paths, cfg.traces_per_path, cfg.epochs_per_trace,
-                         static_cast<unsigned long long>(cfg.seed),
-                         chaos.enabled() ? (", chaos " + chaos.spec()).c_str() : "");
-            const supervisor_result res = run_supervisor(sup);
-            if (res.interrupted) {
-                std::fprintf(stderr,
-                             "interrupted; shard checkpoints are resumable — rerun "
-                             "the same --workers command\n");
-                finish_observability();
-                return 130;
-            }
-            if (!res.complete) {
-                std::fprintf(stderr, "error: %s\n", res.error.c_str());
-                finish_observability();
-                return 2;
-            }
-            std::fprintf(stderr,
-                         "wrote %zu epoch records to %s (%d launch(es), %d "
-                         "restart(s), %d hang(s) killed)\n",
-                         res.epochs_merged, out.c_str(), res.workers_spawned,
-                         res.worker_restarts, res.hangs_killed);
             return finish_observability();
         }
 
@@ -456,26 +347,14 @@ int main(int argc, char** argv) {
                               std::to_string(shard->count))
                                  .c_str()
                            : "");
-        // Worker heartbeat: one atomic write per completed epoch, from the
-        // progress path on purpose — a wedged worker must stop heartbeating.
         const int total_epochs = static_cast<int>(campaign_total_epochs(cfg));
         const int claimed =
             shard ? static_cast<int>(
                         shard_size(static_cast<std::size_t>(total_epochs), *shard))
                   : total_epochs;
-        const std::filesystem::path hb_path =
-            shard ? shard_heartbeat_path(out, *shard) : std::filesystem::path{};
-        std::uint64_t hb_seq = 0;
-        if (shard) {
-            write_heartbeat(hb_path, shard_heartbeat{::getpid(), ++hb_seq, 0, claimed});
-        }
         int last = -1;
         const progress_fn on_progress = [&](int done, int) {
-            if (shard) {
-                write_heartbeat(hb_path,
-                                shard_heartbeat{::getpid(), ++hb_seq, done, claimed});
-            }
-            const int pct = done * 100 / std::max(1, claimed);
+            const int pct = progress_percent(done, claimed);
             if (pct / 10 != last / 10) {
                 std::fprintf(stderr, "  %d%%\n", pct);
                 last = pct;
@@ -502,8 +381,8 @@ int main(int argc, char** argv) {
             return 130;
         }
         if (shard) {
-            // A shard's output is its checkpoint; only the merge step (or
-            // the supervisor) writes the CSV.
+            // A shard's output is its checkpoint; only the merge step
+            // writes the CSV.
             std::fprintf(stderr, "shard %d/%d complete: %d epoch(s) in %s\n",
                          shard->index, shard->count, outcome.epochs_completed,
                          run_opts.checkpoint.string().c_str());
