@@ -112,17 +112,35 @@ std::size_t path_table::path_count() const {
 }
 
 void path_table::visit_sorted(
+    const std::function<void(std::size_t)>& count,
     const std::function<void(const std::string&, const path_state&)>& fn) const {
     // Lock every shard (fixed index order — the only multi-shard lock site,
-    // so no ordering conflicts), then walk a merged sorted view.
+    // so no ordering conflicts), then merge the shards' sorted maps: each
+    // step visits the smallest name under the shards' cursors. A path lives
+    // in exactly one shard, so names never tie.
     std::vector<std::unique_lock<std::mutex>> locks;
     locks.reserve(shards_.size());
     for (const auto& sh : shards_) locks.emplace_back(sh->mu);
-    std::map<std::string_view, const path_state*> merged;
+    using cursor = std::map<std::string, path_state>::const_iterator;
+    std::vector<std::pair<cursor, cursor>> cursors;
+    cursors.reserve(shards_.size());
+    std::size_t remaining = 0;
     for (const auto& sh : shards_) {
-        for (const auto& [name, st] : sh->paths) merged.emplace(name, &st);
+        cursors.emplace_back(sh->paths.begin(), sh->paths.end());
+        remaining += sh->paths.size();
     }
-    for (const auto& [name, st] : merged) fn(std::string(name), *st);
+    count(remaining);
+    for (; remaining > 0; --remaining) {
+        std::pair<cursor, cursor>* next = nullptr;
+        for (auto& c : cursors) {
+            if (c.first != c.second &&
+                (next == nullptr || c.first->first < next->first->first)) {
+                next = &c;
+            }
+        }
+        fn(next->first->first, next->first->second);
+        ++next->first;
+    }
 }
 
 }  // namespace tcppred::serve

@@ -91,7 +91,10 @@ public:
 
     /// Visit every path in ascending name order — shard-count independent —
     /// holding all shard locks for the duration (snapshot rendering).
+    /// `count` first receives the number of paths `fn` is then called for,
+    /// under the same locks. Extra memory is one cursor per shard.
     void visit_sorted(
+        const std::function<void(std::size_t)>& count,
         const std::function<void(const std::string&, const path_state&)>& fn) const;
 
 private:

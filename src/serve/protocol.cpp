@@ -135,10 +135,11 @@ std::string format_observe(std::string_view path, const observation& obs) {
     out += path;
     out += ' ';
     out += std::to_string(obs.epoch);
+    testbed::hexd_buffer hb{};
     for (const double v : {obs.avail_bw_bps, obs.phat, obs.phat_events, obs.that_s,
                            obs.r_large_bps}) {
         out += ' ';
-        out += testbed::hexd(v);
+        out += testbed::hexd(v, hb);
     }
     out += ' ';
     out += std::to_string(obs.fault_flags);

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -18,7 +19,6 @@
 #include "serve/snapshot.hpp"
 #include "sim/thread_pool.hpp"
 #include "testbed/checkpoint.hpp"
-#include "testbed/dataset.hpp"
 
 namespace tcppred::serve {
 
@@ -101,10 +101,18 @@ server::~server() {
 }
 
 void server::maybe_periodic_snapshot(std::uint64_t observation_count) {
+    static const obs::counter c_failures = obs::counter::get("serve.snapshot_failures");
     if (cfg_.snapshot_every == 0 || cfg_.snapshot_file.empty()) return;
     if (observation_count % cfg_.snapshot_every != 0) return;
     const std::lock_guard<std::mutex> lock(snapshot_mu_);
-    write_snapshot(table_, cfg_.snapshot_file);
+    try {
+        write_snapshot(table_, cfg_.snapshot_file);
+    } catch (const std::exception& e) {
+        // The observation that triggered this is applied: failing its
+        // OBSERVE would make a retrying client apply it twice.
+        c_failures.add();
+        std::fprintf(stderr, "tcppred_serve: periodic snapshot failed: %s\n", e.what());
+    }
 }
 
 std::string server::handle_line(std::string_view line) {
@@ -133,8 +141,9 @@ std::string server::handle_line(std::string_view line) {
                         return "ERR no observations for path";
                     case predict_reply::status::ok: break;
                 }
+                testbed::hexd_buffer hb{};
                 std::string out = "OK ";
-                out += testbed::hexd(reply.value.value_bps);
+                out += testbed::hexd(reply.value.value_bps, hb);
                 out += ' ';
                 out += status_name(reply.value.status);
                 out += ' ';
@@ -160,7 +169,12 @@ std::string server::handle_line(std::string_view line) {
                     return "ERR no snapshot file configured (--snapshot)";
                 }
                 const std::lock_guard<std::mutex> lock(snapshot_mu_);
-                write_snapshot(table_, cfg_.snapshot_file);
+                try {
+                    write_snapshot(table_, cfg_.snapshot_file);
+                } catch (const std::exception& e) {
+                    c_errors.add();
+                    return std::string("ERR snapshot failed: ") + e.what();
+                }
                 return "OK";
             }
         }
@@ -169,9 +183,6 @@ std::string server::handle_line(std::string_view line) {
     } catch (const protocol_error& e) {
         c_errors.add();
         return std::string("ERR ") + e.what();
-    } catch (const testbed::dataset_error& e) {
-        c_errors.add();
-        return std::string("ERR snapshot failed: ") + e.what();
     }
 }
 

@@ -11,6 +11,10 @@
 // the final snapshot and exits 0. Snapshots are also written every
 // --snapshot-every observations (count-based, so WHEN one is cut is a
 // function of the workload, not the clock) and on the SNAPSHOT request.
+// A failed SNAPSHOT answers "ERR snapshot failed: <reason>" and the
+// connection keeps serving; a failed periodic snapshot leaves its OBSERVE
+// answered OK (the observation is applied) and is reported on stderr and
+// in the serve.snapshot_failures counter.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,6 @@
 // Serve daemon snapshots: the path table persisted as an event-sourced
 // replay log, reusing the repo's bit-exact persistence primitives
-// (testbed::hexd + atomic_write_text, DESIGN.md §17).
+// (testbed::hexd + atomic_write_stream, DESIGN.md §17).
 //
 // Format (line-oriented, doubles in hexfloat):
 //
@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <iosfwd>
 #include <string>
 
 #include "serve/path_table.hpp"
@@ -39,11 +40,20 @@ struct snapshot_stats {
     std::uint64_t events{0};
 };
 
-/// Render the table's snapshot text (format above).
+/// Stream the table's snapshot text (format above) into `out`, line by
+/// line, under path_table::visit_sorted's locks: the path count and every
+/// path's events are one consistent cut, and nothing table-sized is
+/// buffered beyond `out` itself.
+void render_snapshot(const path_table& table, std::ostream& out);
+
+/// The same text as a string (tests, the benchmark's reference).
 [[nodiscard]] std::string render_snapshot(const path_table& table);
 
-/// Render and persist via testbed::atomic_write_text — readers only ever
-/// observe the previous snapshot or this one, never a torn file.
+/// Stream the snapshot into a same-directory temp file and rename it into
+/// place (testbed::atomic_write_stream): readers only ever observe the
+/// previous snapshot or this one, never a torn file. Throws
+/// std::runtime_error naming the file on any I/O failure, leaving the
+/// previous snapshot untouched.
 void write_snapshot(const path_table& table, const std::filesystem::path& file);
 
 /// Parse `file` and replay every event into `table` (which must be empty

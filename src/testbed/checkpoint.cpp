@@ -1,12 +1,12 @@
 #include "testbed/checkpoint.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -17,10 +17,41 @@
 
 namespace tcppred::testbed {
 
+std::string_view hexd(double v, hexd_buffer& buf) noexcept {
+    // The IEEE-754 fields printed the way glibc's "%a" prints them: a
+    // normal number as 0x1.<fraction>p<exponent>, a subnormal as
+    // 0x0.<fraction>p-1022, the 13 fraction digits without trailing zeros.
+    constexpr char k_digits[] = "0123456789abcdef";
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    const auto biased = static_cast<int>((bits >> 52) & 0x7ff);
+    std::uint64_t fraction = bits & ((std::uint64_t{1} << 52) - 1);
+    char* p = buf.data();
+    if ((bits >> 63) != 0) *p++ = '-';
+    if (biased == 0x7ff) {
+        std::memcpy(p, fraction != 0 ? "nan" : "inf", 3);
+        return {buf.data(), static_cast<std::size_t>(p + 3 - buf.data())};
+    }
+    *p++ = '0';
+    *p++ = 'x';
+    *p++ = biased == 0 ? '0' : '1';
+    int exponent = biased == 0 ? (fraction == 0 ? 0 : -1022) : biased - 1023;
+    if (fraction != 0) {
+        int digits = 13;
+        for (; (fraction & 0xf) == 0; fraction >>= 4) --digits;
+        *p++ = '.';
+        for (int i = digits - 1; i >= 0; --i, fraction >>= 4) p[i] = k_digits[fraction & 0xf];
+        p += digits;
+    }
+    *p++ = 'p';
+    *p++ = exponent < 0 ? '-' : '+';
+    if (exponent < 0) exponent = -exponent;
+    p = std::to_chars(p, buf.data() + buf.size(), exponent).ptr;
+    return {buf.data(), static_cast<std::size_t>(p - buf.data())};
+}
+
 std::string hexd(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
+    hexd_buffer buf{};
+    return std::string(hexd(v, buf));
 }
 
 namespace {
@@ -191,70 +222,6 @@ std::string describe_fingerprint_mismatch(const std::string& in_checkpoint,
     }
     if (os.str().empty()) return "\n  (fingerprints differ only in field count)";
     return os.str();
-}
-
-void atomic_write_text(const std::filesystem::path& file, const std::string& contents) {
-    // Temp placement: $TMPDIR when set (keeps half-written files out of
-    // shared data directories), else alongside the target. The pid in the
-    // name keeps concurrent writers of same-named files (shard workers,
-    // parallel tests sharing TMPDIR) from clobbering each other's temps.
-    namespace fs = std::filesystem;
-    fs::path dir = file.parent_path().empty() ? fs::path(".") : file.parent_path();
-    // tcppred-lint: allow(det-env): documented temp-placement knob, not sim state
-    if (const char* tmpdir = std::getenv("TMPDIR"); tmpdir && *tmpdir) dir = tmpdir;
-    const fs::path tmp =
-        dir / (file.filename().string() + "." + std::to_string(::getpid()) + ".tmp");
-    {
-        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        if (!out) {
-            throw std::runtime_error("atomic_write_text: cannot open " + tmp.string());
-        }
-        out << contents;
-        out.flush();
-        if (!out) {
-            throw std::runtime_error("atomic_write_text: write failed on " +
-                                     tmp.string());
-        }
-    }
-    // Atomic publish: readers see either the old file or the new one, never
-    // a torn file. rename(2) cannot cross filesystems — when the temp dir
-    // (TMPDIR) sits on another mount it fails EXDEV; fall back to copying
-    // next to the target, fsync'ing the copy, and renaming *that*, which is
-    // same-filesystem by construction. $TCPPRED_FORCE_EXDEV forces the
-    // fallback so tests can cover it without a second mount.
-    std::error_code ec;
-    // tcppred-lint: allow(det-env): test hook for the EXDEV fallback path
-    const bool force_exdev = std::getenv("TCPPRED_FORCE_EXDEV") != nullptr;
-    if (!force_exdev) {
-        fs::rename(tmp, file, ec);
-        if (!ec) return;
-        if (ec != std::errc::cross_device_link) {
-            fs::remove(tmp, ec);
-            throw std::runtime_error("atomic_write_text: cannot rename into " +
-                                     file.string());
-        }
-    }
-    const fs::path sibling = file.string() + ".tmp";
-    fs::copy_file(tmp, sibling, fs::copy_options::overwrite_existing, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        throw std::runtime_error("atomic_write_text: cross-device copy into " +
-                                 sibling.string() + " failed");
-    }
-    // fsync before the final rename: the copy's data must be durable before
-    // the name flips, or a crash could publish an empty/short file.
-    const int fd = ::open(sibling.c_str(), O_RDONLY);
-    if (fd >= 0) {
-        ::fsync(fd);
-        ::close(fd);
-    }
-    fs::rename(sibling, file, ec);
-    std::error_code ignore;
-    fs::remove(tmp, ignore);
-    if (ec) {
-        throw std::runtime_error("atomic_write_text: cannot rename " +
-                                 sibling.string() + " into " + file.string());
-    }
 }
 
 std::filesystem::path same_dir_temp(const std::filesystem::path& file) {

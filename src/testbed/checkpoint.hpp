@@ -1,11 +1,12 @@
 // The serialization primitives of the bit-exact formats (the record store,
 // testbed/record_store.hpp, and the serve snapshot): hexd/parse_hexd for
 // doubles, the whole-token integer field parsers, the v2 campaign
-// fingerprint with its field-by-field diff, and the two atomic publishers
-// (atomic_write_text, atomic_write_stream). The record files themselves are
-// written and read only by record_store.
+// fingerprint with its field-by-field diff, and the atomic publisher
+// (atomic_write_stream). The record files themselves are written and read
+// only by record_store.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -19,12 +20,22 @@
 
 namespace tcppred::testbed {
 
-/// Bit-exact double -> text ("%a" hexfloat): the serialization primitive
-/// shared by every bit-exact format (the record store, serve snapshots).
-/// Decimal at any precision does not guarantee the round trip; hexfloat
-/// does, and strtod parses it back everywhere (istream extraction of
-/// hexfloat is not required to work, and does not in libstdc++).
+/// Bit-exact double -> text: the serialization primitive shared by every
+/// bit-exact format (the record store, serve snapshots). The text is
+/// glibc's printf("%a") byte for byte, whatever LC_NUMERIC says: "0x1.8p+1"
+/// (trailing fraction zeros stripped, no '.' for a zero fraction),
+/// "0x0p+0" for zero, "0x0.<hex>p-1022" for subnormals, "inf" and "nan",
+/// each with '-' when the sign bit is set. Decimal at any precision does
+/// not guarantee the round trip; hexfloat does, and strtod parses it back
+/// everywhere (istream extraction of hexfloat is not required to work, and
+/// does not in libstdc++).
 [[nodiscard]] std::string hexd(double v);
+
+/// Room for the longest hexd() text, "-0x1.fffffffffffffp+1023".
+using hexd_buffer = std::array<char, 24>;
+
+/// hexd() into `buf`, without allocating: the view is valid while `buf` is.
+[[nodiscard]] std::string_view hexd(double v, hexd_buffer& buf) noexcept;
 
 /// Parse a hexd()-formatted field back to the identical double. Throws
 /// dataset_error (with `file`/`line_no` context) unless the entire field
@@ -71,14 +82,6 @@ struct fingerprint_field {
 [[nodiscard]] std::string describe_fingerprint_mismatch(const std::string& in_checkpoint,
                                                         const std::string& requested);
 
-/// Write `contents` to `file` so that readers only ever observe the old
-/// bytes or the new bytes, never a torn file. The temp file lands in
-/// $TMPDIR when set (else next to `file`) and is published with rename(2);
-/// when the temp and target sit on different filesystems (rename fails
-/// EXDEV) it falls back to copy + fsync + same-directory rename. The test
-/// hook $TCPPRED_FORCE_EXDEV=1 forces the fallback path.
-void atomic_write_text(const std::filesystem::path& file, const std::string& contents);
-
 /// The temp file a streamed output is written to before its rename: beside
 /// `file`, so the rename never crosses filesystems, and named with the pid.
 [[nodiscard]] std::filesystem::path same_dir_temp(const std::filesystem::path& file);
@@ -88,8 +91,9 @@ void atomic_write_text(const std::filesystem::path& file, const std::string& con
 /// puts the temp in place, so readers see the old file or the whole new
 /// one. An exception from `write`, a failed write (a full disk, a file size
 /// limit) or a failed rename throws with `who` in the message, removes the
-/// temp and leaves `file` untouched. Unlike atomic_write_text nothing is
-/// buffered, so an output the size of a campaign never sits in memory.
+/// temp and leaves `file` untouched. Nothing is buffered beyond the
+/// stream's own buffer, so an output the size of a campaign never sits in
+/// memory.
 void atomic_write_stream(const std::filesystem::path& file, std::string_view who,
                          const std::function<void(std::ostream&)>& write);
 

@@ -111,24 +111,25 @@ void record_writer::append(const epoch_record& rec) {
     TCPPRED_EXPECTS(!finished_ && !aborted_);
     const std::size_t start = buf_.size();
     const epoch_measurement& m = rec.m;
-    const auto field = [&](const std::string& v) {
+    const auto field = [&](std::string_view v) {
         buf_ += ',';
         buf_ += v;
     };
+    hexd_buffer hb{};
     buf_ += "rec";
     for (const int v : {rec.path_id, rec.trace_id, rec.epoch_index}) field(std::to_string(v));
     // Every double goes through hexd: the store round-trips bit-exactly.
     for (const double v : {m.avail_bw_bps, m.phat, m.phat_events, m.that_s, m.ptilde,
                            m.ttilde_s, m.r_large_bps, m.r_small_bps, m.tcp_loss_rate,
                            m.tcp_event_rate, m.tcp_mean_rtt_s, m.sim_time_s}) {
-        field(hexd(v));
+        field(hexd(v, hb));
     }
     field(std::to_string(m.events));
     field(std::to_string(m.fault_flags));
     field(std::to_string(m.prefix_goodputs.size()));
     for (const auto& [s, bps] : m.prefix_goodputs) {
-        field(hexd(s));
-        field(hexd(bps));
+        field(hexd(s, hb));
+        field(hexd(bps, hb));
     }
     buf_ += '\n';
     size_ += buf_.size() - start;
@@ -142,7 +143,7 @@ bool record_writer::write_buffer() {
     if (!on_disk_) {
         // A journal's first write creates it whole, so a journal that exists
         // has a whole header.
-        atomic_write_text(path_, buf_);
+        atomic_write_stream(path_, "record_writer", [&](std::ostream& out) { out << buf_; });
         on_disk_ = true;
     } else if (buf_.empty()) {
         return false;

@@ -9,15 +9,19 @@
 // namespace strto_reference: the same accept/reject decision, the same
 // bits (NaN sign included) and the same message, token by token, and again
 // through a record store carrying the token. The field splitter's rule
-// cases sit beside them.
+// cases sit beside them, and so does the differential test of the other
+// direction: testbed::hexd against glibc's printf("%a").
 #include "core/checked_parse.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -30,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/rng.hpp"
 #include "testbed/checkpoint.hpp"
 #include "testbed/dataset.hpp"
 #include "testbed/record_store.hpp"
@@ -453,4 +458,97 @@ TEST(split_fields, drops_one_trailing_empty_field) {
     std::vector<std::string_view> views{"stale"};
     split_fields(std::string_view("x|y"), '|', views);
     EXPECT_EQ(views, (std::vector<std::string_view>{"x", "y"}));
+}
+
+// --- hexd is glibc's "%a", bit for bit --------------------------------------
+// The in-tree formatter against snprintf("%a") on every edge of the format
+// and on a million seeded random bit patterns. Each text must also parse
+// back (parse_hexd) to the same bits; a NaN, whose payload "%a" does not
+// print, to a NaN of the same sign.
+
+namespace {
+
+/// Empty when hexd(v) is snprintf's "%a" text and parses back to v;
+/// otherwise what differed.
+std::string hexd_mismatch(double v) {
+    char want[64];
+    std::snprintf(want, sizeof(want), "%a", v);
+    tcppred::testbed::hexd_buffer buf{};
+    const std::string_view got = tcppred::testbed::hexd(v, buf);
+    std::ostringstream why;
+    why << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v) << ": ";
+    if (got != want) return why.str() + "hexd \"" + std::string(got) + "\", %a \"" + want + "\"";
+    if (tcppred::testbed::hexd(v) != want) return why.str() + "string form differs";
+    const double back = tcppred::testbed::parse_hexd(got, "hexd", 1);
+    const bool same = std::isnan(v) ? std::isnan(back) && std::signbit(back) == std::signbit(v)
+                                    : std::bit_cast<std::uint64_t>(back) ==
+                                          std::bit_cast<std::uint64_t>(v);
+    return same ? std::string() : why.str() + "parse_hexd returned other bits";
+}
+
+double from_bits(std::uint64_t bits) { return std::bit_cast<double>(bits); }
+
+constexpr std::uint64_t k_sign = std::uint64_t{1} << 63;
+constexpr std::uint64_t k_fraction = (std::uint64_t{1} << 52) - 1;
+
+/// A 52-bit fraction whose hex form has exactly `digits` significant
+/// digits (0-13) once trailing zeros go: 0x123456789abcd's leading ones,
+/// or a lone 1 at the last of them.
+std::uint64_t fraction_with_digits(int digits, bool lone_one) {
+    if (digits == 0) return 0;
+    const int shift = 4 * (13 - digits);
+    return lone_one ? std::uint64_t{1} << shift
+                    : (std::uint64_t{0x123456789abcd} >> shift) << shift;
+}
+
+}  // namespace
+
+TEST(hexd, matches_printf_a_on_every_edge) {
+    std::vector<double> values;
+    for (const std::uint64_t sign : {std::uint64_t{0}, k_sign}) {
+        values.push_back(from_bits(sign));                     // ±0
+        values.push_back(from_bits(sign | 1));                 // min subnormal
+        values.push_back(from_bits(sign | k_fraction));        // max subnormal
+        values.push_back(from_bits(sign | (k_fraction + 1)));  // min normal
+        values.push_back(from_bits(sign | 0x7fefffffffffffffULL));  // max normal
+        values.push_back(from_bits(sign | 0x7ff0000000000000ULL));  // ±inf
+        values.push_back(from_bits(sign | 0x7ff8000000000000ULL));  // quiet NaN
+        values.push_back(from_bits(sign | 0x7ff0000000000001ULL));  // signaling NaN
+        values.push_back(from_bits(sign | 0x7fffffffffffffffULL));  // NaN, full payload
+        for (int digits = 0; digits <= 13; ++digits) {
+            for (const bool lone_one : {false, true}) {
+                const std::uint64_t f = fraction_with_digits(digits, lone_one);
+                if (f != 0) values.push_back(from_bits(sign | f));  // subnormal
+                for (const int exponent : {-1022, -1, 0, 1, 1023}) {
+                    const auto biased = static_cast<std::uint64_t>(exponent + 1023);
+                    values.push_back(from_bits(sign | (biased << 52) | f));
+                }
+            }
+        }
+    }
+    // Exponents needing one to four decimal digits, both signs.
+    for (const int exponent : {-1022, -999, -100, -99, -10, -9, 9, 10, 99, 100, 999, 1000}) {
+        values.push_back(std::ldexp(1.5, exponent));
+    }
+    EXPECT_EQ(tcppred::testbed::hexd(1.0), "0x1p+0");
+    EXPECT_EQ(tcppred::testbed::hexd(-0.0), "-0x0p+0");
+    EXPECT_EQ(tcppred::testbed::hexd(0.1), "0x1.999999999999ap-4");
+    for (const double v : values) EXPECT_EQ(hexd_mismatch(v), "");
+}
+
+TEST(hexd, matches_printf_a_on_a_million_random_bit_patterns) {
+    // Uniform bits almost never reach a subnormal or a short fraction, so
+    // every fourth pattern zeroes its exponent and every fourth clears a
+    // random number of trailing fraction digits.
+    std::size_t failures = 0;
+    for (std::uint64_t i = 0; i < 1'000'000 && failures < 10; ++i) {
+        std::uint64_t bits = tcppred::sim::mix64(0x6865786421ULL + i);
+        if (i % 4 == 1) bits &= ~(std::uint64_t{0x7ff} << 52);
+        if (i % 4 == 2) bits &= ~((std::uint64_t{1} << (4 * ((bits >> 56) % 14))) - 1);
+        const std::string why = hexd_mismatch(from_bits(bits));
+        if (!why.empty()) {
+            ADD_FAILURE() << why;
+            ++failures;
+        }
+    }
 }

@@ -399,46 +399,15 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
     std::filesystem::remove(file);
 }
 
-// --- atomic_write_text: cross-filesystem (EXDEV) fallback -------------------
-// The temp file honors $TMPDIR, which may sit on a different filesystem than
-// the target; rename(2) then fails EXDEV and the copy+fsync+same-dir-rename
-// fallback must kick in. Tests cannot mount a second filesystem, so the
-// fallback is forced via $TCPPRED_FORCE_EXDEV=1 — the code path is identical
-// from the EXDEV branch on.
+// --- a journal's first flush: published whole by atomic_write_stream -------
+// save_checkpoint creates its journal with one atomic_write_stream: the
+// header and records go to a temp file beside the journal, which a rename
+// puts in place. The journal reads back whole and no temp is left over.
 
-TEST(atomic_write_text, honors_tmpdir_and_survives_forced_exdev) {
-    const auto base = std::filesystem::temp_directory_path() / "tcppred_exdev_test";
+TEST(atomic_write_stream, checkpoint_journal_roundtrips) {
+    const auto base = std::filesystem::temp_directory_path() / "tcppred_journal_publish";
     std::filesystem::remove_all(base);
-    std::filesystem::create_directories(base / "tmp");
-    std::filesystem::create_directories(base / "data");
-    const std::filesystem::path target = base / "data" / "out.txt";
-
-    ::setenv("TMPDIR", (base / "tmp").string().c_str(), 1);
-    ::setenv("TCPPRED_FORCE_EXDEV", "1", 1);
-    testbed::atomic_write_text(target, "first\n");
-    testbed::atomic_write_text(target, "second\n");
-    ::unsetenv("TCPPRED_FORCE_EXDEV");
-    ::unsetenv("TMPDIR");
-
-    std::ifstream in(target);
-    std::string contents((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    EXPECT_EQ(contents, "second\n");
-    // No droppings: the temp and the fallback sibling are both cleaned up.
-    std::size_t entries = 0;
-    for (const auto& e : std::filesystem::directory_iterator(base / "data")) {
-        (void)e;
-        ++entries;
-    }
-    EXPECT_EQ(entries, 1u);
-    EXPECT_TRUE(std::filesystem::is_empty(base / "tmp"));
-    std::filesystem::remove_all(base);
-}
-
-TEST(atomic_write_text, checkpoint_roundtrips_through_the_exdev_path) {
-    const auto base = std::filesystem::temp_directory_path() / "tcppred_exdev_ck";
-    std::filesystem::remove_all(base);
-    std::filesystem::create_directories(base / "tmp");
+    std::filesystem::create_directories(base);
     const std::filesystem::path file = base / "c.ckpt";
 
     testbed::campaign_config cfg;
@@ -453,12 +422,7 @@ TEST(atomic_write_text, checkpoint_roundtrips_through_the_exdev_path) {
     ck.records.resize(2);
     ck.records[1].path_id = 3;
     ck.records[1].m.r_large_bps = 1.25e6;
-
-    ::setenv("TMPDIR", (base / "tmp").string().c_str(), 1);
-    ::setenv("TCPPRED_FORCE_EXDEV", "1", 1);
     testbed::save_checkpoint(ck, file);
-    ::unsetenv("TCPPRED_FORCE_EXDEV");
-    ::unsetenv("TMPDIR");
 
     testbed::record_reader reader(file, ck.fingerprint, testbed::record_reader::mode::journal);
     testbed::epoch_record back;
@@ -467,6 +431,12 @@ TEST(atomic_write_text, checkpoint_roundtrips_through_the_exdev_path) {
     EXPECT_EQ(back.m.r_large_bps, 1.25e6);
     EXPECT_FALSE(reader.next(back));
     EXPECT_FALSE(reader.torn_tail());
+    std::size_t entries = 0;
+    for (const auto& e : std::filesystem::directory_iterator(base)) {
+        EXPECT_EQ(e.path().filename(), "c.ckpt");
+        ++entries;
+    }
+    EXPECT_EQ(entries, 1u);
     std::filesystem::remove_all(base);
 }
 

@@ -1,17 +1,21 @@
 // The serve layer (src/serve/): the request parser's rejection of hostile
 // input, the path table's bitwise equivalence with the offline
 // evaluation_engine, snapshot round-trip/refusal, concurrent determinism
-// over disjoint paths (run under TSan in CI), and the server's response
-// grammar through handle_line.
+// over disjoint paths and snapshots cut while paths change (both run under
+// TSan in CI), and the server's response grammar through handle_line,
+// failed snapshots included.
 #include "serve/path_table.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,10 +23,12 @@
 
 #include "analysis/evaluation.hpp"
 #include "core/predictor_registry.hpp"
+#include "obs/counters.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "testbed/campaign.hpp"
+#include "testbed/checkpoint.hpp"
 #include "testbed/dataset.hpp"
 
 using namespace tcppred;
@@ -70,6 +76,11 @@ void expect_bits_equal(double a, double b) {
 /// into one share, so its LSO wrappers run one filter between them.
 const std::vector<std::string> k_lso_mix{"fb:pftk", "10-MA",    "0.8-HW-LSO",
                                          "NWS",     "hybrid:0.8-HW-LSO", "5-AR-LSO"};
+
+std::string read_file(const std::filesystem::path& file) {
+    std::ifstream in(file, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
 
 class serve_fixture : public ::testing::Test {
 protected:
@@ -318,9 +329,7 @@ TEST_F(serve_fixture, snapshot_refuses_mismatched_specs_and_garbage) {
         out << content;
         return p;
     };
-    std::ifstream in(file, std::ios::binary);
-    const std::string whole((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
+    const std::string whole = read_file(file);
     // Truncations at several depths — all refused, never half-applied.
     for (const double frac : {0.8, 0.3}) {
         serve::path_table t(specs);
@@ -387,6 +396,78 @@ TEST(serve_path_table, concurrent_disjoint_paths_match_serial_replay) {
     }
 }
 
+TEST_F(serve_fixture, streamed_snapshot_is_a_consistent_cut) {
+    // Two threads OBSERVE disjoint paths while a third writes snapshots.
+    // Each file must be one cut of the table: it loads into a fresh table
+    // (whose own count checks pass) that re-renders it byte for byte, and
+    // its paths/end lines count its own path/ev lines. Every epoch also
+    // creates a path, so a path count taken apart from the walk would
+    // disagree with it. Run under TSan in CI.
+    const std::vector<std::string> specs{"fb:pftk", "10-MA", "0.8-HW-LSO"};
+    serve::path_table table(specs, {}, 4);
+    std::atomic<bool> snapshotting{false};
+    std::atomic<int> writers_done{0};
+    const auto writer = [&](const std::string& prefix) {
+        while (!snapshotting.load()) std::this_thread::yield();
+        for (int e = 0; e < 40; ++e) {
+            for (int p = 0; p <= 6; ++p) {
+                serve::observation ev;
+                ev.epoch = e;
+                ev.avail_bw_bps = 1e6 + 1e3 * (e % 7) + p;
+                ev.phat = 0.01 + 1e-4 * (e % 5);
+                ev.that_s = 0.08;
+                ev.r_large_bps = 9e5 + 1e3 * (e % 3) + p;
+                table.observe(prefix + (p < 6 ? std::to_string(p) : "new" + std::to_string(e)),
+                              ev);
+            }
+        }
+        writers_done.fetch_add(1);
+    };
+    std::vector<std::filesystem::path> files;
+    std::thread snapshotter([&] {
+        snapshotting.store(true);
+        do {
+            files.push_back(dir_ / ("cut-" + std::to_string(files.size()) + ".snap"));
+            serve::write_snapshot(table, files.back());
+        } while (writers_done.load() < 2);
+    });
+    std::thread a(writer, "a.");
+    std::thread b(writer, "b.");
+    a.join();
+    b.join();
+    snapshotter.join();
+    ASSERT_GE(files.size(), 1u);
+
+    for (const std::filesystem::path& file : files) {
+        const std::string text = read_file(file);
+        serve::path_table back(specs);
+        const serve::snapshot_stats st = serve::load_snapshot(back, file);
+        EXPECT_EQ(serve::render_snapshot(back), text) << file;
+        std::uint64_t declared_paths = 0;
+        std::uint64_t declared_events = 0;
+        std::uint64_t path_lines = 0;
+        std::uint64_t ev_lines = 0;
+        std::istringstream in(text);
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.rfind("paths,", 0) == 0) declared_paths = std::stoull(line.substr(6));
+            if (line.rfind("end,", 0) == 0) declared_events = std::stoull(line.substr(4));
+            if (line.rfind("path,", 0) == 0) ++path_lines;
+            if (line.rfind("ev,", 0) == 0) ++ev_lines;
+        }
+        EXPECT_EQ(declared_paths, path_lines) << file;
+        EXPECT_EQ(declared_events, ev_lines) << file;
+        EXPECT_EQ(st.paths, path_lines) << file;
+        EXPECT_EQ(st.events, ev_lines) << file;
+    }
+    // Quiescent, the published file and the rendered string are one text.
+    const auto quiet = dir_ / "quiet.snap";
+    serve::write_snapshot(table, quiet);
+    EXPECT_EQ(read_file(quiet), serve::render_snapshot(table));
+    EXPECT_EQ(table.observations(), 2u * 40u * 7u);
+    EXPECT_EQ(table.path_count(), 2u * (6u + 40u));
+}
+
 // --- server response grammar ----------------------------------------------
 
 TEST_F(serve_fixture, server_handle_line_grammar) {
@@ -428,4 +509,57 @@ TEST_F(serve_fixture, server_snapshot_without_file_is_an_error) {
     serve::server srv(table, cfg);
     EXPECT_EQ(srv.handle_line("SNAPSHOT"),
               "ERR no snapshot file configured (--snapshot)");
+}
+
+TEST_F(serve_fixture, failed_snapshot_answers_err_and_keeps_serving) {
+    static const obs::counter c_errors = obs::counter::get("serve.request_errors");
+    serve::path_table table({"fb:pftk"});
+    serve::server_config cfg;
+    cfg.unix_socket = (dir_ / "t.sock").string();
+    cfg.snapshot_file = dir_ / "snap.txt";
+    serve::server srv(table, cfg);
+    ASSERT_EQ(srv.handle_line("OBSERVE p 0 0x1.8p+20 0.01 0.005 0.08 0x1.2p+20 0"), "OK");
+    ASSERT_EQ(srv.handle_line("SNAPSHOT"), "OK");
+    const std::string before = read_file(cfg.snapshot_file);
+
+    // A directory where the snapshot's temp file goes: the write fails
+    // before anything is renamed.
+    const auto blocker = testbed::same_dir_temp(cfg.snapshot_file);
+    std::filesystem::create_directories(blocker / "keep");
+    ASSERT_EQ(srv.handle_line("OBSERVE p 1 0x1.8p+20 0.01 0.005 0.08 0x1.2p+20 0"), "OK");
+    const std::uint64_t errors = c_errors.value();
+    const std::string reply = srv.handle_line("SNAPSHOT");
+    EXPECT_EQ(reply.rfind("ERR snapshot failed: ", 0), 0u) << reply;
+    EXPECT_NE(reply.find(cfg.snapshot_file.filename().string()), std::string::npos) << reply;
+    EXPECT_EQ(reply.find('\n'), std::string::npos) << reply;
+    EXPECT_EQ(c_errors.value(), errors + 1);
+    EXPECT_EQ(read_file(cfg.snapshot_file), before);
+
+    // The same server keeps serving, and snapshots again once it can.
+    EXPECT_EQ(srv.handle_line("OBSERVE p 2 0x1.8p+20 0.01 0.005 0.08 0x1.2p+20 0"), "OK");
+    EXPECT_EQ(srv.handle_line("STATS").substr(0, 3), "OK ");
+    std::filesystem::remove_all(blocker);
+    EXPECT_EQ(srv.handle_line("SNAPSHOT"), "OK");
+    serve::path_table back({"fb:pftk"});
+    EXPECT_EQ(serve::load_snapshot(back, cfg.snapshot_file).events, 3u);
+}
+
+TEST_F(serve_fixture, failed_periodic_snapshot_still_answers_ok) {
+    // The OBSERVE that triggers a periodic snapshot is applied before the
+    // write: answering ERR would make a retrying client apply it twice.
+    static const obs::counter c_failures = obs::counter::get("serve.snapshot_failures");
+    serve::path_table table({"fb:pftk"});
+    serve::server_config cfg;
+    cfg.unix_socket = (dir_ / "t.sock").string();
+    cfg.snapshot_file = dir_ / "missing-dir" / "snap.txt";
+    cfg.snapshot_every = 1;
+    serve::server srv(table, cfg);
+    const std::uint64_t failures = c_failures.value();
+    EXPECT_EQ(srv.handle_line("OBSERVE p 0 0x1.8p+20 0.01 0.005 0.08 0x1.2p+20 0"), "OK");
+    EXPECT_EQ(c_failures.value(), failures + 1);
+    EXPECT_EQ(table.observations(), 1u);
+    const std::string reply = srv.handle_line("SNAPSHOT");
+    EXPECT_EQ(reply.rfind("ERR snapshot failed: ", 0), 0u) << reply;
+    EXPECT_EQ(c_failures.value(), failures + 1);  // a SNAPSHOT request is not periodic
+    EXPECT_FALSE(std::filesystem::exists(dir_ / "missing-dir"));
 }

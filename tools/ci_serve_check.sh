@@ -8,11 +8,16 @@
 #   2. replay the first half of the traces, stop the daemon with SIGINT (it
 #      writes its snapshot and exits 0), restart it with --resume, replay
 #      the remaining traces, and require the two live outputs concatenated
-#      to be byte-identical to the same reference.
+#      to be byte-identical to the same reference, and
+#   3. point a daemon's --snapshot into a missing directory: on one
+#      loopback TCP connection (bash's /dev/tcp) SNAPSHOT must answer
+#      "ERR snapshot failed: ..." and a STATS after it must still answer,
+#      and SIGINT must then exit 2 naming the snapshot file.
 #
 # This is the end-to-end proof that the daemon's observe/predict pipeline
 # and its snapshot/restore machinery preserve the engine-equivalence
-# contract through a real process death.
+# contract through a real process death, and that a failed snapshot is an
+# answer, not a hung connection.
 #
 # Usage: tools/ci_serve_check.sh path/to/tcppred_campaign \
 #            path/to/tcppred_serve path/to/tcppred_loadgen
@@ -98,5 +103,46 @@ cmp "$WORK/ref.txt" "$WORK/live_split.txt" || {
     exit 1
 }
 
+echo "== a failed snapshot answers ERR and the connection keeps serving"
+BAD_SNAP="$WORK/no-such-dir/x.snap"
+"$SERVE" --port 0 --specs "$SPECS" --snapshot "$BAD_SNAP" \
+    >"$WORK/port.out" 2>"$WORK/bad.err" &
+SERVE_PID=$!
+PORT=
+for _ in $(seq 100); do
+    PORT=$(sed -n 's/^READY //p' "$WORK/port.out")
+    [ -n "$PORT" ] && break
+    kill -0 "$SERVE_PID" 2>/dev/null || break
+    sleep 0.05
+done
+[ -n "$PORT" ] || { echo "FAIL: daemon did not come up"; cat "$WORK/bad.err"; exit 1; }
+exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+printf 'OBSERVE p 0 0x1.8p+20 0.01 0.005 0.08 0x1.2p+20 0\nSNAPSHOT\nSTATS\n' >&3
+R_OBSERVE= R_SNAPSHOT= R_STATS=
+read -r -t 10 R_OBSERVE <&3 || true
+read -r -t 10 R_SNAPSHOT <&3 || true
+read -r -t 10 R_STATS <&3 || true
+exec 3<&-
+[ "$R_OBSERVE" = "OK" ] || { echo "FAIL: OBSERVE answered '$R_OBSERVE'"; exit 1; }
+case "$R_SNAPSHOT" in
+    "ERR snapshot failed: "*) ;;
+    *) echo "FAIL: SNAPSHOT into a missing directory answered '$R_SNAPSHOT'"; exit 1 ;;
+esac
+case "$R_STATS" in
+    "OK paths=1 observations=1 "*) ;;
+    *) echo "FAIL: STATS after a failed SNAPSHOT answered '$R_STATS'"; exit 1 ;;
+esac
+kill -INT "$SERVE_PID"
+RC=0
+wait "$SERVE_PID" || RC=$?
+SERVE_PID=
+[ "$RC" -eq 2 ] || { echo "FAIL: failed final snapshot exited $RC (want 2)"; exit 1; }
+grep -q "no-such-dir/x.snap" "$WORK/bad.err" || {
+    echo "FAIL: failed final snapshot did not name its file"
+    cat "$WORK/bad.err"
+    exit 1
+}
+[ ! -e "$WORK/no-such-dir" ] || { echo "FAIL: a failed snapshot left files"; exit 1; }
+
 echo "ci_serve_check: live daemon is byte-identical to the offline engine," \
-     "including across a SIGINT-snapshot-restart"
+     "including across a SIGINT-snapshot-restart; a failed snapshot answers ERR"
