@@ -2,11 +2,15 @@
 // formatting and access to the cached measurement campaigns.
 //
 // Cache bootstrap: the first bench to call testbed::ensure_campaign1() /
-// ensure_campaign2() runs the measurement campaign and caches the CSV under
-// $REPRO_DATA_DIR (default data/); every later bench loads the cache. The
+// ensure_campaign2() runs the measurement campaign and caches it as a
+// record store, campaign{1,2}_<scale>.store under $REPRO_DATA_DIR (default
+// data/); every later bench reads the cache (testbed::load_or_run,
+// record_store.hpp). The store carries its campaign's fingerprint: a cache
+// of another config or simulator revision, or a corrupt one, is refused and
+// regenerated, and cold and warm runs return the same records. The
 // bootstrap honors the full environment contract (README "Configuration"):
 // $REPRO_SCALE sizes the sweep, $REPRO_JOBS parallelizes it (default: all
-// cores), and the resulting CSV is byte-identical for any job count
+// cores), and the resulting store is byte-identical for any job count
 // (DESIGN.md §6), so cached datasets are interchangeable across machines
 // with different core counts.
 #pragma once
@@ -21,6 +25,7 @@
 #include "analysis/stats.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace_writer.hpp"
+#include "testbed/record_store.hpp"
 
 namespace tcppred::bench {
 

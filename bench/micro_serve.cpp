@@ -59,7 +59,12 @@ const serve::path_table& bench_table(std::size_t events) {
     if (!table) {
         table = std::make_unique<serve::path_table>(k_specs);
         for (std::size_t p = 0; p < k_paths; ++p) {
-            const std::string name = "k" + std::to_string(p % 16) + ".p" + std::to_string(p);
+            // Appended piecewise: GCC 12 without LTO raises a false
+            // -Wrestrict on "literal" + std::to_string(...).
+            std::string name = "k";
+            name += std::to_string(p % 16);
+            name += ".p";
+            name += std::to_string(p);
             for (std::size_t e = 0; e < events; ++e) {
                 table->observe(name, synthetic_observation(p, e));
             }

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <iostream>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -322,63 +321,9 @@ campaign_config campaign2_config(campaign_scale scale) {
     return cfg;
 }
 
-dataset load_or_run(const campaign_config& cfg, const std::filesystem::path& file) {
-    if (std::filesystem::exists(file)) {
-        return load_csv(file);
-    }
-    const unsigned jobs = campaign_effective_jobs(cfg, campaign_total_epochs(cfg));
-    std::cerr << "[campaign] dataset " << file
-              << " not found; running measurement campaign on " << jobs
-              << " thread(s) (this is done once and cached)...\n";
-    int last_percent = -1;
-    const obs::stopwatch watch;
-    dataset data = run_campaign(cfg, [&](int done, int total) {
-        const int percent = progress_percent(done, total);
-        if (percent / 5 != last_percent / 5) {
-            std::cerr << "[campaign] " << percent << "% (" << done << "/" << total
-                      << " epochs)\n";
-            last_percent = percent;
-        }
-    });
-    const double wall_s = watch.elapsed_s();
-    std::filesystem::create_directories(file.parent_path().empty() ? "."
-                                                                   : file.parent_path());
-    save_csv(data, file);
-    std::cerr << "[campaign] " << data.records.size() << " epochs in " << wall_s
-              << " s (" << (wall_s > 0 ? static_cast<double>(data.records.size()) / wall_s
-                                       : 0.0)
-              << " epochs/s, " << jobs << " jobs); saved to " << file << "\n";
-    return data;
-}
-
 std::filesystem::path data_dir() {
     if (const char* env = std::getenv("REPRO_DATA_DIR")) return env;  // NOLINT(concurrency-mt-unsafe)
     return "data";
-}
-
-namespace {
-
-std::string scale_suffix(campaign_scale s) {
-    switch (s) {
-        case campaign_scale::tiny: return "tiny";
-        case campaign_scale::normal: return "default";
-        case campaign_scale::paper: return "paper";
-    }
-    return "default";
-}
-
-}  // namespace
-
-dataset ensure_campaign1() {
-    const campaign_scale scale = scale_from_env();
-    return load_or_run(campaign1_config(scale),
-                       data_dir() / ("campaign1_" + scale_suffix(scale) + ".csv"));
-}
-
-dataset ensure_campaign2() {
-    const campaign_scale scale = scale_from_env();
-    return load_or_run(campaign2_config(scale),
-                       data_dir() / ("campaign2_" + scale_suffix(scale) + ".csv"));
 }
 
 }  // namespace tcppred::testbed

@@ -1,7 +1,7 @@
 // Campaign orchestration: the full paths x traces x epochs measurement
-// sweep of §4.1, plus load-or-run caching so the expensive simulation runs
-// once and every figure binary shares the CSV (the paper's
-// collect-then-analyze split).
+// sweep of §4.1 and the pre-canned campaign sizes. Everything a campaign
+// writes, the figure cache included (load_or_run), is a record store
+// (testbed/record_store.hpp): the paper's collect-then-analyze split.
 #pragma once
 
 #include <cstdint>
@@ -95,9 +95,9 @@ void trace_campaign_start(const campaign_config& cfg);
 [[nodiscard]] dataset run_campaign(const campaign_config& cfg, progress_fn progress = nullptr);
 
 /// Checkpointing / cancellation knobs of a campaign run. All default-off: a
-/// default-constructed value makes run_campaign_resumable
-/// (record_store.hpp) behave exactly like run_campaign. The journal fields
-/// are the journaled runners'; sweep_campaign takes the rest.
+/// default-constructed value makes the runners of record_store.hpp sweep
+/// the grid exactly as run_campaign does. The journal fields are the
+/// journaled runners'; sweep_campaign takes the rest.
 struct campaign_run_options {
     /// Resume journal: an unfinished record store (record_store.hpp). Empty =
     /// no journal.
@@ -114,11 +114,10 @@ struct campaign_run_options {
     /// claim everything). Off-claim epochs are neither simulated nor
     /// released — this is how a shard worker runs its slice of the grid
     /// (testbed/shard.hpp); `complete` then means "every claimed epoch done".
+    /// A journaled run with a filter keeps its journal when it completes:
+    /// a slice's journal is its product, which the shard merge consumes.
     /// Must be pure and thread-safe: it is called from worker threads.
     std::function<bool(std::size_t)> epoch_filter{};
-    /// Keep the journal after a complete run instead of removing it. A
-    /// shard's journal IS its output — the merge step consumes it.
-    bool keep_checkpoint{false};
     /// Polled between epochs; return true to stop claiming new epochs. The
     /// in-flight ones finish, and those in linear order are released.
     std::function<bool()> cancelled{};
@@ -169,17 +168,7 @@ enum class campaign_scale { tiny, normal, paper };
 /// with 1/4, 1/2 and full-length goodput checkpoints, no W=20KB companion.
 [[nodiscard]] campaign_config campaign2_config(campaign_scale scale);
 
-/// Load `file` if present, otherwise run the campaign and save it there.
-/// Progress goes to stderr.
-[[nodiscard]] dataset load_or_run(const campaign_config& cfg,
-                                  const std::filesystem::path& file);
-
 /// Resolve the shared data directory: $REPRO_DATA_DIR or "data".
 [[nodiscard]] std::filesystem::path data_dir();
-
-/// The standard cached campaign-1 / campaign-2 datasets used by benches and
-/// examples (scale from $REPRO_SCALE).
-[[nodiscard]] dataset ensure_campaign1();
-[[nodiscard]] dataset ensure_campaign2();
 
 }  // namespace tcppred::testbed

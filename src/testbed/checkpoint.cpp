@@ -14,6 +14,7 @@
 #include <system_error>
 
 #include "core/checked_parse.hpp"
+#include "net/cross_traffic.hpp"
 
 namespace tcppred::testbed {
 
@@ -128,14 +129,15 @@ int parse_i32_field(std::string_view name, std::string_view text,
 }
 
 std::vector<fingerprint_field> campaign_fingerprint_fields(const campaign_config& cfg) {
-    // v2: every double goes through hexd so the identity string is a pure
+    // v3: every double goes through hexd so the identity string is a pure
     // function of the config bits, not of decimal formatting. A fingerprint
     // is compared for equality (and positionally diffed on mismatch), never
-    // parsed back into a config, so the version bump simply refuses to
-    // resume checkpoints written by older binaries. The value serialization
-    // here must never change without bumping the version field.
+    // parsed back into a config, so the version bump simply refuses journals
+    // and stores written by older binaries. The value serialization here
+    // must never change without bumping the version field.
     std::vector<fingerprint_field> f;
-    f.push_back({"version", "v2"});
+    f.push_back({"version", "v3"});
+    f.push_back({"simulator_revision", std::to_string(k_simulator_revision)});
     f.push_back({"paths", std::to_string(cfg.paths)});
     f.push_back({"traces_per_path", std::to_string(cfg.traces_per_path)});
     f.push_back({"epochs_per_trace", std::to_string(cfg.epochs_per_trace)});
@@ -159,6 +161,8 @@ std::vector<fingerprint_field> campaign_fingerprint_fields(const campaign_config
     f.push_back({"epoch.pathload_max_rate_factor",
                  hexd(cfg.epoch.pathload_max_rate_factor)});
     f.push_back({"epoch.hard_cap_s", hexd(cfg.epoch.hard_cap.value())});
+    f.push_back({"epoch.cross",
+                 cfg.epoch.cross == net::cross_model::fluid ? "fluid" : "packet"});
     for (std::size_t i = 0; i < cfg.epoch.prefix_s.size(); ++i) {
         f.push_back({"epoch.prefix_s[" + std::to_string(i) + "]",
                      "px" + hexd(cfg.epoch.prefix_s[i])});
@@ -167,9 +171,7 @@ std::vector<fingerprint_field> campaign_fingerprint_fields(const campaign_config
 }
 
 std::string campaign_fingerprint(const campaign_config& cfg) {
-    // Byte-compatible with the pre-field-diff v2 format: exactly the
-    // '|'-join of the field values. (The old direct stream emitted bools as
-    // 0/1 via operator<<, which to_string reproduces.)
+    // Exactly the '|'-join of the field values.
     std::ostringstream os;
     bool first = true;
     for (const fingerprint_field& f : campaign_fingerprint_fields(cfg)) {
@@ -182,10 +184,11 @@ std::string campaign_fingerprint(const campaign_config& cfg) {
 
 std::string describe_fingerprint_mismatch(const std::string& in_checkpoint,
                                           const std::string& requested) {
-    // Positional slot names for the v2 layout above. Fields past the fixed
+    // Positional slot names for the v3 layout above. Fields past the fixed
     // schema are the variable-length prefix list.
     static const char* const k_names[] = {
         "version",
+        "simulator_revision",
         "paths",
         "traces_per_path",
         "epochs_per_trace",
@@ -203,6 +206,7 @@ std::string describe_fingerprint_mismatch(const std::string& in_checkpoint,
         "epoch.prior_ping.interval_s",
         "epoch.pathload_max_rate_factor",
         "epoch.hard_cap_s",
+        "epoch.cross",
     };
     constexpr std::size_t k_fixed = sizeof(k_names) / sizeof(k_names[0]);
     const auto old_f = split_fields(in_checkpoint, '|');

@@ -1,6 +1,6 @@
 // The serialization primitives of the bit-exact formats (the record store,
 // testbed/record_store.hpp, and the serve snapshot): hexd/parse_hexd for
-// doubles, the whole-token integer field parsers, the v2 campaign
+// doubles, the whole-token integer field parsers, the v3 campaign
 // fingerprint with its field-by-field diff, and the atomic publisher
 // (atomic_write_stream). The record files themselves are written and read
 // only by record_store.
@@ -55,6 +55,15 @@ using hexd_buffer = std::array<char, 24>;
 [[nodiscard]] int parse_i32_field(std::string_view name, std::string_view text,
                                   const std::filesystem::path& file, std::size_t line_no);
 
+/// Revision of what the simulator computes. A campaign's records are a
+/// function of its config and of this number, and the fingerprint carries
+/// it, so every journal, store and cached figure dataset written by code of
+/// another revision is refused (and the cache regenerated). Bump it in the
+/// commit that changes any campaign's output bytes, i.e. the one that
+/// re-pins a golden (DESIGN.md §13.6); engine_golden_test pins it next to
+/// digests of the tiny campaign-1 CSV under both cross-traffic models.
+inline constexpr int k_simulator_revision = 1;
+
 /// One named field of a campaign fingerprint, e.g. {"seed", "20040501"}.
 struct fingerprint_field {
     std::string name;
@@ -69,8 +78,9 @@ struct fingerprint_field {
 [[nodiscard]] std::vector<fingerprint_field> campaign_fingerprint_fields(
     const campaign_config& cfg);
 
-/// Identity of everything that shapes a campaign's records: sizes, seeds,
-/// fault profile, epoch parameters. Deliberately excludes cfg.jobs — the
+/// Identity of everything that shapes a campaign's records: the simulator
+/// revision, sizes, seeds, fault profile, epoch parameters and the
+/// cross-traffic model. Deliberately excludes cfg.jobs — the
 /// dataset is job-count-invariant (DESIGN.md §6), so a run checkpointed at
 /// one REPRO_JOBS may resume at another.
 [[nodiscard]] std::string campaign_fingerprint(const campaign_config& cfg);

@@ -1,5 +1,6 @@
 #include "testbed/record_store.hpp"
 
+#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -7,6 +8,7 @@
 
 #include "core/contracts.hpp"
 #include "obs/counters.hpp"
+#include "obs/stopwatch.hpp"
 #include "testbed/checkpoint.hpp"
 
 namespace tcppred::testbed {
@@ -518,9 +520,9 @@ campaign_outcome run_journaled(const campaign_config& cfg, const campaign_run_op
     }
     out.epochs_resumed = resumed;
     out.epochs_completed += resumed;
-    // After a cancel, so everything released survives; for a kept journal,
-    // so it exists even when the run had nothing left to do.
-    if (!out.complete || opts.keep_checkpoint) flush();
+    // After a cancel, so everything released survives; for a filtered run,
+    // whose journal is kept, so it exists even when nothing was left to do.
+    if (!out.complete || opts.epoch_filter) flush();
     return out;
 }
 
@@ -539,7 +541,7 @@ campaign_outcome run_campaign_resumable(const campaign_config& cfg,
     } else {
         std::optional<record_writer> journal;
         out = run_journaled(cfg, opts, {}, slots, progress, journal);
-        if (out.complete && !opts.keep_checkpoint) {
+        if (out.complete && !opts.epoch_filter) {
             journal->abort();
             std::error_code ec;  // best-effort cleanup; absence is fine
             std::filesystem::remove(opts.checkpoint, ec);
@@ -553,7 +555,8 @@ campaign_outcome run_campaign_streamed(const campaign_config& cfg,
                                        const std::filesystem::path& store_file,
                                        const campaign_run_options& opts,
                                        progress_fn progress) {
-    TCPPRED_EXPECTS(!opts.epoch_filter && !opts.keep_checkpoint);
+    TCPPRED_EXPECTS(opts.epoch_filter ? !opts.checkpoint.empty() && store_file.empty()
+                                      : !store_file.empty());
     if (opts.checkpoint.empty()) {
         record_writer writer(store_file, campaign_fingerprint(cfg),
                              csv_catalog_lines(campaign_catalog(cfg)));
@@ -566,7 +569,7 @@ campaign_outcome run_campaign_streamed(const campaign_config& cfg,
     std::optional<record_writer> journal;
     campaign_outcome out = run_journaled(
         cfg, opts, store_file, [](std::size_t, epoch_record&&) {}, progress, journal);
-    if (out.complete) journal->finish();
+    if (out.complete && !opts.epoch_filter) journal->finish();
     return out;
 }
 
@@ -638,17 +641,6 @@ std::size_t merge_shard_journals(const campaign_config& cfg,
     return total;
 }
 
-dataset merge_shard_checkpoints(const campaign_config& cfg,
-                                const std::vector<std::filesystem::path>& shard_ckpts) {
-    dataset data;
-    data.paths = campaign_catalog(cfg);
-    data.records.reserve(campaign_total_epochs(cfg));
-    merge_shard_journals(cfg, shard_ckpts, [&](std::size_t, epoch_record&& rec) {
-        data.records.push_back(std::move(rec));
-    });
-    return data;
-}
-
 std::size_t merge_shard_checkpoints_to_store(
     const campaign_config& cfg, const std::vector<std::filesystem::path>& shard_ckpts,
     const std::filesystem::path& store_file) {
@@ -660,12 +652,117 @@ std::size_t merge_shard_checkpoints_to_store(
     return merged;
 }
 
+std::filesystem::path csv_staging_store(const std::filesystem::path& csv_file) {
+    std::filesystem::path p = csv_file;
+    p += ".store";
+    return p;
+}
+
+std::size_t export_store_to_csv(const std::filesystem::path& store,
+                                const std::filesystem::path& csv_file) {
+    // The staging store goes whether or not the export succeeds, so a failed
+    // export leaves neither file (store_to_csv removes its own temp).
+    const auto drop_store = [&] {
+        std::error_code ignore;
+        std::filesystem::remove(store, ignore);
+    };
+    try {
+        record_reader reader(store);
+        store_to_csv(reader, csv_file);
+        drop_store();
+        return reader.total();
+    } catch (...) {
+        drop_store();
+        throw;
+    }
+}
+
 void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path& file) {
     record_writer journal({}, file, ck.fingerprint, {});
     for (std::size_t i = 0; i < ck.total; ++i) {
         if (ck.done[i]) journal.append(ck.records[i]);
     }
     journal.flush();
+}
+
+// ---------------------------------------------------------------------------
+// The figure cache
+
+namespace {
+
+/// The cached store of `cfg` at `file`, as load_csv would read its CSV
+/// export: the catalogue through load_csv's own parser, every record
+/// through csv_normalized_record. Throws dataset_error when the store is
+/// missing, corrupt or of another fingerprint.
+dataset read_cache(const campaign_config& cfg, const std::filesystem::path& file) {
+    record_reader reader(file, campaign_fingerprint(cfg));
+    std::string catalogue;
+    for (const std::string& line : reader.catalog_lines()) catalogue += line + '\n';
+    std::istringstream catalogue_in(catalogue);
+    dataset data = load_csv(catalogue_in, file);
+    data.records.reserve(reader.total());
+    epoch_record rec;
+    while (reader.next(rec)) data.records.push_back(csv_normalized_record(rec));
+    return data;
+}
+
+std::string scale_suffix(campaign_scale s) {
+    switch (s) {
+        case campaign_scale::tiny: return "tiny";
+        case campaign_scale::normal: return "default";
+        case campaign_scale::paper: return "paper";
+    }
+    return "default";
+}
+
+}  // namespace
+
+dataset load_or_run(const campaign_config& cfg, const std::filesystem::path& file) {
+    const std::string name = file.string();
+    if (!std::filesystem::exists(file)) {
+        std::fprintf(stderr, "[campaign] dataset %s not found\n", name.c_str());
+    } else {
+        try {
+            return read_cache(cfg, file);
+        } catch (const dataset_error& e) {
+            std::fprintf(stderr, "[campaign] cached dataset refused: %s\n", e.what());
+        }
+    }
+    const unsigned jobs = campaign_effective_jobs(cfg, campaign_total_epochs(cfg));
+    std::fprintf(stderr,
+                 "[campaign] running measurement campaign on %u thread(s) (this is done "
+                 "once and cached)...\n",
+                 jobs);
+    int last_percent = -1;
+    const obs::stopwatch watch;
+    std::filesystem::create_directories(file.parent_path().empty() ? "."
+                                                                   : file.parent_path());
+    const campaign_outcome out =
+        run_campaign_streamed(cfg, file, {}, [&](int done, int total) {
+            const int percent = progress_percent(done, total);
+            if (percent / 5 != last_percent / 5) {
+                std::fprintf(stderr, "[campaign] %d%% (%d/%d epochs)\n", percent, done, total);
+                last_percent = percent;
+            }
+        });
+    const double wall_s = watch.elapsed_s();
+    std::fprintf(stderr, "[campaign] %d epochs in %.2f s (%.1f epochs/s, %u jobs); saved to %s\n",
+                 out.epochs_completed, wall_s,
+                 wall_s > 0 ? static_cast<double>(out.epochs_completed) / wall_s : 0.0, jobs,
+                 name.c_str());
+    return read_cache(cfg, file);
+}
+
+dataset ensure_campaign1() {
+    const campaign_scale scale = scale_from_env();
+    return load_or_run(campaign1_config(scale),
+                       data_dir() / ("campaign1_" + scale_suffix(scale) + ".store"));
+}
+
+dataset ensure_campaign2() {
+    const campaign_scale scale = scale_from_env();
+    return load_or_run(campaign2_config(scale),
+                       data_dir() / ("campaign2_" + scale_suffix(scale) + ".store"));
 }
 
 }  // namespace tcppred::testbed

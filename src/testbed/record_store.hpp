@@ -2,7 +2,7 @@
 // records, `tcppred-store,v2`, and every read and write of it.
 //
 //   tcppred-store,v2
-//   fingerprint,<v2 campaign fingerprint>
+//   fingerprint,<v3 campaign fingerprint>
 //   paths,<K>
 //   <K "#path,..." catalogue lines, verbatim>
 //   rec,<path>,<trace>,<epoch>,<12 hexfloats>,<events>,<fault_flags>,
@@ -29,11 +29,15 @@
 // The CSV is a conversion (store_to_csv), byte-identical to save_csv on the
 // same records by construction: the store carries the catalogue lines
 // verbatim and the conversion reuses the write_csv_* emitters (dataset.hpp).
+// Every campaign is written as a store first; a CSV output is the export of
+// a staging store (export_store_to_csv), and the figure cache is a store
+// read back under its fingerprint (load_or_run).
 //
 // Layering: this module ("store" in tools/lint/tcppred_lint.conf) sits on
 // top of testbed and holds all record persistence; nothing in testbed
-// includes it. The journaled runners and the shard merge live here and
-// select sinks of the one sweep (sweep_campaign, campaign.hpp).
+// includes it. The journaled runners, the shard merge and the figure cache
+// live here and select sinks of the one sweep (sweep_campaign,
+// campaign.hpp).
 #pragma once
 
 #include <cstddef>
@@ -73,7 +77,7 @@ class record_writer {
 public:
     /// A store published at `file` by finish(). `catalog_lines` are the
     /// verbatim "#path,..." CSV catalogue lines (csv_catalog_lines);
-    /// `fingerprint` is the v2 campaign fingerprint.
+    /// `fingerprint` is the campaign fingerprint (checkpoint.hpp).
     record_writer(const std::filesystem::path& file, const std::string& fingerprint,
                   const std::vector<std::string>& catalog_lines);
     /// A journal at `journal`: the unfinished store that finish() renames to
@@ -199,26 +203,32 @@ private:
 /// store leaves nothing at `csv_file`.
 void store_to_csv(record_reader& in, const std::filesystem::path& csv_file);
 
-/// sweep_campaign into pre-sized dataset slots. With opts.checkpoint set the
-/// run is journaled: a resumed run restores the journal's records first
-/// (opts.resume), the journal grows every opts.checkpoint_every records and
-/// once more after a cancel or a worker error, and a complete run removes it
-/// unless opts.keep_checkpoint (a shard's journal is its output).
-[[nodiscard]] campaign_outcome run_campaign_resumable(const campaign_config& cfg,
-                                                      const campaign_run_options& opts,
-                                                      progress_fn progress = nullptr);
-
-/// sweep_campaign into a store at `store_file` instead of an in-memory
-/// dataset. Peak memory is O(reorder window + jobs·epochs_per_trace),
-/// independent of the grid size. The store is published only when the run
-/// completes: without a journal it is built in a temp file, and with one
-/// (opts.checkpoint) the journal is the store and finishing renames it. An
-/// interrupted run leaves the journal, if any, and no store.
-/// opts.epoch_filter must be empty (a store holds the whole grid) and
-/// opts.keep_checkpoint false (a finished journal is the store).
+/// sweep_campaign into a store at `store_file`. Peak memory is
+/// O(reorder window + jobs·epochs_per_trace), independent of the grid size.
+/// The store is published only when the run completes: without a journal it
+/// is built in a temp file, and with one (opts.checkpoint) the journal is
+/// the store and finishing renames it. An interrupted run leaves the
+/// journal, if any, and no store. A resumed run streams the journal's
+/// prefix (opts.resume), and the journal grows every opts.checkpoint_every
+/// records and once more after a cancel or a worker error.
+/// With opts.epoch_filter the run claims a slice (a shard): it needs a
+/// journal, `store_file` must be empty, and a complete run flushes the
+/// journal and keeps it unfinished, since the slice's journal is its
+/// product.
 [[nodiscard]] campaign_outcome run_campaign_streamed(
     const campaign_config& cfg, const std::filesystem::path& store_file,
     const campaign_run_options& opts = {}, progress_fn progress = nullptr);
+
+/// The staging store a CSV output is written through: `<csv_file>.store`.
+/// Its name never collides with same_dir_temp(csv_file), the CSV's own
+/// temp, nor with the store's temp or a journal.
+[[nodiscard]] std::filesystem::path csv_staging_store(const std::filesystem::path& csv_file);
+
+/// Export the finished store at `store` to `csv_file` (store_to_csv), then
+/// remove the store, whether or not the export succeeded: a failed export
+/// leaves neither the CSV nor the store. Returns the record count.
+std::size_t export_store_to_csv(const std::filesystem::path& store,
+                                const std::filesystem::path& csv_file);
 
 /// The one shard merge: a k-way walk over one journal record_reader per
 /// shard, releasing the union of their records to `sink` in linear order
@@ -234,18 +244,25 @@ std::size_t merge_shard_journals(const campaign_config& cfg,
                                  const std::vector<std::filesystem::path>& shard_ckpts,
                                  const record_sink& sink);
 
-/// merge_shard_journals into an in-memory dataset.
-[[nodiscard]] dataset merge_shard_checkpoints(
-    const campaign_config& cfg, const std::vector<std::filesystem::path>& shard_ckpts);
-
 /// merge_shard_journals into a store: O(shards · record) memory, whatever
-/// the grid size. Throws dataset_error like merge_shard_checkpoints, and the
+/// the grid size. Throws dataset_error like merge_shard_journals, and the
 /// store is then never published. Returns the merged record count.
 std::size_t merge_shard_checkpoints_to_store(
     const campaign_config& cfg, const std::vector<std::filesystem::path>& shard_ckpts,
     const std::filesystem::path& store_file);
 
-/// A grid's done slots, save_checkpoint's input.
+/// sweep_campaign into pre-sized dataset slots, journaled like
+/// run_campaign_streamed when opts.checkpoint is set; a complete run without
+/// a filter removes the journal. Holds the grid in RAM: no tool takes this
+/// path. It stays only for the benchmark harness (bench/perf/perf_driver),
+/// whose traced campaign replay calls it, until that replay moves to
+/// run_campaign_streamed (ROADMAP.md).
+[[nodiscard]] campaign_outcome run_campaign_resumable(const campaign_config& cfg,
+                                                      const campaign_run_options& opts,
+                                                      progress_fn progress = nullptr);
+
+/// A grid's done slots, save_checkpoint's input. Kept, like
+/// save_checkpoint, only for the benchmark harness's journal-write probe.
 struct campaign_checkpoint {
     std::string fingerprint;
     std::size_t total{0};              ///< epochs in the full campaign
@@ -255,7 +272,24 @@ struct campaign_checkpoint {
 
 /// Write `ck`'s done slots as a fresh journal through record_writer, with an
 /// empty catalogue (`paths,0`): `ck` carries none, so no campaign resumes
-/// from it. Kept as the journal-write probe of the benchmark harness.
+/// from it. Kept only as the journal-write probe of the benchmark harness
+/// (bench/perf/perf_driver) until that probe moves (ROADMAP.md).
 void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path& file);
+
+/// The figure cache: the store of `cfg`'s campaign at `file`, read through
+/// record_reader under campaign_fingerprint(cfg), with every record passed
+/// through csv_normalized_record and the catalogue parsed as load_csv parses
+/// it, so the dataset equals load_csv of the store's CSV export. A store
+/// the reader refuses (missing, of another config or simulator revision,
+/// corrupt) is regenerated first with run_campaign_streamed, naming the
+/// refusal on stderr. Whether cold or warm, the dataset returned is the one
+/// read from the file. Progress goes to stderr.
+[[nodiscard]] dataset load_or_run(const campaign_config& cfg,
+                                  const std::filesystem::path& file);
+
+/// The cached campaign-1 / campaign-2 datasets of the figure benches:
+/// `$REPRO_DATA_DIR/campaign{1,2}_<scale>.store`, scale from $REPRO_SCALE.
+[[nodiscard]] dataset ensure_campaign1();
+[[nodiscard]] dataset ensure_campaign2();
 
 }  // namespace tcppred::testbed

@@ -1,8 +1,10 @@
 // Cross-thread-count determinism of the campaign engine: the dataset (and
 // its CSV serialization) must be byte-identical for any number of worker
-// threads, because every epoch is independently seeded and records land in
-// pre-sized (path, trace, epoch)-ordered slots (DESIGN.md §6). This test is
-// the acceptance bar for the parallel engine and runs under TSan in CI.
+// threads, because every epoch is independently seeded and records are
+// released in (path, trace, epoch) order (DESIGN.md §6). The resume and
+// journal cases drive run_campaign_streamed, the runner every
+// tcppred_campaign run takes, and compare its store's CSV export. This test
+// is the acceptance bar for the parallel engine and runs under TSan in CI.
 #include "testbed/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -194,17 +196,54 @@ TEST(campaign_determinism, repro_jobs_env_matches_explicit_jobs) {
 
 namespace {
 
-/// Unique per-test checkpoint path, removed by the guard's destructor.
-struct scoped_checkpoint {
-    std::filesystem::path file;
-    explicit scoped_checkpoint(const char* tag)
-        : file(std::filesystem::temp_directory_path() /
-               ("tcppred_ckpt_" + std::string(tag) + "_" + std::to_string(::getpid()) +
-                ".ckpt")) {
-        std::filesystem::remove(file);
+/// A journaled run's files, named per test and process: the store it
+/// finishes into and its journal `<store>.ckpt` (as tcppred_campaign names
+/// them), both removed by the destructor.
+struct scoped_run {
+    std::filesystem::path store;
+    std::filesystem::path journal;
+    explicit scoped_run(const char* tag)
+        : store(std::filesystem::temp_directory_path() /
+                ("tcppred_run_" + std::string(tag) + "_" + std::to_string(::getpid()) +
+                 ".store")),
+          journal(store.string() + ".ckpt") {
+        remove_files();
     }
-    ~scoped_checkpoint() { std::filesystem::remove(file); }
+    ~scoped_run() { remove_files(); }
+    scoped_run(const scoped_run&) = delete;
+    scoped_run& operator=(const scoped_run&) = delete;
+
+private:
+    void remove_files() {
+        std::filesystem::remove(store);
+        std::filesystem::remove(journal);
+    }
 };
+
+/// The records of a finished store, under `cfg`'s catalogue.
+dataset read_store(const campaign_config& cfg, const std::filesystem::path& store) {
+    record_reader reader(store, campaign_fingerprint(cfg));
+    dataset data;
+    data.paths = campaign_catalog(cfg);
+    epoch_record rec;
+    while (reader.next(rec)) data.records.push_back(rec);
+    return data;
+}
+
+/// The CSV a finished store exports to: tcppred_campaign's --format csv
+/// output for the run.
+std::string store_csv_bytes(const std::filesystem::path& store) {
+    const auto file = std::filesystem::temp_directory_path() /
+                      ("tcppred_export_" + std::to_string(::getpid()) + ".csv");
+    record_reader reader(store);
+    store_to_csv(reader, file);
+    std::string bytes = read_bytes(file);
+    std::filesystem::remove(file);
+    return bytes;
+}
+
+/// Claims every index: a filtered run keeps its journal unfinished.
+bool claim_all(std::size_t) { return true; }
 
 }  // namespace
 
@@ -213,9 +252,9 @@ TEST(campaign_resume, interrupted_then_resumed_is_byte_identical) {
     cfg.jobs = 2;
     const dataset uninterrupted = run_campaign(cfg);
 
-    const scoped_checkpoint ckpt("resume");
+    const scoped_run run("resume");
     campaign_run_options opts;
-    opts.checkpoint = ckpt.file;
+    opts.checkpoint = run.journal;
     opts.checkpoint_every = 2;
 
     // Phase 1: cancel after a handful of completions (the cancellation flag
@@ -223,44 +262,47 @@ TEST(campaign_resume, interrupted_then_resumed_is_byte_identical) {
     std::atomic<int> seen{0};
     opts.cancelled = [&] { return seen.load() >= 5; };
     const campaign_outcome first =
-        run_campaign_resumable(cfg, opts, [&](int, int) { ++seen; });
+        run_campaign_streamed(cfg, run.store, opts, [&](int, int) { ++seen; });
     ASSERT_FALSE(first.complete);
     ASSERT_GT(first.epochs_completed, 0);
     ASSERT_LT(first.epochs_completed,
               cfg.paths * cfg.traces_per_path * cfg.epochs_per_trace);
-    ASSERT_TRUE(std::filesystem::exists(ckpt.file)) << "interrupt must checkpoint";
+    ASSERT_TRUE(std::filesystem::exists(run.journal)) << "interrupt must checkpoint";
+    EXPECT_FALSE(std::filesystem::exists(run.store)) << "interrupt must not publish";
 
     // Phase 2: resume at a different job count; must complete and match the
     // uninterrupted run bit for bit.
     opts.cancelled = nullptr;
     opts.resume = true;
     cfg.jobs = 3;
-    const campaign_outcome second = run_campaign_resumable(cfg, opts);
+    const campaign_outcome second = run_campaign_streamed(cfg, run.store, opts);
     ASSERT_TRUE(second.complete);
     EXPECT_EQ(second.epochs_resumed, first.epochs_completed);
-    expect_identical(uninterrupted, second.data, "resumed vs uninterrupted");
-    EXPECT_EQ(csv_bytes(uninterrupted), csv_bytes(second.data));
-    EXPECT_FALSE(std::filesystem::exists(ckpt.file))
-        << "completed run must remove its checkpoint";
+    expect_identical(uninterrupted, read_store(cfg, run.store), "resumed vs uninterrupted");
+    EXPECT_EQ(csv_bytes(uninterrupted), store_csv_bytes(run.store));
+    EXPECT_FALSE(std::filesystem::exists(run.journal))
+        << "completed run must finish its journal into the store";
 }
 
 TEST(campaign_resume, checkpoint_from_other_config_is_refused) {
     campaign_config cfg = tiny_config();
     cfg.jobs = 1;
-    const scoped_checkpoint ckpt("refuse");
+    const scoped_run run("refuse");
     campaign_run_options opts;
-    opts.checkpoint = ckpt.file;
+    opts.checkpoint = run.journal;
     opts.checkpoint_every = 1;
     std::atomic<int> seen{0};
     opts.cancelled = [&] { return seen.load() >= 2; };
     const campaign_outcome first =
-        run_campaign_resumable(cfg, opts, [&](int, int) { ++seen; });
+        run_campaign_streamed(cfg, run.store, opts, [&](int, int) { ++seen; });
     ASSERT_FALSE(first.complete);
 
     opts.cancelled = nullptr;
     opts.resume = true;
     cfg.seed += 1;  // different campaign: the checkpoint must not be trusted
-    EXPECT_THROW(static_cast<void>(run_campaign_resumable(cfg, opts)), dataset_error);
+    EXPECT_THROW(static_cast<void>(run_campaign_streamed(cfg, run.store, opts)),
+                 dataset_error);
+    EXPECT_FALSE(std::filesystem::exists(run.store));
 }
 
 TEST(campaign_resume, worker_exception_checkpoints_completed_epochs) {
@@ -269,9 +311,9 @@ TEST(campaign_resume, worker_exception_checkpoints_completed_epochs) {
     cfg.jobs = 2;
     const dataset uninterrupted = run_campaign(cfg);
 
-    const scoped_checkpoint ckpt("throw");
+    const scoped_run run("throw");
     campaign_run_options opts;
-    opts.checkpoint = ckpt.file;
+    opts.checkpoint = run.journal;
     opts.checkpoint_every = 1000;  // only the exception path may flush
     const std::size_t poison =
         static_cast<std::size_t>(cfg.paths * cfg.traces_per_path *
@@ -281,17 +323,18 @@ TEST(campaign_resume, worker_exception_checkpoints_completed_epochs) {
         if (idx == poison) throw std::runtime_error("injected epoch failure");
     };
     // The first worker error propagates exactly once...
-    EXPECT_THROW(static_cast<void>(run_campaign_resumable(cfg, opts)),
+    EXPECT_THROW(static_cast<void>(run_campaign_streamed(cfg, run.store, opts)),
                  std::runtime_error);
     // ...and everything that completed before the abort was persisted.
-    ASSERT_TRUE(std::filesystem::exists(ckpt.file));
+    ASSERT_TRUE(std::filesystem::exists(run.journal));
     opts.epoch_hook = nullptr;
     opts.resume = true;
-    const campaign_outcome resumed = run_campaign_resumable(cfg, opts);
+    const campaign_outcome resumed = run_campaign_streamed(cfg, run.store, opts);
     ASSERT_TRUE(resumed.complete);
     EXPECT_GT(resumed.epochs_resumed, 0);
-    expect_identical(uninterrupted, resumed.data, "resume after worker exception");
-    EXPECT_EQ(csv_bytes(uninterrupted), csv_bytes(resumed.data));
+    expect_identical(uninterrupted, read_store(cfg, run.store),
+                     "resume after worker exception");
+    EXPECT_EQ(csv_bytes(uninterrupted), store_csv_bytes(run.store));
 }
 
 TEST(campaign_faults, fixed_fault_seed_replays_byte_identically) {
@@ -380,15 +423,15 @@ campaign_config journal_config() {
     return cfg;
 }
 
-/// Resume `cfg` from `ckpt` to completion, expecting a dataset_error whose
-/// message carries `where` (file:line:) and `what`.
-void expect_resume_refused(const campaign_config& cfg, const std::filesystem::path& ckpt,
+/// Resume `cfg` from `run`'s journal to completion, expecting a
+/// dataset_error whose message carries `where` (file:line:) and `what`.
+void expect_resume_refused(const campaign_config& cfg, const scoped_run& run,
                            const std::string& where, const std::string& what) {
     campaign_run_options opts;
-    opts.checkpoint = ckpt;
+    opts.checkpoint = run.journal;
     opts.resume = true;
     try {
-        (void)run_campaign_resumable(cfg, opts);
+        (void)run_campaign_streamed(cfg, run.store, opts);
         ADD_FAILURE() << "resume from a bad journal must throw (" << what << ")";
     } catch (const dataset_error& e) {
         const std::string msg = e.what();
@@ -401,29 +444,29 @@ void expect_resume_refused(const campaign_config& cfg, const std::filesystem::pa
 
 TEST(campaign_journal, torn_tail_at_every_byte_resumes_to_identical_bytes) {
     const campaign_config cfg = journal_config();
-    const dataset uninterrupted = run_campaign(cfg);
-    const std::string ref_csv = csv_bytes(uninterrupted);
+    const std::string ref_csv = csv_bytes(run_campaign(cfg));
 
-    // The journal an uninterrupted kept run leaves: every record, in order.
-    const scoped_checkpoint full("torn_full");
+    // The journal an uninterrupted filtered run keeps: every record, in order.
+    const scoped_run full("torn_full");
     campaign_run_options keep;
-    keep.checkpoint = full.file;
+    keep.checkpoint = full.journal;
     keep.checkpoint_every = 1;
-    keep.keep_checkpoint = true;
-    ASSERT_TRUE(run_campaign_resumable(cfg, keep).complete);
-    const std::string full_journal = read_bytes(full.file);
+    keep.epoch_filter = claim_all;
+    ASSERT_TRUE(run_campaign_streamed(cfg, {}, keep).complete);
+    const std::string full_journal = read_bytes(full.journal);
 
     // A real interrupted run: two records released and flushed.
-    const scoped_checkpoint ckpt("torn");
-    campaign_run_options opts = keep;
-    opts.checkpoint = ckpt.file;
+    const scoped_run run("torn");
+    campaign_run_options opts;
+    opts.checkpoint = run.journal;
+    opts.checkpoint_every = 1;
     int seen = 0;
     opts.cancelled = [&] { return seen >= 2; };
     const campaign_outcome first =
-        run_campaign_resumable(cfg, opts, [&](int, int) { ++seen; });
+        run_campaign_streamed(cfg, run.store, opts, [&](int, int) { ++seen; });
     ASSERT_FALSE(first.complete);
     ASSERT_EQ(first.epochs_completed, 2);
-    const std::string interrupted = read_bytes(ckpt.file);
+    const std::string interrupted = read_bytes(run.journal);
     ASSERT_EQ(full_journal.compare(0, interrupted.size(), interrupted), 0)
         << "the journal is a prefix of the full journal";
 
@@ -433,29 +476,33 @@ TEST(campaign_journal, torn_tail_at_every_byte_resumes_to_identical_bytes) {
     opts.cancelled = nullptr;
     opts.resume = true;
     for (std::size_t cut = last_line + 1; cut < interrupted.size(); ++cut) {
-        write_bytes(ckpt.file, interrupted.substr(0, cut));
-        const campaign_outcome resumed = run_campaign_resumable(cfg, opts);
+        write_bytes(run.journal, interrupted.substr(0, cut));
+        const campaign_outcome resumed = run_campaign_streamed(cfg, run.store, opts);
         ASSERT_TRUE(resumed.complete) << "cut at " << cut;
         EXPECT_EQ(resumed.epochs_resumed, 1) << "cut at " << cut;
-        ASSERT_EQ(csv_bytes(resumed.data), ref_csv) << "cut at " << cut;
-        // The torn line was cut off before this run appended.
-        ASSERT_EQ(read_bytes(ckpt.file), full_journal) << "cut at " << cut;
+        ASSERT_EQ(store_csv_bytes(run.store), ref_csv) << "cut at " << cut;
+        // The torn line was cut off before this run appended; the finished
+        // journal is the full journal plus the footer.
+        const std::string store = read_bytes(run.store);
+        ASSERT_EQ(store.compare(0, full_journal.size(), full_journal), 0) << "cut at " << cut;
+        ASSERT_EQ(store.compare(full_journal.size(), 7, "footer,"), 0) << "cut at " << cut;
+        ASSERT_FALSE(std::filesystem::exists(run.journal)) << "cut at " << cut;
     }
 }
 
 namespace {
 
-/// The journal a kept, uninterrupted run of `cfg` leaves: its header, then
-/// one `rec` line per record. Returned as (header, record lines), each
+/// The journal a filtered, uninterrupted run of `cfg` keeps: its header,
+/// then one `rec` line per record. Returned as (header, record lines), each
 /// record line with its '\n'.
 std::pair<std::string, std::vector<std::string>> kept_journal(const campaign_config& cfg,
                                                               const char* tag) {
-    const scoped_checkpoint ckpt(tag);
+    const scoped_run run(tag);
     campaign_run_options keep;
-    keep.checkpoint = ckpt.file;
-    keep.keep_checkpoint = true;
-    EXPECT_TRUE(run_campaign_resumable(cfg, keep).complete);
-    const std::string bytes = read_bytes(ckpt.file);
+    keep.checkpoint = run.journal;
+    keep.epoch_filter = claim_all;
+    EXPECT_TRUE(run_campaign_streamed(cfg, {}, keep).complete);
+    const std::string bytes = read_bytes(run.journal);
     const std::size_t first_rec = bytes.find("\nrec,") + 1;
     std::vector<std::string> recs;
     for (std::size_t at = first_rec; at < bytes.size();) {
@@ -472,30 +519,32 @@ TEST(campaign_journal, journal_that_is_not_a_prefix_is_refused) {
     const campaign_config cfg = journal_config();
     const auto [header, recs] = kept_journal(cfg, "hole_src");
     ASSERT_EQ(recs.size(), 3u);
-    const scoped_checkpoint ckpt("hole");
+    const scoped_run run("hole");
+    const std::string file = run.journal.string();
     // The header is magic, fingerprint, paths and one catalogue line, so
     // the records start on line 5.
-    write_bytes(ckpt.file, header + recs[0] + recs[2]);  // a hole at index 1
-    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":6:", "not a prefix");
+    write_bytes(run.journal, header + recs[0] + recs[2]);  // a hole at index 1
+    expect_resume_refused(cfg, run, file + ":6:", "not a prefix");
 
-    write_bytes(ckpt.file, header + recs[1]);  // does not start at the first claimed index
-    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":5:", "not a prefix");
+    write_bytes(run.journal, header + recs[1]);  // does not start at the first claimed index
+    expect_resume_refused(cfg, run, file + ":5:", "not a prefix");
 
-    write_bytes(ckpt.file, header + recs[1] + recs[0]);  // does not ascend
-    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":5:", "not a prefix");
+    write_bytes(run.journal, header + recs[1] + recs[0]);  // does not ascend
+    expect_resume_refused(cfg, run, file + ":5:", "not a prefix");
 
     // A shard claims only odd indices: {1} is its prefix, {0} is not ours.
     campaign_run_options odd;
-    odd.checkpoint = ckpt.file;
+    odd.checkpoint = run.journal;
     odd.resume = true;
-    odd.keep_checkpoint = true;
     odd.epoch_filter = [](std::size_t idx) { return idx % 2 == 1; };
-    write_bytes(ckpt.file, header + recs[0]);
-    EXPECT_THROW(static_cast<void>(run_campaign_resumable(cfg, odd)), dataset_error);
-    write_bytes(ckpt.file, header + recs[1]);
-    const campaign_outcome shard = run_campaign_resumable(cfg, odd);
+    write_bytes(run.journal, header + recs[0]);
+    EXPECT_THROW(static_cast<void>(run_campaign_streamed(cfg, {}, odd)), dataset_error);
+    write_bytes(run.journal, header + recs[1]);
+    const campaign_outcome shard = run_campaign_streamed(cfg, {}, odd);
     EXPECT_TRUE(shard.complete);
     EXPECT_EQ(shard.epochs_resumed, 1);
+    // The shard's journal is its product: kept, unfinished.
+    EXPECT_EQ(read_bytes(run.journal), header + recs[1]);
 }
 
 TEST(campaign_journal, journal_with_another_header_is_refused) {
@@ -503,43 +552,44 @@ TEST(campaign_journal, journal_with_another_header_is_refused) {
     // it, the catalogue included, to be the one this run writes.
     const campaign_config cfg = journal_config();
     const auto [header, recs] = kept_journal(cfg, "header_src");
-    const scoped_checkpoint ckpt("header");
+    const scoped_run run("header");
+    const std::string file = run.journal.string();
     const std::size_t cat = header.find("\n#path,") + 1;
     std::string edited = header;
     edited.insert(cat + 6, "9");  // the catalogue line's path id: 0 -> 90
-    write_bytes(ckpt.file, edited + recs[0]);
-    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":4:", "catalogue");
+    write_bytes(run.journal, edited + recs[0]);
+    expect_resume_refused(cfg, run, file + ":4:", "catalogue");
 
     std::string fewer = header.substr(0, cat);
     fewer.replace(fewer.find("paths,1"), 7, "paths,0");
-    write_bytes(ckpt.file, fewer + recs[0]);
-    expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":3:", "catalogue");
+    write_bytes(run.journal, fewer + recs[0]);
+    expect_resume_refused(cfg, run, file + ":3:", "catalogue");
 
     // The formats this one replaced are refused by their magic.
     for (const char* magic : {"tcppred-checkpoint,v1", "tcppred-store,v1"}) {
-        write_bytes(ckpt.file, std::string(magic) + "\n" + header.substr(header.find('\n') + 1));
-        expect_resume_refused(cfg, ckpt.file, ckpt.file.string() + ":1:", "no longer reads");
+        write_bytes(run.journal, std::string(magic) + "\n" + header.substr(header.find('\n') + 1));
+        expect_resume_refused(cfg, run, file + ":1:", "no longer reads");
     }
 }
 
 TEST(campaign_journal, malformed_fields_are_typed_errors_naming_file_and_line) {
     const campaign_config cfg = journal_config();
     const auto [header, recs] = kept_journal(cfg, "fields_src");
-    const scoped_checkpoint ckpt("fields");
+    const scoped_run run("fields");
     const std::string good = header + recs[0];
-    const std::string file = ckpt.file.string();
+    const std::string file = run.journal.string();
 
     // The header's catalogue count: a negative, garbage, a partial token,
     // and a count the catalogue does not have (the record line is not one).
     const std::size_t paths_at = good.find("paths,");
     const std::size_t paths_end = good.find('\n', paths_at);
     for (const char* bad : {"-1", "abc", "3x"}) {
-        write_bytes(ckpt.file, good.substr(0, paths_at) + "paths," + bad +
+        write_bytes(run.journal, good.substr(0, paths_at) + "paths," + bad +
                                    good.substr(paths_end));
-        expect_resume_refused(cfg, ckpt.file, file + ":3:", "paths");
+        expect_resume_refused(cfg, run, file + ":3:", "paths");
     }
-    write_bytes(ckpt.file, good.substr(0, paths_at) + "paths,2" + good.substr(paths_end));
-    expect_resume_refused(cfg, ckpt.file, file + ":5:", "#path catalogue line");
+    write_bytes(run.journal, good.substr(0, paths_at) + "paths,2" + good.substr(paths_end));
+    expect_resume_refused(cfg, run, file + ":5:", "#path catalogue line");
 
     // One rec field at a time: a partial token, an overflowing fault_flags.
     const std::size_t rec_at = header.size();
@@ -551,19 +601,19 @@ TEST(campaign_journal, malformed_fields_are_typed_errors_naming_file_and_line) {
         for (const std::string& v : f) line += (line.empty() ? "" : ",") + v;
         return good.substr(0, rec_at) + line + '\n';
     };
-    write_bytes(ckpt.file, with_field(1, "12x"));
-    expect_resume_refused(cfg, ckpt.file, file + ":5:", "12x");
-    write_bytes(ckpt.file, with_field(16, "-1"));
-    expect_resume_refused(cfg, ckpt.file, file + ":5:", "events");
-    write_bytes(ckpt.file, with_field(17, "4294967296"));
-    expect_resume_refused(cfg, ckpt.file, file + ":5:", "fault_flags");
-    write_bytes(ckpt.file, with_field(18, "9223372036854775808"));
-    expect_resume_refused(cfg, ckpt.file, file + ":5:", "prefix count");
+    write_bytes(run.journal, with_field(1, "12x"));
+    expect_resume_refused(cfg, run, file + ":5:", "12x");
+    write_bytes(run.journal, with_field(16, "-1"));
+    expect_resume_refused(cfg, run, file + ":5:", "events");
+    write_bytes(run.journal, with_field(17, "4294967296"));
+    expect_resume_refused(cfg, run, file + ":5:", "fault_flags");
+    write_bytes(run.journal, with_field(18, "9223372036854775808"));
+    expect_resume_refused(cfg, run, file + ":5:", "prefix count");
     // Coordinates outside the grid are refused before any index is formed.
-    write_bytes(ckpt.file, with_field(3, "3"));
-    expect_resume_refused(cfg, ckpt.file, file + ":5:", "epoch 3 out of range");
-    write_bytes(ckpt.file, with_field(1, "-1"));
-    expect_resume_refused(cfg, ckpt.file, file + ":5:", "path -1 out of range");
+    write_bytes(run.journal, with_field(3, "3"));
+    expect_resume_refused(cfg, run, file + ":5:", "epoch 3 out of range");
+    write_bytes(run.journal, with_field(1, "-1"));
+    expect_resume_refused(cfg, run, file + ":5:", "path -1 out of range");
 }
 
 namespace {
@@ -599,9 +649,9 @@ TEST(campaign_journal, worker_error_at_a_full_window_wakes_parked_workers) {
     cfg.jobs = 4;
     const dataset uninterrupted = run_campaign(cfg);
 
-    const scoped_checkpoint ckpt("window_error");
+    const scoped_run run("window_error");
     campaign_run_options opts;
-    opts.checkpoint = ckpt.file;
+    opts.checkpoint = run.journal;
     opts.checkpoint_every = 1000;  // only the error path flushes
     opts.reorder_capacity = 2;
     const std::size_t poison = 6;
@@ -610,17 +660,18 @@ TEST(campaign_journal, worker_error_at_a_full_window_wakes_parked_workers) {
         straggle();
         throw std::runtime_error("injected epoch failure");
     };
-    EXPECT_THROW(static_cast<void>(run_campaign_resumable(cfg, opts)), std::runtime_error);
-    const std::size_t kept = journal_prefix_length(ckpt.file, cfg);
+    EXPECT_THROW(static_cast<void>(run_campaign_streamed(cfg, run.store, opts)),
+                 std::runtime_error);
+    const std::size_t kept = journal_prefix_length(run.journal, cfg);
     EXPECT_LE(kept, poison);
 
     opts.epoch_hook = nullptr;
     opts.resume = true;
     cfg.jobs = 3;
-    const campaign_outcome resumed = run_campaign_resumable(cfg, opts);
+    const campaign_outcome resumed = run_campaign_streamed(cfg, run.store, opts);
     ASSERT_TRUE(resumed.complete);
     EXPECT_EQ(static_cast<std::size_t>(resumed.epochs_resumed), kept);
-    EXPECT_EQ(csv_bytes(uninterrupted), csv_bytes(resumed.data));
+    EXPECT_EQ(csv_bytes(uninterrupted), store_csv_bytes(run.store));
 }
 
 TEST(campaign_journal, cancel_at_a_full_window_wakes_parked_workers) {
@@ -628,9 +679,9 @@ TEST(campaign_journal, cancel_at_a_full_window_wakes_parked_workers) {
     cfg.jobs = 4;
     const dataset uninterrupted = run_campaign(cfg);
 
-    const scoped_checkpoint ckpt("window_cancel");
+    const scoped_run run("window_cancel");
     campaign_run_options opts;
-    opts.checkpoint = ckpt.file;
+    opts.checkpoint = run.journal;
     opts.reorder_capacity = 2;
     // The sixth poll straggles and then cancels: its index becomes a hole
     // that no worker will fill, with the others parked behind it.
@@ -643,16 +694,16 @@ TEST(campaign_journal, cancel_at_a_full_window_wakes_parked_workers) {
         fired.store(true);
         return true;
     };
-    const campaign_outcome first = run_campaign_resumable(cfg, opts);
+    const campaign_outcome first = run_campaign_streamed(cfg, run.store, opts);
     ASSERT_FALSE(first.complete);
-    EXPECT_EQ(journal_prefix_length(ckpt.file, cfg),
+    EXPECT_EQ(journal_prefix_length(run.journal, cfg),
               static_cast<std::size_t>(first.epochs_completed));
 
     opts.cancelled = nullptr;
     opts.resume = true;
     cfg.jobs = 2;
-    const campaign_outcome resumed = run_campaign_resumable(cfg, opts);
+    const campaign_outcome resumed = run_campaign_streamed(cfg, run.store, opts);
     ASSERT_TRUE(resumed.complete);
     EXPECT_EQ(resumed.epochs_resumed, first.epochs_completed);
-    EXPECT_EQ(csv_bytes(uninterrupted), csv_bytes(resumed.data));
+    EXPECT_EQ(csv_bytes(uninterrupted), store_csv_bytes(run.store));
 }

@@ -93,6 +93,8 @@ check_exit "analyze malformed dataset" 2 $?
 "$CAMPAIGN" $TINY --out "$WORK/clean.csv" --jobs 2 >/dev/null 2>&1
 check_exit "campaign tiny clean run" 0 $?
 [ -s "$WORK/clean.csv" ] || { echo "FAIL: no CSV written"; FAILURES=$((FAILURES+1)); }
+# The staging store the CSV is exported from is gone: only the CSV is left.
+[ "$(ls "$WORK"/clean.csv*)" = "$WORK/clean.csv" ] || { echo "FAIL: CSV run left files beside its CSV"; FAILURES=$((FAILURES+1)); }
 "$ANALYZE" "$WORK/clean.csv" >"$WORK/analyze.out" 2>/dev/null
 check_exit "analyze clean dataset" 0 $?
 grep -q "formula-based" "$WORK/analyze.out" || { echo "FAIL: analyze summary missing"; FAILURES=$((FAILURES+1)); }
@@ -162,6 +164,7 @@ RC=$?
 if [ "$RC" -eq 130 ]; then
     echo "ok: interrupted campaign exits 130"
     [ -f "$WORK/resumed.csv.ckpt" ] || { echo "FAIL: no checkpoint after SIGINT"; FAILURES=$((FAILURES+1)); }
+    [ "$(ls "$WORK"/resumed.csv*)" = "$WORK/resumed.csv.ckpt" ] || { echo "FAIL: interrupted CSV run left more than its journal"; FAILURES=$((FAILURES+1)); }
 elif [ "$RC" -eq 0 ]; then
     # The tiny run can legitimately finish before the signal lands; the
     # resume path is still exercised below (resume of a complete run).
@@ -210,13 +213,23 @@ done
 
 # A CSV that cannot be written whole is a runtime failure that publishes
 # nothing: under a 16-block file size limit (SIGXFSZ ignored, so the write
-# fails with EFBIG) the run exits 2 and leaves neither the CSV nor its temp.
+# fails with EFBIG) the run exits 2 and leaves neither the CSV, nor the
+# staging store it is exported from, nor a temp. The staging store is the
+# larger file, so it is the write that fails.
 (trap '' XFSZ; ulimit -f 16
  "$CAMPAIGN" --paths 3 --traces 1 --epochs 60 --transfer-s 1.5 --jobs 2 \
      --out "$WORK/capped.csv" >/dev/null 2>"$WORK/err")
 check_exit "CSV run past the file size limit" 2 $?
-grep -q "save_csv: write failed" "$WORK/err" || { echo "FAIL: failed CSV write not reported"; FAILURES=$((FAILURES+1)); }
+grep -q "record_writer: write failed on .*capped.csv.store" "$WORK/err" || { echo "FAIL: failed staging-store write not reported"; FAILURES=$((FAILURES+1)); }
 ls "$WORK"/capped.csv* >/dev/null 2>&1 && { echo "FAIL: failed CSV write left a file"; FAILURES=$((FAILURES+1)); }
+# A failed export (the CSV cannot be renamed onto a directory) exits 2 and
+# leaves neither a CSV nor the staging store.
+mkdir "$WORK/blocked.csv"
+"$CAMPAIGN" $TINY --out "$WORK/blocked.csv" >/dev/null 2>"$WORK/err"
+check_exit "CSV run whose export fails" 2 $?
+grep -q "store_to_csv: cannot rename" "$WORK/err" || { echo "FAIL: failed export not reported"; FAILURES=$((FAILURES+1)); }
+ls "$WORK"/blocked.csv.* >/dev/null 2>&1 && { echo "FAIL: failed export left a file"; FAILURES=$((FAILURES+1)); }
+[ -z "$(ls -A "$WORK/blocked.csv")" ] || { echo "FAIL: failed export wrote into the directory"; FAILURES=$((FAILURES+1)); }
 
 # --- sharding: bad specs -> 1, shard+merge reproduces the serial CSV byte
 # for byte, merge of a missing shard -> 2, and a resume under a changed
@@ -334,6 +347,17 @@ grep -q "footer counts" "$WORK/zf.err" || { echo "FAIL: tampered footer error do
 ls "$WORK"/zf.csv* >/dev/null 2>&1 && { echo "FAIL: rejected --convert left an output file"; FAILURES=$((FAILURES+1)); }
 "$ANALYZE" --from-store "$WORK/zf.store" >/dev/null 2>&1
 check_exit "--from-store of a store with a tampered footer count" 2 $?
+
+# Shards of different cross-traffic models never merge: the fingerprint
+# carries the model, and the error names the field.
+"$CAMPAIGN" $TINY --out "$WORK/mix.csv" --shard 0/2 --cross-model packet >/dev/null 2>&1
+check_exit "packet-model shard 0/2" 0 $?
+"$CAMPAIGN" $TINY --out "$WORK/mix.csv" --shard 1/2 --cross-model fluid >/dev/null 2>&1
+check_exit "fluid-model shard 1/2" 0 $?
+"$CAMPAIGN" $TINY --out "$WORK/mix.csv" --merge 2 >/dev/null 2>"$WORK/mix.err"
+check_exit "merge of shards from two cross-traffic models" 2 $?
+grep -q "epoch.cross: checkpoint=fluid requested=packet" "$WORK/mix.err" || { echo "FAIL: mixed-model merge error does not name epoch.cross"; FAILURES=$((FAILURES+1)); }
+{ [ -e "$WORK/mix.csv" ] || [ -e "$WORK/mix.csv.store" ]; } && { echo "FAIL: refused merge left output"; FAILURES=$((FAILURES+1)); }
 
 # Resume under a changed seed: refused, and the error names the field.
 "$CAMPAIGN" $TINY --out "$WORK/mm.csv" --shard 0/2 >/dev/null 2>&1

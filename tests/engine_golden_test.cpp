@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "analysis/stats.hpp"
 #include "net/cross_traffic.hpp"
 #include "testbed/campaign.hpp"
+#include "testbed/checkpoint.hpp"
 
 namespace tcppred::analysis {
 namespace {
@@ -182,8 +185,14 @@ std::string render(const stream_predictor_summary& s) {
         out += std::isnan(v) ? std::string(",nan") : std::string(buf);
     };
     for (const auto& t : s.traces) {
-        out += ";" + std::to_string(t.path_id) + "/" + std::to_string(t.trace_id) +
-               "/" + std::to_string(t.epochs);
+        // Appended piecewise: GCC 12 without LTO raises a false -Wrestrict
+        // on ";" + std::to_string(...).
+        out += ';';
+        out += std::to_string(t.path_id);
+        out += '/';
+        out += std::to_string(t.trace_id);
+        out += '/';
+        out += std::to_string(t.epochs);
         num(t.rmsre);
     }
     const conditioned_rmsre& c = s.conditioned;
@@ -338,6 +347,43 @@ TEST(engine_golden, campaign1_tiny_faulted_full_mix) {
                                     0xd8c6e99fc0b734fe, 0x9a9c7f20af6e9186,
                                     0xcdffe62e7b6746c6, 0xfa860c0c79621b4e,
                                     0x5763bfeacda07be9}));
+}
+
+// The simulator revision. testbed::k_simulator_revision rides in every
+// campaign fingerprint, so journals, stores and figure caches written by
+// code of another revision are refused. It must move with the simulator's
+// output: when a digest below changes, the campaign bytes changed, so bump
+// testbed::k_simulator_revision and re-pin the revision and both digests
+// here in the same commit (DESIGN.md §13.6).
+
+std::string csv_text(const testbed::dataset& data, const char* name) {
+    const auto file = std::filesystem::temp_directory_path() / name;
+    testbed::save_csv(data, file);
+    std::ifstream in(file, std::ios::binary);
+    std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+    std::filesystem::remove(file);
+    return text;
+}
+
+TEST(engine_golden, simulator_revision_pins_the_tiny_campaign1_csv) {
+    constexpr int k_revision = 1;
+    constexpr std::uint64_t k_packet_csv = 0xbcc274816ca1b5ce;
+    constexpr std::uint64_t k_fluid_csv = 0xefc3828a77e5cc6c;
+    EXPECT_EQ(testbed::k_simulator_revision, k_revision)
+        << "testbed::k_simulator_revision moved: re-pin k_revision and the tiny "
+           "campaign-1 CSV digests below for the new revision";
+    for (const auto model : {net::cross_model::packet, net::cross_model::fluid}) {
+        const bool fluid = model == net::cross_model::fluid;
+        auto cfg = testbed::campaign1_config(testbed::campaign_scale::tiny);
+        cfg.epoch.cross = model;
+        const std::uint64_t digest =
+            fnv1a(csv_text(testbed::run_campaign(cfg), "engine_golden_revision.csv"));
+        EXPECT_EQ(digest, fluid ? k_fluid_csv : k_packet_csv)
+            << "the tiny campaign-1 CSV under " << (fluid ? "fluid" : "packet")
+            << " cross traffic changed (fnv1a now 0x" << std::hex << digest << std::dec
+            << "): bump testbed::k_simulator_revision (src/testbed/checkpoint.hpp) and "
+               "re-pin this test";
+    }
 }
 
 }  // namespace

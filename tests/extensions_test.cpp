@@ -1,6 +1,5 @@
 // Tests for the extension layer: AR(p) forecasting, the hybrid FB+HB
-// predictor, seasonal Holt-Winters, the NWS-style adaptive selector, and
-// loss-event collapsing.
+// predictor, the NWS-style adaptive selector, and loss-event collapsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +11,6 @@
 #include "core/loss_events.hpp"
 #include "core/lso.hpp"
 #include "core/predictor.hpp"
-#include "core/seasonal_hw.hpp"
 #include "sim/rng.hpp"
 
 #include "analysis/evaluation.hpp"
@@ -140,58 +138,6 @@ TEST(hybrid, rejects_bad_construction) {
     EXPECT_THROW(hybrid_predictor(nullptr), std::invalid_argument);
     EXPECT_THROW(hybrid_predictor(std::make_unique<moving_average>(5), 0.0),
                  std::invalid_argument);
-}
-
-// ---------- seasonal Holt-Winters ----------
-
-TEST(seasonal_hw, learns_periodic_series) {
-    // Period-4 pattern plus small noise: after a few seasons the forecast
-    // must anticipate the pattern.
-    const std::vector<double> pattern{10e6, 4e6, 6e6, 12e6};
-    seasonal_holt_winters shw(0.3, 0.1, 0.3, 4);
-    for (int rep = 0; rep < 12; ++rep) {
-        for (const double v : pattern) shw.observe(v);
-    }
-    // Next sample would be pattern[0].
-    EXPECT_NEAR(shw.predict(), 10e6, 1.5e6);
-    EXPECT_TRUE(shw.seasonal_active());
-}
-
-TEST(seasonal_hw, beats_nonseasonal_on_seasonal_series) {
-    sim::rng r(3);
-    std::vector<double> series;
-    for (int i = 0; i < 120; ++i) {
-        const double base = (i % 6 < 3) ? 9e6 : 3e6;  // square-wave "diurnal" load
-        series.push_back(base * (1.0 + r.normal(0.0, 0.05)));
-    }
-    const auto seasonal = analysis::evaluate_series(
-        series, history_predictor(
-                    std::make_unique<seasonal_holt_winters>(0.3, 0.1, 0.4, 6)));
-    const auto plain = analysis::evaluate_series(
-        series, history_predictor(std::make_unique<holt_winters>(0.8, 0.2)));
-    EXPECT_LT(seasonal.rmsre, plain.rmsre);
-}
-
-TEST(seasonal_hw, forecasts_running_mean_before_first_season) {
-    seasonal_holt_winters shw(0.3, 0.1, 0.3, 8);
-    shw.observe(4.0);
-    shw.observe(6.0);
-    EXPECT_DOUBLE_EQ(shw.predict(), 5.0);
-    EXPECT_FALSE(shw.seasonal_active());
-}
-
-TEST(seasonal_hw, rejects_bad_parameters) {
-    EXPECT_THROW(seasonal_holt_winters(0.0, 0.1, 0.1, 4), std::invalid_argument);
-    EXPECT_THROW(seasonal_holt_winters(0.3, 0.1, 0.1, 1), std::invalid_argument);
-}
-
-TEST(seasonal_hw, clone_and_reset_behave) {
-    seasonal_holt_winters shw(0.3, 0.1, 0.3, 4);
-    for (int i = 0; i < 10; ++i) shw.observe(1e6);
-    auto clone = shw.clone_empty();
-    EXPECT_TRUE(std::isnan(clone->predict()));
-    shw.reset();
-    EXPECT_TRUE(std::isnan(shw.predict()));
 }
 
 // ---------- adaptive selector (NWS-style) ----------

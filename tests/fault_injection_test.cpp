@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "net/cross_traffic.hpp"
 #include "sim/chaos.hpp"
 #include "testbed/checkpoint.hpp"
 #include "testbed/epoch_runner.hpp"
@@ -309,6 +310,19 @@ TEST(checkpoint_fingerprint, distinct_rates_of_the_same_knob_differ) {
     EXPECT_NE(testbed::campaign_fingerprint(a), testbed::campaign_fingerprint(b));
 }
 
+namespace {
+
+/// A journal of `records` default records under `fingerprint`, with an
+/// empty catalogue, published whole by its first flush.
+void write_journal(const std::filesystem::path& file, const std::string& fingerprint,
+                   std::size_t records) {
+    testbed::record_writer journal({}, file, fingerprint, {});
+    for (std::size_t i = 0; i < records; ++i) journal.append(testbed::epoch_record{});
+    journal.flush();
+}
+
+}  // namespace
+
 TEST(checkpoint_fingerprint, resume_under_changed_fault_knob_is_rejected) {
     testbed::campaign_config cfg;
     cfg.paths = 1;
@@ -316,15 +330,9 @@ TEST(checkpoint_fingerprint, resume_under_changed_fault_knob_is_rejected) {
     cfg.epochs_per_trace = 2;
     cfg.faults.ping_timeout_rate = 0.05;  // as if REPRO_FAULT_PING_TIMEOUT=0.05
 
-    testbed::campaign_checkpoint ck;
-    ck.fingerprint = testbed::campaign_fingerprint(cfg);
-    ck.total = 2;
-    ck.done.assign(2, 0);
-    ck.done[0] = 1;
-    ck.records.resize(2);
     const std::filesystem::path file =
         std::filesystem::temp_directory_path() / "tcppred_fp_test.ckpt";
-    testbed::save_checkpoint(ck, file);
+    write_journal(file, testbed::campaign_fingerprint(cfg), 1);
 
     // Same profile: the journal opens.
     constexpr auto journal = testbed::record_reader::mode::journal;
@@ -345,15 +353,18 @@ TEST(checkpoint_fingerprint, fields_join_is_the_fingerprint) {
     // the '|'-join of the field values must reproduce the fingerprint
     // byte for byte, or mismatch diagnoses would drift from reality.
     for (const bool second : {false, true}) {
-        testbed::campaign_config cfg;
-        cfg.second_set = second;
-        cfg.faults.transfer_abort = 0.25;
-        std::string joined;
-        for (const auto& f : testbed::campaign_fingerprint_fields(cfg)) {
-            if (!joined.empty()) joined += '|';
-            joined += f.value;
+        for (const auto model : {net::cross_model::packet, net::cross_model::fluid}) {
+            testbed::campaign_config cfg;
+            cfg.second_set = second;
+            cfg.epoch.cross = model;
+            cfg.faults.transfer_abort = 0.25;
+            std::string joined;
+            for (const auto& f : testbed::campaign_fingerprint_fields(cfg)) {
+                if (!joined.empty()) joined += '|';
+                joined += f.value;
+            }
+            EXPECT_EQ(joined, testbed::campaign_fingerprint(cfg));
         }
-        EXPECT_EQ(joined, testbed::campaign_fingerprint(cfg));
     }
 }
 
@@ -366,6 +377,7 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
     testbed::campaign_config changed = cfg;
     changed.seed = 777;
     changed.faults.transfer_abort = 0.5;
+    changed.epoch.cross = net::cross_model::fluid;
 
     const std::string diff = testbed::describe_fingerprint_mismatch(
         testbed::campaign_fingerprint(cfg), testbed::campaign_fingerprint(changed));
@@ -374,18 +386,26 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
     EXPECT_NE(diff.find("faults: checkpoint=off requested=abort=0.5"),
               std::string::npos)
         << diff;
+    EXPECT_NE(diff.find("epoch.cross: checkpoint=packet requested=fluid"),
+              std::string::npos)
+        << diff;
     // Unchanged fields stay out of the report.
     EXPECT_EQ(diff.find("paths:"), std::string::npos) << diff;
+    EXPECT_EQ(diff.find("simulator_revision:"), std::string::npos) << diff;
+
+    // A revision is named like any other field.
+    std::string older = testbed::campaign_fingerprint(cfg);
+    const std::string revision = "|" + std::to_string(testbed::k_simulator_revision) + "|";
+    older.replace(older.find(revision), revision.size(), "|0|");
+    EXPECT_NE(testbed::describe_fingerprint_mismatch(older, testbed::campaign_fingerprint(cfg))
+                  .find("simulator_revision: checkpoint=0 requested=" +
+                        std::to_string(testbed::k_simulator_revision)),
+              std::string::npos);
 
     // And the journal reader surfaces the same diagnosis to the user.
-    testbed::campaign_checkpoint ck;
-    ck.fingerprint = testbed::campaign_fingerprint(cfg);
-    ck.total = 6;
-    ck.done.assign(6, 0);
-    ck.records.resize(6);
     const std::filesystem::path file =
         std::filesystem::temp_directory_path() / "tcppred_fpdiff_test.ckpt";
-    testbed::save_checkpoint(ck, file);
+    write_journal(file, testbed::campaign_fingerprint(cfg), 0);
     try {
         testbed::record_reader reader(file, testbed::campaign_fingerprint(changed),
                                       testbed::record_reader::mode::journal);
@@ -400,7 +420,7 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
 }
 
 // --- a journal's first flush: published whole by atomic_write_stream -------
-// save_checkpoint creates its journal with one atomic_write_stream: the
+// A journal's first flush creates it with one atomic_write_stream: the
 // header and records go to a temp file beside the journal, which a rename
 // puts in place. The journal reads back whole and no temp is left over.
 
@@ -414,17 +434,17 @@ TEST(atomic_write_stream, checkpoint_journal_roundtrips) {
     cfg.paths = 1;
     cfg.traces_per_path = 1;
     cfg.epochs_per_trace = 2;
-    testbed::campaign_checkpoint ck;
-    ck.fingerprint = testbed::campaign_fingerprint(cfg);
-    ck.total = 2;
-    ck.done.assign(2, 0);
-    ck.done[1] = 1;
-    ck.records.resize(2);
-    ck.records[1].path_id = 3;
-    ck.records[1].m.r_large_bps = 1.25e6;
-    testbed::save_checkpoint(ck, file);
+    const std::string fingerprint = testbed::campaign_fingerprint(cfg);
+    {
+        testbed::epoch_record rec;
+        rec.path_id = 3;
+        rec.m.r_large_bps = 1.25e6;
+        testbed::record_writer journal({}, file, fingerprint, {});
+        journal.append(rec);
+        journal.flush();
+    }
 
-    testbed::record_reader reader(file, ck.fingerprint, testbed::record_reader::mode::journal);
+    testbed::record_reader reader(file, fingerprint, testbed::record_reader::mode::journal);
     testbed::epoch_record back;
     ASSERT_TRUE(reader.next(back));
     EXPECT_EQ(back.path_id, 3);

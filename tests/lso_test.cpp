@@ -16,7 +16,6 @@
 #include "core/adaptive_selector.hpp"
 #include "core/ar_predictor.hpp"
 #include "core/predictor_registry.hpp"
-#include "core/seasonal_hw.hpp"
 #include "sim/rng.hpp"
 
 namespace tcppred::core {
@@ -436,7 +435,6 @@ const std::vector<named_inner> k_inners = {
     {"10-MA", [] { return std::make_unique<moving_average>(10); }},
     {"0.5-EWMA", [] { return std::make_unique<ewma>(0.5); }},
     {"0.8-HW", [] { return std::make_unique<holt_winters>(0.8, 0.2); }},
-    {"SHW-4", [] { return std::make_unique<seasonal_holt_winters>(0.5, 0.2, 0.3, 4); }},
     {"2-AR", [] { return std::make_unique<ar_predictor>(2); }},
     {"5-AR", [] { return std::make_unique<ar_predictor>(5); }},
     {"3-AR/w12", [] { return std::make_unique<ar_predictor>(3, 12); }},

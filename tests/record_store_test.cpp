@@ -5,7 +5,9 @@
 // any flush cadence, interruption point and torn byte, the store sink of
 // the shard merge, evaluate_stream equivalence with the in-memory engine
 // (including fault-conditioned aggregation), and the reader's refusal of
-// foreign-fingerprint / unfinished / truncated / tampered input.
+// foreign-fingerprint / unfinished / truncated / tampered input; a CSV
+// output as the export of a staging store, and the figure cache
+// (load_or_run) as a fingerprinted store.
 #include "testbed/record_store.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "analysis/evaluation.hpp"
+#include "obs/counters.hpp"
 #include "testbed/campaign.hpp"
 #include "testbed/checkpoint.hpp"
 #include "testbed/dataset.hpp"
@@ -398,9 +401,8 @@ TEST_F(record_store, merge_shard_checkpoints_streams_to_store) {
     for (int s = 0; s < 2; ++s) {
         testbed::campaign_run_options opts;
         opts.checkpoint = dir_ / ("shard" + std::to_string(s) + ".ckpt");
-        opts.keep_checkpoint = true;
         opts.epoch_filter = testbed::shard_filter(testbed::shard_ref{s, 2});
-        const auto outcome = testbed::run_campaign_resumable(cfg, opts);
+        const auto outcome = testbed::run_campaign_streamed(cfg, {}, opts);
         ASSERT_TRUE(outcome.complete);
         ckpts.push_back(opts.checkpoint);
     }
@@ -426,9 +428,8 @@ TEST_F(record_store, merge_rejects_missing_and_incomplete_shards) {
     // One shard alone does not cover the grid.
     testbed::campaign_run_options opts;
     opts.checkpoint = dir_ / "shard0.ckpt";
-    opts.keep_checkpoint = true;
     opts.epoch_filter = testbed::shard_filter(testbed::shard_ref{0, 2});
-    ASSERT_TRUE(testbed::run_campaign_resumable(cfg, opts).complete);
+    ASSERT_TRUE(testbed::run_campaign_streamed(cfg, {}, opts).complete);
     EXPECT_THROW(testbed::merge_shard_checkpoints_to_store(cfg, {opts.checkpoint},
                                                            dir_ / "out.store"),
                  testbed::dataset_error);
@@ -664,6 +665,187 @@ TEST_F(record_store, writer_abort_never_deletes_a_journal) {
     }
     EXPECT_TRUE(std::filesystem::exists(journal));
     EXPECT_FALSE(std::filesystem::exists(file));
+}
+
+// --- a CSV output: the export of a staging store ---------------------------
+
+TEST_F(record_store, failed_csv_export_leaves_neither_file) {
+    const auto cfg = faulty_config();
+    const auto csv = dir_ / "c.csv";
+    const auto store = testbed::csv_staging_store(csv);
+    EXPECT_NE(store, testbed::same_dir_temp(csv));
+    EXPECT_NE(testbed::same_dir_temp(store), testbed::same_dir_temp(csv));
+
+    // A store the reader refuses at the end of its records (a footer that
+    // lies about the faulted count): the CSV temp and the store both go.
+    ASSERT_TRUE(testbed::run_campaign_streamed(cfg, store).complete);
+    std::string bytes = read_file(store);
+    const std::size_t faulted_at = bytes.rfind(',', bytes.rfind("\nend,")) + 1;
+    ASSERT_NE(bytes[faulted_at], '0');
+    bytes.replace(faulted_at, 1, "0");
+    std::ofstream(store, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_THROW(testbed::export_store_to_csv(store, csv), testbed::dataset_error);
+    EXPECT_TRUE(std::filesystem::is_empty(dir_));
+
+    // A CSV that cannot be put in place (its name is a directory).
+    ASSERT_TRUE(testbed::run_campaign_streamed(cfg, store).complete);
+    std::filesystem::create_directory(csv);
+    EXPECT_THROW(testbed::export_store_to_csv(store, csv), std::runtime_error);
+    EXPECT_FALSE(std::filesystem::exists(store));
+    EXPECT_TRUE(std::filesystem::is_directory(csv));
+    EXPECT_TRUE(std::filesystem::is_empty(csv));
+    std::filesystem::remove(csv);
+    EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+TEST_F(record_store, filtered_run_keeps_its_journal_unfinished) {
+    // A shard's journal is its product: a complete filtered run flushes it
+    // and keeps it, finishes no store, and a rerun with nothing left to do
+    // keeps it as it was.
+    const auto cfg = quick_config();
+    testbed::campaign_run_options opts;
+    opts.checkpoint = dir_ / "s.ckpt";
+    opts.checkpoint_every = 1000;
+    opts.epoch_filter = testbed::shard_filter(testbed::shard_ref{1, 2});
+    ASSERT_TRUE(testbed::run_campaign_streamed(cfg, {}, opts).complete);
+    const std::string journal = read_file(opts.checkpoint);
+    EXPECT_THROW(testbed::record_reader r(opts.checkpoint), testbed::dataset_error);
+    opts.resume = true;
+    const auto again = testbed::run_campaign_streamed(cfg, {}, opts);
+    EXPECT_TRUE(again.complete);
+    EXPECT_EQ(static_cast<std::size_t>(again.epochs_resumed),
+              testbed::shard_size(testbed::campaign_total_epochs(cfg),
+                                  testbed::shard_ref{1, 2}));
+    EXPECT_EQ(read_file(opts.checkpoint), journal);
+    std::size_t entries = 0;
+    for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator(dir_)) ++entries;
+    EXPECT_EQ(entries, 1u);
+}
+
+// --- the figure cache (load_or_run) ----------------------------------------
+
+class figure_cache : public record_store {
+protected:
+    /// `data` as store bytes: hexfloats, so equal bytes mean bitwise-equal
+    /// records (NaNs, events and sim_time_s included) and catalogues.
+    std::string bits_of(const testbed::dataset& data) {
+        return read_file(write_store(data, "bits", "bits.store"));
+    }
+
+    /// Overwrite field `field` of `file`'s fingerprint line with `value`.
+    static void set_fingerprint_field(const std::filesystem::path& file, std::size_t field,
+                                      const std::string& value) {
+        std::string bytes = read_file(file);
+        const std::size_t line = bytes.find("\nfingerprint,") + 13;
+        const std::size_t line_end = bytes.find('\n', line);
+        std::vector<std::string> f =
+            testbed::split_fields(bytes.substr(line, line_end - line), '|');
+        f.at(field) = value;
+        std::string joined;
+        for (const std::string& v : f) joined += (joined.empty() ? "" : "|") + v;
+        bytes.replace(line, line_end - line, joined);
+        std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+    }
+
+    /// load_or_run with its stderr captured into `err`.
+    static testbed::dataset load_capturing(const testbed::campaign_config& cfg,
+                                           const std::filesystem::path& file,
+                                           std::string& err) {
+        ::testing::internal::CaptureStderr();
+        testbed::dataset data = testbed::load_or_run(cfg, file);
+        err = ::testing::internal::GetCapturedStderr();
+        return data;
+    }
+
+    const obs::counter epochs_run_ = obs::counter::get("campaign.epochs_run");
+};
+
+TEST_F(figure_cache, cold_and_warm_runs_return_bitwise_equal_records) {
+    // Faulted, so NaN measurements and the fault column are covered.
+    const auto cfg = faulty_config();
+    const auto file = dir_ / "cache" / "c.store";
+    const testbed::dataset cold = testbed::load_or_run(cfg, file);
+    ASSERT_TRUE(std::filesystem::exists(file));
+    const testbed::dataset warm = testbed::load_or_run(cfg, file);
+    ASSERT_EQ(warm.records.size(), testbed::campaign_total_epochs(cfg));
+    EXPECT_EQ(bits_of(cold), bits_of(warm));
+
+    // Both are what load_csv reads from the cache's CSV export.
+    testbed::record_reader reader(file);
+    const auto csv = dir_ / "c.csv";
+    testbed::store_to_csv(reader, csv);
+    EXPECT_EQ(bits_of(testbed::load_csv(csv)), bits_of(warm));
+}
+
+TEST_F(figure_cache, matching_cache_is_read_without_simulating) {
+    const auto cfg = quick_config();
+    const auto file = dir_ / "c.store";
+    std::uint64_t before = epochs_run_.value();
+    (void)testbed::load_or_run(cfg, file);
+    EXPECT_EQ(epochs_run_.value() - before, testbed::campaign_total_epochs(cfg));
+    const std::string cached = read_file(file);
+
+    before = epochs_run_.value();
+    std::string err;
+    (void)load_capturing(cfg, file, err);
+    EXPECT_EQ(epochs_run_.value(), before);
+    EXPECT_EQ(err, "");
+    EXPECT_EQ(read_file(file), cached);
+}
+
+TEST_F(figure_cache, cache_of_another_seed_is_regenerated_naming_the_field) {
+    const auto cfg = quick_config();
+    const auto fresh = testbed::load_or_run(cfg, dir_ / "fresh.store");
+    auto other = cfg;
+    other.seed = 7;
+    const auto file = dir_ / "c.store";
+    (void)testbed::load_or_run(other, file);
+
+    const std::uint64_t before = epochs_run_.value();
+    std::string err;
+    const testbed::dataset data = load_capturing(cfg, file, err);
+    EXPECT_NE(err.find("seed: checkpoint=7 requested=" + std::to_string(cfg.seed)),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(epochs_run_.value() - before, testbed::campaign_total_epochs(cfg));
+    EXPECT_EQ(bits_of(data), bits_of(fresh));
+    EXPECT_EQ(read_file(file), read_file(dir_ / "fresh.store"));
+}
+
+TEST_F(figure_cache, cache_of_another_simulator_revision_is_regenerated) {
+    const auto cfg = quick_config();
+    const auto file = dir_ / "c.store";
+    const testbed::dataset fresh = testbed::load_or_run(cfg, file);
+    const std::string cached = read_file(file);
+    // Field 1 of the fingerprint is the simulator revision.
+    const std::string older = std::to_string(testbed::k_simulator_revision - 1);
+    set_fingerprint_field(file, 1, older);
+    ASSERT_NE(read_file(file), cached);
+
+    const std::uint64_t before = epochs_run_.value();
+    std::string err;
+    const testbed::dataset data = load_capturing(cfg, file, err);
+    EXPECT_NE(err.find("simulator_revision: checkpoint=" + older + " requested=" +
+                       std::to_string(testbed::k_simulator_revision)),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(epochs_run_.value() - before, testbed::campaign_total_epochs(cfg));
+    EXPECT_EQ(bits_of(data), bits_of(fresh));
+    EXPECT_EQ(read_file(file), cached);
+}
+
+TEST_F(figure_cache, corrupt_cache_is_regenerated) {
+    const auto cfg = quick_config();
+    const auto file = dir_ / "c.store";
+    const testbed::dataset fresh = testbed::load_or_run(cfg, file);
+    const std::string cached = read_file(file);
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << cached.substr(0, cached.size() / 2);
+
+    std::string err;
+    const testbed::dataset data = load_capturing(cfg, file, err);
+    EXPECT_NE(err.find("unfinished journal"), std::string::npos) << err;
+    EXPECT_EQ(bits_of(data), bits_of(fresh));
+    EXPECT_EQ(read_file(file), cached);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Sharding (testbed/shard.hpp) and the shard merge (testbed/record_store.hpp):
 // the merge property — ANY partition of the epoch grid into shard journals,
-// merged in ANY order, reproduces the serial dataset and its CSV bytes
-// exactly — plus the shard arithmetic, the k-way walk's linear release, and
-// the merge failure modes (missing shard, incomplete coverage, foreign
-// config, a journal out of order).
+// merged in ANY order through a store and its CSV export, reproduces the
+// serial CSV bytes exactly — plus the shard arithmetic, the k-way walk's
+// linear release, and the merge failure modes (missing shard, incomplete
+// coverage, foreign config, a journal out of order).
 #include "testbed/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -51,17 +51,31 @@ std::string read_file(const std::filesystem::path& p) {
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-/// Run one slice of the grid into its own checkpoint file; returns the path.
+/// Run one slice of the grid into its own journal, which a filtered run
+/// keeps; returns the path.
 std::filesystem::path run_slice(const testbed::campaign_config& cfg,
                                 const std::filesystem::path& dir, int slice_id,
                                 std::function<bool(std::size_t)> filter) {
     testbed::campaign_run_options opts;
     opts.checkpoint = dir / ("slice" + std::to_string(slice_id) + ".ckpt");
-    opts.keep_checkpoint = true;
     opts.epoch_filter = std::move(filter);
-    const auto outcome = testbed::run_campaign_resumable(cfg, opts);
+    const auto outcome = testbed::run_campaign_streamed(cfg, {}, opts);
     EXPECT_TRUE(outcome.complete);
     return opts.checkpoint;
+}
+
+/// Merge the journals as `--merge` does for a CSV: into a staging store,
+/// exported to `dir`/merged.csv. Returns the CSV's bytes.
+std::string merged_csv(const testbed::campaign_config& cfg,
+                       const std::vector<std::filesystem::path>& ckpts,
+                       const std::filesystem::path& dir) {
+    const auto csv = dir / "merged.csv";
+    const auto store = testbed::csv_staging_store(csv);
+    EXPECT_EQ(testbed::merge_shard_checkpoints_to_store(cfg, ckpts, store),
+              total_epochs(cfg));
+    testbed::export_store_to_csv(store, csv);
+    EXPECT_FALSE(std::filesystem::exists(store));
+    return read_file(csv);
 }
 
 class shard_merge : public ::testing::Test {
@@ -132,10 +146,7 @@ TEST_F(shard_merge, strided_shards_reproduce_serial_csv_bytes) {
         ckpts.push_back(
             run_slice(cfg, dir_, i, testbed::shard_filter(shard_ref{i, n})));
     }
-    const testbed::dataset merged = testbed::merge_shard_checkpoints(cfg, ckpts);
-    const auto merged_csv = dir_ / "merged.csv";
-    testbed::save_csv(merged, merged_csv);
-    EXPECT_EQ(read_file(serial_csv), read_file(merged_csv));
+    EXPECT_EQ(read_file(serial_csv), merged_csv(cfg, ckpts, dir_));
 }
 
 TEST_F(shard_merge, any_partition_any_merge_order_reproduces_serial) {
@@ -161,10 +172,7 @@ TEST_F(shard_merge, any_partition_any_merge_order_reproduces_serial) {
         }
         std::shuffle(ckpts.begin(), ckpts.end(), gen);
 
-        const testbed::dataset merged = testbed::merge_shard_checkpoints(cfg, ckpts);
-        const auto merged_csv = dir_ / "merged.csv";
-        testbed::save_csv(merged, merged_csv);
-        EXPECT_EQ(read_file(serial_csv), read_file(merged_csv)) << "trial " << trial;
+        EXPECT_EQ(read_file(serial_csv), merged_csv(cfg, ckpts, dir_)) << "trial " << trial;
         for (const auto& p : ckpts) std::filesystem::remove(p);
     }
 }
@@ -174,8 +182,7 @@ TEST_F(shard_merge, missing_shard_checkpoint_is_an_error) {
     const auto present =
         run_slice(cfg, dir_, 0, [](std::size_t) { return true; });
     try {
-        (void)testbed::merge_shard_checkpoints(
-            cfg, {present, dir_ / "nonexistent.ckpt"});
+        (void)merged_csv(cfg, {present, dir_ / "nonexistent.ckpt"}, dir_);
         FAIL() << "absent shard file must throw";
     } catch (const testbed::dataset_error& e) {
         EXPECT_NE(std::string(e.what()).find("missing"), std::string::npos)
@@ -189,7 +196,7 @@ TEST_F(shard_merge, incomplete_coverage_is_an_error) {
     const auto evens =
         run_slice(cfg, dir_, 0, [](std::size_t idx) { return idx % 2 == 0; });
     try {
-        (void)testbed::merge_shard_checkpoints(cfg, {evens});
+        (void)merged_csv(cfg, {evens}, dir_);
         FAIL() << "uncovered epochs must throw";
     } catch (const testbed::dataset_error& e) {
         EXPECT_NE(std::string(e.what()).find("cover only"), std::string::npos)
@@ -202,8 +209,7 @@ TEST_F(shard_merge, foreign_config_checkpoint_is_rejected) {
     testbed::campaign_config other = cfg;
     other.seed = 999;
     const auto foreign = run_slice(other, dir_, 0, [](std::size_t) { return true; });
-    EXPECT_THROW((void)testbed::merge_shard_checkpoints(cfg, {foreign}),
-                 testbed::dataset_error);
+    EXPECT_THROW((void)merged_csv(cfg, {foreign}, dir_), testbed::dataset_error);
 }
 
 TEST_F(shard_merge, overlapping_shards_merge_cleanly) {
@@ -213,12 +219,9 @@ TEST_F(shard_merge, overlapping_shards_merge_cleanly) {
     const testbed::dataset serial = testbed::run_campaign(cfg);
     const auto a = run_slice(cfg, dir_, 0, [](std::size_t idx) { return idx < 8; });
     const auto b = run_slice(cfg, dir_, 1, [](std::size_t idx) { return idx >= 4; });
-    const testbed::dataset merged = testbed::merge_shard_checkpoints(cfg, {a, b});
     const auto serial_csv = dir_ / "serial.csv";
-    const auto merged_csv = dir_ / "merged.csv";
     testbed::save_csv(serial, serial_csv);
-    testbed::save_csv(merged, merged_csv);
-    EXPECT_EQ(read_file(serial_csv), read_file(merged_csv));
+    EXPECT_EQ(read_file(serial_csv), merged_csv(cfg, {a, b}, dir_));
 }
 
 TEST_F(shard_merge, journals_stream_to_the_sink_in_linear_order) {
@@ -271,7 +274,7 @@ TEST_F(shard_merge, journal_that_does_not_ascend_is_rejected) {
             bytes.substr(c);
     std::ofstream(all, std::ios::binary | std::ios::trunc) << bytes;
     try {
-        (void)testbed::merge_shard_checkpoints(cfg, {all});
+        (void)merged_csv(cfg, {all}, dir_);
         FAIL() << "a journal out of order must throw";
     } catch (const testbed::dataset_error& e) {
         EXPECT_NE(std::string(e.what()).find("does not ascend"), std::string::npos)

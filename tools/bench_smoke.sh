@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Bench smoke gate: run every figure and ablation bench at tiny scale and
 # fail on the first non-zero exit. The benches share the cached tiny
-# campaigns, so after the first one pays the generation cost the rest load
-# the CSV — the whole sweep stays CI-sized.
+# campaigns (record stores under data/, read under their campaign
+# fingerprint), so after the first one pays the generation cost the rest
+# read the store — the whole sweep stays CI-sized.
 #
 # Usage: tools/bench_smoke.sh [bench-dir]   (default: build/bench)
 # Runs from the repository root so every bench sees the same data/ cache.

@@ -8,14 +8,17 @@
 //                    [--resume] [--format csv|store] [--trace FILE]
 //                    [--metrics-summary]
 //
-// Both formats run the same sweep; only the sink differs. The resume
-// journal is an unfinished record store: a --format store run finishes it
-// into FILE. Crash recovery on one host is --jobs N plus --resume: rerun
-// the same command after a kill and it finishes the journal to the bytes of
-// an uninterrupted run. Across hosts (DESIGN.md §15), --shard i/N runs one
+// Every run streams its records into a record store (DESIGN.md §16): FILE
+// itself under --format store, or for a CSV the staging store FILE.store,
+// which is exported to FILE with the --convert code and then removed. The
+// resume journal is an unfinished store that a complete run finishes.
+// Crash recovery on one host is --jobs N plus --resume: rerun the same
+// command after a kill and it finishes the journal to the bytes of an
+// uninterrupted run. Across hosts (DESIGN.md §15), --shard i/N runs one
 // shard (its product is the shard journal, not a CSV) and --merge N merges
-// the shard journals into FILE. $REPRO_CHAOS (e.g. kill=0.05) makes a run
-// SIGKILL itself on a seeded schedule so that recovery is testable.
+// the shard journals into a store, exported as above for a CSV.
+// $REPRO_CHAOS (e.g. kill=0.05) makes a run SIGKILL itself on a seeded
+// schedule so that recovery is testable.
 //
 // Exit codes: 0 success, 1 bad arguments, 2 runtime failure,
 // 130 interrupted (SIGINT; progress is checkpointed when enabled).
@@ -24,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -75,10 +79,9 @@ void usage(const char* argv0) {
                  "  --merge N         merge shard journals 0..N-1 into FILE, in\n"
                  "                    either --format\n"
                  "  --format F        output format: csv (default) or store (the\n"
-                 "                    record store, DESIGN.md §16; epochs stream to\n"
-                 "                    disk instead of being held in RAM, and the\n"
-                 "                    journal becomes the store — convert to CSV\n"
-                 "                    with --convert)\n"
+                 "                    record store, DESIGN.md §16). Epochs always\n"
+                 "                    stream to a store on disk; a csv run exports\n"
+                 "                    its staging store FILE.store and removes it\n"
                  "  --convert STORE   convert a finished record store to the CSV\n"
                  "                    at --out (streaming; byte-identical to a CSV\n"
                  "                    run of the same config; no campaign is run)\n"
@@ -256,13 +259,18 @@ int main(int argc, char** argv) {
     }
     if (checkpointing) run_opts.checkpoint = out + ".ckpt";
     if (shard) {
-        // Shard mode: claim only our slice; the shard checkpoint is the
-        // product (the merge step consumes it), so keep it on completion.
+        // Shard mode: claim only our slice. A filtered run keeps its
+        // journal, which is the shard's product (the merge step consumes it).
         run_opts.epoch_filter = shard_filter(*shard);
-        run_opts.keep_checkpoint = true;
         run_opts.checkpoint = shard_checkpoint_path(out, *shard);
         checkpointing = true;
     }
+    // The store every run streams into; a CSV is exported from it.
+    const std::filesystem::path store = store_mode ? std::filesystem::path(out)
+                                                   : csv_staging_store(out);
+    const auto publish = [&] {
+        if (!store_mode) export_store_to_csv(store, out);
+    };
     if (chaos.enabled() && merge_n == 0) {
         // Process-level chaos (sim/chaos.hpp): SIGKILL ourselves just before
         // a planned epoch. Checkpoint every epoch so each attempt's progress
@@ -317,20 +325,12 @@ int main(int argc, char** argv) {
 
         if (merge_n > 0) {
             // Merge mode: read-only over the shard checkpoints (rerunnable).
-            // The shard journals stream into a store, or into a dataset for
-            // save_csv.
             std::vector<std::filesystem::path> ckpts;
             for (int i = 0; i < merge_n; ++i) {
                 ckpts.push_back(shard_checkpoint_path(out, shard_ref{i, merge_n}));
             }
-            std::size_t merged = 0;
-            if (store_mode) {
-                merged = merge_shard_checkpoints_to_store(cfg, ckpts, out);
-            } else {
-                const dataset data = merge_shard_checkpoints(cfg, ckpts);
-                save_csv(data, out);
-                merged = data.records.size();
-            }
+            const std::size_t merged = merge_shard_checkpoints_to_store(cfg, ckpts, store);
+            publish();
             std::fprintf(stderr, "merged %d shard(s), %zu epoch records, into %s\n",
                          merge_n, merged, out.c_str());
             return finish_observability();
@@ -360,12 +360,10 @@ int main(int argc, char** argv) {
                 last = pct;
             }
         };
-        // One sweep for both formats; only the sink differs (a store streams
-        // records to disk, nothing grid-sized is resident).
+        // Records stream to disk; nothing grid-sized is resident.
         const tcppred::obs::stopwatch watch;
-        const campaign_outcome outcome =
-            store_mode ? run_campaign_streamed(cfg, out, run_opts, on_progress)
-                       : run_campaign_resumable(cfg, run_opts, on_progress);
+        const campaign_outcome outcome = run_campaign_streamed(
+            cfg, shard ? std::filesystem::path{} : store, run_opts, on_progress);
         const double wall_s = watch.elapsed_s();
         if (outcome.epochs_resumed > 0) {
             std::fprintf(stderr, "resumed %d completed epoch(s) from %s\n",
@@ -388,7 +386,7 @@ int main(int argc, char** argv) {
                          run_opts.checkpoint.string().c_str());
             return finish_observability();
         }
-        if (!store_mode) save_csv(outcome.data, out);
+        publish();
         const auto n = static_cast<std::size_t>(total_epochs);
         std::fprintf(stderr, "wrote %zu epoch records to %s\n", n, out.c_str());
         std::fprintf(stderr, "%zu epochs in %.2f s (%.1f epochs/s)\n", n, wall_s,
