@@ -45,21 +45,22 @@ void link::set_outage(double from_s, double until_s) {
 }
 
 void link::add_fluid_rate(double delta_bps) {
+    settle();
+    const double now = sched_->now();
     if (!fluid_active_) {
         fluid_active_ = true;
-        fluid_updated_ = sched_->now();
+        fluid_updated_ = now;
     }
-    advance_fluid();  // integrate the old rate up to the change instant
+    advance_fluid(now);  // integrate the old rate up to the change instant
     fluid_rate_ += delta_bps;
     if (fluid_rate_ < 0.0) fluid_rate_ = 0.0;
 }
 
-void link::advance_fluid() {
-    const double now = sched_->now();
+void link::advance_fluid(double now) {
     const double dt = now - fluid_updated_;
     fluid_updated_ = now;
     if (dt <= 0.0) return;
-    if (transmitting_) {
+    if (!fifo_.empty()) {
         // The server is held by a packet: fluid accumulates behind the queue.
         const double arrived = fluid_rate_ * dt;
         fluid_tail_bits_ += arrived;
@@ -73,9 +74,8 @@ void link::advance_fluid() {
     }
     // Fluid overflowing the shared drop-tail buffer is lost, exactly like a
     // cross packet arriving to a full queue.
-    const double cap_bits =
-        (static_cast<double>(buffer_packets_) - static_cast<double>(queue_.size())) *
-        fluid_pkt_bits_;
+    const double waiting = fifo_.empty() ? 0.0 : static_cast<double>(fifo_.size() - 1);
+    const double cap_bits = (static_cast<double>(buffer_packets_) - waiting) * fluid_pkt_bits_;
     if (fluid_total_bits_ > cap_bits) {
         const double excess = fluid_total_bits_ - std::max(cap_bits, 0.0);
         const double removed = std::min(excess, fluid_tail_bits_);
@@ -84,7 +84,30 @@ void link::advance_fluid() {
     }
 }
 
-bool link::enqueue(packet p) {
+void link::settle() {
+    const double now = sched_->now();
+    while (!fifo_.empty()) {
+        const admitted& head = fifo_.front();
+        if (head.departs > now) return;
+        if (head.departs == now && !(head.starts < sched_->cause())) return;
+        // The head leaves onto the wire; the next packet starts serving.
+        if (fluid_active_) advance_fluid(head.departs);
+        ++stats_.delivered;
+        stats_.bytes_delivered += head.size_bytes;
+        fifo_.pop_front();
+        if (!fifo_.empty()) begin_service(fifo_.front());
+    }
+}
+
+void link::begin_service(const admitted& a) {
+    if (a.fluid_ahead_bits > 0.0) {
+        // The fluid queued ahead of this packet is served first (FIFO).
+        fluid_total_bits_ = std::max(0.0, fluid_total_bits_ - a.fluid_ahead_bits);
+    }
+    stats_.busy_time += a.tx;
+}
+
+bool link::enqueue(packet p, bool deliver) {
     const double now = sched_->now();
     if (now >= outage_from_ && now < outage_until_) {
         ++stats_.dropped;
@@ -94,63 +117,38 @@ bool link::enqueue(packet p) {
         ++stats_.dropped;
         return false;
     }
-    if (fluid_active_) advance_fluid();
-    if (!transmitting_) {
-        // Fluid already queued ahead may fill the buffer on its own.
-        if (fluid_active_ &&
-            fluid_total_bits_ / fluid_pkt_bits_ >= static_cast<double>(buffer_packets_)) {
+    settle();
+    if (fluid_active_) advance_fluid(now);
+    // An idle server takes the packet unless the fluid queued ahead fills
+    // the buffer on its own; behind a busy one the waiting packets count.
+    const bool idle = fifo_.empty();
+    if (!idle || fluid_active_) {
+        double occupancy = idle ? 0.0 : static_cast<double>(fifo_.size() - 1);
+        if (fluid_active_) occupancy += fluid_total_bits_ / fluid_pkt_bits_;
+        if (occupancy >= static_cast<double>(buffer_packets_)) {
             ++stats_.dropped;
             return false;
         }
-        ++stats_.enqueued;
-        const double ahead = fluid_tail_bits_;
-        fluid_tail_bits_ = 0.0;
-        start_transmission(p, ahead);
-        return true;
-    }
-    double occupancy = static_cast<double>(queue_.size());
-    if (fluid_active_) occupancy += fluid_total_bits_ / fluid_pkt_bits_;
-    if (occupancy >= static_cast<double>(buffer_packets_)) {
-        ++stats_.dropped;
-        return false;
     }
     ++stats_.enqueued;
-    queue_.push_back(queued{p, fluid_tail_bits_});
+    // The fluid that arrived since the previous admission is served ahead
+    // of this packet: its flush time stretches the packet's service.
+    const double ahead = fluid_tail_bits_;
     fluid_tail_bits_ = 0.0;
-    return true;
-}
-
-void link::start_transmission(packet p, double fluid_ahead_bits) {
-    transmitting_ = true;
     double tx = tx_time(p.size_bytes);
-    if (fluid_ahead_bits > 0.0) {
-        // Serve the fluid queued ahead of this packet first (FIFO): its
-        // flush time delays the packet's transmission completion.
-        tx += fluid_ahead_bits / capacity_bps_;
-        fluid_total_bits_ = std::max(0.0, fluid_total_bits_ - fluid_ahead_bits);
-    }
-    stats_.busy_time += tx;
-    sched_->schedule_in(tx, [this, p] {
-        // Transmission finished: the packet leaves onto the wire and the
-        // next queued packet starts serializing immediately.
-        if (fluid_active_) advance_fluid();
-        ++stats_.delivered;
-        stats_.bytes_delivered += p.size_bytes;
-        sched_->schedule_in(prop_delay_, [this, p] {
+    if (ahead > 0.0) tx += ahead / capacity_bps_;
+    const double starts = idle ? now : fifo_.back().departs;
+    const double departs = starts + tx;
+    fifo_.push_back(admitted{starts, departs, tx, ahead, p.size_bytes});
+    if (idle) begin_service(fifo_.front());
+    if (deliver) {
+        // Caused by the departure: among same-instant events it takes the
+        // slot of a delivery scheduled at the departure (DESIGN.md §13.2).
+        sched_->schedule_at(departs + prop_delay_, departs, [this, p] {
             if (sink_) sink_(p);
         });
-        on_tx_complete();
-    });
-}
-
-void link::on_tx_complete() {
-    if (queue_.empty()) {
-        transmitting_ = false;
-        return;
     }
-    queued next = queue_.front();
-    queue_.pop_front();
-    start_transmission(next.p, next.fluid_ahead_bits);
+    return true;
 }
 
 }  // namespace tcppred::net

@@ -31,6 +31,15 @@ struct link_stats {
 /// the sink `prop_delay` seconds after their transmission completes.
 /// Propagation does not serialize: several packets can be "in flight" on the
 /// wire simultaneously.
+///
+/// Because the link is FIFO, a packet's service start and departure are
+/// fixed the moment it is admitted, so no event marks the end of a
+/// transmission. Admission schedules the one delivery event, at departure
+/// plus propagation (none for a packet nobody receives), and every read of
+/// the link's state first settles the departures due by now(): in
+/// departure order, each at its own instant, their counters, the fluid
+/// integration and the start of the next packet (DESIGN.md §13.1). That is
+/// why stats(), queue_length() and utilization() are not const.
 class link {
 public:
     /// @param buffer_packets maximum number of packets queued *behind* the
@@ -49,8 +58,10 @@ public:
     void set_sink(std::function<void(packet)> sink) { sink_ = std::move(sink); }
 
     /// Offer a packet to the link. Returns false (and counts a drop) when
-    /// the buffer is full or the packet is hit by random loss.
-    bool enqueue(packet p);
+    /// the buffer is full or the packet is hit by random loss. With
+    /// `deliver == false` an admitted packet still occupies the buffer and
+    /// the wire but never reaches the sink, and costs no event.
+    bool enqueue(packet p, bool deliver = true);
 
     /// Enable random loss on this link, modelling loss that originates
     /// outside the simulated bottleneck (upstream congestion episodes,
@@ -91,10 +102,15 @@ public:
     [[nodiscard]] double capacity_bps() const noexcept { return capacity_bps_; }
     [[nodiscard]] double prop_delay_s() const noexcept { return prop_delay_; }
     [[nodiscard]] std::size_t buffer_packets() const noexcept { return buffer_packets_; }
-    [[nodiscard]] std::size_t queue_length() const noexcept {
-        return queue_.size() + (transmitting_ ? 1u : 0u);
+    /// Packets in the link: the one in transmission plus those queued.
+    [[nodiscard]] std::size_t queue_length() {
+        settle();
+        return fifo_.size();
     }
-    [[nodiscard]] const link_stats& stats() const noexcept { return stats_; }
+    [[nodiscard]] const link_stats& stats() {
+        settle();
+        return stats_;
+    }
 
     /// Serialization time of a packet of `bytes` on this link.
     [[nodiscard]] double tx_time(std::uint32_t bytes) const noexcept {
@@ -103,24 +119,34 @@ public:
 
     /// Fraction of time the link transmitted since construction (or since
     /// the given origin time).
-    [[nodiscard]] double utilization(double since = 0.0) const noexcept {
+    [[nodiscard]] double utilization(double since = 0.0) {
+        settle();
         const double span = sched_->now() - since;
         return span > 0.0 ? stats_.busy_time / span : 0.0;
     }
 
 private:
-    /// A queued packet plus the fluid volume that arrived before it and is
-    /// therefore served ahead of it (FIFO).
-    struct queued {
-        packet p;
-        double fluid_ahead_bits{0.0};
+    /// An admitted packet. FIFO service fixes its interval at admission:
+    /// it starts when the link is free (at once, or at its predecessor's
+    /// departure) and departs `tx` later.
+    struct admitted {
+        double starts;
+        double departs;
+        double tx;                ///< serialization plus the fluid served ahead
+        double fluid_ahead_bits;  ///< fluid that arrived before it (FIFO)
+        std::uint32_t size_bytes;
     };
 
-    void start_transmission(packet p, double fluid_ahead_bits);
-    void on_tx_complete();
-    /// Integrate the fluid process up to now() under the current server
+    /// Retire the departures due by now(). One at exactly now() is due
+    /// when the packet started before the dispatching event's cause, i.e.
+    /// where an event caused by the start would dispatch (DESIGN.md §13.2).
+    void settle();
+    /// Account a packet's service start: its busy time and the fluid it
+    /// flushes ahead of itself.
+    void begin_service(const admitted& a);
+    /// Integrate the fluid process up to `now` under the current server
     /// state; must be called at every state-transition or rate-change point.
-    void advance_fluid();
+    void advance_fluid(double now);
 
     sim::scheduler* sched_;
     double capacity_bps_;
@@ -129,8 +155,7 @@ private:
     [[nodiscard]] bool random_loss_hit();
 
     std::function<void(packet)> sink_;
-    std::deque<queued> queue_;
-    bool transmitting_{false};
+    std::deque<admitted> fifo_;  ///< front: in transmission; the rest queued
     bool fluid_active_{false};
     double fluid_rate_{0.0};        ///< aggregate fluid arrival rate, bps
     double fluid_tail_bits_{0.0};   ///< fluid behind the last queued packet

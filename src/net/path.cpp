@@ -37,7 +37,9 @@ void duplex_path::inject_forward(std::size_t link_index, packet p) {
         cross_members_.resize(flow + 1, k_not_cross);
     }
     cross_members_[flow] = link_index;
-    forward_.at(link_index)->enqueue(p);
+    // The packet leaves the path after this link. Without an exit handler
+    // nothing receives it there, so the link schedules no delivery at all.
+    forward_.at(link_index)->enqueue(p, cross_exits_.find(p.flow) != nullptr);
 }
 
 void duplex_path::route_forward(std::size_t link_index, packet p) {

@@ -93,7 +93,8 @@ public:
 
     /// Register where cross-traffic flow `flow`, injected at `link_index`,
     /// goes after transiting that link. Without a handler the packet is
-    /// silently sunk.
+    /// silently sunk at its departure and costs no event; the handler in
+    /// place at injection decides.
     void on_cross_exit(flow_id flow, delivery_handler h) {
         cross_exits_.set(flow, std::move(h));
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
@@ -16,6 +17,12 @@ constexpr std::size_t k_pool_chunk = 256;    // nodes per pool growth
 /// live event per bucket without long intra-bucket insertion walks.
 constexpr double k_width_gap_factor = 4.0;
 }  // namespace
+
+bool scheduler::precedes(const event_node& a, const event_node& b) noexcept {
+    if (a.when != b.when) return a.when < b.when;
+    if (a.cause != b.cause) return a.cause < b.cause;
+    return a.id < b.id;
+}
 
 scheduler::scheduler() : buckets_(k_min_buckets, nullptr), bucket_mask_(k_min_buckets - 1) {}
 
@@ -58,19 +65,16 @@ void scheduler::insert_node(event_node* n) {
     }
     const std::size_t idx =
         static_cast<std::size_t>(static_cast<std::uint64_t>(vb)) & bucket_mask_;
-    // Sorted insertion by (when, id): FIFO among simultaneous events. Dead
-    // nodes (id == 0) order as "smaller" at equal times, which leaves the
-    // relative order of live nodes untouched.
+    // Sorted insertion by (when, cause, id): by cause, then FIFO, among
+    // simultaneous events. Dead nodes (id == 0) order as "smaller" at equal
+    // (when, cause), which leaves the relative order of live nodes untouched.
     event_node** p = &buckets_[idx];
-    while (*p != nullptr &&
-           ((*p)->when < n->when || ((*p)->when == n->when && (*p)->id < n->id))) {
-        p = &(*p)->next;
-    }
+    while (*p != nullptr && precedes(**p, *n)) p = &(*p)->next;
     n->next = *p;
     *p = n;
 }
 
-event_handle scheduler::schedule_at(time_point when, callback cb) {
+event_handle scheduler::schedule_at(time_point when, time_point cause, callback cb) {
     if (when < now_) {
         // Guard against accidental scheduling into the past; tolerate tiny
         // floating-point backsliding by clamping.
@@ -81,6 +85,7 @@ event_handle scheduler::schedule_at(time_point when, callback cb) {
     }
     event_node* n = alloc_node();
     n->when = when;
+    n->cause = std::clamp(cause, now_, when);
     n->id = next_id_++;
     n->cb = std::move(cb);
     insert_node(n);
@@ -142,10 +147,7 @@ const scheduler::event_node* scheduler::peek_min() {
                 event_node* n = b;
                 while (n != nullptr && n->id == 0) n = n->next;
                 if (n == nullptr) continue;
-                if (best == nullptr || n->when < best->when ||
-                    (n->when == best->when && n->id < best->id)) {
-                    best = n;
-                }
+                if (best == nullptr || precedes(*n, *best)) best = n;
             }
             TCPPRED_ASSERT(best != nullptr);  // live_ > 0
             v_cur_ = virtual_bucket(best->when);
@@ -214,6 +216,7 @@ bool scheduler::step() {
     // clamps, so a violation here means the queue ordering itself broke.
     TCPPRED_ASSERT(n->when >= now_);
     now_ = n->when;
+    cause_ = n->cause;
     ++fired_;
     // Move the callback out and recycle the node before invoking: the
     // callback may schedule new events (which may reuse this very node).
@@ -230,11 +233,13 @@ void scheduler::run_until(time_point t_end) {
         step();
     }
     if (now_ < t_end) now_ = t_end;
+    cause_ = std::numeric_limits<time_point>::infinity();
 }
 
 void scheduler::run_all() {
     while (step()) {
     }
+    cause_ = std::numeric_limits<time_point>::infinity();
 }
 
 }  // namespace tcppred::sim

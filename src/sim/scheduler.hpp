@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -33,12 +34,16 @@ struct event_handle {
 
 /// Single-threaded discrete-event scheduler.
 ///
-/// Events are callbacks tagged with an absolute firing time. The dispatch
-/// order contract (DESIGN.md §13.2):
+/// Events are callbacks tagged with an absolute firing time and a *cause*:
+/// the instant whose work scheduled them, `now()` at scheduling unless the
+/// caller names a later one. The dispatch order contract (DESIGN.md §13.2)
+/// is ascending `(when, cause, id)`:
 ///   - strictly by ascending firing time;
-///   - events scheduled for the same instant fire in the order they were
-///     scheduled (FIFO tie-breaking, by monotonically increasing event id),
-///     which keeps packet-level simulations deterministic.
+///   - events for the same instant fire by cause, then in the order they
+///     were scheduled (FIFO tie-breaking, by monotonically increasing event
+///     id), which keeps packet-level simulations deterministic. A default
+///     cause never decreases along the ids, so events without an explicit
+///     cause order exactly as by `(when, id)`.
 ///
 /// Cancellation is O(1): `cancel()` marks the node dead and destroys its
 /// callback immediately; the node itself is reclaimed when the queue next
@@ -57,8 +62,17 @@ public:
     /// Current simulated time.
     [[nodiscard]] time_point now() const noexcept { return now_; }
 
-    /// Schedule `cb` at absolute time `when` (must be >= now()).
-    event_handle schedule_at(time_point when, callback cb);
+    /// Schedule `cb` at absolute time `when` (must be >= now()), caused by
+    /// now().
+    event_handle schedule_at(time_point when, callback cb) {
+        return schedule_at(when, now_, std::move(cb));
+    }
+
+    /// Schedule `cb` at `when` on behalf of the work of instant `cause`
+    /// (clamped into [now(), when]): it fires where an event scheduled at
+    /// `cause` would. net::link schedules each delivery at admission with
+    /// the packet's departure as its cause.
+    event_handle schedule_at(time_point when, time_point cause, callback cb);
 
     /// Schedule `cb` to fire `delay` seconds from now (delay >= 0).
     event_handle schedule_in(time_point delay, callback cb) {
@@ -68,6 +82,12 @@ public:
     /// Cancel a previously scheduled event. Safe to call with an invalid,
     /// already-fired, or already-cancelled handle (no effect).
     void cancel(event_handle h);
+
+    /// Cause of the event being dispatched, or of the last one a bare
+    /// step() fired. +infinity before the first dispatch and once
+    /// run_until() or run_all() return, when every event due by now() has
+    /// fired.
+    [[nodiscard]] time_point cause() const noexcept { return cause_; }
 
     /// Fire the next pending event, advancing the clock. Returns false when
     /// the queue is empty.
@@ -95,11 +115,14 @@ private:
     /// queue position but has id == 0 and an empty callback.
     struct event_node {
         time_point when{0.0};
+        time_point cause{0.0};
         std::uint64_t id{0};
         event_node* next{nullptr};
         small_callback cb;
     };
 
+    /// The dispatch order: (when, cause, id) ascending.
+    [[nodiscard]] static bool precedes(const event_node& a, const event_node& b) noexcept;
     [[nodiscard]] event_node* alloc_node();
     void release_node(event_node* n) noexcept;
     void insert_node(event_node* n);
@@ -130,6 +153,7 @@ private:
     event_node* free_list_{nullptr};
 
     time_point now_{0.0};
+    time_point cause_{std::numeric_limits<time_point>::infinity()};
     std::uint64_t next_id_{1};
     std::uint64_t fired_{0};
 };

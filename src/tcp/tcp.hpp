@@ -25,8 +25,9 @@ enum class tcp_variant {
     sack,     ///< selective acknowledgements with pipe-style recovery
 };
 
-/// Tuning parameters; defaults follow RFC 5681 / RFC 6298 and the
-/// paper-era conventions (1 s minimum RTO, delayed ACKs with b = 2).
+/// Tuning parameters; defaults follow RFC 5681 / RFC 6298 (1 s initial
+/// RTO) and the paper-era conventions (delayed ACKs with b = 2), except the
+/// minimum RTO: the 0.2 s Linux-style floor, not RFC 6298's 1 s.
 struct tcp_config {
     tcp_variant variant{tcp_variant::newreno};
     std::uint32_t mss_bytes{1460};          ///< segment payload (M in the paper)

@@ -182,7 +182,7 @@ std::string campaign_fingerprint(const campaign_config& cfg) {
     return os.str();
 }
 
-std::string describe_fingerprint_mismatch(const std::string& in_checkpoint,
+std::string describe_fingerprint_mismatch(const std::string& in_store,
                                           const std::string& requested) {
     // Positional slot names for the v3 layout above. Fields past the fixed
     // schema are the variable-length prefix list.
@@ -209,7 +209,7 @@ std::string describe_fingerprint_mismatch(const std::string& in_checkpoint,
         "epoch.cross",
     };
     constexpr std::size_t k_fixed = sizeof(k_names) / sizeof(k_names[0]);
-    const auto old_f = split_fields(in_checkpoint, '|');
+    const auto old_f = split_fields(in_store, '|');
     const auto new_f = split_fields(requested, '|');
     const auto name_of = [&](std::size_t i) -> std::string {
         if (i < k_fixed) return k_names[i];
@@ -221,7 +221,7 @@ std::string describe_fingerprint_mismatch(const std::string& in_checkpoint,
         const std::string old_v = i < old_f.size() ? old_f[i] : "<absent>";
         const std::string new_v = i < new_f.size() ? new_f[i] : "<absent>";
         if (old_v == new_v) continue;
-        os << "\n  " << name_of(i) << ": checkpoint=" << old_v
+        os << "\n  " << name_of(i) << ": store=" << old_v
            << " requested=" << new_v;
     }
     if (os.str().empty()) return "\n  (fingerprints differ only in field count)";

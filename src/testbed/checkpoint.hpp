@@ -59,10 +59,11 @@ using hexd_buffer = std::array<char, 24>;
 /// function of its config and of this number, and the fingerprint carries
 /// it, so every journal, store and cached figure dataset written by code of
 /// another revision is refused (and the cache regenerated). Bump it in the
-/// commit that changes any campaign's output bytes, i.e. the one that
-/// re-pins a golden (DESIGN.md §13.6); engine_golden_test pins it next to
-/// digests of the tiny campaign-1 CSV under both cross-traffic models.
-inline constexpr int k_simulator_revision = 1;
+/// commit that changes any campaign's output bytes — a CSV byte, i.e. one
+/// that re-pins a golden, or a store column such as `events` (DESIGN.md
+/// §13.6); engine_golden_test pins it next to digests of the tiny
+/// campaign-1 and campaign-2 CSVs under both cross-traffic models.
+inline constexpr int k_simulator_revision = 2;
 
 /// One named field of a campaign fingerprint, e.g. {"seed", "20040501"}.
 struct fingerprint_field {
@@ -73,7 +74,7 @@ struct fingerprint_field {
 /// The fingerprint decomposed into named fields, in serialization order.
 /// campaign_fingerprint() is exactly the '|'-join of the values, so the two
 /// can never drift; the names exist to turn a mismatch into an actionable
-/// diagnosis ("seed: checkpoint has X, this run has Y") instead of a bare
+/// diagnosis ("seed: store=X requested=Y") instead of a bare
 /// "fingerprint mismatch".
 [[nodiscard]] std::vector<fingerprint_field> campaign_fingerprint_fields(
     const campaign_config& cfg);
@@ -86,10 +87,12 @@ struct fingerprint_field {
 [[nodiscard]] std::string campaign_fingerprint(const campaign_config& cfg);
 
 /// Field-by-field diff of two fingerprint strings, for error messages:
-/// each differing field as "name: checkpoint=<old> requested=<new>".
-/// Positional — both sides are split on '|' and compared slot by slot
-/// (slot names from the campaign_fingerprint_fields schema).
-[[nodiscard]] std::string describe_fingerprint_mismatch(const std::string& in_checkpoint,
+/// each differing field as "name: store=<old> requested=<new>", where the
+/// store is the refused file — a journal (an unfinished store), a finished
+/// store or the figure cache. Positional — both sides are split on '|' and
+/// compared slot by slot (slot names from the campaign_fingerprint_fields
+/// schema).
+[[nodiscard]] std::string describe_fingerprint_mismatch(const std::string& in_store,
                                                         const std::string& requested);
 
 /// The temp file a streamed output is written to before its rename: beside

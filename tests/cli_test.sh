@@ -356,14 +356,14 @@ check_exit "packet-model shard 0/2" 0 $?
 check_exit "fluid-model shard 1/2" 0 $?
 "$CAMPAIGN" $TINY --out "$WORK/mix.csv" --merge 2 >/dev/null 2>"$WORK/mix.err"
 check_exit "merge of shards from two cross-traffic models" 2 $?
-grep -q "epoch.cross: checkpoint=fluid requested=packet" "$WORK/mix.err" || { echo "FAIL: mixed-model merge error does not name epoch.cross"; FAILURES=$((FAILURES+1)); }
+grep -q "epoch.cross: store=fluid requested=packet" "$WORK/mix.err" || { echo "FAIL: mixed-model merge error does not name epoch.cross"; FAILURES=$((FAILURES+1)); }
 { [ -e "$WORK/mix.csv" ] || [ -e "$WORK/mix.csv.store" ]; } && { echo "FAIL: refused merge left output"; FAILURES=$((FAILURES+1)); }
 
 # Resume under a changed seed: refused, and the error names the field.
 "$CAMPAIGN" $TINY --out "$WORK/mm.csv" --shard 0/2 >/dev/null 2>&1
 "$CAMPAIGN" $TINY --out "$WORK/mm.csv" --shard 0/2 --seed 99 --resume >/dev/null 2>"$WORK/mm.err"
 check_exit "shard resume under changed seed" 2 $?
-grep -q "seed: checkpoint=20040501 requested=99" "$WORK/mm.err" || { echo "FAIL: mismatch error does not name the seed field"; FAILURES=$((FAILURES+1)); }
+grep -q "seed: store=20040501 requested=99" "$WORK/mm.err" || { echo "FAIL: mismatch error does not name the seed field"; FAILURES=$((FAILURES+1)); }
 
 if [ "$FAILURES" -ne 0 ]; then
     echo "$FAILURES CLI contract check(s) failed"

@@ -353,8 +353,9 @@ TEST(engine_golden, campaign1_tiny_faulted_full_mix) {
 // campaign fingerprint, so journals, stores and figure caches written by
 // code of another revision are refused. It must move with the simulator's
 // output: when a digest below changes, the campaign bytes changed, so bump
-// testbed::k_simulator_revision and re-pin the revision and both digests
-// here in the same commit (DESIGN.md §13.6).
+// testbed::k_simulator_revision and re-pin the revision and the digests
+// here in the same commit (DESIGN.md §13.6). A change that keeps every CSV
+// byte but moves the store (its `events` column) bumps the revision alone.
 
 std::string csv_text(const testbed::dataset& data, const char* name) {
     const auto file = std::filesystem::temp_directory_path() / name;
@@ -365,22 +366,33 @@ std::string csv_text(const testbed::dataset& data, const char* name) {
     return text;
 }
 
-TEST(engine_golden, simulator_revision_pins_the_tiny_campaign1_csv) {
-    constexpr int k_revision = 1;
-    constexpr std::uint64_t k_packet_csv = 0xbcc274816ca1b5ce;
-    constexpr std::uint64_t k_fluid_csv = 0xefc3828a77e5cc6c;
+TEST(engine_golden, simulator_revision_pins_the_tiny_campaign_csvs) {
+    constexpr int k_revision = 2;
+    struct pin {
+        int campaign;
+        net::cross_model model;
+        std::uint64_t csv_fnv1a;
+    };
+    constexpr pin k_pins[] = {
+        {1, net::cross_model::packet, 0xbcc274816ca1b5ce},
+        {1, net::cross_model::fluid, 0xefc3828a77e5cc6c},
+        {2, net::cross_model::packet, 0x2ae09d48f8996867},
+        {2, net::cross_model::fluid, 0x979927da21df072c},
+    };
     EXPECT_EQ(testbed::k_simulator_revision, k_revision)
         << "testbed::k_simulator_revision moved: re-pin k_revision and the tiny "
-           "campaign-1 CSV digests below for the new revision";
-    for (const auto model : {net::cross_model::packet, net::cross_model::fluid}) {
-        const bool fluid = model == net::cross_model::fluid;
-        auto cfg = testbed::campaign1_config(testbed::campaign_scale::tiny);
-        cfg.epoch.cross = model;
+           "campaign CSV digests below for the new revision";
+    for (const pin& p : k_pins) {
+        const bool fluid = p.model == net::cross_model::fluid;
+        auto cfg = p.campaign == 1 ? testbed::campaign1_config(testbed::campaign_scale::tiny)
+                                   : testbed::campaign2_config(testbed::campaign_scale::tiny);
+        cfg.epoch.cross = p.model;
         const std::uint64_t digest =
             fnv1a(csv_text(testbed::run_campaign(cfg), "engine_golden_revision.csv"));
-        EXPECT_EQ(digest, fluid ? k_fluid_csv : k_packet_csv)
-            << "the tiny campaign-1 CSV under " << (fluid ? "fluid" : "packet")
-            << " cross traffic changed (fnv1a now 0x" << std::hex << digest << std::dec
+        EXPECT_EQ(digest, p.csv_fnv1a)
+            << "the tiny campaign-" << p.campaign << " CSV under "
+            << (fluid ? "fluid" : "packet") << " cross traffic changed (fnv1a now 0x"
+            << std::hex << digest << std::dec
             << "): bump testbed::k_simulator_revision (src/testbed/checkpoint.hpp) and "
                "re-pin this test";
     }

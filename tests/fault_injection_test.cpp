@@ -381,12 +381,12 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
 
     const std::string diff = testbed::describe_fingerprint_mismatch(
         testbed::campaign_fingerprint(cfg), testbed::campaign_fingerprint(changed));
-    EXPECT_NE(diff.find("seed: checkpoint=20040501 requested=777"), std::string::npos)
+    EXPECT_NE(diff.find("seed: store=20040501 requested=777"), std::string::npos)
         << diff;
-    EXPECT_NE(diff.find("faults: checkpoint=off requested=abort=0.5"),
+    EXPECT_NE(diff.find("faults: store=off requested=abort=0.5"),
               std::string::npos)
         << diff;
-    EXPECT_NE(diff.find("epoch.cross: checkpoint=packet requested=fluid"),
+    EXPECT_NE(diff.find("epoch.cross: store=packet requested=fluid"),
               std::string::npos)
         << diff;
     // Unchanged fields stay out of the report.
@@ -398,7 +398,7 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
     const std::string revision = "|" + std::to_string(testbed::k_simulator_revision) + "|";
     older.replace(older.find(revision), revision.size(), "|0|");
     EXPECT_NE(testbed::describe_fingerprint_mismatch(older, testbed::campaign_fingerprint(cfg))
-                  .find("simulator_revision: checkpoint=0 requested=" +
+                  .find("simulator_revision: store=0 requested=" +
                         std::to_string(testbed::k_simulator_revision)),
               std::string::npos);
 
@@ -412,7 +412,7 @@ TEST(checkpoint_fingerprint, mismatch_report_names_the_differing_fields) {
         FAIL() << "mismatched fingerprint must throw";
     } catch (const testbed::dataset_error& e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("seed: checkpoint=20040501 requested=777"),
+        EXPECT_NE(what.find("seed: store=20040501 requested=777"),
                   std::string::npos)
             << what;
     }

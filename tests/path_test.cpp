@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/units.hpp"
@@ -110,6 +111,49 @@ TEST(duplex_path, cross_traffic_exits_after_its_link) {
     s.run_all();
     EXPECT_EQ(exited, 1);
     EXPECT_EQ(delivered_end, 0);  // never traverses the rest of the path
+}
+
+TEST(duplex_path, sinkless_cross_traffic_fires_no_event) {
+    sim::scheduler s;
+    const auto fwd = two_hops();
+    const auto rev = one_hop();
+    duplex_path path(s, fwd, rev);
+    constexpr int k_packets = 30;  // within the 32-packet buffer
+    for (int i = 0; i < k_packets; ++i) {
+        packet p = data_packet(50, static_cast<std::uint64_t>(i));
+        p.kind = packet_kind::cross;
+        path.inject_forward(1, p);
+    }
+    s.run_until(1.0);
+    EXPECT_EQ(s.fired(), 0u);
+    // The packets still occupied the link: 30 x 1.2 ms of serialization.
+    const link_stats& st = path.forward_link(1).stats();
+    EXPECT_EQ(st.enqueued, static_cast<std::uint64_t>(k_packets));
+    EXPECT_EQ(st.delivered, static_cast<std::uint64_t>(k_packets));
+    EXPECT_NEAR(st.busy_time, k_packets * 0.0012, 1e-9);
+}
+
+TEST(duplex_path, cross_exit_handler_receives_every_packet_after_propagation) {
+    sim::scheduler s;
+    const auto fwd = two_hops();  // link 1: 10 Mbps, 10 ms
+    const auto rev = one_hop();
+    duplex_path path(s, fwd, rev);
+    std::vector<std::pair<std::uint64_t, double>> exits;
+    path.on_cross_exit(50, [&](packet p) { exits.emplace_back(p.seq, s.now()); });
+    constexpr int k_packets = 30;  // within the 32-packet buffer
+    for (int i = 0; i < k_packets; ++i) {
+        packet p = data_packet(50, static_cast<std::uint64_t>(i));
+        p.kind = packet_kind::cross;
+        path.inject_forward(1, p);
+    }
+    s.run_all();
+    ASSERT_EQ(exits.size(), static_cast<std::size_t>(k_packets));
+    EXPECT_EQ(s.fired(), static_cast<std::uint64_t>(k_packets));  // one per packet
+    for (int i = 0; i < k_packets; ++i) {
+        // Back to back: packet i departs after (i + 1) transmissions.
+        EXPECT_EQ(exits[static_cast<std::size_t>(i)].first, static_cast<std::uint64_t>(i));
+        EXPECT_NEAR(exits[static_cast<std::size_t>(i)].second, (i + 1) * 0.0012 + 0.010, 1e-9);
+    }
 }
 
 TEST(duplex_path, cross_and_end_to_end_share_the_bottleneck_queue) {

@@ -804,7 +804,7 @@ TEST_F(figure_cache, cache_of_another_seed_is_regenerated_naming_the_field) {
     const std::uint64_t before = epochs_run_.value();
     std::string err;
     const testbed::dataset data = load_capturing(cfg, file, err);
-    EXPECT_NE(err.find("seed: checkpoint=7 requested=" + std::to_string(cfg.seed)),
+    EXPECT_NE(err.find("seed: store=7 requested=" + std::to_string(cfg.seed)),
               std::string::npos)
         << err;
     EXPECT_EQ(epochs_run_.value() - before, testbed::campaign_total_epochs(cfg));
@@ -825,7 +825,7 @@ TEST_F(figure_cache, cache_of_another_simulator_revision_is_regenerated) {
     const std::uint64_t before = epochs_run_.value();
     std::string err;
     const testbed::dataset data = load_capturing(cfg, file, err);
-    EXPECT_NE(err.find("simulator_revision: checkpoint=" + older + " requested=" +
+    EXPECT_NE(err.find("simulator_revision: store=" + older + " requested=" +
                        std::to_string(testbed::k_simulator_revision)),
               std::string::npos)
         << err;

@@ -1,10 +1,10 @@
 // Randomized equivalence test for the calendar-queue scheduler: drives the
 // real scheduler and a trivially-correct reference queue with the same
 // operation stream and requires identical firing order. This pins the
-// dispatch contract (DESIGN.md §13.2) — strictly by (when, id), FIFO among
-// simultaneous events, cancellation a safe no-op at any time — which is
-// exactly the property that makes campaign CSVs byte-identical across
-// scheduler implementations.
+// dispatch contract (DESIGN.md §13.2) — strictly by (when, cause, id), by
+// cause and then FIFO among simultaneous events, cancellation a safe no-op
+// at any time — which is exactly the property that makes campaign CSVs
+// byte-identical across scheduler implementations.
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -18,11 +18,13 @@ namespace tcppred::sim {
 namespace {
 
 /// Reference priority queue with the same semantics as any correct
-/// implementation of the scheduler contract: min by (when, id) among
+/// implementation of the scheduler contract: min by (when, cause, id) among
 /// never-cancelled entries. O(n) pop by linear scan — obviously right.
 class reference_queue {
 public:
-    void schedule(double when, std::uint64_t id) { entries_.push_back({when, id, true}); }
+    void schedule(double when, double cause, std::uint64_t id) {
+        entries_.push_back({when, cause, id, true});
+    }
 
     /// Cancels a pending entry; returns false when it already fired or was
     /// already cancelled (the real scheduler must treat that as a no-op).
@@ -36,13 +38,14 @@ public:
         return false;
     }
 
-    /// Pops the (when, id)-minimum live entry; 0 when empty.
+    /// Pops the (when, cause, id)-minimum live entry; 0 when empty.
     std::uint64_t pop_min() {
         entry* best = nullptr;
         for (entry& e : entries_) {
             if (!e.alive) continue;
             if (best == nullptr || e.when < best->when ||
-                (e.when == best->when && e.id < best->id)) {
+                (e.when == best->when &&
+                 (e.cause < best->cause || (e.cause == best->cause && e.id < best->id)))) {
                 best = &e;
             }
         }
@@ -60,6 +63,7 @@ public:
 private:
     struct entry {
         double when;
+        double cause;
         std::uint64_t id;
         bool alive;
     };
@@ -77,6 +81,7 @@ TEST(scheduler_stress, randomized_firing_order_matches_reference) {
     scheduler s;
     reference_queue ref;
     std::vector<event_handle> live_handles;
+    std::uint64_t fired_id = 0;  // written by each event as it fires
 
     constexpr int k_ops = 60000;
     for (int i = 0; i < k_ops; ++i) {
@@ -87,8 +92,21 @@ TEST(scheduler_stress, randomized_firing_order_matches_reference) {
                             : u01(gen) * 10.0;                         // continuous
             if (u01(gen) < 0.02) dt = 0.0;  // schedule exactly at now()
             const double when = s.now() + dt;
-            const event_handle h = s.schedule_at(when, [] {});
-            ref.schedule(when, h.id);
+            const auto record = [&fired_id, &live_handles, slot = live_handles.size()] {
+                fired_id = live_handles[slot].id;
+            };
+            event_handle h{};
+            double cause = s.now();
+            if (u01(gen) < 0.3) {
+                // An explicit cause on the same grid, so causes tie too;
+                // some fall outside [now(), when] and are clamped.
+                cause = s.now() + 0.001 * static_cast<double>(gen() % 50);
+                h = s.schedule_at(when, cause, record);
+                cause = std::clamp(cause, s.now(), when);
+            } else {
+                h = s.schedule_at(when, record);
+            }
+            ref.schedule(when, cause, h.id);
             live_handles.push_back(h);
         } else if (dice < 0.75 && !live_handles.empty()) {
             // Cancel a random handle: maybe pending, maybe already fired —
@@ -106,6 +124,7 @@ TEST(scheduler_stress, randomized_firing_order_matches_reference) {
                 const std::uint64_t fired_before = s.fired();
                 ASSERT_TRUE(s.step());
                 EXPECT_EQ(s.fired(), fired_before + 1);
+                EXPECT_EQ(fired_id, want);
             }
         }
     }
@@ -117,6 +136,7 @@ TEST(scheduler_stress, randomized_firing_order_matches_reference) {
             break;
         }
         ASSERT_TRUE(s.step());
+        EXPECT_EQ(fired_id, want);
     }
     EXPECT_EQ(s.pending(), 0u);
 }
@@ -136,14 +156,19 @@ TEST(scheduler_stress, firing_order_is_tracked_per_event) {
 
     constexpr int k_events = 20000;
     for (int i = 0; i < k_events; ++i) {
-        // 16-slot grid => massive tie groups.
+        // 16-slot grid => massive tie groups; a third of the events carry
+        // an explicit cause on a 4-slot grid below their time, so ties
+        // split by cause before FIFO.
         const double when = 0.25 * static_cast<double>(gen() % 16);
-        event_handle h{};
-        h = s.schedule_at(when, [&real_order, &handles, slot = handles.size()] {
+        const double cause =
+            u01(gen) < 0.33 ? std::min(when, 0.25 * static_cast<double>(gen() % 4)) : 0.0;
+        const auto record = [&real_order, &handles, slot = handles.size()] {
             real_order.push_back(handles[slot].id);
-        });
+        };
+        const event_handle h =
+            cause > 0.0 ? s.schedule_at(when, cause, record) : s.schedule_at(when, record);
         handles.push_back(h);
-        ref.schedule(when, h.id);
+        ref.schedule(when, cause, h.id);
         if (u01(gen) < 0.25 && !handles.empty()) {
             const std::size_t pick = gen() % handles.size();
             s.cancel(handles[pick]);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace tcppred::sim {
@@ -110,6 +111,52 @@ TEST(scheduler, fired_counts_events) {
     for (int i = 0; i < 7; ++i) s.schedule_at(static_cast<double>(i), [] {});
     s.run_all();
     EXPECT_EQ(s.fired(), 7u);
+}
+
+TEST(scheduler, simultaneous_events_fire_by_cause_then_fifo) {
+    scheduler s;
+    std::vector<int> order;
+    s.schedule_at(2.0, 1.5, [&] { order.push_back(0); });
+    s.schedule_at(2.0, 0.5, [&] { order.push_back(1); });
+    s.schedule_at(2.0, [&] { order.push_back(2); });  // caused by now() = 0
+    s.schedule_at(2.0, 1.5, [&] { order.push_back(3); });
+    s.schedule_at(2.0, 0.5, [&] { order.push_back(4); });
+    s.schedule_at(1.0, [&] {
+        // Caused by 1.0: after every event caused earlier, before 1.5.
+        s.schedule_at(2.0, [&] { order.push_back(5); });
+    });
+    s.run_all();
+    EXPECT_EQ(order, (std::vector<int>{2, 1, 4, 5, 0, 3}));
+}
+
+TEST(scheduler, cause_is_clamped_into_now_and_when) {
+    scheduler s;
+    std::vector<double> causes;
+    const auto record = [&] { causes.push_back(s.cause()); };
+    s.schedule_at(1.0, [&] {
+        s.schedule_at(3.0, 0.25, record);  // before now(): clamped up to 1.0
+        s.schedule_at(3.0, 9.0, record);   // after `when`: clamped down to 3.0
+        s.schedule_at(3.0, 2.0, record);
+    });
+    s.run_all();
+    EXPECT_EQ(causes, (std::vector<double>{1.0, 2.0, 3.0}));
+}
+
+TEST(scheduler, cause_reports_the_dispatching_event) {
+    scheduler s;
+    EXPECT_EQ(s.cause(), std::numeric_limits<double>::infinity());
+    std::vector<double> seen;
+    s.schedule_at(1.0, [&] {
+        seen.push_back(s.cause());
+        s.schedule_in(1.0, [&] { seen.push_back(s.cause()); });
+    });
+    s.schedule_at(4.0, 3.5, [&] { seen.push_back(s.cause()); });
+    ASSERT_TRUE(s.step());
+    EXPECT_EQ(s.cause(), 0.0);  // a bare step leaves the fired event's cause
+    s.run_until(10.0);
+    EXPECT_EQ(seen, (std::vector<double>{0.0, 1.0, 3.5}));
+    // Every event at or before now() has fired: nothing pending precedes.
+    EXPECT_EQ(s.cause(), std::numeric_limits<double>::infinity());
 }
 
 TEST(scheduler, step_returns_false_when_empty) {
