@@ -55,8 +55,9 @@ int main() {
                 meas.avail_bw.value() / 1e6, meas.rtt.value() * 1e3,
                 meas.loss_rate.value());
 
-    // Both predictor families come from the registry (MSS 1460, b = 2,
-    // W = 1 MB by default — core::predictor_config to change them).
+    // Both predictor families come from the registry (MSS 1460 and b = 2
+    // fixed; W = 1 MB by default, core::predictor_config::window_bytes to
+    // change it).
     const auto fb_pred = core::make_predictor("fb:pftk");
     const core::prediction fb = fb_pred->predict(core::epoch_inputs::valid(meas));
     std::printf("FB prediction (Eq. 3): %.2f Mbps  [branch: %s]\n\n",

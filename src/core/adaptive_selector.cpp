@@ -80,15 +80,14 @@ std::string adaptive_selector::name() const {
     return "NWS-" + std::to_string(candidates_.size());
 }
 
-std::unique_ptr<adaptive_selector> adaptive_selector::standard(lso_config lso,
-                                                               double hw_beta) {
+std::unique_ptr<adaptive_selector> adaptive_selector::standard(lso_config lso) {
     const auto filter = std::make_shared<lso_filter>(lso);  // one filter for all four
     std::vector<std::unique_ptr<hb_predictor>> set;
     set.push_back(std::make_unique<lso_predictor>(std::make_unique<moving_average>(5), filter));
     set.push_back(std::make_unique<lso_predictor>(std::make_unique<moving_average>(10), filter));
     set.push_back(std::make_unique<lso_predictor>(std::make_unique<ewma>(0.5), filter));
-    set.push_back(
-        std::make_unique<lso_predictor>(std::make_unique<holt_winters>(0.8, hw_beta), filter));
+    set.push_back(std::make_unique<lso_predictor>(
+        std::make_unique<holt_winters>(0.8, holt_winters::k_spec_beta), filter));
     return std::make_unique<adaptive_selector>(std::move(set), 0.9);
 }
 

@@ -42,13 +42,11 @@ public:
     [[nodiscard]] std::size_t best_index() const;
     [[nodiscard]] std::string best_name() const;
 
-    /// The paper-standard candidate set: MA{5,10}, EWMA 0.5, HW 0.8 with
-    /// trend gain `hw_beta` — all LSO-wrapped with `lso`, sharing one filter
-    /// — raced with discount 0.9. The registry's "NWS" passes
-    /// predictor_config's lso and hw_beta, as it does for every other LSO
-    /// and HW spec.
-    [[nodiscard]] static std::unique_ptr<adaptive_selector> standard(lso_config lso = {},
-                                                                     double hw_beta = 0.2);
+    /// The paper-standard candidate set: MA{5,10}, EWMA 0.5, HW 0.8 — all
+    /// LSO-wrapped with `lso`, sharing one filter — raced with discount 0.9.
+    /// The registry's "NWS" passes predictor_config's lso, as it does for
+    /// every other LSO spec.
+    [[nodiscard]] static std::unique_ptr<adaptive_selector> standard(lso_config lso = {});
 
 private:
     struct entry {

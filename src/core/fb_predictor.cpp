@@ -1,30 +1,24 @@
 #include "core/fb_predictor.hpp"
 
-#include <algorithm>
-
 #include "core/contracts.hpp"
 
 namespace tcppred::core {
 
 fb_prediction fb_predict(const tcp_flow_params& flow, const path_measurement& m,
-                         fb_formula formula, seconds t0) {
+                         formula_kind kind, seconds t0) {
     TCPPRED_EXPECTS(m.rtt.value() > 0.0);
     TCPPRED_EXPECTS(m.avail_bw.value() >= 0.0);
     if (t0.value() <= 0.0) t0 = estimate_t0(m.rtt);
 
     fb_prediction out;
-    if (m.loss_rate.value() > 0.0) {
+    if (kind != formula_kind::min_wa && m.loss_rate.value() > 0.0) {
         out.branch = fb_branch::model_based;
-        switch (formula) {
-            case fb_formula::square_root:
-                out.throughput = square_root_throughput(flow, m.rtt, m.loss_rate);
-                break;
-            case fb_formula::pftk:
-                out.throughput = pftk_throughput(flow, m.rtt, m.loss_rate, t0);
-                break;
-            case fb_formula::pftk_full:
-                out.throughput = pftk_full_throughput(flow, m.rtt, m.loss_rate, t0);
-                break;
+        if (kind == formula_kind::square_root) {
+            out.throughput = square_root_throughput(flow, m.rtt, m.loss_rate);
+        } else if (kind == formula_kind::pftk_full) {
+            out.throughput = pftk_full_throughput(flow, m.rtt, m.loss_rate, t0);
+        } else {
+            out.throughput = pftk_throughput(flow, m.rtt, m.loss_rate, t0);
         }
         return out;
     }
@@ -38,22 +32,6 @@ fb_prediction fb_predict(const tcp_flow_params& flow, const path_measurement& m,
         out.throughput = bits_per_second{window_bound};
     }
     return out;
-}
-
-degraded_fb_predictor::degraded_fb_predictor(tcp_flow_params flow, fb_formula formula,
-                                             degraded_fb_config cfg)
-    : flow_(flow), formula_(formula), cfg_(cfg) {}
-
-std::optional<degraded_fb_predictor::outcome> degraded_fb_predictor::predict(
-    const std::optional<path_measurement>& m) {
-    if (m.has_value()) {
-        last_good_ = m;
-        staleness_ = 0;
-    } else {
-        ++staleness_;
-    }
-    if (!last_good_.has_value() || staleness_ > cfg_.max_staleness) return std::nullopt;
-    return outcome{fb_predict(flow_, *last_good_, formula_), staleness_};
 }
 
 }  // namespace tcppred::core

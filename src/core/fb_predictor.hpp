@@ -3,9 +3,6 @@
 // the a-priori probing saw no loss.
 #pragma once
 
-#include <cstddef>
-#include <optional>
-
 #include "core/fb_formulas.hpp"
 #include "core/units.hpp"
 
@@ -20,11 +17,12 @@ struct path_measurement {
     bits_per_second avail_bw{};///< Â: available bandwidth estimate
 };
 
-/// Which throughput model the lossy branch uses.
-enum class fb_formula {
-    square_root,  ///< Mathis et al. (Eq. 1)
+/// Which throughput estimate Eq. 3 makes for an epoch.
+enum class formula_kind {
+    square_root,  ///< Mathis et al. (Eq. 1) on the lossy branch
     pftk,         ///< PFTK approximation (Eq. 2) — the paper's default
     pftk_full,    ///< full/revised PFTK (§4.2.9)
+    min_wa,       ///< always min(W/T̂, Â): the lossless branch alone, p̂ ignored
 };
 
 /// Which branch of Eq. 3 produced a prediction.
@@ -41,52 +39,12 @@ struct fb_prediction {
     fb_branch branch{fb_branch::model_based};
 };
 
-/// Eq. 3 of the paper. `t0` defaults to the paper's estimate
+/// Eq. 3 of the paper with `kind` on the lossy branch; min_wa takes the
+/// lossless branch whatever p̂ is. `t0` defaults to the paper's estimate
 /// max(1 s, 2 T̂) when passed as 0.
 [[nodiscard]] fb_prediction fb_predict(const tcp_flow_params& flow,
                                        const path_measurement& m,
-                                       fb_formula formula = fb_formula::pftk,
+                                       formula_kind kind = formula_kind::pftk,
                                        seconds t0 = seconds{0.0});
-
-/// Graceful degradation around Eq. 3 for lossy measurement pipelines: when
-/// the a-priori measurement of an epoch failed (pathload non-convergence,
-/// degraded/truncated ping), fall back to the last good measurement of the
-/// same path, tracking how stale it is — and refuse to predict once the
-/// staleness exceeds a configurable bound (a prediction from arbitrarily
-/// old inputs is worse than no prediction, cf. the sparse-data regimes of
-/// Vazhkudai & Schopf and Sun et al., PAPERS.md).
-struct degraded_fb_config {
-    std::size_t max_staleness{3};  ///< max epochs a measurement may be reused
-};
-
-class degraded_fb_predictor {
-public:
-    explicit degraded_fb_predictor(tcp_flow_params flow,
-                                   fb_formula formula = fb_formula::pftk,
-                                   degraded_fb_config cfg = {});
-
-    /// A prediction plus how many epochs old its inputs are (0 = fresh).
-    struct outcome {
-        fb_prediction pred;
-        std::size_t staleness{0};
-    };
-
-    /// Advance one epoch. Pass the epoch's measurement, or nullopt when it
-    /// failed. Returns nullopt when no usable measurement exists within the
-    /// staleness bound.
-    [[nodiscard]] std::optional<outcome> predict(
-        const std::optional<path_measurement>& m);
-
-    /// Epochs since the last good measurement (0 right after one).
-    [[nodiscard]] std::size_t staleness() const noexcept { return staleness_; }
-    [[nodiscard]] const degraded_fb_config& config() const noexcept { return cfg_; }
-
-private:
-    tcp_flow_params flow_;
-    fb_formula formula_;
-    degraded_fb_config cfg_;
-    std::optional<path_measurement> last_good_;
-    std::size_t staleness_{0};
-};
 
 }  // namespace tcppred::core

@@ -7,16 +7,12 @@
 
 namespace tcppred::core {
 
-namespace {
-
-std::string trimmed_double(double v) {
+std::string spec_number(double v) {
     std::string s = std::to_string(v);
     while (!s.empty() && s.back() == '0') s.pop_back();
     if (!s.empty() && s.back() == '.') s.pop_back();
     return s;
 }
-
-}  // namespace
 
 std::unique_ptr<hb_predictor> hb_predictor::clone_empty() const {
     lso_share share;
@@ -78,7 +74,7 @@ std::unique_ptr<hb_predictor> ewma::clone_into(lso_share& /*share*/) const {
     return std::make_unique<ewma>(alpha_);
 }
 
-std::string ewma::name() const { return trimmed_double(alpha_) + "-EWMA"; }
+std::string ewma::name() const { return spec_number(alpha_) + "-EWMA"; }
 
 holt_winters::holt_winters(double alpha, double beta) : alpha_(alpha), beta_(beta) {
     if (alpha <= 0.0 || alpha >= 1.0) throw std::invalid_argument("hw: alpha in (0,1)");
@@ -125,6 +121,6 @@ std::unique_ptr<hb_predictor> holt_winters::clone_into(lso_share& /*share*/) con
     return std::make_unique<holt_winters>(alpha_, beta_);
 }
 
-std::string holt_winters::name() const { return trimmed_double(alpha_) + "-HW"; }
+std::string holt_winters::name() const { return spec_number(alpha_) + "-HW"; }
 
 }  // namespace tcppred::core

@@ -14,6 +14,11 @@ namespace tcppred::core {
 
 class lso_share;  // core/lso.hpp
 
+/// A real spec parameter as predictor names print it: std::to_string with
+/// the trailing zeros and a bare decimal point trimmed (0.8 -> "0.8",
+/// 5 -> "5").
+[[nodiscard]] std::string spec_number(double v);
+
 /// A one-step-ahead forecaster over a scalar time series.
 ///
 /// Usage: alternately call `predict()` (forecast for the *next* sample) and
@@ -123,6 +128,9 @@ private:
 /// start after two samples).
 class holt_winters final : public hb_predictor {
 public:
+    /// β of every "<α>-HW" spec and of the NWS candidate set.
+    static constexpr double k_spec_beta = 0.2;
+
     holt_winters(double alpha, double beta);
 
     void observe(double x) override;

@@ -8,18 +8,6 @@ namespace tcppred::core {
 
 namespace {
 
-fb_formula to_fb_formula(formula_kind kind) {
-    switch (kind) {
-        case formula_kind::square_root: return fb_formula::square_root;
-        case formula_kind::pftk_full: return fb_formula::pftk_full;
-        // min_wa forces p = 0, so Eq. 3 always takes the lossless branch and
-        // the lossy-branch formula choice is irrelevant.
-        case formula_kind::pftk:
-        case formula_kind::min_wa: return fb_formula::pftk;
-    }
-    return fb_formula::pftk;
-}
-
 prediction_source source_of(fb_branch branch) {
     switch (branch) {
         case fb_branch::model_based: return prediction_source::model_based;
@@ -27,16 +15,6 @@ prediction_source source_of(fb_branch branch) {
         case fb_branch::window_bound: return prediction_source::window_bound;
     }
     return prediction_source::model_based;
-}
-
-/// The measurement view Eq. 3 actually consumes for this formula kind:
-/// min_wa discards the loss estimate so the lossless min(W/T̂, Â) branch is
-/// evaluated unconditionally.
-std::optional<path_measurement> formula_view(formula_kind kind,
-                                             const epoch_inputs& in) {
-    std::optional<path_measurement> meas = in.measurement;
-    if (kind == formula_kind::min_wa && meas) meas->loss_rate = probability{0.0};
-    return meas;
 }
 
 }  // namespace
@@ -85,12 +63,8 @@ std::string history_predictor::name() const { return inner_->name(); }
 
 // ---- formula_predictor
 
-formula_predictor::formula_predictor(formula_kind kind, tcp_flow_params flow,
-                                     degraded_fb_config degraded)
-    : kind_(kind),
-      flow_(flow),
-      degraded_cfg_(degraded),
-      degraded_(flow, to_fb_formula(kind), degraded) {}
+formula_predictor::formula_predictor(formula_kind kind, tcp_flow_params flow)
+    : kind_(kind), flow_(flow) {}
 
 prediction formula_predictor::predict(const epoch_inputs& in) {
     prediction p;
@@ -100,21 +74,28 @@ prediction formula_predictor::predict(const epoch_inputs& in) {
     // failed epoch can still reuse the last good measurement.
     if (!in.measurement && !in.failed) return p;
 
-    const auto out = degraded_.predict(formula_view(kind_, in));
-    if (!out) return p;  // nothing usable within the staleness bound
-    p.value_bps = out->pred.throughput.value();
+    if (in.measurement) {
+        last_good_ = in.measurement;
+        staleness_ = 0;
+    } else {
+        ++staleness_;
+    }
+    if (!last_good_ || staleness_ > k_max_staleness) return p;  // nothing usable
+    const fb_prediction fb = fb_predict(flow_, *last_good_, kind_);
+    p.value_bps = fb.throughput.value();
     p.status = prediction_status::ok;
-    p.inputs_used.source = source_of(out->pred.branch);
-    p.inputs_used.staleness = out->staleness;
+    p.inputs_used.source = source_of(fb.branch);
+    p.inputs_used.staleness = staleness_;
     return p;
 }
 
 void formula_predictor::reset() {
-    degraded_ = degraded_fb_predictor(flow_, to_fb_formula(kind_), degraded_cfg_);
+    last_good_.reset();
+    staleness_ = 0;
 }
 
 std::unique_ptr<predictor> formula_predictor::clone_into(lso_share& /*share*/) const {
-    return std::make_unique<formula_predictor>(kind_, flow_, degraded_cfg_);
+    return std::make_unique<formula_predictor>(kind_, flow_);
 }
 
 std::string formula_predictor::name() const {
@@ -130,59 +111,55 @@ std::string formula_predictor::name() const {
 // ---- blended_predictor
 
 blended_predictor::blended_predictor(std::unique_ptr<hb_predictor> history,
-                                     double fb_weight_samples, formula_kind kind,
-                                     tcp_flow_params flow, degraded_fb_config degraded)
-    : fb_weight_samples_(fb_weight_samples),
-      kind_(kind),
-      flow_(flow),
-      degraded_cfg_(degraded),
-      degraded_(flow, to_fb_formula(kind), degraded),
-      blend_(std::move(history), fb_weight_samples) {}
+                                     double fb_weight_samples, tcp_flow_params flow)
+    : history_(std::move(history)),
+      k_(fb_weight_samples),
+      fb_(formula_kind::pftk, flow) {}
 
 prediction blended_predictor::predict(const epoch_inputs& in) {
     prediction p;
     p.inputs_used.source = prediction_source::blended;
-    p.inputs_used.history_samples = blend_.history().history_size();
+    p.inputs_used.history_samples = history_->history_size();
 
-    if (in.measurement || in.failed) {
-        const auto fb = degraded_.predict(formula_view(kind_, in));
-        blend_.set_formula_prediction(fb ? fb->pred.throughput.value()
-                                         : std::numeric_limits<double>::quiet_NaN());
-        if (fb) p.inputs_used.staleness = fb->staleness;
-    } else {
-        // No measurement side this epoch (synthetic series): blend from
-        // history alone rather than an FB estimate of some other epoch.
-        blend_.set_formula_prediction(std::numeric_limits<double>::quiet_NaN());
+    // An absent epoch leaves the FB side unavailable (and unaged): the
+    // blend then forecasts from history alone rather than from an FB
+    // estimate of some other epoch.
+    const prediction fb = fb_.predict(in);
+    if (fb.usable()) p.inputs_used.staleness = fb.inputs_used.staleness;
+    const double hb = history_->predict();
+    double forecast = std::isnan(hb) ? fb.value_bps : hb;
+    if (!std::isnan(hb) && !std::isnan(fb.value_bps)) {
+        const auto n = static_cast<double>(p.inputs_used.history_samples);
+        const double w = n / (n + k_);
+        forecast = w * hb + (1.0 - w) * fb.value_bps;
     }
-
-    const double forecast = blend_.predict();
     if (std::isnan(forecast)) return p;  // no history AND no formula input
     p.value_bps = forecast;
     p.status = prediction_status::ok;
     return p;
 }
 
-void blended_predictor::observe(double actual_bps) { blend_.observe(actual_bps); }
+void blended_predictor::observe(double actual_bps) { history_->observe(actual_bps); }
 
-void blended_predictor::observe_gap() {
-    ++gaps_;
-    blend_.observe_gap();
-}
+void blended_predictor::observe_gap() { history_->observe_gap(); }
 
 void blended_predictor::reset() {
-    blend_.reset();
-    blend_.set_formula_prediction(std::numeric_limits<double>::quiet_NaN());
-    degraded_ = degraded_fb_predictor(flow_, to_fb_formula(kind_), degraded_cfg_);
+    history_->reset();
+    fb_.reset();
 }
 
 std::unique_ptr<predictor> blended_predictor::clone_into(lso_share& share) const {
-    return std::make_unique<blended_predictor>(blend_.history().clone_into(share),
-                                               fb_weight_samples_, kind_, flow_,
-                                               degraded_cfg_);
+    return std::make_unique<blended_predictor>(history_->clone_into(share), k_, fb_.flow());
 }
 
 std::string blended_predictor::name() const {
-    return "hybrid:" + blend_.history().name();
+    std::string out = "hybrid:";
+    out += history_->name();
+    if (k_ != k_default_fb_weight_samples) {
+        out += ':';
+        out += spec_number(k_);
+    }
+    return out;
 }
 
 }  // namespace tcppred::core

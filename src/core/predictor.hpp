@@ -1,4 +1,4 @@
-// The unified predictor interface: formula-based (Eq. 3 with staleness
+// The unified predictor interface: formula-based (Eq. 3 with its staleness
 // fallback), the history-based family (MA/EWMA/HW/AR, with and without
 // LSO), the NWS-style adaptive selector, and the hybrid FB+HB scheme all
 // implement the same streaming contract, so one evaluation engine
@@ -29,7 +29,6 @@
 
 #include "core/fb_predictor.hpp"
 #include "core/hb_predictors.hpp"
-#include "core/hybrid_predictor.hpp"
 
 namespace tcppred::core {
 
@@ -162,22 +161,21 @@ private:
     std::unique_ptr<hb_predictor> inner_;
 };
 
-/// Which throughput estimate the formula predictor uses for an epoch.
-enum class formula_kind {
-    square_root,  ///< Mathis et al. (Eq. 1) on the lossy branch
-    pftk,         ///< PFTK approximation (Eq. 2) — the paper's default
-    pftk_full,    ///< full/revised PFTK (§4.2.9)
-    min_wa,       ///< always min(W/T̂, Â): the lossless branch of Eq. 3 alone
-};
-
-/// The formula-based predictor of Eq. 3 behind the unified interface,
-/// including the measurement-fault staleness fallback
-/// (core::degraded_fb_predictor). observe()/observe_gap() are no-ops: FB
-/// prediction never looks at past throughput.
+/// The formula-based predictor of Eq. 3 behind the unified interface, with
+/// its fallback for lossy measurement pipelines: an epoch whose a-priori
+/// measurement failed (pathload non-convergence, degraded/truncated ping)
+/// reuses the last good measurement of its series, for at most
+/// k_max_staleness epochs; past that it predicts nothing, since a forecast
+/// from arbitrarily old inputs is worse than none (cf. the sparse-data
+/// regimes of Vazhkudai & Schopf and Sun et al., PAPERS.md).
+/// observe()/observe_gap() are no-ops: FB prediction never looks at past
+/// throughput.
 class formula_predictor final : public predictor {
 public:
-    formula_predictor(formula_kind kind, tcp_flow_params flow,
-                      degraded_fb_config degraded = {});
+    /// Epochs a measurement may be reused after the one it was taken in.
+    static constexpr std::size_t k_max_staleness = 3;
+
+    formula_predictor(formula_kind kind, tcp_flow_params flow);
 
     [[nodiscard]] prediction predict(const epoch_inputs& in) override;
     void observe(double) override {}
@@ -186,43 +184,50 @@ public:
     [[nodiscard]] std::unique_ptr<predictor> clone_into(lso_share& share) const override;
     [[nodiscard]] std::string name() const override;
 
-    [[nodiscard]] formula_kind kind() const noexcept { return kind_; }
     [[nodiscard]] const tcp_flow_params& flow() const noexcept { return flow_; }
 
 private:
     formula_kind kind_;
     tcp_flow_params flow_;
-    degraded_fb_config degraded_cfg_;
-    degraded_fb_predictor degraded_;
+    std::optional<path_measurement> last_good_;
+    std::size_t staleness_{0};  ///< epochs since last_good_ was measured
 };
 
-/// The hybrid FB+HB scheme (§7 future work) behind the unified interface:
-/// an FB estimate computed from the epoch's measurement view (with the same
-/// staleness fallback as formula_predictor) blended with an HB forecast,
-/// weighted by how much history exists (core::hybrid_predictor).
+/// The hybrid FB+HB scheme, the first item on the paper's future-work list
+/// (§7): "examine hybrid predictors, which rely on TCP models as well as on
+/// recent history". The forecast blends the epoch's Eq. 3 estimate (a PFTK
+/// formula_predictor, staleness fallback included) with the HB forecast,
+/// weighting history by how much of it exists:
+///
+///   forecast = w * HB + (1 - w) * FB,     w = n / (n + k)
+///
+/// where n is the history length and k the length at which HB and FB weigh
+/// equally. With no history the hybrid IS the FB predictor; with a long one
+/// the FB input only nudges it; with no FB estimate it is the HB forecast.
 class blended_predictor final : public predictor {
 public:
+    /// k of a "hybrid:<hb-spec>" spec that names none.
+    static constexpr double k_default_fb_weight_samples = 3.0;
+
+    /// @param history            the HB component (takes ownership)
+    /// @param fb_weight_samples  k (must be > 0)
     blended_predictor(std::unique_ptr<hb_predictor> history, double fb_weight_samples,
-                      formula_kind kind, tcp_flow_params flow,
-                      degraded_fb_config degraded = {});
+                      tcp_flow_params flow);
 
     [[nodiscard]] prediction predict(const epoch_inputs& in) override;
     void observe(double actual_bps) override;
     void observe_gap() override;
     void reset() override;
     [[nodiscard]] std::unique_ptr<predictor> clone_into(lso_share& share) const override;
+    /// "hybrid:<hb-spec>", plus ":<k>" when k is not the default.
     [[nodiscard]] std::string name() const override;
 
-    [[nodiscard]] const hybrid_predictor& blend() const noexcept { return blend_; }
+    [[nodiscard]] const hb_predictor& history() const noexcept { return *history_; }
 
 private:
-    double fb_weight_samples_;
-    formula_kind kind_;
-    tcp_flow_params flow_;
-    degraded_fb_config degraded_cfg_;
-    degraded_fb_predictor degraded_;
-    hybrid_predictor blend_;
-    std::size_t gaps_{0};
+    std::unique_ptr<hb_predictor> history_;
+    double k_;
+    formula_predictor fb_;
 };
 
 }  // namespace tcppred::core

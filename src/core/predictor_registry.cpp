@@ -59,7 +59,7 @@ formula_kind parse_formula(const std::string& what, const std::string& spec) {
 std::unique_ptr<hb_predictor> parse_hb(const std::string& hb_spec,
                                        const std::string& spec,
                                        const predictor_config& cfg) {
-    if (hb_spec == "NWS") return adaptive_selector::standard(cfg.lso, cfg.hw_beta);
+    if (hb_spec == "NWS") return adaptive_selector::standard(cfg.lso);
 
     const bool with_lso = hb_spec.size() > 4 && hb_spec.ends_with("-LSO");
     const std::string base = with_lso ? hb_spec.substr(0, hb_spec.size() - 4) : hb_spec;
@@ -80,7 +80,8 @@ std::unique_ptr<hb_predictor> parse_hb(const std::string& hb_spec,
         } else if (kind == "EWMA") {
             inner = std::make_unique<ewma>(parse_real(param, spec));
         } else if (kind == "HW") {
-            inner = std::make_unique<holt_winters>(parse_real(param, spec), cfg.hw_beta);
+            inner = std::make_unique<holt_winters>(parse_real(param, spec),
+                                                   holt_winters::k_spec_beta);
         } else if (kind == "AR") {
             inner = std::make_unique<ar_predictor>(parse_count(param, spec));
         } else {
@@ -105,26 +106,23 @@ std::unique_ptr<predictor> make_predictor(const std::string& spec,
                                           const predictor_config& cfg) {
     if (spec.empty()) throw predictor_spec_error(spec, "empty spec");
 
-    tcp_flow_params flow = cfg.flow;
+    tcp_flow_params flow;
     flow.max_window = bytes{static_cast<double>(cfg.window_bytes)};
 
     if (spec == "fb" || spec.starts_with("fb:")) {
         const std::string what = spec == "fb" ? "" : spec.substr(3);
-        return std::make_unique<formula_predictor>(parse_formula(what, spec), flow,
-                                                   cfg.degraded);
+        return std::make_unique<formula_predictor>(parse_formula(what, spec), flow);
     }
 
     if (spec.starts_with("hybrid:")) {
         std::string rest = spec.substr(7);
-        double k = cfg.hybrid_fb_weight_samples;
+        double k = blended_predictor::k_default_fb_weight_samples;
         if (const auto colon = rest.rfind(':'); colon != std::string::npos) {
             k = parse_real(rest.substr(colon + 1), spec);
             rest = rest.substr(0, colon);
         }
         if (k <= 0.0) throw predictor_spec_error(spec, "hybrid k must be positive");
-        return std::make_unique<blended_predictor>(parse_hb(rest, spec, cfg), k,
-                                                   formula_kind::pftk, flow,
-                                                   cfg.degraded);
+        return std::make_unique<blended_predictor>(parse_hb(rest, spec, cfg), k, flow);
     }
 
     return std::make_unique<history_predictor>(parse_hb(spec, spec, cfg));

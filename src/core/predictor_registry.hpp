@@ -16,7 +16,8 @@
 //       adaptive selection racing the standard candidate set.
 //   hybrid:<hb-spec> | hybrid:<hb-spec>:<k>
 //       FB+HB blend (§7): e.g. "hybrid:0.8-HW-LSO", "hybrid:10-MA:5".
-//       k = history length at which HB and FB weigh equally.
+//       k = history length at which HB and FB weigh equally (default 3);
+//       the canonical name carries a k other than 3.
 //
 // Malformed or unknown specs throw predictor_spec_error, which carries the
 // offending spec (tools map it to exit code 2).
@@ -27,8 +28,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/fb_formulas.hpp"
-#include "core/fb_predictor.hpp"
 #include "core/lso.hpp"
 #include "core/predictor.hpp"
 
@@ -48,18 +47,17 @@ private:
     std::string spec_;
 };
 
-/// Shared parameters a spec string does not encode: the modelled TCP flow,
-/// the prediction window, fallback/LSO tuning. One config serves every spec
-/// in an evaluation, so "fb:pftk" and "10-MA-LSO" are compared under the
-/// same assumptions.
+/// Shared parameters a spec string does not encode: the sender window W and
+/// the LSO tuning. One config serves every spec in an evaluation, so
+/// "fb:pftk" and "10-MA-LSO" are compared under the same assumptions. The
+/// rest are constants: the flow's M and b (tcp_flow_params), the FB
+/// staleness bound (formula_predictor::k_max_staleness), HW's trend gain
+/// (holt_winters::k_spec_beta) and the hybrid's default k
+/// (blended_predictor::k_default_fb_weight_samples).
 struct predictor_config {
-    tcp_flow_params flow{};
-    /// Sender window W for Eq. 3's W/T̂ bound; overrides flow.max_window.
+    /// Sender window W for Eq. 3's W/T̂ bound.
     std::uint64_t window_bytes{1 << 20};
-    degraded_fb_config degraded{};  ///< FB staleness fallback bound
-    lso_config lso{};               ///< parameters for "-LSO"-wrapped specs
-    double hw_beta{0.2};            ///< trend gain for "<a>-HW" specs
-    double hybrid_fb_weight_samples{3.0};  ///< default k for "hybrid:" specs
+    lso_config lso{};  ///< parameters for "-LSO"-wrapped specs
 };
 
 /// Build a predictor from its spec string (grammar above). Throws

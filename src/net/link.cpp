@@ -144,9 +144,12 @@ bool link::enqueue(packet p, bool deliver) {
     if (deliver) {
         // Caused by the departure: among same-instant events it takes the
         // slot of a delivery scheduled at the departure (DESIGN.md §13.2).
-        sched_->schedule_at(departs + prop_delay_, departs, [this, p] {
+        auto delivery = [this, p] {
             if (sink_) sink_(p);
-        });
+        };
+        static_assert(sim::small_callback::fits_inline<decltype(delivery)>,
+                      "a delivery must not spill to the heap: grow k_inline_bytes");
+        sched_->schedule_at(departs + prop_delay_, departs, std::move(delivery));
     }
     return true;
 }

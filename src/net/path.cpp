@@ -1,8 +1,24 @@
 #include "net/path.hpp"
 
+#include <type_traits>
+#include <utility>
+
 #include "core/contracts.hpp"
 
 namespace tcppred::net {
+
+namespace {
+
+/// Schedule one of the shared-link conduit's [this, packet] hops, which
+/// every packet of a shared-link flow takes: it must stay inline.
+template <typename F>
+void hop(sim::scheduler& sched, double delay, F&& fn) {
+    static_assert(sim::small_callback::fits_inline<std::decay_t<F>>,
+                  "a conduit hop must not spill to the heap: grow k_inline_bytes");
+    sched.schedule_in(delay, std::forward<F>(fn));
+}
+
+}  // namespace
 
 duplex_path::duplex_path(sim::scheduler& sched, std::span<const hop_config> forward,
                          std::span<const hop_config> reverse)
@@ -94,18 +110,18 @@ shared_link_conduit::shared_link_conduit(sim::scheduler& sched, duplex_path& pat
       ack_delay_(ack_delay.value()) {
     TCPPRED_EXPECTS(access_delay_ >= 0.0 && egress_delay_ >= 0.0 && ack_delay_ >= 0.0);
     path_->on_cross_exit(flow_, [this](packet p) {
-        sched_->schedule_in(egress_delay_, [this, p] {
+        hop(*sched_, egress_delay_, [this, p] {
             if (data_handler_) data_handler_(p);
         });
     });
 }
 
 void shared_link_conduit::send_data(packet p) {
-    sched_->schedule_in(access_delay_, [this, p] { path_->inject_forward(link_index_, p); });
+    hop(*sched_, access_delay_, [this, p] { path_->inject_forward(link_index_, p); });
 }
 
 void shared_link_conduit::send_ack(packet p) {
-    sched_->schedule_in(ack_delay_, [this, p] {
+    hop(*sched_, ack_delay_, [this, p] {
         if (ack_handler_) ack_handler_(p);
     });
 }

@@ -18,9 +18,16 @@ class small_callback {
 public:
     /// Inline capture capacity. Sized for the largest steady-state capture
     /// in the simulator: a lambda holding `this` plus a net::packet by value
-    /// (8 + 56 bytes). Checked by static_asserts at the capture sites that
-    /// matter (net/link.cpp) and by tests/scheduler_test.cpp.
+    /// (8 + 56 bytes). The capture sites that matter static_assert
+    /// fits_inline — net/link.cpp's delivery and net/path.cpp's shared-link
+    /// conduit hops — so a net::packet grown past 72 bytes fails to compile
+    /// instead of moving every delivery callback to the heap.
     static constexpr std::size_t k_inline_bytes = 80;
+
+    /// Whether a callable of type F is held inline (no heap allocation).
+    template <typename F>
+    static constexpr bool fits_inline =
+        sizeof(F) <= k_inline_bytes && alignof(F) <= alignof(std::max_align_t);
 
     small_callback() noexcept = default;
 
@@ -30,8 +37,7 @@ public:
                   std::is_invocable_r_v<void, std::decay_t<F>&>>>
     small_callback(F&& f) {  // NOLINT(google-explicit-constructor): callback sink
         using fn = std::decay_t<F>;
-        if constexpr (sizeof(fn) <= k_inline_bytes &&
-                      alignof(fn) <= alignof(std::max_align_t)) {
+        if constexpr (fits_inline<fn>) {
             ::new (static_cast<void*>(storage_)) fn(std::forward<F>(f));
             vt_ = &vtable_inline<fn>;
         } else {

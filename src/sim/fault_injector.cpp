@@ -30,17 +30,16 @@ double parse_rate(std::string_view key, std::string_view value) {
 }
 
 struct knob {
-    std::string_view key;   ///< spec key
-    const char* env;        ///< per-field environment override
+    std::string_view key;  ///< spec key
     double fault_profile::*field;
 };
 
 constexpr knob k_knobs[] = {
-    {"pathload", "REPRO_FAULT_PATHLOAD", &fault_profile::pathload_fail},
-    {"ping-timeout", "REPRO_FAULT_PING_TIMEOUT", &fault_profile::ping_timeout_rate},
-    {"ping-truncate", "REPRO_FAULT_PING_TRUNCATE", &fault_profile::ping_truncate},
-    {"abort", "REPRO_FAULT_ABORT", &fault_profile::transfer_abort},
-    {"outage", "REPRO_FAULT_OUTAGE", &fault_profile::outage},
+    {"pathload", &fault_profile::pathload_fail},
+    {"ping-timeout", &fault_profile::ping_timeout_rate},
+    {"ping-truncate", &fault_profile::ping_truncate},
+    {"abort", &fault_profile::transfer_abort},
+    {"outage", &fault_profile::outage},
 };
 
 }  // namespace
@@ -94,15 +93,8 @@ fault_profile fault_profile::parse(std::string_view spec) {
 }
 
 fault_profile fault_profile::from_env() {
-    fault_profile p;
-    if (const char* spec = std::getenv("REPRO_FAULTS")) p = parse(spec);  // NOLINT(concurrency-mt-unsafe)
-    for (const knob& k : k_knobs) {
-        if (const char* v = std::getenv(k.env)) p.*k.field = parse_rate(k.key, v);  // NOLINT(concurrency-mt-unsafe)
-    }
-    if (const char* v = std::getenv("REPRO_FAULT_SEED")) {  // NOLINT(concurrency-mt-unsafe)
-        p.seed = core::parse_checked_u64("REPRO_FAULT_SEED", v, 0, UINT64_MAX);
-    }
-    return p;
+    if (const char* spec = std::getenv("REPRO_FAULTS")) return parse(spec);  // NOLINT(concurrency-mt-unsafe)
+    return {};
 }
 
 epoch_fault_plan plan_epoch_faults(const fault_profile& profile,

@@ -46,10 +46,8 @@ struct fault_profile {
     /// Unknown keys or rates outside [0,1] throw std::invalid_argument.
     [[nodiscard]] static fault_profile parse(std::string_view spec);
 
-    /// Profile from the environment: $REPRO_FAULTS (a spec as above),
-    /// overridden field-wise by $REPRO_FAULT_PATHLOAD, $REPRO_FAULT_PING_TIMEOUT,
-    /// $REPRO_FAULT_PING_TRUNCATE, $REPRO_FAULT_ABORT, $REPRO_FAULT_OUTAGE and
-    /// $REPRO_FAULT_SEED. Unset everything -> disabled profile.
+    /// Profile from the environment: $REPRO_FAULTS, a spec as above. Unset
+    /// -> disabled profile.
     [[nodiscard]] static fault_profile from_env();
 };
 

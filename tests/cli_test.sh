@@ -38,8 +38,8 @@ check_exit "campaign bad --faults spec" 1 $?
 check_exit "campaign --faults seed=12x" 1 $?
 "$CAMPAIGN" $TINY --out "$WORK/x.csv" --faults "pathload=0.5,seed=-1" >/dev/null 2>&1
 check_exit "campaign --faults seed=-1" 1 $?
-REPRO_FAULT_SEED=7zz "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>&1
-check_exit "campaign REPRO_FAULT_SEED=7zz" 1 $?
+REPRO_FAULTS=seed=7zz "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>&1
+check_exit "campaign REPRO_FAULTS=seed=7zz" 1 $?
 REPRO_CHAOS=seed=7zz "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>&1
 check_exit "campaign REPRO_CHAOS=seed=7zz" 1 $?
 # Chaos kills only: a wedged process has no observer to notice it.

@@ -349,6 +349,37 @@ TEST(engine_golden, campaign1_tiny_faulted_full_mix) {
                                     0x5763bfeacda07be9}));
 }
 
+// FB-kind goldens: the option variants over the three lossy-branch choices
+// the goldens above do not run (fb:pftk is in every mix), captured before
+// the staleness fallback and the min(W/T̂, Â)-only kind moved into
+// formula_predictor and fb_predict, so they pin that the move changed no
+// output.
+
+const std::vector<std::string> k_other_fb_kinds{"fb:sqrt", "fb:pftk-full", "fb:minwa"};
+
+TEST(engine_golden, campaign1_tiny_fb_kinds) {
+    const auto data = csv_round_trip(
+        testbed::run_campaign(testbed::campaign1_config(testbed::campaign_scale::tiny)),
+        "engine_golden_c1_fb_kinds.csv");
+    check_variants(data, k_other_fb_kinds,
+                   option_variants({0xf61a59c6c578b108, 0x9065be973c793315,
+                                    0xa4c813249503edd0, 0x3debcb540ddd60b1,
+                                    0x12df864b91e5a7dd, 0x3f85dd8aa2f49fae,
+                                    0xcb2d969b1d13d1e2}));
+}
+
+TEST(engine_golden, campaign1_tiny_faulted_fb_kinds) {
+    auto cfg = testbed::campaign1_config(testbed::campaign_scale::tiny);
+    cfg.faults = sim::fault_profile::parse("pathload=0.3,abort=0.2");
+    const auto data = csv_round_trip(testbed::run_campaign(cfg),
+                                     "engine_golden_c1_faulted_fb_kinds.csv");
+    check_variants(data, k_other_fb_kinds,
+                   option_variants({0xf1bd16969ef2b339, 0xca1fd6ae8a9c81a0,
+                                    0x88b43bd2295481fe, 0xe7c1a9c58868c4b4,
+                                    0x25764d4d524ff921, 0x807f5d3884be2792,
+                                    0xf6684f0271025883}));
+}
+
 // The simulator revision. testbed::k_simulator_revision rides in every
 // campaign fingerprint, so journals, stores and figure caches written by
 // code of another revision are refused. It must move with the simulator's

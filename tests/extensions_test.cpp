@@ -1,5 +1,6 @@
 // Tests for the extension layer: AR(p) forecasting, the hybrid FB+HB
-// predictor, the NWS-style adaptive selector, and loss-event collapsing.
+// predictor (through the registry), the NWS-style adaptive selector, and
+// loss-event collapsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,10 +8,10 @@
 
 #include "core/adaptive_selector.hpp"
 #include "core/ar_predictor.hpp"
-#include "core/hybrid_predictor.hpp"
 #include "core/loss_events.hpp"
 #include "core/lso.hpp"
 #include "core/predictor.hpp"
+#include "core/predictor_registry.hpp"
 #include "sim/rng.hpp"
 
 #include "analysis/evaluation.hpp"
@@ -96,48 +97,58 @@ TEST(ar_predictor_class, forecast_is_never_negative) {
 
 // ---------- hybrid FB+HB ----------
 
+/// A lossless measurement whose Eq. 3 forecast is exactly `bps`: Â sits far
+/// below the window bound W/T̂ (about 140 Mbit/s at W = 1 MB, T̂ = 60 ms).
+epoch_inputs fb_says(double bps) {
+    return epoch_inputs::valid(
+        path_measurement{probability{0.0}, seconds{0.060}, bits_per_second{bps}});
+}
+
 TEST(hybrid, uses_fb_when_no_history) {
-    hybrid_predictor h(std::make_unique<moving_average>(10));
-    EXPECT_TRUE(std::isnan(h.predict()));
-    h.set_formula_prediction(5e6);
-    EXPECT_DOUBLE_EQ(h.predict(), 5e6);
-    EXPECT_DOUBLE_EQ(h.history_weight(), 0.0);
+    const auto h = make_predictor("hybrid:10-MA");
+    EXPECT_FALSE(h->predict(epoch_inputs::absent()).usable());
+    const prediction p = h->predict(fb_says(5e6));
+    ASSERT_TRUE(p.usable());
+    EXPECT_DOUBLE_EQ(p.value_bps, 5e6);
+    EXPECT_EQ(p.inputs_used.history_samples, 0u);
 }
 
 TEST(hybrid, converges_to_hb_with_history) {
-    hybrid_predictor h(std::make_unique<moving_average>(10), 2.0);
-    h.set_formula_prediction(10e6);
-    for (int i = 0; i < 50; ++i) h.observe(2e6);
+    const auto h = make_predictor("hybrid:10-MA:2");
+    for (int i = 0; i < 50; ++i) {
+        (void)h->predict(fb_says(10e6));
+        h->observe(2e6);
+    }
     // weight = n/(n+k) with n = 50 observations: w = 50/52.
-    EXPECT_NEAR(h.predict(), 50.0 / 52.0 * 2e6 + 2.0 / 52.0 * 10e6, 1.0);
-    EXPECT_GT(h.history_weight(), 0.9);
+    EXPECT_NEAR(h->predict(fb_says(10e6)).value_bps,
+                50.0 / 52.0 * 2e6 + 2.0 / 52.0 * 10e6, 1.0);
 }
 
 TEST(hybrid, works_without_fb_input) {
-    hybrid_predictor h(std::make_unique<moving_average>(5));
-    h.observe(3e6);
-    EXPECT_DOUBLE_EQ(h.predict(), 3e6);
+    const auto h = make_predictor("hybrid:5-MA");
+    h->observe(3e6);
+    const prediction p = h->predict(epoch_inputs::absent());
+    ASSERT_TRUE(p.usable());
+    EXPECT_DOUBLE_EQ(p.value_bps, 3e6);
 }
 
 TEST(hybrid, blends_between_the_two) {
-    hybrid_predictor h(std::make_unique<moving_average>(10), 3.0);
-    h.set_formula_prediction(8e6);
-    h.observe(2e6);  // w = 1/4
-    EXPECT_NEAR(h.predict(), 0.25 * 2e6 + 0.75 * 8e6, 1.0);
+    const auto h = make_predictor("hybrid:10-MA:3");
+    (void)h->predict(fb_says(8e6));
+    h->observe(2e6);  // w = 1/4
+    EXPECT_NEAR(h->predict(fb_says(8e6)).value_bps, 0.25 * 2e6 + 0.75 * 8e6, 1.0);
 }
 
-TEST(hybrid, reset_forgets_history_keeps_fb) {
-    hybrid_predictor h(std::make_unique<moving_average>(5));
-    h.set_formula_prediction(6e6);
-    h.observe(1e6);
-    h.reset();
-    EXPECT_DOUBLE_EQ(h.predict(), 6e6);
-}
-
-TEST(hybrid, rejects_bad_construction) {
-    EXPECT_THROW(hybrid_predictor(nullptr), std::invalid_argument);
-    EXPECT_THROW(hybrid_predictor(std::make_unique<moving_average>(5), 0.0),
-                 std::invalid_argument);
+TEST(hybrid, reset_forgets_history_and_the_fb_fallback) {
+    const auto h = make_predictor("hybrid:5-MA");
+    (void)h->predict(fb_says(6e6));
+    h->observe(1e6);
+    h->reset();
+    // No last good measurement to reuse and no history: nothing to forecast.
+    EXPECT_FALSE(h->predict(epoch_inputs::failed_measurement()).usable());
+    const prediction p = h->predict(fb_says(6e6));
+    EXPECT_DOUBLE_EQ(p.value_bps, 6e6);
+    EXPECT_EQ(p.inputs_used.history_samples, 0u);
 }
 
 // ---------- adaptive selector (NWS-style) ----------

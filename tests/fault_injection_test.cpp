@@ -81,11 +81,11 @@ TEST(fault_profile, seed_is_a_whole_unsigned_token) {
         EXPECT_THROW(static_cast<void>(fault_profile::parse(bad)), std::invalid_argument)
             << bad;
     }
-    ::setenv("REPRO_FAULT_SEED", "7zz", 1);
+    ::setenv("REPRO_FAULTS", "seed=7zz", 1);
     EXPECT_THROW(static_cast<void>(fault_profile::from_env()), std::invalid_argument);
-    ::setenv("REPRO_FAULT_SEED", "-1", 1);
+    ::setenv("REPRO_FAULTS", "seed=-1", 1);
     EXPECT_THROW(static_cast<void>(fault_profile::from_env()), std::invalid_argument);
-    ::unsetenv("REPRO_FAULT_SEED");
+    ::unsetenv("REPRO_FAULTS");
 }
 
 TEST(chaos_profile, seed_is_a_whole_unsigned_token) {
@@ -130,16 +130,12 @@ TEST(chaos_plan, kill_schedules_are_pinned) {
     EXPECT_EQ(kills("off", 0), v{});
 }
 
-TEST(fault_profile, from_env_reads_spec_and_field_overrides) {
-    ::setenv("REPRO_FAULTS", "pathload=0.2,abort=0.1", 1);
-    ::setenv("REPRO_FAULT_ABORT", "0.5", 1);
-    ::setenv("REPRO_FAULT_SEED", "123", 1);
+TEST(fault_profile, from_env_reads_the_spec) {
+    ::setenv("REPRO_FAULTS", "pathload=0.2,abort=0.5,seed=123", 1);
     const fault_profile p = fault_profile::from_env();
     ::unsetenv("REPRO_FAULTS");
-    ::unsetenv("REPRO_FAULT_ABORT");
-    ::unsetenv("REPRO_FAULT_SEED");
     EXPECT_DOUBLE_EQ(p.pathload_fail, 0.2);
-    EXPECT_DOUBLE_EQ(p.transfer_abort, 0.5);  // field override beats the spec
+    EXPECT_DOUBLE_EQ(p.transfer_abort, 0.5);
     EXPECT_EQ(p.seed, 123u);
 
     EXPECT_FALSE(fault_profile::from_env().enabled()) << "clean env means no faults";
@@ -276,7 +272,7 @@ TEST(epoch_faults, outage_flags_and_degrades_throughput) {
 // in the checkpoint were produced under the old profile, and mixing them
 // with epochs from a new one silently corrupts the dataset. The fingerprint
 // embeds fault_profile::spec(), which canonically encodes every knob the
-// $REPRO_FAULT_* environment can set.
+// $REPRO_FAULTS environment can set.
 
 TEST(checkpoint_fingerprint, covers_every_fault_profile_knob) {
     testbed::campaign_config base;
@@ -328,7 +324,7 @@ TEST(checkpoint_fingerprint, resume_under_changed_fault_knob_is_rejected) {
     cfg.paths = 1;
     cfg.traces_per_path = 1;
     cfg.epochs_per_trace = 2;
-    cfg.faults.ping_timeout_rate = 0.05;  // as if REPRO_FAULT_PING_TIMEOUT=0.05
+    cfg.faults.ping_timeout_rate = 0.05;  // as if REPRO_FAULTS=ping-timeout=0.05
 
     const std::filesystem::path file =
         std::filesystem::temp_directory_path() / "tcppred_fp_test.ckpt";

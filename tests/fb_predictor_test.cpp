@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/contracts.hpp"
 #include "core/metrics.hpp"
+#include "core/predictor_registry.hpp"
 
 namespace tcppred::core {
 namespace {
@@ -50,17 +53,24 @@ TEST(fb_predict, custom_t0_is_respected) {
     const path_measurement m = measurement(0.02, 0.060, 0.0);
     const double with_default = fb_predict(k_flow, m).throughput.value();  // T0 = 1 s
     const double with_longer =
-        fb_predict(k_flow, m, fb_formula::pftk, seconds{3.0}).throughput.value();
+        fb_predict(k_flow, m, formula_kind::pftk, seconds{3.0}).throughput.value();
     EXPECT_GT(with_default, with_longer);
 }
 
 TEST(fb_predict, formula_selector_switches_models) {
     const path_measurement m = measurement(0.05, 0.080, 0.0);
-    const double sq = fb_predict(k_flow, m, fb_formula::square_root).throughput.value();
-    const double pftk = fb_predict(k_flow, m, fb_formula::pftk).throughput.value();
-    const double full = fb_predict(k_flow, m, fb_formula::pftk_full).throughput.value();
+    const double sq = fb_predict(k_flow, m, formula_kind::square_root).throughput.value();
+    const double pftk = fb_predict(k_flow, m, formula_kind::pftk).throughput.value();
+    const double full = fb_predict(k_flow, m, formula_kind::pftk_full).throughput.value();
     EXPECT_GT(sq, pftk);  // square-root ignores timeouts
     EXPECT_NE(pftk, full);
+}
+
+TEST(fb_predict, minwa_ignores_the_loss_estimate) {
+    const path_measurement m = measurement(0.05, 0.060, 5e6);
+    const fb_prediction pred = fb_predict(k_flow, m, formula_kind::min_wa);
+    EXPECT_EQ(pred.branch, fb_branch::avail_bw);
+    EXPECT_DOUBLE_EQ(pred.throughput.value(), 5e6);
 }
 
 TEST(fb_predict, contract_rejects_nonpositive_rtt) {
@@ -70,6 +80,71 @@ TEST(fb_predict, contract_rejects_nonpositive_rtt) {
 #else
     GTEST_SKIP() << "contract checks compiled out (Release without REPRO_CHECKS)";
 #endif
+}
+
+// ---- the staleness fallback around Eq. 3 ----------------------------------
+// A failed a-priori measurement reuses the path's last good one for at most
+// three epochs; older inputs give no forecast at all.
+
+TEST(fb_staleness, reuses_the_last_good_measurement_up_to_the_bound) {
+    const auto fb = make_predictor("fb:pftk");
+    const path_measurement m = measurement(0.01, 0.060, 5e6);
+    const prediction fresh = fb->predict(epoch_inputs::valid(m));
+    ASSERT_TRUE(fresh.usable());
+    EXPECT_EQ(fresh.inputs_used.staleness, 0u);
+    for (std::size_t age = 1; age <= 3; ++age) {
+        const prediction stale = fb->predict(epoch_inputs::failed_measurement());
+        ASSERT_TRUE(stale.usable()) << "age " << age;
+        EXPECT_EQ(stale.inputs_used.staleness, age);
+        EXPECT_EQ(stale.inputs_used.source, prediction_source::model_based);
+        EXPECT_EQ(stale.value_bps, fresh.value_bps);
+    }
+    const prediction expired = fb->predict(epoch_inputs::failed_measurement());
+    EXPECT_EQ(expired.status, prediction_status::unavailable);
+    EXPECT_TRUE(std::isnan(expired.value_bps));
+    // A good measurement restarts the count.
+    const prediction again = fb->predict(epoch_inputs::valid(m));
+    ASSERT_TRUE(again.usable());
+    EXPECT_EQ(again.inputs_used.staleness, 0u);
+}
+
+TEST(fb_staleness, an_absent_epoch_does_not_age_the_fallback) {
+    const auto fb = make_predictor("fb:pftk");
+    ASSERT_TRUE(fb->predict(epoch_inputs::valid(measurement(0.01, 0.060, 5e6))).usable());
+    EXPECT_EQ(fb->predict(epoch_inputs::failed_measurement()).inputs_used.staleness, 1u);
+    EXPECT_EQ(fb->predict(epoch_inputs::absent()).status, prediction_status::unavailable);
+    EXPECT_EQ(fb->predict(epoch_inputs::failed_measurement()).inputs_used.staleness, 2u);
+    EXPECT_EQ(fb->predict(epoch_inputs::failed_measurement()).inputs_used.staleness, 3u);
+    EXPECT_EQ(fb->predict(epoch_inputs::failed_measurement()).status,
+              prediction_status::unavailable);
+}
+
+TEST(fb_staleness, nothing_to_fall_back_on_before_a_good_measurement) {
+    const auto fb = make_predictor("fb:pftk");
+    EXPECT_EQ(fb->predict(epoch_inputs::failed_measurement()).status,
+              prediction_status::unavailable);
+}
+
+TEST(fb_staleness, hybrid_forecasts_from_history_alone_past_the_bound) {
+    const path_measurement m = measurement(0.01, 0.060, 5e6);
+    const double fb_bps = make_predictor("fb:pftk")->predict(epoch_inputs::valid(m)).value_bps;
+    const auto hybrid = make_predictor("hybrid:10-MA");
+    ASSERT_TRUE(hybrid->predict(epoch_inputs::valid(m)).usable());
+    hybrid->observe(2e6);
+    for (std::size_t age = 1; age <= 3; ++age) {
+        const prediction p = hybrid->predict(epoch_inputs::failed_measurement());
+        ASSERT_TRUE(p.usable()) << "age " << age;
+        EXPECT_EQ(p.inputs_used.staleness, age);
+        const double w = static_cast<double>(age) / (static_cast<double>(age) + 3.0);
+        EXPECT_DOUBLE_EQ(p.value_bps, w * 2e6 + (1.0 - w) * fb_bps);
+        hybrid->observe(2e6);
+    }
+    const prediction past = hybrid->predict(epoch_inputs::failed_measurement());
+    ASSERT_TRUE(past.usable());
+    EXPECT_EQ(past.inputs_used.source, prediction_source::blended);
+    EXPECT_EQ(past.inputs_used.staleness, 0u);
+    EXPECT_EQ(past.inputs_used.history_samples, 4u);
+    EXPECT_EQ(past.value_bps, 2e6);  // the 10-MA forecast over four samples of 2e6
 }
 
 TEST(relative_error, zero_for_exact_prediction) {

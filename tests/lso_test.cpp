@@ -516,7 +516,7 @@ const lso_predictor& lso_of(const predictor& p) {
         return dynamic_cast<const lso_predictor&>(h->inner());
     }
     return dynamic_cast<const lso_predictor&>(
-        dynamic_cast<const blended_predictor&>(p).blend().history());
+        dynamic_cast<const blended_predictor&>(p).history());
 }
 
 /// The filter an LSO wrapper reads.
@@ -529,7 +529,7 @@ std::size_t history_of(const predictor& p) {
     if (const auto* h = dynamic_cast<const history_predictor*>(&p)) {
         return h->inner().history_size();
     }
-    return dynamic_cast<const blended_predictor&>(p).blend().history().history_size();
+    return dynamic_cast<const blended_predictor&>(p).history().history_size();
 }
 
 TEST(lso_share, clone_set_matches_independent_clones_bitwise) {

@@ -16,7 +16,8 @@ namespace {
 
 TEST(make_predictor_factory, every_documented_spec_round_trips) {
     // spec -> canonical name() ("fb" is shorthand, "NWS" names its set size,
-    // "hybrid:...:<k>" drops the k — every other spec is its own name).
+    // a hybrid names its k unless it is the default 3 — every other spec is
+    // its own name).
     const std::vector<std::pair<std::string, std::string>> specs{
         {"fb", "fb:pftk"},
         {"fb:pftk", "fb:pftk"},
@@ -33,12 +34,19 @@ TEST(make_predictor_factory, every_documented_spec_round_trips) {
         {"4-AR-LSO", "4-AR-LSO"},
         {"NWS", "NWS-4"},
         {"hybrid:0.8-HW-LSO", "hybrid:0.8-HW-LSO"},
-        {"hybrid:10-MA:5", "hybrid:10-MA"},
+        {"hybrid:10-MA:5", "hybrid:10-MA:5"},
+        {"hybrid:10-MA:2.50", "hybrid:10-MA:2.5"},
+        {"hybrid:10-MA:3", "hybrid:10-MA"},
     };
     for (const auto& [spec, canonical] : specs) {
         const auto p = make_predictor(spec);
         ASSERT_NE(p, nullptr) << spec;
         EXPECT_EQ(p->name(), canonical) << spec;
+        // A name is a spec for the same predictor (the serve daemon answers
+        // PREDICT by either), except NWS's, which counts its candidates.
+        if (spec != "NWS") {
+            EXPECT_EQ(make_predictor(canonical)->name(), canonical) << spec;
+        }
     }
 }
 
@@ -89,27 +97,24 @@ TEST(make_predictor_factory, config_controls_shared_parameters) {
     EXPECT_NEAR(pred.value_bps, 20 * 1024 * 8 / 0.05, 1.0);
 }
 
-/// The standard NWS candidate set built by hand under one LSO config and HW
-/// trend gain.
-std::unique_ptr<predictor> nws_by_hand(lso_config lso, double hw_beta) {
+/// The standard NWS candidate set built by hand under one LSO config.
+std::unique_ptr<predictor> nws_by_hand(lso_config lso) {
     std::vector<std::unique_ptr<hb_predictor>> set;
     set.push_back(std::make_unique<lso_predictor>(std::make_unique<moving_average>(5), lso));
     set.push_back(std::make_unique<lso_predictor>(std::make_unique<moving_average>(10), lso));
     set.push_back(std::make_unique<lso_predictor>(std::make_unique<ewma>(0.5), lso));
     set.push_back(
-        std::make_unique<lso_predictor>(std::make_unique<holt_winters>(0.8, hw_beta), lso));
+        std::make_unique<lso_predictor>(std::make_unique<holt_winters>(0.8, 0.2), lso));
     return std::make_unique<history_predictor>(
         std::make_unique<adaptive_selector>(std::move(set), 0.9));
 }
 
-TEST(make_predictor_factory, nws_honours_lso_and_hw_beta_config) {
+TEST(make_predictor_factory, nws_honours_lso_config) {
     predictor_config cfg;
     cfg.lso = lso_config{0.2, 0.3, 3};
-    cfg.hw_beta = 0.35;
     const auto nws = make_predictor("NWS", cfg)->clone_empty();
-    const auto want = nws_by_hand(cfg.lso, cfg.hw_beta);
-    const auto default_lso = nws_by_hand(lso_config{}, cfg.hw_beta);
-    const auto default_beta = nws_by_hand(cfg.lso, 0.2);
+    const auto want = nws_by_hand(cfg.lso);
+    const auto default_lso = nws_by_hand(lso_config{});
 
     // 25 % level shifts and 35 % spikes: between the tuned and the default
     // thresholds, so the two LSO configs clean the series differently.
@@ -123,18 +128,13 @@ TEST(make_predictor_factory, nws_honours_lso_and_hw_beta_config) {
         return std::bit_cast<std::uint64_t>(p->predict(epoch_inputs::absent()).value_bps);
     };
     bool lso_matters = false;
-    bool beta_matters = false;
     for (std::size_t i = 0; i < series.size(); ++i) {
         const std::uint64_t got = bits(nws);
         ASSERT_EQ(got, bits(want)) << "step " << i;
         lso_matters = lso_matters || got != bits(default_lso);
-        beta_matters = beta_matters || got != bits(default_beta);
-        for (const auto* p : {&nws, &want, &default_lso, &default_beta}) {
-            (*p)->observe(series[i]);
-        }
+        for (const auto* p : {&nws, &want, &default_lso}) (*p)->observe(series[i]);
     }
     EXPECT_TRUE(lso_matters);
-    EXPECT_TRUE(beta_matters);
 }
 
 TEST(make_predictor_factory, rejects_malformed_specs_with_payload) {

@@ -274,6 +274,39 @@ TEST(serve_path_table, predict_accepts_canonical_name_alias) {
     expect_bits_equal(by_spec.value.value_bps, by_name.value.value_bps);
 }
 
+TEST(serve_path_table, hybrids_differing_in_k_each_answer_their_own_forecast) {
+    // Two hybrids over one HB spec differ only in k. Each must answer by its
+    // spec and by its canonical name with the forecast of a table serving it
+    // alone: a name that dropped k would alias the second spec to the first.
+    const std::vector<std::string> specs{"hybrid:10-MA:5", "hybrid:10-MA"};
+    serve::path_table both(specs);
+    serve::path_table k5({specs[0]});
+    serve::path_table k3({specs[1]});
+    EXPECT_NE(both.spec_names()[0], both.spec_names()[1]);
+    for (int i = 0; i < 3; ++i) {
+        serve::observation ev;
+        ev.epoch = i;
+        ev.avail_bw_bps = 8e6;
+        ev.phat = 0.01;
+        ev.that_s = 0.08;
+        ev.r_large_bps = 4e6 + 1e6 * i;
+        for (auto* t : {&both, &k5, &k3}) t->observe("p", ev);
+    }
+    const auto value = [](const serve::path_table& t, const std::string& spec) {
+        const auto reply = t.predict("p", spec);
+        EXPECT_EQ(reply.st, serve::predict_reply::status::ok) << spec;
+        return reply.value.value_bps;
+    };
+    const double want_k5 = value(k5, specs[0]);
+    const double want_k3 = value(k3, specs[1]);
+    ASSERT_NE(want_k5, want_k3);
+    for (std::size_t j = 0; j < specs.size(); ++j) {
+        const double want = j == 0 ? want_k5 : want_k3;
+        EXPECT_EQ(value(both, specs[j]), want) << specs[j];
+        EXPECT_EQ(value(both, both.spec_names()[j]), want) << both.spec_names()[j];
+    }
+}
+
 // --- snapshots -------------------------------------------------------------
 
 TEST_F(serve_fixture, snapshot_round_trip_is_bitwise) {

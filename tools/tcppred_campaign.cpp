@@ -58,7 +58,7 @@ void usage(const char* argv0) {
                  "  --second-set      use the campaign-2 catalogue & plan\n"
                  "  --cross-model M   open-loop cross-traffic model: packet (exact,\n"
                  "                    default) or fluid (aggregate rate, far fewer\n"
-                 "                    events; also $REPRO_CROSS_MODEL)\n"
+                 "                    events)\n"
                  "  --jobs N          worker threads; 1 = serial\n"
                  "                    (default $REPRO_JOBS, else all cores)\n"
                  "  --faults SPEC     measurement-fault rates, e.g.\n"
@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
     int jobs = 0;  // applied after parsing so --second-set cannot reset it
     // Applied after parsing for the same reason: --second-set replaces cfg.
     std::string cross_model_name;
-    if (const char* env = std::getenv("REPRO_CROSS_MODEL")) cross_model_name = env;  // NOLINT(concurrency-mt-unsafe)
     bool checkpointing = false;
     bool metrics_summary = false;
     std::string trace_file;
