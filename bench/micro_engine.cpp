@@ -3,7 +3,9 @@
 // cost — what bounds the wall-clock of a measurement campaign.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "net/cross_traffic.hpp"
 #include "net/path.hpp"
@@ -94,6 +96,39 @@ void bm_loaded_path_second(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());  // items = simulated seconds
 }
 BENCHMARK(bm_loaded_path_second);
+
+void bm_open_loop_second(benchmark::State& state) {
+    // One simulated second of an epoch's open-loop mix alone: a Poisson
+    // source plus three Pareto on/off sources offering 80 % of a 10 Mbps
+    // bottleneck, 30 % of it bursty, with no foreground traffic. It ends
+    // with a stats() read; items = cross packets offered.
+    constexpr double k_load_bps = 0.8 * 10e6;
+    constexpr double k_bursty = 0.3;
+    std::int64_t offered = 0;
+    for (auto _ : state) {
+        sim::scheduler sched;
+        std::vector<net::hop_config> fwd{net::hop_config{
+            core::bits_per_second{10e6}, core::seconds{0.020}, 100}};
+        std::vector<net::hop_config> rev{net::hop_config{
+            core::bits_per_second{100e6}, core::seconds{0.020}, 512}};
+        net::duplex_path path(sched, fwd, rev);
+        net::poisson_source poisson(sched, path, 0, 10, 7, k_load_bps * (1.0 - k_bursty));
+        std::vector<std::unique_ptr<net::pareto_onoff_source>> bursts;
+        for (std::uint64_t i = 0; i < 3; ++i) {
+            bursts.push_back(std::make_unique<net::pareto_onoff_source>(
+                sched, path, 0, 11 + i, 8 + i, net::pareto_onoff_config{}));
+            bursts.back()->set_mean_rate(k_load_bps * k_bursty / 3.0);
+        }
+        poisson.start();
+        for (auto& b : bursts) b->start();
+        sched.run_until(1.0);
+        const net::link_stats& st = path.forward_link(0).stats();
+        benchmark::DoNotOptimize(st.busy_time);
+        offered += static_cast<std::int64_t>(st.enqueued + st.dropped);
+    }
+    state.SetItemsProcessed(offered);
+}
+BENCHMARK(bm_open_loop_second);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "core/predictor_registry.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -42,6 +43,11 @@ double parse_real(const std::string& token, const std::string& spec) {
     }
     if (pos != token.size()) {
         throw predictor_spec_error(spec, "trailing characters in '" + token + "'");
+    }
+    // std::stod takes "nan" and "inf", and every range check is false for
+    // NaN: only a finite number is a parameter.
+    if (!std::isfinite(v)) {
+        throw predictor_spec_error(spec, "expected a finite number, got '" + token + "'");
     }
     return v;
 }

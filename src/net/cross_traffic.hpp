@@ -1,12 +1,13 @@
-// Unresponsive (open-loop) cross-traffic sources. They inject packets into
-// a single queue of a path: the background load against which the target
-// flow, the probes and the elastic flows compete.
+// Unresponsive (open-loop) cross-traffic sources. They load a single queue
+// of a path: the background load against which the target flow, the probes
+// and the elastic flows compete. Their packets leave the path after that
+// queue and nothing receives them.
 #pragma once
 
 #include <array>
 #include <cstdint>
 
-#include "net/packet.hpp"
+#include "net/link.hpp"
 #include "net/path.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -15,16 +16,18 @@ namespace tcppred::net {
 
 /// How unresponsive cross traffic is realized at the shared queue.
 ///
-///  - `packet`: every cross packet is a scheduler event transiting the link
-///    (exact drop-tail interaction; the default, and the model all default
-///    goldens are pinned against).
+///  - `packet`: every cross packet transits the link (exact drop-tail
+///    interaction; the default, and the model all default goldens are
+///    pinned against). A source is an `arrival_stream` of its link, which
+///    admits each packet at its own instant: no packet costs an event.
 ///  - `fluid`: the aggregate is a piecewise-constant fluid rate applied to
 ///    the link (net::link::add_fluid_rate). Foreground packets wait behind
 ///    the fluid backlog and are dropped when packets + fluid overflow the
-///    buffer, but no per-packet cross events exist — a Poisson source costs
-///    zero events, an on/off source two per burst cycle. Statistically
-///    equivalent at burst granularity, not packet granularity: see
-///    DESIGN.md §13.5 for the equivalence argument and pinned goldens.
+///    buffer, but no cross packets exist — a Poisson source costs zero
+///    events, an on/off source two per burst cycle. It keeps the mean load
+///    and its burst-scale modulation, not the jitter within a burst, and
+///    prediction errors come out lower than under `packet`: DESIGN.md §13.5
+///    for the measurement and the pinned goldens.
 enum class cross_model {
     packet,
     fluid,
@@ -53,36 +56,40 @@ struct packet_size_mix {
     }
 };
 
-/// Poisson packet-arrival source at a configurable bit rate.
-class poisson_source {
+/// Poisson packet-arrival source at a configurable bit rate, loading
+/// forward link `link_index` of the path. `flow` names the source in the
+/// topology's flow plan; its packets have no exit delivery.
+class poisson_source final : private arrival_stream {
 public:
     poisson_source(sim::scheduler& sched, duplex_path& path, std::size_t link_index,
                    flow_id flow, std::uint64_t seed, double rate_bps,
                    packet_size_mix mix = {}, cross_model model = cross_model::packet);
+    ~poisson_source() { stop(); }
 
     /// Begin emitting packets (idempotent). In fluid mode this applies the
     /// constant rate to the link instead — no events at all.
     void start();
     /// Stop emitting (already-queued packets still drain).
     void stop();
-    /// Change the offered load; takes effect from the next arrival (packet
-    /// mode) or immediately (fluid mode).
+    /// Change the offered load. In packet mode the arrival already drawn
+    /// keeps its instant: the new rate applies from the one after it. In
+    /// fluid mode it applies at once.
     void set_rate(double rate_bps);
     [[nodiscard]] double rate_bps() const noexcept { return rate_bps_; }
 
 private:
-    void schedule_next();
+    /// Draws the packet's size, then the next arrival.
+    std::uint32_t take() override;
+    /// Draw the arrival after `from` at the current rate, caused by `from`.
+    void draw_next(double from);
 
     sim::scheduler* sched_;
-    duplex_path* path_;
-    std::size_t link_index_;
-    flow_id flow_;
+    link* link_;
     sim::rng rng_;
     double rate_bps_;
     packet_size_mix mix_;
     cross_model model_;
     bool running_{false};
-    std::uint64_t seq_{0};
 };
 
 /// Parameters of a Pareto on/off source: heavy-tailed ON periods at a fixed
@@ -96,13 +103,19 @@ struct pareto_onoff_config {
     std::uint32_t packet_bytes{1500};
 };
 
-class pareto_onoff_source {
+/// On/off source loading forward link `link_index` of the path; `flow` as
+/// for `poisson_source`. In packet mode a burst emits `packet_bytes`
+/// packets at the peak rate's spacing; in fluid mode it is the peak rate
+/// applied to the link for the burst's length (two events per burst).
+class pareto_onoff_source final : private arrival_stream {
 public:
     pareto_onoff_source(sim::scheduler& sched, duplex_path& path, std::size_t link_index,
                         flow_id flow, std::uint64_t seed, pareto_onoff_config cfg,
                         cross_model model = cross_model::packet);
+    ~pareto_onoff_source() { stop(); }
 
     void start();
+    /// Stop emitting: a pending burst start or burst end is cancelled.
     void stop();
 
     /// Long-run average offered rate.
@@ -110,24 +123,32 @@ public:
         return cfg_.peak_rate_bps * cfg_.mean_on_s / (cfg_.mean_on_s + cfg_.mean_off_s);
     }
 
-    /// Scale the peak rate so the mean offered rate equals `rate_bps`.
+    /// Scale the peak rate so the mean offered rate equals `rate_bps`. In
+    /// packet mode the emission already drawn keeps its instant: the new
+    /// spacing applies from the one after it. In fluid mode a burst in
+    /// progress changes its rate at once.
     void set_mean_rate(double rate_bps);
 
 private:
+    /// Draws the ON length at a burst's first packet, then the next
+    /// emission; at the burst's end, the OFF length before the next burst.
+    std::uint32_t take() override;
+    /// Draw an ON length (Pareto with mean `mean_on_s`).
+    [[nodiscard]] double draw_on();
+    // Fluid mode: the burst's two events.
     void begin_on_period();
     void end_on_period();
-    void emit(double until);
 
     sim::scheduler* sched_;
-    duplex_path* path_;
-    std::size_t link_index_;
-    flow_id flow_;
+    link* link_;
     sim::rng rng_;
     pareto_onoff_config cfg_;
     cross_model model_;
     bool running_{false};
+    bool burst_start_{false};  ///< packet mode: the next arrival opens a burst
+    double burst_until_{0.0};  ///< packet mode: the current burst's end
     double applied_rate_bps_{0.0};  ///< fluid rate currently on the link
-    std::uint64_t seq_{0};
+    sim::event_handle burst_event_;  ///< fluid mode: the pending start or end
 };
 
 }  // namespace tcppred::net

@@ -6,6 +6,7 @@ namespace tcppred::net {
 
 void link::set_random_loss(double probability, std::uint64_t seed,
                            double burst_duration_s) {
+    admit_due();
     random_loss_ = probability;
     loss_burst_s_ = burst_duration_s;
     loss_rng_.emplace(seed);
@@ -19,13 +20,12 @@ void link::set_random_loss(double probability, std::uint64_t seed,
     }
 }
 
-bool link::random_loss_hit() {
+bool link::random_loss_hit(double now) {
     if (random_loss_ <= 0.0 || !loss_rng_) return false;
     if (loss_burst_s_ <= 0.0) return loss_rng_->chance(random_loss_);
 
     // Gilbert-Elliott in time: advance the two-state machine lazily to now.
     // Mean good duration G solves loss = bad/(bad+good): G = B(1-p)/p.
-    const double now = sched_->now();
     while (now >= state_until_) {
         if (in_bad_state_) {
             in_bad_state_ = false;
@@ -39,13 +39,8 @@ bool link::random_loss_hit() {
     return in_bad_state_;
 }
 
-void link::set_outage(double from_s, double until_s) {
-    outage_from_ = from_s;
-    outage_until_ = until_s;
-}
-
 void link::add_fluid_rate(double delta_bps) {
-    settle();
+    catch_up();
     const double now = sched_->now();
     if (!fluid_active_) {
         fluid_active_ = true;
@@ -84,12 +79,11 @@ void link::advance_fluid(double now) {
     }
 }
 
-void link::settle() {
-    const double now = sched_->now();
+void link::settle(double now, double cause) {
     while (!fifo_.empty()) {
         const admitted& head = fifo_.front();
         if (head.departs > now) return;
-        if (head.departs == now && !(head.starts < sched_->cause())) return;
+        if (head.departs == now && !(head.starts < cause)) return;
         // The head leaves onto the wire; the next packet starts serving.
         if (fluid_active_) advance_fluid(head.departs);
         ++stats_.delivered;
@@ -107,17 +101,41 @@ void link::begin_service(const admitted& a) {
     stats_.busy_time += a.tx;
 }
 
-bool link::enqueue(packet p, bool deliver) {
+void link::admit_streams() {
     const double now = sched_->now();
+    const double cause = sched_->cause();
+    for (;;) {
+        // The earliest pending arrival by (instant, cause); an exact tie
+        // goes to the stream attached first.
+        arrival_stream* next = streams_.front();
+        for (arrival_stream* s : streams_) {
+            if (s->next_at() < next->next_at() ||
+                (s->next_at() == next->next_at() && s->next_cause() < next->next_cause())) {
+                next = s;
+            }
+        }
+        const double at = next->next_at();
+        const double at_cause = next->next_cause();
+        if (at > now || (at == now && !(at_cause < cause))) return;
+        admit(at, at_cause, next->take());
+    }
+}
+
+void link::detach(arrival_stream& s) {
+    admit_due();
+    streams_.erase(std::find(streams_.begin(), streams_.end(), &s));
+}
+
+bool link::admit(double now, double cause, std::uint32_t size_bytes) {
     if (now >= outage_from_ && now < outage_until_) {
         ++stats_.dropped;
         return false;
     }
-    if (random_loss_hit()) {
+    if (random_loss_hit(now)) {
         ++stats_.dropped;
         return false;
     }
-    settle();
+    settle(now, cause);
     if (fluid_active_) advance_fluid(now);
     // An idle server takes the packet unless the fluid queued ahead fills
     // the buffer on its own; behind a busy one the waiting packets count.
@@ -135,15 +153,21 @@ bool link::enqueue(packet p, bool deliver) {
     // of this packet: its flush time stretches the packet's service.
     const double ahead = fluid_tail_bits_;
     fluid_tail_bits_ = 0.0;
-    double tx = tx_time(p.size_bytes);
+    double tx = tx_time(size_bytes);
     if (ahead > 0.0) tx += ahead / capacity_bps_;
     const double starts = idle ? now : fifo_.back().departs;
-    const double departs = starts + tx;
-    fifo_.push_back(admitted{starts, departs, tx, ahead, p.size_bytes});
+    fifo_.push_back(admitted{starts, starts + tx, tx, ahead, size_bytes});
     if (idle) begin_service(fifo_.front());
+    return true;
+}
+
+bool link::enqueue(packet p, bool deliver) {
+    admit_due();
+    if (!admit(sched_->now(), sched_->cause(), p.size_bytes)) return false;
     if (deliver) {
         // Caused by the departure: among same-instant events it takes the
         // slot of a delivery scheduled at the departure (DESIGN.md §13.2).
+        const double departs = fifo_.back().departs;
         auto delivery = [this, p] {
             if (sink_) sink_(p);
         };

@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/rng.hpp"
@@ -24,6 +26,27 @@ struct link_stats {
     double busy_time{0.0};  ///< cumulative transmission time
 };
 
+/// An open-loop arrival process that a link admits itself, with no
+/// scheduler event (DESIGN.md §13.1). It holds its next arrival's instant
+/// and cause; `take()` returns that arrival's size in bytes and draws the
+/// following one (an instant of +infinity: no more arrivals). The cause is
+/// the instant whose work drew the arrival, as an event's would be.
+class arrival_stream {
+public:
+    [[nodiscard]] double next_at() const noexcept { return next_at_; }
+    [[nodiscard]] double next_cause() const noexcept { return next_cause_; }
+    virtual std::uint32_t take() = 0;
+
+protected:
+    arrival_stream() = default;
+    arrival_stream(const arrival_stream&) = delete;
+    arrival_stream& operator=(const arrival_stream&) = delete;
+    ~arrival_stream() = default;
+
+    double next_at_{std::numeric_limits<double>::infinity()};
+    double next_cause_{0.0};
+};
+
 /// FIFO drop-tail link.
 ///
 /// `enqueue()` either admits the packet into the buffer or drops it (buffer
@@ -38,8 +61,16 @@ struct link_stats {
 /// plus propagation (none for a packet nobody receives), and every read of
 /// the link's state first settles the departures due by now(): in
 /// departure order, each at its own instant, their counters, the fluid
-/// integration and the start of the next packet (DESIGN.md §13.1). That is
-/// why stats(), queue_length() and utilization() are not const.
+/// integration and the start of the next packet (DESIGN.md §13.1).
+///
+/// Open-loop cross traffic costs no event either: an attached
+/// `arrival_stream` is admitted by the link itself. Before any read or
+/// write of its state the link admits every stream arrival due by
+/// `(now(), cause())`, in `(instant, cause)` order, each at its own
+/// instant and cause through the path `enqueue()` takes, with no delivery.
+/// An arrival at exactly now() is due iff its cause precedes the
+/// dispatching event's, where its arrival event would have fired (§13.2).
+/// That is why stats(), queue_length() and utilization() are not const.
 class link {
 public:
     /// @param buffer_packets maximum number of packets queued *behind* the
@@ -63,6 +94,17 @@ public:
     /// the wire but never reaches the sink, and costs no event.
     bool enqueue(packet p, bool deliver = true);
 
+    /// Admit `s`'s arrivals from its next one on. The stream must outlive
+    /// its attachment.
+    void attach(arrival_stream& s) { streams_.push_back(&s); }
+    /// Admit the arrivals due by now(), then stop admitting `s`'s.
+    void detach(arrival_stream& s);
+    /// Admit every attached stream's arrivals due by now(). A stream calls
+    /// it before it changes what it will draw next.
+    void admit_due() {
+        if (!streams_.empty()) admit_streams();
+    }
+
     /// Enable random loss on this link, modelling loss that originates
     /// outside the simulated bottleneck (upstream congestion episodes,
     /// noisy access links). Loss follows a time-based Gilbert-Elliott
@@ -78,7 +120,11 @@ public:
     /// Schedule a transient outage: every arrival in [from_s, until_s) is
     /// dropped (a routing blackout / dead interface), deterministically and
     /// without consuming any RNG draws. A later call replaces the window.
-    void set_outage(double from_s, double until_s);
+    void set_outage(double from_s, double until_s) {
+        admit_due();
+        outage_from_ = from_s;
+        outage_until_ = until_s;
+    }
 
     // --- fluid background load (cross_model::fluid; DESIGN.md §13.5) ---
     //
@@ -96,6 +142,7 @@ public:
     [[nodiscard]] double fluid_rate_bps() const noexcept { return fluid_rate_; }
     /// Mean packet size used to convert fluid bits into buffer slots.
     void set_fluid_mean_packet_bytes(double bytes) {
+        admit_due();
         fluid_pkt_bits_ = bytes * 8.0;
     }
 
@@ -104,11 +151,11 @@ public:
     [[nodiscard]] std::size_t buffer_packets() const noexcept { return buffer_packets_; }
     /// Packets in the link: the one in transmission plus those queued.
     [[nodiscard]] std::size_t queue_length() {
-        settle();
+        catch_up();
         return fifo_.size();
     }
     [[nodiscard]] const link_stats& stats() {
-        settle();
+        catch_up();
         return stats_;
     }
 
@@ -120,7 +167,7 @@ public:
     /// Fraction of time the link transmitted since construction (or since
     /// the given origin time).
     [[nodiscard]] double utilization(double since = 0.0) {
-        settle();
+        catch_up();
         const double span = sched_->now() - since;
         return span > 0.0 ? stats_.busy_time / span : 0.0;
     }
@@ -137,10 +184,21 @@ private:
         std::uint32_t size_bytes;
     };
 
-    /// Retire the departures due by now(). One at exactly now() is due
-    /// when the packet started before the dispatching event's cause, i.e.
-    /// where an event caused by the start would dispatch (DESIGN.md §13.2).
-    void settle();
+    /// Admit the stream arrivals due by now(), then retire the departures
+    /// due by now().
+    void catch_up() {
+        admit_due();
+        settle(sched_->now(), sched_->cause());
+    }
+    void admit_streams();
+    /// Offer `size_bytes` at instant `now` on behalf of the work of instant
+    /// `cause`: outage, random loss, settle, drop-tail, FIFO push. Returns
+    /// false (and counts a drop) when the packet is lost.
+    bool admit(double now, double cause, std::uint32_t size_bytes);
+    /// Retire the departures due by `now`. One at exactly `now` is due when
+    /// the packet started before `cause`, i.e. where an event caused by the
+    /// start would dispatch among those of `cause` (DESIGN.md §13.2).
+    void settle(double now, double cause);
     /// Account a packet's service start: its busy time and the fluid it
     /// flushes ahead of itself.
     void begin_service(const admitted& a);
@@ -152,10 +210,11 @@ private:
     double capacity_bps_;
     double prop_delay_;
     std::size_t buffer_packets_;
-    [[nodiscard]] bool random_loss_hit();
+    [[nodiscard]] bool random_loss_hit(double now);
 
     std::function<void(packet)> sink_;
     std::deque<admitted> fifo_;  ///< front: in transmission; the rest queued
+    std::vector<arrival_stream*> streams_;  ///< attached open-loop arrivals
     bool fluid_active_{false};
     double fluid_rate_{0.0};        ///< aggregate fluid arrival rate, bps
     double fluid_tail_bits_{0.0};   ///< fluid behind the last queued packet

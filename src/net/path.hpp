@@ -60,11 +60,12 @@ private:
 ///
 /// End-to-end flows enter with `send_forward`/`send_reverse` and are
 /// delivered to the handler registered for their flow id at the opposite
-/// end. Cross traffic that shares only one queue is injected with
+/// end. Elastic cross traffic that shares only one queue is injected with
 /// `inject_forward(link_index, packet)` and *exits* the path right after
-/// that link (one-hop cross traffic, the classic congestion setup); an
-/// optional exit handler receives it (used by elastic cross flows to close
-/// their control loop).
+/// that link (one-hop cross traffic, the classic congestion setup), where
+/// its exit handler receives it to close the flow's control loop. Open-loop
+/// sources (net/cross_traffic.hpp) load their link as arrival streams
+/// instead and have no exit.
 class duplex_path {
 public:
     duplex_path(sim::scheduler& sched, std::span<const hop_config> forward,
@@ -92,9 +93,10 @@ public:
     void inject_forward(std::size_t link_index, packet p);
 
     /// Register where cross-traffic flow `flow`, injected at `link_index`,
-    /// goes after transiting that link. Without a handler the packet is
-    /// silently sunk at its departure and costs no event; the handler in
-    /// place at injection decides.
+    /// goes after transiting that link: `shared_link_conduit` registers its
+    /// elastic flow here. Without a handler an injected packet is silently
+    /// sunk at its departure and costs no event; the handler in place at
+    /// injection decides. Open-loop sources inject nothing.
     void on_cross_exit(flow_id flow, delivery_handler h) {
         cross_exits_.set(flow, std::move(h));
     }
@@ -132,8 +134,6 @@ private:
     std::vector<std::size_t> cross_members_;  ///< flow -> exit-after index (k_not_cross: end-to-end)
     std::size_t bottleneck_{0};
     double base_rtt_{0.0};
-
-    friend class cross_injector;
 };
 
 /// Abstract transport used by TCP endpoints, so the same TCP code drives the

@@ -63,7 +63,7 @@ using hexd_buffer = std::array<char, 24>;
 /// that re-pins a golden, or a store column such as `events` (DESIGN.md
 /// §13.6); engine_golden_test pins it next to digests of the tiny
 /// campaign-1 and campaign-2 CSVs under both cross-traffic models.
-inline constexpr int k_simulator_revision = 2;
+inline constexpr int k_simulator_revision = 3;
 
 /// One named field of a campaign fingerprint, e.g. {"seed", "20040501"}.
 struct fingerprint_field {

@@ -79,8 +79,8 @@ struct epoch_config {
     sim::epoch_fault_plan faults{};
     /// How the open-loop background traffic is realized at the bottleneck
     /// (net/cross_traffic.hpp). Defaults to the exact per-packet model; the
-    /// fluid aggregate trades packet granularity for a large event-count
-    /// reduction (DESIGN.md §13.5).
+    /// fluid aggregate trades packet granularity for speed: it admits no
+    /// cross packets at all (DESIGN.md §13.5).
     net::cross_model cross{net::cross_model::packet};
 };
 

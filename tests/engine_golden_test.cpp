@@ -398,7 +398,7 @@ std::string csv_text(const testbed::dataset& data, const char* name) {
 }
 
 TEST(engine_golden, simulator_revision_pins_the_tiny_campaign_csvs) {
-    constexpr int k_revision = 2;
+    constexpr int k_revision = 3;
     struct pin {
         int campaign;
         net::cross_model model;

@@ -4,11 +4,19 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
+
+#include "core/units.hpp"
+#include "net/cross_traffic.hpp"
+#include "net/path.hpp"
 
 namespace tcppred::net {
 namespace {
@@ -561,6 +569,528 @@ TEST(link_equivalence, lazy_departures_match_the_evented_link) {
         EXPECT_GT(census.before[full], 0) << full;
         EXPECT_GT(census.equal[full], 0) << full;
         EXPECT_GT(census.after[full], 0) << full;
+    }
+}
+
+// --- open-loop sources against the arrival-event chains they replace ----
+//
+// The sources before they became arrival streams, kept as the reference the
+// way evented_link keeps the old link: each packet is an arrival event that
+// enqueues it with no delivery and schedules the next, a Pareto burst starts
+// with an event and ends at the emission event that finds it over. Their
+// draws and sums are the deleted chains', statement for statement; stop()
+// only clears the flag that the pending event checks.
+class chained_poisson {
+public:
+    chained_poisson(sim::scheduler& sched, link& l, std::uint64_t seed, double rate_bps)
+        : sched_(&sched), link_(&l), rng_(seed), rate_bps_(rate_bps) {}
+
+    void start() {
+        if (running_) return;
+        running_ = true;
+        schedule_next();
+    }
+    void stop() { running_ = false; }
+    void set_rate(double rate_bps) { rate_bps_ = rate_bps; }
+
+private:
+    void schedule_next() {
+        if (!running_ || rate_bps_ <= 0.0) return;
+        const double mean_interarrival = mix_.mean_bytes() * 8.0 / rate_bps_;
+        sched_->schedule_in(rng_.exponential(mean_interarrival), [this] {
+            if (!running_) return;
+            packet p;
+            p.kind = packet_kind::cross;
+            p.size_bytes = mix_.draw(rng_);
+            link_->enqueue(p, false);
+            schedule_next();
+        });
+    }
+
+    sim::scheduler* sched_;
+    link* link_;
+    sim::rng rng_;
+    double rate_bps_;
+    packet_size_mix mix_{};
+    bool running_{false};
+};
+
+class chained_pareto {
+public:
+    chained_pareto(sim::scheduler& sched, link& l, std::uint64_t seed, pareto_onoff_config cfg)
+        : sched_(&sched), link_(&l), rng_(seed), cfg_(cfg) {}
+
+    void start() {
+        if (running_) return;
+        running_ = true;
+        sched_->schedule_in(rng_.exponential(cfg_.mean_off_s), [this] { begin_on_period(); });
+    }
+    void stop() { running_ = false; }
+    void set_mean_rate(double rate_bps) {
+        cfg_.peak_rate_bps = rate_bps * (cfg_.mean_on_s + cfg_.mean_off_s) / cfg_.mean_on_s;
+    }
+    /// Between a burst's first packet and the emission event that ends it.
+    [[nodiscard]] bool in_burst() const { return running_ && in_burst_; }
+
+private:
+    void begin_on_period() {
+        if (!running_) return;
+        const double xmin = cfg_.mean_on_s * (cfg_.pareto_shape - 1.0) / cfg_.pareto_shape;
+        const double on = rng_.pareto(cfg_.pareto_shape, xmin);
+        in_burst_ = true;
+        emit(sched_->now() + on);
+    }
+
+    void emit(double until) {
+        if (!running_) return;
+        if (sched_->now() >= until) {
+            in_burst_ = false;
+            sched_->schedule_in(rng_.exponential(cfg_.mean_off_s),
+                                [this] { begin_on_period(); });
+            return;
+        }
+        packet p;
+        p.kind = packet_kind::cross;
+        p.size_bytes = cfg_.packet_bytes;
+        link_->enqueue(p, false);
+        const double spacing = cfg_.packet_bytes * 8.0 / cfg_.peak_rate_bps;
+        sched_->schedule_in(spacing, [this, until] { emit(until); });
+    }
+
+    sim::scheduler* sched_;
+    link* link_;
+    sim::rng rng_;
+    pareto_onoff_config cfg_;
+    bool running_{false};
+    bool in_burst_{false};
+};
+
+/// One Poisson and up to three Pareto on/off sources on one link, with
+/// foreground arrivals and reads, rate changes, fluid, late starts and stops,
+/// each an event with an explicit cause scheduled before the run.
+struct source_scenario {
+    enum class kind { arrive, read, set_rate, set_mean_rate, start, stop, fluid, outage };
+    struct op {
+        kind what;
+        double when;
+        double cause;
+        std::size_t source;  ///< 0: the Poisson source, i: Pareto source i - 1
+        double value;        ///< bytes, a rate or a fluid delta
+        bool deliver;
+    };
+    double capacity_bps{0.0};
+    double prop_s{0.0};
+    std::size_t buffer{0};
+    double loss{0.0};
+    double loss_burst_s{0.0};
+    double outage_from{0.0};
+    double outage_until{0.0};
+    double horizon{30.0};
+    double poisson_bps{0.0};
+    std::vector<double> pareto_bps;
+    std::vector<bool> late_start;  ///< per source: started by an op, not at 0
+    std::vector<op> ops;
+};
+
+source_scenario make_source_scenario(std::uint64_t seed) {
+    std::mt19937_64 gen(seed);
+    std::uniform_real_distribution<double> u01(0.0, 1.0);
+    const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(gen() % n); };
+    source_scenario sc;
+    sc.capacity_bps = 1e6 * static_cast<double>(1 + pick(4));
+    sc.prop_s = 0.05 * u01(gen);
+    sc.buffer = 2 + pick(40);
+    switch (pick(3)) {
+        case 0: break;
+        case 1: sc.loss = 0.03; break;
+        default:
+            sc.loss = 0.05;
+            sc.loss_burst_s = 0.2;
+            break;
+    }
+    if (pick(3) == 0) {
+        sc.outage_from = sc.horizon * u01(gen);
+        sc.outage_until = sc.outage_from + 2.0 * u01(gen);
+    }
+    const bool fluid = pick(4) == 0;
+    sc.poisson_bps = sc.capacity_bps * (pick(8) == 0 ? 0.0 : 0.2 + 0.6 * u01(gen));
+    const std::size_t n_pareto = pick(4);
+    for (std::size_t i = 0; i < n_pareto; ++i) {
+        sc.pareto_bps.push_back(sc.capacity_bps * (0.05 + 0.25 * u01(gen)));
+    }
+    const std::size_t n_sources = 1 + n_pareto;
+    for (std::size_t i = 0; i < n_sources; ++i) sc.late_start.push_back(pick(5) == 0);
+    const auto instant = [&] { return sc.horizon * u01(gen); };
+    const auto cause_of = [&](double when) {
+        return pick(4) == 0 ? when : std::max(0.0, when - 2.0 * u01(gen));
+    };
+    // A late source starts once; a stop comes after its start, since a
+    // restarted chain keeps its stopped predecessor alive.
+    std::vector<double> started_at(n_sources, 0.0);
+    for (std::size_t i = 0; i < n_sources; ++i) {
+        if (sc.late_start[i]) {
+            started_at[i] = instant();
+            sc.ops.push_back({source_scenario::kind::start, started_at[i],
+                              cause_of(started_at[i]), i, 0.0, false});
+        }
+    }
+    for (int i = 0; i < 160; ++i) {
+        const double when = instant();
+        const double cause = cause_of(when);
+        const std::size_t k = pick(20);
+        const std::size_t src = pick(n_sources);
+        source_scenario::op o{source_scenario::kind::read, when, cause, src, 0.0, false};
+        if (k == 0) {
+            // A new outage window, from up to a second before the call:
+            // arrivals due before it keep the old window.
+            o.what = source_scenario::kind::outage;
+            o.value = when - u01(gen);
+        } else if (k < 11) {
+            o.what = source_scenario::kind::arrive;
+            o.value = static_cast<double>(40 + pick(1461));
+            o.deliver = pick(4) != 0;
+        } else if (k < 14) {
+            o.what = source_scenario::kind::read;
+        } else if (k < 17) {
+            // A Poisson rate now and then drops to 0, which ends its chain.
+            o.what = src == 0 ? source_scenario::kind::set_rate
+                              : source_scenario::kind::set_mean_rate;
+            const double share = pick(10) == 0 ? 0.0 : 0.05 + 0.6 * u01(gen);
+            o.value = (src == 0 || share > 0.0 ? share : 0.1) * sc.capacity_bps;
+        } else if (k < 18) {
+            if (when > started_at[src]) o.what = source_scenario::kind::stop;
+        } else if (fluid) {
+            o.what = source_scenario::kind::fluid;
+            o.value = (u01(gen) - 0.4) * sc.capacity_bps;
+        }
+        sc.ops.push_back(o);
+    }
+    return sc;
+}
+
+/// What the reference met: rate changes and stops inside a Pareto burst.
+struct source_census {
+    int mean_rate_mid_burst{0};
+    int stop_mid_burst{0};
+    int stops{0};
+    int rate_to_zero{0};
+};
+
+/// The sources of `sc` as streams (Chained = false) or as the reference
+/// chains; logs every foreground outcome and read, and every delivery with
+/// its instant, in dispatch order.
+template <bool Chained>
+std::vector<std::string> drive_sources(const source_scenario& sc, source_census* census) {
+    sim::scheduler s;
+    const std::vector<hop_config> hops{hop_config{core::bits_per_second{sc.capacity_bps},
+                                                  core::seconds{sc.prop_s}, sc.buffer}};
+    duplex_path path(s, hops, hops);
+    link& l = path.forward_link(0);
+    std::vector<std::string> log;
+    l.set_sink([&](packet p) {
+        log.push_back("deliver " + std::to_string(p.seq) + " at " + hex(s.now()) + describe(l));
+    });
+    if (sc.loss > 0.0) l.set_random_loss(sc.loss, 7, sc.loss_burst_s);
+    if (sc.outage_until > sc.outage_from) l.set_outage(sc.outage_from, sc.outage_until);
+    l.set_fluid_mean_packet_bytes(700.0);
+
+    using poisson_t = std::conditional_t<Chained, chained_poisson, poisson_source>;
+    using pareto_t = std::conditional_t<Chained, chained_pareto, pareto_onoff_source>;
+    std::unique_ptr<poisson_t> poisson;
+    std::vector<std::unique_ptr<pareto_t>> pareto;
+    if constexpr (Chained) {
+        poisson = std::make_unique<poisson_t>(s, l, 11, sc.poisson_bps);
+    } else {
+        poisson = std::make_unique<poisson_t>(s, path, 0, 10, 11, sc.poisson_bps);
+    }
+    for (std::size_t i = 0; i < sc.pareto_bps.size(); ++i) {
+        const std::uint64_t seed = 20 + i;
+        if constexpr (Chained) {
+            pareto.push_back(std::make_unique<pareto_t>(s, l, seed, pareto_onoff_config{}));
+        } else {
+            pareto.push_back(std::make_unique<pareto_t>(s, path, 0, 11 + i, seed,
+                                                        pareto_onoff_config{}));
+        }
+        pareto.back()->set_mean_rate(sc.pareto_bps[i]);
+    }
+    const auto start = [&](std::size_t src) {
+        if (src == 0) {
+            poisson->start();
+        } else {
+            pareto[src - 1]->start();
+        }
+    };
+    for (std::size_t i = 0; i < sc.late_start.size(); ++i) {
+        if (!sc.late_start[i]) start(i);
+    }
+
+    std::uint64_t seq = 0;
+    for (const source_scenario::op& o : sc.ops) {
+        s.schedule_at(o.when, o.cause, [&, o, id = seq++] {
+            const std::string at = " at " + hex(s.now()) + " cause " + hex(s.cause());
+            std::string what;
+            switch (o.what) {
+                case source_scenario::kind::arrive: {
+                    packet p = make_packet(static_cast<std::uint32_t>(o.value), id);
+                    what = (l.enqueue(p, o.deliver) ? "admit " : "drop ") + std::to_string(id);
+                    break;
+                }
+                case source_scenario::kind::read:
+                    what = "read";
+                    break;
+                case source_scenario::kind::set_rate:
+                    if (census != nullptr && o.value == 0.0) ++census->rate_to_zero;
+                    poisson->set_rate(o.value);
+                    what = "set_rate";
+                    break;
+                case source_scenario::kind::set_mean_rate:
+                    if constexpr (Chained) {
+                        if (census != nullptr && pareto[o.source - 1]->in_burst()) {
+                            ++census->mean_rate_mid_burst;
+                        }
+                    }
+                    pareto[o.source - 1]->set_mean_rate(o.value);
+                    what = "set_mean_rate " + std::to_string(o.source);
+                    break;
+                case source_scenario::kind::start:
+                    start(o.source);
+                    what = "start " + std::to_string(o.source);
+                    break;
+                case source_scenario::kind::stop:
+                    if (o.source == 0) {
+                        poisson->stop();
+                    } else {
+                        if constexpr (Chained) {
+                            if (census != nullptr && pareto[o.source - 1]->in_burst()) {
+                                ++census->stop_mid_burst;
+                            }
+                        }
+                        pareto[o.source - 1]->stop();
+                    }
+                    if (census != nullptr) ++census->stops;
+                    what = "stop " + std::to_string(o.source);
+                    break;
+                case source_scenario::kind::fluid:
+                    l.add_fluid_rate(o.value);
+                    what = "fluid";
+                    break;
+                case source_scenario::kind::outage:
+                    l.set_outage(o.value, o.value + 1.5);
+                    what = "outage";
+                    break;
+            }
+            log.push_back(what + at + describe(l));
+        });
+    }
+    s.run_until(sc.horizon);
+    log.push_back("end" + describe(l));
+    poisson->stop();
+    for (auto& src : pareto) src->stop();
+    s.run_until(sc.horizon + 100.0);  // drain: every admitted packet departs
+    log.push_back("drained" + describe(l));
+    return log;
+}
+
+TEST(stream_equivalence, sources_match_their_arrival_event_chains) {
+    source_census census;
+    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+        const source_scenario sc = make_source_scenario(seed);
+        const auto want = drive_sources<true>(sc, &census);
+        const auto got = drive_sources<false>(sc, nullptr);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i], want[i]) << "seed " << seed << ", entry " << i;
+        }
+    }
+    EXPECT_GT(census.mean_rate_mid_burst, 0);
+    EXPECT_GT(census.stop_mid_burst, 0);
+    EXPECT_GT(census.stops, census.stop_mid_burst);
+    EXPECT_GT(census.rate_to_zero, 0);
+}
+
+/// A stream that replays a script of (instant, cause, bytes) arrivals.
+class scripted_stream final : public arrival_stream {
+public:
+    struct arrival {
+        double at;
+        double cause;
+        std::uint32_t bytes;
+    };
+
+    explicit scripted_stream(std::vector<arrival> script) : script_(std::move(script)) {
+        load();
+    }
+
+    std::uint32_t take() override {
+        const std::uint32_t bytes = script_[next_].bytes;
+        ++next_;
+        load();
+        return bytes;
+    }
+
+private:
+    void load() {
+        if (next_ == script_.size()) {
+            next_at_ = std::numeric_limits<double>::infinity();
+            return;
+        }
+        next_at_ = script_[next_].at;
+        next_cause_ = script_[next_].cause;
+    }
+
+    std::vector<scripted_stream::arrival> script_;
+    std::size_t next_{0};
+};
+
+/// Its reference: arrival k is an event at (at, cause) that enqueues with no
+/// delivery and schedules arrival k + 1, as a source's chain did.
+void chain_script(sim::scheduler& s, link& l,
+                  const std::vector<scripted_stream::arrival>& script, std::size_t k) {
+    if (k == script.size()) return;
+    const scripted_stream::arrival a = script[k];
+    s.schedule_at(a.at, a.cause, [&s, &l, &script, k, a] {
+        packet p = make_packet(a.bytes);
+        p.flow = 2;
+        l.enqueue(p, false);
+        chain_script(s, l, script, k + 1);
+    });
+}
+
+/// Two scripts on the quarter-second grid of `make_scenario`: each cause
+/// lies between the previous arrival and its own instant (an arrival drawn
+/// at its predecessor), and the two never share an (instant, cause).
+std::vector<std::vector<scripted_stream::arrival>> make_scripts(std::uint64_t seed,
+                                                                double horizon) {
+    std::mt19937_64 gen(seed ^ 0x5eedULL);
+    const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(gen() % n); };
+    std::vector<std::vector<scripted_stream::arrival>> scripts(2);
+    for (auto& script : scripts) {
+        double t = 0.0;
+        for (;;) {
+            const double at = t + 0.25 * static_cast<double>(pick(9));
+            if (at >= horizon) break;
+            const double cause = t + 0.25 * static_cast<double>(pick(
+                                             static_cast<std::size_t>((at - t) * 4) + 1));
+            const bool taken = std::any_of(
+                scripts[0].begin(), scripts[0].end(),
+                [&](const scripted_stream::arrival& a) { return a.at == at && a.cause == cause; });
+            if (&script == &scripts[1] && taken) continue;
+            script.push_back({at, cause, 256u * static_cast<std::uint32_t>(1 + pick(4))});
+            t = at;
+        }
+    }
+    return scripts;
+}
+
+/// Where the scripted arrivals landed: on a foreground arrival or on a
+/// departure, by whether their cause precedes, equals or follows that
+/// arrival's cause or the departing packet's start.
+struct landing_census {
+    int on_arrival[3]{};
+    int on_departure[3]{};
+};
+
+template <bool Chained>
+std::vector<std::string> drive_scripts(const scenario& sc,
+                                       const std::vector<std::vector<scripted_stream::arrival>>&
+                                           scripts) {
+    sim::scheduler s;
+    link l(s, sc.capacity_bps, sc.prop_s, sc.buffer);
+    std::vector<std::string> log;
+    // A delivery reads nothing of the link: the reference chain and a
+    // delivery may share an (instant, cause), which only ids order.
+    l.set_sink([&](packet p) {
+        log.push_back("deliver " + std::to_string(p.seq) + " at " + hex(s.now()));
+    });
+    if (sc.loss > 0.0) l.set_random_loss(sc.loss, 7, sc.loss_burst_s);
+    if (sc.outage_until > sc.outage_from) l.set_outage(sc.outage_from, sc.outage_until);
+    if (sc.fluid) l.set_fluid_mean_packet_bytes(500.0);
+    std::uint64_t seq = 0;
+    for (const scenario::op& o : sc.ops) {
+        s.schedule_at(o.when, o.cause, [&, o, id = seq++] {
+            const std::string at = " at " + hex(s.now()) + " cause " + hex(s.cause());
+            switch (o.what) {
+                case scenario::kind::arrive: {
+                    const bool admitted = l.enqueue(make_packet(o.bytes, id), o.deliver);
+                    log.push_back((admitted ? "admit " : "drop ") + std::to_string(id) + at +
+                                  describe(l));
+                    break;
+                }
+                case scenario::kind::read:
+                    log.push_back("read" + at + describe(l));
+                    break;
+                case scenario::kind::fluid:
+                    l.add_fluid_rate(o.fluid_delta);
+                    log.push_back("fluid" + at + describe(l));
+                    break;
+            }
+        });
+    }
+    // The streams start after the foreground was scheduled, as a source
+    // started then would: at an equal (instant, cause) the foreground fires
+    // first.
+    std::vector<std::unique_ptr<scripted_stream>> streams;
+    for (const auto& script : scripts) {
+        if constexpr (Chained) {
+            chain_script(s, l, script, 0);
+        } else {
+            streams.push_back(std::make_unique<scripted_stream>(script));
+            l.attach(*streams.back());
+        }
+    }
+    s.run_until(sc.horizon);
+    log.push_back("end" + describe(l));
+    for (auto& stream : streams) l.detach(*stream);
+    s.run_until(sc.horizon + 100.0);
+    log.push_back("drained" + describe(l));
+    return log;
+}
+
+TEST(stream_equivalence, scripted_streams_on_the_quarter_second_grid) {
+    landing_census census;
+    const auto side = [](double a, double b) { return a < b ? 0 : a == b ? 1 : 2; };
+    int grids = 0;
+    for (std::uint64_t seed = 1; seed <= 180; ++seed) {
+        if (seed % 3 == 0) continue;  // continuous instants: make_scenario's other kind
+        ++grids;
+        const scenario sc = make_scenario(seed);
+        const auto scripts = make_scripts(seed, sc.horizon);
+        const auto want = drive_scripts<true>(sc, scripts);
+        const auto got = drive_scripts<false>(sc, scripts);
+        ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i], want[i]) << "seed " << seed << ", entry " << i;
+        }
+        // Departures of delivered foreground packets, from their delivery
+        // instants (everything is on the grid, so the sums are exact; fluid
+        // served ahead would stretch a packet's service).
+        std::vector<std::pair<double, double>> departures;  // (departs, starts)
+        for (const std::string& e : want) {
+            if (sc.fluid) break;
+            unsigned long long id = 0;
+            char when[64];
+            if (std::sscanf(e.c_str(), "deliver %llu at %63s", &id, when) != 2) continue;
+            const double departs = std::strtod(when, nullptr) - sc.prop_s;
+            const double tx = sc.ops[id].bytes * 8.0 / sc.capacity_bps;
+            departures.emplace_back(departs, departs - tx);
+        }
+        for (const auto& script : scripts) {
+            for (const scripted_stream::arrival& a : script) {
+                for (const scenario::op& o : sc.ops) {
+                    if (o.what == scenario::kind::arrive && o.when == a.at) {
+                        ++census.on_arrival[side(a.cause, o.cause)];
+                    }
+                }
+                for (const auto& [departs, starts] : departures) {
+                    if (departs == a.at) ++census.on_departure[side(a.cause, starts)];
+                }
+            }
+        }
+    }
+    EXPECT_GE(grids, 120);
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_GT(census.on_arrival[i], 0) << i;
+        EXPECT_GT(census.on_departure[i], 0) << i;
     }
 }
 

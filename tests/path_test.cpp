@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "core/units.hpp"
+#include "net/cross_traffic.hpp"
+#include "sim/rng.hpp"
 
 namespace tcppred::net {
 namespace {
@@ -131,6 +134,82 @@ TEST(duplex_path, sinkless_cross_traffic_fires_no_event) {
     EXPECT_EQ(st.enqueued, static_cast<std::uint64_t>(k_packets));
     EXPECT_EQ(st.delivered, static_cast<std::uint64_t>(k_packets));
     EXPECT_NEAR(st.busy_time, k_packets * 0.0012, 1e-9);
+}
+
+TEST(duplex_path, open_loop_sources_fire_no_event) {
+    sim::scheduler s;
+    const auto fwd = two_hops();  // link 1: 10 Mbps, 32 packets
+    const auto rev = one_hop();
+    duplex_path path(s, fwd, rev);
+    poisson_source poisson(s, path, 1, 10, 3, 6e6);
+    pareto_onoff_source bursts(s, path, 1, 11, 4, pareto_onoff_config{});
+    bursts.set_mean_rate(2e6);
+    poisson.start();
+    bursts.start();
+    s.run_until(20.0);
+    // The link admitted them all the same: about 17k Poisson and 3.3k
+    // on/off packets, some of them dropped in the bursts.
+    const link_stats& st = path.forward_link(1).stats();
+    EXPECT_GT(st.enqueued, 15000u);
+    EXPECT_GT(st.busy_time, 0.7 * 20.0);
+    EXPECT_EQ(s.fired(), 0u);
+}
+
+// stats() counts exactly the arrivals and departures due by now(). The
+// reference redraws the Poisson source's arrivals in its order (the first
+// interarrival at start; then each packet's size, then the next
+// interarrival) and serves them FIFO; the link never fills, so nothing drops.
+TEST(duplex_path, stream_stats_are_exact_at_now) {
+    sim::scheduler s;
+    const auto fwd = two_hops();  // link 0: 100 Mbps, 64 packets
+    const auto rev = one_hop();
+    duplex_path path(s, fwd, rev);
+    constexpr double k_rate = 40e6;
+    poisson_source poisson(s, path, 0, 10, 9, k_rate);
+    poisson.start();
+
+    struct arrival {
+        double at;
+        double starts;
+        double departs;
+        double tx;
+        std::uint32_t bytes;
+    };
+    std::vector<arrival> want;
+    sim::rng r(9);
+    const packet_size_mix mix{};
+    const double mean_interarrival = mix.mean_bytes() * 8.0 / k_rate;
+    double next = 0.0 + r.exponential(mean_interarrival);
+    double free_at = 0.0;
+    while (next <= 2.0) {
+        const std::uint32_t bytes = mix.draw(r);
+        const double tx = path.forward_link(0).tx_time(bytes);
+        const double starts = std::max(next, free_at);
+        want.push_back({next, starts, starts + tx, tx, bytes});
+        free_at = starts + tx;
+        next = next + r.exponential(mean_interarrival);
+    }
+    ASSERT_GT(want.size(), 10000u);
+    for (int step = 1; step <= 40; ++step) {
+        const double now = 0.05 * step;
+        s.run_until(now);
+        link_stats expect;
+        for (const arrival& a : want) {
+            if (a.at <= now) ++expect.enqueued;
+            if (a.starts <= now) expect.busy_time += a.tx;
+            if (a.departs <= now) {
+                ++expect.delivered;
+                expect.bytes_delivered += a.bytes;
+            }
+        }
+        const link_stats& st = path.forward_link(0).stats();
+        EXPECT_EQ(st.enqueued, expect.enqueued) << now;
+        EXPECT_EQ(st.dropped, 0u) << now;
+        EXPECT_EQ(st.delivered, expect.delivered) << now;
+        EXPECT_EQ(st.bytes_delivered, expect.bytes_delivered) << now;
+        EXPECT_EQ(st.busy_time, expect.busy_time) << now;
+    }
+    EXPECT_EQ(s.fired(), 0u);
 }
 
 TEST(duplex_path, cross_exit_handler_receives_every_packet_after_propagation) {

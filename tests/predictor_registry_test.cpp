@@ -140,7 +140,10 @@ TEST(make_predictor_factory, nws_honours_lso_config) {
 TEST(make_predictor_factory, rejects_malformed_specs_with_payload) {
     for (const char* bad : {"", "MA", "10-XX", "x-MA", "10x-MA", "-MA", "10-",
                             "fb:bogus", "0-MA", "1.5-EWMA", "hybrid:",
-                            "hybrid:MA", "hybrid:10-MA:0", "hybrid:10-MA:x"}) {
+                            "hybrid:MA", "hybrid:10-MA:0", "hybrid:10-MA:x",
+                            // std::stod reads these, but no range check catches NaN.
+                            "nan-EWMA", "-nan-HW", "inf-EWMA", "hybrid:10-MA:nan",
+                            "hybrid:10-MA:inf"}) {
         try {
             [[maybe_unused]] const auto p = make_predictor(bad);
             FAIL() << "spec '" << bad << "' should have been rejected";

@@ -139,14 +139,15 @@ TEST(pathload, respects_stream_budget) {
     EXPECT_LE(pl.result()->streams_used, 4);
 }
 
+// Open-loop packets have no exit: what a source offered is what its link
+// carried (the 100 Mb/s link never fills its 512-packet buffer).
 TEST(cross_traffic, poisson_rate_converges) {
     world w(100e6, 0.010, 512);
     net::poisson_source src(w.sched, *w.path, 0, 5, 11, 5e6);
-    std::uint64_t bytes = 0;
-    w.path->on_cross_exit(5, [&](net::packet p) { bytes += p.size_bytes; });
     src.start();
     w.sched.run_until(50.0);
     src.stop();
+    const auto bytes = w.path->forward_link(0).stats().bytes_delivered;
     const double rate = static_cast<double>(bytes) * 8.0 / 50.0;
     EXPECT_NEAR(rate, 5e6, 0.6e6);
 }
@@ -155,15 +156,50 @@ TEST(cross_traffic, pareto_mean_rate_approximates_target) {
     world w(100e6, 0.010, 512);
     net::pareto_onoff_source src(w.sched, *w.path, 0, 5, 11, net::pareto_onoff_config{});
     src.set_mean_rate(2e6);
-    std::uint64_t bytes = 0;
-    w.path->on_cross_exit(5, [&](net::packet p) { bytes += p.size_bytes; });
     src.start();
     w.sched.run_until(300.0);
     src.stop();
+    const auto bytes = w.path->forward_link(0).stats().bytes_delivered;
     const double rate = static_cast<double>(bytes) * 8.0 / 300.0;
     // Heavy-tailed ON periods converge slowly; just require the right scale.
     EXPECT_GT(rate, 0.8e6);
     EXPECT_LT(rate, 4.0e6);
+}
+
+// A source stopped and started again runs one arrival process, not its old
+// one beside a new one. A 5 Mb/s Poisson source and a 2 Mb/s-mean on/off
+// source are restarted at t = 1 s; over the next 300 s the link must see
+// about 7 Mb/s: carried bytes in packet mode, the fluid rate in fluid mode.
+TEST(cross_traffic, restarted_sources_offer_their_configured_rate) {
+    for (const net::cross_model model : {net::cross_model::packet, net::cross_model::fluid}) {
+        const bool fluid = model == net::cross_model::fluid;
+        world w(100e6, 0.010, 512);
+        net::link& l = w.path->forward_link(0);
+        if (fluid) l.set_fluid_mean_packet_bytes(1500.0);
+        net::poisson_source poisson(w.sched, *w.path, 0, 5, 11, 5e6, {}, model);
+        net::pareto_onoff_source bursts(w.sched, *w.path, 0, 6, 12,
+                                        net::pareto_onoff_config{}, model);
+        bursts.set_mean_rate(2e6);
+        poisson.start();
+        bursts.start();
+        w.sched.run_until(1.0);
+        poisson.stop();
+        bursts.stop();
+        poisson.start();
+        bursts.start();
+        const std::uint64_t bytes_before = l.stats().bytes_delivered;
+        double fluid_sum = 0.0;
+        constexpr int k_samples = 30000;  // every 10 ms
+        for (int i = 1; i <= k_samples; ++i) {
+            w.sched.run_until(1.0 + 0.01 * i);
+            fluid_sum += l.fluid_rate_bps();
+        }
+        const double offered =
+            fluid ? fluid_sum / k_samples
+                  : static_cast<double>(l.stats().bytes_delivered - bytes_before) * 8.0 / 300.0;
+        EXPECT_GT(offered, 5.5e6) << (fluid ? "fluid" : "packet");
+        EXPECT_LT(offered, 9.0e6) << (fluid ? "fluid" : "packet");
+    }
 }
 
 }  // namespace

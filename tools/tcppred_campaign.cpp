@@ -57,8 +57,8 @@ void usage(const char* argv0) {
                  "  --transfer-s T    target transfer length (default 10)\n"
                  "  --second-set      use the campaign-2 catalogue & plan\n"
                  "  --cross-model M   open-loop cross-traffic model: packet (exact,\n"
-                 "                    default) or fluid (aggregate rate, far fewer\n"
-                 "                    events)\n"
+                 "                    default) or fluid (aggregate rate, no cross\n"
+                 "                    packets)\n"
                  "  --jobs N          worker threads; 1 = serial\n"
                  "                    (default $REPRO_JOBS, else all cores)\n"
                  "  --faults SPEC     measurement-fault rates, e.g.\n"
