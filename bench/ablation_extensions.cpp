@@ -28,9 +28,8 @@ int main() {
     const auto results = run_predictors(
         data, {"10-MA-LSO", "0.8-HW-LSO", "2-AR", "4-AR", "8-AR", "4-AR-LSO", "NWS"});
     for (const auto& result : results) {
-        const auto rmsres = result.trace_rmsres();
-        std::printf("  %-14s %8.3f %8.3f\n", result.name.c_str(),
-                    analysis::median(rmsres), analysis::quantile(rmsres, 0.9));
+        const auto h = analysis::rmsre_headline_of(result.trace_rmsres());
+        std::printf("  %-14s %8.3f %8.3f\n", result.name.c_str(), h.median, h.p90);
     }
 
     // Hybrid cold start: score only the first `horizon` transfers of each

@@ -55,7 +55,7 @@ int main() {
                 "median E raw %.2f vs events %.2f; |E|>=1 raw %.0f%% vs events %.0f%%\n",
                 analysis::median(burst_factor), analysis::quantile(burst_factor, 0.9),
                 analysis::median(raw_err), analysis::median(event_err),
-                100.0 * fraction(raw_err, [](double e) { return std::abs(e) >= 1; }),
-                100.0 * fraction(event_err, [](double e) { return std::abs(e) >= 1; }));
+                100.0 * analysis::share(raw_err, [](double e) { return std::abs(e) >= 1; }),
+                100.0 * analysis::share(event_err, [](double e) { return std::abs(e) >= 1; }));
     return 0;
 }

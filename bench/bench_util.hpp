@@ -97,15 +97,4 @@ inline std::vector<double> rmsre_grid() {
     return {0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.5, 2.0, 4.0};
 }
 
-/// Fraction of samples satisfying a predicate — for headline statistics.
-template <typename Pred>
-double fraction(std::span<const double> xs, Pred&& pred) {
-    if (xs.empty()) return 0.0;
-    std::size_t hits = 0;
-    for (const double x : xs) {
-        if (pred(x)) ++hits;
-    }
-    return static_cast<double>(hits) / static_cast<double>(xs.size());
-}
-
 }  // namespace tcppred::bench

@@ -36,17 +36,14 @@ int main() {
     };
     print_cdf_table(series, grid, "E ->");
 
-    std::printf("\nheadline: n=%zu (lossy %zu / lossless %zu)\n", all.size(), lossy.size(),
+    const analysis::fb_error_shares shares = analysis::fb_error_shares_of(all);
+    std::printf("\nheadline: n=%zu (lossy %zu / lossless %zu)\n", shares.n, lossy.size(),
                 lossless.size());
-    std::printf("  overestimation (E>0):            %.0f%%\n",
-                100.0 * fraction(all, [](double e) { return e > 0; }));
-    std::printf("  overestimate by >2x  (E>=1):     %.0f%%\n",
-                100.0 * fraction(all, [](double e) { return e >= 1; }));
-    std::printf("  overestimate by >10x (E>=9):     %.0f%%\n",
-                100.0 * fraction(all, [](double e) { return e >= 9; }));
-    std::printf("  underestimate by >2x (E<=-1):    %.0f%%\n",
-                100.0 * fraction(all, [](double e) { return e <= -1; }));
+    std::printf("  overestimation (E>0):            %.0f%%\n", 100.0 * shares.over);
+    std::printf("  overestimate by >2x  (E>=1):     %.0f%%\n", 100.0 * shares.over_2x);
+    std::printf("  overestimate by >10x (E>=9):     %.0f%%\n", 100.0 * shares.over_10x);
+    std::printf("  underestimate by >2x (E<=-1):    %.0f%%\n", 100.0 * shares.under_2x);
     std::printf("  lossless underestimates (E<=-1): %.0f%%\n",
-                100.0 * fraction(lossless, [](double e) { return e <= -1; }));
+                100.0 * analysis::fb_error_shares_of(lossless).under_2x);
     return 0;
 }

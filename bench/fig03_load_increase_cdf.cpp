@@ -42,6 +42,6 @@ int main() {
     std::printf("  mean loss inflation (lossy only): x%.2f   (paper: ~x5)\n",
                 analysis::mean(loss_ratio));
     std::printf("  epochs with loss increase > 0:    %.0f%%  (paper: almost all)\n",
-                100.0 * fraction(loss_inc, [](double x) { return x > 1e-6; }));
+                100.0 * analysis::share(loss_inc, [](double x) { return x > 1e-6; }));
     return 0;
 }

@@ -25,6 +25,6 @@ int main() {
     print_cdf_table(series, grid, "(T~ - T^)/T~ ->");
 
     std::printf("\nheadline: fraction with relative increase > 0.5: %.0f%% (paper ~20%%)\n",
-                100.0 * fraction(rel, [](double x) { return x > 0.5; }));
+                100.0 * analysis::share(rel, [](double x) { return x > 0.5; }));
     return 0;
 }

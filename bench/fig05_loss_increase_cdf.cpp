@@ -28,6 +28,6 @@ int main() {
 
     std::printf("\nheadline: n=%zu lossy epochs\n", rel.size());
     std::printf("  fraction with p-tilde > 2.25 p-hat: %.0f%% (paper >70%%)\n",
-                100.0 * fraction(rel, [](double x) { return x > 1.25 / 2.25; }));
+                100.0 * analysis::share(rel, [](double x) { return x > 1.25 / 2.25; }));
     return 0;
 }

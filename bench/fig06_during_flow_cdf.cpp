@@ -48,10 +48,10 @@ int main() {
 
     std::printf("\nheadline:\n");
     std::printf("  prior:  |E| >= 1: %.0f%%, overestimation share %.0f%%\n",
-                100.0 * fraction(prior_err, [](double e) { return std::abs(e) >= 1; }),
-                100.0 * fraction(prior_err, [](double e) { return e > 0; }));
+                100.0 * analysis::share(prior_err, [](double e) { return std::abs(e) >= 1; }),
+                100.0 * analysis::share(prior_err, [](double e) { return e > 0; }));
     std::printf("  during: |E| >= 1: %.0f%%, overestimation share %.0f%% (should be nearer 50%%)\n",
-                100.0 * fraction(during_err, [](double e) { return std::abs(e) >= 1; }),
-                100.0 * fraction(during_err, [](double e) { return e > 0; }));
+                100.0 * analysis::share(during_err, [](double e) { return std::abs(e) >= 1; }),
+                100.0 * analysis::share(during_err, [](double e) { return e > 0; }));
     return 0;
 }

@@ -41,12 +41,12 @@ int main() {
                     b.hi > 1e9 ? 99.0 : b.hi / 1e6, b.errors.size(),
                     analysis::quantile(b.errors, 0.1), analysis::median(b.errors),
                     analysis::quantile(b.errors, 0.9),
-                    100.0 * fraction(b.errors, [](double e) { return e > 5; }));
+                    100.0 * analysis::share(b.errors, [](double e) { return e > 5; }));
     }
 
     std::printf("\nheadline: P(E > 5 | R <= 0.5 Mbps) = %.0f%%  vs  P(E > 5 | R > 0.5 Mbps) = %.1f%%\n",
-                100.0 * fraction(low_r, [](double e) { return e > 5; }),
-                100.0 * fraction(high_r, [](double e) { return e > 5; }));
+                100.0 * analysis::share(low_r, [](double e) { return e > 5; }),
+                100.0 * analysis::share(high_r, [](double e) { return e > 5; }));
     std::printf("(paper used the E > 10 threshold at its deeper congestion levels; the "
                 "concentration of large errors on slow transfers is the reproduced shape)\n");
     return 0;

@@ -34,7 +34,7 @@ int main() {
                 analysis::median(original), analysis::median(revised),
                 analysis::median(sqrt_model));
     std::printf("  |E|>=1: original %.0f%%, revised %.0f%% (paper: negligible difference)\n",
-                100.0 * fraction(original, [](double e) { return std::abs(e) >= 1; }),
-                100.0 * fraction(revised, [](double e) { return std::abs(e) >= 1; }));
+                100.0 * analysis::share(original, [](double e) { return std::abs(e) >= 1; }),
+                100.0 * analysis::share(revised, [](double e) { return std::abs(e) >= 1; }));
     return 0;
 }

@@ -33,7 +33,7 @@ int main() {
     std::printf("\nheadline: median E raw %.2f vs smoothed %.2f; |E|>=1 raw %.0f%% vs "
                 "smoothed %.0f%% (paper: the two CDFs nearly coincide)\n",
                 analysis::median(raw_err), analysis::median(smooth_err),
-                100.0 * fraction(raw_err, [](double e) { return std::abs(e) >= 1; }),
-                100.0 * fraction(smooth_err, [](double e) { return std::abs(e) >= 1; }));
+                100.0 * analysis::share(raw_err, [](double e) { return std::abs(e) >= 1; }),
+                100.0 * analysis::share(smooth_err, [](double e) { return std::abs(e) >= 1; }));
     return 0;
 }

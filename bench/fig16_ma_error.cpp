@@ -17,14 +17,13 @@ int main() {
 
     const auto results = run_predictors(
         data, {"1-MA", "5-MA", "10-MA", "20-MA", "5-MA-LSO", "10-MA-LSO", "20-MA-LSO"});
-    const auto series = rmsre_cdf_series(results);
-
     const auto grid = rmsre_grid();
-    print_cdf_table(series, grid, "RMSRE ->");
+    print_cdf_table(rmsre_cdf_series(results), grid, "RMSRE ->");
 
     std::printf("\nheadline (median per-trace RMSRE):\n");
-    for (const auto& [name, cdf] : series) {
-        std::printf("  %-12s %.3f\n", name.c_str(), cdf.quantile(0.5));
+    for (const auto& r : results) {
+        std::printf("  %-12s %.3f\n", r.name.c_str(),
+                    analysis::rmsre_headline_of(r.trace_rmsres()).median);
     }
     return 0;
 }

@@ -19,14 +19,13 @@ int main() {
     const auto results = run_predictors(
         data, {"0.2-HW", "0.5-HW", "0.8-HW", "0.2-HW-LSO", "0.5-HW-LSO", "0.8-HW-LSO",
                "0.8-EWMA", "10-MA-LSO"});
-    const auto series = rmsre_cdf_series(results);
-
     const auto grid = rmsre_grid();
-    print_cdf_table(series, grid, "RMSRE ->");
+    print_cdf_table(rmsre_cdf_series(results), grid, "RMSRE ->");
 
     std::printf("\nheadline (median per-trace RMSRE):\n");
-    for (const auto& [name, cdf] : series) {
-        std::printf("  %-12s %.3f\n", name.c_str(), cdf.quantile(0.5));
+    for (const auto& r : results) {
+        std::printf("  %-12s %.3f\n", r.name.c_str(),
+                    analysis::rmsre_headline_of(r.trace_rmsres()).median);
     }
     return 0;
 }

@@ -18,20 +18,18 @@ int main() {
     // One streaming pass feeds the FB predictor and both HB predictors.
     const auto results = run_predictors(data, {"fb:pftk", "10-MA-LSO", "0.8-HW-LSO"});
 
-    std::vector<std::pair<std::string, analysis::ecdf>> series;
-    series.emplace_back("FB (Eq. 3)", analysis::ecdf(results[0].trace_rmsres()));
-    for (std::size_t i = 1; i < results.size(); ++i) {
-        series.emplace_back(results[i].name, analysis::ecdf(results[i].trace_rmsres()));
-    }
+    // The FB row keeps its figure label; the HB rows carry their specs.
+    auto series = rmsre_cdf_series(results);
+    series[0].first = "FB (Eq. 3)";
 
     const std::vector<double> grid{0.1, 0.2, 0.4, 0.6, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0};
     print_cdf_table(series, grid, "RMSRE ->");
 
     std::printf("\nheadline:\n");
-    for (const auto& [name, cdf] : series) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto h = analysis::rmsre_headline_of(results[i].trace_rmsres());
         std::printf("  %-12s median RMSRE %.2f, 90th percentile %.2f, P(RMSRE<0.4) %.0f%%\n",
-                    name.c_str(), cdf.quantile(0.5), cdf.quantile(0.9),
-                    100.0 * cdf.at(0.4));
+                    series[i].first.c_str(), h.median, h.p90, 100.0 * h.below_04);
     }
     return 0;
 }

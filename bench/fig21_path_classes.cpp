@@ -1,6 +1,8 @@
 // Fig. 21 / §6.1.4: 12 sample paths grouped into four predictability
 // classes, with the per-trace RMSRE of 1-MA, 10-MA, HW and HW-LSO.
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdio>
 #include <map>
 
@@ -20,34 +22,20 @@ int main() {
 
     const std::vector<std::string> specs{"1-MA", "10-MA", "0.8-HW", "0.8-HW-LSO"};
     const auto results = run_predictors(data, specs);
-    // rmsre[path][trace][spec]
+    // rmsre[path][trace][spec], NaN where that spec left the trace unscored.
     std::map<int, std::map<int, std::vector<double>>> rmsre;
-    for (const auto& result : results) {
-        for (const auto& t : result.traces) {
-            rmsre[t.path_id][t.trace_id].push_back(t.rmsre);
+    for (std::size_t s = 0; s < results.size(); ++s) {
+        for (const auto& t : results[s].traces) {
+            auto& cells = rmsre[t.path_id][t.trace_id];
+            cells.resize(specs.size(), std::nan(""));
+            cells[s] = t.rmsre;
         }
     }
 
     // Classify each path by mean and spread of its HW-LSO trace RMSREs.
-    struct row {
-        int path;
-        double mean_err, spread;
-    };
-    std::vector<row> rows;
-    for (const auto& [path, traces] : rmsre) {
-        std::vector<double> hwlso;
-        for (const auto& [trace, vals] : traces) hwlso.push_back(vals.back());
-        rows.push_back(row{path, analysis::mean(hwlso),
-                           analysis::quantile(hwlso, 1.0) - analysis::quantile(hwlso, 0.0)});
-    }
+    auto rows = analysis::classify_paths(analysis::summarize(results.back(), false));
     std::sort(rows.begin(), rows.end(),
-              [](const row& a, const row& b) { return a.mean_err < b.mean_err; });
-
-    auto klass = [](const row& r) {
-        if (r.mean_err < 0.2) return "a: predictable";
-        if (r.mean_err < 0.5) return r.spread < 0.25 ? "b: stable errors" : "c: unstable errors";
-        return "d: unpredictable";
-    };
+              [](const auto& a, const auto& b) { return a.mean < b.mean; });
 
     // Print 12 sample paths spread across the sorted order.
     std::printf("%-10s %-20s", "path", "class");
@@ -55,25 +43,20 @@ int main() {
     std::printf("   (RMSRE per trace, first trace shown per cell)\n");
     const std::size_t step = std::max<std::size_t>(1, rows.size() / 12);
     for (std::size_t i = 0; i < rows.size(); i += step) {
-        const row& r = rows[i];
-        const auto& prof = data.profile(r.path);
-        for (const auto& [trace, vals] : rmsre[r.path]) {
-            std::printf("%-10s %-20s", prof.name.c_str(), klass(r));
+        const auto& r = rows[i];
+        const auto& prof = data.profile(r.path_id);
+        for (const auto& [trace, vals] : rmsre[r.path_id]) {
+            std::printf("%-10s %c: %-17s", prof.name.c_str(), 'a' + static_cast<int>(r.klass),
+                        analysis::to_string(r.klass));
             for (const double v : vals) std::printf(" %10.3f", v);
             std::printf("   trace %d\n", trace);
         }
     }
 
-    int a = 0, b = 0, c = 0, d = 0;
-    for (const auto& r : rows) {
-        const std::string k = klass(r);
-        if (k[0] == 'a') ++a;
-        else if (k[0] == 'b') ++b;
-        else if (k[0] == 'c') ++c;
-        else ++d;
-    }
+    std::array<int, 4> sizes{};
+    for (const auto& r : rows) ++sizes[static_cast<std::size_t>(r.klass)];
     std::printf("\nheadline: class sizes over %zu paths: predictable=%d stable=%d "
                 "unstable=%d unpredictable=%d (paper: all four classes occur)\n",
-                rows.size(), a, b, c, d);
+                rows.size(), sizes[0], sizes[1], sizes[2], sizes[3]);
     return 0;
 }

@@ -23,20 +23,24 @@ int main() {
         {15, "45 min (every 15th)"}};
 
     std::vector<std::pair<std::string, analysis::ecdf>> series;
+    std::vector<analysis::rmsre_headline> headlines;
     for (const auto& [factor, label] : periods) {
         analysis::engine_options opts;
         opts.downsample = factor;
-        const auto result = analysis::evaluation_engine{opts}.run_one(data, "0.8-HW-LSO");
-        series.emplace_back(label, analysis::ecdf(result.trace_rmsres()));
+        const auto rmsres =
+            analysis::evaluation_engine{opts}.run_one(data, "0.8-HW-LSO").trace_rmsres();
+        series.emplace_back(label, analysis::ecdf(rmsres));
+        headlines.push_back(analysis::rmsre_headline_of(rmsres));
     }
 
     const auto grid = rmsre_grid();
     print_cdf_table(series, grid, "RMSRE ->");
 
     std::printf("\nheadline:\n");
-    for (const auto& [name, cdf] : series) {
+    for (std::size_t i = 0; i < series.size(); ++i) {
         std::printf("  %-22s P(RMSRE<0.4) = %.0f%%, 90th percentile = %.2f\n",
-                    name.c_str(), 100.0 * cdf.at(0.4), cdf.quantile(0.9));
+                    series[i].first.c_str(), 100.0 * headlines[i].below_04,
+                    headlines[i].p90);
     }
     return 0;
 }

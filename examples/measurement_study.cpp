@@ -45,16 +45,15 @@ int main() {
 
     // Formula-based accuracy.
     const auto errors = results[0].epoch_errors();
-    std::size_t over = 0;
-    for (const double e : errors) over += e > 0 ? 1 : 0;
-    std::printf("FB prediction over %zu epochs: median E %.2f, %zu%% overestimates\n",
-                errors.size(), analysis::median(errors), over * 100 / errors.size());
+    std::printf("FB prediction over %zu epochs: median E %.2f, %.0f%% overestimates\n",
+                errors.size(), analysis::median(errors),
+                100.0 * analysis::fb_error_shares_of(errors).over);
 
     // --- 5. History-based accuracy, per predictor.
     std::printf("\nHB per-trace RMSRE (median across traces):\n");
     for (std::size_t i = 1; i < results.size(); ++i) {
         std::printf("  %-12s %.3f\n", results[i].name.c_str(),
-                    analysis::median(results[i].trace_rmsres()));
+                    analysis::rmsre_headline_of(results[i].trace_rmsres()).median);
     }
 
     // --- 6. The paper's headline relation: trace CoV vs HB error.

@@ -450,18 +450,6 @@ series_evaluation evaluate_series(const std::vector<double>& series,
     return out;
 }
 
-std::vector<double> downsample(const std::vector<double>& series, std::size_t factor) {
-    if (factor == 0) throw std::invalid_argument("downsample: factor must be >= 1");
-    std::vector<double> out;
-    out.reserve(series.size() / factor + 1);
-    for (std::size_t i = 0; i < series.size(); i += factor) out.push_back(series[i]);
-    return out;
-}
-
-conditioned_rmsre rmsre_conditioned(const predictor_result& result) {
-    return summarize(result, false).conditioned;
-}
-
 std::vector<double> stream_predictor_summary::trace_rmsres() const {
     std::vector<double> out;
     out.reserve(traces.size());
@@ -524,6 +512,46 @@ std::vector<stream_predictor_summary> evaluate_stream(
     out.reserve(folds.size());
     for (auto& fold : folds) {
         out.push_back(fold.finish(tally_unscored(n_traces, fold.traces_scored())));
+    }
+    return out;
+}
+
+rmsre_headline rmsre_headline_of(std::span<const double> trace_rmsres) {
+    const ecdf cdf{std::vector<double>(trace_rmsres.begin(), trace_rmsres.end())};
+    return rmsre_headline{cdf.size(), cdf.quantile(0.5), cdf.quantile(0.9), cdf.at(0.4)};
+}
+
+fb_error_shares fb_error_shares_of(std::span<const double> errors) {
+    return fb_error_shares{errors.size(), share(errors, [](double e) { return e > 0; }),
+                           share(errors, [](double e) { return e >= 1; }),
+                           share(errors, [](double e) { return e >= 9; }),
+                           share(errors, [](double e) { return e <= -1; })};
+}
+
+const char* to_string(path_class c) noexcept {
+    switch (c) {
+        case path_class::predictable: return "predictable";
+        case path_class::stable: return "stable errors";
+        case path_class::unstable: return "unstable errors";
+        case path_class::unpredictable: return "unpredictable";
+    }
+    return "?";
+}
+
+std::vector<path_predictability> classify_paths(const stream_predictor_summary& hw_lso) {
+    std::map<int, std::vector<double>> per_path;
+    for (const auto& t : hw_lso.traces) per_path[t.path_id].push_back(t.rmsre);
+    std::vector<path_predictability> out;
+    out.reserve(per_path.size());
+    for (const auto& [path, rs] : per_path) {
+        const auto [lo, hi] = std::minmax_element(rs.begin(), rs.end());
+        path_predictability p{path, rs.size(), mean(rs), *hi - *lo, path_class::predictable};
+        if (p.mean >= 0.5) {
+            p.klass = path_class::unpredictable;
+        } else if (p.mean >= 0.2) {
+            p.klass = p.spread < 0.25 ? path_class::stable : path_class::unstable;
+        }
+        out.push_back(p);
     }
     return out;
 }

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -184,11 +185,6 @@ struct series_evaluation {
                                                 const core::predictor& prototype,
                                                 series_options opts = {});
 
-/// Keep every k-th sample of a series (down-sampling to a longer transfer
-/// period, §6.1.6).
-[[nodiscard]] std::vector<double> downsample(const std::vector<double>& series,
-                                             std::size_t factor);
-
 /// RMSRE conditioned on measurement-failure status (fault-injection
 /// campaigns): clean epochs vs epochs carrying any fault flag, plus the
 /// stale-input subset. For fault-free datasets n_faulty == n_stale == 0 and
@@ -201,7 +197,6 @@ struct conditioned_rmsre {
     double rmsre_stale{0.0};   ///< scored from a stale fallback measurement
     std::size_t n_stale{0};
 };
-[[nodiscard]] conditioned_rmsre rmsre_conditioned(const predictor_result& result);
 
 /// Pull-based record source for evaluate_stream: fill `out` with the next
 /// record and return true, or return false at end of data. Records must
@@ -264,6 +259,52 @@ struct stream_eval_options {
 /// the bridge that lets one report printer serve both evaluation paths.
 [[nodiscard]] stream_predictor_summary summarize(const predictor_result& result,
                                                  bool keep_epoch_errors);
+
+// ---- Headline statistics. Each is computed here once, under stats.hpp's one
+// quantile rule, and every figure bench and tcppred_analyze prints it.
+
+/// The per-trace RMSRE headline (Figs. 16, 17, 19, 23): the median and 90th
+/// percentile of a predictor's per-trace RMSREs, and F(0.4), the share of
+/// traces at or below 0.4 (the paper's "RMSRE < 0.4"). Zeros when n == 0.
+struct rmsre_headline {
+    std::size_t n{0};
+    double median{0.0};
+    double p90{0.0};
+    double below_04{0.0};
+};
+[[nodiscard]] rmsre_headline rmsre_headline_of(std::span<const double> trace_rmsres);
+
+/// The FB error shares (Fig. 2) over per-epoch relative errors E: the shares
+/// that overestimate (E > 0), overestimate by more than 2x (E >= 1) and 10x
+/// (E >= 9), and underestimate by more than 2x (E <= -1).
+struct fb_error_shares {
+    std::size_t n{0};
+    double over{0.0};
+    double over_2x{0.0};
+    double over_10x{0.0};
+    double under_2x{0.0};
+};
+[[nodiscard]] fb_error_shares fb_error_shares_of(std::span<const double> errors);
+
+/// Path predictability classes (Fig. 21, §6.1.4), from the mean and spread
+/// (max − min) of a path's 0.8-HW-LSO per-trace RMSREs: a mean below 0.2 is
+/// predictable; a mean below 0.5 has stable errors when the spread is below
+/// 0.25 and unstable ones otherwise; the rest is unpredictable.
+enum class path_class { predictable, stable, unstable, unpredictable };
+[[nodiscard]] const char* to_string(path_class c) noexcept;
+
+struct path_predictability {
+    int path_id{0};
+    std::size_t traces{0};
+    double mean{0.0};
+    double spread{0.0};
+    path_class klass{path_class::predictable};
+};
+/// One entry per path with a scored trace, ascending path id. Pass the
+/// 0.8-HW-LSO summary (summarize() bridges an engine result): only that
+/// predictor's own traces are read.
+[[nodiscard]] std::vector<path_predictability> classify_paths(
+    const stream_predictor_summary& hw_lso);
 
 /// Per-path error distribution summary (Fig. 7).
 struct path_error_summary {

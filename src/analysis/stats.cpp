@@ -21,18 +21,31 @@ double stddev(std::span<const double> xs) {
     return std::sqrt(s / static_cast<double>(xs.size()));
 }
 
+namespace {
+
+/// The one quantile rule (stats.hpp) on an ascending sample: sorted[k − 1]
+/// for the smallest rank k with F = k / n >= q. The rank starts at ⌈qn⌉ and
+/// is settled against F computed as at() computes it, because q·n can land
+/// a rounding step off an integer (0.28 · 25 = 7.000000000000001).
+double inverse_ecdf(std::span<const double> sorted, double q) {
+    if (!(q >= 0.0 && q <= 1.0)) throw std::invalid_argument("quantile: q outside [0,1]");
+    if (sorted.empty()) return 0.0;
+    const std::size_t n = sorted.size();
+    const auto dn = static_cast<double>(n);
+    auto k = std::clamp<std::size_t>(static_cast<std::size_t>(std::ceil(q * dn)), 1, n);
+    while (k > 1 && static_cast<double>(k - 1) / dn >= q) --k;
+    while (k < n && static_cast<double>(k) / dn < q) ++k;
+    return sorted[k - 1];
+}
+
+}  // namespace
+
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
 double quantile(std::span<const double> xs, double q) {
-    if (xs.empty()) return 0.0;
-    if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q outside [0,1]");
     std::vector<double> v(xs.begin(), xs.end());
     std::sort(v.begin(), v.end());
-    const double pos = q * static_cast<double>(v.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, v.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return v[lo] * (1.0 - frac) + v[hi] * frac;
+    return inverse_ecdf(v, q);
 }
 
 double pearson(std::span<const double> xs, std::span<const double> ys) {
@@ -88,23 +101,6 @@ double ecdf::at(double x) const {
     return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
 }
 
-double ecdf::quantile(double q) const {
-    if (sorted_.empty()) return 0.0;
-    if (q <= 0.0) return sorted_.front();
-    if (q >= 1.0) return sorted_.back();
-    const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted_.size()));
-    return sorted_[std::min(idx, sorted_.size() - 1)];
-}
-
-std::vector<std::pair<double, double>> ecdf::curve(std::size_t points) const {
-    std::vector<std::pair<double, double>> out;
-    if (sorted_.empty() || points == 0) return out;
-    out.reserve(points);
-    for (std::size_t i = 0; i < points; ++i) {
-        const double q = static_cast<double>(i + 1) / static_cast<double>(points);
-        out.emplace_back(quantile(q), q);
-    }
-    return out;
-}
+double ecdf::quantile(double q) const { return inverse_ecdf(sorted_, q); }
 
 }  // namespace tcppred::analysis

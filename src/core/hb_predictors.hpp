@@ -28,8 +28,8 @@ class lso_share;  // core/lso.hpp
 /// Gap tolerance: series from a faulty measurement campaign contain missing
 /// samples (the epoch's transfer aborted, the probe host was down). Feed
 /// those through `observe_maybe(NaN)` / `observe_gap()` — the forecast keeps
-/// running on the samples that exist, and `gap_count()` reports how many
-/// samples were missing (graceful degradation, never a poisoned NaN state).
+/// running on the samples that exist (graceful degradation, never a
+/// poisoned NaN state).
 class hb_predictor {
 public:
     virtual ~hb_predictor() = default;
@@ -47,8 +47,8 @@ public:
         }
     }
     /// Reveal that the next sample is missing. The default keeps the
-    /// forecast unchanged and counts the gap; subclasses may age their state.
-    virtual void observe_gap() { ++gaps_; }
+    /// forecast unchanged; subclasses may age their state.
+    virtual void observe_gap() {}
     /// Forecast the next value; NaN while history is insufficient.
     [[nodiscard]] virtual double predict() const = 0;
     /// Forget all history (used on detected level shifts).
@@ -67,14 +67,8 @@ public:
     /// Number of samples observed since the last reset.
     [[nodiscard]] virtual std::size_t history_size() const = 0;
 
-    /// Missing samples seen over the predictor's lifetime (not reset()).
-    [[nodiscard]] std::size_t gap_count() const noexcept { return gaps_; }
-
 protected:
     static constexpr double nan() { return std::numeric_limits<double>::quiet_NaN(); }
-
-private:
-    std::size_t gaps_{0};
 };
 
 /// n-order Moving Average: the mean of the last n observations

@@ -115,87 +115,30 @@ bool trace_writer::enabled() noexcept {
 
 void trace_writer::open(const std::filesystem::path& file) {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (g_trace_enabled.load(std::memory_order_relaxed)) {
+    if (out_.is_open()) {
         throw std::runtime_error("trace_writer: a trace is already open (" +
                                  file_.string() + ")");
     }
-    // Probe writability up front so --trace to an unwritable path fails the
-    // tool immediately instead of surfacing from the drain thread later.
-    {
-        std::ofstream probe(file, std::ios::trunc);
-        if (!probe) {
-            throw std::runtime_error("trace_writer: cannot open " + file.string());
-        }
-    }
+    // Opening here makes --trace to an unwritable path fail the tool at once.
+    out_.open(file, std::ios::trunc);
+    if (!out_) throw std::runtime_error("trace_writer: cannot open " + file.string());
     file_ = file;
-    closing_ = false;
-    error_.clear();
-    drain_ = std::thread([this] { drain_loop(); });
     g_trace_enabled.store(true, std::memory_order_relaxed);
 }
 
 void trace_writer::emit(std::string line) {
     if (!enabled()) return;
-    {
-        const std::lock_guard<std::mutex> lock(mu_);
-        if (closing_) return;  // racing with close(): drop, file is final
-        queue_.push_back(std::move(line));
-    }
-    wake_.notify_one();
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!out_.is_open()) return;  // raced with close(): the file is final
+    out_ << line << '\n';
 }
 
 void trace_writer::close() {
-    std::thread to_join;
-    {
-        const std::lock_guard<std::mutex> lock(mu_);
-        if (!drain_.joinable()) return;
-        closing_ = true;
-        to_join = std::move(drain_);
-    }
-    g_trace_enabled.store(false, std::memory_order_relaxed);
-    wake_.notify_all();
-    to_join.join();
     const std::lock_guard<std::mutex> lock(mu_);
-    if (!error_.empty()) {
-        const std::string err = std::exchange(error_, {});
-        throw std::runtime_error("trace_writer: " + err);
-    }
-}
-
-trace_writer::~trace_writer() {
-    try {
-        close();
-    } catch (...) {  // NOLINT(bugprone-empty-catch) — teardown is best-effort
-    }
-}
-
-void trace_writer::drain_loop() {
-    std::ofstream out(file_, std::ios::trunc);
-    if (!out) {
-        const std::lock_guard<std::mutex> lock(mu_);
-        error_ = "cannot open " + file_.string();
-        return;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-        wake_.wait(lock, [this] { return closing_ || !queue_.empty(); });
-        // Swap the whole batch out so producers never wait on file I/O.
-        std::deque<std::string> batch;
-        batch.swap(queue_);
-        const bool finishing = closing_;
-        lock.unlock();
-        for (const std::string& line : batch) out << line << '\n';
-        if (finishing) {
-            out.flush();
-            lock.lock();
-            if (queue_.empty()) {
-                if (!out) error_ = "write failed on " + file_.string();
-                return;
-            }
-            continue;  // a producer squeezed one in before closing_ was seen
-        }
-        lock.lock();
-    }
+    if (!out_.is_open()) return;
+    g_trace_enabled.store(false, std::memory_order_relaxed);
+    out_.close();
+    if (!out_) throw std::runtime_error("trace_writer: write failed on " + file_.string());
 }
 
 void init_from_env() {

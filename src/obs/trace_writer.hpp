@@ -3,11 +3,12 @@
 //
 // When enabled ($REPRO_TRACE=file or a tool's --trace flag) every epoch,
 // stage and prediction appends one JSON object line to the trace file.
-// Producers format the line and hand it to a bounded queue; a single
-// background drain thread owns the file, so emit() never blocks on disk and
-// the worker threads' relative timing — and therefore the campaign's
-// determinism contract — is untouched. With tracing disabled, enabled() is
-// one relaxed atomic load and nothing on the hot path allocates.
+// Producers format the line and write it, under one mutex, into the buffered
+// file stream open() made. Lines land in completion order, which depends on
+// the job count; nothing in the simulation reads the trace, and the
+// determinism tests compare traces as sorted canonical multisets (below).
+// With tracing disabled, enabled() is one relaxed atomic load and nothing on
+// the hot path allocates.
 //
 // Event schema and the volatile-key list live in DESIGN.md §12; the
 // canonicalizer below (parse → drop volatile keys → re-serialize with
@@ -15,16 +16,14 @@
 // --from-trace` consume.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <variant>
 #include <vector>
 
@@ -54,35 +53,29 @@ class trace_writer {
 public:
     [[nodiscard]] static trace_writer& instance();
 
-    /// Start tracing into `file` (truncating it) and spawn the drain thread.
+    /// Start tracing into `file` (truncating it). Throws if it cannot be
+    /// opened for writing.
     void open(const std::filesystem::path& file);
-    /// Flush everything queued, join the drain thread, close the file.
-    /// Idempotent. Throws if the drain thread hit a write error.
+    /// Flush and close the file. Idempotent. Throws if a write failed.
     void close();
 
     /// Fast global check for producers: gate all event construction on this.
     [[nodiscard]] static bool enabled() noexcept;
 
-    /// Enqueue one complete JSON object line (no trailing newline).
+    /// Write one complete JSON object line (no trailing newline).
     /// Silently drops when tracing is off, so call sites may skip the
     /// enabled() check when they already built the line for other reasons.
     void emit(std::string line);
 
-    ~trace_writer();
     trace_writer(const trace_writer&) = delete;
     trace_writer& operator=(const trace_writer&) = delete;
 
 private:
     trace_writer() = default;
-    void drain_loop();
 
     std::mutex mu_;
-    std::condition_variable wake_;
-    std::deque<std::string> queue_;
-    std::thread drain_;
+    std::ofstream out_;
     std::filesystem::path file_;
-    bool closing_{false};
-    std::string error_;  // first drain-thread write failure
 };
 
 /// Shorthands for producer code.

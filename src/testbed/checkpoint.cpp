@@ -184,36 +184,16 @@ std::string campaign_fingerprint(const campaign_config& cfg) {
 
 std::string describe_fingerprint_mismatch(const std::string& in_store,
                                           const std::string& requested) {
-    // Positional slot names for the v3 layout above. Fields past the fixed
-    // schema are the variable-length prefix list.
-    static const char* const k_names[] = {
-        "version",
-        "simulator_revision",
-        "paths",
-        "traces_per_path",
-        "epochs_per_trace",
-        "seed",
-        "second_set",
-        "faults",
-        "epoch.warmup_s",
-        "epoch.transfer_s",
-        "epoch.during_ping_interval_s",
-        "epoch.large_window_bytes",
-        "epoch.small_window_bytes",
-        "epoch.run_small_window",
-        "epoch.run_pathload",
-        "epoch.prior_ping.count",
-        "epoch.prior_ping.interval_s",
-        "epoch.pathload_max_rate_factor",
-        "epoch.hard_cap_s",
-        "epoch.cross",
-    };
-    constexpr std::size_t k_fixed = sizeof(k_names) / sizeof(k_names[0]);
+    // Positional slot names from the schema above: a default config has no
+    // prefixes, so its fields are exactly the fixed slots, and every slot
+    // past them is a prefix.
+    static const std::vector<fingerprint_field> fixed =
+        campaign_fingerprint_fields(campaign_config{});
     const auto old_f = split_fields(in_store, '|');
     const auto new_f = split_fields(requested, '|');
     const auto name_of = [&](std::size_t i) -> std::string {
-        if (i < k_fixed) return k_names[i];
-        return "epoch.prefix_s[" + std::to_string(i - k_fixed) + "]";
+        if (i < fixed.size()) return fixed[i].name;
+        return "epoch.prefix_s[" + std::to_string(i - fixed.size()) + "]";
     };
     std::ostringstream os;
     const std::size_t n = std::max(old_f.size(), new_f.size());

@@ -146,34 +146,6 @@ std::map<std::pair<int, int>, std::vector<const epoch_record*>> dataset::traces(
     return out;
 }
 
-std::vector<double> dataset::throughput_series(int path_id, int trace_id) const {
-    std::vector<std::pair<int, double>> tmp;
-    for (const auto& r : records) {
-        if (r.path_id == path_id && r.trace_id == trace_id) {
-            tmp.emplace_back(r.epoch_index, r.m.r_large_bps);
-        }
-    }
-    std::sort(tmp.begin(), tmp.end());
-    std::vector<double> out;
-    out.reserve(tmp.size());
-    for (const auto& [_, v] : tmp) out.push_back(v);
-    return out;
-}
-
-std::vector<double> dataset::small_window_series(int path_id, int trace_id) const {
-    std::vector<std::pair<int, double>> tmp;
-    for (const auto& r : records) {
-        if (r.path_id == path_id && r.trace_id == trace_id) {
-            tmp.emplace_back(r.epoch_index, r.m.r_small_bps);
-        }
-    }
-    std::sort(tmp.begin(), tmp.end());
-    std::vector<double> out;
-    out.reserve(tmp.size());
-    for (const auto& [_, v] : tmp) out.push_back(v);
-    return out;
-}
-
 const path_profile& dataset::profile(int path_id) const {
     for (const auto& p : paths) {
         if (p.id == path_id) return p;

@@ -52,11 +52,6 @@ struct dataset {
     [[nodiscard]] std::map<std::pair<int, int>, std::vector<const epoch_record*>>
     traces() const;
 
-    /// The W=1MB throughput series of one trace, ordered by epoch.
-    [[nodiscard]] std::vector<double> throughput_series(int path_id, int trace_id) const;
-    /// The W=20KB throughput series of one trace.
-    [[nodiscard]] std::vector<double> small_window_series(int path_id, int trace_id) const;
-
     [[nodiscard]] const path_profile& profile(int path_id) const;
 };
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "analysis/evaluation.hpp"
 #include "analysis/stats.hpp"
@@ -169,6 +171,52 @@ TEST(engine_hb, cov_vs_rmsre_produces_point_per_trace) {
         EXPECT_GE(p.cov, 0.0);
         EXPECT_GE(p.rmsre, 0.0);
     }
+}
+
+TEST(headline, rmsre_headline_reads_the_inverse_ecdf) {
+    // Sorted: 0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.9 1.5 2.0. F(0.4) counts the 0.4.
+    const std::vector<double> rmsres{0.9, 0.1, 0.4, 0.3, 2.0, 0.5, 0.2, 0.7, 1.5, 0.6};
+    const rmsre_headline h = rmsre_headline_of(rmsres);
+    EXPECT_EQ(h.n, 10u);
+    EXPECT_EQ(h.median, 0.5);
+    EXPECT_EQ(h.p90, 1.5);
+    EXPECT_EQ(h.below_04, 0.4);
+    EXPECT_EQ(rmsre_headline_of({}).n, 0u);
+}
+
+TEST(headline, fb_error_shares_use_the_figure_thresholds) {
+    const std::vector<double> errors{-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 9.0, 12.0};
+    const fb_error_shares s = fb_error_shares_of(errors);
+    EXPECT_EQ(s.n, 8u);
+    EXPECT_EQ(s.over, 4.0 / 8);      // E = 0 is not an overestimate
+    EXPECT_EQ(s.over_2x, 3.0 / 8);   // 1, 9, 12
+    EXPECT_EQ(s.over_10x, 2.0 / 8);  // 9, 12
+    EXPECT_EQ(s.under_2x, 2.0 / 8);  // -2, -1
+}
+
+TEST(headline, path_classes_apply_the_thresholds_at_their_edges) {
+    stream_predictor_summary hw;
+    const std::vector<std::pair<int, double>> traces{
+        {4, 0.49},                // one trace, mean 0.49, spread 0: stable
+        {0, 0.1},  {0, 0.25},     // mean 0.175: predictable
+        {1, 0.2},  {1, 0.2},      // mean exactly 0.2: stable
+        {2, 0.25}, {2, 0.5},      // spread exactly 0.25: unstable
+        {3, 0.5},  {3, 0.5}};     // mean exactly 0.5: unpredictable
+    for (const auto& [path, r] : traces) hw.traces.push_back({path, 0, r, 1});
+    const auto paths = classify_paths(hw);
+    ASSERT_EQ(paths.size(), 5u);
+    const std::vector<path_class> expected{path_class::predictable, path_class::stable,
+                                           path_class::unstable, path_class::unpredictable,
+                                           path_class::stable};
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+        EXPECT_EQ(paths[i].path_id, static_cast<int>(i));
+        EXPECT_EQ(paths[i].klass, expected[i]) << i << " " << to_string(paths[i].klass);
+    }
+    EXPECT_EQ(paths[0].traces, 2u);
+    EXPECT_DOUBLE_EQ(paths[0].mean, 0.175);
+    EXPECT_DOUBLE_EQ(paths[0].spread, 0.15);
+    EXPECT_EQ(paths[4].traces, 1u);
+    EXPECT_STREQ(to_string(path_class::unstable), "unstable errors");
 }
 
 }  // namespace

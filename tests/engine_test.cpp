@@ -9,6 +9,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hb_predictors.hpp"
@@ -90,17 +91,6 @@ TEST(evaluate_series_fn, nan_samples_are_gaps_not_scores) {
     for (const std::size_t i : e.indices) EXPECT_NE(i, 3u);
 }
 
-TEST(downsample_fn, keeps_every_kth_sample) {
-    const std::vector<double> s{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-    EXPECT_EQ(downsample(s, 1), s);
-    EXPECT_EQ(downsample(s, 3), (std::vector<double>{0, 3, 6, 9}));
-    EXPECT_EQ(downsample(s, 15), (std::vector<double>{0}));
-}
-
-TEST(downsample_fn, rejects_factor_zero) {
-    EXPECT_THROW(downsample({1.0}, 0), std::invalid_argument);
-}
-
 /// 4 paths x 2 traces x 10 epochs with varied-but-deterministic values.
 dataset grid_dataset() {
     dataset data;
@@ -132,6 +122,35 @@ dataset grid_dataset() {
     return data;
 }
 
+TEST(engine_downsample, walks_every_kth_epoch) {
+    const auto data = grid_dataset();
+    for (const auto& [factor, walked] :
+         std::vector<std::pair<std::size_t, std::vector<int>>>{
+             {1, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}, {3, {0, 3, 6, 9}}, {15, {0}}}) {
+        engine_options opts;
+        opts.downsample = factor;
+        const auto fb = evaluation_engine{opts}.run_one(data, "fb:pftk");
+        ASSERT_EQ(fb.traces.size(), 8u) << factor;
+        for (const auto& t : fb.traces) {
+            std::vector<int> epochs;
+            for (const auto& e : t.epochs) epochs.push_back(e.rec->epoch_index);
+            EXPECT_EQ(epochs, walked) << factor;
+        }
+    }
+}
+
+TEST(engine_downsample, rejects_factor_zero) {
+    engine_options opts;
+    opts.downsample = 0;
+    EXPECT_THROW((void)evaluation_engine{opts}.run_one(grid_dataset(), "fb:pftk"),
+                 std::invalid_argument);
+    stream_eval_options sopts;
+    sopts.engine = opts;
+    EXPECT_THROW((void)evaluate_stream([](testbed::epoch_record&) { return false; },
+                                       {"fb:pftk"}, sopts),
+                 std::invalid_argument);
+}
+
 TEST(engine_faults, faulty_epochs_become_gaps_and_fallbacks) {
     dataset data = grid_dataset();
     // Path 0, trace 0, epoch 4: both the a-priori view and the transfer
@@ -161,7 +180,7 @@ TEST(engine_faults, faulty_epochs_become_gaps_and_fallbacks) {
     // scored (no actual), so no scored epoch carries staleness.
     for (const auto& e : results[0].all_epochs()) EXPECT_EQ(e.staleness, 0u);
 
-    const auto cond = rmsre_conditioned(results[0]);
+    const auto cond = summarize(results[0], false).conditioned;
     EXPECT_EQ(cond.n_faulty, 0u);
     EXPECT_GT(cond.n_clean, 0u);
 }
@@ -186,7 +205,7 @@ TEST(engine_faults, apriori_fault_alone_scores_with_stale_inputs) {
         }
     }
     EXPECT_TRUE(found);
-    const auto cond = rmsre_conditioned(fb);
+    const auto cond = summarize(fb, false).conditioned;
     EXPECT_EQ(cond.n_faulty, 1u);
     EXPECT_EQ(cond.n_stale, 1u);
 }

@@ -16,6 +16,7 @@
 
 #include "net/cross_traffic.hpp"
 #include "sim/chaos.hpp"
+#include "testbed/campaign.hpp"
 #include "testbed/checkpoint.hpp"
 #include "testbed/epoch_runner.hpp"
 #include "testbed/load_process.hpp"
@@ -361,6 +362,27 @@ TEST(checkpoint_fingerprint, fields_join_is_the_fingerprint) {
             }
             EXPECT_EQ(joined, testbed::campaign_fingerprint(cfg));
         }
+    }
+}
+
+TEST(checkpoint_fingerprint, mismatch_report_names_every_slot_of_a_campaign2_config) {
+    // Campaign 2 carries prefix slots after the fixed ones. Changing each
+    // slot of the fingerprint in turn must yield a report naming exactly
+    // that field, with the schema's own name for it.
+    const auto cfg = testbed::campaign2_config(testbed::campaign_scale::tiny);
+    ASSERT_FALSE(cfg.epoch.prefix_s.empty());
+    const auto fields = testbed::campaign_fingerprint_fields(cfg);
+    const std::string stored = testbed::campaign_fingerprint(cfg);
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        std::string requested;
+        for (std::size_t j = 0; j < fields.size(); ++j) {
+            if (j > 0) requested += '|';
+            requested += fields[j].value;
+            if (j == i) requested += 'x';
+        }
+        EXPECT_EQ(testbed::describe_fingerprint_mismatch(stored, requested),
+                  "\n  " + fields[i].name + ": store=" + fields[i].value +
+                      " requested=" + fields[i].value + "x");
     }
 }
 

@@ -2,8 +2,8 @@
 //
 // Contract under test — the dataset loader consumes untrusted files and must
 // either return a dataset or throw dataset_error; any other escape (crash,
-// sanitizer report, foreign exception type) is a bug. The harness also walks
-// the grouping accessors so records that *parse* are exercised a little.
+// sanitizer report, foreign exception type) is a bug. The harness also groups
+// the records into traces so records that *parse* are exercised a little.
 //
 // Built two ways (see tests/fuzz/CMakeLists.txt): as a libFuzzer target
 // under -DREPRO_FUZZ=ON (Clang), or with the corpus-replay main() under any
@@ -21,11 +21,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     try {
         const tcppred::testbed::dataset ds = tcppred::testbed::load_csv(in, "<fuzz>");
         (void)ds.traces();
-        if (!ds.records.empty()) {
-            const auto& r = ds.records.front();
-            (void)ds.throughput_series(r.path_id, r.trace_id);
-            (void)ds.small_window_series(r.path_id, r.trace_id);
-        }
     } catch (const tcppred::testbed::dataset_error&) {
         // The documented rejection path for malformed input.
     }

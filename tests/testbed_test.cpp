@@ -219,7 +219,11 @@ TEST(dataset_io, throughput_series_ordered_by_epoch) {
         r.m.r_large_bps = 100.0 * e;
         data.records.push_back(r);
     }
-    EXPECT_EQ(data.throughput_series(0, 0), (std::vector<double>{0.0, 100.0, 200.0}));
+    const auto traces = data.traces();
+    ASSERT_EQ(traces.size(), 1u);
+    std::vector<double> series;
+    for (const epoch_record* r : traces.at({0, 0})) series.push_back(r->m.r_large_bps);
+    EXPECT_EQ(series, (std::vector<double>{0.0, 100.0, 200.0}));
 }
 
 TEST(campaign_cfg, scales_are_ordered) {

@@ -1,18 +1,22 @@
 #!/usr/bin/env bash
 # CI gate for the past-RAM contract (DESIGN.md §16): the record-store paths
-# must analyze a campaign under an address-space cap that the in-memory CSV
-# path cannot fit.
+# must run a campaign and analyze it under address-space caps that a path
+# holding the dataset in RAM cannot fit.
 #
-# The gate self-calibrates instead of hard-coding a byte budget: it runs a
-# medium campaign to a store, converts it to CSV, measures VmPeak of the
-# streamed analysis (--from-store) and the in-memory analysis (load_csv)
-# via the mem.vm_peak_kb line of --metrics-summary, then re-runs both under
-# `ulimit -v` pinned halfway between the two peaks. The streamed runs
-# (analysis, and the campaign in both formats with and without its
-# checkpoint journal — a CSV campaign streams into a store it then exports)
-# must succeed with the uncapped bytes; the in-memory run must die. A
-# calibration gap below MIN_GAP_KB fails the gate outright — streaming
-# stopped saving memory.
+# The gate self-calibrates instead of hard-coding a byte budget, from the
+# mem.vm_peak_kb line of --metrics-summary, with one cap per side:
+#   - campaign: VmPeak of the streamed serial store campaign plus a margin
+#     of 64 bytes a record. Holding the grid costs about 130 bytes a record
+#     (the in-RAM CSV campaign this replaced peaked 1,036 kB above the store
+#     campaign on 8,000 records), so a campaign that buffers its records
+#     dies; the margin is about 10x the run-to-run VmPeak jitter (70 kB).
+#     The campaign in both formats, with and without its checkpoint journal
+#     (a CSV campaign streams into a store it then exports), must succeed
+#     under it with the uncapped bytes.
+#   - analysis: halfway between the streamed analysis (--from-store) and
+#     the in-memory one (load_csv). The streamed one must succeed with the
+#     uncapped report; the in-memory one must die. A calibration gap below
+#     MIN_GAP_KB fails the gate outright — streaming stopped saving memory.
 #
 # Usage: tools/ci_memcap_check.sh path/to/tcppred_campaign path/to/tcppred_analyze
 set -eu
@@ -22,19 +26,27 @@ ANALYZE=${2:?usage: ci_memcap_check.sh CAMPAIGN_BIN ANALYZE_BIN}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-# Big enough that whole-dataset retention is megabytes above the streamed
-# peak (the calibration gap), small enough to generate in well under a
-# minute: 4 paths x 2 traces x 1000 epochs = 8000 records.
-ARGS=(--paths 4 --traces 2 --epochs 1000 --transfer-s 0.5 --seed 23)
+# Big enough that a held grid is megabytes above the streamed peaks, small
+# enough for the gate to finish in under two minutes: 4 paths x 2 traces x
+# 1500 epochs = 12,000 records, run serially (worker threads' stacks and
+# malloc arenas would swamp the campaign's VmPeak).
+ARGS=(--paths 4 --traces 2 --epochs 1500 --transfer-s 0.5 --seed 23)
+RECORDS=12000
+CAMPAIGN_MARGIN_KB=$((RECORDS * 64 / 1024))
 MIN_GAP_KB=512
 
 vm_peak() {  # file-with-metrics-summary -> VmPeak in kB
     awk '/mem\.vm_peak_kb/ {print $3; exit}' "$1"
 }
 
-echo "== generate the campaign (streamed, then convert to CSV)"
-"$CAMPAIGN" "${ARGS[@]}" --out "$WORK/c.store" --format store --jobs 4 2>/dev/null
+echo "== generate the campaign (streamed store, serial), then convert to CSV"
+"$CAMPAIGN" "${ARGS[@]}" --out "$WORK/c.store" --format store --jobs 1 \
+    --metrics-summary >/dev/null 2>"$WORK/campaign.err"
 "$CAMPAIGN" --convert "$WORK/c.store" --out "$WORK/c.csv" 2>/dev/null
+CAMPAIGN_KB=$(vm_peak "$WORK/campaign.err")
+[ -n "$CAMPAIGN_KB" ] || { echo "FAIL: no mem.vm_peak_kb from the campaign"; exit 1; }
+CAMPAIGN_CAP_KB=$((CAMPAIGN_KB + CAMPAIGN_MARGIN_KB))
+echo "   streamed campaign peak ${CAMPAIGN_KB} kB, campaign cap ${CAMPAIGN_CAP_KB} kB"
 
 echo "== calibrate: VmPeak of streamed vs in-memory analysis"
 "$ANALYZE" --from-store "$WORK/c.store" --metrics-summary \
@@ -57,9 +69,9 @@ if [ "$GAP_KB" -lt "$MIN_GAP_KB" ]; then
 fi
 
 CAP_KB=$((STREAM_KB + GAP_KB / 2))
-echo "== enforce: ulimit -v ${CAP_KB} kB"
+echo "== enforce: ulimit -v ${CAP_KB} kB on the analysis, ${CAMPAIGN_CAP_KB} kB on the campaign"
 
-# The streamed analysis (and the streamed campaign itself) must fit.
+# The streamed analysis must fit.
 (ulimit -v "$CAP_KB"; exec "$ANALYZE" --from-store "$WORK/c.store") \
     >"$WORK/capped.out" 2>/dev/null || {
     echo "FAIL: streamed analysis died under the cap"; exit 1; }
@@ -68,16 +80,19 @@ cmp -s "$WORK/capped.out" "$WORK/stream.out" || {
 echo "   ok: --from-store fits in ${CAP_KB} kB"
 
 # Both formats, with and without the checkpoint journal, which appends each
-# batch and never copies the grid.
+# batch and never copies the grid. The journal-less store campaign is the
+# calibration run above.
 for FORMAT in store csv; do
     for JOURNAL in "" "--checkpoint-every 64"; do
+        [ "$FORMAT$JOURNAL" = store ] && continue
         # shellcheck disable=SC2086  # JOURNAL is zero or two words
-        (ulimit -v "$CAP_KB"; exec "$CAMPAIGN" "${ARGS[@]}" --out "$WORK/capped.$FORMAT" \
-            --format "$FORMAT" $JOURNAL --jobs 1) >/dev/null 2>&1 || {
+        (ulimit -v "$CAMPAIGN_CAP_KB"; exec "$CAMPAIGN" "${ARGS[@]}" \
+            --out "$WORK/capped.$FORMAT" --format "$FORMAT" $JOURNAL --jobs 1) \
+            >/dev/null 2>&1 || {
             echo "FAIL: $FORMAT campaign${JOURNAL:+ $JOURNAL} died under the cap"; exit 1; }
         cmp -s "$WORK/capped.$FORMAT" "$WORK/c.$FORMAT" || {
             echo "FAIL: capped $FORMAT${JOURNAL:+ $JOURNAL} differs from uncapped"; exit 1; }
-        echo "   ok: --format $FORMAT${JOURNAL:+ $JOURNAL} campaign fits in ${CAP_KB} kB"
+        echo "   ok: --format $FORMAT${JOURNAL:+ $JOURNAL} campaign fits in ${CAMPAIGN_CAP_KB} kB"
     done
 done
 

@@ -17,7 +17,7 @@
 //   det-env            getenv outside the blessed config-from-env modules:
 //                      hidden inputs break replayability.
 //   det-thread         std::thread / jthread / async / pthread_create
-//                      outside sim/thread_pool and the trace drain thread.
+//                      outside sim/thread_pool.
 //   det-unordered-iter iteration over std::unordered_{map,set}: the order
 //                      is implementation-defined, so any accumulation or
 //                      serialization over it is nondeterministic.

@@ -114,17 +114,12 @@ void print_report(const dataset_counts& counts,
     if (errors.empty()) {
         std::printf("formula-based (Eq. 3): no scorable epochs\n");
     } else {
-        std::size_t over = 0, over2 = 0, under2 = 0;
-        for (const double e : errors) {
-            over += e > 0;
-            over2 += e >= 1;
-            under2 += e <= -1;
-        }
-        std::printf("formula-based (Eq. 3) over %zu epochs:\n", errors.size());
-        std::printf("  median E %+.2f | overestimates %zu%% | off by >2x: over %zu%%, "
-                    "under %zu%%\n",
-                    analysis::median(errors), over * 100 / errors.size(),
-                    over2 * 100 / errors.size(), under2 * 100 / errors.size());
+        const analysis::fb_error_shares shares = analysis::fb_error_shares_of(errors);
+        std::printf("formula-based (Eq. 3) over %zu epochs:\n", shares.n);
+        std::printf("  median E %+.2f | overestimates %.0f%% | off by >2x: over %.0f%%, "
+                    "under %.0f%%\n",
+                    analysis::median(errors), 100.0 * shares.over, 100.0 * shares.over_2x,
+                    100.0 * shares.under_2x);
         if (counts.faulty > 0) {
             // Fault-conditioned accuracy: how much measurement failures
             // (and the stale-fallback inputs they force) cost.
@@ -152,8 +147,8 @@ void print_report(const dataset_counts& counts,
     std::printf("  %-14s %8s %8s %10s\n", "predictor", "median", "p90", "P(<0.4)");
     for (const auto& spec : specs) {
         const auto& res = summary_of(spec);
-        const auto rmsres = res.trace_rmsres();
-        if (rmsres.empty()) {
+        const analysis::rmsre_headline h = analysis::rmsre_headline_of(res.trace_rmsres());
+        if (h.n == 0) {
             // Every trace was unscorable (too short / all-faulty): there
             // is no RMSRE distribution, which is not the same as a
             // perfect one.
@@ -161,24 +156,15 @@ void print_report(const dataset_counts& counts,
                         "n/a", "n/a", "n/a", res.traces_unscored);
             continue;
         }
-        const analysis::ecdf cdf{std::vector<double>(rmsres)};
-        std::printf("  %-14s %8.3f %8.3f %9.0f%%\n", spec.c_str(),
-                    analysis::median(rmsres), analysis::quantile(rmsres, 0.9),
-                    100.0 * cdf.at(0.4));
+        std::printf("  %-14s %8.3f %8.3f %9.0f%%\n", spec.c_str(), h.median, h.p90,
+                    100.0 * h.below_04);
     }
 
     // ---- per-path classes (HW-LSO)
-    const auto& hw = summary_of("0.8-HW-LSO");
     std::printf("\nper-path predictability (0.8-HW-LSO mean trace RMSRE):\n");
-    std::map<int, std::vector<double>> per_path;
-    for (const auto& t : hw.traces) per_path[t.path_id].push_back(t.rmsre);
-    for (const auto& [path, rs] : per_path) {
-        const double mean_err = analysis::mean(rs);
-        const char* klass = mean_err < 0.2   ? "predictable"
-                            : mean_err < 0.5 ? "moderate"
-                                             : "unpredictable";
-        std::printf("  path %-4d %-14s RMSRE %.3f (%zu traces)\n", path, klass,
-                    mean_err, rs.size());
+    for (const auto& p : analysis::classify_paths(summary_of("0.8-HW-LSO"))) {
+        std::printf("  path %-4d %-15s RMSRE %.3f (%zu traces)\n", p.path_id,
+                    analysis::to_string(p.klass), p.mean, p.traces);
     }
 }
 
