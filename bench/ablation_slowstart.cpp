@@ -38,7 +38,7 @@ double simulate_short_transfer(double loss, std::uint64_t segments) {
     }
     conn.quiesce();
     const double bytes = static_cast<double>(conn.sender().stats().segments_delivered) *
-                         cfg.mss_bytes;
+                         core::k_mss_bytes;
     return done_at > 0 ? bytes * 8.0 / done_at : 0.0;
 }
 

@@ -4,8 +4,9 @@
 #include <cstdio>
 #include <map>
 
-#include "core/metrics.hpp"
 #include "bench_util.hpp"
+#include "core/fb_formulas.hpp"
+#include "core/metrics.hpp"
 #include "testbed/campaign.hpp"
 
 using namespace tcppred;
@@ -20,7 +21,6 @@ int main() {
 
     analysis::engine_options small_opts;
     small_opts.small_window = true;
-    small_opts.predictor.window_bytes = 20 * 1024;
 
     const auto large = analysis::evaluation_engine{}.run_one(data, "fb:pftk");
     const auto small = analysis::evaluation_engine{small_opts}.run_one(data, "fb:pftk");
@@ -33,7 +33,8 @@ int main() {
     // A path is window-limited when W/T-hat < A-hat on (most of) its epochs.
     std::map<int, int> wl_votes, votes;
     for (const auto& r : data.records) {
-        const double w_over_t = 20.0 * 1024 * 8 / std::max(r.m.that_s, 1e-6);
+        const double w_over_t = static_cast<double>(core::k_companion_window_bytes) * 8 /
+                                std::max(r.m.that_s, 1e-6);
         ++votes[r.path_id];
         if (r.m.avail_bw_bps > w_over_t) ++wl_votes[r.path_id];
     }

@@ -19,6 +19,11 @@ namespace tcppred::analysis {
 
 namespace {
 
+/// Epochs of input history smooth_inputs averages over (§4.2.10).
+constexpr std::size_t k_smooth_window = 10;
+/// Samples evaluate_series only feeds to the predictor: the first.
+constexpr std::size_t k_series_warmup = 1;
+
 /// The loss and RTT an epoch offers predict() under the options, and whether
 /// its a-priori measurement failed — the first half of the projection.
 struct selected_inputs {
@@ -74,20 +79,19 @@ record_view classify(const selected_inputs& s, const testbed::epoch_record& rec,
 
 /// Input smoothing (§4.2.10, Fig. 14), the stateful step between selection
 /// and classification: a good measurement is replaced by the mean of the
-/// trace's previous `smooth_window` good ones (one step ahead; the raw
+/// trace's previous k_smooth_window good ones (one step ahead; the raw
 /// measurement seeds the first epoch), then joins that history. A
 /// pass-through unless opts.smooth_inputs.
 class input_smoother {
 public:
-    explicit input_smoother(const engine_options& opts)
-        : enabled_(opts.smooth_inputs), window_(opts.smooth_window) {}
+    explicit input_smoother(const engine_options& opts) : enabled_(opts.smooth_inputs) {}
 
     void apply(selected_inputs& s) {
         if (!enabled_ || s.failed) return;
         const double loss = s.loss;
         const double rtt_s = s.rtt_s;
         if (!loss_hist_.empty()) {
-            const std::size_t n = std::min(window_, loss_hist_.size());
+            const std::size_t n = std::min(k_smooth_window, loss_hist_.size());
             double ls = 0.0, ts = 0.0;
             for (std::size_t k = loss_hist_.size() - n; k < loss_hist_.size(); ++k) {
                 ls += loss_hist_[k];
@@ -102,7 +106,6 @@ public:
 
 private:
     bool enabled_;
-    std::size_t window_;
     std::vector<double> loss_hist_, rtt_hist_;
 };
 
@@ -287,14 +290,17 @@ std::vector<std::optional<trace_result>> evaluate_trace(
 }
 
 /// Registry-built prototypes for a spec list, plus the borrowed pointers
-/// evaluate_trace takes. Throws core::predictor_spec_error on a bad spec.
+/// evaluate_trace takes. Scoring the companion transfer, formula predictors
+/// take its window. Throws core::predictor_spec_error on a bad spec.
 struct prototype_set {
     std::vector<std::unique_ptr<core::predictor>> owned;
     std::vector<const core::predictor*> ptrs;
 };
 
 prototype_set make_prototypes(const std::vector<std::string>& specs,
-                              const core::predictor_config& cfg) {
+                              const engine_options& opts) {
+    core::predictor_config cfg = opts.predictor;
+    if (opts.small_window) cfg.window_bytes = core::k_companion_window_bytes;
     prototype_set s;
     s.owned.reserve(specs.size());
     s.ptrs.reserve(specs.size());
@@ -380,12 +386,7 @@ std::vector<epoch_score> predictor_result::all_epochs() const {
 
 std::vector<predictor_result> evaluation_engine::run(
     const testbed::dataset& data, const std::vector<std::string>& specs) const {
-    return run(data, make_prototypes(specs, opts_.predictor).ptrs);
-}
-
-std::vector<predictor_result> evaluation_engine::run(
-    const testbed::dataset& data,
-    const std::vector<const core::predictor*>& prototypes) const {
+    const prototype_set protos = make_prototypes(specs, opts_);
     if (opts_.downsample == 0) {
         throw std::invalid_argument("evaluation_engine: downsample must be >= 1");
     }
@@ -404,12 +405,12 @@ std::vector<predictor_result> evaluation_engine::run(
         opts_.jobs > 0 ? static_cast<unsigned>(opts_.jobs) : sim::jobs_from_env();
     sim::parallel_for(traces.size(), jobs, [&](std::size_t ti) {
         slots[ti] =
-            evaluate_trace(traces[ti].first, *traces[ti].second, prototypes, opts_);
+            evaluate_trace(traces[ti].first, *traces[ti].second, protos.ptrs, opts_);
     });
 
-    std::vector<predictor_result> out(prototypes.size());
-    for (std::size_t pj = 0; pj < prototypes.size(); ++pj) {
-        out[pj].name = prototypes[pj]->name();
+    std::vector<predictor_result> out(protos.ptrs.size());
+    for (std::size_t pj = 0; pj < protos.ptrs.size(); ++pj) {
+        out[pj].name = protos.ptrs[pj]->name();
         for (auto& slot : slots) {
             if (slot[pj]) out[pj].traces.push_back(std::move(*slot[pj]));
         }
@@ -424,19 +425,12 @@ predictor_result evaluation_engine::run_one(const testbed::dataset& data,
 }
 
 series_evaluation evaluate_series(const std::vector<double>& series,
-                                  const core::predictor& prototype,
-                                  series_options opts) {
-    std::optional<std::vector<bool>> excluded;
-    if (opts.exclude_outliers) {
-        excluded = core::lso_scan(series, opts.lso).is_outlier;
-    }
-
+                                  const core::predictor& prototype) {
     const auto pred = prototype.clone_empty();
     std::vector<epoch_score> epochs;
     for (std::size_t i = 0; i < series.size(); ++i) {
-        const bool skip = i < opts.warmup || (excluded && (*excluded)[i]);
         score_step(*pred, record_view{core::epoch_inputs::absent(), series[i]}, i, nullptr,
-                   skip, epochs);
+                   i < k_series_warmup, epochs);
     }
 
     series_evaluation out;
@@ -471,7 +465,7 @@ std::vector<stream_predictor_summary> evaluate_stream(
     if (eopts.downsample == 0) {
         throw std::invalid_argument("evaluate_stream: downsample must be >= 1");
     }
-    const prototype_set protos = make_prototypes(specs, eopts.predictor);
+    const prototype_set protos = make_prototypes(specs, eopts);
     std::vector<summary_fold> folds;
     folds.reserve(specs.size());
     for (std::size_t pj = 0; pj < specs.size(); ++pj) {
@@ -572,39 +566,23 @@ std::vector<path_error_summary> error_per_path(const predictor_result& result) {
 }
 
 std::vector<cov_rmsre_point> cov_vs_rmsre(const testbed::dataset& data,
-                                          const std::string& spec,
-                                          core::predictor_config cfg) {
-    const auto prototype = core::make_predictor(spec, cfg);
+                                          const std::string& spec) {
+    engine_options opts;
+    opts.exclude_outliers = true;
+    const predictor_result result = evaluation_engine{opts}.run_one(data, spec);
+    const auto traces = data.traces();
 
     std::vector<cov_rmsre_point> out;
-    for (const auto& [key, recs] : data.traces()) {
-        std::vector<double> series;
-        series.reserve(recs.size());
-        for (const testbed::epoch_record* r : recs) {
-            series.push_back(testbed::actual_faulty(r->m.fault_flags)
-                                 ? std::numeric_limits<double>::quiet_NaN()
-                                 : r->m.r_large_bps);
-        }
-        if (series.size() < 3) continue;
-
+    for (const trace_result& t : result.traces) {
         // The CoV side has no gap concept: compute it over the usable
         // samples only (identical to the full series when nothing faulted).
         std::vector<double> usable;
-        usable.reserve(series.size());
-        for (const double v : series) {
-            if (!std::isnan(v)) usable.push_back(v);
+        for (const testbed::epoch_record* r : traces.at({t.path_id, t.trace_id})) {
+            if (!testbed::actual_faulty(r->m.fault_flags)) usable.push_back(r->m.r_large_bps);
         }
         if (usable.size() < 3) continue;
-
-        series_options so;
-        so.exclude_outliers = true;
-        so.lso = cfg.lso;
-        const series_evaluation eval = evaluate_series(series, *prototype, so);
-        // A trace where nothing was forecastable has no RMSRE (NaN since the
-        // empty-series fix) — it used to land here as a bogus 0.0 point.
-        if (eval.forecasts() == 0) continue;
-        out.push_back(cov_rmsre_point{key.first, key.second,
-                                      weighted_cov(usable, cfg.lso), eval.rmsre});
+        out.push_back(cov_rmsre_point{t.path_id, t.trace_id,
+                                      weighted_cov(usable, opts.predictor.lso), t.rmsre});
     }
     return out;
 }

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "core/lso.hpp"
 #include "core/predictor.hpp"
 #include "core/predictor_registry.hpp"
 #include "testbed/dataset.hpp"
@@ -36,11 +35,11 @@ struct engine_options {
     /// et al.) instead of the raw probe loss rate as the model input.
     bool use_event_loss{false};
     /// Smooth the RTT/loss inputs with a moving average over the preceding
-    /// epochs of the same trace (§4.2.10 / Fig. 14).
+    /// 10 epochs of the same trace (§4.2.10 / Fig. 14).
     bool smooth_inputs{false};
-    std::size_t smooth_window{10};
     /// Predict/score the W=20KB companion transfer instead of the W=1MB
-    /// target (Figs. 12, 22).
+    /// target (Figs. 12, 22): formula predictors then take that transfer's
+    /// window, core::k_companion_window_bytes, for W.
     bool small_window{false};
     /// Keep every k-th epoch of each trace (sporadic transfers, §6.1.6).
     std::size_t downsample{1};
@@ -55,7 +54,7 @@ struct engine_options {
     /// Worker threads over traces: 0 = $REPRO_JOBS/auto, 1 = serial.
     /// Results are byte-identical for every value.
     int jobs{1};
-    /// Shared predictor parameters (flow, window, fallback, LSO tuning).
+    /// Shared predictor parameters (window, LSO tuning).
     core::predictor_config predictor{};
 };
 
@@ -138,7 +137,7 @@ struct predictor_result {
 };
 
 /// The engine. Construct with options, run over a dataset with a list of
-/// registry specs (core::make_predictor) or pre-built prototypes.
+/// registry specs (core::make_predictor).
 class evaluation_engine {
 public:
     explicit evaluation_engine(engine_options opts = {}) : opts_(opts) {}
@@ -147,11 +146,6 @@ public:
     /// core::predictor_spec_error on a bad spec before touching the data.
     [[nodiscard]] std::vector<predictor_result> run(
         const testbed::dataset& data, const std::vector<std::string>& specs) const;
-
-    /// Evaluate externally constructed prototypes (cloned per trace).
-    [[nodiscard]] std::vector<predictor_result> run(
-        const testbed::dataset& data,
-        const std::vector<const core::predictor*>& prototypes) const;
 
     /// Convenience: evaluate a single spec.
     [[nodiscard]] predictor_result run_one(const testbed::dataset& data,
@@ -163,16 +157,7 @@ private:
     engine_options opts_;
 };
 
-/// Evaluate one predictor over a bare throughput series (synthetic traces,
-/// micro-benchmarks): each epoch is presented with no measurement view, NaN
-/// samples are gaps. The same scoring loop the engine uses per trace.
-struct series_options {
-    /// Skip forecasting the first `warmup` samples (they seed history).
-    std::size_t warmup{1};
-    bool exclude_outliers{false};
-    core::lso_config lso{};  ///< parameters for the exclusion scan
-};
-
+/// One predictor's scored forecasts over a bare throughput series.
 struct series_evaluation {
     std::vector<double> errors;        ///< relative error of each forecast made
     std::vector<std::size_t> indices;  ///< series index each error refers to
@@ -181,9 +166,12 @@ struct series_evaluation {
     [[nodiscard]] std::size_t forecasts() const noexcept { return errors.size(); }
 };
 
+/// Evaluate one predictor over a bare throughput series (synthetic traces,
+/// micro-benchmarks): each epoch is presented with no measurement view, NaN
+/// samples are gaps, and the first sample only seeds history. The same
+/// scoring loop the engine uses per trace.
 [[nodiscard]] series_evaluation evaluate_series(const std::vector<double>& series,
-                                                const core::predictor& prototype,
-                                                series_options opts = {});
+                                                const core::predictor& prototype);
 
 /// RMSRE conditioned on measurement-failure status (fault-injection
 /// campaigns): clean epochs vs epochs carrying any fault flag, plus the
@@ -318,16 +306,17 @@ struct path_error_summary {
     const predictor_result& result);
 
 /// Per-trace (CoV, RMSRE) pairs for a predictor spec (Fig. 20). Paper
-/// §6.1.3: both sides exclude detected outliers; the CoV is additionally
-/// computed per stationary period and weighted.
+/// §6.1.3: both sides exclude detected outliers (the RMSRE is the engine's
+/// under engine_options::exclude_outliers); the CoV is additionally computed
+/// per stationary period and weighted. Traces with fewer than three usable
+/// throughputs are left out.
 struct cov_rmsre_point {
     int path_id{0};
     int trace_id{0};
     double cov{0.0};
     double rmsre{0.0};
 };
-[[nodiscard]] std::vector<cov_rmsre_point> cov_vs_rmsre(
-    const testbed::dataset& data, const std::string& spec,
-    core::predictor_config cfg = {});
+[[nodiscard]] std::vector<cov_rmsre_point> cov_vs_rmsre(const testbed::dataset& data,
+                                                        const std::string& spec);
 
 }  // namespace tcppred::analysis

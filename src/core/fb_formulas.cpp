@@ -9,11 +9,12 @@ namespace tcppred::core {
 
 namespace {
 
+constexpr double k_mss = k_mss_bytes;  ///< M as the formulas compute with it
+constexpr double k_b = k_segs_per_ack;
+
 // Strong types make an out-of-domain probability unrepresentable upstream;
 // what remains to check here are the invariants the types cannot carry.
 void check_inputs(const tcp_flow_params& f, seconds rtt) {
-    TCPPRED_EXPECTS(f.mss.value() > 0.0);
-    TCPPRED_EXPECTS(f.segs_per_ack > 0.0);
     TCPPRED_EXPECTS(f.max_window.value() > 0.0);
     TCPPRED_EXPECTS(rtt.value() > 0.0);
 }
@@ -55,7 +56,7 @@ bits_per_second square_root_throughput(const tcp_flow_params& f, seconds rtt,
     const double bound = window_bound_bps(f, rtt_s);
     if (p <= 0.0) return bits_per_second{bound};
     const double rate =
-        f.mss.value() * 8.0 / (rtt_s * std::sqrt(2.0 * f.segs_per_ack * p / 3.0));
+        k_mss * 8.0 / (rtt_s * std::sqrt(2.0 * k_b * p / 3.0));
     return bits_per_second{std::min(rate, bound)};
 }
 
@@ -67,11 +68,11 @@ bits_per_second pftk_throughput(const tcp_flow_params& f, seconds rtt,
     const double p = loss.value();
     const double bound = window_bound_bps(f, rtt_s);
     if (p <= 0.0) return bits_per_second{bound};
-    const double b = f.segs_per_ack;
+    const double b = k_b;
     const double denom = rtt_s * std::sqrt(2.0 * b * p / 3.0) +
                          t0.value() * std::min(1.0, std::sqrt(3.0 * b * p / 8.0)) * p *
                              (1.0 + 32.0 * p * p);
-    const double rate = f.mss.value() * 8.0 / denom;
+    const double rate = k_mss * 8.0 / denom;
     return bits_per_second{std::min(rate, bound)};
 }
 
@@ -84,8 +85,8 @@ bits_per_second pftk_full_throughput(const tcp_flow_params& f, seconds rtt,
     if (loss.value() <= 0.0) return bits_per_second{bound};
     const double p = std::min(loss.value(), 0.99);
 
-    const double b = f.segs_per_ack;
-    const double wm = std::max(1.0, f.max_window.value() / f.mss.value());
+    const double b = k_b;
+    const double wm = std::max(1.0, f.max_window.value() / k_mss);
     const double c = (2.0 + b) / (3.0 * b);
     const double w_unconstrained =
         c + std::sqrt(8.0 * (1.0 - p) / (3.0 * b * p) + c * c);
@@ -105,7 +106,7 @@ bits_per_second pftk_full_throughput(const tcp_flow_params& f, seconds rtt,
                            q * pftk_g(p) * t0.value() / (1.0 - p);
         segments_per_second = num / den;
     }
-    return bits_per_second{std::min(segments_per_second * f.mss.value() * 8.0, bound)};
+    return bits_per_second{std::min(segments_per_second * k_mss * 8.0, bound)};
 }
 
 double expected_slow_start_segments(probability loss, double d) {
@@ -126,17 +127,17 @@ bits_per_second short_transfer_throughput(const tcp_flow_params& f, seconds rtt,
                                  d_segments);
     // Slow-start duration: window grows by factor gamma = 1 + 1/b per RTT;
     // cumulative segments after r rounds: w1 (gamma^r - 1)/(gamma - 1).
-    const double gamma = 1.0 + 1.0 / f.segs_per_ack;
+    const double gamma = 1.0 + 1.0 / k_b;
     const double rounds =
         std::log(d_ss * (gamma - 1.0) / init_window_segments + 1.0) / std::log(gamma);
     const double t_ss = rounds * rtt.value();
 
     const double steady_bps = pftk_throughput(f, rtt, loss, t0).value();
     const double remaining_segments = d_segments - d_ss;
-    const double t_steady = remaining_segments * f.mss.value() * 8.0 / steady_bps;
+    const double t_steady = remaining_segments * k_mss * 8.0 / steady_bps;
     const double total_time = t_ss + t_steady;
     if (total_time <= 0.0) return bits_per_second{steady_bps};
-    return bits_per_second{d_segments * f.mss.value() * 8.0 / total_time};
+    return bits_per_second{d_segments * k_mss * 8.0 / total_time};
 }
 
 probability pftk_implied_loss(const tcp_flow_params& f, seconds rtt, seconds t0,

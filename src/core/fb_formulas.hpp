@@ -13,15 +13,23 @@
 // preconditions (core/contracts.hpp).
 #pragma once
 
+#include <cstdint>
+
 #include "core/units.hpp"
 
 namespace tcppred::core {
 
-/// Flow parameters every formula needs.
+// M, b and the two transfers' W, shared by Eq. 3 and the simulated TCP
+// (tcp/tcp.hpp) and transfers (testbed/epoch_runner.cpp).
+inline constexpr std::uint32_t k_mss_bytes = 1460;  ///< M: segment payload
+inline constexpr std::uint32_t k_segs_per_ack = 2;  ///< b: segments per (delayed) ACK
+inline constexpr std::uint64_t k_target_window_bytes = 1 << 20;  ///< W = 1 MB
+/// W = 20 KB: the window-limited companion transfer (§4.2.8).
+inline constexpr std::uint64_t k_companion_window_bytes = 20 * 1024;
+
+/// The flow parameter a formula takes per call: the window W.
 struct tcp_flow_params {
-    bytes mss{1460.0};             ///< M: segment size
-    double segs_per_ack{2.0};      ///< b: segments acknowledged per ACK
-    bytes max_window{1048576.0};   ///< W: maximum (receiver) window, 1 MB
+    bytes max_window{static_cast<double>(k_target_window_bytes)};
 };
 
 /// Mathis et al. "square-root" model (Eq. 1):

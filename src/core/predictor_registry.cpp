@@ -134,4 +134,15 @@ std::unique_ptr<predictor> make_predictor(const std::string& spec,
     return std::make_unique<history_predictor>(parse_hb(spec, spec, cfg));
 }
 
+std::vector<std::string> split_spec_list(std::string_view list) {
+    std::vector<std::string> specs;
+    if (list.empty()) return specs;
+    for (std::size_t start = 0;;) {
+        const std::size_t comma = list.find(',', start);
+        specs.emplace_back(list.substr(start, comma - start));
+        if (comma == std::string_view::npos) return specs;
+        start = comma + 1;
+    }
+}
+
 }  // namespace tcppred::core

@@ -27,6 +27,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/lso.hpp"
 #include "core/predictor.hpp"
@@ -50,13 +52,14 @@ private:
 /// Shared parameters a spec string does not encode: the sender window W and
 /// the LSO tuning. One config serves every spec in an evaluation, so
 /// "fb:pftk" and "10-MA-LSO" are compared under the same assumptions. The
-/// rest are constants: the flow's M and b (tcp_flow_params), the FB
-/// staleness bound (formula_predictor::k_max_staleness), HW's trend gain
+/// rest are constants: the flow's M and b (k_mss_bytes, k_segs_per_ack in
+/// fb_formulas.hpp), the FB staleness bound
+/// (formula_predictor::k_max_staleness), HW's trend gain
 /// (holt_winters::k_spec_beta) and the hybrid's default k
 /// (blended_predictor::k_default_fb_weight_samples).
 struct predictor_config {
-    /// Sender window W for Eq. 3's W/T̂ bound.
-    std::uint64_t window_bytes{1 << 20};
+    /// Sender window W for Eq. 3's W/T̂ bound: the target transfer's.
+    std::uint64_t window_bytes{k_target_window_bytes};
     lso_config lso{};  ///< parameters for "-LSO"-wrapped specs
 };
 
@@ -64,5 +67,10 @@ struct predictor_config {
 /// predictor_spec_error on unknown or malformed specs.
 [[nodiscard]] std::unique_ptr<predictor> make_predictor(
     const std::string& spec, const predictor_config& cfg = {});
+
+/// The items of a comma-separated spec list, the one syntax of every tool
+/// flag that takes specs: none for an empty list, and an empty item kept as
+/// the empty spec, which make_predictor refuses like any bad spec.
+[[nodiscard]] std::vector<std::string> split_spec_list(std::string_view list);
 
 }  // namespace tcppred::core

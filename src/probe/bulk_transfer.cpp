@@ -59,7 +59,7 @@ void bulk_transfer::finalize(double t0, bool aborted) {
     // A transfer that delivered nothing still "measured" a throughput of
     // less than one segment per lifetime; report that floor instead of a
     // hard zero so downstream relative errors stay finite.
-    if (m.bytes == 0) m.bytes = conn_->sender().config().mss_bytes;
+    if (m.bytes == 0) m.bytes = core::k_mss_bytes;
     m.tcp_stats = conn_->sender().stats();
     m.aborted = aborted;
     result_.status = aborted ? probe_status::degraded : probe_status::ok;

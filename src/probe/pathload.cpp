@@ -10,6 +10,12 @@ namespace tcppred::probe {
 
 namespace {
 
+constexpr std::uint32_t k_stream_packets = 60;
+constexpr std::uint32_t k_packet_bytes = 600;
+constexpr double k_resolution_fraction = 0.08;  ///< stop when (high-low)/high below this
+constexpr core::seconds k_inter_stream_gap{0.10};  ///< drain time between streams
+constexpr double k_loss_fraction_increasing = 0.10;  ///< stream loss that implies rate > avail-bw
+
 double median_of(std::vector<double> v) {
     if (v.empty()) return 0.0;
     const std::size_t mid = v.size() / 2;
@@ -71,11 +77,9 @@ pathload::pathload(sim::scheduler& sched, net::duplex_path& path, net::flow_id f
       path_(&path),
       flow_(flow),
       cfg_(cfg),
-      low_(cfg.min_rate.value()),
+      low_(k_pathload_min_rate.value()),
       high_(cfg.max_rate.value()) {
-    TCPPRED_EXPECTS(cfg_.min_rate.value() > 0.0);
-    TCPPRED_EXPECTS(cfg_.max_rate >= cfg_.min_rate);
-    TCPPRED_EXPECTS(cfg_.inter_stream_gap.value() >= 0.0);
+    TCPPRED_EXPECTS(cfg_.max_rate >= k_pathload_min_rate);
     path_->on_deliver_forward(flow_, [this](net::packet p) {
         ++stream_received_;
         stream_owds_.push_back(sched_->now() - p.sent_at);
@@ -97,15 +101,15 @@ void pathload::send_stream(double rate_bps) {
     stream_received_ = 0;
     stream_owds_.clear();
     ++streams_sent_;
-    const double spacing = static_cast<double>(cfg_.packet_bytes) * 8.0 / rate_bps;
-    emit_packet(0, cfg_.stream_packets, spacing);
+    const double spacing = static_cast<double>(k_packet_bytes) * 8.0 / rate_bps;
+    emit_packet(0, k_stream_packets, spacing);
 }
 
 void pathload::emit_packet(std::uint32_t index, std::uint32_t total, double spacing) {
     net::packet p;
     p.flow = flow_;
     p.kind = net::packet_kind::probe;
-    p.size_bytes = cfg_.packet_bytes;
+    p.size_bytes = k_packet_bytes;
     p.seq = index;
     p.sent_at = sched_->now();
     path_->send_forward(p);
@@ -116,7 +120,7 @@ void pathload::emit_packet(std::uint32_t index, std::uint32_t total, double spac
         });
     } else {
         // Allow the tail of the stream (and any queue we built) to land.
-        chain_event_ = sched_->schedule_in(cfg_.inter_stream_gap.value() + 4.0 * spacing,
+        chain_event_ = sched_->schedule_in(k_inter_stream_gap.value() + 4.0 * spacing,
                                            [this] { conclude_stream(); });
     }
 }
@@ -134,10 +138,10 @@ void pathload::conclude_stream() {
         return;
     }
     const double lost_fraction =
-        1.0 - static_cast<double>(stream_received_) / static_cast<double>(cfg_.stream_packets);
+        1.0 - static_cast<double>(stream_received_) / static_cast<double>(k_stream_packets);
 
     owd_trend trend;
-    if (lost_fraction > cfg_.loss_fraction_increasing) {
+    if (lost_fraction > k_loss_fraction_increasing) {
         trend = owd_trend::increasing;  // the stream itself overloaded the path
     } else {
         trend = classify_trend(stream_owds_);
@@ -157,7 +161,7 @@ void pathload::conclude_stream() {
             break;
     }
 
-    const bool converged = (high_ - low_) / std::max(high_, 1.0) < cfg_.resolution_fraction;
+    const bool converged = (high_ - low_) / std::max(high_, 1.0) < k_resolution_fraction;
     if (converged || streams_sent_ >= cfg_.max_streams || high_ <= low_) {
         finish();
         return;

@@ -37,17 +37,14 @@ struct pathload_result {
     }
 };
 
-/// Iterative SLoPS measurement over a duplex path.
+/// Lower bound of the search bracket; the stream shape is fixed in
+/// pathload.cpp.
+inline constexpr core::bits_per_second k_pathload_min_rate{50e3};
+
 /// SLoPS measurement parameters.
 struct pathload_config {
-    core::bits_per_second min_rate{50e3};
     core::bits_per_second max_rate{12e6};  ///< upper bound of the search bracket
-    std::uint32_t stream_packets{60};
-    std::uint32_t packet_bytes{600};
     int max_streams{10};
-    double resolution_fraction{0.08};///< stop when (high-low)/high below this
-    core::seconds inter_stream_gap{0.10};  ///< drain time between streams
-    double loss_fraction_increasing{0.10};///< stream loss that implies rate > avail-bw
     /// Injected measurement fault: the run spends its full stream budget but
     /// never converges (the bracket never tightens), mirroring the paper's
     /// pathload failures on loaded paths. The outcome is `failed` and the
@@ -55,6 +52,7 @@ struct pathload_config {
     bool fault_nonconvergence{false};
 };
 
+/// Iterative SLoPS measurement over a duplex path.
 class pathload {
 public:
     pathload(sim::scheduler& sched, net::duplex_path& path, net::flow_id flow,

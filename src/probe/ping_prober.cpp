@@ -9,7 +9,6 @@ ping_prober::ping_prober(sim::scheduler& sched, net::duplex_path& path, net::flo
                          ping_config cfg)
     : sched_(&sched), path_(&path), flow_(flow), cfg_(cfg) {
     TCPPRED_EXPECTS(cfg_.interval.value() > 0.0);
-    TCPPRED_EXPECTS(cfg_.reply_timeout.value() > 0.0);
     TCPPRED_EXPECTS(cfg_.fault_timeout_rate >= 0.0 && cfg_.fault_timeout_rate <= 1.0);
     if (cfg_.fault_timeout_rate > 0.0) fault_rng_.emplace(cfg_.fault_seed);
     // Far end: echo every probe back over the reverse path.
@@ -79,13 +78,13 @@ void ping_prober::send_probe() {
         net::packet p;
         p.flow = flow_;
         p.kind = net::packet_kind::probe;
-        p.size_bytes = cfg_.probe_bytes;
+        p.size_bytes = net::ping_probe_bytes;
         p.seq = seq;
         p.sent_at = sched_->now();
         path_->send_forward(p);
     }
 
-    entry.timeout = sched_->schedule_in(cfg_.reply_timeout.value(), [this, seq] {
+    entry.timeout = sched_->schedule_in(k_ping_reply_timeout.value(), [this, seq] {
         pending& out = outstanding_[seq];
         if (out.outstanding) {
             out.outstanding = false;

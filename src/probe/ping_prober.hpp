@@ -48,15 +48,13 @@ struct ping_result {
     }
 };
 
-/// Sends `count` probes spaced `interval` apart and collects echoes.
-/// A probe with no echo after `reply_timeout` counts as lost. `finish()`
-/// fires once the last probe is either answered or timed out.
-/// Probing-session parameters.
+/// A probe with no echo after this long counts as lost.
+inline constexpr core::seconds k_ping_reply_timeout{2.0};
+
+/// Probing-session parameters. Each probe is net::ping_probe_bytes long.
 struct ping_config {
     core::seconds interval{0.015};
     std::uint64_t count{400};
-    core::seconds reply_timeout{2.0};
-    std::uint32_t probe_bytes{net::ping_probe_bytes};
     /// Injected measurement faults (sim/fault_injector.hpp plan, resolved by
     /// the epoch runner). `timeout_rate` > 0 makes individual probes vanish
     /// before reaching the path (deterministic per `fault_seed`);
@@ -66,6 +64,8 @@ struct ping_config {
     std::uint64_t fault_truncate_at{0};  ///< 0 = send all `count` probes
 };
 
+/// Sends `count` probes spaced `interval` apart and collects echoes; the
+/// session completes once the last probe is either answered or timed out.
 class ping_prober {
 public:
     ping_prober(sim::scheduler& sched, net::duplex_path& path, net::flow_id flow,

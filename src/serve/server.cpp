@@ -240,7 +240,7 @@ void server::run(const std::atomic<bool>& stop) {
         {
             std::unique_lock<std::mutex> lock(inflight_mu_);
             if (!inflight_cv_.wait_for(lock, std::chrono::milliseconds(100), [&] {
-                    return inflight_ < cfg_.max_inflight ||
+                    return inflight_ < k_max_inflight ||
                            stop.load(std::memory_order_relaxed);
                 })) {
                 continue;

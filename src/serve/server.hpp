@@ -29,16 +29,17 @@
 
 namespace tcppred::serve {
 
+/// Bound on connections admitted but not yet finished; the accept loop
+/// stops accepting (backpressure) at the cap instead of queueing without
+/// limit.
+inline constexpr std::size_t k_max_inflight = 64;
+
 struct server_config {
     /// Unix-domain socket path; takes precedence over tcp_port when set.
     std::string unix_socket;
     /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see port()).
     int tcp_port{-1};
     std::size_t workers{4};
-    /// Bound on connections admitted but not yet finished; the accept loop
-    /// stops accepting (backpressure) at the cap instead of queueing
-    /// without limit.
-    std::size_t max_inflight{64};
     /// Write a snapshot every N observations (0 = only on SNAPSHOT/SIGINT).
     std::uint64_t snapshot_every{0};
     /// Snapshot file; empty disables snapshotting entirely.

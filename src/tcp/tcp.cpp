@@ -10,6 +10,14 @@ namespace tcppred::tcp {
 namespace {
 constexpr double k_rtt_alpha = 1.0 / 8.0;  // RFC 6298 SRTT gain
 constexpr double k_rtt_beta = 1.0 / 4.0;   // RFC 6298 RTTVAR gain
+// RFC 5681 / RFC 6298 (1 s initial RTO) and paper-era values, except the
+// minimum RTO: the 0.2 s Linux-style floor, not RFC 6298's 1 s.
+constexpr std::uint32_t k_init_cwnd_segments = 2;
+constexpr std::uint32_t k_dupack_threshold = 3;
+constexpr double k_initial_rto_s = 1.0;
+constexpr double k_min_rto_s = 0.2;
+constexpr double k_max_rto_s = 60.0;
+constexpr double k_delack_timeout_s = 0.1;
 }  // namespace
 
 tcp_sender::tcp_sender(sim::scheduler& sched, net::conduit& conduit, net::flow_id flow,
@@ -18,9 +26,9 @@ tcp_sender::tcp_sender(sim::scheduler& sched, net::conduit& conduit, net::flow_i
       conduit_(&conduit),
       flow_(flow),
       cfg_(cfg),
-      cwnd_(static_cast<double>(cfg.init_cwnd_segments)),
-      rto_(cfg.initial_rto_s) {
-    rwnd_segments_ = std::max<std::uint64_t>(1, cfg_.max_window_bytes / cfg_.mss_bytes);
+      cwnd_(static_cast<double>(k_init_cwnd_segments)),
+      rto_(k_initial_rto_s) {
+    rwnd_segments_ = std::max<std::uint64_t>(1, cfg_.max_window_bytes / core::k_mss_bytes);
     ssthresh_ = static_cast<double>(
         cfg_.initial_ssthresh_segments > 0
             ? std::min(cfg_.initial_ssthresh_segments, rwnd_segments_)
@@ -100,7 +108,7 @@ void tcp_sender::transmit(std::uint64_t seq) {
     net::packet p;
     p.flow = flow_;
     p.kind = net::packet_kind::tcp_data;
-    p.size_bytes = cfg_.mss_bytes + net::tcp_ip_header_bytes;
+    p.size_bytes = core::k_mss_bytes + net::tcp_ip_header_bytes;
     p.seq = seq;
     p.sent_at = sched_->now();
     conduit_->send_data(p);
@@ -131,7 +139,7 @@ void tcp_sender::on_ack(const net::packet& p) {
                 ++inflation_;
                 try_send();
             }
-        } else if (dupacks_ == cfg_.dupack_threshold) {
+        } else if (dupacks_ == k_dupack_threshold) {
             enter_fast_recovery();
         }
     }
@@ -262,7 +270,7 @@ void tcp_sender::enter_fast_recovery() {
     in_recovery_ = true;
     ++recovery_epoch_;
     cwnd_ = ssthresh_;
-    inflation_ = cfg_.dupack_threshold;
+    inflation_ = k_dupack_threshold;
     if (cfg_.variant == tcp_variant::sack) {
         seg_meta& first = meta(snd_una_);
         first.retx_epoch = recovery_epoch_;
@@ -285,7 +293,7 @@ void tcp_sender::update_rtt(double sample) {
         rttvar_ = (1.0 - k_rtt_beta) * rttvar_ + k_rtt_beta * std::abs(srtt_ - sample);
         srtt_ = (1.0 - k_rtt_alpha) * srtt_ + k_rtt_alpha * sample;
     }
-    rto_ = std::clamp(srtt_ + 4.0 * rttvar_, cfg_.min_rto_s, cfg_.max_rto_s);
+    rto_ = std::clamp(srtt_ + 4.0 * rttvar_, k_min_rto_s, k_max_rto_s);
 }
 
 void tcp_sender::schedule_rto_event(double when) {
@@ -344,7 +352,7 @@ void tcp_sender::on_rto_event() {
     highest_sacked_ = snd_una_;
     try_send();  // cwnd = 1: retransmits exactly the first hole
     const double backed_off =
-        std::min(rto_ * static_cast<double>(1u << backoff_), cfg_.max_rto_s);
+        std::min(rto_ * static_cast<double>(1u << backoff_), k_max_rto_s);
     disarm_rto();
     arm_rto(backed_off);
 }
@@ -397,13 +405,13 @@ void tcp_receiver::on_data(const net::packet& p) {
 
 void tcp_receiver::maybe_delay_ack() {
     ++unacked_segments_;
-    if (unacked_segments_ >= 2) {
+    if (unacked_segments_ >= core::k_segs_per_ack) {
         send_ack_now();
         return;
     }
     delack_armed_ = true;
     const std::uint64_t generation = ++delack_generation_;
-    delack_event_ = sched_->schedule_in(cfg_.delack_timeout_s, [this, generation] {
+    delack_event_ = sched_->schedule_in(k_delack_timeout_s, [this, generation] {
         if (delack_armed_ && generation == delack_generation_) send_ack_now();
     });
 }

@@ -11,6 +11,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/fb_formulas.hpp"
 #include "core/units.hpp"
 #include "net/packet.hpp"
 #include "net/path.hpp"
@@ -25,29 +26,24 @@ enum class tcp_variant {
     sack,     ///< selective acknowledgements with pipe-style recovery
 };
 
-/// Tuning parameters; defaults follow RFC 5681 / RFC 6298 (1 s initial
-/// RTO) and the paper-era conventions (delayed ACKs with b = 2), except the
-/// minimum RTO: the 0.2 s Linux-style floor, not RFC 6298's 1 s.
+/// What a caller chooses per connection; the protocol constants are in
+/// tcp.cpp. Segments carry core::k_mss_bytes (M), and a delayed-ACK receiver
+/// ACKs every core::k_segs_per_ack (b) segments.
 struct tcp_config {
     tcp_variant variant{tcp_variant::newreno};
-    std::uint32_t mss_bytes{1460};          ///< segment payload (M in the paper)
-    std::uint64_t max_window_bytes{1 << 20};///< receiver advertised window (W)
-    std::uint32_t init_cwnd_segments{2};
+    /// Receiver advertised window (W); the testbed's transfers use
+    /// core::k_target_window_bytes and core::k_companion_window_bytes.
+    std::uint64_t max_window_bytes{core::k_target_window_bytes};
     /// Initial slow-start threshold in segments; 0 = unlimited (blind Reno).
     /// Real stacks cache ssthresh per destination, which bounds the first
     /// slow-start overshoot on repeat paths — the testbed uses that.
     std::uint64_t initial_ssthresh_segments{0};
-    std::uint32_t dupack_threshold{3};
-    double initial_rto_s{1.0};
-    double min_rto_s{0.2};                  ///< Linux-style floor (RFC says 1 s)
-    double max_rto_s{60.0};
     /// Cap on consecutive RTO doublings (2^n). The protocol value is ~6
     /// (64x); the testbed uses 2 (4x) to compensate for its compressed
     /// transfer durations — a 10 s transfer must not lose its whole
     /// lifetime to a backoff spiral a 50 s transfer would amortize.
     std::uint32_t max_rto_backoff{6};
-    bool delayed_ack{true};                 ///< ACK every b = 2 segments
-    double delack_timeout_s{0.1};
+    bool delayed_ack{true};  ///< ACK every b segments, not every one
 };
 
 /// Counters and samples a finished (or running) sender exposes. These feed
@@ -91,7 +87,7 @@ public:
 
     /// Payload bytes delivered (cumulatively ACKed) so far.
     [[nodiscard]] std::uint64_t acked_bytes() const noexcept {
-        return snd_una_ * cfg_.mss_bytes;
+        return snd_una_ * core::k_mss_bytes;
     }
     [[nodiscard]] core::seconds smoothed_rtt() const noexcept {
         return core::seconds{srtt_};

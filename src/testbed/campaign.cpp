@@ -62,16 +62,10 @@ epoch_record simulate_campaign_epoch(const campaign_config& cfg,
     const std::uint64_t epoch_seed = sim::derive_seed(
         cfg.seed, "epoch", static_cast<std::uint64_t>(profile.id),
         static_cast<std::uint64_t>(trace), static_cast<std::uint64_t>(epoch));
-    // The fault plan rides in a per-epoch copy of the epoch config; the
-    // fault-free path keeps using cfg.epoch directly.
-    const epoch_config* ecfg = &cfg.epoch;
-    epoch_config faulty_cfg;
+    sim::epoch_fault_plan faults;
     if (cfg.faults.enabled()) {
-        faulty_cfg = cfg.epoch;
-        faulty_cfg.faults =
-            sim::plan_epoch_faults(cfg.faults, cfg.seed, profile.id, trace, epoch);
-        if (faulty_cfg.faults.any()) c_faulted.add();
-        ecfg = &faulty_cfg;
+        faults = sim::plan_epoch_faults(cfg.faults, cfg.seed, profile.id, trace, epoch);
+        if (faults.any()) c_faulted.add();
     }
     epoch_record rec;
     rec.path_id = profile.id;
@@ -79,7 +73,7 @@ epoch_record simulate_campaign_epoch(const campaign_config& cfg,
     rec.epoch_index = epoch;
     const bool observing = obs::metrics_enabled() || obs::trace_enabled();
     const obs::stopwatch epoch_watch;  // read only when observing
-    rec.m = run_epoch(profile, load, epoch_seed, *ecfg);
+    rec.m = run_epoch(profile, load, epoch_seed, cfg.epoch, faults);
     c_epochs.add();
     if (observing) {
         const double dur_s = epoch_watch.elapsed_s();

@@ -129,14 +129,15 @@ int parse_i32_field(std::string_view name, std::string_view text,
 }
 
 std::vector<fingerprint_field> campaign_fingerprint_fields(const campaign_config& cfg) {
-    // v3: every double goes through hexd so the identity string is a pure
-    // function of the config bits, not of decimal formatting. A fingerprint
-    // is compared for equality (and positionally diffed on mismatch), never
-    // parsed back into a config, so the version bump simply refuses journals
-    // and stores written by older binaries. The value serialization here
-    // must never change without bumping the version field.
+    // v4: one slot per settable value that reaches a record (not the job
+    // count, epoch.tcp.max_window_bytes or prior_ping's fault fields, which
+    // the runner overrides; DESIGN.md §10.4). Every double goes through hexd,
+    // so the string is a pure function of the config bits. A fingerprint is
+    // compared for equality (and positionally diffed on mismatch), never
+    // parsed back, so a version bump simply refuses older journals and
+    // stores. The serialization must never change without bumping it.
     std::vector<fingerprint_field> f;
-    f.push_back({"version", "v3"});
+    f.push_back({"version", "v4"});
     f.push_back({"simulator_revision", std::to_string(k_simulator_revision)});
     f.push_back({"paths", std::to_string(cfg.paths)});
     f.push_back({"traces_per_path", std::to_string(cfg.traces_per_path)});
@@ -146,21 +147,21 @@ std::vector<fingerprint_field> campaign_fingerprint_fields(const campaign_config
     f.push_back({"faults", cfg.faults.spec()});
     f.push_back({"epoch.warmup_s", hexd(cfg.epoch.warmup.value())});
     f.push_back({"epoch.transfer_s", hexd(cfg.epoch.transfer.value())});
-    f.push_back({"epoch.during_ping_interval_s",
-                 hexd(cfg.epoch.during_ping_interval.value())});
-    f.push_back({"epoch.large_window_bytes",
-                 std::to_string(cfg.epoch.large_window_bytes)});
-    f.push_back({"epoch.small_window_bytes",
-                 std::to_string(cfg.epoch.small_window_bytes)});
     f.push_back({"epoch.run_small_window",
                  std::to_string(cfg.epoch.run_small_window ? 1 : 0)});
     f.push_back({"epoch.run_pathload", std::to_string(cfg.epoch.run_pathload ? 1 : 0)});
     f.push_back({"epoch.prior_ping.count", std::to_string(cfg.epoch.prior_ping.count)});
     f.push_back({"epoch.prior_ping.interval_s",
                  hexd(cfg.epoch.prior_ping.interval.value())});
-    f.push_back({"epoch.pathload_max_rate_factor",
-                 hexd(cfg.epoch.pathload_max_rate_factor)});
-    f.push_back({"epoch.hard_cap_s", hexd(cfg.epoch.hard_cap.value())});
+    const tcp::tcp_config& tcp_cfg = cfg.epoch.tcp;
+    f.push_back({"epoch.tcp.variant",
+                 tcp_cfg.variant == tcp::tcp_variant::sack      ? "sack"
+                 : tcp_cfg.variant == tcp::tcp_variant::newreno ? "newreno"
+                                                                : "tahoe"});
+    f.push_back({"epoch.tcp.initial_ssthresh_segments",
+                 std::to_string(tcp_cfg.initial_ssthresh_segments)});
+    f.push_back({"epoch.tcp.max_rto_backoff", std::to_string(tcp_cfg.max_rto_backoff)});
+    f.push_back({"epoch.tcp.delayed_ack", std::to_string(tcp_cfg.delayed_ack ? 1 : 0)});
     f.push_back({"epoch.cross",
                  cfg.epoch.cross == net::cross_model::fluid ? "fluid" : "packet"});
     for (std::size_t i = 0; i < cfg.epoch.prefix_s.size(); ++i) {
@@ -196,7 +197,10 @@ std::string describe_fingerprint_mismatch(const std::string& in_store,
         return "epoch.prefix_s[" + std::to_string(i - fixed.size()) + "]";
     };
     std::ostringstream os;
-    const std::size_t n = std::max(old_f.size(), new_f.size());
+    // Another version is another layout: its slots do not line up with
+    // these names, so the version is the one difference worth naming.
+    const bool other_version = !old_f.empty() && !new_f.empty() && old_f[0] != new_f[0];
+    const std::size_t n = other_version ? 1 : std::max(old_f.size(), new_f.size());
     for (std::size_t i = 0; i < n; ++i) {
         const std::string old_v = i < old_f.size() ? old_f[i] : "<absent>";
         const std::string new_v = i < new_f.size() ? new_f[i] : "<absent>";

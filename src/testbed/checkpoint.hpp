@@ -1,6 +1,6 @@
 // The serialization primitives of the bit-exact formats (the record store,
 // testbed/record_store.hpp, and the serve snapshot): hexd/parse_hexd for
-// doubles, the whole-token integer field parsers, the v3 campaign
+// doubles, the whole-token integer field parsers, the v4 campaign
 // fingerprint with its field-by-field diff, and the atomic publisher
 // (atomic_write_stream). The record files themselves are written and read
 // only by record_store.

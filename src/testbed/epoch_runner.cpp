@@ -27,13 +27,18 @@ constexpr net::flow_id k_flow_poisson = 10;
 constexpr net::flow_id k_flow_pareto = 11;
 constexpr net::flow_id k_flow_elastic_base = 100;
 
+/// pathload's search upper bound as a multiple of the bottleneck capacity.
+constexpr double k_pathload_max_rate_factor = 1.3;
+/// Watchdog on an epoch's simulated time.
+constexpr double k_hard_cap_s = 240.0;
+
 /// The per-epoch simulation world: topology, background traffic and
 /// measurement tools, sequenced through the Fig. 1 phases by callbacks.
 class epoch_world {
 public:
     epoch_world(const path_profile& profile, const load_state& load, std::uint64_t seed,
-                const epoch_config& cfg)
-        : profile_(profile), load_(load), cfg_(cfg),
+                const epoch_config& cfg, const sim::epoch_fault_plan& faults)
+        : profile_(profile), load_(load), cfg_(cfg), faults_(faults),
           path_(sched_, profile.forward, profile.reverse) {
         if (profile.random_loss_rate > 0.0) {
             path_.bottleneck().set_random_loss(profile.random_loss_rate,
@@ -57,7 +62,8 @@ private:
 
     const path_profile& profile_;
     const load_state& load_;
-    epoch_config cfg_;
+    const epoch_config& cfg_;
+    const sim::epoch_fault_plan& faults_;
 
     sim::scheduler sched_;
     net::duplex_path path_;
@@ -134,52 +140,49 @@ void epoch_world::build_cross_traffic(std::uint64_t seed) {
 }
 
 void epoch_world::build_tools() {
-    const sim::epoch_fault_plan& faults = cfg_.faults;
-
     probe::pathload_config plc;
     plc.max_rate = core::bits_per_second{profile_.bottleneck_capacity().value() *
-                                        cfg_.pathload_max_rate_factor};
-    plc.fault_nonconvergence = faults.pathload_fail;
+                                        k_pathload_max_rate_factor};
+    plc.fault_nonconvergence = faults_.pathload_fail;
     pathload_ = std::make_unique<probe::pathload>(sched_, path_, k_flow_pathload, plc);
 
+    // Both sessions' fault fields come from the plan alone, whatever the
+    // caller left in prior_ping: the plan is what the fingerprint covers.
     probe::ping_config prior_cfg = cfg_.prior_ping;
-    if (faults.ping_timeout_rate > 0.0) {
-        prior_cfg.fault_timeout_rate = faults.ping_timeout_rate;
-        prior_cfg.fault_seed = sim::derive_seed(faults.ping_fault_seed, "prior");
-    }
-    if (faults.ping_truncate_fraction < 1.0) {
-        prior_cfg.fault_truncate_at = static_cast<std::uint64_t>(
-            static_cast<double>(prior_cfg.count) * faults.ping_truncate_fraction);
-    }
+    prior_cfg.fault_timeout_rate = faults_.ping_timeout_rate;
+    prior_cfg.fault_seed = sim::derive_seed(faults_.ping_fault_seed, "prior");
+    prior_cfg.fault_truncate_at =
+        faults_.ping_truncate_fraction < 1.0
+            ? static_cast<std::uint64_t>(static_cast<double>(prior_cfg.count) *
+                                         faults_.ping_truncate_fraction)
+            : 0;
     prior_ping_ = std::make_unique<probe::ping_prober>(sched_, path_, k_flow_ping_prior,
                                                        prior_cfg);
 
     probe::ping_config during_cfg = cfg_.prior_ping;
-    during_cfg.interval = cfg_.during_ping_interval;
     during_cfg.count = static_cast<std::uint64_t>(cfg_.transfer.value() /
-                                                  cfg_.during_ping_interval.value());
-    if (faults.ping_timeout_rate > 0.0) {
-        during_cfg.fault_timeout_rate = faults.ping_timeout_rate;
-        during_cfg.fault_seed = sim::derive_seed(faults.ping_fault_seed, "during");
-    }
+                                                  cfg_.prior_ping.interval.value());
+    during_cfg.fault_timeout_rate = faults_.ping_timeout_rate;
+    during_cfg.fault_seed = sim::derive_seed(faults_.ping_fault_seed, "during");
+    during_cfg.fault_truncate_at = 0;
     during_ping_ = std::make_unique<probe::ping_prober>(sched_, path_, k_flow_ping_during,
                                                         during_cfg);
 
     target_conduit_ = std::make_unique<net::path_conduit>(path_);
     tcp::tcp_config big = cfg_.tcp;
-    big.max_window_bytes = cfg_.large_window_bytes;
+    big.max_window_bytes = core::k_target_window_bytes;
     target_transfer_ = std::make_unique<probe::bulk_transfer>(
         sched_, *target_conduit_, k_flow_target, cfg_.transfer, big);
-    if (faults.transfer_abort_fraction < 1.0) {
+    if (faults_.transfer_abort_fraction < 1.0) {
         target_transfer_->set_fault_abort(cfg_.transfer *
-                                          faults.transfer_abort_fraction);
+                                          faults_.transfer_abort_fraction);
     }
     if (!cfg_.prefix_s.empty()) target_transfer_->add_prefix_checkpoints(cfg_.prefix_s);
 
     if (cfg_.run_small_window) {
         small_conduit_ = std::make_unique<net::path_conduit>(path_);
         tcp::tcp_config small = cfg_.tcp;
-        small.max_window_bytes = cfg_.small_window_bytes;
+        small.max_window_bytes = core::k_companion_window_bytes;
         small_transfer_ = std::make_unique<probe::bulk_transfer>(
             sched_, *small_conduit_, k_flow_small, cfg_.transfer, small);
     }
@@ -231,13 +234,12 @@ void epoch_world::start_transfer_phase() {
                                static_cast<double>(pareto_.size()));
         }
     }
-    const sim::epoch_fault_plan& faults = cfg_.faults;
-    if (faults.outage) {
+    if (faults_.outage) {
         // Transient blackout inside the transfer window, deterministic in
         // absolute sim time (no RNG draws at enqueue time; see link.hpp).
         const double t0 = sched_.now();
-        const double from = t0 + faults.outage_start_fraction * cfg_.transfer.value();
-        const double until = from + faults.outage_duration_fraction *
+        const double from = t0 + faults_.outage_start_fraction * cfg_.transfer.value();
+        const double until = from + faults_.outage_duration_fraction *
                                         cfg_.transfer.value();
         path_.bottleneck().set_outage(from, until);
         out_.fault_flags |= fault_path_outage;
@@ -266,7 +268,7 @@ void epoch_world::start_transfer_phase() {
 void epoch_world::collect_during_view_and_continue() {
     // Give the last concurrent probes their full reply-timeout before
     // reading the during-flow loss/RTT view.
-    const double grace = cfg_.prior_ping.reply_timeout.value() + 0.1;
+    const double grace = probe::k_ping_reply_timeout.value() + 0.1;
     sched_.schedule_in(grace, [this] {
         const probe::probe_result<probe::ping_result>& r = during_ping_->result();
         if (r->received > 0) {
@@ -293,7 +295,7 @@ void epoch_world::start_small_transfer() {
 
 epoch_measurement epoch_world::run() {
     sched_.schedule_in(cfg_.warmup.value(), [this] { start_pathload(); });
-    while (!finished_ && sched_.now() < cfg_.hard_cap.value()) {
+    while (!finished_ && sched_.now() < k_hard_cap_s) {
         if (!sched_.step()) break;
     }
     out_.sim_time_s = sched_.now();
@@ -304,9 +306,10 @@ epoch_measurement epoch_world::run() {
 }  // namespace
 
 epoch_measurement run_epoch(const path_profile& profile, const load_state& load,
-                            std::uint64_t seed, const epoch_config& cfg) {
+                            std::uint64_t seed, const epoch_config& cfg,
+                            const sim::epoch_fault_plan& faults) {
     const obs::stage_timer timer("testbed.run_epoch");
-    epoch_world world(profile, load, seed, cfg);
+    epoch_world world(profile, load, seed, cfg, faults);
     const epoch_measurement m = world.run();
 
     static const obs::counter c_epochs = obs::counter::get("testbed.epochs_simulated");

@@ -47,22 +47,21 @@ enum epoch_fault_flag : std::uint32_t {
 }
 
 /// Epoch phase parameters. Durations carry their unit in the type
-/// (core/units.hpp); window sizes stay raw byte counts because they feed
-/// tcp_config directly.
+/// (core/units.hpp). The target and companion transfers run with
+/// core::k_target_window_bytes and core::k_companion_window_bytes, the W
+/// of Eq. 3.
 struct epoch_config {
     core::seconds warmup{2.0};  ///< let cross traffic reach steady state
-    probe::ping_config prior_ping{};  ///< p̂/T̂ measurement (defaults: 400 x 15 ms)
-    core::seconds during_ping_interval{0.015};
+    /// p̂/T̂ measurement (defaults: 400 x 15 ms). The during-flow ping (p̃/T̃)
+    /// probes at the same interval for the whole transfer. The runner sets
+    /// both sessions' fault fields from the epoch's fault plan.
+    probe::ping_config prior_ping{};
     core::seconds transfer{10.0};     ///< target-flow duration
-    std::uint64_t large_window_bytes{1 << 20};  ///< W = 1 MB (congestion-limited)
-    std::uint64_t small_window_bytes{20 * 1024};///< W = 20 KB (window-limited)
     bool run_small_window{true};
     bool run_pathload{true};
     /// Goodput checkpoints within the target transfer (campaign 2 /
     /// Fig. 11); empty for campaign 1.
     std::vector<double> prefix_s{};
-    /// pathload search upper bound as a multiple of the bottleneck capacity.
-    double pathload_max_rate_factor{1.3};
     /// Template TCP parameters (window is overridden per transfer). The
     /// testbed default bounds the first slow-start overshoot the way real
     /// stacks do on repeat paths (cached ssthresh); see tcp_config.
@@ -73,10 +72,6 @@ struct epoch_config {
         c.max_rto_backoff = 2;
         return c;
     }();
-    core::seconds hard_cap{240.0};  ///< watchdog on simulated time
-    /// Resolved measurement faults for this specific epoch (default: none).
-    /// Planned by the campaign from its fault_profile; see DESIGN.md §10.
-    sim::epoch_fault_plan faults{};
     /// How the open-loop background traffic is realized at the bottleneck
     /// (net/cross_traffic.hpp). Defaults to the exact per-packet model; the
     /// fluid aggregate trades packet granularity for speed: it admits no
@@ -111,9 +106,12 @@ struct epoch_measurement {
     std::uint32_t fault_flags{fault_none};  ///< epoch_fault_flag bitmask
 };
 
-/// Run a single epoch, fully deterministically from (profile, load, seed).
+/// Run a single epoch, fully deterministically from (profile, load, seed)
+/// and the epoch's resolved measurement faults (default: none), which the
+/// campaign plans from its fault_profile (DESIGN.md §10).
 [[nodiscard]] epoch_measurement run_epoch(const path_profile& profile,
                                           const load_state& load, std::uint64_t seed,
-                                          const epoch_config& cfg = {});
+                                          const epoch_config& cfg = {},
+                                          const sim::epoch_fault_plan& faults = {});
 
 }  // namespace tcppred::testbed

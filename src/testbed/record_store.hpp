@@ -2,7 +2,7 @@
 // records, `tcppred-store,v2`, and every read and write of it.
 //
 //   tcppred-store,v2
-//   fingerprint,<v3 campaign fingerprint>
+//   fingerprint,<v4 campaign fingerprint>
 //   paths,<K>
 //   <K "#path,..." catalogue lines, verbatim>
 //   rec,<path>,<trace>,<epoch>,<12 hexfloats>,<events>,<fault_flags>,

@@ -87,7 +87,6 @@ TEST(engine_fb, small_window_option_scores_companion_flow) {
     const auto data = synthetic_dataset();
     engine_options small;
     small.small_window = true;
-    small.predictor.window_bytes = 20 * 1024;
     for (const auto& e : evaluation_engine{small}.run_one(data, "fb:pftk").all_epochs()) {
         EXPECT_DOUBLE_EQ(e.actual_bps, 1e6);
         // W/T = 20KB*8/0.05 = 3.27 Mbps bounds every branch.

@@ -1,14 +1,18 @@
 #!/usr/bin/env bash
 # CLI contract test for the shipped tools, run as a ctest:
-#   cli_test.sh <tcppred_campaign> <tcppred_analyze>
+#   cli_test.sh <tcppred_campaign> <tcppred_analyze> <tcppred_serve> <tcppred_loadgen>
 #
 # Verifies the exit-code convention (0 ok / 1 bad args / 2 runtime failure /
-# 130 interrupted), that diagnostics land on stderr, and the fault +
-# interrupt + --resume byte-identity guarantee end to end.
+# 130 interrupted), that diagnostics land on stderr, the one spec-list
+# syntax of the three tools that take specs, and the fault + interrupt +
+# --resume byte-identity guarantee end to end.
 set -u
 
-CAMPAIGN=${1:?usage: cli_test.sh CAMPAIGN_BIN ANALYZE_BIN}
-ANALYZE=${2:?usage: cli_test.sh CAMPAIGN_BIN ANALYZE_BIN}
+USAGE="usage: cli_test.sh CAMPAIGN_BIN ANALYZE_BIN SERVE_BIN LOADGEN_BIN"
+CAMPAIGN=${1:?$USAGE}
+ANALYZE=${2:?$USAGE}
+SERVE=${3:?$USAGE}
+LOADGEN=${4:?$USAGE}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 FAILURES=0
@@ -109,6 +113,29 @@ done
 "$ANALYZE" "$WORK/clean.csv" --predictors bogus >/dev/null 2>"$WORK/err"
 check_exit "analyze unknown predictor spec" 2 $?
 grep -q "bad predictor spec 'bogus'" "$WORK/err" || { echo "FAIL: spec error does not name the spec"; FAILURES=$((FAILURES+1)); }
+
+# The HB table's predictor column is as wide as the longest spec: every
+# row's numbers end where the header's column names end.
+"$ANALYZE" "$WORK/clean.csv" --predictors 10-MA,hybrid:0.8-HW-LSO >"$WORK/wide.out" 2>/dev/null
+check_exit "analyze with a spec longer than the default column" 0 $?
+# column_ends LINE: the offsets at which its 2nd to 4th fields end.
+column_ends() {
+    awk '{ rest = $0; end = 0; out = ""
+           for (i = 1; i <= 4; i++) {
+               at = index(rest, $i); end += at + length($i) - 1
+               rest = substr(rest, at + length($i))
+               if (i > 1) out = out " " end
+           }
+           print out }' <<<"$1"
+}
+HEADER=$(grep -m1 "^  predictor " "$WORK/wide.out")
+HYBRID=$(grep -m1 "^  hybrid:0.8-HW-LSO " "$WORK/wide.out")
+if [ -z "$HYBRID" ] || [ "$(column_ends "$HEADER")" != "$(column_ends "$HYBRID")" ]; then
+    echo "FAIL: the hybrid row does not line up with the HB table header"
+    FAILURES=$((FAILURES + 1))
+else
+    echo "ok: the hybrid row lines up with the HB table header"
+fi
 
 # --- faulty campaign: deterministic for a fixed seed, analyze conditions on it
 FAULTS="pathload=0.3,abort=0.4,seed=7"
@@ -319,6 +346,38 @@ check_exit "analyze --from-store" 0 $?
 cmp -s "$WORK/store_report.out" "$WORK/csv_report.out"
 check_exit "--from-store report byte-identical to CSV report" 0 $?
 
+# --- one spec-list syntax in the three tools that take specs: an empty
+# list is bad arguments (1); an empty item is a bad spec (2), named on
+# stderr like an unknown one.
+spec_list_checks() {  # tool-name flag command...
+    local name=$1 flag=$2
+    shift 2
+    "$@" "$flag" "" >/dev/null 2>"$WORK/err"
+    check_exit "$name empty $flag list" 1 $?
+    for LIST in 10-MA,,NWS 10-MA, ,NWS; do
+        "$@" "$flag" "$LIST" >/dev/null 2>"$WORK/err"
+        check_exit "$name $flag $LIST" 2 $?
+        grep -q "bad predictor spec ''" "$WORK/err" || { echo "FAIL: $name $flag $LIST does not name the empty spec"; FAILURES=$((FAILURES+1)); }
+    done
+    "$@" "$flag" 10-MA,bogus >/dev/null 2>"$WORK/err"
+    check_exit "$name unknown spec" 2 $?
+    grep -q "bad predictor spec 'bogus'" "$WORK/err" || { echo "FAIL: $name does not name the unknown spec"; FAILURES=$((FAILURES+1)); }
+}
+spec_list_checks analyze --predictors "$ANALYZE" --from-store "$WORK/a.store"
+spec_list_checks loadgen --specs "$LOADGEN" --from-store "$WORK/a.store" --offline "$WORK/off.pred"
+# (A daemon that accepted its flags would serve until killed: timeout 20.)
+spec_list_checks serve --specs timeout 20 "$SERVE" --socket "$WORK/serve.sock"
+[ -e "$WORK/serve.sock" ] && { echo "FAIL: serve listened despite a bad spec list"; FAILURES=$((FAILURES+1)); }
+
+# The path-table stripe count and the admission bound are constants: their
+# flags are unknown arguments.
+for FLAG in "--shards 4" "--max-inflight 8"; do
+    # shellcheck disable=SC2086  # FLAG is a flag and its value
+    timeout 20 "$SERVE" --socket "$WORK/serve.sock" $FLAG >/dev/null 2>"$WORK/err"
+    check_exit "serve $FLAG" 1 $?
+    grep -q "unknown argument: ${FLAG%% *}" "$WORK/err" || { echo "FAIL: serve $FLAG not reported as an unknown argument"; FAILURES=$((FAILURES+1)); }
+done
+
 # Flag validation: the store path is explicit about what it refuses.
 "$CAMPAIGN" $TINY --out "$WORK/x" --format bogus >/dev/null 2>&1
 check_exit "bad --format" 1 $?
@@ -364,6 +423,17 @@ grep -q "epoch.cross: store=fluid requested=packet" "$WORK/mix.err" || { echo "F
 "$CAMPAIGN" $TINY --out "$WORK/mm.csv" --shard 0/2 --seed 99 --resume >/dev/null 2>"$WORK/mm.err"
 check_exit "shard resume under changed seed" 2 $?
 grep -q "seed: store=20040501 requested=99" "$WORK/mm.err" || { echo "FAIL: mismatch error does not name the seed field"; FAILURES=$((FAILURES+1)); }
+
+# A journal of the previous fingerprint version (v3, written by an older
+# build) is refused on --resume, and the error names the version slot.
+"$CAMPAIGN" $TINY --out "$WORK/old.csv" --shard 0/1 >/dev/null 2>&1
+V3="v3|3|2|1|3|20040501|0|off|0x1p+1|0x1.8p+0|0x1.eb851eb851eb8p-7|1048576|20480|1|1|400"
+V3+="|0x1.eb851eb851eb8p-7|0x1.4cccccccccccdp+0|0x1.ep+7|packet"
+sed "2s/.*/fingerprint,$V3/" "$WORK/old.csv.shard-0-of-1.ckpt" >"$WORK/old.csv.ckpt"
+"$CAMPAIGN" $TINY --out "$WORK/old.csv" --resume >/dev/null 2>"$WORK/old.err"
+check_exit "resume of a v3 journal" 2 $?
+grep -q "version: store=v3 requested=v4" "$WORK/old.err" || { echo "FAIL: v3 journal refusal does not name the version slot"; FAILURES=$((FAILURES+1)); }
+[ -e "$WORK/old.csv" ] && { echo "FAIL: refused resume wrote a CSV"; FAILURES=$((FAILURES+1)); }
 
 if [ "$FAILURES" -ne 0 ]; then
     echo "$FAILURES CLI contract check(s) failed"

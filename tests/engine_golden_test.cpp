@@ -260,7 +260,6 @@ std::vector<variant> option_variants(const std::vector<std::uint64_t>& digests) 
     v[4].opts.use_during_flow = true;
     v[5].name = "small_window";
     v[5].opts.small_window = true;
-    v[5].opts.predictor.window_bytes = 20 * 1024;
     v[6].name = "warmup_5";
     v[6].opts.warmup = 5;
     for (std::size_t i = 0; i < v.size(); ++i) v[i].digest = digests.at(i);

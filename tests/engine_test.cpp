@@ -1,7 +1,8 @@
 // The streaming evaluation engine and its series-level scoring loop
-// (analysis/evaluation.hpp): warmup/outlier/index semantics of
-// evaluate_series, gap handling for fault-flagged epochs, and the
-// determinism contract (byte-identical results for any jobs value).
+// (analysis/evaluation.hpp): index and gap semantics of evaluate_series, the
+// engine's warmup and outlier exclusion, gap handling for fault-flagged
+// epochs, and the determinism contract (byte-identical results for any jobs
+// value).
 #include "analysis/evaluation.hpp"
 
 #include <gtest/gtest.h>
@@ -48,26 +49,50 @@ TEST(evaluate_series_fn, errors_align_with_indices) {
     EXPECT_DOUBLE_EQ(e.errors[1], 0.0);
 }
 
-TEST(evaluate_series_fn, warmup_skips_initial_forecasts) {
-    const std::vector<double> series{1.0, 1.0, 1.0, 1.0, 1.0};
-    series_options opts;
-    opts.warmup = 3;
-    const series_evaluation e = evaluate_series(series, ma(1), opts);
-    EXPECT_EQ(e.forecasts(), 2u);
+/// One path with one trace whose target-transfer throughputs are `series`.
+dataset series_dataset(const std::vector<double>& series) {
+    dataset data;
+    testbed::path_profile p;
+    p.name = "p0";
+    data.paths.push_back(p);
+    for (std::size_t e = 0; e < series.size(); ++e) {
+        epoch_record r;
+        r.epoch_index = static_cast<int>(e);
+        r.m.that_s = 0.05;
+        r.m.avail_bw_bps = 5e6;
+        r.m.r_large_bps = series[e];
+        data.records.push_back(r);
+    }
+    return data;
 }
 
-TEST(evaluate_series_fn, excludes_outliers_when_requested) {
-    std::vector<double> series(10, 10.0);
-    series.push_back(100.0);  // outlier: a huge error for any predictor
-    series.insert(series.end(), 5, 10.0);
+TEST(engine_walk, warmup_skips_initial_forecasts) {
+    const dataset data = series_dataset(std::vector<double>(5, 1e6));
+    EXPECT_EQ(evaluation_engine{}.run_one(data, "1-MA").traces.at(0).forecasts(), 4u);
+    engine_options opts;
+    opts.warmup = 3;
+    const auto r = evaluation_engine{opts}.run_one(data, "1-MA");
+    ASSERT_EQ(r.traces.size(), 1u);
+    ASSERT_EQ(r.traces[0].forecasts(), 2u);
+    EXPECT_EQ(r.traces[0].epochs[0].index, 3u);
+}
 
-    const series_evaluation with = evaluate_series(series, ma(5));
+TEST(engine_walk, excludes_outliers_when_requested) {
+    std::vector<double> series(10, 10e6);
+    series.push_back(100e6);  // outlier: a huge error for any predictor
+    series.insert(series.end(), 5, 10e6);
+    const dataset data = series_dataset(series);
 
-    series_options drop;
+    const auto with = evaluation_engine{}.run_one(data, "5-MA");
+
+    engine_options drop;
     drop.exclude_outliers = true;
-    const series_evaluation without = evaluate_series(series, ma(5), drop);
+    const auto without = evaluation_engine{drop}.run_one(data, "5-MA");
 
-    EXPECT_GT(with.rmsre, without.rmsre * 2.0);
+    ASSERT_EQ(with.traces.size(), 1u);
+    ASSERT_EQ(without.traces.size(), 1u);
+    EXPECT_GT(with.traces[0].rmsre, without.traces[0].rmsre * 2.0);
+    for (const auto& e : without.traces[0].epochs) EXPECT_NE(e.index, 10u);
 }
 
 TEST(evaluate_series_fn, lso_wrapper_beats_plain_on_shifted_series) {

@@ -178,7 +178,7 @@ TEST(plan_epoch_faults, fixed_draw_order_isolates_fault_types) {
 TEST(plan_epoch_faults, zero_profile_yields_empty_plan) {
     const epoch_fault_plan plan = plan_epoch_faults(fault_profile{}, 1, 0, 0, 0);
     EXPECT_FALSE(plan.any());
-    EXPECT_FALSE(testbed::epoch_config{}.faults.any()) << "default epoch has no faults";
+    EXPECT_FALSE(epoch_fault_plan{}.any()) << "the default plan has no faults";
 }
 
 TEST(epoch_faults, default_plan_changes_nothing) {
@@ -187,10 +187,8 @@ TEST(epoch_faults, default_plan_changes_nothing) {
     const testbed::epoch_config cfg = fast_epoch();
 
     const testbed::epoch_measurement a = testbed::run_epoch(profile, load, 5, cfg);
-    testbed::epoch_config with_empty_plan = cfg;
-    with_empty_plan.faults = epoch_fault_plan{};
     const testbed::epoch_measurement b =
-        testbed::run_epoch(profile, load, 5, with_empty_plan);
+        testbed::run_epoch(profile, load, 5, cfg, epoch_fault_plan{});
 
     EXPECT_EQ(a.r_large_bps, b.r_large_bps);
     EXPECT_EQ(a.avail_bw_bps, b.avail_bw_bps);
@@ -203,10 +201,11 @@ TEST(epoch_faults, default_plan_changes_nothing) {
 TEST(epoch_faults, pathload_nonconvergence_yields_nan_and_flag) {
     const auto profile = test_profile();
     const auto load = test_load(profile);
-    testbed::epoch_config cfg = fast_epoch();
-    cfg.faults.pathload_fail = true;
+    epoch_fault_plan plan;
+    plan.pathload_fail = true;
 
-    const testbed::epoch_measurement m = testbed::run_epoch(profile, load, 5, cfg);
+    const testbed::epoch_measurement m =
+        testbed::run_epoch(profile, load, 5, fast_epoch(), plan);
     EXPECT_TRUE(std::isnan(m.avail_bw_bps));
     EXPECT_TRUE(m.fault_flags & testbed::fault_pathload_failed);
     EXPECT_TRUE(testbed::apriori_faulty(m.fault_flags));
@@ -222,9 +221,10 @@ TEST(epoch_faults, transfer_abort_truncates_and_flags) {
     const testbed::epoch_measurement clean =
         testbed::run_epoch(profile, load, 5, clean_cfg);
 
-    testbed::epoch_config cfg = fast_epoch();
-    cfg.faults.transfer_abort_fraction = 0.4;
-    const testbed::epoch_measurement m = testbed::run_epoch(profile, load, 5, cfg);
+    epoch_fault_plan plan;
+    plan.transfer_abort_fraction = 0.4;
+    const testbed::epoch_measurement m =
+        testbed::run_epoch(profile, load, 5, clean_cfg, plan);
     EXPECT_TRUE(m.fault_flags & testbed::fault_transfer_aborted);
     EXPECT_TRUE(testbed::actual_faulty(m.fault_flags));
     // An aborted transfer reports goodput over its (shorter) lifetime; the
@@ -237,12 +237,13 @@ TEST(epoch_faults, transfer_abort_truncates_and_flags) {
 TEST(epoch_faults, ping_faults_degrade_the_apriori_view) {
     const auto profile = test_profile();
     const auto load = test_load(profile);
-    testbed::epoch_config cfg = fast_epoch();
-    cfg.faults.ping_timeout_rate = 0.5;
-    cfg.faults.ping_fault_seed = 77;
-    cfg.faults.ping_truncate_fraction = 0.5;
+    epoch_fault_plan plan;
+    plan.ping_timeout_rate = 0.5;
+    plan.ping_fault_seed = 77;
+    plan.ping_truncate_fraction = 0.5;
 
-    const testbed::epoch_measurement m = testbed::run_epoch(profile, load, 5, cfg);
+    const testbed::epoch_measurement m =
+        testbed::run_epoch(profile, load, 5, fast_epoch(), plan);
     EXPECT_TRUE(m.fault_flags & testbed::fault_ping_degraded);
     EXPECT_TRUE(m.fault_flags & testbed::fault_ping_partial);
     EXPECT_TRUE(testbed::apriori_faulty(m.fault_flags));
@@ -257,11 +258,12 @@ TEST(epoch_faults, outage_flags_and_degrades_throughput) {
     const testbed::epoch_measurement clean =
         testbed::run_epoch(profile, load, 5, fast_epoch());
 
-    testbed::epoch_config cfg = fast_epoch();
-    cfg.faults.outage = true;
-    cfg.faults.outage_start_fraction = 0.2;
-    cfg.faults.outage_duration_fraction = 0.2;
-    const testbed::epoch_measurement m = testbed::run_epoch(profile, load, 5, cfg);
+    epoch_fault_plan plan;
+    plan.outage = true;
+    plan.outage_start_fraction = 0.2;
+    plan.outage_duration_fraction = 0.2;
+    const testbed::epoch_measurement m =
+        testbed::run_epoch(profile, load, 5, fast_epoch(), plan);
     EXPECT_TRUE(m.fault_flags & testbed::fault_path_outage);
     EXPECT_TRUE(testbed::actual_faulty(m.fault_flags));
     // A 20% blackout inside the transfer costs real throughput.

@@ -9,7 +9,7 @@
 namespace tcppred::core {
 namespace {
 
-const tcp_flow_params k_flow{bytes{1460.0}, 2, bytes{1 << 20}};
+const tcp_flow_params k_flow{bytes{1 << 20}};
 
 TEST(square_root, matches_hand_computation) {
     // E[R] = M / (T sqrt(2bp/3)), M=1460B, T=0.1s, b=2, p=0.01.

@@ -11,7 +11,7 @@
 namespace tcppred::core {
 namespace {
 
-const tcp_flow_params k_flow{bytes{1460.0}, 2, bytes{1 << 20}};
+const tcp_flow_params k_flow{bytes{1 << 20}};
 
 path_measurement measurement(double p, double rtt_s, double abw_bps) {
     return path_measurement{probability{p}, seconds{rtt_s}, bits_per_second{abw_bps}};

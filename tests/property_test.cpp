@@ -109,7 +109,7 @@ TEST_P(tcp_invariants, accounting_is_consistent) {
     EXPECT_LE(st.segments_delivered, st.segments_sent);
     EXPECT_LE(st.retransmits, st.segments_sent);
     EXPECT_LE(st.fast_recoveries + st.timeouts, st.segments_sent);
-    EXPECT_EQ(conn.sender().acked_bytes(), st.segments_delivered * cfg.mss_bytes);
+    EXPECT_EQ(conn.sender().acked_bytes(), st.segments_delivered * core::k_mss_bytes);
     // The receiver's cumulative progress can only run AHEAD of the sender's
     // ACKed view (final ACKs may be lost or arrive after quiesce), never
     // behind it.
@@ -182,7 +182,7 @@ TEST_P(pathload_bracket, bracket_invariants) {
     ASSERT_TRUE(pl.done());
     const auto& res = pl.result();
     EXPECT_LE(res->low_bps, res->high_bps);
-    EXPECT_GE(res->low_bps, cfg.min_rate.value() - 1.0);
+    EXPECT_GE(res->low_bps, probe::k_pathload_min_rate.value() - 1.0);
     EXPECT_LE(res->high_bps, cfg.max_rate.value() + 1.0);
     EXPECT_GE(res->streams_used, 1);
     EXPECT_LE(res->streams_used, cfg.max_streams);

@@ -16,8 +16,10 @@
 # eight specs plus fb:sqrt, fb:pftk-full and fb:minwa. Each build's
 # tcppred_analyze and tcppred_loadgen are found beside its tcppred_campaign.
 # Each leg prints one line; the script exits 1 if any output differs or any
-# run fails. Scales are the campaign presets (campaign1_config/
-# campaign2_config); normal scale takes about ten minutes on 4 cores.
+# run fails. A leg that differs keeps both outputs in the work directory,
+# which then outlives the run, and prints their first differing lines.
+# Scales are the campaign presets (campaign1_config/campaign2_config); normal
+# scale takes about ten minutes on 4 cores.
 #
 # Usage: tools/identity_check.sh OLD_CAMPAIGN NEW_CAMPAIGN [tiny|normal|paper]
 set -u
@@ -60,7 +62,8 @@ unset REPRO_FAULTS REPRO_CHAOS REPRO_CHAOS_ATTEMPT REPRO_TRACE REPRO_METRICS \
       REPRO_FAULT_PING_TRUNCATE REPRO_FAULT_ABORT REPRO_FAULT_OUTAGE
 
 WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
+KEPT=0
+trap 'if [ "$KEPT" -eq 0 ]; then rm -rf "$WORK"; fi' EXIT
 FAILED=0
 
 # run B TOOL ARGS...: run build B's (old or new) TOOL — its tcppred_campaign
@@ -91,8 +94,15 @@ leg() {
     elif cmp -s "$old_out" "$new_out"; then
         printf 'identical %-32s %s lines\n' "$name" "$(wc -l <"$new_out")"
     else
+        local kept
+        kept=$WORK/$(printf '%s' "$name" | tr -c 'A-Za-z0-9=.-' _)
+        mv "$old_out" "$kept.old"
+        mv "$new_out" "$kept.new"
         printf 'DIFFERS   %-32s first difference at %s\n' "$name" \
-            "$(cmp "$old_out" "$new_out" 2>&1 | sed 's/.*differ: //')"
+            "$(cmp "$kept.old" "$kept.new" 2>&1 | sed 's/.*differ: //')"
+        printf '          kept as %s.old and .new:\n' "$kept"
+        diff "$kept.old" "$kept.new" | head -n 12 | sed 's/^/          /'
+        KEPT=1
         FAILED=1
     fi
     rm -f "$old_out" "$new_out"
@@ -136,6 +146,7 @@ analysis_legs "analysis clean" "${C1[@]}" --jobs 4
 analysis_legs "analysis faulted" "${C1[@]}" --jobs 4 --faults "$ANALYSIS_FAULTS"
 
 if [ "$FAILED" -ne 0 ]; then
+    [ "$KEPT" -eq 1 ] && echo "differing outputs kept in $WORK"
     echo "identity check FAILED"
     exit 1
 fi

@@ -30,13 +30,13 @@
 #include <exception>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/evaluation.hpp"
 #include "analysis/stats.hpp"
 #include "core/metrics.hpp"
+#include "core/predictor_registry.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace_writer.hpp"
 #include "testbed/dataset.hpp"
@@ -64,6 +64,13 @@ void usage(const char* argv0) {
                  "  --from-trace FILE re-derive the conditioned RMSRE table from a\n"
                  "                    previously written run trace\n",
                  argv0, argv0, argv0);
+}
+
+/// Width of a table's predictor column: the longest name, at least 14.
+int name_width(const std::vector<std::string>& names) {
+    std::size_t w = 14;
+    for (const auto& n : names) w = std::max(w, n.size());
+    return static_cast<int>(w);
 }
 
 /// Render an RMSRE with its sample count, or "n/a" when nothing was scored
@@ -144,7 +151,8 @@ void print_report(const dataset_counts& counts,
 
     // ---- HB summary per predictor
     std::printf("history-based, per-trace RMSRE:\n");
-    std::printf("  %-14s %8s %8s %10s\n", "predictor", "median", "p90", "P(<0.4)");
+    const int w = name_width(specs);
+    std::printf("  %-*s %8s %8s %10s\n", w, "predictor", "median", "p90", "P(<0.4)");
     for (const auto& spec : specs) {
         const auto& res = summary_of(spec);
         const analysis::rmsre_headline h = analysis::rmsre_headline_of(res.trace_rmsres());
@@ -152,11 +160,11 @@ void print_report(const dataset_counts& counts,
             // Every trace was unscorable (too short / all-faulty): there
             // is no RMSRE distribution, which is not the same as a
             // perfect one.
-            std::printf("  %-14s %8s %8s %10s (%zu traces unscored)\n", spec.c_str(),
+            std::printf("  %-*s %8s %8s %10s (%zu traces unscored)\n", w, spec.c_str(),
                         "n/a", "n/a", "n/a", res.traces_unscored);
             continue;
         }
-        std::printf("  %-14s %8.3f %8.3f %9.0f%%\n", spec.c_str(), h.median, h.p90,
+        std::printf("  %-*s %8.3f %8.3f %9.0f%%\n", w, spec.c_str(), h.median, h.p90,
                     100.0 * h.below_04);
     }
 
@@ -211,10 +219,13 @@ int analyze_from_trace(const std::string& file) {
     std::printf("trace %s: %zu events, %zu predict events, %zu predictors\n\n",
                 file.c_str(), events.size(), predict_events, per_predictor.size());
     std::printf("RMSRE by measurement status (re-derived from trace):\n");
-    std::printf("  %-14s %-16s %-16s %-16s %-16s\n", "predictor", "all", "clean",
+    std::vector<std::string> names;
+    for (const auto& [name, t] : per_predictor) names.push_back(name);
+    const int w = name_width(names);
+    std::printf("  %-*s %-16s %-16s %-16s %-16s\n", w, "predictor", "all", "clean",
                 "faulty", "stale-input");
     for (const auto& [name, t] : per_predictor) {
-        std::printf("  %-14s %-16s %-16s %-16s %-16s\n", name.c_str(),
+        std::printf("  %-*s %-16s %-16s %-16s %-16s\n", w, name.c_str(),
                     fmt_rmsre(core::rmsre(t.all), t.all.size()).c_str(),
                     fmt_rmsre(core::rmsre(t.clean), t.clean.size()).c_str(),
                     fmt_rmsre(core::rmsre(t.faulty), t.faulty.size()).c_str(),
@@ -247,10 +258,11 @@ int main(int argc, char** argv) {
             usage(argv[0]);
             return 0;
         } else if (arg == "--predictors") {
-            specs.clear();
-            std::stringstream ss(next());
-            std::string item;
-            while (std::getline(ss, item, ',')) specs.push_back(item);
+            specs = core::split_spec_list(next());
+            if (specs.empty()) {
+                std::fprintf(stderr, "--predictors must name at least one predictor spec\n");
+                return 1;
+            }
         } else if (arg == "--from-trace") {
             from_trace = next();
         } else if (arg == "--from-store") {
@@ -365,10 +377,6 @@ int main(int argc, char** argv) {
             }
             print_report(counts, all_specs, specs, summaries);
         }
-    } catch (const core::predictor_spec_error& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        finish_observability();
-        return 2;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         finish_observability();

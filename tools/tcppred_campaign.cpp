@@ -297,8 +297,8 @@ int main(int argc, char** argv) {
     tcppred::obs::init_from_env();
     if (metrics_summary) tcppred::obs::set_metrics_enabled(true);
     // Runs on every exit path (success, SIGINT, runtime failure): the
-    // summary covers whatever work completed, and close() surfaces drain
-    // write errors that would otherwise vanish with the process.
+    // summary covers whatever work completed, and close() surfaces a failed
+    // trace write that would otherwise vanish with the process.
     const auto finish_observability = [&]() -> int {
         if (metrics_summary) tcppred::obs::write_metrics_summary(std::cerr);
         if (!trace_file.empty()) {

@@ -145,21 +145,6 @@ private:
     std::string buf_;
 };
 
-std::vector<std::string> split_specs(const std::string& list) {
-    std::vector<std::string> specs;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t pos = list.find(',', start);
-        const std::string item = pos == std::string::npos
-                                     ? list.substr(start)
-                                     : list.substr(start, pos - start);
-        if (!item.empty()) specs.push_back(item);
-        if (pos == std::string::npos) break;
-        start = pos + 1;
-    }
-    return specs;
-}
-
 std::vector<std::string> split_ws(const std::string& line) {
     std::vector<std::string> toks;
     std::size_t i = 0;
@@ -246,7 +231,7 @@ int main(int argc, char** argv) {
                      "--offline FILE\n");
         return 1;
     }
-    const std::vector<std::string> specs = split_specs(specs_list);
+    const std::vector<std::string> specs = core::split_spec_list(specs_list);
     if (specs.empty()) {
         std::fprintf(stderr, "--specs must name at least one predictor spec\n");
         return 1;
@@ -386,9 +371,6 @@ int main(int argc, char** argv) {
                          static_cast<unsigned long long>(predictions), wall_s,
                          wall_s > 0 ? static_cast<double>(predictions) / wall_s : 0.0);
         }
-    } catch (const core::predictor_spec_error& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;

@@ -41,9 +41,7 @@ void usage(const char* argv0) {
                  "                      the bound port is printed after READY)\n"
                  "  --specs LIST        comma-separated predictor specs served\n"
                  "                      per path (default fb:pftk)\n"
-                 "  --shards N          path-table mutex stripes (default 8)\n"
-                 "  --workers N         connection workers       (default 4)\n"
-                 "  --max-inflight N    admission bound          (default 64)\n"
+                 "  --workers N         connection workers (default 4)\n"
                  "  --snapshot FILE     snapshot file (written on SIGINT and on\n"
                  "                      SNAPSHOT requests)\n"
                  "  --snapshot-every N  also snapshot every N observations\n"
@@ -59,28 +57,12 @@ void usage(const char* argv0) {
 std::atomic<bool> g_stop{false};
 void on_stop_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 
-std::vector<std::string> split_specs(const std::string& list) {
-    std::vector<std::string> specs;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t pos = list.find(',', start);
-        const std::string item = pos == std::string::npos
-                                     ? list.substr(start)
-                                     : list.substr(start, pos - start);
-        if (!item.empty()) specs.push_back(item);
-        if (pos == std::string::npos) break;
-        start = pos + 1;
-    }
-    return specs;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     std::string socket_path;
     int port = -1;
     std::string specs_list = "fb:pftk";
-    std::size_t shards = 8;
     tcppred::serve::server_config scfg;
     bool resume = false;
     bool metrics_summary = false;
@@ -104,12 +86,8 @@ int main(int argc, char** argv) {
                 port = static_cast<int>(checked_int(0, 65535));
             } else if (arg == "--specs") {
                 specs_list = next();
-            } else if (arg == "--shards") {
-                shards = static_cast<std::size_t>(checked_int(1, 4096));
             } else if (arg == "--workers") {
                 scfg.workers = static_cast<std::size_t>(checked_int(1, 4096));
-            } else if (arg == "--max-inflight") {
-                scfg.max_inflight = static_cast<std::size_t>(checked_int(1, 65536));
             } else if (arg == "--snapshot") {
                 scfg.snapshot_file = next();
             } else if (arg == "--snapshot-every") {
@@ -147,7 +125,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--snapshot-every needs --snapshot FILE\n");
         return 1;
     }
-    const std::vector<std::string> specs = split_specs(specs_list);
+    const std::vector<std::string> specs = tcppred::core::split_spec_list(specs_list);
     if (specs.empty()) {
         std::fprintf(stderr, "--specs must name at least one predictor spec\n");
         return 1;
@@ -158,7 +136,7 @@ int main(int argc, char** argv) {
 
     int rc = 0;
     try {
-        tcppred::serve::path_table table(specs, {}, shards);
+        tcppred::serve::path_table table(specs);
         if (resume && std::filesystem::exists(scfg.snapshot_file)) {
             const tcppred::serve::snapshot_stats st =
                 tcppred::serve::load_snapshot(table, scfg.snapshot_file);
