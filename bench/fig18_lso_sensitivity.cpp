@@ -24,7 +24,7 @@ int main() {
     std::vector<std::pair<std::string, analysis::ecdf>> series;
     for (const auto& [gamma, psi] : params) {
         analysis::engine_options opts;
-        opts.predictor.lso = core::lso_config{gamma, psi, 3};
+        opts.predictor.lso = core::lso_config{gamma, psi};
         const auto result = analysis::evaluation_engine{opts}.run_one(data, "5-MA-LSO");
         std::vector<double> abs_errors;
         for (const double e : result.epoch_errors()) abs_errors.push_back(std::abs(e));

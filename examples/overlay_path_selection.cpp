@@ -43,7 +43,7 @@ double run_transfer(sim::scheduler& sched, candidate& c, double duration) {
                               cfg);
     xfer.start();
     while (!xfer.done()) sched.step();
-    return xfer.result()->goodput().value();
+    return xfer.result().goodput().value();
 }
 
 double fb_cold_start(sim::scheduler& sched, candidate& c) {
@@ -53,8 +53,8 @@ double fb_cold_start(sim::scheduler& sched, candidate& c) {
     pinger.start();
     while (!pinger.done()) sched.step();
     core::path_measurement m;
-    m.rtt = pinger.result()->mean_rtt();
-    m.loss_rate = pinger.result()->loss_rate();
+    m.rtt = pinger.result().mean_rtt();
+    m.loss_rate = pinger.result().loss_rate();
     m.avail_bw = core::bits_per_second{0.0};  // no avail-bw probe: window bound fallback
     return core::make_predictor("fb:pftk")
         ->predict(core::epoch_inputs::valid(m))

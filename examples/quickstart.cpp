@@ -48,9 +48,9 @@ int main() {
     while (!pinger.done()) sched.step();
 
     core::path_measurement meas;
-    meas.avail_bw = availbw.result()->estimate();
-    meas.rtt = pinger.result()->mean_rtt();
-    meas.loss_rate = pinger.result()->loss_rate();
+    meas.avail_bw = availbw.result().estimate();
+    meas.rtt = pinger.result().mean_rtt();
+    meas.loss_rate = pinger.result().loss_rate();
     std::printf("measured a priori: avail-bw %.2f Mbps, RTT %.1f ms, loss %.4f\n",
                 meas.avail_bw.value() / 1e6, meas.rtt.value() * 1e3,
                 meas.loss_rate.value());
@@ -85,7 +85,7 @@ int main() {
                                   /*duration=*/core::seconds{10.0}, tcp_cfg);
         xfer.start();
         while (!xfer.done()) sched.step();
-        const double actual = xfer.result()->goodput().value();
+        const double actual = xfer.result().goodput().value();
 
         std::printf("%-6d %14.2f", run, fb.value_bps / 1e6);
         if (hb_forecast.usable()) {

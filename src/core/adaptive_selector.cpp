@@ -8,14 +8,9 @@
 
 namespace tcppred::core {
 
-adaptive_selector::adaptive_selector(std::vector<std::unique_ptr<hb_predictor>> candidates,
-                                     double score_discount)
-    : discount_(score_discount) {
+adaptive_selector::adaptive_selector(std::vector<std::unique_ptr<hb_predictor>> candidates) {
     if (candidates.empty()) {
         throw std::invalid_argument("adaptive_selector: need at least one candidate");
-    }
-    if (score_discount <= 0.0 || score_discount > 1.0) {
-        throw std::invalid_argument("adaptive_selector: discount in (0,1]");
     }
     for (auto& c : candidates) {
         if (!c) throw std::invalid_argument("adaptive_selector: null candidate");
@@ -28,8 +23,8 @@ void adaptive_selector::observe(double x) {
         const double forecast = c.predictor->predict();
         if (!std::isnan(forecast) && x > 0.0) {
             const double e = relative_error(forecast, x);
-            c.score = c.score * discount_ + e * e;
-            c.weight = c.weight * discount_ + 1.0;
+            c.score = c.score * k_nws_score_discount + e * e;
+            c.weight = c.weight * k_nws_score_discount + 1.0;
         }
         c.predictor->observe(x);
     }
@@ -73,7 +68,7 @@ std::unique_ptr<hb_predictor> adaptive_selector::clone_into(lso_share& share) co
     std::vector<std::unique_ptr<hb_predictor>> clones;
     clones.reserve(candidates_.size());
     for (const auto& c : candidates_) clones.push_back(c.predictor->clone_into(share));
-    return std::make_unique<adaptive_selector>(std::move(clones), discount_);
+    return std::make_unique<adaptive_selector>(std::move(clones));
 }
 
 std::string adaptive_selector::name() const {
@@ -88,7 +83,7 @@ std::unique_ptr<adaptive_selector> adaptive_selector::standard(lso_config lso) {
     set.push_back(std::make_unique<lso_predictor>(std::make_unique<ewma>(0.5), filter));
     set.push_back(std::make_unique<lso_predictor>(
         std::make_unique<holt_winters>(0.8, holt_winters::k_spec_beta), filter));
-    return std::make_unique<adaptive_selector>(std::move(set), 0.9);
+    return std::make_unique<adaptive_selector>(std::move(set));
 }
 
 }  // namespace tcppred::core

@@ -23,13 +23,13 @@
 
 namespace tcppred::core {
 
+/// Exponential discount of each candidate's past errors in its score.
+inline constexpr double k_nws_score_discount = 0.9;
+
 class adaptive_selector final : public hb_predictor {
 public:
-    /// @param candidates      forecasters to race (at least one)
-    /// @param score_discount  exponential discount of past errors in (0,1];
-    ///                        1 = plain cumulative MSE, smaller = adaptive
-    explicit adaptive_selector(std::vector<std::unique_ptr<hb_predictor>> candidates,
-                               double score_discount = 0.9);
+    /// @param candidates  forecasters to race (at least one)
+    explicit adaptive_selector(std::vector<std::unique_ptr<hb_predictor>> candidates);
 
     void observe(double x) override;
     [[nodiscard]] double predict() const override;
@@ -43,7 +43,7 @@ public:
     [[nodiscard]] std::string best_name() const;
 
     /// The paper-standard candidate set: MA{5,10}, EWMA 0.5, HW 0.8 — all
-    /// LSO-wrapped with `lso`, sharing one filter — raced with discount 0.9.
+    /// LSO-wrapped with `lso`, sharing one filter.
     /// The registry's "NWS" passes predictor_config's lso, as it does for
     /// every other LSO spec.
     [[nodiscard]] static std::unique_ptr<adaptive_selector> standard(lso_config lso = {});
@@ -56,7 +56,6 @@ private:
     };
 
     std::vector<entry> candidates_;
-    double discount_;
     std::size_t seen_{0};
 };
 

@@ -42,9 +42,6 @@ double relative_gap(double a, double b) {
 
 lso_filter::lso_filter(lso_config cfg) : cfg_(cfg) {
     if (cfg.gamma < 0 || cfg.psi < 0) throw std::invalid_argument("lso: negative thresholds");
-    if (cfg.min_post_shift_samples == 0) {
-        throw std::invalid_argument("lso: min_post_shift_samples must be >= 1");
-    }
 }
 
 lso_filter::change lso_filter::observe(double x) {
@@ -107,13 +104,13 @@ bool lso_filter::detect_outliers(std::span<double> scratch) {
 
 bool lso_filter::detect_level_shift(std::span<double> scratch) {
     const std::size_t n = history_.size();
-    if (n < cfg_.min_post_shift_samples + 1) return false;
+    if (n < k_lso_min_post_shift_samples + 1) return false;
 
     // Scan candidate shift positions k (0-based index of the first sample of
     // the new level); the first k that passes wins. Paper conditions:
     //  1. all of X_1..X_{k-1} on one side of all of X_k..X_n,
     //  2. medians differ by more than γ (relative),
-    //  3. at least min_post_shift_samples samples at the new level
+    //  3. at least k_lso_min_post_shift_samples samples at the new level
     //     (the paper's k + 2 <= n with 1-based k).
     // Condition 1 is O(1) per k: the extremes of X_k..X_n come from one
     // backward pass, those of X_1..X_{k-1} grow with k. The medians are
@@ -128,7 +125,7 @@ bool lso_filter::detect_level_shift(std::span<double> scratch) {
         max_after[i] = std::max(max_after[i + 1], h[i].value);
     }
     double max_before = h[0].value, min_before = h[0].value;
-    for (std::size_t k = 1; k + cfg_.min_post_shift_samples <= n; ++k) {
+    for (std::size_t k = 1; k + k_lso_min_post_shift_samples <= n; ++k) {
         if (k > 1) {
             max_before = std::max(max_before, h[k - 1].value);
             min_before = std::min(min_before, h[k - 1].value);

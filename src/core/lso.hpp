@@ -14,14 +14,15 @@
 
 namespace tcppred::core {
 
+/// A level shift at position k needs k + 2 <= n (paper condition 3): at
+/// least this many samples at the new level before declaring a shift.
+inline constexpr std::size_t k_lso_min_post_shift_samples = 3;
+
 /// LSO detection parameters. Defaults are the values the paper found to
 /// work well: γ = 0.3 (level-shift median gap), ψ = 0.4 (outlier gap).
 struct lso_config {
     double gamma{0.3};  ///< χ in Fig. 18: min relative gap between segment medians
     double psi{0.4};    ///< ψ: min relative gap between a sample and the median
-    /// A level shift at position k needs k + 2 <= n (paper condition 3):
-    /// at least this many samples at the new level before declaring a shift.
-    std::size_t min_post_shift_samples{3};
 
     /// Exact field equality: lso_share hands one filter to equal configs.
     [[nodiscard]] bool operator==(const lso_config&) const = default;

@@ -118,11 +118,6 @@ public:
     /// Stop emitting: a pending burst start or burst end is cancelled.
     void stop();
 
-    /// Long-run average offered rate.
-    [[nodiscard]] double mean_rate_bps() const noexcept {
-        return cfg_.peak_rate_bps * cfg_.mean_on_s / (cfg_.mean_on_s + cfg_.mean_off_s);
-    }
-
     /// Scale the peak rate so the mean offered rate equals `rate_bps`. In
     /// packet mode the emission already drawn keeps its instant: the new
     /// spacing applies from the one after it. In fluid mode a burst in

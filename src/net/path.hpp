@@ -101,10 +101,7 @@ public:
         cross_exits_.set(flow, std::move(h));
     }
 
-    [[nodiscard]] std::size_t forward_hops() const noexcept { return forward_.size(); }
-    [[nodiscard]] std::size_t reverse_hops() const noexcept { return reverse_.size(); }
     [[nodiscard]] link& forward_link(std::size_t i) { return *forward_.at(i); }
-    [[nodiscard]] link& reverse_link(std::size_t i) { return *reverse_.at(i); }
     [[nodiscard]] const link& forward_link(std::size_t i) const { return *forward_.at(i); }
 
     /// Index of the minimum-capacity forward link.

@@ -29,7 +29,7 @@ void bulk_transfer::set_fault_abort(core::seconds at) {
     abort_at_s_ = at.value() < duration_s_ ? at.value() : 0.0;
 }
 
-void bulk_transfer::start(std::function<void(const probe_result<transfer_result>&)> on_done) {
+void bulk_transfer::start(std::function<void(const transfer_result&)> on_done) {
     on_done_ = std::move(on_done);
     const double t0 = sched_->now();
 
@@ -40,7 +40,7 @@ void bulk_transfer::start(std::function<void(const probe_result<transfer_result>
         pending_events_.push_back(sched_->schedule_in(prefix, [this, prefix] {
             const double goodput =
                 static_cast<double>(conn_->sender().acked_bytes()) * 8.0 / prefix;
-            result_.measurement.prefix_goodput_bps.emplace_back(prefix, goodput);
+            result_.prefix_goodput_bps.emplace_back(prefix, goodput);
         }));
     }
 
@@ -53,21 +53,17 @@ void bulk_transfer::start(std::function<void(const probe_result<transfer_result>
 void bulk_transfer::finalize(double t0, bool aborted) {
     conn_->quiesce();
     done_ = true;
-    transfer_result& m = result_.measurement;
-    m.duration_s = sched_->now() - t0;
-    m.bytes = conn_->sender().acked_bytes();
+    result_.duration_s = sched_->now() - t0;
+    result_.bytes = conn_->sender().acked_bytes();
     // A transfer that delivered nothing still "measured" a throughput of
     // less than one segment per lifetime; report that floor instead of a
     // hard zero so downstream relative errors stay finite.
-    if (m.bytes == 0) m.bytes = core::k_mss_bytes;
-    m.tcp_stats = conn_->sender().stats();
-    m.aborted = aborted;
-    result_.status = aborted ? probe_status::degraded : probe_status::ok;
+    if (result_.bytes == 0) result_.bytes = core::k_mss_bytes;
+    result_.tcp_stats = conn_->sender().stats();
+    result_.aborted = aborted;
 
     static const obs::counter c_transfers = obs::counter::get("probe.transfers");
-    static const obs::counter c_aborted = obs::counter::get("probe.transfers_aborted");
     c_transfers.add();
-    if (aborted) c_aborted.add();
 
     if (on_done_) on_done_(result_);
 }

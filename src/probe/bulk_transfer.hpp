@@ -10,7 +10,6 @@
 
 #include "core/units.hpp"
 #include "net/path.hpp"
-#include "probe/probe_result.hpp"
 #include "sim/scheduler.hpp"
 #include "tcp/tcp.hpp"
 
@@ -48,19 +47,16 @@ public:
     void add_prefix_checkpoints(const std::vector<double>& prefixes);
 
     /// Inject an abort `at` seconds after start (sender host crash, control
-    /// connection lost): the transfer ends there with status `degraded` and
-    /// `aborted` set. Must be called before start(); values >= the configured
-    /// duration are ignored.
+    /// connection lost): the transfer ends there with `aborted` set. Must be
+    /// called before start(); values >= the configured duration are ignored.
     void set_fault_abort(core::seconds at);
 
     /// Begin the transfer now; `on_done` fires when the duration elapses (or
     /// the injected abort cuts it short).
-    void start(std::function<void(const probe_result<transfer_result>&)> on_done = nullptr);
+    void start(std::function<void(const transfer_result&)> on_done = nullptr);
 
     [[nodiscard]] bool done() const noexcept { return done_; }
-    [[nodiscard]] const probe_result<transfer_result>& result() const noexcept {
-        return result_;
-    }
+    [[nodiscard]] const transfer_result& result() const noexcept { return result_; }
     [[nodiscard]] tcp::tcp_connection& connection() noexcept { return *conn_; }
 
 private:
@@ -72,9 +68,9 @@ private:
     std::unique_ptr<tcp::tcp_connection> conn_;
     std::vector<double> prefixes_;
     std::vector<sim::event_handle> pending_events_;
-    std::function<void(const probe_result<transfer_result>&)> on_done_;
+    std::function<void(const transfer_result&)> on_done_;
     bool done_{false};
-    probe_result<transfer_result> result_{};
+    transfer_result result_{};
 };
 
 }  // namespace tcppred::probe

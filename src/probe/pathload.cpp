@@ -91,7 +91,7 @@ pathload::~pathload() {
     path_->on_deliver_forward(flow_, nullptr);
 }
 
-void pathload::start(std::function<void(const probe_result<pathload_result>&)> on_done) {
+void pathload::start(std::function<void(const pathload_result&)> on_done) {
     on_done_ = std::move(on_done);
     send_stream(0.5 * (low_ + high_));
 }
@@ -171,20 +171,14 @@ void pathload::conclude_stream() {
 
 void pathload::finish() {
     done_ = true;
-    pathload_result& m = result_.measurement;
-    m.low_bps = low_;
-    m.high_bps = std::max(high_, low_);
-    m.streams_used = streams_sent_;
-    result_.status =
-        cfg_.fault_nonconvergence ? probe_status::failed : probe_status::ok;
+    result_.low_bps = low_;
+    result_.high_bps = std::max(high_, low_);
+    result_.streams_used = streams_sent_;
 
     static const obs::counter c_runs = obs::counter::get("probe.pathload_runs");
     static const obs::counter c_streams = obs::counter::get("probe.pathload_streams");
-    static const obs::counter c_failed =
-        obs::counter::get("probe.pathload_nonconverged");
     c_runs.add();
     c_streams.add(static_cast<std::uint64_t>(streams_sent_));
-    if (result_.status == probe_status::failed) c_failed.add();
 
     if (on_done_) on_done_(result_);
 }

@@ -12,7 +12,6 @@
 #include "core/units.hpp"
 #include "net/packet.hpp"
 #include "net/path.hpp"
-#include "probe/probe_result.hpp"
 #include "sim/scheduler.hpp"
 
 namespace tcppred::probe {
@@ -47,8 +46,8 @@ struct pathload_config {
     int max_streams{10};
     /// Injected measurement fault: the run spends its full stream budget but
     /// never converges (the bracket never tightens), mirroring the paper's
-    /// pathload failures on loaded paths. The outcome is `failed` and the
-    /// estimate must be treated as missing.
+    /// pathload failures on loaded paths. The epoch runner sets it from the
+    /// epoch's fault plan and records the estimate as missing.
     bool fault_nonconvergence{false};
 };
 
@@ -61,14 +60,11 @@ public:
     /// Cancels the pending stream event and unregisters from the path.
     ~pathload();
 
-    /// Start measuring; `on_done` fires with the converged (or failed)
-    /// outcome.
-    void start(std::function<void(const probe_result<pathload_result>&)> on_done = nullptr);
+    /// Start measuring; `on_done` fires with the final bracket.
+    void start(std::function<void(const pathload_result&)> on_done = nullptr);
 
     [[nodiscard]] bool done() const noexcept { return done_; }
-    [[nodiscard]] const probe_result<pathload_result>& result() const noexcept {
-        return result_;
-    }
+    [[nodiscard]] const pathload_result& result() const noexcept { return result_; }
 
 private:
     void send_stream(double rate_bps);
@@ -80,7 +76,7 @@ private:
     net::duplex_path* path_;
     net::flow_id flow_;
     pathload_config cfg_;
-    std::function<void(const probe_result<pathload_result>&)> on_done_;
+    std::function<void(const pathload_result&)> on_done_;
 
     sim::event_handle chain_event_{};
     double low_;
@@ -90,7 +86,7 @@ private:
     std::uint32_t stream_received_{0};
     std::vector<double> stream_owds_;
     bool done_{false};
-    probe_result<pathload_result> result_{};
+    pathload_result result_{};
 };
 
 }  // namespace tcppred::probe

@@ -6,11 +6,11 @@
 namespace tcppred::probe {
 
 ping_prober::ping_prober(sim::scheduler& sched, net::duplex_path& path, net::flow_id flow,
-                         ping_config cfg)
-    : sched_(&sched), path_(&path), flow_(flow), cfg_(cfg) {
+                         ping_config cfg, ping_faults faults)
+    : sched_(&sched), path_(&path), flow_(flow), cfg_(cfg), faults_(faults) {
     TCPPRED_EXPECTS(cfg_.interval.value() > 0.0);
-    TCPPRED_EXPECTS(cfg_.fault_timeout_rate >= 0.0 && cfg_.fault_timeout_rate <= 1.0);
-    if (cfg_.fault_timeout_rate > 0.0) fault_rng_.emplace(cfg_.fault_seed);
+    TCPPRED_EXPECTS(faults_.timeout_rate >= 0.0 && faults_.timeout_rate <= 1.0);
+    if (faults_.timeout_rate > 0.0) fault_rng_.emplace(faults_.seed);
     // Far end: echo every probe back over the reverse path.
     path_->on_deliver_forward(flow_, [this](net::packet p) {
         net::packet echo = p;
@@ -23,10 +23,9 @@ ping_prober::ping_prober(sim::scheduler& sched, net::duplex_path& path, net::flo
         pending& entry = outstanding_[p.seq];
         if (!entry.outstanding) return;  // echo arrived after timeout
         entry.outstanding = false;
-        ping_result& session = result_.measurement;
-        session.rtts.push_back(sched_->now() - entry.sent_at);
-        ++session.received;
-        if (p.seq < session.outcomes.size()) session.outcomes[p.seq] = 1;
+        result_.rtts.push_back(sched_->now() - entry.sent_at);
+        ++result_.received;
+        if (p.seq < result_.outcomes.size()) result_.outcomes[p.seq] = 1;
         sched_->cancel(entry.timeout);
         ++resolved_;
         check_done();
@@ -42,7 +41,7 @@ ping_prober::~ping_prober() {
     path_->on_deliver_reverse(flow_, nullptr);
 }
 
-void ping_prober::start(std::function<void(const probe_result<ping_result>&)> on_done) {
+void ping_prober::start(std::function<void(const ping_result&)> on_done) {
     on_done_ = std::move(on_done);
     send_probe();
 }
@@ -51,29 +50,27 @@ void ping_prober::send_probe() {
     // Injected truncation: the session dies early (the real tool's SSH
     // channel dropped, its host rebooted, ...), leaving partial samples.
     const std::uint64_t budget =
-        cfg_.fault_truncate_at > 0 && cfg_.fault_truncate_at < cfg_.count
-            ? cfg_.fault_truncate_at
-            : cfg_.count;
+        faults_.truncate_at > 0 && faults_.truncate_at < cfg_.count ? faults_.truncate_at
+                                                                   : cfg_.count;
     if (next_seq_ >= budget) {
-        if (budget < cfg_.count) result_.measurement.truncated = true;
+        if (budget < cfg_.count) result_.truncated = true;
         sending_done_ = true;
         check_done();
         return;
     }
     const std::uint64_t seq = next_seq_++;
-    ping_result& session = result_.measurement;
     TCPPRED_ASSERT(seq == outstanding_.size());  // sequence numbers are dense
     pending& entry = outstanding_.emplace_back();
     entry.outstanding = true;
     entry.sent_at = sched_->now();
-    ++session.sent;
-    if (session.outcomes.size() <= seq) session.outcomes.resize(seq + 1, 0);
+    ++result_.sent;
+    if (result_.outcomes.size() <= seq) result_.outcomes.resize(seq + 1, 0);
 
     // An injected timeout swallows the probe before it reaches the path —
     // indistinguishable from a real no-echo at the measuring end.
-    const bool swallowed = fault_rng_ && fault_rng_->chance(cfg_.fault_timeout_rate);
+    const bool swallowed = fault_rng_ && fault_rng_->chance(faults_.timeout_rate);
     if (swallowed) {
-        ++session.injected_timeouts;
+        ++result_.injected_timeouts;
     } else {
         net::packet p;
         p.flow = flow_;
@@ -96,13 +93,9 @@ void ping_prober::send_probe() {
 }
 
 void ping_prober::check_done() {
-    const std::uint64_t expected = sending_done_ ? result_.measurement.sent : cfg_.count;
+    const std::uint64_t expected = sending_done_ ? result_.sent : cfg_.count;
     if (done_ || !sending_done_ || resolved_ < expected) return;
     done_ = true;
-    const ping_result& session = result_.measurement;
-    result_.status = session.injected_timeouts > 0 || session.truncated
-                         ? probe_status::degraded
-                         : probe_status::ok;
 
     // Aggregated once per session (not per probe) so the hot send path stays
     // untouched; all of these are seed-derived logical quantities.
@@ -111,13 +104,10 @@ void ping_prober::check_done() {
     static const obs::counter c_recv = obs::counter::get("probe.ping_replies");
     static const obs::counter c_injected =
         obs::counter::get("probe.ping_injected_timeouts");
-    static const obs::counter c_truncated =
-        obs::counter::get("probe.ping_sessions_truncated");
     c_sessions.add();
-    c_sent.add(session.sent);
-    c_recv.add(session.received);
-    if (session.injected_timeouts > 0) c_injected.add(session.injected_timeouts);
-    if (session.truncated) c_truncated.add();
+    c_sent.add(result_.sent);
+    c_recv.add(result_.received);
+    if (result_.injected_timeouts > 0) c_injected.add(result_.injected_timeouts);
 
     if (on_done_) on_done_(result_);
 }

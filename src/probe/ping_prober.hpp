@@ -11,7 +11,6 @@
 #include "core/units.hpp"
 #include "net/packet.hpp"
 #include "net/path.hpp"
-#include "probe/probe_result.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 
@@ -55,13 +54,16 @@ inline constexpr core::seconds k_ping_reply_timeout{2.0};
 struct ping_config {
     core::seconds interval{0.015};
     std::uint64_t count{400};
-    /// Injected measurement faults (sim/fault_injector.hpp plan, resolved by
-    /// the epoch runner). `timeout_rate` > 0 makes individual probes vanish
-    /// before reaching the path (deterministic per `fault_seed`);
-    /// `truncate_at` > 0 ends the session after that many probes.
-    double fault_timeout_rate{0.0};
-    std::uint64_t fault_seed{0};
-    std::uint64_t fault_truncate_at{0};  ///< 0 = send all `count` probes
+};
+
+/// Injected measurement faults of one session, which the epoch runner
+/// resolves from the epoch's sim::epoch_fault_plan (DESIGN.md §10).
+struct ping_faults {
+    /// P[a probe vanishes before reaching the path], drawn per probe from
+    /// a stream seeded with `seed`.
+    double timeout_rate{0.0};
+    std::uint64_t seed{0};
+    std::uint64_t truncate_at{0};  ///< > 0: end the session after this many probes
 };
 
 /// Sends `count` probes spaced `interval` apart and collects echoes; the
@@ -69,20 +71,17 @@ struct ping_config {
 class ping_prober {
 public:
     ping_prober(sim::scheduler& sched, net::duplex_path& path, net::flow_id flow,
-                ping_config cfg = {});
+                ping_config cfg = {}, ping_faults faults = {});
 
     /// Cancels all pending probe/timeout events and unregisters from the
     /// path: a prober is safe to destroy at any point of the simulation.
     ~ping_prober();
 
-    /// Begin probing now; `on_done` fires when the session completes. The
-    /// outcome is `degraded` when any injected fault touched the session.
-    void start(std::function<void(const probe_result<ping_result>&)> on_done = nullptr);
+    /// Begin probing now; `on_done` fires when the session completes.
+    void start(std::function<void(const ping_result&)> on_done = nullptr);
 
     [[nodiscard]] bool done() const noexcept { return done_; }
-    [[nodiscard]] const probe_result<ping_result>& result() const noexcept {
-        return result_;
-    }
+    [[nodiscard]] const ping_result& result() const noexcept { return result_; }
 
 private:
     void send_probe();
@@ -92,7 +91,8 @@ private:
     net::duplex_path* path_;
     net::flow_id flow_;
     ping_config cfg_;
-    std::function<void(const probe_result<ping_result>&)> on_done_;
+    ping_faults faults_;
+    std::function<void(const ping_result&)> on_done_;
 
     struct pending {
         double sent_at{0.0};
@@ -109,7 +109,7 @@ private:
     std::uint64_t resolved_{0};  ///< answered or timed out
     bool sending_done_{false};
     bool done_{false};
-    probe_result<ping_result> result_{};
+    ping_result result_{};
 };
 
 }  // namespace tcppred::probe

@@ -1,66 +1,23 @@
 #include "sim/chaos.hpp"
 
 #include <cstdlib>
-#include <sstream>
-#include <stdexcept>
 
 #include "core/checked_parse.hpp"
+#include "sim/rate_spec.hpp"
 #include "sim/rng.hpp"
 
 namespace tcppred::sim {
 
 namespace {
 
-/// The `kill` rate: one whole double in [0, 1].
-double parse_kill_rate(std::string_view value) {
-    std::size_t pos = 0;
-    double v = 0.0;
-    const std::string s(value);
-    try {
-        v = std::stod(s, &pos);
-    } catch (const std::exception&) {
-        throw std::invalid_argument("chaos_profile: bad value for 'kill': " + s);
-    }
-    if (pos != s.size() || !(v >= 0.0 && v <= 1.0)) {
-        throw std::invalid_argument("chaos_profile: value for 'kill' out of range: " + s);
-    }
-    return v;
-}
+constexpr rate_key<chaos_profile> k_keys[] = {{"kill", &chaos_profile::kill_rate}};
 
 }  // namespace
 
-std::string chaos_profile::spec() const {
-    if (!enabled()) return "off";
-    std::ostringstream out;
-    out.precision(17);  // exact enough to round-trip any configured rate
-    out << "kill=" << kill_rate;
-    if (seed != 0) out << ",seed=" << seed;
-    return out.str();
-}
+std::string chaos_profile::spec() const { return render_rate_spec(*this, k_keys); }
 
 chaos_profile chaos_profile::parse(std::string_view spec) {
-    chaos_profile p;
-    if (spec.empty() || spec == "off") return p;
-    std::stringstream ss{std::string(spec)};
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (item.empty()) continue;
-        const auto eq = item.find('=');
-        if (eq == std::string::npos) {
-            throw std::invalid_argument("chaos_profile: expected key=value, got '" +
-                                        item + "'");
-        }
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        if (key == "kill") {
-            p.kill_rate = parse_kill_rate(value);
-        } else if (key == "seed") {
-            p.seed = core::parse_checked_u64("chaos_profile seed", value, 0, UINT64_MAX);
-        } else {
-            throw std::invalid_argument("chaos_profile: unknown key '" + key + "'");
-        }
-    }
-    return p;
+    return parse_rate_spec("chaos_profile", spec, k_keys);
 }
 
 chaos_profile chaos_profile::from_env() {

@@ -38,8 +38,8 @@ struct chaos_profile {
     /// Canonical spec string ("off" when disabled).
     [[nodiscard]] std::string spec() const;
 
-    /// Parse a comma-separated spec, e.g. "kill=0.05,seed=9". Unknown keys
-    /// or a rate outside [0,1] throw std::invalid_argument.
+    /// Parse a spec (sim/rate_spec.hpp), e.g. "kill=0.05,seed=9". Unknown
+    /// keys or a rate outside [0,1] throw std::invalid_argument.
     [[nodiscard]] static chaos_profile parse(std::string_view spec);
 
     /// Profile from $REPRO_CHAOS (unset or empty -> disabled).

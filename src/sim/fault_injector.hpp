@@ -8,8 +8,9 @@
 // (same contract as the rest of the simulator, DESIGN.md §6/§10).
 //
 // Layering: this file is pure decision logic (rates in, per-epoch plan out)
-// on top of sim/rng.hpp. It knows nothing about probes or the testbed —
-// probe/ and testbed/ consume the plan and apply it.
+// on top of sim/rng.hpp. It knows nothing about probes or the testbed: the
+// epoch runner (testbed/epoch_runner.cpp) turns each epoch's plan into the
+// probes' fault arguments and the record's fault flags.
 #pragma once
 
 #include <cstdint>
@@ -41,14 +42,10 @@ struct fault_profile {
     /// fingerprint: resuming under a different fault profile must be refused.
     [[nodiscard]] std::string spec() const;
 
-    /// Parse a comma-separated spec, e.g.
+    /// Parse a `--faults` spec (sim/rate_spec.hpp), e.g.
     ///   "pathload=0.1,ping-timeout=0.02,ping-truncate=0.05,abort=0.1,outage=0.05,seed=7"
     /// Unknown keys or rates outside [0,1] throw std::invalid_argument.
     [[nodiscard]] static fault_profile parse(std::string_view spec);
-
-    /// Profile from the environment: $REPRO_FAULTS, a spec as above. Unset
-    /// -> disabled profile.
-    [[nodiscard]] static fault_profile from_env();
 };
 
 /// The faults one specific epoch will experience, fully resolved: every

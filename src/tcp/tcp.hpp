@@ -92,8 +92,6 @@ public:
     [[nodiscard]] core::seconds smoothed_rtt() const noexcept {
         return core::seconds{srtt_};
     }
-    [[nodiscard]] double current_rto() const noexcept { return rto_; }
-    [[nodiscard]] double cwnd_segments() const noexcept { return cwnd_; }
     [[nodiscard]] const tcp_config& config() const noexcept { return cfg_; }
 
     /// Deliver an ACK packet (wired by tcp_connection).

@@ -100,6 +100,9 @@ epoch_record simulate_campaign_epoch(const campaign_config& cfg,
     return rec;
 }
 
+namespace {
+
+/// Emit the JSONL "campaign_start" event (no-op when tracing is off).
 void trace_campaign_start(const campaign_config& cfg) {
     if (!obs::trace_enabled()) return;
     obs::trace_emit(obs::json_line{}
@@ -113,6 +116,8 @@ void trace_campaign_start(const campaign_config& cfg) {
                              static_cast<std::int64_t>(cfg.second_set ? 1 : 0))
                         .done());
 }
+
+}  // namespace
 
 dataset run_campaign(const campaign_config& cfg, progress_fn progress) {
     std::vector<epoch_record> records(campaign_total_epochs(cfg));

@@ -84,9 +84,6 @@ struct epoch_coords {
                                                    const load_state& load, int trace,
                                                    int epoch);
 
-/// Emit the JSONL "campaign_start" event (no-op when tracing is off).
-void trace_campaign_start(const campaign_config& cfg);
-
 /// Run a campaign from scratch. Deterministic in cfg alone: the records
 /// vector (and hence the CSV) is identical for any cfg.jobs / $REPRO_JOBS,
 /// because every epoch is independently seeded via

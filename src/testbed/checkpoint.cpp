@@ -130,12 +130,12 @@ int parse_i32_field(std::string_view name, std::string_view text,
 
 std::vector<fingerprint_field> campaign_fingerprint_fields(const campaign_config& cfg) {
     // v4: one slot per settable value that reaches a record (not the job
-    // count, epoch.tcp.max_window_bytes or prior_ping's fault fields, which
-    // the runner overrides; DESIGN.md §10.4). Every double goes through hexd,
-    // so the string is a pure function of the config bits. A fingerprint is
-    // compared for equality (and positionally diffed on mismatch), never
-    // parsed back, so a version bump simply refuses older journals and
-    // stores. The serialization must never change without bumping it.
+    // count, or epoch.tcp.max_window_bytes, which each transfer overrides;
+    // DESIGN.md §10.4). Every double goes through hexd, so the string is a
+    // pure function of the config bits. A fingerprint is compared for
+    // equality (and positionally diffed on mismatch), never parsed back, so
+    // a version bump simply refuses older journals and stores. The
+    // serialization must never change without bumping it.
     std::vector<fingerprint_field> f;
     f.push_back({"version", "v4"});
     f.push_back({"simulator_revision", std::to_string(k_simulator_revision)});

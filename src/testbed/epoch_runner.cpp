@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string_view>
 
 #include "core/loss_events.hpp"
 #include "net/cross_traffic.hpp"
@@ -54,6 +55,9 @@ public:
 private:
     void build_cross_traffic(std::uint64_t seed);
     void build_tools();
+    std::unique_ptr<probe::ping_prober> make_ping(net::flow_id flow, std::uint64_t count,
+                                                  std::string_view stream,
+                                                  double truncate_fraction);
     void start_pathload();
     void start_prior_ping();
     void start_transfer_phase();
@@ -146,27 +150,14 @@ void epoch_world::build_tools() {
     plc.fault_nonconvergence = faults_.pathload_fail;
     pathload_ = std::make_unique<probe::pathload>(sched_, path_, k_flow_pathload, plc);
 
-    // Both sessions' fault fields come from the plan alone, whatever the
-    // caller left in prior_ping: the plan is what the fingerprint covers.
-    probe::ping_config prior_cfg = cfg_.prior_ping;
-    prior_cfg.fault_timeout_rate = faults_.ping_timeout_rate;
-    prior_cfg.fault_seed = sim::derive_seed(faults_.ping_fault_seed, "prior");
-    prior_cfg.fault_truncate_at =
-        faults_.ping_truncate_fraction < 1.0
-            ? static_cast<std::uint64_t>(static_cast<double>(prior_cfg.count) *
-                                         faults_.ping_truncate_fraction)
-            : 0;
-    prior_ping_ = std::make_unique<probe::ping_prober>(sched_, path_, k_flow_ping_prior,
-                                                       prior_cfg);
-
-    probe::ping_config during_cfg = cfg_.prior_ping;
-    during_cfg.count = static_cast<std::uint64_t>(cfg_.transfer.value() /
-                                                  cfg_.prior_ping.interval.value());
-    during_cfg.fault_timeout_rate = faults_.ping_timeout_rate;
-    during_cfg.fault_seed = sim::derive_seed(faults_.ping_fault_seed, "during");
-    during_cfg.fault_truncate_at = 0;
-    during_ping_ = std::make_unique<probe::ping_prober>(sched_, path_, k_flow_ping_during,
-                                                        during_cfg);
+    prior_ping_ = make_ping(k_flow_ping_prior, cfg_.prior_ping.count, "prior",
+                            faults_.ping_truncate_fraction);
+    // The during-flow session probes for the whole transfer and is never
+    // truncated.
+    during_ping_ = make_ping(k_flow_ping_during,
+                             static_cast<std::uint64_t>(cfg_.transfer.value() /
+                                                        cfg_.prior_ping.interval.value()),
+                             "during", 1.0);
 
     target_conduit_ = std::make_unique<net::path_conduit>(path_);
     tcp::tcp_config big = cfg_.tcp;
@@ -188,28 +179,49 @@ void epoch_world::build_tools() {
     }
 }
 
+/// A ping session of `count` probes at the epoch's interval. Its faults come
+/// from the plan alone: the plan's per-probe timeout rate on the session's
+/// own `stream`, and when `truncate_fraction` < 1 an end after that share of
+/// the probes.
+std::unique_ptr<probe::ping_prober> epoch_world::make_ping(net::flow_id flow,
+                                                           std::uint64_t count,
+                                                           std::string_view stream,
+                                                           double truncate_fraction) {
+    probe::ping_config pc = cfg_.prior_ping;
+    pc.count = count;
+    probe::ping_faults pf;
+    pf.timeout_rate = faults_.ping_timeout_rate;
+    pf.seed = sim::derive_seed(faults_.ping_fault_seed, stream);
+    if (truncate_fraction < 1.0) {
+        pf.truncate_at =
+            static_cast<std::uint64_t>(static_cast<double>(count) * truncate_fraction);
+    }
+    return std::make_unique<probe::ping_prober>(sched_, path_, flow, pc, pf);
+}
+
 void epoch_world::start_pathload() {
     if (!cfg_.run_pathload) {
         start_prior_ping();
         return;
     }
-    pathload_->start([this](const probe::probe_result<probe::pathload_result>& r) {
-        if (r.usable()) {
-            out_.avail_bw_bps = r->estimate().value();
-        } else {
+    pathload_->start([this](const probe::pathload_result& r) {
+        // The plan's non-convergence is the one way pathload fails.
+        if (faults_.pathload_fail) {
             out_.avail_bw_bps = std::numeric_limits<double>::quiet_NaN();
             out_.fault_flags |= fault_pathload_failed;
+        } else {
+            out_.avail_bw_bps = r.estimate().value();
         }
         start_prior_ping();
     });
 }
 
 void epoch_world::start_prior_ping() {
-    prior_ping_->start([this](const probe::probe_result<probe::ping_result>& r) {
-        if (r->received > 0) {
-            out_.phat = r->loss_rate().value();
-            out_.phat_events = core::loss_event_rate(r->outcomes);
-            out_.that_s = r->mean_rtt().value();
+    prior_ping_->start([this](const probe::ping_result& r) {
+        if (r.received > 0) {
+            out_.phat = r.loss_rate().value();
+            out_.phat_events = core::loss_event_rate(r.outcomes);
+            out_.that_s = r.mean_rtt().value();
         } else {
             // Every probe lost: there is no RTT sample and the loss estimate
             // carries no signal either.
@@ -217,8 +229,8 @@ void epoch_world::start_prior_ping() {
             out_.phat_events = std::numeric_limits<double>::quiet_NaN();
             out_.that_s = std::numeric_limits<double>::quiet_NaN();
         }
-        if (r->injected_timeouts > 0) out_.fault_flags |= fault_ping_degraded;
-        if (r->truncated) out_.fault_flags |= fault_ping_partial;
+        if (r.injected_timeouts > 0) out_.fault_flags |= fault_ping_degraded;
+        if (r.truncated) out_.fault_flags |= fault_ping_partial;
         start_transfer_phase();
     });
 }
@@ -245,11 +257,11 @@ void epoch_world::start_transfer_phase() {
         out_.fault_flags |= fault_path_outage;
     }
     during_ping_->start();
-    target_transfer_->start([this](const probe::probe_result<probe::transfer_result>& r) {
-        if (r->aborted) out_.fault_flags |= fault_transfer_aborted;
-        out_.r_large_bps = r->goodput().value();
-        for (const auto& pg : r->prefix_goodput_bps) out_.prefix_goodputs.push_back(pg);
-        const auto& st = r->tcp_stats;
+    target_transfer_->start([this](const probe::transfer_result& r) {
+        if (r.aborted) out_.fault_flags |= fault_transfer_aborted;
+        out_.r_large_bps = r.goodput().value();
+        for (const auto& pg : r.prefix_goodput_bps) out_.prefix_goodputs.push_back(pg);
+        const auto& st = r.tcp_stats;
         if (st.segments_sent > 0) {
             out_.tcp_loss_rate = static_cast<double>(st.retransmits) /
                                  static_cast<double>(st.segments_sent);
@@ -270,10 +282,10 @@ void epoch_world::collect_during_view_and_continue() {
     // reading the during-flow loss/RTT view.
     const double grace = probe::k_ping_reply_timeout.value() + 0.1;
     sched_.schedule_in(grace, [this] {
-        const probe::probe_result<probe::ping_result>& r = during_ping_->result();
-        if (r->received > 0) {
-            out_.ptilde = r->loss_rate().value();
-            out_.ttilde_s = r->mean_rtt().value();
+        const probe::ping_result& r = during_ping_->result();
+        if (r.received > 0) {
+            out_.ptilde = r.loss_rate().value();
+            out_.ttilde_s = r.mean_rtt().value();
         } else {
             out_.ptilde = std::numeric_limits<double>::quiet_NaN();
             out_.ttilde_s = std::numeric_limits<double>::quiet_NaN();
@@ -287,8 +299,8 @@ void epoch_world::collect_during_view_and_continue() {
 }
 
 void epoch_world::start_small_transfer() {
-    small_transfer_->start([this](const probe::probe_result<probe::transfer_result>& r) {
-        out_.r_small_bps = r->goodput().value();
+    small_transfer_->start([this](const probe::transfer_result& r) {
+        out_.r_small_bps = r.goodput().value();
         finished_ = true;
     });
 }
@@ -317,8 +329,7 @@ epoch_measurement run_epoch(const path_profile& profile, const load_state& load,
     c_epochs.add();
     c_events.add(m.events);
     if (m.fault_flags != 0) {
-        // Observed (as opposed to planned) fault outcomes, keyed by the
-        // epoch_measurement flag they set.
+        // One counter per fault: the epochs whose record carries its flag.
         static const obs::counter c_pathload =
             obs::counter::get("testbed.faults.pathload_failed");
         static const obs::counter c_ping_deg =

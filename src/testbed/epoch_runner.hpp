@@ -34,8 +34,9 @@ enum epoch_fault_flag : std::uint32_t {
     fault_path_outage = 1u << 4,       ///< transient blackout during transfer
 };
 
-/// True when the a-priori (pre-transfer) measurements of the epoch were
-/// touched by a fault, i.e. the FB predictor's inputs are suspect.
+/// True when a fault touched the epoch's a-priori (pre-transfer)
+/// measurements. This decides which flags fail the FB predictor's inputs
+/// (DESIGN.md §10.2): every a-priori flag.
 [[nodiscard]] constexpr bool apriori_faulty(std::uint32_t flags) noexcept {
     return (flags & (fault_pathload_failed | fault_ping_degraded | fault_ping_partial)) !=
            0;
@@ -53,8 +54,8 @@ enum epoch_fault_flag : std::uint32_t {
 struct epoch_config {
     core::seconds warmup{2.0};  ///< let cross traffic reach steady state
     /// p̂/T̂ measurement (defaults: 400 x 15 ms). The during-flow ping (p̃/T̃)
-    /// probes at the same interval for the whole transfer. The runner sets
-    /// both sessions' fault fields from the epoch's fault plan.
+    /// probes at the same interval for the whole transfer. Both sessions'
+    /// faults come from run_epoch's fault plan alone.
     probe::ping_config prior_ping{};
     core::seconds transfer{10.0};     ///< target-flow duration
     bool run_small_window{true};

@@ -42,8 +42,8 @@ check_exit "campaign bad --faults spec" 1 $?
 check_exit "campaign --faults seed=12x" 1 $?
 "$CAMPAIGN" $TINY --out "$WORK/x.csv" --faults "pathload=0.5,seed=-1" >/dev/null 2>&1
 check_exit "campaign --faults seed=-1" 1 $?
-REPRO_FAULTS=seed=7zz "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>&1
-check_exit "campaign REPRO_FAULTS=seed=7zz" 1 $?
+"$CAMPAIGN" $TINY --out "$WORK/x.csv" --faults seed=7zz >/dev/null 2>&1
+check_exit "campaign --faults seed=7zz" 1 $?
 REPRO_CHAOS=seed=7zz "$CAMPAIGN" $TINY --out "$WORK/x.csv" >/dev/null 2>&1
 check_exit "campaign REPRO_CHAOS=seed=7zz" 1 $?
 # Chaos kills only: a wedged process has no observer to notice it.
@@ -110,6 +110,20 @@ check_exit "analyze custom --predictors" 0 $?
 for spec in 5-MA fb:sqrt hybrid:0.8-HW; do
     grep -q "$spec" "$WORK/specs.out" || { echo "FAIL: --predictors row for $spec missing"; FAILURES=$((FAILURES+1)); }
 done
+# fb:pftk always runs for the FB summary; listing it must not evaluate it a
+# second time, so both lists score the same number of epochs.
+scored_epochs() {  # predictor list
+    "$ANALYZE" "$WORK/clean.csv" --predictors "$1" --metrics-summary 2>&1 >/dev/null |
+        awk '$1 == "counter" && $2 == "engine.epochs_scored" { print $3 }'
+}
+SCORED_HB=$(scored_epochs 10-MA)
+SCORED_FB_HB=$(scored_epochs fb:pftk,10-MA)
+if [ -n "$SCORED_HB" ] && [ "$SCORED_HB" = "$SCORED_FB_HB" ]; then
+    echo "ok: a listed fb:pftk is evaluated once ($SCORED_HB epochs scored)"
+else
+    echo "FAIL: epochs scored with 10-MA ($SCORED_HB) and fb:pftk,10-MA ($SCORED_FB_HB) differ"
+    FAILURES=$((FAILURES + 1))
+fi
 "$ANALYZE" "$WORK/clean.csv" --predictors bogus >/dev/null 2>"$WORK/err"
 check_exit "analyze unknown predictor spec" 2 $?
 grep -q "bad predictor spec 'bogus'" "$WORK/err" || { echo "FAIL: spec error does not name the spec"; FAILURES=$((FAILURES+1)); }

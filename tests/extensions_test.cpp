@@ -159,7 +159,7 @@ TEST(adaptive_selector_class, picks_the_better_candidate) {
     std::vector<std::unique_ptr<hb_predictor>> set;
     set.push_back(std::make_unique<moving_average>(10));
     set.push_back(std::make_unique<holt_winters>(0.8, 0.2));
-    adaptive_selector sel(std::move(set), 0.9);
+    adaptive_selector sel(std::move(set));
     for (int i = 0; i < 60; ++i) sel.observe(1e6 + 2e5 * i);
     EXPECT_EQ(sel.best_name(), "0.8-HW");
     // And its forecast continues the trend rather than lagging it.
@@ -170,7 +170,7 @@ TEST(adaptive_selector_class, tracks_regime_change_in_best_predictor) {
     std::vector<std::unique_ptr<hb_predictor>> set;
     set.push_back(std::make_unique<moving_average>(1));
     set.push_back(std::make_unique<moving_average>(20));
-    adaptive_selector sel(std::move(set), 0.7);  // fast discount
+    adaptive_selector sel(std::move(set));
     // Alternating series: 20-MA (predicting the mean) wins over 1-MA
     // (always predicting the previous, i.e. the wrong, extreme).
     for (int i = 0; i < 60; ++i) sel.observe(i % 2 == 0 ? 2e6 : 4e6);
@@ -193,10 +193,7 @@ TEST(adaptive_selector_class, clone_empty_preserves_candidates) {
 }
 
 TEST(adaptive_selector_class, rejects_bad_construction) {
-    EXPECT_THROW(adaptive_selector({}, 0.9), std::invalid_argument);
-    std::vector<std::unique_ptr<hb_predictor>> one;
-    one.push_back(std::make_unique<moving_average>(5));
-    EXPECT_THROW(adaptive_selector(std::move(one), 0.0), std::invalid_argument);
+    EXPECT_THROW(adaptive_selector({}), std::invalid_argument);
 }
 
 // ---------- loss events ----------

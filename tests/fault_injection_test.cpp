@@ -82,11 +82,6 @@ TEST(fault_profile, seed_is_a_whole_unsigned_token) {
         EXPECT_THROW(static_cast<void>(fault_profile::parse(bad)), std::invalid_argument)
             << bad;
     }
-    ::setenv("REPRO_FAULTS", "seed=7zz", 1);
-    EXPECT_THROW(static_cast<void>(fault_profile::from_env()), std::invalid_argument);
-    ::setenv("REPRO_FAULTS", "seed=-1", 1);
-    EXPECT_THROW(static_cast<void>(fault_profile::from_env()), std::invalid_argument);
-    ::unsetenv("REPRO_FAULTS");
 }
 
 TEST(chaos_profile, seed_is_a_whole_unsigned_token) {
@@ -129,17 +124,6 @@ TEST(chaos_plan, kill_schedules_are_pinned) {
     EXPECT_EQ(kills("kill=0.1,seed=4", 0), (v{8, 20, 31, 33, 34, 48}));
     EXPECT_EQ(kills("kill=0.25", 0), (v{9, 11, 31, 36, 46, 47, 48, 55, 56, 58, 62}));
     EXPECT_EQ(kills("off", 0), v{});
-}
-
-TEST(fault_profile, from_env_reads_the_spec) {
-    ::setenv("REPRO_FAULTS", "pathload=0.2,abort=0.5,seed=123", 1);
-    const fault_profile p = fault_profile::from_env();
-    ::unsetenv("REPRO_FAULTS");
-    EXPECT_DOUBLE_EQ(p.pathload_fail, 0.2);
-    EXPECT_DOUBLE_EQ(p.transfer_abort, 0.5);
-    EXPECT_EQ(p.seed, 123u);
-
-    EXPECT_FALSE(fault_profile::from_env().enabled()) << "clean env means no faults";
 }
 
 TEST(plan_epoch_faults, deterministic_in_coordinates) {
@@ -274,8 +258,8 @@ TEST(epoch_faults, outage_flags_and_degrades_throughput) {
 // A resume under ANY changed fault knob must be refused: the records already
 // in the checkpoint were produced under the old profile, and mixing them
 // with epochs from a new one silently corrupts the dataset. The fingerprint
-// embeds fault_profile::spec(), which canonically encodes every knob the
-// $REPRO_FAULTS environment can set.
+// embeds fault_profile::spec(), which canonically encodes every knob a
+// --faults spec can set.
 
 TEST(checkpoint_fingerprint, covers_every_fault_profile_knob) {
     testbed::campaign_config base;
@@ -327,7 +311,7 @@ TEST(checkpoint_fingerprint, resume_under_changed_fault_knob_is_rejected) {
     cfg.paths = 1;
     cfg.traces_per_path = 1;
     cfg.epochs_per_trace = 2;
-    cfg.faults.ping_timeout_rate = 0.05;  // as if REPRO_FAULTS=ping-timeout=0.05
+    cfg.faults.ping_timeout_rate = 0.05;  // as if --faults ping-timeout=0.05
 
     const std::filesystem::path file =
         std::filesystem::temp_directory_path() / "tcppred_fp_test.ckpt";
@@ -337,7 +321,7 @@ TEST(checkpoint_fingerprint, resume_under_changed_fault_knob_is_rejected) {
     constexpr auto journal = testbed::record_reader::mode::journal;
     EXPECT_NO_THROW(testbed::record_reader(file, testbed::campaign_fingerprint(cfg), journal));
 
-    // One knob nudged (the env override scenario): refused, not merged.
+    // One knob nudged (a resume under another --faults): refused, not merged.
     testbed::campaign_config changed = cfg;
     changed.faults.ping_timeout_rate = 0.10;
     EXPECT_THROW(

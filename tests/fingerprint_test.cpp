@@ -127,13 +127,6 @@ TEST(fingerprint_coverage, values_left_out_leave_every_record_unchanged) {
         // Each transfer sets its own window.
         {"epoch.tcp.max_window_bytes",
          [](campaign_config& c) { c.epoch.tcp.max_window_bytes = 64 * 1024; }},
-        // The runner sets both ping sessions' fault fields from the plan.
-        {"epoch.prior_ping.fault_timeout_rate",
-         [](campaign_config& c) { c.epoch.prior_ping.fault_timeout_rate = 0.5; }},
-        {"epoch.prior_ping.fault_seed",
-         [](campaign_config& c) { c.epoch.prior_ping.fault_seed = 9; }},
-        {"epoch.prior_ping.fault_truncate_at",
-         [](campaign_config& c) { c.epoch.prior_ping.fault_truncate_at = 10; }},
     };
     for (const change& ch : left_out) {
         campaign_config c = base;

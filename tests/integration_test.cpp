@@ -94,12 +94,12 @@ TEST(concurrent_measurement, prober_and_transfer_coexist) {
     ASSERT_TRUE(xfer.done());
     // The probe RTT during the transfer reflects the queue the transfer
     // builds: above the 50 ms propagation floor.
-    EXPECT_GT(prober.result()->mean_rtt().value(), 0.050);
-    EXPECT_GT(xfer.result()->goodput().value(), 2e6);
+    EXPECT_GT(prober.result().mean_rtt().value(), 0.050);
+    EXPECT_GT(xfer.result().goodput().value(), 2e6);
     // Probe outcomes exist for every probe sent.
-    EXPECT_EQ(prober.result()->outcomes.size(), 200u);
-    EXPECT_LE(core::loss_event_rate(prober.result()->outcomes),
-              core::packet_loss_rate(prober.result()->outcomes) + 1e-12);
+    EXPECT_EQ(prober.result().outcomes.size(), 200u);
+    EXPECT_LE(core::loss_event_rate(prober.result().outcomes),
+              core::packet_loss_rate(prober.result().outcomes) + 1e-12);
 }
 
 TEST(concurrent_measurement, pathload_then_transfer_sequence) {
@@ -120,10 +120,10 @@ TEST(concurrent_measurement, pathload_then_transfer_sequence) {
     tcfg.initial_ssthresh_segments = 128;
     probe::bulk_transfer xfer(w.sched, conduit, 1, core::seconds{6.0}, tcfg);
 
-    pl.start([&](const probe::probe_result<probe::pathload_result>& r) {
-        availbw = r->estimate().value();
-        xfer.start([&](const probe::probe_result<probe::transfer_result>& t) {
-            goodput = t->goodput().value();
+    pl.start([&](const probe::pathload_result& r) {
+        availbw = r.estimate().value();
+        xfer.start([&](const probe::transfer_result& t) {
+            goodput = t.goodput().value();
             transfer_done = true;
         });
     });

@@ -45,7 +45,7 @@ TEST(lso_filter, detects_decreasing_level_shift) {
 }
 
 TEST(lso_filter, small_shift_below_gamma_is_ignored) {
-    lso_filter f(lso_config{0.3, 0.4, 3});
+    lso_filter f(lso_config{0.3, 0.4});
     for (int i = 0; i < 10; ++i) f.observe(10.0);
     for (int i = 0; i < 10; ++i) f.observe(11.0);  // +10% < gamma
     EXPECT_TRUE(f.shift_indices().empty());
@@ -133,7 +133,7 @@ TEST(lso_predictor, name_appends_suffix) {
 }
 
 TEST(lso_predictor, clone_empty_preserves_structure) {
-    lso_predictor p(std::make_unique<moving_average>(7), lso_config{0.2, 0.3, 3});
+    lso_predictor p(std::make_unique<moving_average>(7), lso_config{0.2, 0.3});
     auto clone = p.clone_empty();
     EXPECT_EQ(clone->name(), "7-MA-LSO");
     EXPECT_TRUE(std::isnan(clone->predict()));
@@ -156,13 +156,13 @@ class psi_sweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(psi_sweep, spike_detection_threshold_scales_with_psi) {
     const double psi = GetParam();
-    lso_filter f(lso_config{0.3, psi, 3});
+    lso_filter f(lso_config{0.3, psi});
     for (int i = 0; i < 10; ++i) f.observe(10.0);
     f.observe(10.0 * (1.0 + psi + 0.2));  // just above threshold
     for (int i = 0; i < 5; ++i) f.observe(10.0);
     EXPECT_EQ(f.outlier_indices().size(), 1u) << "psi=" << psi;
 
-    lso_filter g(lso_config{0.3, psi, 3});
+    lso_filter g(lso_config{0.3, psi});
     for (int i = 0; i < 10; ++i) g.observe(10.0);
     g.observe(10.0 * (1.0 + psi * 0.5));  // below threshold
     for (int i = 0; i < 5; ++i) g.observe(10.0);
@@ -181,10 +181,6 @@ TEST(lso_filter, observe_reports_how_the_history_changed) {
     for (int i = 0; i < 2; ++i) EXPECT_EQ(f.observe(30.0), change::appended);
     EXPECT_EQ(f.observe(30.0), change::rewritten);   // third sample confirms the shift
     EXPECT_EQ(f.cleaned().size(), 3u);
-}
-
-TEST(lso_filter, rejects_zero_post_shift_samples) {
-    EXPECT_THROW(lso_filter(lso_config{0.3, 0.4, 0}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,8 +261,8 @@ private:
 
     void detect_level_shift() {
         const std::size_t n = history_.size();
-        if (n < cfg_.min_post_shift_samples + 1) return;
-        for (std::size_t k = 1; k + cfg_.min_post_shift_samples <= n; ++k) {
+        if (n < k_lso_min_post_shift_samples + 1) return;
+        for (std::size_t k = 1; k + k_lso_min_post_shift_samples <= n; ++k) {
             double max_before = history_[0].value, min_before = history_[0].value;
             for (std::size_t i = 1; i < k; ++i) {
                 max_before = std::max(max_before, history_[i].value);
@@ -385,8 +381,8 @@ void expect_same_history(const std::vector<lso_filter::sample>& got,
 
 const std::vector<lso_config> k_configs = {
     lso_config{},                 // the paper's defaults
-    lso_config{0.1, 0.2, 2},      // trigger-happy
-    lso_config{0.6, 0.9, 4},      // conservative
+    lso_config{0.1, 0.2},         // trigger-happy
+    lso_config{0.6, 0.9},         // conservative
 };
 
 TEST(lso_differential, filter_matches_reference_bitwise) {
@@ -491,7 +487,7 @@ TEST(lso_differential, nws_over_incremental_lso_matches_reference) {
         set.push_back(wrap(std::make_unique<moving_average>(10)));
         set.push_back(wrap(std::make_unique<ewma>(0.5)));
         set.push_back(wrap(std::make_unique<holt_winters>(0.8, 0.2)));
-        return std::make_unique<adaptive_selector>(std::move(set), 0.9);
+        return std::make_unique<adaptive_selector>(std::move(set));
     };
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         auto got = make(true);
@@ -624,7 +620,7 @@ TEST(lso_share, reset_moves_the_wrapper_onto_a_private_filter) {
 }
 
 TEST(lso_share, different_configs_get_different_filters) {
-    const lso_config tuned{0.2, 0.3, 3};
+    const lso_config tuned{0.2, 0.3};
     lso_share share;
     EXPECT_EQ(share.filter_for(lso_config{}), share.filter_for(lso_config{}));
     EXPECT_NE(share.filter_for(lso_config{}), share.filter_for(tuned));

@@ -106,12 +106,12 @@ std::unique_ptr<predictor> nws_by_hand(lso_config lso) {
     set.push_back(
         std::make_unique<lso_predictor>(std::make_unique<holt_winters>(0.8, 0.2), lso));
     return std::make_unique<history_predictor>(
-        std::make_unique<adaptive_selector>(std::move(set), 0.9));
+        std::make_unique<adaptive_selector>(std::move(set)));
 }
 
 TEST(make_predictor_factory, nws_honours_lso_config) {
     predictor_config cfg;
-    cfg.lso = lso_config{0.2, 0.3, 3};
+    cfg.lso = lso_config{0.2, 0.3};
     const auto nws = make_predictor("NWS", cfg)->clone_empty();
     const auto want = nws_by_hand(cfg.lso);
     const auto default_lso = nws_by_hand(lso_config{});

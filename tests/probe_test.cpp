@@ -31,12 +31,13 @@ TEST(ping_prober, measures_base_rtt_on_idle_path) {
     prober.start();
     w.sched.run_until(10.0);
     ASSERT_TRUE(prober.done());
-    const auto& r = prober.result();
-    EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r->sent, 100u);
-    EXPECT_EQ(r->received, 100u);
-    EXPECT_DOUBLE_EQ(r->loss_rate().value(), 0.0);
-    EXPECT_NEAR(r->mean_rtt().value(), 0.050, 0.002);
+    const ping_result& r = prober.result();
+    EXPECT_EQ(r.sent, 100u);
+    EXPECT_EQ(r.received, 100u);
+    EXPECT_EQ(r.injected_timeouts, 0u);
+    EXPECT_FALSE(r.truncated);
+    EXPECT_DOUBLE_EQ(r.loss_rate().value(), 0.0);
+    EXPECT_NEAR(r.mean_rtt().value(), 0.050, 0.002);
 }
 
 TEST(ping_prober, sees_queueing_delay_under_load) {
@@ -50,7 +51,7 @@ TEST(ping_prober, sees_queueing_delay_under_load) {
     prober.start();
     w.sched.run_until(20.0);
     ASSERT_TRUE(prober.done());
-    EXPECT_GT(prober.result()->mean_rtt().value(), 0.045);
+    EXPECT_GT(prober.result().mean_rtt().value(), 0.045);
 }
 
 TEST(ping_prober, counts_losses_on_saturated_path) {
@@ -64,8 +65,8 @@ TEST(ping_prober, counts_losses_on_saturated_path) {
     prober.start();
     w.sched.run_until(30.0);
     ASSERT_TRUE(prober.done());
-    EXPECT_GT(prober.result()->loss_rate().value(), 0.05);
-    EXPECT_LT(prober.result()->loss_rate().value(), 1.0);
+    EXPECT_GT(prober.result().loss_rate().value(), 0.05);
+    EXPECT_LT(prober.result().loss_rate().value(), 1.0);
 }
 
 TEST(ping_prober, completion_callback_fires_once) {
@@ -74,7 +75,7 @@ TEST(ping_prober, completion_callback_fires_once) {
     cfg.count = 10;
     ping_prober prober(w.sched, *w.path, 1, cfg);
     int called = 0;
-    prober.start([&](const probe_result<ping_result>&) { ++called; });
+    prober.start([&](const ping_result&) { ++called; });
     w.sched.run_until(5.0);
     EXPECT_EQ(called, 1);
 }
@@ -108,8 +109,8 @@ TEST(pathload, estimates_capacity_on_idle_path) {
     ASSERT_TRUE(pl.done());
     // Idle path: avail-bw ~ capacity (10 Mbps). Allow generous tolerance
     // for the binary-search bracket.
-    EXPECT_GT(pl.result()->estimate().value(), 7e6);
-    EXPECT_LT(pl.result()->estimate().value(), 13e6);
+    EXPECT_GT(pl.result().estimate().value(), 7e6);
+    EXPECT_LT(pl.result().estimate().value(), 13e6);
 }
 
 TEST(pathload, estimates_leftover_bandwidth_under_load) {
@@ -124,8 +125,8 @@ TEST(pathload, estimates_leftover_bandwidth_under_load) {
     w.sched.run_until(60.0);
     ASSERT_TRUE(pl.done());
     // Avail-bw ~ 4 Mbps; accept the bracket being within a factor ~2.
-    EXPECT_GT(pl.result()->estimate().value(), 1.5e6);
-    EXPECT_LT(pl.result()->estimate().value(), 8e6);
+    EXPECT_GT(pl.result().estimate().value(), 1.5e6);
+    EXPECT_LT(pl.result().estimate().value(), 8e6);
 }
 
 TEST(pathload, respects_stream_budget) {
@@ -136,7 +137,7 @@ TEST(pathload, respects_stream_budget) {
     pl.start();
     w.sched.run_until(30.0);
     ASSERT_TRUE(pl.done());
-    EXPECT_LE(pl.result()->streams_used, 4);
+    EXPECT_LE(pl.result().streams_used, 4);
 }
 
 // Open-loop packets have no exit: what a source offered is what its link

@@ -149,11 +149,11 @@ TEST_P(prober_bounds, results_within_physical_bounds) {
 
     ASSERT_TRUE(prober.done());
     const auto& res = prober.result();
-    EXPECT_EQ(res->sent, 150u);
-    EXPECT_GE(res->loss_rate().value(), 0.0);
-    EXPECT_LE(res->loss_rate().value(), 1.0);
-    EXPECT_EQ(res->rtts.size(), res->received);
-    for (const double sample : res->rtts) EXPECT_GE(sample, rtt - 1e-9);
+    EXPECT_EQ(res.sent, 150u);
+    EXPECT_GE(res.loss_rate().value(), 0.0);
+    EXPECT_LE(res.loss_rate().value(), 1.0);
+    EXPECT_EQ(res.rtts.size(), res.received);
+    for (const double sample : res.rtts) EXPECT_GE(sample, rtt - 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, prober_bounds, ::testing::Values(4, 19, 100, 555));
@@ -181,11 +181,11 @@ TEST_P(pathload_bracket, bracket_invariants) {
     sched.run_until(120.0);
     ASSERT_TRUE(pl.done());
     const auto& res = pl.result();
-    EXPECT_LE(res->low_bps, res->high_bps);
-    EXPECT_GE(res->low_bps, probe::k_pathload_min_rate.value() - 1.0);
-    EXPECT_LE(res->high_bps, cfg.max_rate.value() + 1.0);
-    EXPECT_GE(res->streams_used, 1);
-    EXPECT_LE(res->streams_used, cfg.max_streams);
+    EXPECT_LE(res.low_bps, res.high_bps);
+    EXPECT_GE(res.low_bps, probe::k_pathload_min_rate.value() - 1.0);
+    EXPECT_LE(res.high_bps, cfg.max_rate.value() + 1.0);
+    EXPECT_GE(res.streams_used, 1);
+    EXPECT_LE(res.streams_used, cfg.max_streams);
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, pathload_bracket, ::testing::Values(6, 28, 303));

@@ -192,14 +192,14 @@ TEST(bulk_transfer, reports_goodput_and_prefix_checkpoints) {
     probe::bulk_transfer xfer(w.sched, *w.conduit, 1, core::seconds{4.0}, cfg);
     xfer.add_prefix_checkpoints({1.0, 2.0});
     bool called = false;
-    xfer.start([&](const probe::probe_result<probe::transfer_result>& r) {
+    xfer.start([&](const probe::transfer_result& r) {
         called = true;
-        EXPECT_TRUE(r.ok());
-        EXPECT_NEAR(r->duration_s, 4.0, 1e-9);
-        EXPECT_GT(r->goodput().value(), 4e6);
-        ASSERT_EQ(r->prefix_goodput_bps.size(), 2u);
-        EXPECT_DOUBLE_EQ(r->prefix_goodput_bps[0].first, 1.0);
-        EXPECT_GT(r->prefix_goodput_bps[1].second, 0.0);
+        EXPECT_FALSE(r.aborted);
+        EXPECT_NEAR(r.duration_s, 4.0, 1e-9);
+        EXPECT_GT(r.goodput().value(), 4e6);
+        ASSERT_EQ(r.prefix_goodput_bps.size(), 2u);
+        EXPECT_DOUBLE_EQ(r.prefix_goodput_bps[0].first, 1.0);
+        EXPECT_GT(r.prefix_goodput_bps[1].second, 0.0);
     });
     w.sched.run_until(5.0);
     EXPECT_TRUE(called);

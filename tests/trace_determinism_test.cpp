@@ -87,7 +87,7 @@ TEST(trace_determinism, counters_and_canonical_events_identical_across_jobs) {
     // serial and pooled runs must agree exactly, name for name.
     EXPECT_EQ(counters1, counters4);
     EXPECT_GT(counters1.at("campaign.epochs_run"), 0u);
-    EXPECT_GT(counters1.at("fault.abort_planned"), 0u);
+    EXPECT_GT(counters1.at("testbed.faults.transfer_aborted"), 0u);
     EXPECT_GT(counters1.at("engine.epochs_scored"), 0u);
 
     // Trace events: after canonicalization (volatile keys stripped, lines

@@ -19,18 +19,21 @@ fi
 
 cd "$SRC_DIR"
 export REPRO_SCALE=tiny
+# Each bench's stderr, shown only when it fails; private to this run.
+ERR_DIR=$(mktemp -d)
+trap 'rm -rf "$ERR_DIR"' EXIT
 
 ran=0
 failed=0
 for bench in "$BIN_DIR"/fig* "$BIN_DIR"/ablation_*; do
     [ -x "$bench" ] || continue
     name="$(basename "$bench")"
-    if "$bench" >/dev/null 2>"/tmp/bench_smoke_$name.err"; then
+    if "$bench" >/dev/null 2>"$ERR_DIR/$name.err"; then
         echo "ok: $name"
     else
         rc=$?
         echo "FAIL: $name (exit $rc)"
-        sed 's/^/    /' "/tmp/bench_smoke_$name.err"
+        sed 's/^/    /' "$ERR_DIR/$name.err"
         failed=$((failed + 1))
     fi
     ran=$((ran + 1))

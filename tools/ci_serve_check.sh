@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# CI gate for the online prediction daemon (DESIGN.md §17): generate a small
-# faulted campaign store, compute the offline engine reference with
+# CI gate for the online prediction daemon (DESIGN.md §17): generate small
+# faulted campaign stores, compute each one's offline engine reference with
 # tcppred_loadgen --offline, then
 #
-#   1. replay the store against a live tcppred_serve daemon and require the
-#      PREDICT stream to be byte-identical to the offline reference, and
-#   2. replay the first half of the traces, stop the daemon with SIGINT (it
-#      writes its snapshot and exits 0), restart it with --resume, replay
-#      the remaining traces, and require the two live outputs concatenated
-#      to be byte-identical to the same reference, and
+#   1. replay each store against a live tcppred_serve daemon and require the
+#      PREDICT stream to be byte-identical to the offline reference. The
+#      first profile has ping-timeout=0.1, which fails nearly every epoch's
+#      a-priori inputs; the second has none, and its reference must hold
+#      usable fb:pftk forecasts, and
+#   2. on the first store, replay the first half of the traces, stop the
+#      daemon with SIGINT (it writes its snapshot and exits 0), restart it
+#      with --resume, replay the remaining traces, and require the two live
+#      outputs concatenated to be byte-identical to the same reference, and
 #   3. point a daemon's --snapshot into a missing directory: on one
 #      loopback TCP connection (bash's /dev/tcp) SNAPSHOT must answer
 #      "ERR snapshot failed: ..." and a STATS after it must still answer,
@@ -62,25 +65,40 @@ stop_daemon() {
     [ "$RC" -eq 0 ] || { echo "FAIL: daemon exited $RC on SIGINT (want 0)"; exit 1; }
 }
 
-echo "== tiny faulted campaign -> record store"
-"$CAMPAIGN" --paths 3 --traces 2 --epochs 24 --transfer-s 1.5 --seed 17 \
-    --faults "pathload=0.2,ping-timeout=0.1,seed=5" \
-    --out "$WORK/tiny.store" --format store --jobs 2 2>/dev/null
+# full_replay NAME FAULTS: the tiny campaign under FAULTS as the store
+# $WORK/NAME.store, its offline reference $WORK/NAME.ref, and a full live
+# replay that must reproduce the reference byte for byte.
+full_replay() {
+    local name=$1 faults=$2
+    echo "== tiny faulted campaign ($faults) -> record store"
+    "$CAMPAIGN" --paths 3 --traces 2 --epochs 24 --transfer-s 1.5 --seed 17 \
+        --faults "$faults" --out "$WORK/$name.store" --format store --jobs 2 2>/dev/null
 
-echo "== offline engine reference"
-"$LOADGEN" --from-store "$WORK/tiny.store" --specs "$SPECS" \
-    --offline "$WORK/ref.txt" 2>/dev/null
-[ -s "$WORK/ref.txt" ] || { echo "FAIL: empty offline reference"; exit 1; }
+    echo "== offline engine reference"
+    "$LOADGEN" --from-store "$WORK/$name.store" --specs "$SPECS" \
+        --offline "$WORK/$name.ref" 2>/dev/null
+    [ -s "$WORK/$name.ref" ] || { echo "FAIL: empty offline reference"; exit 1; }
 
-echo "== full live replay vs offline reference"
-start_daemon
-"$LOADGEN" --from-store "$WORK/tiny.store" --specs "$SPECS" --socket "$SOCK" \
-    --out "$WORK/live.txt" 2>/dev/null
-stop_daemon
-cmp "$WORK/ref.txt" "$WORK/live.txt" || {
-    echo "FAIL: live PREDICT stream differs from the offline engine"
+    echo "== full live replay vs offline reference"
+    rm -f "$SNAP"
+    start_daemon
+    "$LOADGEN" --from-store "$WORK/$name.store" --specs "$SPECS" --socket "$SOCK" \
+        --out "$WORK/$name.live" 2>/dev/null
+    stop_daemon
+    cmp "$WORK/$name.ref" "$WORK/$name.live" || {
+        echo "FAIL: live PREDICT stream differs from the offline engine ($faults)"
+        exit 1
+    }
+}
+
+full_replay tiny "pathload=0.2,ping-timeout=0.1,seed=5"
+full_replay nots "pathload=0.2,abort=0.1,seed=5"
+FB_LINES=$(grep -c '^pred,fb:pftk,' "$WORK/nots.ref" || true)
+[ "$FB_LINES" -gt 0 ] || {
+    echo "FAIL: the profile without ping-timeout compares no usable fb:pftk forecast"
     exit 1
 }
+echo "   $FB_LINES usable fb:pftk forecasts compared"
 
 echo "== split replay across SIGINT-snapshot-restart"
 rm -f "$SNAP"
@@ -98,7 +116,7 @@ grep -q "resumed" "$WORK/daemon.err" || {
     --out "$WORK/live_b.txt" --start 3 2>/dev/null
 stop_daemon
 cat "$WORK/live_a.txt" "$WORK/live_b.txt" >"$WORK/live_split.txt"
-cmp "$WORK/ref.txt" "$WORK/live_split.txt" || {
+cmp "$WORK/tiny.ref" "$WORK/live_split.txt" || {
     echo "FAIL: split replay across a restart differs from the offline engine"
     exit 1
 }

@@ -55,8 +55,8 @@ ANALYSIS_FAULTS=pathload=0.5,abort=0.2
 SPECS=fb:pftk,10-MA,10-MA-LSO,0.8-HW,0.8-HW-LSO,NWS,5-AR-LSO,hybrid:0.8-HW-LSO
 SPECS+=,fb:sqrt,fb:pftk-full,fb:minwa
 
-# Only the flags below may shape the runs. Builds before the fault and
-# cross-model aliases were dropped also read the last two lines' variables.
+# Only the flags below may shape the runs: older builds compared against
+# read the fault and cross-model variables that the flags replaced.
 unset REPRO_FAULTS REPRO_CHAOS REPRO_CHAOS_ATTEMPT REPRO_TRACE REPRO_METRICS \
       REPRO_CROSS_MODEL REPRO_FAULT_SEED REPRO_FAULT_PATHLOAD REPRO_FAULT_PING_TIMEOUT \
       REPRO_FAULT_PING_TRUNCATE REPRO_FAULT_ABORT REPRO_FAULT_OUTAGE

@@ -331,16 +331,17 @@ int main(int argc, char** argv) {
     };
 
     try {
-        // One pass evaluates the FB baseline, every requested HB spec, and
-        // the HW-LSO classifier input together. fb:pftk is always index 0 —
-        // the one spec whose per-epoch errors the report needs.
+        // One pass evaluates the FB baseline, the HW-LSO classifier input
+        // and every requested spec together, each once. fb:pftk is always
+        // index 0 — the one spec whose per-epoch errors the report needs.
         std::vector<std::string> all_specs{"fb:pftk"};
-        for (const char* extra : {"0.8-HW-LSO"}) {
-            if (std::find(specs.begin(), specs.end(), extra) == specs.end()) {
-                all_specs.emplace_back(extra);
-            }
+        const auto contains = [](const std::vector<std::string>& list, const std::string& s) {
+            return std::find(list.begin(), list.end(), s) != list.end();
+        };
+        if (!contains(specs, "0.8-HW-LSO")) all_specs.emplace_back("0.8-HW-LSO");
+        for (const std::string& spec : specs) {
+            if (!contains(all_specs, spec)) all_specs.push_back(spec);
         }
-        all_specs.insert(all_specs.end(), specs.begin(), specs.end());
 
         if (!from_store.empty()) {
             // Streamed path: records flow store → CSV-normalization →

@@ -64,7 +64,7 @@ void usage(const char* argv0) {
                  "  --faults SPEC     measurement-fault rates, e.g.\n"
                  "                    pathload=0.1,ping-timeout=0.02,abort=0.05\n"
                  "                    (keys: pathload, ping-timeout, ping-truncate,\n"
-                 "                    abort, outage, seed; default $REPRO_FAULTS)\n"
+                 "                    abort, outage, seed; default off)\n"
                  "  --checkpoint-every N  append the epochs finished since the\n"
                  "                    last flush to the resume journal FILE.ckpt\n"
                  "                    every N epochs (default 32 once\n"
@@ -117,13 +117,12 @@ int main(int argc, char** argv) {
     tcppred::sim::chaos_profile chaos;
     int chaos_attempt = 0;
     try {
-        faults = tcppred::sim::fault_profile::from_env();
         chaos = tcppred::sim::chaos_profile::from_env();
         // Read eagerly: a garbled $REPRO_CHAOS_ATTEMPT must fail here with
-        // the other environment knobs, not throw mid-campaign.
+        // $REPRO_CHAOS, not throw mid-campaign.
         chaos_attempt = tcppred::sim::chaos_attempt_from_env();
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "bad fault/chaos environment: %s\n", e.what());
+        std::fprintf(stderr, "bad chaos environment: %s\n", e.what());
         return 1;
     }
 
