@@ -5,6 +5,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 namespace tcppred::core {
 
@@ -32,7 +34,12 @@ Value strto_whole(std::string_view knob, std::string_view text, Fn fn,
     if (end != buf.c_str() + buf.size() || end == buf.c_str()) {
         reject(knob, text, std::string("expected ") + what);
     }
-    if (errno == ERANGE) reject(knob, text, "value overflows");
+    if (errno == ERANGE) {
+        if constexpr (std::is_floating_point_v<Value>) {
+            if (!std::isinf(v)) reject(knob, text, "value underflows");
+        }
+        reject(knob, text, "value overflows");
+    }
     return v;
 }
 
@@ -48,6 +55,12 @@ Value from_chars_or(std::string_view knob, std::string_view text, Fn fallback,
     const auto [ptr, ec] = std::from_chars(text.data(), last, v);
     if (ec == std::errc{} && ptr == last) return v;
     return strto_whole<Value>(knob, text, fallback, what);
+}
+
+double strtod_whole(std::string_view knob, std::string_view text) {
+    return strto_whole<double>(
+        knob, text, [](const char* s, char** end) { return std::strtod(s, end); },
+        "a number");
 }
 
 std::string range_msg(const std::string& lo, const std::string& hi) {
@@ -84,13 +97,36 @@ std::uint64_t parse_checked_u64(std::string_view knob, std::string_view text,
 
 double parse_checked_double(std::string_view knob, std::string_view text, double min,
                             double max) {
-    const double v = strto_whole<double>(
-        knob, text, [](const char* s, char** end) { return std::strtod(s, end); },
-        "a number");
+    const double v = strtod_whole(knob, text);
     if (!std::isfinite(v)) reject(knob, text, "expected a finite number");
     if (v < min || v > max) {
         reject(knob, text, range_msg(std::to_string(min), std::to_string(max)));
     }
+    return v;
+}
+
+void check_loss_rate(std::string_view knob, std::string_view text, double v) {
+    if (!std::isnan(v) && !(v >= 0.0 && v <= 1.0)) {
+        reject(knob, text, "loss rate must be in [0,1] or nan");
+    }
+}
+
+double parse_checked_measurement(std::string_view knob, std::string_view text,
+                                 bool loss_rate) {
+    // Fast path, in place: a value from_chars decodes from the whole token
+    // and that lies strictly between DBL_MIN and ±inf is strtod's, bit for
+    // bit, with no ERANGE. Zero, the subnormals (which from_chars takes
+    // without the underflow strtod reports), inf, nan and every token it
+    // does not take whole go through strtod_whole, which decides what is
+    // accepted and the message.
+    double v = 0.0;
+    const char* const last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, v);
+    if (ec != std::errc{} || ptr != last || !std::isfinite(v) ||
+        !(std::fabs(v) > std::numeric_limits<double>::min())) {
+        v = strtod_whole(knob, text);
+    }
+    if (loss_rate) check_loss_rate(knob, text, v);
     return v;
 }
 

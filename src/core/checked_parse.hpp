@@ -57,4 +57,21 @@ private:
 [[nodiscard]] double parse_checked_double(std::string_view knob, std::string_view text,
                                           double min, double max);
 
+/// The loss-rate rule: throws parse_error naming `knob` and `text` unless
+/// `v` is in [0, 1], or NaN for a failed measurement. Every reader of a
+/// measured probe loss rate (p̂, p̂_events, p̃) applies it — the CSV, the
+/// record store, OBSERVE and the serve snapshot — because those values
+/// reach core::probability, whose constructor asserts [0, 1]. A reader that
+/// decodes the number itself (parse_hexd) calls it directly.
+void check_loss_rate(std::string_view knob, std::string_view text, double v);
+
+/// Parse `text` as a measured value: the whole token in strtod's grammar
+/// (decimal, scientific, hexfloat, inf, nan), NaN standing for a failed
+/// measurement. Empty input, leading whitespace, trailing garbage and a
+/// value strtod flags ERANGE (overflow, or underflow into the subnormals)
+/// are errors. With `loss_rate`, the value must also meet check_loss_rate.
+/// `knob` is only read to build an error.
+[[nodiscard]] double parse_checked_measurement(std::string_view knob, std::string_view text,
+                                               bool loss_rate);
+
 }  // namespace tcppred::core

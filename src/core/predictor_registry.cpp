@@ -1,55 +1,35 @@
 #include "core/predictor_registry.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "core/adaptive_selector.hpp"
 #include "core/ar_predictor.hpp"
+#include "core/checked_parse.hpp"
 #include "core/hb_predictors.hpp"
 
 namespace tcppred::core {
 
 namespace {
 
-/// Strict numeric parses: the whole token must be consumed, so "10x-MA" or
-/// "0..8-HW" fail instead of silently truncating.
+/// Strict numeric parses through core/checked_parse: the whole token must
+/// be consumed, so "10x-MA" or "0..8-HW" fail instead of silently truncating.
 std::size_t parse_count(const std::string& token, const std::string& spec) {
-    if (token.empty() || !std::isdigit(static_cast<unsigned char>(token.front()))) {
-        throw predictor_spec_error(spec, "expected a count, got '" + token + "'");
-    }
-    std::size_t pos = 0;
-    unsigned long v = 0;
     try {
-        v = std::stoul(token, &pos);
-    } catch (const std::exception&) {
+        return parse_checked_u64("count", token, 0, std::numeric_limits<std::size_t>::max());
+    } catch (const parse_error&) {
         throw predictor_spec_error(spec, "expected a count, got '" + token + "'");
     }
-    if (pos != token.size()) {
-        throw predictor_spec_error(spec, "trailing characters in '" + token + "'");
-    }
-    return v;
 }
 
 double parse_real(const std::string& token, const std::string& spec) {
-    if (token.empty()) throw predictor_spec_error(spec, "expected a number");
-    std::size_t pos = 0;
-    double v = 0.0;
+    // Only a finite number is a parameter: every range check is false for NaN.
     try {
-        v = std::stod(token, &pos);
-    } catch (const std::exception&) {
-        throw predictor_spec_error(spec, "expected a number, got '" + token + "'");
-    }
-    if (pos != token.size()) {
-        throw predictor_spec_error(spec, "trailing characters in '" + token + "'");
-    }
-    // std::stod takes "nan" and "inf", and every range check is false for
-    // NaN: only a finite number is a parameter.
-    if (!std::isfinite(v)) {
+        return parse_checked_double("parameter", token, std::numeric_limits<double>::lowest(),
+                                    std::numeric_limits<double>::max());
+    } catch (const parse_error&) {
         throw predictor_spec_error(spec, "expected a finite number, got '" + token + "'");
     }
-    return v;
 }
 
 formula_kind parse_formula(const std::string& what, const std::string& spec) {

@@ -141,17 +141,21 @@ void trace_writer::close() {
     if (!out_) throw std::runtime_error("trace_writer: write failed on " + file_.string());
 }
 
+void print_metrics_summary() {
+    static std::atomic<bool> printed{false};
+    if (printed.exchange(true)) return;
+    std::ostringstream os;
+    write_metrics_summary(os);
+    std::fputs(os.str().c_str(), stderr);
+}
+
 void init_from_env() {
     static std::atomic<bool> done{false};
     if (done.exchange(true)) return;
     if (const char* env = std::getenv("REPRO_METRICS")) {  // NOLINT(concurrency-mt-unsafe)
         if (*env != '\0' && std::string_view(env) != "0") {
             set_metrics_enabled(true);
-            std::atexit([] {
-                std::ostringstream os;
-                write_metrics_summary(os);
-                std::fputs(os.str().c_str(), stderr);
-            });
+            std::atexit(print_metrics_summary);
         }
     }
     // A trace the caller already opened (--trace) wins over $REPRO_TRACE.

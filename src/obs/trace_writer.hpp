@@ -95,6 +95,11 @@ void init_from_env();
 /// non-empty.
 void write_metrics_summary(std::ostream& os);
 
+/// write_metrics_summary to stderr, at most once per process: a tool's
+/// --metrics-summary and $REPRO_METRICS's exit hook both print through it,
+/// so a run with both prints one table.
+void print_metrics_summary();
+
 // ---------------------------------------------------------------------------
 // Trace consumption: parsing, canonicalization (--from-trace, tests, CI).
 

@@ -44,35 +44,14 @@ std::string take_path(std::string_view tok) {
     return std::string(tok);
 }
 
-/// A measurement field: any finite double or NaN (a faulted field), never
-/// ±inf. Whole-token or nothing, same as core::parse_checked_double.
-double parse_meas(std::string_view field, std::string_view tok) {
-    const std::string buf(tok);
-    char* end = nullptr;
-    const double v = std::strtod(buf.c_str(), &end);
-    if (end != buf.c_str() + buf.size() || end == buf.c_str()) {
-        throw protocol_error("bad value for " + std::string(field) + ": \"" + buf +
-                             "\" (expected a number)");
-    }
-    if (std::isinf(v)) {
-        throw protocol_error("bad value for " + std::string(field) + ": \"" + buf +
-                             "\" (must be finite or nan)");
-    }
-    return v;
-}
-
-/// A loss-rate field: as parse_meas, plus the probability invariant — the
-/// value feeds core::probability, whose constructor asserts [0,1].
-double parse_loss(std::string_view field, std::string_view tok) {
-    const double v = parse_meas(field, tok);
-    if (!std::isnan(v) && !(v >= 0.0 && v <= 1.0)) {
-        throw protocol_error("bad value for " + std::string(field) + ": \"" +
-                             std::string(tok) + "\" (loss rate must be in [0,1] or nan)");
-    }
-    return v;
-}
-
 }  // namespace
+
+void check_observed(const observed_field& f, std::string_view text, double v) {
+    if (std::isinf(v)) {
+        throw core::parse_error(std::string(f.name), std::string(text), "must be finite or nan");
+    }
+    if (f.loss_rate) core::check_loss_rate(f.name, text, v);
+}
 
 bool valid_path_name(std::string_view path) noexcept {
     if (path.empty() || path.size() > k_max_path_bytes) return false;
@@ -100,11 +79,12 @@ request parse_request_line(std::string_view line) {
             req.path = take_path(toks[1]);
             req.obs.epoch = core::parse_checked_int("epoch", toks[2], 0,
                                                     std::int64_t{1} << 40);
-            req.obs.avail_bw_bps = parse_meas("availbw", toks[3]);
-            req.obs.phat = parse_loss("phat", toks[4]);
-            req.obs.phat_events = parse_loss("phat_events", toks[5]);
-            req.obs.that_s = parse_meas("that_s", toks[6]);
-            req.obs.r_large_bps = parse_meas("r_large", toks[7]);
+            for (std::size_t i = 0; i < k_observed_fields.size(); ++i) {
+                const observed_field& f = k_observed_fields[i];
+                const std::string_view tok = toks[3 + i];
+                req.obs.*f.member = core::parse_checked_measurement(f.name, tok, false);
+                check_observed(f, tok, req.obs.*f.member);
+            }
             req.obs.fault_flags = static_cast<std::uint32_t>(
                 core::parse_checked_u64("flags", toks[8], 0, 0xffffffffULL));
         } else if (verb == "PREDICT") {
@@ -136,10 +116,9 @@ std::string format_observe(std::string_view path, const observation& obs) {
     out += ' ';
     out += std::to_string(obs.epoch);
     testbed::hexd_buffer hb{};
-    for (const double v : {obs.avail_bw_bps, obs.phat, obs.phat_events, obs.that_s,
-                           obs.r_large_bps}) {
+    for (const observed_field& f : k_observed_fields) {
         out += ' ';
-        out += testbed::hexd(v, hb);
+        out += testbed::hexd(obs.*f.member, hb);
     }
     out += ' ';
     out += std::to_string(obs.fault_flags);

@@ -21,6 +21,7 @@
 // fields are range-checked HERE). It is fuzzed (tests/fuzz/fuzz_serve_request).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -55,6 +56,30 @@ struct observation {
     double r_large_bps{0.0};
     std::uint32_t fault_flags{0};
 };
+
+/// One measured double of an observation: its field name in OBSERVE's
+/// errors and whether it is a probe loss rate.
+struct observed_field {
+    std::string_view name;
+    double observation::*member;
+    bool loss_rate;
+};
+
+/// The observation's doubles in the order an OBSERVE line and a snapshot's
+/// `ev` line carry them.
+inline constexpr std::array<observed_field, 5> k_observed_fields{{
+    {"availbw", &observation::avail_bw_bps, false},
+    {"phat", &observation::phat, true},
+    {"phat_events", &observation::phat_events, true},
+    {"that_s", &observation::that_s, false},
+    {"r_large", &observation::r_large_bps, false},
+}};
+
+/// The rule an observed value meets however it arrives, parsed from
+/// OBSERVE or decoded from a snapshot event: finite or NaN, and a loss rate
+/// also core::check_loss_rate's rule. Throws core::parse_error naming the
+/// field.
+void check_observed(const observed_field& f, std::string_view text, double v);
 
 enum class request_kind { observe, predict, stats, snapshot };
 

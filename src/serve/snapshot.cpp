@@ -30,9 +30,8 @@ std::size_t format_event(const observation& ev, std::array<char, k_max_event_lin
     std::memcpy(p, "ev,", 3);
     p = std::to_chars(p + 3, end, ev.epoch).ptr;
     testbed::hexd_buffer hb{};
-    for (const double v :
-         {ev.avail_bw_bps, ev.phat, ev.phat_events, ev.that_s, ev.r_large_bps}) {
-        const std::string_view text = testbed::hexd(v, hb);
+    for (const observed_field& f : k_observed_fields) {
+        const std::string_view text = testbed::hexd(ev.*f.member, hb);
         *p++ = ',';
         std::memcpy(p, text.data(), text.size());
         p += text.size();
@@ -108,7 +107,11 @@ void write_snapshot(const path_table& table, const std::filesystem::path& file) 
 snapshot_stats load_snapshot(path_table& table, const std::filesystem::path& file) {
     std::ifstream in(file);
     if (!in) bad(file, 0, "cannot open snapshot");
+    return load_snapshot(table, in, file);
+}
 
+snapshot_stats load_snapshot(path_table& table, std::istream& in,
+                             const std::filesystem::path& file) {
     // One line buffer for the whole file; fields are views into it.
     std::string line;
     std::size_t line_no = 0;
@@ -155,16 +158,17 @@ snapshot_stats load_snapshot(path_table& table, const std::filesystem::path& fil
             observation ev;
             try {
                 ev.epoch = core::parse_checked_int("epoch", f[1], 0, std::int64_t{1} << 40);
+                // An event is refused whenever OBSERVE would refuse it.
+                for (std::size_t i = 0; i < k_observed_fields.size(); ++i) {
+                    const observed_field& of = k_observed_fields[i];
+                    ev.*of.member = testbed::parse_hexd(f[2 + i], file, line_no);
+                    check_observed(of, f[2 + i], ev.*of.member);
+                }
             } catch (const core::parse_error& e) {
                 bad(file, line_no, e.what());
             }
             ev.fault_flags = static_cast<std::uint32_t>(
                 testbed::parse_u64_field("flags", f[7], file, line_no, 0xffffffffULL));
-            ev.avail_bw_bps = testbed::parse_hexd(f[2], file, line_no);
-            ev.phat = testbed::parse_hexd(f[3], file, line_no);
-            ev.phat_events = testbed::parse_hexd(f[4], file, line_no);
-            ev.that_s = testbed::parse_hexd(f[5], file, line_no);
-            ev.r_large_bps = testbed::parse_hexd(f[6], file, line_no);
             // Replay through the live apply path: predict-then-observe, so
             // restored state is bitwise what the writer held.
             table.observe(current_path, ev);

@@ -58,8 +58,16 @@ void write_snapshot(const path_table& table, const std::filesystem::path& file);
 
 /// Parse `file` and replay every event into `table` (which must be empty
 /// and configured with the exact spec list the snapshot names). Throws
-/// testbed::dataset_error on a malformed file or a spec-list mismatch.
+/// testbed::dataset_error on a malformed file, a spec-list mismatch or an
+/// event whose values OBSERVE would refuse (check_observed).
 snapshot_stats load_snapshot(path_table& table, const std::filesystem::path& file);
+
+/// Same parse over an already-open stream. `context` only labels
+/// dataset_error messages. The fuzz harness drives this entry point, so it
+/// must stay safe on arbitrary bytes: replay or throw dataset_error, never
+/// crash or apply a value OBSERVE would refuse.
+snapshot_stats load_snapshot(path_table& table, std::istream& in,
+                             const std::filesystem::path& context = "<stream>");
 
 /// The specs fingerprint line body for a spec list (';'-joined).
 [[nodiscard]] std::string join_specs(const std::vector<std::string>& specs);

@@ -65,37 +65,34 @@ epoch_record simulate_campaign_epoch(const campaign_config& cfg,
     sim::epoch_fault_plan faults;
     if (cfg.faults.enabled()) {
         faults = sim::plan_epoch_faults(cfg.faults, cfg.seed, profile.id, trace, epoch);
-        if (faults.any()) c_faulted.add();
     }
     epoch_record rec;
     rec.path_id = profile.id;
     rec.trace_id = trace;
     rec.epoch_index = epoch;
-    const bool observing = obs::metrics_enabled() || obs::trace_enabled();
-    const obs::stopwatch epoch_watch;  // read only when observing
+    const obs::stopwatch epoch_watch;  // read only when tracing
     rec.m = run_epoch(profile, load, epoch_seed, cfg.epoch, faults);
     c_epochs.add();
-    if (observing) {
+    // A plan only draws the faults; the record's flags say which happened.
+    if (rec.m.fault_flags != fault_none) c_faulted.add();
+    if (obs::trace_enabled()) {
         const double dur_s = epoch_watch.elapsed_s();
-        obs::record_duration("campaign.epoch", dur_s);
-        if (obs::trace_enabled()) {
-            char seed_hex[20];
-            std::snprintf(seed_hex, sizeof(seed_hex), "0x%016llx",
-                          static_cast<unsigned long long>(epoch_seed));
-            obs::trace_emit(
-                obs::json_line{}
-                    .str("ev", "epoch")
-                    .num("path", static_cast<std::int64_t>(profile.id))
-                    .num("trace", static_cast<std::int64_t>(trace))
-                    .num("epoch", static_cast<std::int64_t>(epoch))
-                    .str("seed", seed_hex)
-                    .num("fault_flags", static_cast<std::uint64_t>(rec.m.fault_flags))
-                    .num("sim_events", rec.m.events)
-                    .num("dur_s", dur_s)
-                    .num("thread", static_cast<std::uint64_t>(std::hash<std::thread::id>{}(
-                                       std::this_thread::get_id())))
-                    .done());
-        }
+        char seed_hex[20];
+        std::snprintf(seed_hex, sizeof(seed_hex), "0x%016llx",
+                      static_cast<unsigned long long>(epoch_seed));
+        obs::trace_emit(
+            obs::json_line{}
+                .str("ev", "epoch")
+                .num("path", static_cast<std::int64_t>(profile.id))
+                .num("trace", static_cast<std::int64_t>(trace))
+                .num("epoch", static_cast<std::int64_t>(epoch))
+                .str("seed", seed_hex)
+                .num("fault_flags", static_cast<std::uint64_t>(rec.m.fault_flags))
+                .num("sim_events", rec.m.events)
+                .num("dur_s", dur_s)
+                .num("thread", static_cast<std::uint64_t>(std::hash<std::thread::id>{}(
+                                   std::this_thread::get_id())))
+                .done());
     }
     return rec;
 }

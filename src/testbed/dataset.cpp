@@ -1,12 +1,12 @@
 #include "testbed/dataset.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/checked_parse.hpp"
 #include "core/units.hpp"
 #include "obs/counters.hpp"
 #include "testbed/checkpoint.hpp"
@@ -46,30 +46,36 @@ std::vector<std::string> split_fields(std::string_view line, char sep) {
 namespace {
 
 constexpr int k_max_prefixes = 3;
+/// The CSV's prefix-goodput columns, after the measured doubles.
+constexpr std::array<std::string_view, 2 * k_max_prefixes> k_prefix_columns{
+    "prefix0_s", "prefix0_bps", "prefix1_s", "prefix1_bps", "prefix2_s", "prefix2_bps"};
+/// Leading columns of a record line: path, trace, epoch and the measured
+/// doubles the CSV carries; prefix pairs and the fault column may follow.
+constexpr std::size_t k_record_columns =
+    3 + static_cast<std::size_t>(std::ranges::count_if(
+            k_measured_fields, [](const measured_field& mf) { return !mf.csv_column.empty(); }));
+static_assert(k_record_columns == 14, "the v1 CSV's record columns are fixed");
 
-path_class class_from_string(const std::string& s) {
+path_class class_from_string(std::string_view s) {
     if (s == "dsl") return path_class::dsl;
     if (s == "eu") return path_class::transatlantic;
     if (s == "kr") return path_class::transpacific;
     return path_class::us_university;
 }
 
-/// One CSV line plus enough context to produce a precise dataset_error.
-/// Field indices are 0-based internally; reported columns are 1-based.
+/// One CSV line's fields, views into the line, plus enough context to
+/// produce a precise dataset_error. Field indices are 0-based internally;
+/// reported columns are 1-based. Every number goes through
+/// core/checked_parse with `knob` naming the column.
 class row_parser {
 public:
     row_parser(const std::filesystem::path& file, std::size_t line_no,
-               std::vector<std::string> fields, std::size_t column_offset = 0)
-        : file_(file), line_(line_no), fields_(std::move(fields)),
-          offset_(column_offset) {}
+               const std::vector<std::string_view>& fields, std::size_t column_offset = 0)
+        : file_(file), line_(line_no), fields_(fields), offset_(column_offset) {}
 
     [[nodiscard]] std::size_t size() const noexcept { return fields_.size(); }
 
-    [[nodiscard]] dataset_error error(std::size_t i, const std::string& reason) const {
-        return {file_, line_, offset_ + i + 1, reason};
-    }
-
-    [[nodiscard]] const std::string& raw(std::size_t i) const {
+    [[nodiscard]] std::string_view raw(std::size_t i) const {
         if (i >= fields_.size()) {
             throw dataset_error(file_, line_, offset_ + i + 1,
                                 "missing field (line has only " +
@@ -78,60 +84,58 @@ public:
         return fields_[i];
     }
 
-    /// Any finite or NaN double; rejects empty/garbage/trailing junk.
-    [[nodiscard]] double num(std::size_t i) const {
-        const std::string& s = raw(i);
-        std::size_t consumed = 0;
-        double v = 0.0;
+    /// A measured double (core::parse_checked_measurement): NaN passes as a
+    /// failed measurement; a loss rate must also be in [0, 1].
+    [[nodiscard]] double num(std::size_t i, std::string_view knob,
+                             bool loss_rate = false) const {
+        const std::string_view s = raw(i);
         try {
-            v = std::stod(s, &consumed);
-        } catch (const std::exception&) {
-            throw error(i, "expected a number, got \"" + s + "\"");
+            return core::parse_checked_measurement(knob, s, loss_rate);
+        } catch (const core::parse_error& e) {
+            throw dataset_error(file_, line_, offset_ + i + 1, e.what());
         }
-        if (consumed != s.size()) {
-            throw error(i, "trailing junk in numeric field \"" + s + "\"");
-        }
-        return v;
     }
 
-    /// A loss-rate column: NaN means "measurement missing" and passes
-    /// through; anything else must be in [0, 1].
-    [[nodiscard]] double prob(std::size_t i) const {
-        const double v = num(i);
-        if (std::isnan(v)) return v;
-        if (!(v >= 0.0 && v <= 1.0)) {
-            throw error(i, "probability out of [0,1]: " + raw(i));
-        }
-        return v;
-    }
-
-    [[nodiscard]] int integer(std::size_t i) const {
-        const std::string& s = raw(i);
-        std::size_t consumed = 0;
-        int v = 0;
+    [[nodiscard]] int integer(std::size_t i, std::string_view knob,
+                              std::int64_t min = INT32_MIN) const {
+        const std::string_view s = raw(i);
         try {
-            v = std::stoi(s, &consumed);
-        } catch (const std::exception&) {
-            throw error(i, "expected an integer, got \"" + s + "\"");
+            return static_cast<int>(core::parse_checked_int(knob, s, min, INT32_MAX));
+        } catch (const core::parse_error& e) {
+            throw dataset_error(file_, line_, offset_ + i + 1, e.what());
         }
-        if (consumed != s.size()) {
-            throw error(i, "trailing junk in integer field \"" + s + "\"");
-        }
-        return v;
-    }
-
-    [[nodiscard]] std::uint32_t flags(std::size_t i) const {
-        const int v = integer(i);
-        if (v < 0) throw error(i, "fault_flags must be non-negative");
-        return static_cast<std::uint32_t>(v);
     }
 
 private:
     const std::filesystem::path& file_;
     std::size_t line_;
-    std::vector<std::string> fields_;
+    const std::vector<std::string_view>& fields_;
     std::size_t offset_;
 };
+
+/// The record of one CSV record line, already split into `f`.
+epoch_record parse_csv_record(const row_parser& f, bool has_fault_column) {
+    epoch_record r;
+    r.path_id = f.integer(0, "path");
+    r.trace_id = f.integer(1, "trace");
+    r.epoch_index = f.integer(2, "epoch");
+    std::size_t i = 3;
+    for (const measured_field& mf : k_measured_fields) {
+        if (!mf.csv_column.empty()) r.m.*mf.member = f.num(i++, mf.csv_column, mf.loss_rate);
+    }
+    for (std::size_t p = 0; p < k_prefix_columns.size(); p += 2) {
+        if (i + p + 1 < f.size()) {
+            const double prefix_s = f.num(i + p, k_prefix_columns[p]);
+            const double bps = f.num(i + p + 1, k_prefix_columns[p + 1]);
+            if (prefix_s > 0.0) r.m.prefix_goodputs.emplace_back(prefix_s, bps);
+        }
+    }
+    if (has_fault_column) {
+        r.m.fault_flags =
+            static_cast<std::uint32_t>(f.integer(i + k_prefix_columns.size(), "fault_flags", 0));
+    }
+    return r;
+}
 
 }  // namespace
 
@@ -174,9 +178,11 @@ void write_csv_catalog(std::ostream& out, const std::vector<path_profile>& paths
 }
 
 void write_csv_header(std::ostream& out, bool any_faults) {
-    out << "path,trace,epoch,availbw_bps,phat,phat_events,that_s,ptilde,ttilde_s,"
-           "r_large_bps,r_small_bps,tcp_loss,tcp_event_rate,tcp_rtt_s";
-    for (int i = 0; i < k_max_prefixes; ++i) out << ",prefix" << i << "_s,prefix" << i << "_bps";
+    out << "path,trace,epoch";
+    for (const measured_field& mf : k_measured_fields) {
+        if (!mf.csv_column.empty()) out << ',' << mf.csv_column;
+    }
+    for (const std::string_view c : k_prefix_columns) out << ',' << c;
     if (any_faults) out << ",fault_flags";
     out << '\n';
 }
@@ -184,15 +190,11 @@ void write_csv_header(std::ostream& out, bool any_faults) {
 void write_csv_record(std::ostream& out, const epoch_record& r, bool any_faults) {
     out.precision(10);  // tcppred-lint: allow(ser-hexfloat): legacy v1 format
     const auto& m = r.m;
-    out << r.path_id << ',' << r.trace_id << ',' << r.epoch_index << ','
+    out << r.path_id << ',' << r.trace_id << ',' << r.epoch_index;
+    for (const measured_field& mf : k_measured_fields) {
         // tcppred-lint: allow(ser-hexfloat): legacy v1 format
-        << m.avail_bw_bps << ',' << m.phat << ',' << m.phat_events << ','
-        // tcppred-lint: allow(ser-hexfloat): legacy v1 format
-        << m.that_s << ',' << m.ptilde << ',' << m.ttilde_s << ','
-        // tcppred-lint: allow(ser-hexfloat): legacy v1 format
-        << m.r_large_bps << ',' << m.r_small_bps << ','
-        // tcppred-lint: allow(ser-hexfloat): legacy v1 format
-        << m.tcp_loss_rate << ',' << m.tcp_event_rate << ',' << m.tcp_mean_rtt_s;
+        if (!mf.csv_column.empty()) out << ',' << m.*mf.member;
+    }
     for (int i = 0; i < k_max_prefixes; ++i) {
         if (static_cast<std::size_t>(i) < m.prefix_goodputs.size()) {
             out << ',' << m.prefix_goodputs[static_cast<std::size_t>(i)].first << ','
@@ -216,47 +218,48 @@ std::vector<std::string> csv_catalog_lines(const std::vector<path_profile>& path
     return out;
 }
 
-namespace {
-
-/// One double through the v1 CSV's formatter and back through its parser.
-double csv_num_round_trip(double v) {
-    std::ostringstream os;
-    os.precision(10);  // tcppred-lint: allow(ser-hexfloat): legacy v1 format
-    os << v;           // tcppred-lint: allow(ser-hexfloat): legacy v1 format
-    return std::stod(os.str());
+path_profile parse_csv_catalog_line(std::string_view line, const std::filesystem::path& file,
+                                    std::size_t line_no) {
+    if (!line.starts_with("#path,")) throw dataset_error(file, line_no, 0, "not a catalogue line");
+    // "#path," is stripped before splitting; report columns relative to the
+    // full line so they point at the real file offsets.
+    std::vector<std::string_view> fields;
+    split_fields(line.substr(6), ',', fields);
+    const row_parser f(file, line_no, fields, 1);
+    if (f.size() < 8) {
+        throw dataset_error(file, line_no, 0,
+                            "catalogue line needs 8 fields, has " + std::to_string(f.size()));
+    }
+    path_profile p;
+    p.id = f.integer(0, "id");
+    p.name = f.raw(1);
+    p.klass = class_from_string(f.raw(2));
+    const double cap = f.num(3, "capacity_bps");
+    const double rtt = f.num(4, "rtt_s");
+    const int buffer = f.integer(5, "buffer_packets");
+    if (!(cap > 0.0) || !(rtt > 0.0) || buffer <= 0) {
+        throw dataset_error(file, line_no, 0,
+                            "catalogue line has non-positive capacity/RTT/buffer");
+    }
+    // The full hop structure is only needed to *run* epochs.
+    p.forward = {net::hop_config{core::bits_per_second{cap}, core::seconds{rtt / 2.0},
+                                 static_cast<std::size_t>(buffer)}};
+    p.reverse = {net::hop_config{core::bits_per_second{100e6}, core::seconds{rtt / 2.0}, 512}};
+    p.bottleneck = 0;
+    p.base_utilization = f.num(6, "utilization");
+    p.elastic_flows = f.integer(7, "elastic_flows");
+    return p;
 }
 
-}  // namespace
-
 epoch_record csv_normalized_record(const epoch_record& r) {
-    epoch_record out;
-    out.path_id = r.path_id;
-    out.trace_id = r.trace_id;
-    out.epoch_index = r.epoch_index;
-    out.m.avail_bw_bps = csv_num_round_trip(r.m.avail_bw_bps);
-    out.m.phat = csv_num_round_trip(r.m.phat);
-    out.m.phat_events = csv_num_round_trip(r.m.phat_events);
-    out.m.that_s = csv_num_round_trip(r.m.that_s);
-    out.m.ptilde = csv_num_round_trip(r.m.ptilde);
-    out.m.ttilde_s = csv_num_round_trip(r.m.ttilde_s);
-    out.m.r_large_bps = csv_num_round_trip(r.m.r_large_bps);
-    out.m.r_small_bps = csv_num_round_trip(r.m.r_small_bps);
-    out.m.tcp_loss_rate = csv_num_round_trip(r.m.tcp_loss_rate);
-    out.m.tcp_event_rate = csv_num_round_trip(r.m.tcp_event_rate);
-    out.m.tcp_mean_rtt_s = csv_num_round_trip(r.m.tcp_mean_rtt_s);
-    // The CSV carries at most k_max_prefixes pairs and the loader keeps only
-    // pairs with a positive duration (the "0,0" padding parses to 0 and is
-    // dropped); sim_time_s and events are not serialized at all.
-    for (int i = 0; i < k_max_prefixes; ++i) {
-        if (static_cast<std::size_t>(i) >= r.m.prefix_goodputs.size()) continue;
-        const auto& [s, bps] = r.m.prefix_goodputs[static_cast<std::size_t>(i)];
-        const double s_rt = csv_num_round_trip(s);
-        if (s_rt > 0.0) out.m.prefix_goodputs.emplace_back(s_rt, csv_num_round_trip(bps));
-    }
-    out.m.sim_time_s = 0.0;
-    out.m.events = 0;
-    out.m.fault_flags = r.m.fault_flags;
-    return out;
+    static const std::filesystem::path k_context = "<csv_normalized_record>";
+    std::ostringstream os;
+    write_csv_record(os, r, true);
+    std::string line = std::move(os).str();
+    line.pop_back();  // the '\n'
+    std::vector<std::string_view> fields;
+    split_fields(line, ',', fields);
+    return parse_csv_record(row_parser(k_context, 1, fields), true);
 }
 
 void save_csv(const dataset& data, const std::filesystem::path& file) {
@@ -281,91 +284,32 @@ namespace {
 dataset load_csv_impl(std::istream& in, const std::filesystem::path& file) {
     dataset data;
     std::string line;
+    std::vector<std::string_view> fields;  // views into `line`
     std::size_t line_no = 0;
     bool header_seen = false;
     bool has_fault_column = false;
     while (std::getline(in, line)) {
         ++line_no;
         if (line.empty()) continue;
-        if (line.rfind("#path,", 0) == 0) {
-            // "#path," is stripped before splitting; report columns relative
-            // to the full line so they point at the real file offsets.
-            const row_parser f(file, line_no, split_fields(line.substr(6), ','), 1);
-            if (f.size() < 8) {
-                throw dataset_error(file, line_no, 0,
-                                    "catalogue line needs 8 fields, has " +
-                                        std::to_string(f.size()));
-            }
-            path_profile p;
-            p.id = f.integer(0);
-            p.name = f.raw(1);
-            p.klass = class_from_string(f.raw(2));
-            // Loaded profiles are analysis summaries: a single-hop topology
-            // carrying the bottleneck capacity / RTT / buffer of the
-            // original (full hop structure is only needed to *run* epochs).
-            const double cap = f.num(3);
-            const double rtt = f.num(4);
-            const int buffer = f.integer(5);
-            if (!(cap > 0.0) || !(rtt > 0.0) || buffer <= 0) {
-                throw dataset_error(file, line_no, 0,
-                                    "catalogue line has non-positive "
-                                    "capacity/RTT/buffer");
-            }
-            p.forward = {net::hop_config{core::bits_per_second{cap},
-                                         core::seconds{rtt / 2.0},
-                                         static_cast<std::size_t>(buffer)}};
-            p.reverse = {net::hop_config{core::bits_per_second{100e6},
-                                         core::seconds{rtt / 2.0}, 512}};
-            p.bottleneck = 0;
-            p.base_utilization = f.num(6);
-            p.elastic_flows = f.integer(7);
-            data.paths.push_back(std::move(p));
+        if (line.starts_with("#path,")) {
+            data.paths.push_back(parse_csv_catalog_line(line, file, line_no));
             continue;
         }
+        split_fields(line, ',', fields);
         if (!header_seen) {  // column header
             header_seen = true;
-            const auto cols = split_fields(line, ',');
             has_fault_column =
-                std::find(cols.begin(), cols.end(), "fault_flags") != cols.end();
+                std::find(fields.begin(), fields.end(), "fault_flags") != fields.end();
             continue;
         }
-        const row_parser f(file, line_no, split_fields(line, ','));
-        if (f.size() < 14) {
+        if (fields.size() < k_record_columns) {
             throw dataset_error(file, line_no, 0,
-                                "record line needs at least 14 fields, has " +
-                                    std::to_string(f.size()));
+                                "record line needs at least " +
+                                    std::to_string(k_record_columns) + " fields, has " +
+                                    std::to_string(fields.size()));
         }
-        epoch_record r;
-        r.path_id = f.integer(0);
-        r.trace_id = f.integer(1);
-        r.epoch_index = f.integer(2);
-        r.m.avail_bw_bps = f.num(3);
-        // Loss-rate columns come from an untrusted file: validate the [0,1]
-        // domain on the way in. NaN is a legal value there — the measurement
-        // failed — so validation happens in prob(), not probability::checked
-        // (whose contract rejects NaN).
-        r.m.phat = f.prob(4);
-        r.m.phat_events = f.prob(5);
-        r.m.that_s = f.num(6);
-        r.m.ptilde = f.prob(7);
-        r.m.ttilde_s = f.num(8);
-        r.m.r_large_bps = f.num(9);
-        r.m.r_small_bps = f.num(10);
-        r.m.tcp_loss_rate = f.num(11);
-        r.m.tcp_event_rate = f.num(12);
-        r.m.tcp_mean_rtt_s = f.num(13);
-        for (int i = 0; i < k_max_prefixes; ++i) {
-            const std::size_t base = 14 + static_cast<std::size_t>(2 * i);
-            if (base + 1 < f.size()) {
-                const double prefix_s = f.num(base);
-                const double bps = f.num(base + 1);
-                if (prefix_s > 0.0) r.m.prefix_goodputs.emplace_back(prefix_s, bps);
-            }
-        }
-        if (has_fault_column) {
-            r.m.fault_flags = f.flags(14 + 2 * k_max_prefixes);
-        }
-        data.records.push_back(std::move(r));
+        data.records.push_back(
+            parse_csv_record(row_parser(file, line_no, fields), has_fault_column));
     }
     return data;
 }

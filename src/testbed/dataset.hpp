@@ -3,6 +3,7 @@
 // (exactly as the paper separates trace collection from analysis).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -43,6 +44,35 @@ struct epoch_record {
     epoch_measurement m;
 };
 
+/// One measured double of an epoch record as the record formats carry it.
+struct measured_field {
+    /// Its CSV column; empty for the one double the CSV leaves out.
+    std::string_view csv_column;
+    double epoch_measurement::*member;
+    /// A probe loss rate (p̂, p̂_events, p̃): every reader refuses a value
+    /// core::check_loss_rate refuses.
+    bool loss_rate;
+};
+
+/// The record's measured doubles, described once, in the CSV's column
+/// order (columns 4–14) and then sim_time_s, which only the record store
+/// carries. The CSV header, writer and reader and the store's `rec`
+/// encoder and decoder all loop over it.
+inline constexpr std::array<measured_field, 12> k_measured_fields{{
+    {"availbw_bps", &epoch_measurement::avail_bw_bps, false},
+    {"phat", &epoch_measurement::phat, true},
+    {"phat_events", &epoch_measurement::phat_events, true},
+    {"that_s", &epoch_measurement::that_s, false},
+    {"ptilde", &epoch_measurement::ptilde, true},
+    {"ttilde_s", &epoch_measurement::ttilde_s, false},
+    {"r_large_bps", &epoch_measurement::r_large_bps, false},
+    {"r_small_bps", &epoch_measurement::r_small_bps, false},
+    {"tcp_loss", &epoch_measurement::tcp_loss_rate, false},
+    {"tcp_event_rate", &epoch_measurement::tcp_event_rate, false},
+    {"tcp_rtt_s", &epoch_measurement::tcp_mean_rtt_s, false},
+    {"", &epoch_measurement::sim_time_s, false},
+}};
+
 /// A full campaign's records plus the catalogue that produced them.
 struct dataset {
     std::vector<path_profile> paths;
@@ -79,14 +109,23 @@ void write_csv_record(std::ostream& out, const epoch_record& r, bool any_faults)
 [[nodiscard]] std::vector<std::string> csv_catalog_lines(
     const std::vector<path_profile>& paths);
 
-/// Project a record through the v1 CSV number format: every measurement
-/// double is rendered exactly as save_csv would render it and parsed back
-/// exactly as load_csv would parse it, fields the CSV does not carry
-/// (sim_time_s, events) are zeroed, and prefix goodputs get the CSV's
-/// pad-to-3/drop-non-positive treatment. Evaluating csv_normalized_record(r)
-/// is bitwise equivalent to evaluating r after a save_csv/load_csv round
-/// trip — the bridge that lets streamed, store-backed analysis reproduce the
-/// pinned CSV-derived goldens without materializing a CSV.
+/// Parse one catalogue line as write_csv_catalog writes it ("#path,..."),
+/// the form load_csv reads and the record store carries verbatim. Loaded
+/// profiles are analysis summaries: a single-hop topology with the
+/// original's bottleneck capacity, RTT and buffer. A malformed line throws
+/// dataset_error naming `file`, `line_no` and the column.
+[[nodiscard]] path_profile parse_csv_catalog_line(std::string_view line,
+                                                  const std::filesystem::path& file,
+                                                  std::size_t line_no);
+
+/// The record the CSV carries for `r`: its write_csv_record line (fault
+/// column on) parsed back by load_csv's own row parse. So sim_time_s and
+/// events are zeroed, every double is what the CSV's decimal format keeps,
+/// and prefix goodputs get the CSV's pad-to-3/drop-non-positive treatment,
+/// by construction. Evaluating csv_normalized_record(r) is bitwise
+/// equivalent to evaluating r after a save_csv/load_csv round trip — the
+/// bridge that lets streamed, store-backed analysis reproduce the pinned
+/// CSV-derived goldens without materializing a CSV.
 [[nodiscard]] epoch_record csv_normalized_record(const epoch_record& r);
 
 /// Split one line of a comma- or bar-separated format at `sep` into
@@ -103,9 +142,12 @@ void split_fields(std::string&& line, char sep, std::vector<std::string_view>& o
 
 /// Read records back. The path catalogue is re-derived from the stored
 /// catalogue parameters line; the optional `fault_flags` column is detected
-/// from the header. NaN fields are legal in measurement columns (a failed
-/// measurement); everything else malformed throws dataset_error with the
-/// offending file/line/column.
+/// from the header. Every number goes through core/checked_parse: integers
+/// through parse_checked_int, doubles through parse_checked_measurement with
+/// the column name as its knob, so NaN is legal in a measurement column (a
+/// failed measurement) and a loss-rate column outside [0, 1] is refused;
+/// everything else malformed throws dataset_error with the offending
+/// file/line/column.
 [[nodiscard]] dataset load_csv(const std::filesystem::path& file);
 
 /// Same parse over an already-open stream. `context` only labels

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/checked_parse.hpp"
 #include "core/contracts.hpp"
 #include "obs/counters.hpp"
 #include "obs/stopwatch.hpp"
@@ -16,8 +17,10 @@ namespace tcppred::testbed {
 namespace {
 
 constexpr char k_magic[] = "tcppred-store,v2";
-constexpr std::size_t k_fixed_doubles = 12;  // measurement doubles per record
-constexpr std::size_t k_fixed_fields = 19;   // "rec", 3 coordinates, 12 doubles, 3 integers
+/// Field of a `rec` line after "rec", the 3 coordinates and the measured
+/// doubles: events, then fault_flags and the prefix count.
+constexpr std::size_t k_events_field = 4 + k_measured_fields.size();
+constexpr std::size_t k_fixed_fields = k_events_field + 3;
 /// Per-record prefix-pair ceiling a reader accepts. The campaigns use at
 /// most 3; this only bounds hostile inputs (and keeps 19 + 2n from wrapping).
 constexpr std::uint64_t k_max_prefixes = 64;
@@ -34,18 +37,20 @@ void decode_record(const std::vector<std::string_view>& f, epoch_record& r,
     r.trace_id = parse_i32_field("trace", f[2], file, line_no);
     r.epoch_index = parse_i32_field("epoch", f[3], file, line_no);
     epoch_measurement& m = r.m;
-    double* const ds[k_fixed_doubles] = {
-        &m.avail_bw_bps,   &m.phat,           &m.phat_events, &m.that_s,
-        &m.ptilde,         &m.ttilde_s,       &m.r_large_bps, &m.r_small_bps,
-        &m.tcp_loss_rate,  &m.tcp_event_rate, &m.tcp_mean_rtt_s, &m.sim_time_s};
-    for (std::size_t i = 0; i < k_fixed_doubles; ++i) {
-        *ds[i] = parse_hexd(f[4 + i], file, line_no);
+    try {
+        for (std::size_t i = 0; i < k_measured_fields.size(); ++i) {
+            const measured_field& mf = k_measured_fields[i];
+            m.*mf.member = parse_hexd(f[4 + i], file, line_no);
+            if (mf.loss_rate) core::check_loss_rate(mf.csv_column, f[4 + i], m.*mf.member);
+        }
+    } catch (const core::parse_error& e) {
+        throw dataset_error(file, line_no, 0, e.what());
     }
-    m.events = parse_u64_field("events", f[16], file, line_no);
+    m.events = parse_u64_field("events", f[k_events_field], file, line_no);
     m.fault_flags = static_cast<std::uint32_t>(
-        parse_u64_field("fault_flags", f[17], file, line_no, UINT32_MAX));
-    const auto n_prefix = static_cast<std::size_t>(
-        parse_u64_field("prefix count", f[18], file, line_no, k_max_prefixes));
+        parse_u64_field("fault_flags", f[k_events_field + 1], file, line_no, UINT32_MAX));
+    const auto n_prefix = static_cast<std::size_t>(parse_u64_field(
+        "prefix count", f[k_events_field + 2], file, line_no, k_max_prefixes));
     if (f.size() != k_fixed_fields + 2 * n_prefix) {
         throw dataset_error(file, line_no, k_fixed_fields,
                             "prefix count disagrees with field count");
@@ -121,11 +126,7 @@ void record_writer::append(const epoch_record& rec) {
     buf_ += "rec";
     for (const int v : {rec.path_id, rec.trace_id, rec.epoch_index}) field(std::to_string(v));
     // Every double goes through hexd: the store round-trips bit-exactly.
-    for (const double v : {m.avail_bw_bps, m.phat, m.phat_events, m.that_s, m.ptilde,
-                           m.ttilde_s, m.r_large_bps, m.r_small_bps, m.tcp_loss_rate,
-                           m.tcp_event_rate, m.tcp_mean_rtt_s, m.sim_time_s}) {
-        field(hexd(v, hb));
-    }
+    for (const measured_field& mf : k_measured_fields) field(hexd(m.*mf.member, hb));
     field(std::to_string(m.events));
     field(std::to_string(m.fault_flags));
     field(std::to_string(m.prefix_goodputs.size()));
@@ -691,15 +692,17 @@ void save_checkpoint(const campaign_checkpoint& ck, const std::filesystem::path&
 namespace {
 
 /// The cached store of `cfg` at `file`, as load_csv would read its CSV
-/// export: the catalogue through load_csv's own parser, every record
+/// export: the catalogue through load_csv's own line parser, every record
 /// through csv_normalized_record. Throws dataset_error when the store is
 /// missing, corrupt or of another fingerprint.
 dataset read_cache(const campaign_config& cfg, const std::filesystem::path& file) {
     record_reader reader(file, campaign_fingerprint(cfg));
-    std::string catalogue;
-    for (const std::string& line : reader.catalog_lines()) catalogue += line + '\n';
-    std::istringstream catalogue_in(catalogue);
-    dataset data = load_csv(catalogue_in, file);
+    dataset data;
+    const std::vector<std::string>& catalogue = reader.catalog_lines();
+    for (std::size_t i = 0; i < catalogue.size(); ++i) {
+        // The catalogue starts on the store's fourth line.
+        data.paths.push_back(parse_csv_catalog_line(catalogue[i], file, 4 + i));
+    }
     data.records.reserve(reader.total());
     epoch_record rec;
     while (reader.next(rec)) data.records.push_back(csv_normalized_record(rec));

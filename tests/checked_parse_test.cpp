@@ -4,11 +4,12 @@
 // the "atoi returns 0" failure mode this layer replaces must stay dead.
 //
 // The token tables below pin the std::from_chars fast paths inside
-// parse_checked_int, parse_checked_u64 and testbed::parse_hexd to the
-// strtoll / strtoull / strtod parsers they replaced, kept verbatim in
-// namespace strto_reference: the same accept/reject decision, the same
-// bits (NaN sign included) and the same message, token by token, and again
-// through a record store carrying the token. The field splitter's rule
+// parse_checked_int, parse_checked_u64, parse_checked_measurement and
+// testbed::parse_hexd to the strtoll / strtoull / strtod parsers they
+// replaced, kept verbatim in namespace strto_reference: the same
+// accept/reject decision, the same bits (NaN sign included) and the same
+// message, token by token, and again through a record store carrying the
+// token. The field splitter's rule
 // cases sit beside them, and so does the differential test of the other
 // direction: testbed::hexd against glibc's printf("%a").
 #include "core/checked_parse.hpp"
@@ -185,6 +186,24 @@ double parse_hexd(const std::string& s, const std::filesystem::path& file,
         throw tcppred::testbed::dataset_error(file, line_no, 0,
                                               "bad hexfloat field \"" + s + "\"");
     }
+    return v;
+}
+
+/// The measured-value parser by its definition: strtod over the whole
+/// token, and a result strtod flags ERANGE refused, as an underflow when it
+/// is finite.
+double measurement(std::string_view knob, std::string_view text) {
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text.front()))) {
+        reject(knob, text, "expected a number");
+    }
+    const std::string buf(text);
+    errno = 0;
+    char* end = nullptr;
+    const double v = std::strtod(buf.c_str(), &end);
+    if (end != buf.c_str() + buf.size() || end == buf.c_str()) {
+        reject(knob, text, "expected a number");
+    }
+    if (errno == ERANGE) reject(knob, text, std::isinf(v) ? "value overflows" : "value underflows");
     return v;
 }
 
@@ -388,9 +407,10 @@ outcome as_store_error(outcome o) {
 }
 
 // Fields of a `rec` line: "rec", path, trace, epoch, then the 12 doubles
-// (phat second), events, fault_flags and the prefix count.
+// (avail_bw_bps first, a field with no domain rule), events, fault_flags and
+// the prefix count.
 constexpr std::size_t k_epoch_field = 3;
-constexpr std::size_t k_phat_field = 5;
+constexpr std::size_t k_availbw_field = 4;
 constexpr std::size_t k_events_field = 16;
 
 }  // namespace
@@ -399,18 +419,17 @@ TEST(checked_parse_equivalence, store_accepts_exactly_what_strto_accepts) {
     using tcppred::testbed::epoch_record;
     const std::filesystem::path file = "tokens.store";
     // The unedited store decodes, so each rejection below is the token's.
-    ASSERT_TRUE(
-        decode_first(store_with_token(k_phat_field, "0x1p-2"), [](const epoch_record& r) {
-            return r.m.phat;
-        }).ok);
+    ASSERT_TRUE(decode_first(store_with_token(k_availbw_field, "0x1p-2"),
+                             [](const epoch_record& r) { return r.m.avail_bw_bps; })
+                    .ok);
 
     for (const std::string& t : k_double_tokens) {
-        expect_same(decode_first(store_with_token(k_phat_field, t),
-                                 [](const epoch_record& r) { return r.m.phat; }),
+        expect_same(decode_first(store_with_token(k_availbw_field, t),
+                                 [](const epoch_record& r) { return r.m.avail_bw_bps; }),
                     run_parse<dataset_error>([&] {
                         return strto_reference::parse_hexd(t, file, k_first_record_line);
                     }),
-                    t, "record_reader phat");
+                    t, "record_reader avail_bw_bps");
     }
     for (const std::string& t : k_int_tokens) {
         // A separator inside a token changes the line's shape, not a field.
@@ -430,6 +449,57 @@ TEST(checked_parse_equivalence, store_accepts_exactly_what_strto_accepts) {
                     })),
                     t, "record_reader epoch");
     }
+}
+
+TEST(checked_parse_equivalence, measured_tokens_match_strtod_without_erange) {
+    // The from_chars fast path of parse_checked_measurement takes no token
+    // strtod refuses or flags ERANGE, the subnormals included, and decodes
+    // the same bits: the CSV's decimal forms and the hexfloat table alike.
+    std::vector<std::string> tokens = k_double_tokens;
+    for (const char* t :
+         {"0", "-0", "0.5", "-1.234567891e-05", "1234567.891", "1e308", "1.8e308", "1e-400",
+          "1.7976931348623157e308", "2.2250738585072014e-308", "2.2250738585072011e-308",
+          "4.9406564584124654e-324", "1e-310", "-1e-310", "1e", "1.5.2", " 1", "1 "}) {
+        tokens.emplace_back(t);
+    }
+    for (const std::string& t : tokens) {
+        expect_same(
+            run_parse<parse_error>([&] { return parse_checked_measurement("x", t, false); }),
+            run_parse<parse_error>([&] { return strto_reference::measurement("x", t); }), t,
+            "parse_checked_measurement");
+    }
+}
+
+TEST(parse_checked_measurement, a_loss_rate_is_in_the_unit_interval_or_nan) {
+    for (const char* t : {"0", "-0", "1", "0.25", "0x1p-2", "nan", "-nan"}) {
+        EXPECT_NO_THROW((void)parse_checked_measurement("phat", t, true)) << t;
+    }
+    for (const std::string t : {"2", "0x1p+1", "-0.1", "1.0000001", "inf", "-inf"}) {
+        EXPECT_NO_THROW((void)parse_checked_measurement("availbw_bps", t, false)) << t;
+        EXPECT_EQ(run_parse<parse_error>([&] { return parse_checked_measurement("phat", t, true); })
+                      .what,
+                  "bad value for phat: \"" + t + "\" (loss rate must be in [0,1] or nan)");
+    }
+}
+
+TEST(checked_parse_equivalence, store_refuses_a_loss_rate_outside_the_unit_interval) {
+    // p̂, p̂_events and p̃ are loss rates: the reader refuses 2.0 in each,
+    // naming the store, the line and the field, and takes NaN and 1. A field
+    // with no domain rule takes 2.0.
+    using tcppred::testbed::epoch_record;
+    const auto none = [](const epoch_record&) { return 0; };
+    const std::pair<std::size_t, std::string> loss_fields[] = {
+        {5, "phat"}, {6, "phat_events"}, {8, "ptilde"}};
+    for (const auto& [field, name] : loss_fields) {
+        EXPECT_EQ(decode_first(store_with_token(field, "0x1p+1"), none).what,
+                  as_store_error({false, 0,
+                                  "bad value for " + name +
+                                      ": \"0x1p+1\" (loss rate must be in [0,1] or nan)"})
+                      .what);
+        EXPECT_TRUE(decode_first(store_with_token(field, "nan"), none).ok) << name;
+        EXPECT_TRUE(decode_first(store_with_token(field, "0x1p+0"), none).ok) << name;
+    }
+    EXPECT_TRUE(decode_first(store_with_token(k_availbw_field, "0x1p+1"), none).ok);
 }
 
 TEST(split_fields, drops_one_trailing_empty_field) {

@@ -124,6 +124,14 @@ else
     echo "FAIL: epochs scored with 10-MA ($SCORED_HB) and fb:pftk,10-MA ($SCORED_FB_HB) differ"
     FAILURES=$((FAILURES + 1))
 fi
+# An alias is the same predictor: fb is fb:pftk, evaluated once too.
+SCORED_ALIAS=$(scored_epochs fb,10-MA)
+if [ -n "$SCORED_ALIAS" ] && [ "$SCORED_ALIAS" = "$SCORED_FB_HB" ]; then
+    echo "ok: a listed alias of fb:pftk is evaluated once ($SCORED_ALIAS epochs scored)"
+else
+    echo "FAIL: epochs scored with fb,10-MA ($SCORED_ALIAS) and fb:pftk,10-MA ($SCORED_FB_HB) differ"
+    FAILURES=$((FAILURES + 1))
+fi
 "$ANALYZE" "$WORK/clean.csv" --predictors bogus >/dev/null 2>"$WORK/err"
 check_exit "analyze unknown predictor spec" 2 $?
 grep -q "bad predictor spec 'bogus'" "$WORK/err" || { echo "FAIL: spec error does not name the spec"; FAILURES=$((FAILURES+1)); }
@@ -174,6 +182,40 @@ check_exit "campaign with --trace and --metrics-summary" 0 $?
 [ -s "$WORK/obs.jsonl" ] || { echo "FAIL: --trace wrote nothing"; FAILURES=$((FAILURES+1)); }
 grep -q '"ev":"epoch"' "$WORK/obs.jsonl" || { echo "FAIL: trace lacks epoch events"; FAILURES=$((FAILURES+1)); }
 grep -q "== metrics summary ==" "$WORK/obs.err" || { echo "FAIL: metrics summary not on stderr"; FAILURES=$((FAILURES+1)); }
+# $REPRO_METRICS=1 together with --metrics-summary prints one summary.
+summary_once() {  # description stderr-file
+    local n
+    n=$(grep -c "== metrics summary ==" "$2")
+    if [ "$n" -eq 1 ]; then
+        echo "ok: $1 prints one metrics summary"
+    else
+        echo "FAIL: $1 prints $n metrics summaries"
+        FAILURES=$((FAILURES + 1))
+    fi
+}
+REPRO_METRICS=1 "$CAMPAIGN" $TINY --out "$WORK/obs2.csv" --metrics-summary >/dev/null 2>"$WORK/obs2.err"
+check_exit "campaign with \$REPRO_METRICS and --metrics-summary" 0 $?
+summary_once "campaign with \$REPRO_METRICS and --metrics-summary" "$WORK/obs2.err"
+REPRO_METRICS=1 "$ANALYZE" "$WORK/obs2.csv" --metrics-summary >/dev/null 2>"$WORK/obs3.err"
+check_exit "analyze with \$REPRO_METRICS and --metrics-summary" 0 $?
+summary_once "analyze with \$REPRO_METRICS and --metrics-summary" "$WORK/obs3.err"
+
+# campaign.epochs_faulted counts the records that carry a fault flag, the
+# store footer's third count. Every epoch's plan draws ping timeouts at
+# this rate, but few epochs get one.
+"$CAMPAIGN" --paths 4 --traces 1 --epochs 10 --transfer-s 2 --seed 5 \
+    --faults ping-timeout=0.0001 --format store --out "$WORK/pt.store" \
+    --metrics-summary >/dev/null 2>"$WORK/pt.err"
+check_exit "store campaign with rare ping timeouts" 0 $?
+COUNTED=$(awk '$1 == "counter" && $2 == "campaign.epochs_faulted" { print $3 }' "$WORK/pt.err")
+IN_FOOTER=$(awk -F, '/^footer,/ { print $4 }' "$WORK/pt.store")
+if [ -n "$IN_FOOTER" ] && [ "$IN_FOOTER" -gt 0 ] && [ "$IN_FOOTER" -lt 40 ] &&
+    [ "$COUNTED" = "$IN_FOOTER" ]; then
+    echo "ok: campaign.epochs_faulted equals the footer's faulted count ($COUNTED)"
+else
+    echo "FAIL: campaign.epochs_faulted ($COUNTED) differs from the footer's faulted count ($IN_FOOTER)"
+    FAILURES=$((FAILURES + 1))
+fi
 
 "$ANALYZE" "$WORK/obs.csv" --trace "$WORK/engine.jsonl" >/dev/null 2>&1
 check_exit "analyze with --trace" 0 $?
@@ -383,6 +425,25 @@ spec_list_checks loadgen --specs "$LOADGEN" --from-store "$WORK/a.store" --offli
 spec_list_checks serve --specs timeout 20 "$SERVE" --socket "$WORK/serve.sock"
 [ -e "$WORK/serve.sock" ] && { echo "FAIL: serve listened despite a bad spec list"; FAILURES=$((FAILURES+1)); }
 
+# A snapshot event that OBSERVE would refuse (p̂ = 2, an infinite that_s)
+# fails --resume with exit 2, naming the line and the field, before the
+# daemon listens; the summary is printed once here too.
+snapshot_with() {  # phat that_s
+    printf 'tcppred-serve-snapshot,v1\nspecs,fb:pftk\npaths,1\npath,p0,2\n'
+    printf 'ev,0,0x1.24f8p+20,%s,0x1p-7,%s,0x1.b774p+19,0\n' "$1" "$2"
+    printf 'ev,1,0x1.0c8ep+20,0x1p-6,0x1p-7,0x1.70a3d70a3d70ap-4,0x1.9f0ap+19,0\nend,2\n'
+}
+for CASE in "phat 0x1p+1 0x1.47ae147ae147bp-4" "that_s 0x1p-7 inf"; do
+    read -r NAME PHAT THAT <<<"$CASE"
+    snapshot_with "$PHAT" "$THAT" >"$WORK/bad.snap"
+    REPRO_METRICS=1 timeout 20 "$SERVE" --socket "$WORK/resume.sock" --snapshot "$WORK/bad.snap" \
+        --resume --metrics-summary >/dev/null 2>"$WORK/err"
+    check_exit "serve --resume of a snapshot event with a bad $NAME" 2 $?
+    grep -q "bad.snap:5:0: bad value for $NAME" "$WORK/err" || { echo "FAIL: refused snapshot does not name the line and $NAME"; FAILURES=$((FAILURES+1)); }
+    summary_once "serve with \$REPRO_METRICS and --metrics-summary" "$WORK/err"
+done
+[ -e "$WORK/resume.sock" ] && { echo "FAIL: serve listened despite a refused snapshot"; FAILURES=$((FAILURES+1)); }
+
 # The path-table stripe count and the admission bound are constants: their
 # flags are unknown arguments.
 for FLAG in "--shards 4" "--max-inflight 8"; do
@@ -420,6 +481,26 @@ grep -q "footer counts" "$WORK/zf.err" || { echo "FAIL: tampered footer error do
 ls "$WORK"/zf.csv* >/dev/null 2>&1 && { echo "FAIL: rejected --convert left an output file"; FAILURES=$((FAILURES+1)); }
 "$ANALYZE" --from-store "$WORK/zf.store" >/dev/null 2>&1
 check_exit "--from-store of a store with a tampered footer count" 2 $?
+
+# A record's p̂ rewritten to 2 at the same byte length keeps every offset
+# valid. The store reader refuses the loss rate as the CSV reader does,
+# naming the file, the line and the field: --from-store exits 2 without a
+# report and --convert exits 2 and publishes nothing.
+awk -F, -v OFS=, '!done && /^rec,/ && length($6) >= 8 {
+        t = "0x1."; for (i = length($6); i > 7; i--) t = t "0"; $6 = t "p+1"; done = 1 }
+    { print }' "$WORK/a.store" >"$WORK/lossy.store"
+if cmp -s "$WORK/a.store" "$WORK/lossy.store" ||
+    [ "$(wc -c <"$WORK/a.store")" -ne "$(wc -c <"$WORK/lossy.store")" ]; then
+    echo "FAIL: no p̂ rewritten at the same length"
+    FAILURES=$((FAILURES + 1))
+fi
+"$ANALYZE" --from-store "$WORK/lossy.store" >"$WORK/lossy.out" 2>"$WORK/err"
+check_exit "--from-store of a store with p̂ = 2" 2 $?
+grep -q "lossy.store:[0-9]*:0: bad value for phat: .*loss rate must be in \[0,1\]" "$WORK/err" || { echo "FAIL: p̂ = 2 error does not name the file, line and field"; FAILURES=$((FAILURES+1)); }
+[ -s "$WORK/lossy.out" ] && { echo "FAIL: --from-store of p̂ = 2 printed a report"; FAILURES=$((FAILURES+1)); }
+"$CAMPAIGN" --convert "$WORK/lossy.store" --out "$WORK/lossy.csv" >/dev/null 2>&1
+check_exit "--convert of a store with p̂ = 2" 2 $?
+ls "$WORK"/lossy.csv* >/dev/null 2>&1 && { echo "FAIL: --convert of p̂ = 2 left an output file"; FAILURES=$((FAILURES+1)); }
 
 # Shards of different cross-traffic models never merge: the fingerprint
 # carries the model, and the error names the field.

@@ -104,11 +104,7 @@ std::string render(const dataset& data) {
         out += std::to_string(r.path_id) + ',' + std::to_string(r.trace_id) + ',' +
                std::to_string(r.epoch_index) + ',';
         const epoch_measurement& m = r.m;
-        for (const double v : {m.avail_bw_bps, m.phat, m.phat_events, m.that_s, m.ptilde,
-                               m.ttilde_s, m.r_large_bps, m.r_small_bps, m.tcp_loss_rate,
-                               m.tcp_event_rate, m.tcp_mean_rtt_s, m.sim_time_s}) {
-            num(v);
-        }
+        for (const measured_field& mf : k_measured_fields) num(m.*mf.member);
         for (const auto& [prefix, bps] : m.prefix_goodputs) {
             num(prefix);
             num(bps);

@@ -75,18 +75,11 @@ void expect_records_equal(const testbed::epoch_record& a,
     EXPECT_EQ(a.path_id, b.path_id);
     EXPECT_EQ(a.trace_id, b.trace_id);
     EXPECT_EQ(a.epoch_index, b.epoch_index);
-    expect_double_equal(a.m.avail_bw_bps, b.m.avail_bw_bps);
-    expect_double_equal(a.m.phat, b.m.phat);
-    EXPECT_EQ(a.m.phat_events, b.m.phat_events);
-    expect_double_equal(a.m.that_s, b.m.that_s);
-    expect_double_equal(a.m.ptilde, b.m.ptilde);
-    expect_double_equal(a.m.ttilde_s, b.m.ttilde_s);
-    expect_double_equal(a.m.r_large_bps, b.m.r_large_bps);
-    expect_double_equal(a.m.r_small_bps, b.m.r_small_bps);
-    expect_double_equal(a.m.tcp_loss_rate, b.m.tcp_loss_rate);
-    expect_double_equal(a.m.tcp_event_rate, b.m.tcp_event_rate);
-    expect_double_equal(a.m.tcp_mean_rtt_s, b.m.tcp_mean_rtt_s);
-    expect_double_equal(a.m.sim_time_s, b.m.sim_time_s);
+    for (std::size_t i = 0; i < testbed::k_measured_fields.size(); ++i) {
+        SCOPED_TRACE("measured field " + std::to_string(i));
+        const auto member = testbed::k_measured_fields[i].member;
+        expect_double_equal(a.m.*member, b.m.*member);
+    }
     EXPECT_EQ(a.m.events, b.m.events);
     EXPECT_EQ(a.m.fault_flags, b.m.fault_flags);
     ASSERT_EQ(a.m.prefix_goodputs.size(), b.m.prefix_goodputs.size());

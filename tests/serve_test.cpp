@@ -19,6 +19,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -390,6 +391,35 @@ TEST_F(serve_fixture, snapshot_refuses_mismatched_specs_and_garbage) {
                               static_cast<double>(whole.size()) * frac)))),
             testbed::dataset_error)
             << "frac=" << frac;
+    }
+    // An event OBSERVE would refuse is refused in a snapshot too: p̂ = 2.0
+    // (a loss rate outside [0, 1]) and an infinite that_s. The same edit to
+    // a valid value loads, so the refusal is the value's.
+    const std::size_t ev_at = whole.find("\nev,") + 1;
+    const std::size_t ev_end = whole.find('\n', ev_at);
+    const auto with_event_field = [&](std::size_t field, const std::string& token) {
+        std::vector<std::string> f =
+            testbed::split_fields(std::string_view(whole).substr(ev_at, ev_end - ev_at), ',');
+        f.at(field) = token;
+        std::string edited;
+        for (const std::string& v : f) edited += (edited.empty() ? "" : ",") + v;
+        return whole.substr(0, ev_at) + edited + whole.substr(ev_end);
+    };
+    const std::tuple<std::size_t, std::string, std::string> refused[] = {
+        {3, "0x1p+1", "phat"}, {5, "inf", "that_s"}};
+    for (const auto& [field, token, name] : refused) {
+        serve::path_table t(specs);
+        try {
+            (void)serve::load_snapshot(t, variant(with_event_field(field, token)));
+            ADD_FAILURE() << "accepted " << name << " = " << token;
+        } catch (const testbed::dataset_error& e) {
+            EXPECT_NE(std::string(e.what()).find("bad value for " + name), std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(t.observations(), 0u) << name;
+        serve::path_table ok(specs);
+        EXPECT_EQ(serve::load_snapshot(ok, variant(with_event_field(field, "0x1p-1"))).events,
+                  1u);
     }
     serve::path_table t2(specs);
     EXPECT_THROW((void)serve::load_snapshot(t2, variant("not a snapshot\n")),

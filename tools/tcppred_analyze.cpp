@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <iostream>
 #include <map>
 #include <string>
 #include <vector>
@@ -90,12 +89,19 @@ struct dataset_counts {
     std::size_t faulty{0};
 };
 
+/// The predictor a spec builds, by its canonical name: "fb" and "fb:pftk"
+/// are one predictor.
+std::string canonical_name(const std::string& spec) {
+    return core::make_predictor(spec)->name();
+}
+
 /// The one report printer both evaluation paths share: the in-memory engine
 /// path collapses its predictor_results with analysis::summarize, the
 /// --from-store path gets summaries straight from evaluate_stream — so the
 /// two modes produce byte-identical stdout on the same records.
-void print_report(const dataset_counts& counts,
-                  const std::vector<std::string>& all_specs,
+/// `summaries[i]` is the predictor named `names[i]`; rows are printed under
+/// each spec's listed spelling.
+void print_report(const dataset_counts& counts, const std::vector<std::string>& names,
                   const std::vector<std::string>& specs,
                   const std::vector<analysis::stream_predictor_summary>& summaries) {
     std::printf("dataset: %zu epochs, %zu paths, %zu traces", counts.epochs,
@@ -109,8 +115,9 @@ void print_report(const dataset_counts& counts,
 
     const auto summary_of =
         [&](const std::string& spec) -> const analysis::stream_predictor_summary& {
-        for (std::size_t i = 0; i < all_specs.size(); ++i) {
-            if (all_specs[i] == spec) return summaries[i];
+        const std::string name = canonical_name(spec);
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            if (names[i] == name) return summaries[i];
         }
         throw std::logic_error("spec not evaluated: " + spec);
     };
@@ -318,7 +325,7 @@ int main(int argc, char** argv) {
     tcppred::obs::init_from_env();
     if (metrics_summary) tcppred::obs::set_metrics_enabled(true);
     const auto finish_observability = [&]() -> int {
-        if (metrics_summary) tcppred::obs::write_metrics_summary(std::cerr);
+        if (metrics_summary) tcppred::obs::print_metrics_summary();
         if (!trace_file.empty()) {
             try {
                 tcppred::obs::trace_writer::instance().close();
@@ -332,16 +339,24 @@ int main(int argc, char** argv) {
 
     try {
         // One pass evaluates the FB baseline, the HW-LSO classifier input
-        // and every requested spec together, each once. fb:pftk is always
-        // index 0 — the one spec whose per-epoch errors the report needs.
-        std::vector<std::string> all_specs{"fb:pftk"};
-        const auto contains = [](const std::vector<std::string>& list, const std::string& s) {
-            return std::find(list.begin(), list.end(), s) != list.end();
+        // and every requested spec together, each predictor once however
+        // it is spelled. fb:pftk is always index 0 — the one spec whose
+        // per-epoch errors the report needs.
+        std::vector<std::string> all_specs;
+        std::vector<std::string> names;  // canonical, parallel to all_specs
+        const auto add = [&](const std::string& spec) {
+            std::string name = canonical_name(spec);
+            if (std::find(names.begin(), names.end(), name) != names.end()) return;
+            all_specs.push_back(spec);
+            names.push_back(std::move(name));
         };
-        if (!contains(specs, "0.8-HW-LSO")) all_specs.emplace_back("0.8-HW-LSO");
-        for (const std::string& spec : specs) {
-            if (!contains(all_specs, spec)) all_specs.push_back(spec);
+        add("fb:pftk");
+        const std::string hw_lso = canonical_name("0.8-HW-LSO");
+        if (std::none_of(specs.begin(), specs.end(),
+                         [&](const std::string& s) { return canonical_name(s) == hw_lso; })) {
+            add("0.8-HW-LSO");
         }
+        for (const std::string& spec : specs) add(spec);
 
         if (!from_store.empty()) {
             // Streamed path: records flow store → CSV-normalization →
@@ -361,7 +376,7 @@ int main(int argc, char** argv) {
                     return true;
                 },
                 all_specs, sopts);
-            print_report(counts, all_specs, specs, summaries);
+            print_report(counts, names, specs, summaries);
         } else {
             const testbed::dataset data = testbed::load_csv(input);
             std::size_t faulty_epochs = 0;
@@ -376,7 +391,7 @@ int main(int argc, char** argv) {
             for (std::size_t i = 0; i < results.size(); ++i) {
                 summaries.push_back(analysis::summarize(results[i], i == 0));
             }
-            print_report(counts, all_specs, specs, summaries);
+            print_report(counts, names, specs, summaries);
         }
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());

@@ -28,7 +28,6 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -299,7 +298,7 @@ int main(int argc, char** argv) {
     // summary covers whatever work completed, and close() surfaces a failed
     // trace write that would otherwise vanish with the process.
     const auto finish_observability = [&]() -> int {
-        if (metrics_summary) tcppred::obs::write_metrics_summary(std::cerr);
+        if (metrics_summary) tcppred::obs::print_metrics_summary();
         if (!trace_file.empty()) {
             try {
                 tcppred::obs::trace_writer::instance().close();

@@ -19,7 +19,6 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -173,6 +172,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: %s\n", e.what());
         rc = 2;
     }
-    if (metrics_summary) tcppred::obs::write_metrics_summary(std::cerr);
+    if (metrics_summary) tcppred::obs::print_metrics_summary();
     return rc;
 }
